@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-json-smoke bench-eventcore bench-eventcore-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
+.PHONY: all build test test-bench race vet bench bench-json bench-json-smoke bench-eventcore bench-eventcore-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
 
 all: verify
 
@@ -10,15 +10,22 @@ build:
 test:
 	$(GO) test ./...
 
+# The repository benchmark is a module of its own (bench/go.mod), so the root
+# module's build and tests do not compile it: a refactor of internal/ can
+# break it with everything else green. Part of verify.
+test-bench:
+	cd bench && $(GO) test ./...
+
 # The worker pool runs compute segments on real OS threads, so the race
 # detector is part of the verified loop, not an optional extra. The focused
 # second runs pin the observability determinism contract (byte-identical
 # exports for 1 vs N workers) and the communication-plan equivalence
 # contract (byte-identical iterates and traces for the gateway exchange)
-# under the race detector.
+# under the race detector, together with the export encoder's differential
+# test against encoding/json and its allocation budget.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults' ./internal/vgrid
 
@@ -116,4 +123,4 @@ bench-diff-fixture:
 lint-docs:
 	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt cmd/msprof cmd/benchjson
 
-verify: build vet lint-docs test race bench-json-smoke bench-eventcore-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture
+verify: build vet lint-docs test test-bench race bench-json-smoke bench-eventcore-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture

@@ -6,11 +6,14 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	repro "repro"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen"
@@ -462,6 +465,98 @@ func BenchmarkObsModes(b *testing.B) {
 			b.ReportMetric(float64(wall)/float64(b.N)/1e6, "sim-wall-clock")
 			b.ReportMetric(float64(res.Spans), "obs-spans")
 			b.ReportMetric(float64(res.PeakSpans), "obs-peak-spans")
+		})
+	}
+}
+
+// recordRing runs the 1000-host/100-cluster ring of BenchmarkObsModes (34
+// rounds, 102 000 events) with a retaining recorder and returns it with the
+// run's virtual makespan: the span population the export benchmarks work on.
+func recordRing(b *testing.B) (*obs.Recorder, float64) {
+	b.Helper()
+	const hosts, rounds = 1000, 34
+	plt := cluster.Synthetic(hosts, 100, 0.3, 7)
+	e := vgrid.NewEngine(plt.Platform)
+	rec := &obs.Recorder{}
+	e.Observe(rec)
+	procs := make([]*vgrid.Proc, hosts)
+	for i := range procs {
+		i := i
+		procs[i] = e.Spawn(plt.Hosts[i], fmt.Sprintf("ring%d", i), func(p *vgrid.Proc) error {
+			for r := 0; r < rounds; r++ {
+				p.Compute(1e5 * float64(1+(i*31+r*17)%97))
+				if err := p.Send(procs[(i+1)%hosts], r, nil, 256); err != nil {
+					return err
+				}
+				p.Recv((i+hosts-1)%hosts, r)
+			}
+			return nil
+		})
+	}
+	vt, err := e.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rec, vt
+}
+
+// BenchmarkObsExport measures the recorder layer alone — no simulation in
+// the timed loop — on the ring's 136 000 spans, one sub-benchmark per export
+// stage, each reporting its cost per span (ns/span, B/span, allocs/span):
+//
+//	encode-trace   batch Perfetto export of the already-sorted spans
+//	write-windows  windows.json from computed windowed metrics
+//	write-metrics  metrics.json from computed aggregate metrics
+//	spans-sorted   building the sorted span view after a new emission
+//	stream-emit    the streaming path: ring push, watermark flush, encode
+func BenchmarkObsExport(b *testing.B) {
+	rec, vt := recordRing(b)
+	spans := rec.Spans()
+	wm := obs.ComputeWindows(rec, 0.05, vt, nil)
+	m := obs.ComputeMetrics(rec, vt)
+	for _, bc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"encode-trace", func() error { return obs.WriteTraceJSON(io.Discard, rec) }},
+		{"write-windows", func() error { return wm.WriteJSON(io.Discard) }},
+		{"write-metrics", func() error { return m.WriteJSON(io.Discard) }},
+		{"spans-sorted", func() error {
+			// A zero-length mark at the end of the run: drops the cached view
+			// without disturbing the population.
+			rec.Span(obs.Span{Track: "ring0", Cat: obs.CatMark, Name: "mark", Start: vt, End: vt})
+			rec.Spans()
+			return nil
+		}},
+		{"stream-emit", func() error {
+			// Replayed in start order with the watermark at each start, every
+			// later span ends past it, as the engine guarantees; the ring
+			// then holds the spans in flight, about one per host.
+			sr := &obs.Recorder{}
+			st := obs.NewStreamer(io.Discard, 0)
+			sr.SetStream(st)
+			for i := range spans {
+				sr.Span(spans[i])
+				sr.Advance(spans[i].Start)
+			}
+			return st.Close()
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * float64(len(spans))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/span")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/span")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/span")
 		})
 	}
 }

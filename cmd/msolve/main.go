@@ -199,12 +199,29 @@ func (ospec obsSpec) validate() error {
 	return nil
 }
 
+// traceStream is the -stream-trace output: the streamer and the file its
+// buffered events drain into.
+type traceStream struct {
+	*obs.Streamer
+	f *os.File
+}
+
+// Close terminates the trace document, drains the streamer's buffer into the
+// file and closes it, returning the first error of the three steps.
+func (ts *traceStream) Close() error {
+	err := ts.Streamer.Close()
+	if cerr := ts.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // attach prepares the streaming trace writer when -stream-trace is on: the
 // recorder hands every span to a flight-recorder ring flushing incrementally
 // into the trace file, and the window accumulator (when -window > 0) rides
-// on the flushed spans. Returns the streamer to Close after the run (nil in
+// on the flushed spans. Returns the stream to Close after the run (nil in
 // batch mode).
-func (ospec obsSpec) attach(rec *obs.Recorder) (*obs.Streamer, error) {
+func (ospec obsSpec) attach(rec *obs.Recorder) (*traceStream, error) {
 	if !ospec.streamTrace {
 		return nil, nil
 	}
@@ -217,7 +234,7 @@ func (ospec obsSpec) attach(rec *obs.Recorder) (*obs.Streamer, error) {
 		st.AccumulateWindows(ospec.window)
 	}
 	rec.SetStream(st)
-	return st, nil
+	return &traceStream{st, f}, nil
 }
 
 // writeFile creates path and streams write into it.
@@ -236,7 +253,7 @@ func writeFile(path string, write func(io.Writer) error) error {
 // export writes the requested artifacts from a finished run: the Perfetto
 // trace (batch, or closing the incremental stream), the metrics pair
 // (JSON + CSV), the windowed telemetry and the critical-path report.
-func (ospec obsSpec) export(rec *obs.Recorder, st *obs.Streamer, makespan float64) error {
+func (ospec obsSpec) export(rec *obs.Recorder, st *traceStream, makespan float64) error {
 	if ospec.traceJSON != "" && st == nil {
 		if err := writeFile(ospec.traceJSON, func(w io.Writer) error {
 			return obs.WriteTraceJSON(w, rec)
@@ -501,7 +518,7 @@ func run(matrixPath, rhsPath string, procs, overlap int, async, topo, gateway bo
 		e.Record(rec)
 	}
 	var orec *obs.Recorder
-	var stream *obs.Streamer
+	var stream *traceStream
 	if ospec.enabled() {
 		orec = &obs.Recorder{}
 		e.Observe(orec)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -212,12 +211,69 @@ func ComputeMetrics(r *Recorder, makespan float64) *Metrics {
 	return m
 }
 
-// WriteJSON writes the metrics as indented JSON (deterministic: struct field
-// order and sorted slices).
+// WriteJSON writes the metrics as indented JSON, deterministic because
+// every member is written in declaration order and the slices are sorted.
+// The bytes are those json.Encoder with a two-space indent gives for the
+// struct tags above: a nil slice is null, an empty one [].
 func (m *Metrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
+	j := newJSONWriter(w)
+	// list writes a slice member: null for a nil slice, as encoding/json does.
+	list := func(depth int, key string, n int, isNil bool, row func(i int)) {
+		if isNil {
+			j.member(depth, key)
+			j.raw("null")
+			return
+		}
+		j.rows(depth, key, n, row)
+	}
+	j.b = append(j.b, '{')
+	j.floatMember(1, "makespan", m.Makespan)
+	j.check("metrics", -1)
+	list(1, "hosts", len(m.Hosts), m.Hosts == nil, func(i int) {
+		h := &m.Hosts[i]
+		j.strMember(3, "track", h.Track)
+		j.floatMember(3, "compute", h.Compute)
+		j.floatMember(3, "send", h.Send)
+		j.floatMember(3, "wait", h.Wait)
+		j.floatMember(3, "sleep", h.Sleep)
+		j.floatMember(3, "idle", h.Idle)
+		j.floatMember(3, "flops", h.Flops)
+		j.floatMember(3, "utilization", h.Utilization)
+	})
+	list(1, "links", len(m.Links), m.Links == nil, func(i int) {
+		l := &m.Links[i]
+		j.strMember(3, "link", l.Link)
+		j.floatMember(3, "bytes", l.Bytes)
+		j.floatMember(3, "msgs", l.Msgs)
+		j.floatMember(3, "queue_delay", l.QueueDelay)
+	})
+	if t := m.Traffic; t != nil {
+		j.member(1, "traffic")
+		j.b = append(j.b, '{')
+		j.floatMember(2, "intra_bytes", t.IntraBytes)
+		j.floatMember(2, "inter_bytes", t.InterBytes)
+		j.floatMember(2, "intra_msgs", t.IntraMsgs)
+		j.floatMember(2, "inter_msgs", t.InterMsgs)
+		j.nl(1)
+		j.b = append(j.b, '}')
+		j.check("traffic", -1)
+	}
+	list(1, "counters", len(m.Counters), m.Counters == nil, func(i int) {
+		c := &m.Counters[i]
+		j.strMember(3, "Name", c.Name)
+		j.strMember(3, "Track", c.Track)
+		j.floatMember(3, "Value", c.Value)
+	})
+	list(1, "series", len(m.Series), m.Series == nil, func(i int) {
+		s := &m.Series[i]
+		j.strMember(3, "series", s.Series)
+		j.strMember(3, "track", s.Track)
+		list(3, "points", len(s.Points), s.Points == nil, func(k int) {
+			j.floatMember(5, "t", s.Points[k].T)
+			j.floatMember(5, "v", s.Points[k].V)
+		})
+	})
+	return j.end()
 }
 
 // WriteCSV writes the metrics in long form: one section per table

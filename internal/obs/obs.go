@@ -22,7 +22,12 @@
 // With no recorder attached the instrumented code paths cost one nil check.
 package obs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+	"strings"
+)
 
 // Span categories. Host-level categories (compute, send, wait, sleep, mark)
 // tile each process's track without overlap; net spans live on the shared
@@ -103,8 +108,6 @@ type Span struct {
 	Queue float64
 	// Note carries free-form detail (e.g. the drop reason of a lost message).
 	Note string
-
-	idx int64 // per-recorder emission index (per-track order witness)
 }
 
 // SamplePoint is one metric observation: a named series on a track at a
@@ -150,18 +153,19 @@ const spanChunk = 4096
 type Recorder struct {
 	// spans is chunked: every chunk but the last holds exactly spanChunk
 	// entries, so recording never moves previously stored spans.
-	spans   [][]Span
-	nSpans  int
+	spans  [][]Span
+	nSpans int
+	// sorted caches the export-ordered view Spans returns, so the exporters
+	// that each walk it (trace, windows, metrics, critical path) share one
+	// sort; recording a span drops it.
+	sorted  []Span
 	samples []SamplePoint
 	counts  map[countKey]float64
 	nextIdx int64
 	journal *journalLog
 	// stream, when non-nil, receives every span instead of chunked storage
-	// (bounded-memory streaming mode; see stream.go); trackSeq assigns the
-	// per-track emission sequence the stream's deterministic flush order
-	// ties on.
-	stream   *Streamer
-	trackSeq map[string]int64
+	// (bounded-memory streaming mode; see stream.go).
+	stream *Streamer
 }
 
 // SetStream switches the recorder into streaming mode: spans are handed to
@@ -293,17 +297,11 @@ func (r *Recorder) Span(s Span) {
 		return
 	}
 	if st := r.stream; st != nil {
-		if r.trackSeq == nil {
-			r.trackSeq = map[string]int64{}
-		}
-		s.idx = r.trackSeq[s.Track]
-		r.trackSeq[s.Track]++
 		r.nSpans++
-		st.push(s)
+		st.push(&s)
 		return
 	}
-	s.idx = r.nextIdx
-	r.nextIdx++
+	r.sorted = nil
 	if n := len(r.spans); n == 0 || len(r.spans[n-1]) == spanChunk {
 		r.spans = append(r.spans, make([]Span, 0, spanChunk))
 	}
@@ -354,26 +352,44 @@ func (r *Recorder) Count(name, track string, n float64) {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Spans returns every recorded span sorted by (Start, Track, emission
-// index) — the deterministic export order (see the package comment).
+// order) — the deterministic export order (see the package comment). The
+// slice is built on the first call after a span was recorded and shared by
+// every later one, so callers must not modify it.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, r.nSpans)
-	for _, chunk := range r.spans {
-		out = append(out, chunk...)
+	if r.sorted != nil || len(r.spans) == 0 {
+		return r.sorted
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	// Sort 16-byte keys, not the spans: a key carries the span's start and
+	// its position in emission order, which both locates the span in the
+	// chunks and breaks ties the way the emission index always did.
+	type key struct {
+		start float64
+		pos   int32
+	}
+	at := func(pos int32) *Span { return &r.spans[pos/spanChunk][pos%spanChunk] }
+	keys := make([]key, 0, r.nSpans)
+	for c, chunk := range r.spans {
+		for i := range chunk {
+			keys = append(keys, key{chunk[i].Start, int32(c*spanChunk + i)})
 		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return a.idx < b.idx
+		if c := strings.Compare(at(a.pos).Track, at(b.pos).Track); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
-	return out
+	r.sorted = make([]Span, len(keys))
+	for i, k := range keys {
+		r.sorted[i] = *at(k.pos)
+	}
+	return r.sorted
 }
 
 // Samples returns every recorded observation sorted by (Series, Track, T,

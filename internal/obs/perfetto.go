@@ -1,96 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 )
-
-// Trace-event process groups: Perfetto renders one collapsible group per pid.
-const (
-	pidGrid    = 1 // process tracks: compute/send/wait/sleep/mark spans
-	pidNet     = 2 // message transfers in flight (async events)
-	pidSolver  = 3 // per-rank solver overlays: fact/refact/iter/phase/...
-	pidMetrics = 4 // counter tracks (samples as Chrome "C" events)
-)
-
-// traceEvent is one Chrome trace-event object. Field order does not matter;
-// encoding/json emits struct fields in declaration order and map keys sorted,
-// so the export is deterministic byte-for-byte.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int64          `json:"id,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-// pidOf maps a span category to its trace-event process group.
-func pidOf(cat string) int {
-	switch cat {
-	case CatNet:
-		return pidNet
-	case CatFact, CatRefact, CatIter, CatPhase, CatRetry, CatDetect:
-		return pidSolver
-	default:
-		return pidGrid
-	}
-}
-
-// usec converts virtual seconds to the microseconds the trace-event format
-// expects.
-func usec(t float64) float64 { return t * 1e6 }
-
-// spanArgs builds the args map for a span, omitting zero-valued attributes.
-func spanArgs(s Span) map[string]any {
-	a := map[string]any{}
-	if s.Flops != 0 {
-		a["flops"] = s.Flops
-	}
-	if s.Bytes != 0 {
-		a["bytes"] = s.Bytes
-	}
-	if s.From != "" {
-		a["from"] = s.From
-	}
-	if s.To != "" {
-		a["to"] = s.To
-	}
-	if s.Link != "" {
-		a["link"] = s.Link
-	}
-	if s.Tag != 0 {
-		a["tag"] = s.Tag
-	}
-	if s.Iter != 0 {
-		a["iter"] = s.Iter
-	}
-	if s.Seq != 0 {
-		a["seq"] = s.Seq
-	}
-	if s.Cause != 0 {
-		a["cause"] = s.Cause
-	}
-	if s.Queue != 0 {
-		a["queue"] = s.Queue
-	}
-	if s.Note != "" {
-		a["note"] = s.Note
-	}
-	if len(a) == 0 {
-		return nil
-	}
-	return a
-}
 
 // WriteTraceJSON exports the recorder as Chrome trace-event JSON, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing. Process tracks (pid 1) and
@@ -98,85 +11,58 @@ func spanArgs(s Span) map[string]any {
 // in-flight message transfers (pid 2) use async "b"/"e" pairs keyed by the
 // message sequence number, because transfers on a shared link legitimately
 // overlap; metric samples become counter "C" tracks (pid 4). The output is
-// deterministic: same run, same bytes, regardless of worker count.
+// deterministic: same run, same bytes, regardless of worker count — events
+// follow the recorder's sorted span and sample orders, tids follow the sorted
+// track names, and the encoder (encode.go) writes every event's members and
+// args in one fixed order. A span or sample holding a NaN or an infinity
+// fails the export with an error naming it; what was written before it is
+// an incomplete document.
 func WriteTraceJSON(w io.Writer, r *Recorder) error {
 	spans := r.Spans()
 	samples := r.Samples()
 
 	// Assign tids: per pid, tracks sorted by name.
-	trackSets := map[int]map[string]bool{}
-	for _, s := range spans {
-		pid := pidOf(s.Cat)
-		if trackSets[pid] == nil {
-			trackSets[pid] = map[string]bool{}
+	var tids [pidMetrics + 1]map[string]int
+	note := func(pid int, track string) {
+		if tids[pid] == nil {
+			tids[pid] = map[string]int{}
 		}
-		trackSets[pid][s.Track] = true
+		tids[pid][track] = 0
 	}
-	for _, sp := range samples {
-		name := sp.Series + ":" + sp.Track
-		if trackSets[pidMetrics] == nil {
-			trackSets[pidMetrics] = map[string]bool{}
-		}
-		trackSets[pidMetrics][name] = true
+	for i := range spans {
+		note(pidOf(spans[i].Cat), spans[i].Track)
 	}
-	tids := map[int]map[string]int{}
-	var events []traceEvent
-	pidNames := map[int]string{pidGrid: "grid", pidNet: "network", pidSolver: "solver", pidMetrics: "metrics"}
-	for _, pid := range []int{pidGrid, pidNet, pidSolver, pidMetrics} {
-		set := trackSets[pid]
+	var counter counterNamer
+	for i := range samples {
+		note(pidMetrics, counter.of(&samples[i]))
+	}
+
+	enc := newTraceEncoder(w)
+	for pid, set := range tids {
 		if len(set) == 0 {
 			continue
 		}
-		events = append(events, traceEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": pidNames[pid]},
-		})
+		enc.meta("process_name", pid, 0, pidNames[pid])
 		names := make([]string, 0, len(set))
 		for n := range set {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		tids[pid] = map[string]int{}
 		for i, n := range names {
-			tids[pid][n] = i
-			events = append(events, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: i,
-				Args: map[string]any{"name": n},
-			})
+			set[n] = i
+			enc.meta("thread_name", pid, i, n)
 		}
 	}
 
-	for _, s := range spans {
+	for i := range spans {
+		s := &spans[i]
 		pid := pidOf(s.Cat)
-		tid := tids[pid][s.Track]
-		name := s.Name
-		if name == "" {
-			name = s.Cat
-		}
-		if pid == pidNet {
-			// Async pair: transfers overlap on shared tracks.
-			args := spanArgs(s)
-			events = append(events,
-				traceEvent{Name: name, Cat: s.Cat, Ph: "b", Ts: usec(s.Start), Pid: pid, Tid: tid, ID: s.Seq, Args: args},
-				traceEvent{Name: name, Cat: s.Cat, Ph: "e", Ts: usec(s.End), Pid: pid, Tid: tid, ID: s.Seq},
-			)
-			continue
-		}
-		dur := usec(s.End - s.Start)
-		events = append(events, traceEvent{
-			Name: name, Cat: s.Cat, Ph: "X", Ts: usec(s.Start), Dur: &dur,
-			Pid: pid, Tid: tid, Args: spanArgs(s),
-		})
+		enc.span(s, pid, tids[pid][s.Track])
 	}
 
-	for _, sp := range samples {
-		name := sp.Series + ":" + sp.Track
-		events = append(events, traceEvent{
-			Name: name, Ph: "C", Ts: usec(sp.T), Pid: pidMetrics, Tid: tids[pidMetrics][name],
-			Args: map[string]any{"value": sp.V},
-		})
+	for i := range samples {
+		name := counter.of(&samples[i])
+		enc.counter(name, tids[pidMetrics][name], samples[i].T, samples[i].V)
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return enc.finish()
 }

@@ -17,7 +17,7 @@
 //     yields all spans in (End, Start, Track, per-track seq) order no matter
 //     which watermark subsequence a particular lane count produced.
 //   - Ties are broken by a per-track emission sequence instead of the
-//     recorder's global index: the per-track emission order is the process's
+//     recorder's global emission order: the per-track order is the process's
 //     own program order, which is worker- and lane-count invariant, while the
 //     global interleaving is not.
 //
@@ -29,98 +29,57 @@
 // the default ring is ample for every shipped workload).
 package obs
 
-import (
-	"encoding/json"
-	"io"
-)
+import "io"
 
 // DefaultStreamRing is the default flight-recorder capacity: the maximum
 // number of spans held in memory awaiting their watermark.
 const DefaultStreamRing = 1 << 16
 
-// streamHeap is a min-heap of pending spans ordered by the deterministic
-// flush key (End, Start, Track, per-track seq).
-type streamHeap []Span
-
-func (h streamHeap) Len() int { return len(h) }
-
-func (h streamHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.End != b.End {
-		return a.End < b.End
-	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	if a.Track != b.Track {
-		return a.Track < b.Track
-	}
-	return a.idx < b.idx
-}
-
-// push adds s keeping the heap invariant. Hand-rolled sift-up: the per-span
-// hot path runs once per committed event, and container/heap would box every
-// Span into an interface on the way in and out.
-func (h *streamHeap) push(s Span) {
-	a := append(*h, s)
-	*h = a
-	for i := len(a) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !a.Less(i, p) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-// pop removes and returns the minimum-keyed span.
-func (h *streamHeap) pop() Span {
-	a := *h
-	n := len(a) - 1
-	s := a[0]
-	a[0] = a[n]
-	a = a[:n]
-	*h = a
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && a.Less(r, c) {
-			c = r
-		}
-		if !a.Less(c, i) {
-			break
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-	return s
+// streamKey is one pending span's entry in the flush heap: the deterministic
+// flush key (End, Start, Track, per-track seq) plus the slab slot holding
+// the span. The heap sifts these 32-byte keys, never the spans themselves.
+type streamKey struct {
+	end, start float64
+	seq        int64
+	track      int32 // interned track id; ordered by name, see less
+	slot       int32
 }
 
 // Streamer is the incremental trace-event writer behind a streaming
 // recorder: a pending-span ring plus the encoder state of one Chrome
 // trace-event JSON document. Create it with NewStreamer, attach it with
 // Recorder.SetStream before the run, and Close it after the run to flush the
-// tail, append the metric counter events and terminate the document. A
+// tail, append the metric counter events and terminate the document. Events
+// go through the same encoder as the batch exporter's and reach the writer
+// in buffered chunks, so nothing is complete on the writer until Close. A
 // Streamer is fed only from the recorder's serialized emission points; it is
 // not goroutine-safe.
 type Streamer struct {
-	w    io.Writer
+	enc  traceEncoder
 	ring int
 	rec  *Recorder
 
-	pend     streamHeap
+	// heap is a min-heap of the pending spans' keys; the spans sit in slab,
+	// whose vacated slots are recycled through free, so a steady-state run
+	// allocates nothing per span.
+	heap []streamKey
+	slab []Span
+	free []int32
+
+	// Track names are interned on arrival: ids index names (the id's
+	// string, for ordering and thread_name events), seqs (the per-track
+	// emission sequence the flush order ties on) and, per process group,
+	// tids (the track's tid plus one; zero until its metadata is written).
+	ids   map[string]int32
+	names []string
+	seqs  []int64
+	tids  [pidMetrics + 1][]int32
+	ntids [pidMetrics + 1]int32
+
 	peak     int
 	flushed  int
 	overflow int
-
-	started bool
-	closed  bool
-	err     error
-	tids    map[int]map[string]int
-	buf     []byte
+	closed   bool
 
 	windows *WindowAccum
 }
@@ -132,7 +91,7 @@ func NewStreamer(w io.Writer, ring int) *Streamer {
 	if ring <= 0 {
 		ring = DefaultStreamRing
 	}
-	return &Streamer{w: w, ring: ring, tids: map[int]map[string]int{}}
+	return &Streamer{enc: newTraceEncoder(w), ring: ring, ids: map[string]int32{}}
 }
 
 // AccumulateWindows additionally folds every flushed span (and, at Close,
@@ -167,123 +126,163 @@ func (st *Streamer) Flushed() int { return st.flushed }
 // valid).
 func (st *Streamer) OverflowFlushes() int { return st.overflow }
 
-// push enqueues a span, then enforces the ring bound by force-flushing the
-// smallest-keyed pending spans. The engine calls this via Recorder.Span.
-func (st *Streamer) push(s Span) {
-	st.pend.push(s)
-	for len(st.pend) > st.ring {
+// intern returns the id of a track name, assigning the next one on first
+// sight.
+func (st *Streamer) intern(name string) int32 {
+	id, ok := st.ids[name]
+	if !ok {
+		id = int32(len(st.names))
+		st.ids[name] = id
+		st.names = append(st.names, name)
+		st.seqs = append(st.seqs, 0)
+	}
+	return id
+}
+
+// less orders two pending spans by the flush key. Track ids are handed out
+// in arrival order, which depends on the lane count, so distinct tracks
+// compare by name.
+func (st *Streamer) less(a, b *streamKey) bool {
+	if a.end != b.end {
+		return a.end < b.end
+	}
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	if a.track != b.track {
+		return st.names[a.track] < st.names[b.track]
+	}
+	return a.seq < b.seq
+}
+
+// push copies a span into the slab and its key into the heap, then enforces
+// the ring bound by force-flushing the smallest-keyed pending spans. The
+// engine calls this via Recorder.Span. The sift is hand-rolled: the per-span
+// hot path runs once per committed event, and container/heap would box every
+// key into an interface on the way in and out.
+func (st *Streamer) push(s *Span) {
+	var slot int32
+	if n := len(st.free); n > 0 {
+		slot = st.free[n-1]
+		st.free = st.free[:n-1]
+		st.slab[slot] = *s
+	} else {
+		slot = int32(len(st.slab))
+		st.slab = append(st.slab, *s)
+	}
+	track := st.intern(s.Track)
+	k := streamKey{end: s.End, start: s.Start, seq: st.seqs[track], track: track, slot: slot}
+	st.seqs[track]++
+	h := append(st.heap, k)
+	st.heap = h
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !st.less(&h[i], &h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	for len(st.heap) > st.ring {
 		st.overflow++
-		st.emit(st.pend.pop())
+		st.pop()
 	}
-	if len(st.pend) > st.peak {
-		st.peak = len(st.pend)
+	if len(st.heap) > st.peak {
+		st.peak = len(st.heap)
 	}
+}
+
+// pop removes the minimum-keyed pending span, writes it out and recycles
+// its slab slot.
+func (st *Streamer) pop() {
+	h := st.heap
+	n := len(h) - 1
+	k := h[0]
+	h[0] = h[n]
+	h = h[:n]
+	st.heap = h
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && st.less(&h[r], &h[c]) {
+			c = r
+		}
+		if !st.less(&h[c], &h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	st.emit(&st.slab[k.slot], k.track)
+	st.free = append(st.free, k.slot)
 }
 
 // advance flushes every pending span that ended strictly before the
 // watermark t. The engine calls this via Recorder.Advance at its serialized
 // commit points, with non-decreasing t.
 func (st *Streamer) advance(t float64) {
-	for len(st.pend) > 0 && st.pend[0].End < t {
-		st.emit(st.pend.pop())
+	for len(st.heap) > 0 && st.heap[0].end < t {
+		st.pop()
 	}
 }
 
-// write appends raw bytes to the output, latching the first error.
-func (st *Streamer) write(b []byte) {
-	if st.err != nil {
-		return
+// tid returns the tid of an interned track inside a process group, emitting
+// process_name and thread_name metadata events on first use. Unlike the
+// batch exporter, tids follow first-flush order rather than sorted order —
+// the flush order is itself deterministic, so the document still is.
+func (st *Streamer) tid(pid int, track int32) int {
+	tids := st.tids[pid]
+	if int(track) >= len(tids) {
+		tids = append(tids, make([]int32, len(st.names)-len(tids))...)
+		st.tids[pid] = tids
 	}
-	_, st.err = st.w.Write(b)
-}
-
-// event encodes one trace event, emitting the document header before the
-// first and a separating comma before every later one.
-func (st *Streamer) event(ev traceEvent) {
-	if !st.started {
-		st.write([]byte(`{"traceEvents":[`))
-		st.started = true
-	} else {
-		st.write([]byte{','})
+	if tids[track] == 0 {
+		if st.ntids[pid] == 0 {
+			st.enc.meta("process_name", pid, 0, pidNames[pid])
+		}
+		st.enc.meta("thread_name", pid, int(st.ntids[pid]), st.names[track])
+		st.ntids[pid]++
+		tids[track] = st.ntids[pid]
 	}
-	b, err := json.Marshal(ev)
-	if err != nil && st.err == nil {
-		st.err = err
-	}
-	st.write(b)
-}
-
-// track returns the tid for (pid, name), emitting process_name and
-// thread_name metadata events on first use. Unlike the batch exporter, tids
-// follow first-flush order rather than sorted order — the flush order is
-// itself deterministic, so the document still is.
-func (st *Streamer) track(pid int, name string) int {
-	m := st.tids[pid]
-	if m == nil {
-		m = map[string]int{}
-		st.tids[pid] = m
-		st.event(traceEvent{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": map[int]string{pidGrid: "grid", pidNet: "network", pidSolver: "solver", pidMetrics: "metrics"}[pid]}})
-	}
-	tid, ok := m[name]
-	if !ok {
-		tid = len(m)
-		m[name] = tid
-		st.event(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": name}})
-	}
-	return tid
+	return int(tids[track] - 1)
 }
 
 // emit writes one span out (and folds it into the window accumulator).
-func (st *Streamer) emit(s Span) {
+func (st *Streamer) emit(s *Span, track int32) {
 	st.flushed++
 	if st.windows != nil {
-		st.windows.AddSpan(s)
+		st.windows.AddSpan(*s)
 	}
 	pid := pidOf(s.Cat)
-	tid := st.track(pid, s.Track)
-	name := s.Name
-	if name == "" {
-		name = s.Cat
-	}
-	if pid == pidNet {
-		args := spanArgs(s)
-		st.event(traceEvent{Name: name, Cat: s.Cat, Ph: "b", Ts: usec(s.Start), Pid: pid, Tid: tid, ID: s.Seq, Args: args})
-		st.event(traceEvent{Name: name, Cat: s.Cat, Ph: "e", Ts: usec(s.End), Pid: pid, Tid: tid, ID: s.Seq})
-		return
-	}
-	dur := usec(s.End - s.Start)
-	st.event(traceEvent{Name: name, Cat: s.Cat, Ph: "X", Ts: usec(s.Start), Dur: &dur,
-		Pid: pid, Tid: tid, Args: spanArgs(s)})
+	st.enc.span(s, pid, st.tid(pid, track))
 }
 
 // Close flushes every remaining pending span, appends the recorder's metric
-// samples as counter events, terminates the JSON document and returns the
-// first write error. The streamer must not be fed after Close.
+// samples as counter events, terminates the JSON document, drains the
+// encoder's buffer to the writer and returns the first failure: a write
+// error, after which no further write was attempted, or a span or sample
+// holding a NaN or an infinity, which cuts the document short at that event.
+// The streamer must not be fed after Close.
 func (st *Streamer) Close() error {
 	if st.closed {
-		return st.err
+		return st.enc.err
 	}
 	st.closed = true
-	for len(st.pend) > 0 {
-		st.emit(st.pend.pop())
+	for len(st.heap) > 0 {
+		st.pop()
 	}
 	if st.rec != nil {
-		for _, sp := range st.rec.Samples() {
+		var counter counterNamer
+		samples := st.rec.Samples()
+		for i := range samples {
 			if st.windows != nil {
-				st.windows.AddSample(sp)
+				st.windows.AddSample(samples[i])
 			}
-			name := sp.Series + ":" + sp.Track
-			tid := st.track(pidMetrics, name)
-			st.event(traceEvent{Name: name, Ph: "C", Ts: usec(sp.T), Pid: pidMetrics, Tid: tid,
-				Args: map[string]any{"value": sp.V}})
+			name := counter.of(&samples[i])
+			st.enc.counter(name, st.tid(pidMetrics, st.intern(name)), samples[i].T, samples[i].V)
 		}
 	}
-	if !st.started {
-		st.write([]byte(`{"traceEvents":[`))
-		st.started = true
-	}
-	st.write([]byte("],\"displayTimeUnit\":\"ms\"}\n"))
-	return st.err
+	return st.enc.finish()
 }

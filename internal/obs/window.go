@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -216,7 +216,9 @@ func (a *WindowAccum) AddSpan(s Span) {
 	case CatNet:
 		w := a.winOf(s.Start)
 		age := s.End - s.Start
-		for _, link := range strings.Split(s.Link, "+") {
+		for rest := s.Link; rest != ""; {
+			var link string
+			link, rest, _ = strings.Cut(rest, "+")
 			if link == "" {
 				continue
 			}
@@ -314,37 +316,15 @@ func (a *WindowAccum) Finish(makespan float64, cp *CPReport) *WindowedMetrics {
 		c := covered(h.W)
 		h.Utilization = (h.Compute + h.Send) / c
 		h.WaitShare = h.Wait / c
-		wm.Hosts = append(wm.Hosts, *h)
 	}
-	sort.Slice(wm.Hosts, func(i, j int) bool {
-		a, b := wm.Hosts[i], wm.Hosts[j]
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		return a.W < b.W
+	wm.Hosts = sortedRows(a.hosts, func(x, y *HostWindow) int {
+		return cmp.Or(strings.Compare(x.Track, y.Track), cmp.Compare(x.W, y.W))
 	})
-	for _, l := range a.links {
-		wm.Links = append(wm.Links, *l)
-	}
-	sort.Slice(wm.Links, func(i, j int) bool {
-		a, b := wm.Links[i], wm.Links[j]
-		if a.Link != b.Link {
-			return a.Link < b.Link
-		}
-		return a.W < b.W
+	wm.Links = sortedRows(a.links, func(x, y *LinkWindow) int {
+		return cmp.Or(strings.Compare(x.Link, y.Link), cmp.Compare(x.W, y.W))
 	})
-	for _, s := range a.series {
-		wm.Series = append(wm.Series, *s)
-	}
-	sort.Slice(wm.Series, func(i, j int) bool {
-		a, b := wm.Series[i], wm.Series[j]
-		if a.Series != b.Series {
-			return a.Series < b.Series
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		return a.W < b.W
+	wm.Series = sortedRows(a.series, func(x, y *SeriesWindow) int {
+		return cmp.Or(strings.Compare(x.Series, y.Series), strings.Compare(x.Track, y.Track), cmp.Compare(x.W, y.W))
 	})
 	if cp != nil {
 		wm.CritPath = cp.Windows(a.width)
@@ -407,20 +387,91 @@ func (cp *CPReport) Windows(width float64) []CPWindow {
 			}
 		}
 	}
-	out := make([]CPWindow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
+	return sortedRows(rows, func(x, y *CPWindow) int { return cmp.Compare(x.W, y.W) })
+}
+
+// sortedRows flattens a map of accumulated rows into a slice ordered by
+// order (nil for an empty map). The row pointers are sorted and the rows
+// copied once into place, instead of swapping the rows themselves.
+func sortedRows[K comparable, T any](rows map[K]*T, order func(x, y *T) int) []T {
+	if len(rows) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].W < out[j].W })
+	ptrs := make([]*T, 0, len(rows))
+	for _, r := range rows {
+		ptrs = append(ptrs, r)
+	}
+	slices.SortFunc(ptrs, order)
+	out := make([]T, len(ptrs))
+	for i, r := range ptrs {
+		out[i] = *r
+	}
 	return out
 }
 
-// WriteJSON writes the windowed metrics as indented JSON (deterministic:
-// struct field order and sorted row lists).
+// WriteJSON writes the windowed metrics as indented JSON, deterministic
+// because every member is written in declaration order and the row lists are
+// sorted. The bytes are those json.Encoder with a two-space indent gives for
+// the struct tags above; empty row lists are left out.
 func (wm *WindowedMetrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(wm)
+	j := newJSONWriter(w)
+	j.b = append(j.b, '{')
+	j.floatMember(1, "width", wm.Width)
+	j.floatMember(1, "makespan", wm.Makespan)
+	j.intMember(1, "windows", wm.Windows)
+	j.check("windows", -1)
+	if len(wm.Hosts) > 0 {
+		j.rows(1, "hosts", len(wm.Hosts), func(i int) {
+			h := &wm.Hosts[i]
+			j.strMember(3, "track", h.Track)
+			j.intMember(3, "w", h.W)
+			j.floatMember(3, "compute", h.Compute)
+			j.floatMember(3, "send", h.Send)
+			j.floatMember(3, "wait", h.Wait)
+			j.floatMember(3, "sleep", h.Sleep)
+			j.floatMember(3, "flops", h.Flops)
+			if h.Retries != 0 {
+				j.floatMember(3, "retries", h.Retries)
+			}
+			j.floatMember(3, "utilization", h.Utilization)
+			j.floatMember(3, "wait_share", h.WaitShare)
+		})
+	}
+	if len(wm.Links) > 0 {
+		j.rows(1, "links", len(wm.Links), func(i int) {
+			l := &wm.Links[i]
+			j.strMember(3, "link", l.Link)
+			j.intMember(3, "w", l.W)
+			j.floatMember(3, "bytes", l.Bytes)
+			j.floatMember(3, "msgs", l.Msgs)
+			j.floatMember(3, "queue_delay", l.QueueDelay)
+			j.floatMember(3, "age_sum", l.AgeSum)
+			j.floatMember(3, "age_max", l.AgeMax)
+		})
+	}
+	if len(wm.Series) > 0 {
+		j.rows(1, "series", len(wm.Series), func(i int) {
+			s := &wm.Series[i]
+			j.strMember(3, "series", s.Series)
+			j.strMember(3, "track", s.Track)
+			j.intMember(3, "w", s.W)
+			j.floatMember(3, "count", s.Count)
+			j.floatMember(3, "first", s.First)
+			j.floatMember(3, "last", s.Last)
+			j.floatMember(3, "min", s.Min)
+			j.floatMember(3, "max", s.Max)
+		})
+	}
+	if len(wm.CritPath) > 0 {
+		j.rows(1, "critpath", len(wm.CritPath), func(i int) {
+			c := &wm.CritPath[i]
+			j.intMember(3, "w", c.W)
+			j.floatMember(3, "compute", c.Compute)
+			j.floatMember(3, "network", c.Network)
+			j.floatMember(3, "wait", c.Wait)
+		})
+	}
+	return j.end()
 }
 
 // WriteCSV writes the windowed metrics in long form: one row per (table,
