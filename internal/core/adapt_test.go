@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -187,18 +188,19 @@ func TestAdaptiveDeterministicAcrossLanesAndWorkers(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejectsIncompatibleModes: the live decomposition runs on the
-// single-band synchronous path only.
+// TestAdaptiveRejectsIncompatibleModes: the live decomposition resizes one
+// exactly-solved band per rank; the two documented exceptions of the option
+// matrix carry the typed reason.
 func TestAdaptiveRejectsIncompatibleModes(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 120, Seed: 3})
 	b := make([]float64, 120)
 	pl, hosts := lanPlatform(2, 0)
 	_, err := Solve(pl, hosts, a, b, Options{Adapt: true, BandsPerProc: 2})
-	if err == nil || !strings.Contains(err.Error(), "Adapt") {
+	if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "Adapt") {
 		t.Fatalf("multiband: err = %v", err)
 	}
 	_, err = Solve(pl, hosts, a, b, Options{Adapt: true, TwoStage: TwoStage{InnerIters: 3}})
-	if err == nil || !strings.Contains(err.Error(), "Adapt") {
+	if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "Adapt") {
 		t.Fatalf("twostage: err = %v", err)
 	}
 }

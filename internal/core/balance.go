@@ -16,15 +16,22 @@ import (
 // online resplit controller (which feeds observed effective speeds instead
 // of nameplate ones).
 func BalancedStarts(n int, hosts []*vgrid.Host) ([]int, error) {
+	return balancedStarts(n, hosts, 1)
+}
+
+// balancedStarts is BalancedStarts for k bands per host under the cyclic
+// assignment: band b runs on hosts[b mod P] and is weighted by its speed.
+func balancedStarts(n int, hosts []*vgrid.Host, k int) ([]int, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts to balance over")
 	}
-	w := make([]float64, len(hosts))
-	for i, h := range hosts {
+	w := make([]float64, len(hosts)*k)
+	for b := range w {
+		h := hosts[b%len(hosts)]
 		if h.Speed <= 0 {
 			return nil, fmt.Errorf("core: host %s has non-positive speed", h.Name)
 		}
-		w[i] = h.Speed
+		w[b] = h.Speed
 	}
 	starts, err := adapt.StartsFromWeights(n, w)
 	if err != nil {

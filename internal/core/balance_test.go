@@ -43,6 +43,22 @@ func TestBalancedStartsProportional(t *testing.T) {
 	}
 }
 
+// With k bands per host the cyclic assignment puts band b on host b mod P, so
+// that host's speed weights it: a 1:3 pair owning two bands each splits into
+// quarters of 1:3:1:3.
+func TestBalancedStartsCyclicBands(t *testing.T) {
+	_, hosts := hostsWithSpeeds([]float64{1e9, 3e9})
+	starts, err := balancedStarts(800, hosts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{0, 100, 400, 500, 800} {
+		if starts[i] != want {
+			t.Fatalf("starts = %v, want [0 100 400 500 800]", starts)
+		}
+	}
+}
+
 func TestBalancedStartsEqualSpeedsIsUniform(t *testing.T) {
 	_, hosts := hostsWithSpeeds([]float64{2e9, 2e9, 2e9, 2e9})
 	starts, err := BalancedStarts(100, hosts)

@@ -82,8 +82,9 @@ type Options struct {
 	TreeCollectives bool
 	// BandsPerProc assigns this many non-adjacent bands to every processor
 	// (the paper's Remark 2), cyclically: rank r owns bands r, r+P, r+2P….
-	// Values above 1 are incompatible with Balance, MaxStale and
-	// UseResidual. Default 1.
+	// All segments between two ranks coalesce into one packed message per
+	// iteration whatever bands they connect, and segments between two bands of
+	// one rank never touch the network. Default 1.
 	BandsPerProc int
 	// Trace, when non-nil, receives iteration-level diagnostics from the
 	// asynchronous driver (one line per iteration per rank). It replaces
@@ -125,8 +126,7 @@ type Options struct {
 	// locally. Per-origin version/echo headers ride along, so every exchange
 	// policy keeps its exact semantics (synchronous iterates are
 	// byte-identical to the direct plan). Requires cluster declarations; on
-	// a flat platform the option is a no-op. Incompatible with
-	// BandsPerProc > 1.
+	// a flat platform the option is a no-op.
 	Gateway bool
 	// Adapt turns the decomposition into a live object: a deterministic
 	// feedback controller (internal/adapt) observes every rank's committed
@@ -141,7 +141,8 @@ type Options struct {
 	// receive group's staleness bound per link class (intra- vs
 	// inter-cluster). Decisions use committed virtual-time data only, so
 	// adaptive runs stay byte-identical for any worker or lane count.
-	// Incompatible with BandsPerProc > 1 and TwoStage.
+	// Rejected (ErrIncompatible) with BandsPerProc > 1 and with TwoStage; see
+	// Options.validate for the reasons.
 	Adapt bool
 	// AdaptInterval is the number of iterations between controller epochs
 	// (default 20).
@@ -155,9 +156,9 @@ type Options struct {
 	// preconditioned by a narrow band LU instead of the exact band
 	// factorization, which keeps factorization memory O(n·width) and opens
 	// problem sizes where the exact method runs out of memory. Composes
-	// with every exchange policy, fault tolerance, gateway aggregation and
-	// sharded lanes; incompatible with BandsPerProc > 1. See twostage.go
-	// and DESIGN.md §14.
+	// with every exchange policy, fault tolerance, gateway aggregation,
+	// several bands per processor and sharded lanes. See twostage.go and
+	// DESIGN.md §14.
 	TwoStage TwoStage
 }
 
@@ -193,10 +194,50 @@ func (o *Options) withDefaults() Options {
 	if out.AdaptHysteresis == 0 {
 		out.AdaptHysteresis = 0.10
 	}
+	if out.BandsPerProc == 0 {
+		out.BandsPerProc = 1
+	}
 	if out.TwoStage.enabled() {
 		out.TwoStage = out.TwoStage.withDefaults()
 	}
 	return out
+}
+
+// ErrIncompatible is wrapped by every error that rejects a combination of
+// individually valid options; test for it with errors.Is.
+var ErrIncompatible = errors.New("core: incompatible options")
+
+// validate is the one place a defaulted option set is checked against the
+// system size and the host count, before any virtual time is spent.
+func (o *Options) validate(n, nHosts int) error {
+	switch {
+	case nHosts == 0:
+		return errors.New("core: no hosts")
+	case o.SolverPerRank != nil && len(o.SolverPerRank) != nHosts:
+		return fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), nHosts)
+	case o.Detector != "decentralized" && o.Detector != "centralized":
+		return fmt.Errorf("core: unknown detector %q", o.Detector)
+	case !(o.Tol > 0) || o.MaxIter < 0 || o.Smooth < 0 || o.MaxStale < 0 || o.BandsPerProc < 0:
+		return fmt.Errorf("core: option out of range (Tol %v, MaxIter %d, Smooth %d, MaxStale %d, BandsPerProc %d)",
+			o.Tol, o.MaxIter, o.Smooth, o.MaxStale, o.BandsPerProc)
+	case nHosts*o.BandsPerProc > n:
+		return fmt.Errorf("core: %d hosts with %d bands each exceed the %d unknowns", nHosts, o.BandsPerProc, n)
+	}
+	if err := o.TwoStage.validate(); err != nil {
+		return err
+	}
+	// The controller resizes one contiguous band per rank from per-rank busy
+	// windows; moving cyclic bands between ranks is the parked band-migration
+	// design (ROADMAP item 2).
+	if o.Adapt && o.BandsPerProc > 1 {
+		return fmt.Errorf("%w: Adapt with BandsPerProc > 1", ErrIncompatible)
+	}
+	// The Theorem-1 check that guards every resplit bounds the exact band
+	// splitting, not an inner-iterated one.
+	if o.Adapt && o.TwoStage.enabled() {
+		return fmt.Errorf("%w: Adapt with TwoStage", ErrIncompatible)
+	}
+	return nil
 }
 
 // Result reports a distributed multisplitting solve.
@@ -234,18 +275,18 @@ type Result struct {
 	// the per-rank counters through an atomic aggregation point (safe under
 	// the parallel scheduler).
 	TotalFlops float64
-	// FactorFlops is the factorization arithmetic summed over the
-	// single-band engine's ranks: the band preconditioner factors in
-	// two-stage mode (plus any fallback factorization), the exact band LU
-	// otherwise. The inner-sweep/factor split is the two-stage economy the
-	// benchmarks record.
+	// FactorFlops is the factorization arithmetic summed over all bands of
+	// all ranks: the band preconditioner factors in two-stage mode (plus any
+	// fallback factorization), the exact band LU otherwise. The
+	// inner-sweep/factor split is the two-stage economy the benchmarks
+	// record.
 	FactorFlops float64
 	// InnerSweeps totals the two-stage inner relaxation sweeps across ranks
 	// (zero in exact mode).
 	InnerSweeps int64
 	// InnerFlops totals the arithmetic spent inside those sweeps.
 	InnerFlops float64
-	// TwoStageFallbacks counts the ranks whose inner iteration diverged and
+	// TwoStageFallbacks counts the bands whose inner iteration diverged and
 	// fell back to the exact band solve.
 	TwoStageFallbacks int
 	// Resplits counts the adaptive resplit transitions applied during the
@@ -345,21 +386,23 @@ func (p *Pending) finishRank(c *mp.Comm, ctx *simctx.Ctx, iter int, factTime flo
 }
 
 // Launch registers the multisplitting solver on the engine, one rank per
-// host (one band per processor, the simple variant of Section 2; see paper
-// Remark 2). The matrix and right-hand side are globally readable at load
-// time, as the paper's Initialization step allows. Call engine.Run, then
-// read Pending.Result.
+// host owning BandsPerProc bands (one band per processor is the simple
+// variant of Section 2; see paper Remark 2). The matrix and right-hand side
+// are globally readable at load time, as the paper's Initialization step
+// allows. Call engine.Run, then read Pending.Result.
 func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Pending, error) {
 	o := opt.withDefaults()
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
 		return nil, fmt.Errorf("core: shape mismatch: A is %dx%d, len(b)=%d", a.Rows, a.Cols, len(b))
 	}
-	if len(hosts) == 0 {
-		return nil, errors.New("core: no hosts")
+	if err := o.validate(n, len(hosts)); err != nil {
+		return nil, err
 	}
-	if o.SolverPerRank != nil && len(o.SolverPerRank) != len(hosts) {
-		return nil, fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), len(hosts))
+	if o.Gateway || o.TopoCollectives {
+		if err := e.Platform.ValidateTopology(); err != nil {
+			return nil, fmt.Errorf("core: topology-aware mode: %w", err)
+		}
 	}
 	var err error
 	if o.Equilibrate {
@@ -368,43 +411,16 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 			return nil, err
 		}
 	}
-	multiband := o.BandsPerProc > 1
-	if multiband && (o.Balance || o.MaxStale > 0 || o.UseResidual) {
-		return nil, errors.New("core: BandsPerProc > 1 is incompatible with Balance, MaxStale and UseResidual")
-	}
-	if multiband && o.Gateway {
-		return nil, errors.New("core: BandsPerProc > 1 is incompatible with Gateway")
-	}
-	if err := o.TwoStage.validate(); err != nil {
-		return nil, err
-	}
-	if multiband && o.TwoStage.enabled() {
-		return nil, errors.New("core: BandsPerProc > 1 is incompatible with TwoStage")
-	}
-	if o.Adapt && multiband {
-		return nil, errors.New("core: Adapt is incompatible with BandsPerProc > 1")
-	}
-	if o.Adapt && o.TwoStage.enabled() {
-		return nil, errors.New("core: Adapt is incompatible with TwoStage")
-	}
-	if o.Gateway || o.TopoCollectives {
-		if err := e.Platform.ValidateTopology(); err != nil {
-			return nil, fmt.Errorf("core: topology-aware mode: %w", err)
-		}
-	}
 	var d *Decomposition
-	switch {
-	case multiband:
-		d, err = NewDecomposition(n, len(hosts)*o.BandsPerProc, o.Overlap, o.Scheme)
-	case o.Balance:
+	if o.Balance {
 		var starts []int
-		starts, err = BalancedStarts(n, hosts)
+		starts, err = balancedStarts(n, hosts, o.BandsPerProc)
 		if err != nil {
 			return nil, err
 		}
 		d, err = NewDecompositionFromStarts(n, starts, o.Overlap, o.Scheme)
-	default:
-		d, err = NewDecomposition(n, len(hosts), o.Overlap, o.Scheme)
+	} else {
+		d, err = NewDecomposition(n, len(hosts)*o.BandsPerProc, o.Overlap, o.Scheme)
 	}
 	if err != nil {
 		return nil, err
@@ -421,9 +437,6 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	pend := &Pending{}
 	pend.res.IterationsPerRank = make([]int, len(hosts))
 	pend.procs = mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
-		if multiband {
-			return msRankMulti(c, a, b, d, cp, o, pend)
-		}
 		return msRank(c, a, b, d, cp, o, pend)
 	})
 	// Mark the pending result complete when the engine finishes: the last

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/detect"
+	"repro/internal/iterative"
 	"repro/internal/mp"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -22,27 +24,10 @@ import (
 // what keeps detection sound when messages pipeline over high-latency links.
 const msgHdr = 2
 
-// rankState is one rank's full solver state for the band engine: the
-// factored subsystem, its view of the shared communication plan and the
-// iteration vectors. The engine loop (msRank) drives it through an
-// exchangePolicy and a stopper.
-type rankState struct {
-	c    *mp.Comm
-	ctx  *simctx.Ctx
-	o    Options
-	rank int
-	d    *Decomposition
-	band Band
-
-	// aGlob and bGlob are the globally-readable system (paper
-	// Initialization); the adaptive resplit transition re-extracts the new
-	// band from them. gen counts the resplit transitions this rank has
-	// applied — the persistent Session uses it to notice that its frozen
-	// value-refresh maps went stale.
-	aGlob *sparse.CSR
-	bGlob []float64
-	gen   int
-
+// bandState is one owned band's solver state: the extracted and factored
+// subsystem and its iteration vectors.
+type bandState struct {
+	band    Band
 	sub     *sparse.CSR
 	depMat  *sparse.CSR
 	depCols []int
@@ -53,27 +38,76 @@ type rankState struct {
 	rhs     []float64
 	z       []float64 // weighted dependency values (zero start)
 
-	// stepFlops is the analytic cost of one computation step (SpMV against
-	// the dependency columns + triangular solves + difference norm); it is
-	// exact, so declaring it up front leaves nothing for Charge to reconcile.
+	// stepFlops is the analytic cost of one exact computation step (SpMV
+	// against the dependency columns + triangular solves + difference norm);
+	// it is exact, so declaring it up front leaves nothing for Charge to
+	// reconcile.
 	stepFlops float64
-	// stepFn is the computation-step segment body, built once so the
-	// per-iteration ComputeSeg call allocates no closure; it reports a
-	// non-finite iterate through the diverged flag.
-	stepFn   func()
-	diverged bool
+	// ts is the two-stage inner-iteration state (nil in exact mode; see
+	// twostage.go). While active the band steps through tsStep and its
+	// declared cost varies with the schedule's sweep count.
+	ts *twoStageState
+
+	// diff and err are the outcome of the band's last step, written by the
+	// segment body: the successive-iterate difference, and ErrDiverged for a
+	// non-finite iterate or the inner stage's error.
+	diff float64
+	err  error
+}
+
+// owned returns the band's owned segment of the iterate (the band minus its
+// overlap).
+func (bs *bandState) owned() []float64 {
+	return bs.xSub[bs.band.Start-bs.band.Lo : bs.band.End-bs.band.Lo]
+}
+
+// workingSet is the memory the band's extracted matrices and right-hand side
+// occupy; factorBytes is the factor it currently solves with.
+func (bs *bandState) workingSet() int64 {
+	return csrBytes(bs.sub) + csrBytes(bs.depMat) + 8*int64(bs.band.Size())
+}
+
+func (bs *bandState) factorBytes() int64 {
+	if bs.twoStage() {
+		return bs.ts.pc.Bytes()
+	}
+	return bs.fact.Bytes()
+}
+
+// rankState is one rank's full solver state for the band engine: the bands
+// the shared communication plan assigns it — {r, r+P, r+2P, …}, the
+// several-non-adjacent-bands assignment of the paper's Remark 2; one band
+// per processor is simply len(bands) == 1 — its view of that plan and the
+// exchange bookkeeping. The engine loop (msRankRun) drives it through an
+// exchangePolicy and a stopper.
+type rankState struct {
+	c     *mp.Comm
+	ctx   *simctx.Ctx
+	o     Options
+	rank  int
+	d     *Decomposition
+	bands []bandState
+
+	// aGlob and bGlob are the globally-readable system (paper
+	// Initialization); the adaptive resplit transition re-extracts the new
+	// band from them. gen counts the resplit transitions this rank has
+	// applied — the persistent Session uses it to notice that its frozen
+	// value-refresh maps went stale.
+	aGlob *sparse.CSR
+	bGlob []float64
+	gen   int
+
+	// stepFn is the computation-step segment body (step), built once so the
+	// per-iteration ComputeSeg call allocates no closure.
+	stepFn func()
 	// factFlops accumulates this rank's factorization arithmetic (exact LU
 	// or band preconditioner, plus any two-stage fallback factor) for
 	// Result.FactorFlops.
 	factFlops float64
 
-	// ts is the two-stage inner-iteration state (nil in exact mode; see
-	// twostage.go). While active, stepFn points at tsStep and the declared
-	// step cost varies with the schedule's sweep count.
-	ts *twoStageState
-
 	// cp is the shared communication plan; rp is this rank's view (one
-	// packed message per peer per iteration, see internal/plan).
+	// packed message per peer per iteration whatever bands it connects, see
+	// internal/plan).
 	cp *plan.Plan
 	rp *plan.RankPlan
 	// recvGroupByPeer maps a contributor rank to its index in rp.Recv.
@@ -81,8 +115,11 @@ type rankState struct {
 	verIncorporated []float64 // latest version seen per recv group
 	echoFrom        []float64 // highest own version echoed back, per group
 	// lastRecv[g] holds the last packed values received from recv group g so
-	// z can be updated incrementally under the weighting scheme.
-	lastRecv [][]float64
+	// z can be updated incrementally under the weighting scheme; localLast
+	// does the same for the segments between two of this rank's own bands
+	// (rp.Local), which never touch the network.
+	lastRecv  [][]float64
+	localLast [][]float64
 
 	// freshSeen tracks, per recv group, whether new data arrived since the
 	// last complete exchange round; async convergence evidence only counts
@@ -97,109 +134,77 @@ type rankState struct {
 	gw *gwState
 
 	iter        int
-	diff        float64 // successive-iterate difference of the last step
+	diff        float64 // largest successive-iterate difference of the last step
 	stableRuns  int
 	stableStart int // first iteration of the current stable streak
 }
 
-// newRankState loads and factors the rank's band (paper step 1 + Remark 4)
+// bandOf returns the state of band k of the decomposition, which this rank
+// must own (the plan maps bands to ranks cyclically, see buildCommPlan).
+func (st *rankState) bandOf(k int) *bandState { return &st.bands[k/st.cp.NRanks] }
+
+// newRankState loads and factors the rank's bands (paper step 1 + Remark 4)
 // and wires the rank into the shared communication plan (DependsOnMe of
 // Algorithm 1, built once in Launch). It returns the state and the
 // factorization time.
 func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *plan.Plan, o Options) (*rankState, float64, error) {
 	rank := c.Rank()
-	band := d.Bands[rank]
-	st := &rankState{c: c, ctx: ctx, o: o, rank: rank, d: d, band: band, cp: cp,
+	st := &rankState{c: c, ctx: ctx, o: o, rank: rank, d: d, cp: cp,
 		aGlob: a, bGlob: bGlob}
 	st.rp = &cp.Ranks[rank]
 
-	// --- Initialization: load and factor the band.
-	st.sub = a.Submatrix(band.Lo, band.Hi, band.Lo, band.Hi)
-	st.depCols = cp.DepCols[rank]
-	st.depMat = a.SelectColumns(band.Lo, band.Hi, st.depCols)
-	st.bSub = vec.Clone(bGlob[band.Lo:band.Hi])
-
-	if err := ctx.Alloc(csrBytes(st.sub) + csrBytes(st.depMat) + 8*int64(band.Size())); err != nil {
-		return nil, 0, err
-	}
+	// --- Initialization: load and factor the bands.
+	st.bands = make([]bandState, d.L()/cp.NRanks)
 	factStart := c.Now()
-	factFlops0 := ctx.Counter.Flops()
-	factName := "factor"
-	// Two-stage mode factors the narrow band preconditioner instead of the
-	// full band LU — O(n·width) memory instead of the LU fill (twostage.go).
-	// A singular preconditioner band falls through to the exact path.
-	if o.TwoStage.enabled() {
-		built, err := st.buildTwoStage()
-		if err != nil {
+	for i := range st.bands {
+		if err := st.loadBand(&st.bands[i], rank+i*cp.NRanks); err != nil {
 			return nil, 0, err
 		}
-		if built {
-			factName = "precond-factor"
-		}
-	}
-	if st.ts == nil {
-		solver := o.Solver
-		if o.SolverPerRank != nil && o.SolverPerRank[rank] != nil {
-			solver = o.SolverPerRank[rank]
-		}
-		// The factorization's cost depends on the fill it discovers, so it is a
-		// deferred segment: it runs on the worker pool (overlapping the other
-		// ranks' factorizations) and its counted flops are charged on completion.
-		// Reading fact/factErr right after the call is safe: ComputeDeferred's
-		// commit guarantee (see vgrid) is that fn has completed and its writes
-		// are visible before the call returns, for any worker count.
-		var fact splu.Factorization
-		var factErr error
-		c.ComputeDeferred(func() float64 {
-			fact, factErr = solver.Factor(st.sub, ctx.Cnt())
-			return ctx.Counter.Flops() - ctx.Charged
-		})
-		if factErr != nil {
-			return nil, 0, fmt.Errorf("rank %d: %w", rank, factErr)
-		}
-		st.fact = fact
 	}
 	factTime := c.Now() - factStart
-	st.factFlops = ctx.Counter.Flops() - factFlops0
-	if sc := ctx.Observe(); sc != nil {
-		sc.Span(obs.Span{Cat: obs.CatFact, Name: factName,
-			Start: factStart, End: c.Now(), Flops: st.factFlops})
-	}
-	if st.fact != nil {
-		if err := ctx.Alloc(st.fact.Bytes()); err != nil {
-			return nil, 0, err
-		}
-	}
 
 	// --- Iteration state over the shared plan: per-peer receive groups with
 	// preallocated incremental-update buffers, one reused send buffer sized
-	// by the largest packed message. All the float state sub-slices a single
-	// arena (three-index slicing keeps the append-grown sendBuf in its lane).
+	// by the largest packed message (or the final gather's owned segments,
+	// whichever is larger). All the float state sub-slices a single arena
+	// (three-index slicing keeps the append-grown sendBuf in its lane).
 	ng := len(st.rp.Recv)
-	sz := band.Size()
 	sendCap := cp.MaxSendVals(rank) + msgHdr
-	recvVals := 0
+	owned := 0
+	total := 2 * ng
+	for i := range st.bands {
+		bs := &st.bands[i]
+		owned += bs.band.End - bs.band.Start
+		total += 3*bs.band.Size() + len(bs.depCols)
+		if bs.ts != nil {
+			total += 2 * bs.band.Size() // inner-sweep residual + correction vectors
+		}
+	}
+	sendCap = max(sendCap, owned)
 	for _, g := range st.rp.Recv {
-		recvVals += g.Vals
+		total += g.Vals
 	}
-	scratch := 0
-	if st.ts != nil {
-		scratch = 2 * sz // inner-sweep residual + correction vectors
+	for _, s := range st.rp.Local {
+		total += len(s.Pos)
 	}
-	arena := make([]float64, 3*sz+scratch+len(st.depCols)+sendCap+2*ng+recvVals)
+	arena := make([]float64, total+sendCap)
 	take := func(n int) []float64 {
 		s := arena[:n:n]
 		arena = arena[n:]
 		return s
 	}
-	st.xSub = take(sz)
-	st.xPrev = take(sz)
-	st.rhs = take(sz)
-	if st.ts != nil {
-		st.ts.r = take(sz)
-		st.ts.t = take(sz)
+	for i := range st.bands {
+		bs := &st.bands[i]
+		sz := bs.band.Size()
+		bs.xSub = take(sz)
+		bs.xPrev = take(sz)
+		bs.rhs = take(sz)
+		if bs.ts != nil {
+			bs.ts.r = take(sz)
+			bs.ts.t = take(sz)
+		}
+		bs.z = take(len(bs.depCols))
 	}
-	st.z = take(len(st.depCols))
 	st.sendBuf = take(sendCap)[:0]
 	st.recvGroupByPeer = map[int]int{}
 	for gi, g := range st.rp.Recv {
@@ -211,6 +216,10 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 	for gi, g := range st.rp.Recv {
 		st.lastRecv[gi] = take(g.Vals)
 	}
+	st.localLast = make([][]float64, len(st.rp.Local))
+	for i, s := range st.rp.Local {
+		st.localLast[i] = take(len(s.Pos))
+	}
 	st.freshSeen = make([]bool, ng)
 	st.staleCount = make([]int, ng)
 	if o.Gateway {
@@ -219,27 +228,109 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 		// policy.
 		st.gw = newGwState(cp, rank, rankClusters(c), !o.Async && !o.UseResidual)
 	}
-
-	// SpMV counts 2·nnz, the triangular solves a factor-determined constant,
-	// the difference norm 2·n — all exact integers, so the declared cost
-	// matches the counted flops bit for bit. In two-stage mode the step cost
-	// varies with the schedule's sweep count and is computed per iteration
-	// (twoStageState.stageCost).
-	if st.ts != nil {
-		st.stepFn = st.tsStep
-	} else {
-		st.stepFlops = 2*float64(st.depMat.NNZ()) + st.fact.SolveFlops() + 2*float64(band.Size())
-		st.stepFn = st.step
-	}
+	st.stepFn = st.step
 	return st, factTime, nil
 }
 
-// applyFaultOptions arms the communicator's retransmission policy when the
-// degraded mode is on; on a healthy configuration it changes nothing.
-func applyFaultOptions(c *mp.Comm, o Options) {
+// loadBand extracts band k of the decomposition into bs and factors it,
+// accounting its memory and recording the factorization span.
+func (st *rankState) loadBand(bs *bandState, k int) error {
+	c, ctx, a := st.c, st.ctx, st.aGlob
+	band := st.d.Bands[k]
+	bs.band = band
+	bs.sub = a.Submatrix(band.Lo, band.Hi, band.Lo, band.Hi)
+	bs.depCols = st.cp.DepCols[k]
+	bs.depMat = a.SelectColumns(band.Lo, band.Hi, bs.depCols)
+	bs.bSub = vec.Clone(st.bGlob[band.Lo:band.Hi])
+	if err := ctx.Alloc(bs.workingSet()); err != nil {
+		return err
+	}
+	start := c.Now()
+	flops0 := ctx.Counter.Flops()
+	name := "factor"
+	// Two-stage mode factors the narrow band preconditioner instead of the
+	// full band LU — O(n·width) memory instead of the LU fill (twostage.go).
+	// A singular preconditioner band falls through to the exact path.
+	if st.o.TwoStage.enabled() {
+		built, err := st.buildTwoStage(bs)
+		if err != nil {
+			return err
+		}
+		if built {
+			name = "precond-factor"
+		}
+	}
+	if bs.ts == nil {
+		if err := st.factorBand(bs); err != nil {
+			return err
+		}
+	}
+	flops := ctx.Counter.Flops() - flops0
+	st.factFlops += flops
+	if sc := ctx.Observe(); sc != nil {
+		sc.Span(obs.Span{Cat: obs.CatFact, Name: name,
+			Start: start, End: c.Now(), Flops: flops})
+	}
+	if bs.fact != nil {
+		return ctx.Alloc(bs.fact.Bytes())
+	}
+	return nil
+}
+
+// factorBand factors the band's submatrix with this rank's direct solver and
+// derives the exact step cost from the factor. The factorization's cost
+// depends on the fill it discovers, so it is a deferred segment: it runs on
+// the worker pool (overlapping the other ranks' factorizations) and its
+// counted flops are charged on completion. Reading fact/err right after the
+// call is safe: ComputeDeferred's commit guarantee (see vgrid) is that fn has
+// completed and its writes are visible before the call returns, for any
+// worker count.
+func (st *rankState) factorBand(bs *bandState) error {
+	ctx := st.ctx
+	solver := st.o.Solver
+	if st.o.SolverPerRank != nil && st.o.SolverPerRank[st.rank] != nil {
+		solver = st.o.SolverPerRank[st.rank]
+	}
+	var fact splu.Factorization
+	var err error
+	st.c.ComputeDeferred(func() float64 {
+		fact, err = solver.Factor(bs.sub, ctx.Cnt())
+		return ctx.Counter.Flops() - ctx.Charged
+	})
+	if err != nil {
+		return fmt.Errorf("rank %d: %w", st.rank, err)
+	}
+	bs.fact = fact
+	bs.setStepFlops()
+	return nil
+}
+
+// setStepFlops derives the exact step cost from the current factor: SpMV
+// counts 2·nnz, the triangular solves a factor-determined constant, the
+// difference norm 2·n — all exact integers, so the declared cost matches the
+// counted flops bit for bit. (A two-stage band's cost varies with the
+// schedule's sweep count instead, see stageCost.)
+func (bs *bandState) setStepFlops() {
+	bs.stepFlops = 2*float64(bs.depMat.NNZ()) + bs.fact.SolveFlops() + 2*float64(bs.band.Size())
+}
+
+// newRankCtx attaches a fresh solver context to the communicator and applies
+// the communication options: collective shape and, in the degraded mode, the
+// retransmission policy (on a healthy configuration that changes nothing).
+func newRankCtx(c *mp.Comm, o Options) *simctx.Ctx {
+	c.Tree = o.TreeCollectives
+	c.Topo = o.TopoCollectives
+	ctx := simctx.New()
+	ctx.Trace = o.Trace
+	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
+	if o.TrackMemory {
+		ctx.Mem = c.Proc()
+	}
+	c.AttachCtx(ctx)
 	if o.FaultTolerant {
 		c.Retry = mp.RetryPolicy{Attempts: o.SendRetries, Backoff: o.SendBackoff}
 	}
+	return ctx
 }
 
 // recvCritical receives a message the protocol cannot progress without (a
@@ -289,9 +380,10 @@ func (st *rankState) applyGroup(gi int, ver, echo float64, vals []float64) {
 	last := st.lastRecv[gi]
 	off := 0
 	for _, s := range g.Segs {
+		z := st.bandOf(s.To).z
 		for i, pos := range s.Pos {
 			v := vals[off+i]
-			st.z[pos] += s.Weights[i] * (v - last[off+i])
+			z[pos] += s.Weights[i] * (v - last[off+i])
 			last[off+i] = v
 		}
 		off += len(s.Pos)
@@ -309,29 +401,71 @@ func (st *rankState) reflFor(peer int) float64 {
 	return -1
 }
 
-// packVals appends the group's boundary values (xSub at each segment's
-// producer-local indices, in the group's canonical segment order) to buf.
+// packVals appends the group's boundary values (the producing band's xSub at
+// each segment's producer-local indices, in the group's canonical segment
+// order) to buf.
 func (st *rankState) packVals(g *plan.PeerIO, buf []float64) []float64 {
 	for _, s := range g.Segs {
+		x := st.bandOf(s.From).xSub
 		for _, li := range s.Loc {
-			buf = append(buf, st.xSub[li])
+			buf = append(buf, x[li])
 		}
 	}
 	return buf
 }
 
-// iterate runs the computation step (step 2): BLoc = BSub − Dep·z, solve the
-// subsystem, measure the successive-iterate difference. The whole step is a
-// pure compute segment with an analytically known cost, so it is declared up
-// front and its arithmetic overlaps other ranks' segments on the worker pool.
+// iterate runs the computation step (step 2) for every owned band: BLoc =
+// BSub − Dep·z, solve the subsystem (exactly, or by the scheduled inner
+// sweeps of the two-stage mode), measure the successive-iterate difference.
+// Every band reads only its own z, which changes between steps alone, so the
+// bands of a rank advance Jacobi-fashion exactly like bands on different
+// ranks. The whole step is one pure compute segment with an analytically
+// known cost, so it is declared up front and its arithmetic overlaps other
+// ranks' segments on the worker pool. A band whose inner sweeps diverged
+// falls back to the exact solve and redoes its step.
 func (st *rankState) iterate() error {
-	if st.ts != nil && !st.ts.fellBack {
-		return st.iterateTwoStage()
+	cost := 0.0
+	for i := range st.bands {
+		bs := &st.bands[i]
+		if bs.twoStage() {
+			bs.ts.sweeps = bs.ts.sched.next(st.iter)
+			cost += bs.stageCost(bs.ts.sweeps)
+		} else {
+			cost += bs.stepFlops
+		}
 	}
-	st.diverged = false
-	st.c.ComputeSeg(st.stepFlops, st.stepFn)
-	if st.diverged {
-		return fmt.Errorf("rank %d: %w at iteration %d", st.rank, ErrDiverged, st.iter)
+	start := st.c.Now()
+	st.c.ComputeSeg(cost, st.stepFn)
+	sweeps, totalSweeps := 0, int64(0)
+	for i := range st.bands {
+		bs := &st.bands[i]
+		switch {
+		case bs.err != nil && bs.twoStage() && errors.Is(bs.err, iterative.ErrDiverged):
+			if err := st.twoStageFallback(bs); err != nil {
+				return err
+			}
+		case bs.err != nil:
+			return fmt.Errorf("rank %d: %w at iteration %d", st.rank, bs.err, st.iter)
+		case bs.twoStage():
+			ts := bs.ts
+			ts.totalSweeps += int64(ts.sweeps)
+			ts.innerFlops += iterative.PrecondSweepsFlops(bs.sub, ts.pc, ts.sweeps)
+			ts.sched.observe(ts.res)
+			sweeps += ts.sweeps
+			totalSweeps += ts.totalSweeps
+		}
+	}
+	if sc := st.ctx.Observe(); sc != nil && sweeps > 0 {
+		sc.Span(obs.Span{Cat: obs.CatInner, Name: "inner", Iter: st.iter,
+			Start: start, End: st.c.Now(), Flops: cost})
+		sc.Count("inner_sweeps", float64(sweeps))
+		// Cumulative sweep series: the windowed telemetry layer turns this
+		// into per-window inner-sweep progress alongside the residual series.
+		sc.Sample("inner_sweeps", st.c.Now(), float64(totalSweeps))
+	}
+	st.diff = 0
+	for i := range st.bands {
+		st.diff = math.Max(st.diff, st.bands[i].diff)
 	}
 	return nil
 }
@@ -340,23 +474,46 @@ func (st *rankState) iterate() error {
 // stepFn; it must touch only this rank's state, never the simulator).
 func (st *rankState) step() {
 	cnt := st.ctx.Counter
-	copy(st.rhs, st.bSub)
-	if len(st.depCols) > 0 {
-		st.depMat.MulVecSub(st.rhs, st.z, cnt)
+	for i := range st.bands {
+		if bs := &st.bands[i]; bs.twoStage() {
+			bs.tsStep(cnt)
+		} else {
+			bs.step(cnt)
+		}
 	}
-	st.fact.Solve(st.xSub, st.rhs, cnt)
-	if !vec.AllFinite(st.xSub) {
-		st.diverged = true
+}
+
+// step is one band's exact computation step; a non-finite iterate is
+// reported through err.
+func (bs *bandState) step(cnt *vec.Counter) {
+	copy(bs.rhs, bs.bSub)
+	if len(bs.depCols) > 0 {
+		bs.depMat.MulVecSub(bs.rhs, bs.z, cnt)
+	}
+	bs.fact.Solve(bs.xSub, bs.rhs, cnt)
+	if !vec.AllFinite(bs.xSub) {
+		bs.err = ErrDiverged
 		return
 	}
-	st.diff = vec.DiffNormInf(st.xSub, st.xPrev, cnt)
-	copy(st.xPrev, st.xSub)
+	bs.err = nil
+	bs.diff = vec.DiffNormInf(bs.xSub, bs.xPrev, cnt)
+	copy(bs.xPrev, bs.xSub)
 }
 
 // ship sends this rank's boundary components to their dependents (step 3):
-// one packed message per peer group. In gateway mode the inter-cluster
-// groups are batched through the cluster aggregator instead.
+// one packed message per peer group, and an in-place incremental update for
+// the segments between two of this rank's own bands. In gateway mode the
+// inter-cluster groups are batched through the cluster aggregator instead.
 func (st *rankState) ship() error {
+	for i, s := range st.rp.Local {
+		x, z, last := st.bandOf(s.From).xSub, st.bandOf(s.To).z, st.localLast[i]
+		for k, pos := range s.Pos {
+			v := x[s.Loc[k]]
+			z[pos] += s.Weights[k] * (v - last[k])
+			last[k] = v
+		}
+		st.ctx.Counter.Add(3 * float64(len(s.Pos)))
+	}
 	for gi := range st.rp.Send {
 		g := &st.rp.Send[gi]
 		if st.gw != nil && st.gw.sendViaGw[gi] {
@@ -379,18 +536,7 @@ func (st *rankState) ship() error {
 // (synchronous barrier, asynchronous freshest-drain, or bounded staleness)
 // and the stopping criterion (successive iterate or true residual).
 func msRank(c *mp.Comm, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *plan.Plan, o Options, pend *Pending) error {
-	c.Tree = o.TreeCollectives
-	c.Topo = o.TopoCollectives
-	ctx := simctx.New()
-	ctx.Trace = o.Trace
-	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
-	if o.TrackMemory {
-		ctx.Mem = c.Proc()
-	}
-	c.AttachCtx(ctx)
-	applyFaultOptions(c, o)
-
-	st, factTime, err := newRankState(c, ctx, a, bGlob, d, cp, o)
+	st, factTime, err := newRankState(c, newRankCtx(c, o), a, bGlob, d, cp, o)
 	if err != nil {
 		return err
 	}
@@ -462,35 +608,45 @@ func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 		}
 	}
 
-	// Assemble the solution from the owned segments at rank 0. Read the
+	// Assemble the solution at rank 0: every other rank sends the owned
+	// segments of its bands, in band order, packed into one message. Read the
 	// decomposition through st: a resplit replaced it mid-run, and all ranks
 	// hold the same final bands.
 	d := st.d
-	band := st.band
-	owned := st.xSub[band.Start-band.Lo : band.End-band.Lo]
 	if st.rank != 0 {
-		if err := c.SendFloats(0, tagGather, owned); err != nil {
+		buf := st.sendBuf[:0]
+		for i := range st.bands {
+			buf = append(buf, st.bands[i].owned()...)
+		}
+		if err := c.SendFloats(0, tagGather, buf); err != nil {
 			return err
 		}
 	} else {
 		x := make([]float64, d.N)
-		copy(x[band.Start:band.End], owned)
-		for m := 1; m < d.L(); m++ {
+		for i := range st.bands {
+			bs := &st.bands[i]
+			copy(x[bs.band.Start:bs.band.End], bs.owned())
+		}
+		for m := 1; m < c.Size(); m++ {
 			pk, err := st.recvCritical(m, tagGather, "solution segment")
 			if err != nil {
 				return err
 			}
-			mb := d.Bands[m]
-			copy(x[mb.Start:mb.End], pk.Floats)
+			off := 0
+			for k := m; k < d.L(); k += c.Size() {
+				off += copy(x[d.Bands[k].Start:d.Bands[k].End], pk.Floats[off:])
+			}
 			c.Release(pk)
 		}
 		pend.res.X = x
 	}
 
-	if st.ts != nil {
-		pend.res.InnerSweeps += st.ts.totalSweeps
-		pend.res.InnerFlops += st.ts.innerFlops
-		pend.res.TwoStageFallbacks += st.ts.fallbacks
+	for i := range st.bands {
+		if ts := st.bands[i].ts; ts != nil {
+			pend.res.InnerSweeps += ts.totalSweeps
+			pend.res.InnerFlops += ts.innerFlops
+			pend.res.TwoStageFallbacks += ts.fallbacks
+		}
 	}
 	pend.res.FactorFlops += st.factFlops
 	if ad != nil {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/vgrid"
 )
 
 func TestAsyncBoundedStaleness(t *testing.T) {
@@ -97,4 +100,85 @@ func TestAsyncResidualStopping(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSolution(t, res, xtrue, 1e-6)
+}
+
+// TestOptionMatrix is the composition contract of the option surface: every
+// pair of features, under one and under two bands per processor, either
+// solves a small diagonally dominant system to the dense-LU answer with a
+// small true residual, or is one of the two documented exceptions and says so
+// with ErrIncompatible. Nothing else — no untyped rejection, no wrong x.
+func TestOptionMatrix(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Band: 150, PerRow: 6, Margin: 0.1, Seed: 5})
+	b, _ := gen.RHSForSolution(a)
+	xref := directSolve(t, a, b)
+	features := []struct {
+		name string
+		set  func(o *Options)
+	}{
+		{"async", func(o *Options) { o.Async = true }},
+		{"maxstale", func(o *Options) { o.Async, o.MaxStale = true, 2 }},
+		{"residual", func(o *Options) { o.UseResidual = true }},
+		{"balance", func(o *Options) { o.Balance = true }},
+		{"gateway", func(o *Options) { o.Gateway, o.TopoCollectives = true, true }},
+		{"twostage", func(o *Options) { o.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 8} }},
+		{"fault-tolerant", func(o *Options) { o.FaultTolerant = true }},
+		{"tree", func(o *Options) { o.TreeCollectives = true }},
+		{"equilibrate", func(o *Options) { o.Equilibrate = true }},
+		{"scheme", func(o *Options) { o.Scheme, o.Overlap = WeightAverage, 6 }},
+		{"adapt", func(o *Options) { o.Adapt, o.AdaptInterval = true, 3 }},
+	}
+	for bpp := 1; bpp <= 2; bpp++ {
+		for i := range features {
+			for j := i; j < len(features); j++ {
+				fi, fj := features[i], features[j]
+				t.Run(fmt.Sprintf("bands=%d/%s+%s", bpp, fi.name, fj.name), func(t *testing.T) {
+					o := Options{Tol: 1e-9, BandsPerProc: bpp}
+					fi.set(&o)
+					fj.set(&o)
+					// Unequal speeds keep Balance from degenerating to the
+					// uniform split.
+					pl, hosts := twoSiteClustered(2, 2)
+					hosts[1].Speed *= 2
+					hosts[3].Speed /= 2
+					res, err := Solve(pl, hosts, a, b, o)
+					if o.Adapt && (bpp > 1 || o.TwoStage.enabled()) {
+						if !errors.Is(err, ErrIncompatible) {
+							t.Fatalf("documented exception: err = %v, want ErrIncompatible", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkSolution(t, res, xref, 1e-6)
+					if r := residualInf(a, res.X, b); r > 1e-6 {
+						t.Fatalf("true residual %v", r)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOptionsRejectedBeforeLaunch: malformed options fail in Launch, before
+// any rank body runs and any virtual time is spent.
+func TestOptionsRejectedBeforeLaunch(t *testing.T) {
+	a := gen.Tridiag(40, -1, 4, -1)
+	b := make([]float64, 40)
+	for name, o := range map[string]Options{
+		"detector":            {Async: true, Detector: "gossip"},
+		"negative-bands":      {BandsPerProc: -1},
+		"negative-stale":      {Async: true, MaxStale: -1},
+		"negative-smooth":     {Smooth: -1},
+		"negative-maxiter":    {MaxIter: -1},
+		"negative-tol":        {Tol: -1e-8},
+		"more-bands-than-row": {BandsPerProc: 11},
+	} {
+		pl, hosts := lanPlatform(4, 0)
+		if _, err := Launch(vgrid.NewEngine(pl), hosts, a, b, o); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if errors.Is(err, ErrIncompatible) {
+			t.Errorf("%s: %v is not an option-pair conflict", name, err)
+		}
+	}
 }

@@ -8,9 +8,8 @@ import (
 
 // buildCommPlan builds the shared communication plan for the decomposition
 // mapped cyclically onto nranks processes (rank r owns bands r, r+P, r+2P…;
-// with one band per rank the map is the identity). Both the single-band
-// engine and the multiband driver consume the same plan, so the segment
-// construction lives in exactly one place (internal/plan).
+// with one band per rank the map is the identity; rankState.bandOf inverts
+// it). The segment construction lives in exactly one place (internal/plan).
 func buildCommPlan(a *sparse.CSR, d *Decomposition, nranks int) (*plan.Plan, error) {
 	bands := make([]plan.Band, d.L())
 	for i, b := range d.Bands {

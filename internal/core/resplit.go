@@ -59,7 +59,9 @@ type adaptRank struct {
 // newAdaptRank arms the adaptive epochs for the synchronous engine loop, or
 // returns nil when the options leave the decomposition static. Asynchronous
 // modes never resplit (a global transition needs lockstep); their adaptive
-// lever is the per-group staleness tuning in boundedStalePolicy.
+// lever is the per-group staleness tuning in boundedStalePolicy. The epochs
+// resize one contiguous band per rank (st.bands[0] throughout this file):
+// Options.validate rejects Adapt with BandsPerProc > 1.
 func newAdaptRank(st *rankState) *adaptRank {
 	o := st.o
 	if !o.Adapt || o.Async {
@@ -206,9 +208,7 @@ func (ad *adaptRank) decide(st *rankState, pend *Pending, gathered [][]float64) 
 // lives at rank 0. Returns this rank's window and its base index.
 func (ad *adaptRank) redistribute(st *rankState, starts []int, overlap int) ([]float64, int, error) {
 	c, d := st.c, st.d
-	band := st.band
-	owned := st.xSub[band.Start-band.Lo : band.End-band.Lo]
-	gathered, err := c.Gather(0, owned)
+	gathered, err := c.Gather(0, st.bands[0].owned())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -294,11 +294,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	// Release the old band's working set before the rebuild allocates the new
 	// one, so the memory accounting tracks the live footprint, not the union.
 	if o.TrackMemory {
-		freed := csrBytes(st.sub) + csrBytes(st.depMat) + 8*int64(st.band.Size())
-		if st.fact != nil {
-			freed += st.fact.Bytes()
-		}
-		c.Proc().Free(freed)
+		c.Proc().Free(st.bands[0].workingSet() + st.bands[0].factorBytes())
 	}
 
 	st2, _, err := newRankState(c, ctx, st.aGlob, st.bGlob, d2, cp2, o)
@@ -317,11 +313,11 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	st2.stableStart = st.iter
 	st2.factFlops += st.factFlops
 	st2.gen = st.gen + 1
-	nb := st2.band
-	copy(st2.xSub, x[nb.Lo-off:nb.Hi-off])
-	copy(st2.xPrev, st2.xSub)
-	for i, j := range st2.depCols {
-		st2.z[i] = x[j-off]
+	nb := &st2.bands[0]
+	copy(nb.xSub, x[nb.band.Lo-off:nb.band.Hi-off])
+	copy(nb.xPrev, nb.xSub)
+	for i, j := range nb.depCols {
+		nb.z[i] = x[j-off]
 	}
 	iterF := float64(st.iter)
 	for gi := range st2.rp.Recv {
@@ -330,7 +326,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 		at := 0
 		for _, seg := range g.Segs {
 			for i, pos := range seg.Pos {
-				last[at+i] = x[st2.depCols[pos]-off]
+				last[at+i] = x[nb.depCols[pos]-off]
 			}
 			at += len(seg.Pos)
 		}

@@ -366,39 +366,50 @@ type Session struct {
 }
 
 // sessionRank is the state of one rank that survives across Resolves,
-// together with the frozen maps refreshing its extracted values. gen mirrors
-// the rank state's resplit generation: when an adaptive Resolve resplit the
-// decomposition mid-run, the maps were built for a band that no longer
-// exists and must be re-derived before the next refresh.
+// together with the frozen maps (one pair per owned band) refreshing its
+// extracted values. gen mirrors the rank state's resplit generation: when an
+// adaptive Resolve resplit the decomposition mid-run, the maps were built for
+// a band that no longer exists and must be re-derived before the next refresh.
 type sessionRank struct {
-	st     *rankState
-	subMap []int
-	depMap []int
-	gen    int
+	st      *rankState
+	subMaps [][]int
+	depMaps [][]int
+	gen     int
+}
+
+// freezeMaps derives the value-refresh maps for the rank's current bands.
+func (s *Session) freezeMaps(sr *sessionRank) {
+	st := sr.st
+	sr.subMaps = make([][]int, len(st.bands))
+	sr.depMaps = make([][]int, len(st.bands))
+	for i := range st.bands {
+		bs := &st.bands[i]
+		sr.subMaps[i] = s.a.SubmatrixMap(bs.band.Lo, bs.band.Hi, bs.band.Lo, bs.band.Hi)
+		sr.depMaps[i] = s.a.SelectColumnsMap(bs.band.Lo, bs.band.Hi, bs.depCols)
+	}
+	sr.gen = st.gen
 }
 
 // NewSession prepares a persistent distributed session for the pattern of a.
-// The decomposition is fixed by the first Resolve's host count; options that
-// reshape the decomposition per solve (Balance) or rewrite the matrix
-// (Equilibrate) or multiplex bands (BandsPerProc > 1) are rejected.
+// The decomposition is fixed by the first Resolve's host count, which is also
+// where the options are validated (Options.validate); options that reshape
+// the decomposition per solve (Balance) or rewrite the matrix (Equilibrate)
+// are rejected here.
 func NewSession(newPlatform func() (*vgrid.Platform, []*vgrid.Host), a *sparse.CSR, opt Options) (*Session, error) {
 	o := opt.withDefaults()
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: session needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	if o.BandsPerProc > 1 {
-		return nil, errors.New("core: sessions do not support BandsPerProc > 1")
-	}
 	if o.Balance {
-		return nil, errors.New("core: sessions do not support Balance")
+		return nil, fmt.Errorf("%w: sessions do not support Balance", ErrIncompatible)
 	}
 	if o.Equilibrate {
-		return nil, errors.New("core: sessions do not support Equilibrate")
+		return nil, fmt.Errorf("%w: sessions do not support Equilibrate", ErrIncompatible)
 	}
 	if o.Gateway {
 		// The gateway routing tables live outside the per-rank state a session
 		// persists; sessions run the direct plan.
-		return nil, errors.New("core: sessions do not support Gateway")
+		return nil, fmt.Errorf("%w: sessions do not support Gateway", ErrIncompatible)
 	}
 	if newPlatform == nil {
 		return nil, errors.New("core: session needs a platform factory")
@@ -421,13 +432,10 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 	}
 	pl, hosts := s.newPlatform()
 	if s.d == nil {
-		if len(hosts) == 0 {
-			return nil, errors.New("core: no hosts")
+		if err := s.o.validate(s.a.Rows, len(hosts)); err != nil {
+			return nil, err
 		}
-		if s.o.SolverPerRank != nil && len(s.o.SolverPerRank) != len(hosts) {
-			return nil, fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(s.o.SolverPerRank), len(hosts))
-		}
-		d, err := NewDecomposition(s.a.Rows, len(hosts), s.o.Overlap, s.o.Scheme)
+		d, err := NewDecomposition(s.a.Rows, len(hosts)*s.o.BandsPerProc, s.o.Overlap, s.o.Scheme)
 		if err != nil {
 			return nil, err
 		}
@@ -479,17 +487,7 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 // numeric values and refactorize. Rank bodies are serialized by the engine,
 // so the writes into s.ranks and s.FactorFlops need no synchronization.
 func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pending) error {
-	c.Tree = s.o.TreeCollectives
-	c.Topo = s.o.TopoCollectives
-	ctx := simctx.New()
-	ctx.Trace = s.o.Trace
-	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
-	if s.o.TrackMemory {
-		ctx.Mem = c.Proc()
-	}
-	c.AttachCtx(ctx)
-	applyFaultOptions(c, s.o)
-
+	ctx := newRankCtx(c, s.o)
 	rank := c.Rank()
 	sr := s.ranks[rank]
 	var factTime float64
@@ -499,12 +497,8 @@ func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pend
 		if err != nil {
 			return err
 		}
-		band := st.band
-		sr = &sessionRank{
-			st:     st,
-			subMap: s.a.SubmatrixMap(band.Lo, band.Hi, band.Lo, band.Hi),
-			depMap: s.a.SelectColumnsMap(band.Lo, band.Hi, st.depCols),
-		}
+		sr = &sessionRank{st: st}
+		s.freezeMaps(sr)
 		s.ranks[rank] = sr
 		factTime = ft
 	} else {
@@ -523,23 +517,17 @@ func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pend
 func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlob []float64, refresh bool) (float64, error) {
 	st := sr.st
 	st.c, st.ctx = c, ctx
-	band := st.band
 
 	// A resplit during the previous Resolve moved the band: re-derive the
 	// frozen value-refresh maps for the current range. The factorization
 	// already matches the new band (the transition factored it), so the
 	// ordinary refactor path below stays valid.
 	if sr.gen != st.gen {
-		sr.subMap = s.a.SubmatrixMap(band.Lo, band.Hi, band.Lo, band.Hi)
-		sr.depMap = s.a.SelectColumnsMap(band.Lo, band.Hi, st.depCols)
-		sr.gen = st.gen
+		s.freezeMaps(sr)
 	}
 
 	// Reset the iteration state: a Resolve is a new solve from a zero guess,
 	// identical to what a fresh rank would run.
-	vec.Zero(st.xSub)
-	vec.Zero(st.xPrev)
-	vec.Zero(st.z)
 	for i := range st.lastRecv {
 		vec.Zero(st.lastRecv[i])
 		st.verIncorporated[i] = 0
@@ -547,102 +535,93 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 		st.freshSeen[i] = false
 		st.staleCount[i] = 0
 	}
+	for i := range st.localLast {
+		vec.Zero(st.localLast[i])
+	}
 	st.iter, st.diff, st.stableRuns, st.stableStart = 0, 0, 0, 0
 	st.factFlops = 0
-	copy(st.bSub, bGlob[band.Lo:band.Hi])
-
-	// The simulated process is new even though the factors persist in the
-	// driver: account its working set against the fresh host. In two-stage
-	// mode the resident factor is the band preconditioner, not an LU.
-	twoStage := st.ts != nil && !st.ts.fellBack
-	factBytes := int64(0)
-	if twoStage {
-		factBytes = st.ts.pc.Bytes()
-		st.ts.totalSweeps, st.ts.innerFlops, st.ts.fallbacks = 0, 0, 0
-		st.ts.sched = newInnerSchedule(st.ts.opt)
-	} else {
-		factBytes = st.fact.Bytes()
-	}
-	if err := ctx.Alloc(csrBytes(st.sub) + csrBytes(st.depMat) + 8*int64(band.Size()) + factBytes); err != nil {
-		return 0, err
-	}
 
 	factStart := c.Now()
-	if refresh && twoStage {
+	for i := range st.bands {
+		bs := &st.bands[i]
+		vec.Zero(bs.xSub)
+		vec.Zero(bs.xPrev)
+		vec.Zero(bs.z)
+		copy(bs.bSub, bGlob[bs.band.Lo:bs.band.Hi])
+		if bs.twoStage() {
+			bs.ts.totalSweeps, bs.ts.innerFlops, bs.ts.fallbacks = 0, 0, 0
+			bs.ts.sched = newInnerSchedule(bs.ts.opt)
+		}
+		// The simulated process is new even though the factors persist in the
+		// driver: account its working set against the fresh host. In two-stage
+		// mode the resident factor is the band preconditioner, not an LU.
+		if err := ctx.Alloc(bs.workingSet() + bs.factorBytes()); err != nil {
+			return 0, err
+		}
+		if !refresh {
+			continue
+		}
+		for k, p := range sr.subMaps[i] {
+			bs.sub.Val[k] = s.a.Val[p]
+		}
+		for k, p := range sr.depMaps[i] {
+			bs.depMat.Val[k] = s.a.Val[p]
+		}
+		if err := s.refactorBand(st, bs); err != nil {
+			return 0, err
+		}
+	}
+	return c.Now() - factStart, nil
+}
+
+// refactorBand brings one band's factor up to date with its refreshed
+// values, by the cheapest route the factor supports.
+func (s *Session) refactorBand(st *rankState, bs *bandState) error {
+	c, ctx := st.c, st.ctx
+	start := c.Now()
+	flops0 := ctx.Counter.Flops()
+	cat, name := obs.CatRefact, "refactor"
+	rf, canRefactor := bs.fact.(splu.Refactorer)
+	switch {
+	case bs.twoStage():
 		// Refresh the preconditioner's band values through its frozen
 		// position map and refactor. The banded elimination cost is value
 		// dependent (pivoting), so this is a deferred segment like the
 		// initial build.
-		for k, p := range sr.subMap {
-			st.sub.Val[k] = s.a.Val[p]
-		}
-		for k, p := range sr.depMap {
-			st.depMat.Val[k] = s.a.Val[p]
-		}
-		refactFlops0 := ctx.Counter.Flops()
-		var refErr error
+		name = "precond-refresh"
+		var err error
 		c.ComputeDeferred(func() float64 {
-			refErr = st.ts.pc.Refresh(st.sub, ctx.Cnt())
+			err = bs.ts.pc.Refresh(bs.sub, ctx.Cnt())
 			return ctx.Counter.Flops() - ctx.Charged
 		})
-		if refErr != nil {
-			return 0, fmt.Errorf("rank %d: preconditioner refresh: %w", st.rank, refErr)
+		if err != nil {
+			return fmt.Errorf("rank %d: preconditioner refresh: %w", st.rank, err)
 		}
-		st.factFlops = ctx.Counter.Flops() - refactFlops0
-		if sc := ctx.Observe(); sc != nil {
-			sc.Span(obs.Span{Cat: obs.CatRefact, Name: "precond-refresh",
-				Start: factStart, End: c.Now(), Flops: st.factFlops})
+		st.factFlops += ctx.Counter.Flops() - flops0
+	case canRefactor && !s.NoRefactor:
+		// The refactor cost is frozen by the symbolic phase, so this is a
+		// declared segment; Charge reconciles the rare pivot-degradation
+		// fallback, which costs a full factorization instead. That fallback
+		// may change the fill, so the per-iteration declared cost is
+		// recomputed.
+		var err error
+		c.ComputeSeg(rf.RefactorFlops(), func() {
+			err = rf.Refactor(bs.sub, ctx.Cnt())
+		})
+		c.Charge()
+		if err != nil {
+			return fmt.Errorf("rank %d: refactorization: %w", st.rank, err)
 		}
-		return c.Now() - factStart, nil
+		bs.setStepFlops()
+	default:
+		cat, name = obs.CatFact, "factor"
+		if err := st.factorBand(bs); err != nil {
+			return err
+		}
 	}
-	if refresh {
-		for k, p := range sr.subMap {
-			st.sub.Val[k] = s.a.Val[p]
-		}
-		for k, p := range sr.depMap {
-			st.depMat.Val[k] = s.a.Val[p]
-		}
-		rf, canRefactor := st.fact.(splu.Refactorer)
-		refactFlops0 := ctx.Counter.Flops()
-		if canRefactor && !s.NoRefactor {
-			// The refactor cost is frozen by the symbolic phase, so this is a
-			// declared segment; Charge reconciles the rare pivot-degradation
-			// fallback, which costs a full factorization instead.
-			var refErr error
-			c.ComputeSeg(rf.RefactorFlops(), func() {
-				refErr = rf.Refactor(st.sub, ctx.Cnt())
-			})
-			c.Charge()
-			if refErr != nil {
-				return 0, fmt.Errorf("rank %d: refactorization: %w", st.rank, refErr)
-			}
-			if sc := ctx.Observe(); sc != nil {
-				sc.Span(obs.Span{Cat: obs.CatRefact, Name: "refactor",
-					Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
-			}
-		} else {
-			solver := s.o.Solver
-			if s.o.SolverPerRank != nil && s.o.SolverPerRank[st.rank] != nil {
-				solver = s.o.SolverPerRank[st.rank]
-			}
-			var fact splu.Factorization
-			var factErr error
-			c.ComputeDeferred(func() float64 {
-				fact, factErr = solver.Factor(st.sub, ctx.Cnt())
-				return ctx.Counter.Flops() - ctx.Charged
-			})
-			if factErr != nil {
-				return 0, fmt.Errorf("rank %d: %w", st.rank, factErr)
-			}
-			st.fact = fact
-			if sc := ctx.Observe(); sc != nil {
-				sc.Span(obs.Span{Cat: obs.CatFact, Name: "factor",
-					Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
-			}
-		}
-		// A fallback or re-factor may change the fill, so the per-iteration
-		// declared cost is recomputed.
-		st.stepFlops = 2*float64(st.depMat.NNZ()) + st.fact.SolveFlops() + 2*float64(band.Size())
+	if sc := ctx.Observe(); sc != nil {
+		sc.Span(obs.Span{Cat: cat, Name: name,
+			Start: start, End: c.Now(), Flops: ctx.Counter.Flops() - flops0})
 	}
-	return c.Now() - factStart, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -327,7 +328,6 @@ func TestSessionOptionRejections(t *testing.T) {
 		o          Options
 		nilFactory bool
 	}{
-		{"bands-per-proc", Options{BandsPerProc: 2}, false},
 		{"balance", Options{Balance: true}, false},
 		{"equilibrate", Options{Equilibrate: true}, false},
 		{"nil-factory", Options{}, true},
@@ -338,8 +338,12 @@ func TestSessionOptionRejections(t *testing.T) {
 			if tc.nilFactory {
 				pf = nil
 			}
-			if _, err := NewSession(pf, a, tc.o); err == nil {
+			_, err := NewSession(pf, a, tc.o)
+			if err == nil {
 				t.Fatal("expected rejection")
+			}
+			if !tc.nilFactory && !errors.Is(err, ErrIncompatible) {
+				t.Fatalf("err = %v, want ErrIncompatible", err)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/vec"
 )
 
@@ -15,7 +17,7 @@ type stopper interface {
 
 func newStopper(o Options) stopper {
 	if o.UseResidual {
-		return &residualStopper{}
+		return residualStopper{}
 	}
 	return iterateStopper{}
 }
@@ -29,24 +31,24 @@ func (iterateStopper) crit(st *rankState) float64 { return st.diff }
 func (iterateStopper) series() string { return "diff" }
 
 // residualStopper evaluates ‖BSub − Dep·z − ASub·XSub‖∞ — the genuine local
-// residual of the band equation given the current dependency values.
-type residualStopper struct {
-	rtmp []float64
-}
+// residual of the band equation given the current dependency values — over
+// the rank's bands. The band's rhs vector is free between two computation
+// steps (each step rebuilds it from BSub) and serves as the scratch.
+type residualStopper struct{}
 
-func (r *residualStopper) crit(st *rankState) float64 {
-	// Length check rather than nil check: a resplit changes the band size
-	// mid-run and the scratch must follow.
-	if len(r.rtmp) != len(st.bSub) {
-		r.rtmp = make([]float64, len(st.bSub))
-	}
+func (residualStopper) crit(st *rankState) float64 {
 	cnt := st.ctx.Counter
-	copy(r.rtmp, st.bSub)
-	if len(st.depCols) > 0 {
-		st.depMat.MulVecSub(r.rtmp, st.z, cnt)
+	crit := 0.0
+	for i := range st.bands {
+		bs := &st.bands[i]
+		copy(bs.rhs, bs.bSub)
+		if len(bs.depCols) > 0 {
+			bs.depMat.MulVecSub(bs.rhs, bs.z, cnt)
+		}
+		bs.sub.MulVecSub(bs.rhs, bs.xSub, cnt)
+		crit = math.Max(crit, vec.NormInf(bs.rhs, cnt))
 	}
-	st.sub.MulVecSub(r.rtmp, st.xSub, cnt)
-	return vec.NormInf(r.rtmp, cnt)
+	return crit
 }
 
-func (*residualStopper) series() string { return "residual" }
+func (residualStopper) series() string { return "residual" }

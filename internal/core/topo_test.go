@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -192,24 +193,13 @@ func TestGatewayFlatPlatformNoop(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsMultiband: the gateway routes over the single-band
-// per-rank plan only.
-func TestGatewayRejectsMultiband(t *testing.T) {
-	a, b, _ := topoTestSystem(t)
-	pl, hosts := twoSiteClustered(2, 2)
-	_, err := Solve(pl, hosts, a, b, Options{Gateway: true, BandsPerProc: 2})
-	if err == nil || !strings.Contains(err.Error(), "incompatible with Gateway") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestSessionRejectsGateway: persistent sessions run the direct plan.
 func TestSessionRejectsGateway(t *testing.T) {
 	a, _, _ := topoTestSystem(t)
 	_, err := NewSession(func() (*vgrid.Platform, []*vgrid.Host) {
 		return twoSiteClustered(2, 2)
 	}, a, Options{Gateway: true})
-	if err == nil || !strings.Contains(err.Error(), "do not support Gateway") {
+	if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "do not support Gateway") {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -7,12 +7,12 @@
 // LU's fill grows with the band, which is what opens problem sizes where
 // dslu and the stationary method report "nem". Everything downstream of the
 // iterate — ship, exchange policies, fault tolerance, gateway aggregation,
-// sharded lanes — is untouched: two-stage only changes how xSub is produced.
+// sharded lanes — is untouched: two-stage only changes how a band's xSub is
+// produced.
 
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/iterative"
@@ -148,7 +148,7 @@ func (s *innerSchedule) observe(r iterative.InnerResult) {
 	}
 }
 
-// twoStageState is the per-rank inner-stage state riding on rankState: the
+// twoStageState is the per-band inner-stage state riding on bandState: the
 // band preconditioner, the schedule, scratch for the sweeps and the outcome
 // of the last inner stage.
 type twoStageState struct {
@@ -157,19 +157,13 @@ type twoStageState struct {
 	sched innerSchedule
 	r, t  []float64 // sweep scratch, arena-backed
 
-	// depFlops and the per-sweep costs are frozen at build time so the
-	// variable per-iteration cost is pure arithmetic.
-	depFlops float64
-	diffN    float64
-
 	sweeps int // count chosen for the current iteration
 	res    iterative.InnerResult
-	err    error
 
-	// fellBack is set once the inner iteration diverged and the rank
-	// switched to the exact band solve; the two-stage path is then skipped
-	// for the rest of the rank's life (the preconditioner demonstrably does
-	// not contract this band).
+	// fellBack is set once the inner iteration diverged and the band
+	// switched to the exact solve; the two-stage path is then skipped for the
+	// rest of the band's life (the preconditioner demonstrably does not
+	// contract this band).
 	fellBack bool
 
 	// Per-solve tallies, aggregated into Result.
@@ -178,25 +172,27 @@ type twoStageState struct {
 	fallbacks   int
 }
 
+// twoStage reports whether the band currently steps through inner sweeps.
+func (bs *bandState) twoStage() bool { return bs.ts != nil && !bs.ts.fellBack }
+
 // stageCost returns the exact declared cost of one two-stage outer step with
 // k inner sweeps: the dependency SpMV, the sweeps (with their closing
 // residual evaluation) and the successive-iterate difference norm.
-func (ts *twoStageState) stageCost(st *rankState, k int) float64 {
-	return ts.depFlops + iterative.PrecondSweepsFlops(st.sub, ts.pc, k) + ts.diffN
+func (bs *bandState) stageCost(k int) float64 {
+	return 2*float64(bs.depMat.NNZ()) + iterative.PrecondSweepsFlops(bs.sub, bs.ts.pc, k) + 2*float64(bs.band.Size())
 }
 
-// buildTwoStage factors the band preconditioner for a rank (deferred
-// segment, like the exact factorization: the banded elimination cost is
-// value-dependent). A singular preconditioner band is logged and reported
-// as not-built so newRankState falls back to the exact path; a memory
-// failure is final.
-func (st *rankState) buildTwoStage() (bool, error) {
+// buildTwoStage factors a band's preconditioner (deferred segment, like the
+// exact factorization: the banded elimination cost is value-dependent). A
+// singular preconditioner band is logged and reported as not-built so
+// loadBand falls back to the exact path; a memory failure is final.
+func (st *rankState) buildTwoStage(bs *bandState) (bool, error) {
 	o := st.o
 	ctx := st.ctx
 	var pc splu.Preconditioner
 	var pcErr error
 	st.c.ComputeDeferred(func() float64 {
-		pc, pcErr = splu.NewBandPreconditioner(st.sub, o.TwoStage.PrecondBand, ctx.Cnt())
+		pc, pcErr = splu.NewBandPreconditioner(bs.sub, o.TwoStage.PrecondBand, ctx.Cnt())
 		return ctx.Counter.Flops() - ctx.Charged
 	})
 	if pcErr != nil {
@@ -206,108 +202,61 @@ func (st *rankState) buildTwoStage() (bool, error) {
 	if err := ctx.Alloc(pc.Bytes()); err != nil {
 		return false, err
 	}
-	st.ts = &twoStageState{
-		opt:      o.TwoStage,
-		pc:       pc,
-		sched:    newInnerSchedule(o.TwoStage),
-		depFlops: 2 * float64(st.depMat.NNZ()),
-		diffN:    2 * float64(st.band.Size()),
-	}
+	bs.ts = &twoStageState{opt: o.TwoStage, pc: pc, sched: newInnerSchedule(o.TwoStage)}
 	return true, nil
 }
 
-// iterateTwoStage is the two-stage computation step: pick the sweep count
-// from the schedule, run the inner stage as one declared compute segment,
-// and on divergence fall back to the exact band solve and redo the step.
-func (st *rankState) iterateTwoStage() error {
-	ts := st.ts
-	ts.sweeps = ts.sched.next(st.iter)
-	cost := ts.stageCost(st, ts.sweeps)
-	ts.err = nil
-	start := st.c.Now()
-	st.c.ComputeSeg(cost, st.stepFn)
-	if ts.err != nil {
-		if errors.Is(ts.err, iterative.ErrDiverged) {
-			return st.twoStageFallback()
-		}
-		return fmt.Errorf("rank %d: %w", st.rank, ts.err)
+// tsStep is one band's two-stage step (run from the segment body, so
+// worker-pool rules apply: only this band's state, never the simulator). On
+// divergence it restores the previous iterate so the exact redo starts clean.
+func (bs *bandState) tsStep(cnt *vec.Counter) {
+	ts := bs.ts
+	copy(bs.rhs, bs.bSub)
+	if len(bs.depCols) > 0 {
+		bs.depMat.MulVecSub(bs.rhs, bs.z, cnt)
 	}
-	ts.totalSweeps += int64(ts.sweeps)
-	ts.innerFlops += iterative.PrecondSweepsFlops(st.sub, ts.pc, ts.sweeps)
-	ts.sched.observe(ts.res)
-	if sc := st.ctx.Observe(); sc != nil {
-		sc.Span(obs.Span{Cat: obs.CatInner, Name: "inner", Iter: st.iter,
-			Start: start, End: st.c.Now(), Flops: cost})
-		sc.Count("inner_sweeps", float64(ts.sweeps))
-		// Cumulative sweep series: the windowed telemetry layer turns this
-		// into per-window inner-sweep progress alongside the residual series.
-		sc.Sample("inner_sweeps", st.c.Now(), float64(ts.totalSweeps))
-	}
-	return nil
-}
-
-// tsStep is the two-stage segment body (referenced via stepFn; worker-pool
-// rules apply: only this rank's state, never the simulator). On divergence
-// it restores the previous iterate so the exact redo starts clean.
-func (st *rankState) tsStep() {
-	ts := st.ts
-	cnt := st.ctx.Counter
-	copy(st.rhs, st.bSub)
-	if len(st.depCols) > 0 {
-		st.depMat.MulVecSub(st.rhs, st.z, cnt)
-	}
-	ts.res, ts.err = iterative.PrecondSweeps(st.sub, ts.pc, st.xSub, st.rhs,
+	ts.res, bs.err = iterative.PrecondSweeps(bs.sub, ts.pc, bs.xSub, bs.rhs,
 		ts.opt.Omega, ts.sweeps, ts.r, ts.t, cnt)
-	if ts.err != nil {
-		copy(st.xSub, st.xPrev)
+	if bs.err != nil {
+		copy(bs.xSub, bs.xPrev)
 		return
 	}
-	st.diff = vec.DiffNormInf(st.xSub, st.xPrev, cnt)
-	copy(st.xPrev, st.xSub)
+	bs.diff = vec.DiffNormInf(bs.xSub, bs.xPrev, cnt)
+	copy(bs.xPrev, bs.xSub)
 }
 
-// twoStageFallback switches a rank whose inner iteration diverged to the
-// exact band solve: factor the band (deferred, full memory accounting — on
-// an undersized host this is where the memory wall reappears), rebuild the
-// declared step cost and redo the current iteration exactly. The aborted
-// inner segment declared more arithmetic than it performed, so the charge
-// watermark is wound back to the counted work before continuing.
-func (st *rankState) twoStageFallback() error {
-	ts := st.ts
+// twoStageFallback switches a band whose inner iteration diverged to the
+// exact solve: factor the band (deferred, full memory accounting — on an
+// undersized host this is where the memory wall reappears) and redo the
+// band's step of the current iteration exactly. The aborted inner segment
+// declared more arithmetic than it performed, so the charge watermark is
+// wound back to the counted work before continuing.
+func (st *rankState) twoStageFallback(bs *bandState) error {
 	ctx := st.ctx
 	ctx.Faultf("rank %d iter %d: inner sweeps diverged (%v); falling back to exact band solve",
-		st.rank, st.iter, ts.err)
+		st.rank, st.iter, bs.err)
 	if f := ctx.Counter.Flops(); f < ctx.Charged {
 		ctx.Charged = f
 	}
-	solver := st.o.Solver
-	if st.o.SolverPerRank != nil && st.o.SolverPerRank[st.rank] != nil {
-		solver = st.o.SolverPerRank[st.rank]
-	}
 	start := st.c.Now()
 	f0 := ctx.Counter.Flops()
-	var fact splu.Factorization
-	var factErr error
-	st.c.ComputeDeferred(func() float64 {
-		fact, factErr = solver.Factor(st.sub, ctx.Cnt())
-		return ctx.Counter.Flops() - ctx.Charged
-	})
-	if factErr != nil {
-		return fmt.Errorf("rank %d: two-stage fallback: %w", st.rank, factErr)
+	if err := st.factorBand(bs); err != nil {
+		return fmt.Errorf("two-stage fallback: %w", err)
 	}
-	if err := ctx.Alloc(fact.Bytes()); err != nil {
+	if err := ctx.Alloc(bs.fact.Bytes()); err != nil {
 		return err
 	}
-	st.fact = fact
 	st.factFlops += ctx.Counter.Flops() - f0
-	ts.fellBack = true
-	ts.fallbacks++
-	st.stepFlops = ts.depFlops + fact.SolveFlops() + ts.diffN
-	st.stepFn = st.step
+	bs.ts.fellBack = true
+	bs.ts.fallbacks++
 	if sc := ctx.Observe(); sc != nil {
 		sc.Span(obs.Span{Cat: obs.CatFact, Name: "fallback-factor",
 			Start: start, End: st.c.Now(), Flops: ctx.Counter.Flops() - f0})
 		sc.Count("twostage_fallback", 1)
 	}
-	return st.iterate()
+	st.c.ComputeSeg(bs.stepFlops, func() { bs.step(ctx.Counter) })
+	if bs.err != nil {
+		return fmt.Errorf("rank %d: %w at iteration %d", st.rank, bs.err, st.iter)
+	}
+	return nil
 }

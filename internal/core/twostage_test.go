@@ -201,7 +201,6 @@ func TestTwoStageValidation(t *testing.T) {
 	cases := []Options{
 		{TwoStage: TwoStage{InnerIters: 2, Schedule: "sometimes"}},
 		{TwoStage: TwoStage{InnerIters: 2, Omega: 2.5}},
-		{TwoStage: TwoStage{InnerIters: 2}, BandsPerProc: 2},
 	}
 	for i, o := range cases {
 		pl, hs := lanPlatform(2, 0)
@@ -211,11 +210,10 @@ func TestTwoStageValidation(t *testing.T) {
 	}
 }
 
-// twoStageGridSolve runs the two-stage solver on a generated multi-cluster
-// platform with everything composed on top — gateway aggregation, two-level
-// collectives, the requested lane and worker counts — and returns the result
-// plus the full engine trace.
-func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
+// gridSolve runs the solver configured by o on a generated multi-cluster
+// platform with the requested lane and worker counts (lanes < 0: one lane per
+// cluster) and returns the result plus the full engine trace.
+func gridSolve(t *testing.T, o Options, lanes, workers int) (*Result, string) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 900, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
@@ -233,10 +231,7 @@ func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
 	}
 	var trace strings.Builder
 	e.Trace = func(line string) { trace.WriteString(line); trace.WriteByte('\n') }
-	pend, err := Launch(e, plt.Hosts, a, b, Options{
-		Tol: 1e-8, TopoCollectives: true, Gateway: true,
-		TwoStage: TwoStage{InnerIters: 4, PrecondBand: 4},
-	})
+	pend, err := Launch(e, plt.Hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +246,12 @@ func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
 	return res, trace.String()
 }
 
-// TestTwoStageDeterministicAcrossLanesAndWorkers pins the determinism
-// contract for the two-stage mode: traces and iterates are byte-identical
-// whether the engine runs one lane or one lane per cluster, serial or on a
-// worker pool.
-func TestTwoStageDeterministicAcrossLanesAndWorkers(t *testing.T) {
-	ref, refTrace := twoStageGridSolve(t, 1, 0)
+// assertGridDeterministic pins the determinism contract for one option set:
+// traces and iterates are byte-identical whether the engine runs one lane or
+// one lane per cluster, serial or on a worker pool.
+func assertGridDeterministic(t *testing.T, o Options) {
+	t.Helper()
+	ref, refTrace := gridSolve(t, o, 1, 0)
 	for _, v := range []struct {
 		name           string
 		lanes, workers int
@@ -266,7 +261,7 @@ func TestTwoStageDeterministicAcrossLanesAndWorkers(t *testing.T) {
 		{"lanes-auto-workers-4", -1, 4},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			got, gotTrace := twoStageGridSolve(t, v.lanes, v.workers)
+			got, gotTrace := gridSolve(t, o, v.lanes, v.workers)
 			if got.Iterations != ref.Iterations || got.Time != ref.Time {
 				t.Errorf("run diverged: %d iters @ %g s vs %d iters @ %g s",
 					got.Iterations, got.Time, ref.Iterations, ref.Time)
@@ -285,6 +280,16 @@ func TestTwoStageDeterministicAcrossLanesAndWorkers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTwoStageDeterministicAcrossLanesAndWorkers pins the determinism
+// contract for the two-stage mode with everything composed on top: gateway
+// aggregation, two-level collectives, sharded lanes and a worker pool.
+func TestTwoStageDeterministicAcrossLanesAndWorkers(t *testing.T) {
+	assertGridDeterministic(t, Options{
+		Tol: 1e-8, TopoCollectives: true, Gateway: true,
+		TwoStage: TwoStage{InnerIters: 4, PrecondBand: 4},
+	})
 }
 
 // TestTwoStageMemoryWall is the tentpole claim in miniature: on a budgeted
