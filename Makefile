@@ -22,11 +22,13 @@ test-bench:
 # exports for 1 vs N workers) and the communication-plan equivalence
 # contract (byte-identical iterates and traces for the gateway exchange)
 # under the race detector, together with the export encoder's differential
-# test against encoding/json and its allocation budget.
+# test against encoding/json and its allocation budget, and the sparse LU's
+# bit-for-bit comparison with its pre-rework reference loops.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix' ./internal/core
+	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults' ./internal/vgrid
 
 vet:
@@ -35,18 +37,20 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Machine-readable baseline of the refactorization economy: the Newton
+# Machine-readable baseline of the refactorization economy: the sparse-LU
+# kernel prices (factor/refactor/solve on the wide-band, narrow-band and cage
+# shapes: ns per stored factor entry, B/op, counted flops), the Newton
 # factor-vs-refactor comparison (factor-flops metric), the engine worker
 # scaling, the observed per-phase solver breakdown (factor/refactor flops,
 # bytes moved, wait share), and the cluster traffic split of the
 # topology-aware exchange (intra/inter bytes and messages), as JSON.
 bench-json:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkNewtonRefactor|BenchmarkSessionIterate|BenchmarkEngineWorkers|BenchmarkSolverPhases|BenchmarkTopologyExchange' -o BENCH_refactor.json
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkSparseLUKernels|BenchmarkNewtonRefactor|BenchmarkSessionIterate|BenchmarkEngineWorkers|BenchmarkSolverPhases|BenchmarkTopologyExchange' -o BENCH_refactor.json
 
 # One-iteration smoke of the same pipeline, part of verify: proves the
 # benchmarks still run and the parser still understands their output.
 bench-json-smoke:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkNewtonRefactor|BenchmarkSessionIterate|BenchmarkSolverPhases|BenchmarkTopologyExchange' -benchtime 1x -o BENCH_refactor.json
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkSparseLUKernels|BenchmarkNewtonRefactor|BenchmarkSessionIterate|BenchmarkSolverPhases|BenchmarkTopologyExchange' -benchtime 1x -o BENCH_refactor.json
 
 # Machine-readable baseline of the event-core rework: the 256- and 1000-host
 # synthetic-grid runs under the indexed scheduler and under the pre-index

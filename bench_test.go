@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/nonlinear"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 	"repro/internal/splu"
 	"repro/internal/vec"
 	"repro/internal/vgrid"
@@ -71,30 +72,71 @@ func BenchmarkSpMV(b *testing.B) {
 	b.SetBytes(int64(a.NNZ()) * 16)
 }
 
-func BenchmarkSparseLUFactor(b *testing.B) {
-	a := gen.Poisson2D(60, 60)
-	var c vec.Counter
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&splu.SparseLU{}).Factor(a, &c); err != nil {
+// BenchmarkSparseLUKernels prices the three sparse-LU kernels on the band
+// shapes the solvers actually hand them: the wide band of the Table-1-shaped
+// LAN run (heavy fill), the narrow band of the async grid run (almost none)
+// and a cage-like scattered pattern. ns/entry is host time per stored factor
+// entry (nnz(L)+nnz(U)), the unit the triangular sweeps stream; the counted
+// flops are deterministic and must not move when the kernels get faster.
+func BenchmarkSparseLUKernels(b *testing.B) {
+	shapes := []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"wideband", gen.DiagDominant(gen.DiagDominantOpts{N: 1330, Band: 120, PerRow: 10, Margin: 0.002, Negative: true, Seed: 1})},
+		{"narrowband", gen.DiagDominant(gen.DiagDominantOpts{N: 2500, Band: 12, PerRow: 7, Seed: 1})},
+		{"cage", gen.CageLike(600, 1)},
+	}
+	type nnzer interface{ NNZFactors() (lnz, unz int) }
+	factor := func(b *testing.B, a *sparse.CSR) (splu.Factorization, float64) {
+		f, err := (&splu.SparseLU{}).Factor(a, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		l, u := f.(nnzer).NNZFactors()
+		return f, float64(l + u)
 	}
-}
-
-func BenchmarkSparseLUSolve(b *testing.B) {
-	a := gen.Poisson2D(60, 60)
-	var c vec.Counter
-	f, err := (&splu.SparseLU{}).Factor(a, &c)
-	if err != nil {
-		b.Fatal(err)
+	perEntry := func(b *testing.B, entries float64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
 	}
-	rhs := make([]float64, a.Rows)
-	x := make([]float64, a.Rows)
-	vec.Fill(rhs, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Solve(x, rhs, &c)
+	for _, sh := range shapes {
+		a := sh.a
+		b.Run("factor/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var f splu.Factorization
+			var entries float64
+			for i := 0; i < b.N; i++ {
+				f, entries = factor(b, a)
+			}
+			perEntry(b, entries)
+			b.ReportMetric(f.FactorFlops(), "factor-flops")
+		})
+		b.Run("refactor/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			f, entries := factor(b, a)
+			r := f.(splu.Refactorer)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := r.Refactor(a, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perEntry(b, entries)
+			b.ReportMetric(r.RefactorFlops(), "refactor-flops")
+		})
+		b.Run("solve/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			f, entries := factor(b, a)
+			rhs := make([]float64, a.Rows)
+			x := make([]float64, a.Rows)
+			vec.Fill(rhs, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.Solve(x, rhs, nil)
+			}
+			perEntry(b, entries)
+			b.ReportMetric(f.SolveFlops(), "flops/solve")
+		})
 	}
 }
 

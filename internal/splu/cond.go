@@ -24,21 +24,17 @@ func (f *sparseFactors) SolveT(x, b []float64, c *vec.Counter) {
 		copy(y, b)
 	}
 	// Forward solve Uᵀ·w = y: row k of Uᵀ is column k of U (diagonal last).
+	up, ui, ux := f.up, f.ui, f.ux
 	for k := 0; k < n; k++ {
-		s := y[k]
-		for p := f.up[k]; p < f.up[k+1]-1; p++ {
-			s -= f.ux[p] * y[f.ui[p]]
-		}
-		y[k] = s / f.ux[f.up[k+1]-1]
+		lo, hi := up[k], up[k+1]-1
+		y[k] = colDot(y, ui[lo:hi], ux[lo:hi], y[k]) / ux[hi]
 	}
 	// Back solve Lᵀ·v = w: row k of Lᵀ is column k of L (unit diagonal
 	// first).
+	lp, li, lx := f.lp, f.li, f.lx
 	for k := n - 1; k >= 0; k-- {
-		s := y[k]
-		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-			s -= f.lx[p] * y[f.li[p]]
-		}
-		y[k] = s
+		lo, hi := lp[k]+1, lp[k+1]
+		y[k] = colDot(y, li[lo:hi], lx[lo:hi], y[k])
 	}
 	// x = Pᵀ·v.
 	for i := 0; i < n; i++ {

@@ -64,30 +64,39 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 	if a.NNZ() != len(f.avp) {
 		return fmt.Errorf("splu: Refactor pattern mismatch: %d nnz, factored %d", a.NNZ(), len(f.avp))
 	}
+	// Equal counts are not equal patterns: a different pattern scattered
+	// through the frozen map would yield garbage factors and no error.
+	if patternHash(a) != f.pattern {
+		return fmt.Errorf("splu: Refactor pattern mismatch: %d nnz as factored, but in other positions", a.NNZ())
+	}
 	x := f.rwork // all-zero between calls; the scatter-clears below keep it so
+	lp, li, lx := f.lp, f.li, f.lx
+	up, ui, ux := f.up, f.ui, f.ux
 	for k := 0; k < n; k++ {
 		// Scatter A's column q[k] into pivotal coordinates.
-		for p := f.acp[k]; p < f.acp[k+1]; p++ {
-			x[f.ari[p]] = a.Val[f.avp[p]]
+		lo, hi := f.acp[k], f.acp[k+1]
+		for t, i := range f.ari[lo:hi] {
+			x[i] = a.Val[f.avp[lo+t]]
 		}
 		// Eliminate: stored U rows are in topological order, so every update
 		// into x[jn] lands before jn is consumed. No zero-skips — the cost is
 		// exactly refactorFlops.
-		for p := f.up[k]; p < f.up[k+1]-1; p++ {
-			jn := f.ui[p]
+		lo, hi = up[k], up[k+1]-1
+		for t, jn := range ui[lo:hi] {
 			xj := x[jn]
-			f.ux[p] = xj
+			ux[lo+t] = xj
 			x[jn] = 0
-			for pp := f.lp[jn] + 1; pp < f.lp[jn+1]; pp++ {
-				x[f.li[pp]] -= f.lx[pp] * xj
-			}
+			p0, p1 := lp[jn]+1, lp[jn+1]
+			colAxpy(x, li[p0:p1], lx[p0:p1], xj)
 		}
 		piv := x[k]
 		x[k] = 0
 		// Degradation check against the subdiagonal of the column.
+		p0, p1 := lp[k]+1, lp[k+1]
+		sub := li[p0:p1]
 		a0 := math.Abs(piv)
-		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-			if t := math.Abs(x[f.li[p]]); t > a0 {
+		for _, i := range sub {
+			if t := math.Abs(x[i]); t > a0 {
 				a0 = t
 			}
 		}
@@ -107,10 +116,9 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 			*f = *g
 			return nil
 		}
-		f.ux[f.up[k+1]-1] = piv
-		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-			i := f.li[p]
-			f.lx[p] = x[i] / piv
+		ux[hi] = piv
+		for t, i := range sub {
+			lx[p0+t] = x[i] / piv
 			x[i] = 0
 		}
 	}

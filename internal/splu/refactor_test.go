@@ -276,3 +276,38 @@ func TestRefactorAndSolveAllocationFree(t *testing.T) {
 		t.Fatalf("Solve allocates %v objects per run", n)
 	}
 }
+
+// TestRefactorRejectsSameNnzDifferentPattern: equal shape and entry count do
+// not make an equal pattern. Scattered through the frozen map, such a matrix
+// used to yield garbage factors and no error.
+func TestRefactorRejectsSameNnzDifferentPattern(t *testing.T) {
+	csr := func(rowPtr, colInd []int) *sparse.CSR {
+		val := make([]float64, len(colInd))
+		for p := range val {
+			val[p] = float64(p + 2)
+		}
+		return &sparse.CSR{Rows: 3, Cols: 3, RowPtr: rowPtr, ColInd: colInd, Val: val}
+	}
+	a := csr([]int{0, 2, 3, 5}, []int{0, 1, 2, 0, 2})
+	for _, ord := range []Ordering{OrderNatural, OrderRCM} {
+		fact, err := (&SparseLU{Order: ord}).Factor(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := fact.(Refactorer)
+		if err := r.Refactor(sameValues(a), nil); err != nil {
+			t.Fatalf("order %v: same pattern rejected: %v", ord, err)
+		}
+		for name, other := range map[string]*sparse.CSR{
+			"entry moved to another column": csr([]int{0, 2, 3, 5}, []int{0, 2, 2, 0, 2}),
+			"same columns, other row ends":  csr([]int{0, 1, 3, 5}, []int{0, 1, 2, 0, 2}),
+		} {
+			if other.NNZ() != a.NNZ() {
+				t.Fatalf("%s: test matrix has another entry count", name)
+			}
+			if err := r.Refactor(other, nil); err == nil {
+				t.Errorf("order %v: %s: accepted", ord, name)
+			}
+		}
+	}
+}

@@ -1,0 +1,537 @@
+package splu
+
+// The sparse LU as it was before the kernel rework: []int factor indices,
+// float64 work tallies bumped inside the inner loops, a dfs method that reads
+// the factors through the receiver, hand-written inner loops and append
+// growth from an nnz+n pre-size. The loops are kept verbatim as the oracle
+// TestSparseLUMatchesReference holds the production code to, value for value
+// and flop for flop. Nothing outside this file uses it.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/sparse"
+	"repro/internal/vec"
+)
+
+type refFactors struct {
+	n          int
+	lp, li     []int
+	lx         []float64
+	up, ui     []int
+	ux         []float64
+	pinv       []int
+	q          []int
+	flops      float64
+	symFlops   float64
+	solveFlops float64
+	tol        float64
+
+	acp, ari, avp []int
+	refactorFlops float64
+	work, rwork   []float64
+}
+
+// refFactor takes the column order q from the factorization it is compared
+// with instead of calling internal/order itself: order.RCM breaks degree ties
+// by map iteration, so two calls on one matrix may return different orders,
+// and the ordering is not what this oracle is about.
+func refFactor(s *SparseLU, a *sparse.CSR, q []int, c *vec.Counter) (*refFactors, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	n := a.Rows
+	tol := s.PivotTol
+	if tol <= 0 || tol > 1 {
+		tol = 1.0
+	}
+	sym := 0.0
+	if q != nil {
+		sym += 2 * float64(a.NNZ())
+	}
+	ac := a.ToCSC()
+	sym += 2 * float64(a.NNZ())
+
+	f := &refFactors{
+		n:    n,
+		lp:   make([]int, n+1),
+		up:   make([]int, n+1),
+		pinv: make([]int, n),
+		q:    q,
+		tol:  tol,
+	}
+	for i := range f.pinv {
+		f.pinv[i] = -1
+	}
+	x := make([]float64, n)
+	mark := make([]bool, n)
+	reach := make([]int, n)
+	dstack := make([]int, n)
+	pstack := make([]int, n)
+
+	est := a.NNZ() + n
+	f.li = make([]int, 0, est)
+	f.lx = make([]float64, 0, est)
+	f.ui = make([]int, 0, est)
+	f.ux = make([]float64, 0, est)
+
+	for k := 0; k < n; k++ {
+		col := k
+		if q != nil {
+			col = q[k]
+		}
+		lo, hi := ac.ColPtr[col], ac.ColPtr[col+1]
+
+		top := n
+		for p := lo; p < hi; p++ {
+			i := ac.RowInd[p]
+			if mark[i] {
+				continue
+			}
+			top = f.dfs(i, mark, reach, dstack, pstack, top)
+		}
+		sym += float64(hi-lo) + 2*float64(n-top)
+
+		for p := lo; p < hi; p++ {
+			x[ac.RowInd[p]] = ac.Val[p]
+		}
+		for px := top; px < n; px++ {
+			j := reach[px]
+			jn := f.pinv[j]
+			if jn < 0 {
+				continue
+			}
+			xj := x[j]
+			if xj == 0 {
+				continue
+			}
+			for p := f.lp[jn] + 1; p < f.lp[jn+1]; p++ {
+				x[f.li[p]] -= f.lx[p] * xj
+			}
+			f.flops += 2 * float64(f.lp[jn+1]-f.lp[jn]-1)
+		}
+
+		ipiv, a0 := -1, -1.0
+		for px := top; px < n; px++ {
+			i := reach[px]
+			if f.pinv[i] < 0 {
+				if t := math.Abs(x[i]); t > a0 {
+					a0, ipiv = t, i
+				}
+			}
+		}
+		if ipiv == -1 || a0 <= 0 {
+			return nil, ErrSingular
+		}
+		if f.pinv[col] < 0 && math.Abs(x[col]) >= a0*tol {
+			ipiv = col
+		}
+		pivot := x[ipiv]
+		f.pinv[ipiv] = k
+
+		for px := top; px < n; px++ {
+			i := reach[px]
+			if jn := f.pinv[i]; jn >= 0 && jn < k {
+				f.ui = append(f.ui, jn)
+				f.ux = append(f.ux, x[i])
+			}
+		}
+		f.ui = append(f.ui, k)
+		f.ux = append(f.ux, pivot)
+		f.up[k+1] = len(f.ux)
+
+		f.li = append(f.li, ipiv)
+		f.lx = append(f.lx, 1)
+		for px := top; px < n; px++ {
+			i := reach[px]
+			if f.pinv[i] < 0 {
+				f.li = append(f.li, i)
+				f.lx = append(f.lx, x[i]/pivot)
+				f.flops++
+			}
+			x[i] = 0
+			mark[i] = false
+		}
+		f.lp[k+1] = len(f.lx)
+	}
+	for p := range f.li {
+		f.li[p] = f.pinv[f.li[p]]
+	}
+	f.solveFlops = 2 * float64(len(f.lx)+len(f.ux))
+	sym += float64(len(f.lx) + len(f.ux))
+	f.symFlops += sym
+	f.finishSymbolic(a)
+	c.Add(f.flops + f.symFlops)
+	return f, nil
+}
+
+func (f *refFactors) finishSymbolic(a *sparse.CSR) {
+	n := f.n
+	var qinv []int
+	if f.q != nil {
+		qinv = make([]int, n)
+		for k, old := range f.q {
+			qinv[old] = k
+		}
+	}
+	nnz := a.NNZ()
+	f.acp = make([]int, n+1)
+	f.ari = make([]int, nnz)
+	f.avp = make([]int, nnz)
+	for _, j := range a.ColInd {
+		k := j
+		if qinv != nil {
+			k = qinv[j]
+		}
+		f.acp[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		f.acp[k+1] += f.acp[k]
+	}
+	next := append([]int(nil), f.acp[:n]...)
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			k := a.ColInd[p]
+			if qinv != nil {
+				k = qinv[k]
+			}
+			f.ari[next[k]] = f.pinv[i]
+			f.avp[next[k]] = p
+			next[k]++
+		}
+	}
+	rf := 0.0
+	for k := 0; k < n; k++ {
+		for p := f.up[k]; p < f.up[k+1]-1; p++ {
+			jn := f.ui[p]
+			rf += 2 * float64(f.lp[jn+1]-f.lp[jn]-1)
+		}
+		rf += float64(f.lp[k+1] - f.lp[k] - 1)
+	}
+	f.refactorFlops = rf
+	f.work = make([]float64, n)
+	f.rwork = make([]float64, n)
+}
+
+func (f *refFactors) dfs(i int, mark []bool, reach, dstack, pstack []int, top int) int {
+	head := 0
+	dstack[0] = i
+	for head >= 0 {
+		j := dstack[head]
+		jn := f.pinv[j]
+		if !mark[j] {
+			mark[j] = true
+			f.symFlops++
+			if jn < 0 {
+				pstack[head] = 0
+			} else {
+				pstack[head] = f.lp[jn] + 1
+			}
+		}
+		done := true
+		if jn >= 0 {
+			end := f.lp[jn+1]
+			for p := pstack[head]; p < end; p++ {
+				f.symFlops++
+				child := f.li[p]
+				if mark[child] {
+					continue
+				}
+				pstack[head] = p + 1
+				head++
+				dstack[head] = child
+				done = false
+				break
+			}
+		}
+		if done {
+			head--
+			top--
+			reach[top] = j
+		}
+	}
+	return top
+}
+
+func (f *refFactors) Solve(x, b []float64, c *vec.Counter) {
+	n := f.n
+	y := f.work
+	for i := 0; i < n; i++ {
+		y[f.pinv[i]] = b[i]
+	}
+	for k := 0; k < n; k++ {
+		yk := y[k]
+		if yk == 0 {
+			continue
+		}
+		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+			y[f.li[p]] -= f.lx[p] * yk
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		d := f.ux[f.up[k+1]-1]
+		y[k] /= d
+		yk := y[k]
+		for p := f.up[k]; p < f.up[k+1]-1; p++ {
+			y[f.ui[p]] -= f.ux[p] * yk
+		}
+	}
+	if f.q != nil {
+		for k := 0; k < n; k++ {
+			x[f.q[k]] = y[k]
+		}
+	} else {
+		copy(x, y)
+	}
+	c.Add(f.solveFlops)
+}
+
+func (f *refFactors) SolveT(x, b []float64, c *vec.Counter) {
+	n := f.n
+	y := make([]float64, n)
+	if f.q != nil {
+		for k := 0; k < n; k++ {
+			y[k] = b[f.q[k]]
+		}
+	} else {
+		copy(y, b)
+	}
+	for k := 0; k < n; k++ {
+		s := y[k]
+		for p := f.up[k]; p < f.up[k+1]-1; p++ {
+			s -= f.ux[p] * y[f.ui[p]]
+		}
+		y[k] = s / f.ux[f.up[k+1]-1]
+	}
+	for k := n - 1; k >= 0; k-- {
+		s := y[k]
+		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+			s -= f.lx[p] * y[f.li[p]]
+		}
+		y[k] = s
+	}
+	for i := 0; i < n; i++ {
+		x[i] = y[f.pinv[i]]
+	}
+	c.Add(f.solveFlops)
+}
+
+// Refactor is the parent's numeric pass. It reports a degraded pivot instead
+// of falling back: the comparison test only refactors matrices whose frozen
+// pivots hold, and the production fallback is a plain Factor, which the
+// Factor comparison already covers.
+func (f *refFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
+	n := f.n
+	if a.Rows != n || a.Cols != n {
+		return fmt.Errorf("splu: Refactor needs %dx%d matrix, got %dx%d", n, n, a.Rows, a.Cols)
+	}
+	if a.NNZ() != len(f.avp) {
+		return fmt.Errorf("splu: Refactor pattern mismatch: %d nnz, factored %d", a.NNZ(), len(f.avp))
+	}
+	x := f.rwork
+	for k := 0; k < n; k++ {
+		for p := f.acp[k]; p < f.acp[k+1]; p++ {
+			x[f.ari[p]] = a.Val[f.avp[p]]
+		}
+		for p := f.up[k]; p < f.up[k+1]-1; p++ {
+			jn := f.ui[p]
+			xj := x[jn]
+			f.ux[p] = xj
+			x[jn] = 0
+			for pp := f.lp[jn] + 1; pp < f.lp[jn+1]; pp++ {
+				x[f.li[pp]] -= f.lx[pp] * xj
+			}
+		}
+		piv := x[k]
+		x[k] = 0
+		a0 := math.Abs(piv)
+		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+			if t := math.Abs(x[f.li[p]]); t > a0 {
+				a0 = t
+			}
+		}
+		if piv == 0 || a0 == 0 || math.Abs(piv) < a0*f.tol {
+			for i := range x {
+				x[i] = 0
+			}
+			return fmt.Errorf("reference Refactor: pivot %d degraded", k)
+		}
+		f.ux[f.up[k+1]-1] = piv
+		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+			i := f.li[p]
+			f.lx[p] = x[i] / piv
+			x[i] = 0
+		}
+	}
+	c.Add(f.refactorFlops)
+	return nil
+}
+
+func (f *refFactors) Bytes() int64 {
+	entries := int64(len(f.lx) + len(f.ux))
+	idx := int64(len(f.li)+len(f.ui)) + int64(3*(f.n+1))
+	return entries*8 + idx*8
+}
+
+// pivotingHeavy is a random sparse matrix with a weak diagonal, so most
+// columns pivot off the diagonal and PivotTol changes the pivot sequence.
+func pivotingHeavy(n int, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
+	co := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		co.Append(i, i, 0.05*rng.NormFloat64())
+		co.Append(i, (i+1)%n, 1+rng.Float64()) // a cycle keeps it nonsingular in practice
+		for e := 0; e < 4; e++ {
+			if j := rng.Intn(n); j != i && j != (i+1)%n {
+				co.Append(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	return co.ToCSR()
+}
+
+// ints widens the production code's int32 factor indices for comparison.
+func ints(v []int32) []int {
+	out := make([]int, len(v))
+	for p, x := range v {
+		out[p] = int(x)
+	}
+	return out
+}
+
+func equalInts(t *testing.T, what string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, reference %d", what, len(got), len(want))
+	}
+	for p, v := range want {
+		if got[p] != v {
+			t.Fatalf("%s[%d] = %d, reference %d", what, p, got[p], v)
+		}
+	}
+}
+
+func equalBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, reference %d", what, len(got), len(want))
+	}
+	for p, v := range want {
+		if math.Float64bits(got[p]) != math.Float64bits(v) {
+			t.Fatalf("%s[%d] = %v, reference %v", what, p, got[p], v)
+		}
+	}
+}
+
+func equalFactors(t *testing.T, f *sparseFactors, r *refFactors) {
+	t.Helper()
+	equalInts(t, "lp", f.lp, r.lp)
+	equalInts(t, "up", f.up, r.up)
+	equalInts(t, "li", ints(f.li), r.li)
+	equalInts(t, "ui", ints(f.ui), r.ui)
+	equalBits(t, "lx", f.lx, r.lx)
+	equalBits(t, "ux", f.ux, r.ux)
+	equalInts(t, "pinv", f.pinv, r.pinv)
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"FactorFlops", f.FactorFlops(), r.flops + r.symFlops},
+		{"NumericFlops", f.NumericFlops(), r.flops},
+		{"SolveFlops", f.SolveFlops(), r.solveFlops},
+		{"RefactorFlops", f.RefactorFlops(), r.refactorFlops},
+		{"Bytes", float64(f.Bytes()), float64(r.Bytes())},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s = %v, reference %v", c.what, c.got, c.want)
+		}
+	}
+	if l, u := f.NNZFactors(); l != len(r.lx) || u != len(r.ux) {
+		t.Fatalf("NNZFactors = %d,%d, reference %d,%d", l, u, len(r.lx), len(r.ux))
+	}
+}
+
+// TestSparseLUMatchesReference holds Factor, Solve, SolveT and Refactor to
+// the pre-rework loops above: same pivots and pattern, bit-identical values,
+// the same counted work to the last flop.
+func TestSparseLUMatchesReference(t *testing.T) {
+	one := sparse.NewCOO(1, 1)
+	one.Append(0, 0, -3)
+	two := sparse.NewCOO(2, 2)
+	two.Append(0, 1, 2)
+	two.Append(1, 0, 4)
+	two.Append(1, 1, 1)
+	mats := []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"wideband", gen.DiagDominant(gen.DiagDominantOpts{N: 700, Band: 120, PerRow: 10, Margin: 0.016, Negative: true, Seed: 3})},
+		{"narrowband", gen.DiagDominant(gen.DiagDominantOpts{N: 1500, Band: 12, PerRow: 7, Seed: 4})},
+		{"cage", gen.CageLike(400, 5)},
+		{"poisson", gen.Poisson2D(20, 17)},
+		{"pivoting", pivotingHeavy(300, 6)},
+		{"1x1", one.ToCSR()},
+		{"2x2", two.ToCSR()},
+	}
+	for _, m := range mats {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
+			for _, tol := range []float64{1, 0.1} {
+				t.Run(fmt.Sprintf("%s/order%d/tol%g", m.name, ord, tol), func(t *testing.T) {
+					a, s := m.a, &SparseLU{Order: ord, PivotTol: tol}
+					var cf, cr vec.Counter
+					fact, err := s.Factor(a, &cf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f := fact.(*sparseFactors)
+					ref, err := refFactor(s, a, f.q, &cr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalFactors(t, f, ref)
+					if cf.Flops() != cr.Flops() {
+						t.Fatalf("Factor charged %v, reference %v", cf.Flops(), cr.Flops())
+					}
+
+					n := a.Rows
+					b := make([]float64, n)
+					for i := range b {
+						b[i] = math.Sin(float64(3*i + 1))
+					}
+					b[n/2] = 0 // the forward sweep skips zero entries
+					x, xr := make([]float64, n), make([]float64, n)
+					f.Solve(x, b, &cf)
+					ref.Solve(xr, b, &cr)
+					equalBits(t, "Solve", x, xr)
+					f.SolveT(x, b, &cf)
+					ref.SolveT(xr, b, &cr)
+					equalBits(t, "SolveT", x, xr)
+
+					ap := perturb(a, 1e-6)
+					cf.Reset()
+					cr.Reset()
+					if err := f.Refactor(ap, &cf); err != nil {
+						t.Fatalf("Refactor: %v", err)
+					}
+					if err := ref.Refactor(ap, &cr); err != nil {
+						t.Fatal(err)
+					}
+					if f.Fallbacks() != 0 {
+						t.Fatalf("frozen pivots hold in the reference, production fell back")
+					}
+					equalFactors(t, f, ref)
+					if cf.Flops() != cr.Flops() {
+						t.Fatalf("Refactor charged %v, reference %v", cf.Flops(), cr.Flops())
+					}
+					f.Solve(x, b, &cf)
+					ref.Solve(xr, b, &cr)
+					equalBits(t, "Solve after Refactor", x, xr)
+				})
+			}
+		}
+	}
+}

@@ -55,10 +55,10 @@ type Direct interface {
 type Ordering int
 
 const (
-	// OrderNatural factors the matrix as given.
+	// OrderNatural factors the matrix as given (the zero value).
 	OrderNatural Ordering = iota
 	// OrderRCM applies reverse Cuthill–McKee to reduce fill (best for
-	// banded/local patterns; the default).
+	// banded/local patterns).
 	OrderRCM
 	// OrderMinDegree applies a minimum-degree ordering (best for
 	// scattered patterns like the cage family).
@@ -67,7 +67,7 @@ const (
 
 // SparseLU is a Direct implementing the Gilbert–Peierls sparse LU.
 type SparseLU struct {
-	// Order selects the fill-reducing column ordering (default OrderRCM).
+	// Order selects the fill-reducing column ordering (default OrderNatural).
 	Order Ordering
 	// PivotTol is the threshold-pivoting relaxation in (0,1]: the diagonal
 	// entry is kept as pivot when |d| >= PivotTol·max|column|. 1.0 gives
@@ -81,6 +81,11 @@ func (s *SparseLU) Name() string { return "sparse-lu" }
 // sparseFactors holds L, U in compressed-column form with row indices in the
 // pivotal (permuted) numbering, plus the row/column permutations.
 //
+// Row indices are stored as int32: the triangular solves stream every stored
+// entry once per call, and 12 bytes per entry instead of 16 is a quarter less
+// memory traffic (Factor rejects n > MaxInt32). Column pointers stay int.
+// Bytes() reports the modelled footprint, not this layout (see there).
+//
 // Beyond the factors themselves it retains the full output of the symbolic
 // phase — the frozen L/U pattern, the pivot order and a scatter map from the
 // input matrix's CSR positions into pivotal coordinates — so that Refactor
@@ -88,10 +93,9 @@ func (s *SparseLU) Name() string { return "sparse-lu" }
 // DFS or allocation (see refactor.go).
 type sparseFactors struct {
 	n          int
-	lp, li     []int
-	lx         []float64
-	up, ui     []int
-	ux         []float64
+	lp, up     []int
+	li, ui     []int32
+	lx, ux     []float64
 	pinv       []int // pinv[origRow] = pivotal position
 	q          []int // column k of the factorization is A(:, q[k]); nil = identity
 	flops      float64
@@ -107,6 +111,9 @@ type sparseFactors struct {
 	// input matrix's CSR value at position avp[p] lands at pivotal row
 	// ari[p] of factorization column k.
 	acp, ari, avp []int
+	// pattern fingerprints the RowPtr/ColInd the scatter map was built for;
+	// Refactor refuses a matrix whose fingerprint differs.
+	pattern uint64
 	// refactorFlops is the exact numeric cost of one Refactor call, fully
 	// determined by the frozen pattern (no zero-skips on the refactor path).
 	refactorFlops float64
@@ -120,6 +127,57 @@ type sparseFactors struct {
 	work, rwork []float64
 }
 
+// colAxpy subtracts s times one stored factor column from y:
+// y[ind[t]] -= val[t]·s. It is the inner loop of Factor's elimination,
+// Refactor and both triangular sweeps of Solve. Taking the column as two
+// resliced locals keeps the slice headers in registers — a loop that indexes
+// the factor arrays through the receiver reloads them after every store into
+// y, which may alias — and tying len(val) to len(ind) removes the bounds
+// check on ind.
+func colAxpy(y []float64, ind []int32, val []float64, s float64) {
+	val = val[:len(ind)]
+	for t, v := range val {
+		y[ind[t]] -= v * s
+	}
+}
+
+// colDot is the transposed counterpart used by SolveT: it returns
+// s − Σ val[t]·y[ind[t]], accumulated in storage order.
+func colDot(y []float64, ind []int32, val []float64, s float64) float64 {
+	val = val[:len(ind)]
+	for t, v := range val {
+		s -= v * y[ind[t]]
+	}
+	return s
+}
+
+// growColumn returns ind and val with room for need more entries, column k of
+// n being the next to be stored. Factor knows each column's entry counts
+// before it stores them, so one call per column and factor lets the per-entry
+// appends that follow run without reallocating. How much to take
+// is a forecast of the final fill: early columns say little, so the capacity
+// doubles; once an eighth of the columns are stored, the fill seen so far is
+// extrapolated linearly with 15% headroom. Leaving it to append would cost
+// far more: a wide band fills to 16× the input, and append's 1.25× steps for
+// large slices allocate five times the final factor on the way there.
+func growColumn(ind []int32, val []float64, need, k, n int) ([]int32, []float64) {
+	if cap(ind)-len(ind) >= need {
+		return ind, val
+	}
+	c := 2 * cap(ind)
+	if 8*k >= n {
+		c = int(1.15 * float64(len(ind)) * float64(n) / float64(k))
+	}
+	if c < len(ind)+need {
+		c = len(ind) + need
+	}
+	ni := make([]int32, len(ind), c)
+	copy(ni, ind)
+	nv := make([]float64, len(val), c)
+	copy(nv, val)
+	return ni, nv
+}
+
 // Factor implements Direct. Besides the numeric elimination flops it counts
 // the symbolic work — ordering, CSC conversion, scatter, DFS reachability,
 // pivot scan and pattern assembly — under the 1-op-per-touch model of
@@ -130,11 +188,17 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("splu: order %d exceeds the 32-bit factor index range", n)
+	}
 	tol := s.PivotTol
 	if tol <= 0 || tol > 1 {
 		tol = 1.0
 	}
-	sym := 0.0
+	// Work tallies are integers, converted once at the end: every term is a
+	// whole number and the totals stay far below 2^53, so the float64 values
+	// reported are exact, and the inner loops carry no float accumulator.
+	flops, sym := 0, 0
 	var q []int // q[k] = original column placed at position k
 	if n > 2 {
 		var perm []int // perm[old]=new
@@ -149,23 +213,17 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			for old, new_ := range perm {
 				q[new_] = old
 			}
-			sym += 2 * float64(a.NNZ()) // ordering pass over the pattern
+			sym += 2 * a.NNZ() // ordering pass over the pattern
 		}
 	}
 	ac := a.ToCSC()
-	sym += 2 * float64(a.NNZ()) // transpose to column form
+	sym += 2 * a.NNZ() // transpose to column form
 
-	f := &sparseFactors{
-		n:    n,
-		lp:   make([]int, n+1),
-		up:   make([]int, n+1),
-		pinv: make([]int, n),
-		q:    q,
-		opts: *s,
-		tol:  tol,
-	}
-	for i := range f.pinv {
-		f.pinv[i] = -1
+	lp := make([]int, n+1)
+	up := make([]int, n+1)
+	pinv := make([]int, n)
+	for i := range pinv {
+		pinv[i] = -1
 	}
 	x := make([]float64, n)
 	mark := make([]bool, n)
@@ -173,14 +231,12 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	dstack := make([]int, n) // DFS node stack
 	pstack := make([]int, n) // DFS position stack
 
-	// Pre-size the factor arrays for the no-fill case (the narrow bands the
-	// solvers hand us are close to it); discovered fill still grows them, but
-	// the common case avoids the append-doubling churn.
+	// Start each factor at nnz+n entries, twice its no-fill size: enough for
+	// the small and narrow bands, which then never regrow; growColumn takes
+	// over when fill exceeds it.
 	est := a.NNZ() + n
-	f.li = make([]int, 0, est)
-	f.lx = make([]float64, 0, est)
-	f.ui = make([]int, 0, est)
-	f.ux = make([]float64, 0, est)
+	li, lx := make([]int32, 0, est), make([]float64, 0, est)
+	ui, ux := make([]int32, 0, est), make([]float64, 0, est)
 
 	for k := 0; k < n; k++ {
 		col := k
@@ -188,28 +244,28 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			col = q[k]
 		}
 		lo, hi := ac.ColPtr[col], ac.ColPtr[col+1]
+		rows, vals := ac.RowInd[lo:hi], ac.Val[lo:hi]
 
 		// Symbolic step: reach of pattern of A(:,col) in the graph of L.
-		// (f.dfs counts its node and edge visits into f.symFlops.)
 		top := n
-		for p := lo; p < hi; p++ {
-			i := ac.RowInd[p]
-			if mark[i] {
-				continue
+		for _, i := range rows {
+			if !mark[i] {
+				var visits int
+				top, visits = dfs(i, pinv, lp, li, mark, reach, dstack, pstack, top)
+				sym += visits
 			}
-			top = f.dfs(i, mark, reach, dstack, pstack, top)
 		}
+		rs := reach[top:]
 		// Reach-set passes below (pivot scan, store/clear) touch each
 		// element twice; the scatter touches each input entry once.
-		sym += float64(hi-lo) + 2*float64(n-top)
+		sym += len(rows) + 2*len(rs)
 
 		// Numeric step: scatter then eliminate in topological order.
-		for p := lo; p < hi; p++ {
-			x[ac.RowInd[p]] = ac.Val[p]
+		for t, i := range rows {
+			x[i] = vals[t]
 		}
-		for px := top; px < n; px++ {
-			j := reach[px]
-			jn := f.pinv[j]
+		for _, j := range rs {
+			jn := pinv[j]
 			if jn < 0 {
 				continue
 			}
@@ -217,17 +273,18 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			if xj == 0 {
 				continue
 			}
-			for p := f.lp[jn] + 1; p < f.lp[jn+1]; p++ {
-				x[f.li[p]] -= f.lx[p] * xj
-			}
-			f.flops += 2 * float64(f.lp[jn+1]-f.lp[jn]-1)
+			p0, p1 := lp[jn]+1, lp[jn+1]
+			colAxpy(x, li[p0:p1], lx[p0:p1], xj)
+			flops += 2 * (p1 - p0)
 		}
 
-		// Pivot choice among not-yet-pivotal rows of the reach set.
-		ipiv, a0 := -1, -1.0
-		for px := top; px < n; px++ {
-			i := reach[px]
-			if f.pinv[i] < 0 {
+		// Pivot choice among not-yet-pivotal rows of the reach set; lnew
+		// counts them: they become L(:,k), the other rows plus the diagonal
+		// U(:,k).
+		ipiv, a0, lnew := -1, -1.0, 0
+		for _, i := range rs {
+			if pinv[i] < 0 {
+				lnew++
 				if t := math.Abs(x[i]); t > a0 {
 					a0, ipiv = t, i
 				}
@@ -238,54 +295,80 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 		}
 		// Threshold pivoting: prefer the diagonal entry of the ordered
 		// matrix when it is large enough.
-		if f.pinv[col] < 0 && math.Abs(x[col]) >= a0*tol {
+		if pinv[col] < 0 && math.Abs(x[col]) >= a0*tol {
 			ipiv = col
 		}
 		pivot := x[ipiv]
-		f.pinv[ipiv] = k
+		pinv[ipiv] = k
+
+		ui, ux = growColumn(ui, ux, len(rs)-lnew+1, k, n)
+		li, lx = growColumn(li, lx, lnew, k, n)
 
 		// Store U(:,k): entries whose rows are already pivotal + diagonal.
-		for px := top; px < n; px++ {
-			i := reach[px]
-			if jn := f.pinv[i]; jn >= 0 && jn < k {
-				f.ui = append(f.ui, jn)
-				f.ux = append(f.ux, x[i])
+		for _, i := range rs {
+			if jn := pinv[i]; jn >= 0 && jn < k {
+				ui = append(ui, int32(jn))
+				ux = append(ux, x[i])
 			}
 		}
-		f.ui = append(f.ui, k)
-		f.ux = append(f.ux, pivot)
-		f.up[k+1] = len(f.ux)
+		ui = append(ui, int32(k))
+		ux = append(ux, pivot)
+		up[k+1] = len(ux)
 
 		// Store L(:,k): pivot row (unit) then the remaining rows scaled.
-		f.li = append(f.li, ipiv)
-		f.lx = append(f.lx, 1)
-		for px := top; px < n; px++ {
-			i := reach[px]
-			if f.pinv[i] < 0 {
-				f.li = append(f.li, i)
-				f.lx = append(f.lx, x[i]/pivot)
-				f.flops++
+		// Until the remap below, li holds original row numbers.
+		li = append(li, int32(ipiv))
+		lx = append(lx, 1)
+		for _, i := range rs {
+			if pinv[i] < 0 {
+				li = append(li, int32(i))
+				lx = append(lx, x[i]/pivot)
 			}
 			x[i] = 0
 			mark[i] = false
 		}
-		f.lp[k+1] = len(f.lx)
+		lp[k+1] = len(lx)
+		flops += lp[k+1] - lp[k] - 1 // pivot divisions
 	}
 	// Remap L's row indices into pivotal numbering.
-	for p := range f.li {
-		f.li[p] = f.pinv[f.li[p]]
+	for p, i := range li {
+		li[p] = int32(pinv[i])
 	}
-	f.solveFlops = 2 * float64(len(f.lx)+len(f.ux))
-	sym += float64(len(f.lx) + len(f.ux)) // pattern assembly (one op per stored entry)
-	f.symFlops += sym                     // dfs already accumulated its visits
+	sym += len(lx) + len(ux) // pattern assembly (one op per stored entry)
+	f := &sparseFactors{
+		n: n, lp: lp, li: li, lx: lx, up: up, ui: ui, ux: ux, pinv: pinv, q: q,
+		flops:      float64(flops),
+		symFlops:   float64(sym),
+		solveFlops: 2 * float64(len(lx)+len(ux)),
+		opts:       *s,
+		tol:        tol,
+	}
 	f.finishSymbolic(a)
 	c.Add(f.flops + f.symFlops)
 	return f, nil
 }
 
+// patternHash fingerprints a CSR sparsity pattern: FNV-1a with one
+// xor-multiply per index word (each row's entries, then the row's end), so
+// two matrices with equal counts but different column indices or row
+// boundaries differ. Allocation-free; Refactor runs it on every call.
+func patternHash(a *sparse.CSR) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < a.Rows; i++ {
+		end := a.RowPtr[i+1]
+		for _, j := range a.ColInd[a.RowPtr[i]:end] {
+			h = (h ^ uint64(j)) * prime
+		}
+		h = (h ^ uint64(end)) * prime
+	}
+	return h
+}
+
 // finishSymbolic freezes the symbolic phase's outputs for reuse: the scatter
-// map from the input matrix's CSR layout into pivotal coordinates, the exact
-// numeric cost of one Refactor pass and the solve/refactor scratch buffers.
+// map from the input matrix's CSR layout into pivotal coordinates, the
+// pattern fingerprint that guards it, the exact numeric cost of one Refactor
+// pass and the solve/refactor scratch buffers.
 func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 	n := f.n
 	// qinv[origCol] = factorization column holding it.
@@ -324,57 +407,56 @@ func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 			next[k]++
 		}
 	}
+	f.pattern = patternHash(a)
 	// Exact numeric cost of a Refactor pass: the elimination updates walk the
 	// frozen pattern unconditionally (no value-dependent zero skips), so the
 	// cost is known before any values arrive.
-	rf := 0.0
+	rf := 0
 	for k := 0; k < n; k++ {
-		for p := f.up[k]; p < f.up[k+1]-1; p++ {
-			jn := f.ui[p]
-			rf += 2 * float64(f.lp[jn+1]-f.lp[jn]-1)
+		for _, jn := range f.ui[f.up[k] : f.up[k+1]-1] {
+			rf += 2 * (f.lp[jn+1] - f.lp[jn] - 1)
 		}
-		rf += float64(f.lp[k+1] - f.lp[k] - 1) // pivot divisions
+		rf += f.lp[k+1] - f.lp[k] - 1 // pivot divisions
 	}
-	f.refactorFlops = rf
+	f.refactorFlops = float64(rf)
 	f.work = make([]float64, n)
 	f.rwork = make([]float64, n)
 }
 
 // dfs pushes the reach set of node i (original row numbering) onto the
-// output stack reach[top-1...], returning the new top. mark must be clear on
-// unvisited nodes; the caller clears visited marks after consuming the set.
-func (f *sparseFactors) dfs(i int, mark []bool, reach, dstack, pstack []int, top int) int {
+// output stack reach[top-1...] and returns the new top together with the
+// symbolic work it did: one op per node visit plus one per L entry scanned.
+// mark must be clear on unvisited nodes; the caller clears visited marks
+// after consuming the set. li holds original row numbers at this stage.
+func dfs(i int, pinv, lp []int, li []int32, mark []bool, reach, dstack, pstack []int, top int) (int, int) {
+	work := 0
 	head := 0
 	dstack[0] = i
 	for head >= 0 {
 		j := dstack[head]
-		jn := f.pinv[j]
+		jn := pinv[j]
 		if !mark[j] {
 			mark[j] = true
-			f.symFlops++ // node visit
-			if jn < 0 {
-				pstack[head] = 0
-			} else {
-				pstack[head] = f.lp[jn] + 1 // skip unit pivot entry
+			work++ // node visit
+			if jn >= 0 {
+				pstack[head] = lp[jn] + 1 // skip unit pivot entry
 			}
 		}
 		done := true
 		if jn >= 0 {
-			end := f.lp[jn+1]
-			for p := pstack[head]; p < end; p++ {
-				f.symFlops++ // edge scan
-				childPivotal := f.li[p]
-				// During factorization li holds original row indices.
-				child := childPivotal
-				if mark[child] {
-					continue
+			rest := li[pstack[head]:lp[jn+1]]
+			scanned := len(rest)
+			for t, child := range rest {
+				if !mark[child] {
+					scanned = t + 1
+					pstack[head] += scanned
+					head++
+					dstack[head] = int(child)
+					done = false
+					break
 				}
-				pstack[head] = p + 1
-				head++
-				dstack[head] = child
-				done = false
-				break
 			}
+			work += scanned // edge scans
 		}
 		if done {
 			head--
@@ -382,7 +464,7 @@ func (f *sparseFactors) dfs(i int, mark []bool, reach, dstack, pstack []int, top
 			reach[top] = j
 		}
 	}
-	return top
+	return top, work
 }
 
 // Solve implements Factorization. It is allocation-free: the permuted
@@ -395,36 +477,30 @@ func (f *sparseFactors) Solve(x, b []float64, c *vec.Counter) {
 		panic("splu: Solve shape mismatch")
 	}
 	y := f.work
-	if y == nil {
-		y = make([]float64, n)
-	}
 	// y = P·b.
-	for i := 0; i < n; i++ {
-		y[f.pinv[i]] = b[i]
+	for i, k := range f.pinv {
+		y[k] = b[i]
 	}
-	// Forward solve L·y = P·b (column-oriented, unit diagonal).
+	// Forward solve L·y = P·b (column-oriented, unit diagonal first).
+	lp, li, lx := f.lp, f.li, f.lx
 	for k := 0; k < n; k++ {
-		yk := y[k]
-		if yk == 0 {
-			continue
-		}
-		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-			y[f.li[p]] -= f.lx[p] * yk
+		if yk := y[k]; yk != 0 {
+			lo, hi := lp[k]+1, lp[k+1]
+			colAxpy(y, li[lo:hi], lx[lo:hi], yk)
 		}
 	}
 	// Back solve U·z = y (diagonal entry is last in each column).
+	up, ui, ux := f.up, f.ui, f.ux
 	for k := n - 1; k >= 0; k-- {
-		d := f.ux[f.up[k+1]-1]
-		y[k] /= d
-		yk := y[k]
-		for p := f.up[k]; p < f.up[k+1]-1; p++ {
-			y[f.ui[p]] -= f.ux[p] * yk
-		}
+		lo, hi := up[k], up[k+1]-1
+		yk := y[k] / ux[hi]
+		y[k] = yk
+		colAxpy(y, ui[lo:hi], ux[lo:hi], yk)
 	}
 	// Undo the column ordering: x[q[k]] = z[k].
 	if f.q != nil {
-		for k := 0; k < n; k++ {
-			x[f.q[k]] = y[k]
+		for k, j := range f.q {
+			x[j] = y[k]
 		}
 	} else {
 		copy(x, y)
@@ -441,7 +517,10 @@ func (f *sparseFactors) NumericFlops() float64 { return f.flops }
 // SolveFlops implements Factorization.
 func (f *sparseFactors) SolveFlops() float64 { return f.solveFlops }
 
-// Bytes implements Factorization.
+// Bytes implements Factorization. It is the modelled footprint — 8 bytes per
+// value and per index, three n+1 pointer arrays — that the simulated hosts'
+// memory accounting (the tables' "nem" cells) is calibrated on, not the
+// in-process size (which holds the indices as int32).
 func (f *sparseFactors) Bytes() int64 {
 	entries := int64(len(f.lx) + len(f.ux))
 	idx := int64(len(f.li)+len(f.ui)) + int64(3*(f.n+1))

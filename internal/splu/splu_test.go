@@ -3,6 +3,7 @@ package splu
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -293,5 +294,74 @@ func TestFactorOnceSolveMany(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, x[i], xtrue[i])
 			}
 		}
+	}
+}
+
+// heldBytes is what a sparse factorization keeps alive once Factor returns:
+// the factor arrays at their capacity, the permutations, the Refactor
+// scatter map and the two scratch vectors.
+func (f *sparseFactors) heldBytes() uint64 {
+	idx := cap(f.li) + cap(f.ui)
+	ints := cap(f.lp) + cap(f.up) + cap(f.pinv) + cap(f.q) + cap(f.acp) + cap(f.ari) + cap(f.avp)
+	floats := cap(f.lx) + cap(f.ux) + cap(f.work) + cap(f.rwork)
+	return uint64(4*idx + 8*ints + 8*floats)
+}
+
+// TestSparseLUFactorAllocBudget pins the factor-growth rule on the band shape
+// of the lan_sync_wideband workload (one of eight bands of an n=10000, Band
+// 120 matrix plus overlap, factored the way core does: zero-value SparseLU),
+// where fill makes the factors sixteen times the input. Everything Factor
+// allocates — work vectors, the CSC copy and every outgrown factor array
+// included — must stay within twice what the result keeps, in a number of
+// objects that does not depend on n. (Growing by append alone allocates five
+// times the final factors on this shape.)
+func TestSparseLUFactorAllocBudget(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1330, Band: 120, PerRow: 10, Margin: 0.002, Negative: true, Seed: 1})
+	s := &SparseLU{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fact, err := s.Factor(a, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fact.(*sparseFactors)
+	if l, u := f.NNZFactors(); l+u < 10*a.NNZ() {
+		t.Fatalf("shape has no heavy fill (%d factor entries from %d): the test no longer exercises growth", l+u, a.NNZ())
+	}
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if held := f.heldBytes(); bytes > 2*held {
+		t.Errorf("Factor allocated %d bytes to keep %d (%.2fx), budget is 2x", bytes, held, float64(bytes)/float64(held))
+	}
+	if objects > 64 {
+		t.Errorf("Factor allocated %d objects, budget is 64", objects)
+	}
+
+	b := make([]float64, a.Rows)
+	x := make([]float64, a.Rows)
+	vec.Fill(b, 1)
+	if n := testing.AllocsPerRun(10, func() { f.Solve(x, b, nil) }); n != 0 {
+		t.Errorf("Solve allocates %v objects per run", n)
+	}
+	ap := perturb(a, 1e-6)
+	if n := testing.AllocsPerRun(5, func() {
+		if err := f.Refactor(ap, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Refactor allocates %v objects per run", n)
+	}
+}
+
+func TestSparseLURejectsOrderBeyondInt32(t *testing.T) {
+	n := math.MaxInt32
+	if n++; n < 0 {
+		t.Skip("int is 32 bits: no such order exists")
+	}
+	// Only the shape is read before the check, so no arrays are needed.
+	huge := &sparse.CSR{Rows: n, Cols: n}
+	if _, err := (&SparseLU{}).Factor(huge, nil); err == nil {
+		t.Fatal("order beyond the int32 index range accepted")
 	}
 }
