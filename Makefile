@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench race vet bench bench-json bench-json-smoke bench-eventcore bench-eventcore-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
+.PHONY: all build test test-bench race vet bench bench-json bench-json-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
 
 all: verify
 
@@ -23,9 +23,12 @@ test-bench:
 # contract (byte-identical iterates and traces for the gateway exchange)
 # under the race detector, together with the export encoder's differential
 # test against encoding/json and its allocation budget, and the sparse LU's
-# bit-for-bit comparison with its pre-rework reference loops.
+# bit-for-bit comparison with its pre-rework reference loops. The explicit
+# timeout is for internal/experiments: ~8 min alone under the race detector
+# on a 2-vCPU host, past go test's 10 min default once the other packages
+# compete for the cores.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
@@ -52,29 +55,19 @@ bench-json:
 bench-json-smoke:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkSparseLUKernels|BenchmarkNewtonRefactor|BenchmarkSessionIterate|BenchmarkSolverPhases|BenchmarkTopologyExchange' -benchtime 1x -o BENCH_refactor.json
 
-# Machine-readable baseline of the event-core rework: the 256- and 1000-host
-# synthetic-grid runs under the indexed scheduler and under the pre-index
-# O(P) scan (the before/after record, as sim-events + sim-wall-clock), plus
-# the topology-exchange allocation budget (allocs/op, pinned under 2000 by
-# TestTopologyExchangeAllocBudget).
-bench-eventcore:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkClusterGrid|BenchmarkTopologyExchange' -benchtime 5x -o BENCH_eventcore.json
+# Machine-readable baseline of the event core: the 256- and 1000-host
+# synthetic-grid rings under the single-lane indexed scheduler, and the
+# 1000-host/100-cluster 100k-event ring under per-cluster lanes, recording
+# the committed-slice count and the cross-goroutine synchronization count
+# (sim-commits + sim-syncs — the machine-independent handoff reduction)
+# alongside sim-events and sim-wall-clock. The topology-exchange allocation
+# budget (allocs/op) is part of bench-json.
+bench-eventshard:
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkClusterGrid|BenchmarkEventHandoff' -benchtime 5x -o BENCH_eventshard.json
 
 # One-iteration smoke of the event-core pipeline, part of verify.
-bench-eventcore-smoke:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkClusterGrid|BenchmarkTopologyExchange' -benchtime 1x -o BENCH_eventcore.json
-
-# Machine-readable baseline of the sharded event core: the
-# 1000-host/100-cluster 100k-event ring under the single-lane indexed
-# scheduler and under per-cluster lanes, recording the committed-slice count
-# and the cross-goroutine synchronization count (sim-commits + sim-syncs —
-# the machine-independent handoff reduction) alongside sim-wall-clock.
-bench-eventshard:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkEventHandoff' -benchtime 5x -o BENCH_eventshard.json
-
-# One-iteration smoke of the sharded-core pipeline, part of verify.
 bench-eventshard-smoke:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkEventHandoff' -benchtime 1x -o BENCH_eventshard.json
+	$(GO) run ./cmd/benchjson -bench 'BenchmarkClusterGrid|BenchmarkEventHandoff' -benchtime 1x -o BENCH_eventshard.json
 
 # Machine-readable baseline of the two-stage solver: the sync and async
 # wide-band runs with their work split (inner-flops + inner-sweeps for the
@@ -125,6 +118,6 @@ bench-diff-fixture:
 # observability layer, the messaging/context plumbing or the platform layer
 # that lacks a doc comment.
 lint-docs:
-	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt cmd/msprof cmd/benchjson
+	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt internal/experiments cmd/msprof cmd/benchjson
 
-verify: build vet lint-docs test test-bench race bench-json-smoke bench-eventcore-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture
+verify: build vet lint-docs test test-bench race bench-json-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture

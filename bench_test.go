@@ -13,7 +13,6 @@ import (
 	"time"
 
 	repro "repro"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen"
@@ -404,38 +403,41 @@ func BenchmarkTopologyExchange(b *testing.B) {
 	b.ReportMetric(float64(res.InterMsgs), "inter-msgs")
 }
 
-// BenchmarkClusterGrid times the event core itself on generated grids (make
-// bench-eventcore → BENCH_eventcore.json): a ring workload of ~100k
-// scheduler commit points on a 1000-host/100-cluster synthetic platform
-// (plus a 256-host point), under the indexed scheduler and under the
-// pre-index O(P) scan kept as the reference implementation. The sim-events
-// metric is the commit-point count and sim-wall-clock the host milliseconds
-// spent simulating (platform construction excluded); the scan/indexed pair
-// is the before/after record of the scheduler rework.
+// benchRing runs one ring configuration b.N times and reports the
+// machine-independent counts of the last run next to the mean host
+// milliseconds spent simulating (platform construction excluded).
+func benchRing(b *testing.B, spec experiments.RingSpec) {
+	var res experiments.RingResult
+	var wall time.Duration
+	for i := 0; i < b.N; i++ {
+		r, err := experiments.RingRun(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = r
+		wall += r.Wall
+	}
+	b.ReportMetric(float64(res.Events), "sim-events")
+	b.ReportMetric(float64(wall)/float64(b.N)/1e6, "sim-wall-clock")
+	b.ReportMetric(float64(res.Commits), "sim-commits")
+	b.ReportMetric(float64(res.Syncs), "sim-syncs")
+}
+
+// BenchmarkClusterGrid times the event core itself on generated grids: a
+// ring workload of ~100k scheduler commit points on a 1000-host/100-cluster
+// synthetic platform (plus a 256-host point) under the single-lane indexed
+// scheduler. sim-events is the commit-point count and sim-wall-clock the
+// host milliseconds spent simulating.
 func BenchmarkClusterGrid(b *testing.B) {
 	for _, tc := range []struct {
 		name            string
 		hosts, clusters int
-		scan            bool
 	}{
-		{"indexed/hosts=256", 256, 16, false},
-		{"scan/hosts=256", 256, 16, true},
-		{"indexed/hosts=1000", 1000, 100, false},
-		{"scan/hosts=1000", 1000, 100, true},
+		{"indexed/hosts=256", 256, 16},
+		{"indexed/hosts=1000", 1000, 100},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			var res experiments.ClusterGridResult
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.ClusterGridRun(tc.hosts, tc.clusters, 100000, 0, tc.scan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-				wall += r.Wall
-			}
-			b.ReportMetric(float64(res.Events), "sim-events")
-			b.ReportMetric(float64(wall)/float64(b.N)/1e6, "sim-wall-clock")
+			benchRing(b, experiments.RingSpec{Hosts: tc.hosts, Clusters: tc.clusters, Events: 100000, Lanes: 1})
 		})
 	}
 }
@@ -460,20 +462,7 @@ func BenchmarkEventHandoff(b *testing.B) {
 		{"sharded/hosts=1000", 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			var res experiments.EventShardResult
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.EventShardRun(1000, 100, 100000, tc.lanes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-				wall += r.Wall
-			}
-			b.ReportMetric(float64(res.Events), "sim-events")
-			b.ReportMetric(float64(wall)/float64(b.N)/1e6, "sim-wall-clock")
-			b.ReportMetric(float64(res.Commits), "sim-commits")
-			b.ReportMetric(float64(res.Syncs), "sim-syncs")
+			benchRing(b, experiments.RingSpec{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: tc.lanes})
 		})
 	}
 }
@@ -516,30 +505,15 @@ func BenchmarkObsModes(b *testing.B) {
 // run's virtual makespan: the span population the export benchmarks work on.
 func recordRing(b *testing.B) (*obs.Recorder, float64) {
 	b.Helper()
-	const hosts, rounds = 1000, 34
-	plt := cluster.Synthetic(hosts, 100, 0.3, 7)
-	e := vgrid.NewEngine(plt.Platform)
 	rec := &obs.Recorder{}
-	e.Observe(rec)
-	procs := make([]*vgrid.Proc, hosts)
-	for i := range procs {
-		i := i
-		procs[i] = e.Spawn(plt.Hosts[i], fmt.Sprintf("ring%d", i), func(p *vgrid.Proc) error {
-			for r := 0; r < rounds; r++ {
-				p.Compute(1e5 * float64(1+(i*31+r*17)%97))
-				if err := p.Send(procs[(i+1)%hosts], r, nil, 256); err != nil {
-					return err
-				}
-				p.Recv((i+hosts-1)%hosts, r)
-			}
-			return nil
-		})
-	}
-	vt, err := e.Run()
+	res, err := experiments.RingRun(experiments.RingSpec{
+		Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 1,
+		Attach: func(e *vgrid.Engine) { e.Observe(rec) },
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rec, vt
+	return rec, res.VirtualTime
 }
 
 // BenchmarkObsExport measures the recorder layer alone — no simulation in

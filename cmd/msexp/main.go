@@ -7,7 +7,9 @@
 //
 // Experiments: table1 table2 table3 table4 figure3 faultsweep utilization
 // windowed topology clustergrid eventshard twostage adaptive (default:
-// all). -scale divides the
+// all), plus table4fair on request. A cell holds a verified virtual time or
+// a verdict (nem, stall, dead, err, div, bad(r)); options a solver rejects
+// outright fail the experiment with exit status 1. -scale divides the
 // paper's matrix dimensions (default 16; 8 gives a closer, slower run; 1 is
 // the paper's exact sizes, only practical for the generated banded matrices).
 // -csv emits comma-separated values instead of aligned text (handy for
@@ -15,9 +17,9 @@
 // the faultsweep experiment.
 //
 // The clustergrid experiment times the event core itself on generated grids
-// (indexed scheduler vs the O(P) reference scan); -hosts/-clusters replace
-// its default scale sweep (64/256/1000 hosts) with a single grid of that
-// size. The eventshard experiment compares the sharded event core
+// (wall-clock and ns per commit of the indexed scheduler); -hosts/-clusters
+// replace its default scale sweep (64/256/1000 hosts) with a single grid of
+// that size. The eventshard experiment compares the sharded event core
 // (per-cluster scheduler lanes, -lanes) against the single-lane scheduler
 // on the same grids and honours -hosts/-clusters the same way.
 //
@@ -46,6 +48,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,32 +57,44 @@ import (
 	"repro/internal/experiments"
 )
 
-func main() {
-	scale := flag.Int("scale", 16, "divide the paper's matrix dimensions by this factor")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	plot := flag.Bool("plot", false, "render figure3 as an ASCII plot (in addition to the table)")
-	quiet := flag.Bool("quiet", false, "suppress progress output")
-	workers := flag.Int("workers", 0, "worker threads for compute segments (0 = GOMAXPROCS); results are identical for any value")
-	lanes := flag.Int("lanes", 1, "scheduler lanes (0 = auto: one per cluster); results are identical for any value")
-	faultSeed := flag.Int64("fault-seed", 0, "seed for the faultsweep experiment's fault injection (0 = fixed default)")
-	traceJSON := flag.String("trace-json", "", "utilization: write a Perfetto trace per run to PREFIX-<cluster>-<solver>.json")
-	metricsOut := flag.String("metrics-out", "", "utilization: write per-run metrics to PREFIX-<cluster>-<solver>.metrics.{json,csv}")
-	critPath := flag.Bool("critical-path", false, "utilization: append each run's top critical-path segments to the table notes")
-	window := flag.Float64("window", 0, "windowed: virtual-time window width in seconds for the windowed-utilization experiment (0 = auto: 1/8 of the clean makespan); with -metrics-out also writes PREFIX-windowed-{clean,degraded}.windows.{json,csv}")
-	streamTr := flag.Bool("stream-trace", false, "windowed: accumulate the windows from the bounded-memory streaming flush path instead of the retained spans (same numbers, exercises the flight-recorder feed)")
-	synHosts := flag.Int("hosts", 0, "clustergrid: run on a single generated grid of this many hosts instead of the default scale sweep")
-	synClust := flag.Int("clusters", 1, "clustergrid: cluster count of the -hosts grid")
-	innerSched := flag.String("inner-schedule", "", "twostage: inner-sweep schedule (fixed, ramp or residual; empty = fixed)")
-	omega := flag.Float64("omega", 0, "twostage: inner relaxation weight in (0, 2) (0 = default 1)")
-	pcBand := flag.Int("precond-band", 0, "twostage: preconditioner half-bandwidth (0 = default 16)")
-	adapt := flag.Bool("adapt", false, "enable the live decomposition (online band resplits) in the synchronous runs of the paper tables; each resplitting run logs a resplit summary on the progress stream")
-	adaptInt := flag.Int("adapt-interval", 0, "iterations between adaptive controller epochs (0 = per-experiment default)")
-	adaptHyst := flag.Float64("adapt-hysteresis", 0, "minimal relative band-size change an accepted resplit must reach (0 = per-experiment default)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, regenerates the requested
+// experiments onto stdout and returns the exit status (0 ok, 1 an experiment
+// failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("msexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Int("scale", 16, "divide the paper's matrix dimensions by this factor")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	plot := fs.Bool("plot", false, "render figure3 as an ASCII plot (in addition to the table)")
+	quiet := fs.Bool("quiet", false, "suppress progress output")
+	workers := fs.Int("workers", 0, "worker threads for compute segments (0 = GOMAXPROCS); results are identical for any value")
+	lanes := fs.Int("lanes", 1, "scheduler lanes (0 = auto: one per cluster); results are identical for any value")
+	faultSeed := fs.Int64("fault-seed", 0, "seed for the faultsweep experiment's fault injection (0 = fixed default)")
+	traceJSON := fs.String("trace-json", "", "utilization: write a Perfetto trace per run to PREFIX-<cluster>-<solver>.json")
+	metricsOut := fs.String("metrics-out", "", "utilization: write per-run metrics to PREFIX-<cluster>-<solver>.metrics.{json,csv}")
+	critPath := fs.Bool("critical-path", false, "utilization: append each run's top critical-path segments to the table notes")
+	window := fs.Float64("window", 0, "windowed: virtual-time window width in seconds for the windowed-utilization experiment (0 = auto: 1/8 of the clean makespan); with -metrics-out also writes PREFIX-windowed-{clean,degraded}.windows.{json,csv}")
+	streamTr := fs.Bool("stream-trace", false, "windowed: accumulate the windows from the bounded-memory streaming flush path instead of the retained spans (same numbers, exercises the flight-recorder feed)")
+	synHosts := fs.Int("hosts", 0, "clustergrid: run on a single generated grid of this many hosts instead of the default scale sweep")
+	synClust := fs.Int("clusters", 1, "clustergrid: cluster count of the -hosts grid")
+	innerSched := fs.String("inner-schedule", "", "twostage: inner-sweep schedule (fixed, ramp or residual; empty = fixed)")
+	omega := fs.Float64("omega", 0, "twostage: inner relaxation weight in (0, 2) (0 = default 1)")
+	pcBand := fs.Int("precond-band", 0, "twostage: preconditioner half-bandwidth (0 = default 16)")
+	adapt := fs.Bool("adapt", false, "enable the live decomposition (online band resplits) in the synchronous runs of the paper tables; each resplitting run logs a resplit summary on the progress stream")
+	adaptInt := fs.Int("adapt-interval", 0, "iterations between adaptive controller epochs (0 = per-experiment default)")
+	adaptHyst := fs.Float64("adapt-hysteresis", 0, "minimal relative band-size change an accepted resplit must reach (0 = per-experiment default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var progress io.Writer
 	if !*quiet {
-		progress = os.Stderr
+		progress = stderr
 	}
 	cfg := experiments.Config{
 		Scale: *scale, Progress: progress, Workers: *workers, FaultSeed: *faultSeed,
@@ -95,37 +110,35 @@ func main() {
 		cfg.Lanes = *lanes
 	}
 
-	names := flag.Args()
+	names := fs.Args()
 	if len(names) == 0 {
 		for _, e := range experiments.All() {
 			names = append(names, e.Name)
 		}
 	}
 	for _, name := range names {
-		run, err := experiments.ByName(name)
+		exp, err := experiments.ByName(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		tab, err := run(cfg)
+		tab, err := exp(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s failed: %v\n", name, err)
+			return 1
 		}
 		if *csv {
-			if err := tab.CSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			err = tab.CSV(stdout)
+		} else {
+			err = tab.Fprint(stdout)
 		}
-		if *plot && (name == "figure3" || name == "fig3") {
-			if err := experiments.PlotFigure3(os.Stdout, tab); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if err == nil && *plot && (name == "figure3" || name == "fig3") {
+			err = experiments.PlotFigure3(stdout, tab)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }

@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// msexp runs the command in-process and returns its exit status and output.
+func msexp(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+func TestTable1CSV(t *testing.T) {
+	code, out, errs := msexp("-scale", "64", "-csv", "-quiet", "table1")
+	if code != 0 || errs != "" {
+		t.Fatalf("exit %d, stderr %q", code, errs)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if lines[0] != "procs,distributed SuperLU,sync multisplitting-LU,async multisplitting-LU,factorization time" {
+		t.Errorf("header %q", lines[0])
+	}
+	if len(lines) != 1+10 { // the ten processor counts of the paper's Table 1
+		t.Errorf("%d lines, want a header and 10 rows:\n%s", len(lines), out)
+	}
+	if !strings.HasPrefix(lines[1], "1,") || !strings.HasSuffix(lines[1], ",-,-,-") {
+		t.Errorf("one-processor row %q, want the direct solver alone", lines[1])
+	}
+}
+
+func TestUnknownExperimentListsNames(t *testing.T) {
+	code, out, errs := msexp("table9")
+	if code != 2 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want usage status 2 and no table", code, out)
+	}
+	for _, want := range []string{`"table9"`, "table1", "table4fair", "clustergrid", "adaptive"} {
+		if !strings.Contains(errs, want) {
+			t.Errorf("diagnostic %q does not mention %s", errs, want)
+		}
+	}
+}
+
+// TestRejectedInputFailsWithoutATable: input the solver or the ring harness
+// refuses is an exit-1 diagnostic naming the cause — not a table of "err"
+// cells with exit 0, and not a panic.
+func TestRejectedInputFailsWithoutATable(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-scale", "64", "-quiet", "-inner-schedule", "bogus", "twostage"}, []string{"twostage failed", "bogus"}},
+		{[]string{"-quiet", "-hosts", "5", "-clusters", "9", "clustergrid"}, []string{"clustergrid failed", "clusters"}},
+		{[]string{"-quiet", "-hosts", "5", "-clusters", "9", "eventshard"}, []string{"eventshard failed", "clusters"}},
+	} {
+		code, out, errs := msexp(tc.args...)
+		if code != 1 || out != "" {
+			t.Errorf("msexp %v: exit %d, stdout %q; want status 1 and no table", tc.args, code, out)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(errs, want) {
+				t.Errorf("msexp %v: diagnostic %q does not mention %q", tc.args, errs, want)
+			}
+		}
+	}
+}

@@ -156,6 +156,12 @@ func main() {
 	}
 	var ts core.TwoStage
 	if *twoStage {
+		if *inner < 1 {
+			// InnerIters 0 means "two-stage off" to the solver: it would
+			// silently run the exact band solves instead.
+			fmt.Fprintln(os.Stderr, "msolve: -two-stage needs -inner >= 1")
+			os.Exit(2)
+		}
 		ts = core.TwoStage{InnerIters: *inner, Schedule: *innerSched, Omega: *omega, PrecondBand: *pcBand}
 	}
 	if err := run(*matrixPath, *rhsPath, *procs, *overlap, *async, *topo, *gateway, *schemeName, *solverName, *clusterTyp, synth, *tol, *cond, *trace, *workers, *lanes, *outPath, faults, ospec, ts, ad); err != nil {

@@ -220,6 +220,9 @@ func (o *Options) validate(n, nHosts int) error {
 	case !(o.Tol > 0) || o.MaxIter < 0 || o.Smooth < 0 || o.MaxStale < 0 || o.BandsPerProc < 0:
 		return fmt.Errorf("core: option out of range (Tol %v, MaxIter %d, Smooth %d, MaxStale %d, BandsPerProc %d)",
 			o.Tol, o.MaxIter, o.Smooth, o.MaxStale, o.BandsPerProc)
+	case o.AdaptInterval < 0 || o.AdaptHysteresis < 0 || o.SendRetries < 0 || o.SendBackoff < 0 || o.DeadRankTimeout < 0:
+		return fmt.Errorf("core: option out of range (AdaptInterval %d, AdaptHysteresis %v, SendRetries %d, SendBackoff %v, DeadRankTimeout %v)",
+			o.AdaptInterval, o.AdaptHysteresis, o.SendRetries, o.SendBackoff, o.DeadRankTimeout)
 	case nHosts*o.BandsPerProc > n:
 		return fmt.Errorf("core: %d hosts with %d bands each exceed the %d unknowns", nHosts, o.BandsPerProc, n)
 	}

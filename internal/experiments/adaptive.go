@@ -56,34 +56,6 @@ func adaptiveOptions(cfg Config, adapt bool) core.Options {
 	return o
 }
 
-// runAdaptive runs one cluster2 solve under the given fault plan, with or
-// without the live decomposition, and logs the per-run resplit summary.
-func runAdaptive(cfg Config, a *sparse.CSR, b []float64, plan *vgrid.FaultPlan, adapt bool) (cell, *core.Result) {
-	plt := cluster.Cluster2(-1)
-	e := cfg.newEngine(plt)
-	if plan != nil {
-		e.SetFaultPlan(plan)
-	}
-	pend, err := core.Launch(e, plt.Hosts, a, b, adaptiveOptions(cfg, adapt))
-	if err != nil {
-		return cell{note: "err"}, nil
-	}
-	_, err = e.Run()
-	pend.Finish()
-	res := pend.Result()
-	logResplits(cfg, res)
-	switch {
-	case err != nil:
-		return cell{note: "err"}, res
-	case !res.Converged:
-		return cell{note: "div"}, res
-	}
-	if r := relResidual(a, res.X, b); r > residualGate {
-		return cell{note: fmt.Sprintf("bad(%.0e)", r)}, res
-	}
-	return cell{time: res.Time, fact: res.FactorTime, ok: true}, res
-}
-
 // Adaptive is the live-decomposition experiment (an extension, not a paper
 // table): static versus adaptive makespan on the clean and the degraded
 // cluster2 grid, with the resplit timeline of the degraded adaptive run in
@@ -92,10 +64,17 @@ func Adaptive(cfg Config) (*Table, error) {
 	a := AdaptiveMatrix(cfg)
 	b, _ := gen.RHSForSolution(a)
 
+	run := func(plan *vgrid.FaultPlan, adapt bool) (cell, *core.Result, error) {
+		return cfg.solve(cluster.Cluster2(-1), a, b, runSpec{opts: adaptiveOptions(cfg, adapt), plan: plan})
+	}
+
 	// Probe the clean static makespan to place the degradation window the
 	// way the windowed experiment does: over the middle half of the run.
 	cfg.logf("adaptive: probing clean static run")
-	probe, _ := runAdaptive(cfg, a, b, nil, false)
+	probe, _, err := run(nil, false)
+	if err != nil {
+		return nil, err
+	}
 	if !probe.ok {
 		return nil, fmt.Errorf("experiments: adaptive clean probe failed (%s)", probe.note)
 	}
@@ -121,9 +100,9 @@ func Adaptive(cfg Config) (*Table, error) {
 				adaptiveDegradedHost, adaptiveSlowdown, degFrom, degUntil),
 		},
 	}
-	row := func(run string, o core.Options, c cell, res *core.Result) {
+	row := func(run string, adapt bool, c cell, res *core.Result) {
 		split := "static"
-		if o.Adapt {
+		if adapt {
 			split = "adaptive"
 		}
 		cells := []string{run, split, c.timeStr(), "-", "-", "-", "-"}
@@ -135,29 +114,35 @@ func Adaptive(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, cells)
 	}
-
-	row("clean", adaptiveOptions(cfg, false), probe, nil)
+	row("clean", false, probe, nil)
 	cfg.logf("adaptive: clean adaptive run (controller must stay quiet)")
-	ca, cares := runAdaptive(cfg, a, b, nil, true)
-	row("clean", adaptiveOptions(cfg, true), ca, cares)
+	ca, cares, err := run(nil, true)
+	if err != nil {
+		return nil, err
+	}
+	row("clean", true, ca, cares)
 	cfg.logf("adaptive: degraded static run")
-	ds, dsres := runAdaptive(cfg, a, b, plan(), false)
-	row("degraded", adaptiveOptions(cfg, false), ds, dsres)
+	ds, dsres, err := run(plan(), false)
+	if err != nil {
+		return nil, err
+	}
+	row("degraded", false, ds, dsres)
 	cfg.logf("adaptive: degraded adaptive run")
-	da, dares := runAdaptive(cfg, a, b, plan(), true)
-	row("degraded", adaptiveOptions(cfg, true), da, dares)
+	da, dares, err := run(plan(), true)
+	if err != nil {
+		return nil, err
+	}
+	row("degraded", true, da, dares)
 
 	if ds.ok && da.ok {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"adaptive saves %.1f%% of the degraded makespan (%.4fs vs %.4fs)",
 			100*(1-da.time/ds.time), da.time, ds.time))
 	}
-	if dares != nil {
-		for _, ev := range dares.ResplitEvents {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"resplit at iter %d (t=%.4fs): max band delta %d rows, overlap %d",
-				ev.Iter, ev.Time, ev.MaxDelta, ev.Overlap))
-		}
+	for _, ev := range dares.ResplitEvents {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"resplit at iter %d (t=%.4fs): max band delta %d rows, overlap %d",
+			ev.Iter, ev.Time, ev.MaxDelta, ev.Overlap))
 	}
 	return t, nil
 }

@@ -1,150 +1,47 @@
 // The cluster-grid experiment: a pure event-core scale study. It does not
 // reproduce a paper table — it times the simulator itself on generated grids
-// of up to 1000 hosts (ROADMAP item 4), comparing the indexed scheduler
-// against the pre-index O(P) scan that is kept as a reference
-// implementation. The workload is a communication ring, chosen because every
-// commit point exercises the scheduler index (compute re-keys, send
+// of up to 1000 hosts. The workload is a communication ring, chosen because
+// every commit point exercises the scheduler index (compute re-keys, send
 // deposits, blocked receives) while the per-event work stays trivial, so the
 // measured wall-clock is scheduling cost, not solver arithmetic.
 
 package experiments
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/vgrid"
-)
-
-// ClusterGridResult is one timed event-core run.
-type ClusterGridResult struct {
-	// Events is the number of scheduler commit points the workload generates
-	// (one compute, one send and one receive per host and round).
-	Events int
-	// VirtualTime is the simulated makespan in virtual seconds.
-	VirtualTime float64
-	// Wall is the host wall-clock time of the simulation (excluding platform
-	// construction).
-	Wall time.Duration
-}
-
-// ClusterGridRun times one ring-workload simulation on a synthetic grid of
-// the given size. events is a target: the round count is chosen so that
-// hosts × rounds × 3 commit points come closest to it from above. scan
-// selects the O(P) reference scheduler instead of the indexed one; workers
-// sets the engine's worker-thread count (0 keeps the default). The virtual
-// result is identical for either scheduler and any worker count — only Wall
-// changes.
-func ClusterGridRun(hosts, clusters, events, workers int, scan bool) (ClusterGridResult, error) {
-	rounds := (events + 3*hosts - 1) / (3 * hosts)
-	if rounds < 1 {
-		rounds = 1
-	}
-	plt := cluster.Synthetic(hosts, clusters, 0.3, 7)
-	e := vgrid.NewEngine(plt.Platform)
-	e.SetScanScheduler(scan)
-	if workers > 0 {
-		e.SetWorkers(workers)
-	}
-	spawnRing(e, plt, hosts, rounds)
-	start := time.Now()
-	vt, err := e.Run()
-	return ClusterGridResult{
-		Events:      3 * rounds * hosts,
-		VirtualTime: vt,
-		Wall:        time.Since(start),
-	}, err
-}
-
-// spawnRing builds the event-core study workload: a communication ring over
-// the platform's hosts, rounds messages deep. Every commit point exercises
-// the scheduler (compute re-keys, send deposits, blocked receives) while
-// the per-event work stays trivial, so a timed run measures scheduling
-// cost, not solver arithmetic; the ring crosses every cluster boundary, so
-// a sharded engine also exercises its serialized WAN turns.
-func spawnRing(e *vgrid.Engine, plt *cluster.Platform, hosts, rounds int) {
-	procs := make([]*vgrid.Proc, hosts)
-	for i := range procs {
-		i := i
-		procs[i] = e.Spawn(plt.Hosts[i], fmt.Sprintf("ring%d", i), func(p *vgrid.Proc) error {
-			// Bodies only run once Run starts, so the slice is fully built by
-			// the time this executes.
-			next := procs[(i+1)%hosts]
-			prev := (i + hosts - 1) % hosts
-			for r := 0; r < rounds; r++ {
-				// Spread the compute costs so the next-event keys interleave
-				// across hosts instead of marching in lockstep.
-				p.Compute(1e5 * float64(1+(i*31+r*17)%97))
-				if err := p.Send(next, r, nil, 256); err != nil {
-					return err
-				}
-				p.Recv(prev, r)
-			}
-			return nil
-		})
-	}
-}
+import "fmt"
 
 // clusterGridPoints are the default scale points of the cluster-grid table;
-// the last one is the ISSUE's 1000-host/100k-event target.
-var clusterGridPoints = []struct {
-	hosts, clusters, events int
-}{
-	{64, 8, 24000},
-	{256, 16, 49152},
-	{1000, 100, 100000},
+// the last one is the 1000-host/100k-event target.
+var clusterGridPoints = []RingSpec{
+	{Hosts: 64, Clusters: 8, Events: 24000, Lanes: 1},
+	{Hosts: 256, Clusters: 16, Events: 49152, Lanes: 1},
+	{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 1},
 }
 
 // ClusterGrid produces the event-core scale table: hosts × events →
-// wall-clock for the scan and indexed schedulers, with the resulting
-// speedup. Config.SynthHosts/SynthClusters, when set, replace the default
-// scale sweep with that single grid.
+// wall-clock and cost per commit of the single-lane indexed scheduler.
+// Config.SynthHosts/SynthClusters, when set, replace the default scale sweep
+// with that single grid.
 func ClusterGrid(cfg Config) (*Table, error) {
-	points := clusterGridPoints
-	if cfg.SynthHosts > 0 {
-		clusters := cfg.SynthClusters
-		if clusters < 1 {
-			clusters = 1
-		}
-		points = []struct{ hosts, clusters, events int }{
-			{cfg.SynthHosts, clusters, 100000},
-		}
-	}
 	t := &Table{
 		ID:     "Cluster grid",
-		Title:  "event-core scaling on synthetic grids (indexed scheduler vs O(P) scan)",
-		Header: []string{"hosts", "clusters", "events", "scan wall-clock", "indexed wall-clock", "speedup", "virtual time"},
+		Title:  "event-core scaling on synthetic grids (indexed scheduler, single lane)",
+		Header: []string{"hosts", "clusters", "events", "indexed wall-clock", "ns per commit", "virtual time"},
 		Notes: []string{
-			"wall-clock is host time simulating the ring workload; virtual results are identical for both schedulers",
+			"wall-clock is host time simulating the ring workload; the virtual result is identical for any worker count",
 		},
 	}
-	for _, pt := range points {
-		cfg.logf("clustergrid: %d hosts / %d clusters, scan scheduler", pt.hosts, pt.clusters)
-		scan, err := ClusterGridRun(pt.hosts, pt.clusters, pt.events, cfg.Workers, true)
+	for _, pt := range cfg.ringPoints(clusterGridPoints, 1) {
+		cfg.logf("clustergrid: %d hosts / %d clusters", pt.Hosts, pt.Clusters)
+		pt.Workers = cfg.Workers
+		r, err := RingRun(pt)
 		if err != nil {
 			return nil, err
-		}
-		cfg.logf("clustergrid: %d hosts / %d clusters, indexed scheduler", pt.hosts, pt.clusters)
-		idx, err := ClusterGridRun(pt.hosts, pt.clusters, pt.events, cfg.Workers, false)
-		if err != nil {
-			return nil, err
-		}
-		if idx.VirtualTime != scan.VirtualTime {
-			return nil, fmt.Errorf("clustergrid: schedulers disagree on virtual time: %g vs %g",
-				idx.VirtualTime, scan.VirtualTime)
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(pt.hosts), fmt.Sprint(pt.clusters), fmt.Sprint(idx.Events),
-			fmtMs(scan.Wall), fmtMs(idx.Wall),
-			fmt.Sprintf("%.1fx", float64(scan.Wall)/float64(idx.Wall)),
-			fmtSec(idx.VirtualTime),
+			fmt.Sprint(pt.Hosts), fmt.Sprint(pt.Clusters), fmt.Sprint(r.Events),
+			fmtMs(r.Wall), fmt.Sprintf("%.0f", float64(r.Wall.Nanoseconds())/float64(r.Commits)),
+			fmtSec(r.VirtualTime),
 		})
 	}
 	return t, nil
-}
-
-// fmtMs renders a wall-clock duration in milliseconds.
-func fmtMs(d time.Duration) string {
-	return fmt.Sprintf("%.1f ms", float64(d)/float64(time.Millisecond))
 }

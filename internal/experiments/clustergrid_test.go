@@ -9,26 +9,48 @@ import (
 	"repro/internal/gen"
 )
 
-// TestClusterGridRunSchedulersAgree checks the cluster-grid workload itself:
-// the scan and indexed schedulers simulate the same ring to the same virtual
-// makespan and event count.
-func TestClusterGridRunSchedulersAgree(t *testing.T) {
-	idx, err := ClusterGridRun(32, 4, 3000, 0, false)
+// TestRingRunWorkersAgree checks the ring workload itself: the event target
+// is met from above and the virtual outcome does not depend on the worker
+// count.
+func TestRingRunWorkersAgree(t *testing.T) {
+	one, err := RingRun(RingSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := ClusterGridRun(32, 4, 3000, 0, true)
+	many, err := RingRun(RingSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.VirtualTime != scan.VirtualTime {
-		t.Errorf("virtual time: indexed %g, scan %g", idx.VirtualTime, scan.VirtualTime)
+	if one.VirtualTime != many.VirtualTime || one.Commits != many.Commits {
+		t.Errorf("worker counts disagree: vt %g vs %g, commits %d vs %d",
+			one.VirtualTime, many.VirtualTime, one.Commits, many.Commits)
 	}
-	if idx.Events != scan.Events || idx.Events < 3000 {
-		t.Errorf("events: indexed %d, scan %d (target 3000)", idx.Events, scan.Events)
+	if one.Events < 3000 || one.Events >= 3000+3*32 {
+		t.Errorf("events %d, want the 3000 target met from above", one.Events)
 	}
-	if idx.VirtualTime <= 0 {
-		t.Errorf("virtual time %g, want positive", idx.VirtualTime)
+	if one.VirtualTime <= 0 || one.Lanes != 1 {
+		t.Errorf("virtual time %g on %d lanes, want positive on one lane", one.VirtualTime, one.Lanes)
+	}
+}
+
+// TestRingRunRejectsBadGrid: a grid cluster.Synthetic cannot build (more
+// clusters than hosts, none at all) or an empty event target is an error
+// from RingRun and from both experiments built on it, not a panic.
+func TestRingRunRejectsBadGrid(t *testing.T) {
+	for _, s := range []RingSpec{
+		{Hosts: 5, Clusters: 9, Events: 100},
+		{Hosts: 5, Clusters: 0, Events: 100},
+		{Hosts: 0, Clusters: 0, Events: 100},
+		{Hosts: 4, Clusters: 2, Events: 0},
+	} {
+		if _, err := RingRun(s); err == nil {
+			t.Errorf("RingRun(%+v) accepted", s)
+		}
+	}
+	for name, run := range map[string]func(Config) (*Table, error){"clustergrid": ClusterGrid, "eventshard": EventShard} {
+		if tab, err := run(Config{SynthHosts: 5, SynthClusters: 9}); err == nil || tab != nil {
+			t.Errorf("%s on 5 hosts / 9 clusters: table %v, err %v; want an error", name, tab, err)
+		}
 	}
 }
 
@@ -44,8 +66,8 @@ func TestClusterGridTable(t *testing.T) {
 	if tab.Rows[0][0] != "16" || tab.Rows[0][1] != "2" {
 		t.Errorf("row head = %v, want the override grid size", tab.Rows[0][:2])
 	}
-	if !strings.HasSuffix(tab.Rows[0][5], "x") {
-		t.Errorf("speedup cell %q not formatted as a ratio", tab.Rows[0][5])
+	if !strings.HasSuffix(tab.Rows[0][3], " ms") || parse(t, tab.Rows[0][4]) <= 0 {
+		t.Errorf("wall-clock %q / ns per commit %q not a positive timing", tab.Rows[0][3], tab.Rows[0][4])
 	}
 }
 

@@ -11,76 +11,19 @@
 
 package experiments
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/vgrid"
-)
-
-// EventShardResult is one timed sharded (or single-lane) event-core run.
-type EventShardResult struct {
-	// Events is the number of scheduler commit points the ring workload
-	// generates (one compute, one send and one receive per host and round).
-	Events int
-	// Lanes is the scheduler-lane count the engine resolved to.
-	Lanes int
-	// Commits is the number of committed event slices (equals the virtual
-	// schedule, identical for every lane count).
-	Commits int64
-	// Syncs is the number of cross-goroutine synchronization points the
-	// scheduler needed: every commit on a single-lane engine, window
-	// barriers plus serialized WAN turns on a sharded one.
-	Syncs int64
-	// VirtualTime is the simulated makespan in virtual seconds.
-	VirtualTime float64
-	// Wall is the host wall-clock time of the simulation (excluding
-	// platform construction).
-	Wall time.Duration
-}
-
-// EventShardRun times one ring-workload simulation on a synthetic grid with
-// the requested scheduler-lane count (1 = the single-lane indexed
-// scheduler, 0 = auto: one lane per cluster). events is a target commit
-// count, met from above as in ClusterGridRun. The virtual result is
-// identical for any lane count — only Wall and Syncs change.
-func EventShardRun(hosts, clusters, events, lanes int) (EventShardResult, error) {
-	rounds := (events + 3*hosts - 1) / (3 * hosts)
-	if rounds < 1 {
-		rounds = 1
-	}
-	plt := cluster.Synthetic(hosts, clusters, 0.3, 7)
-	e := vgrid.NewEngine(plt.Platform)
-	e.SetLanes(lanes)
-	spawnRing(e, plt, hosts, rounds)
-	start := time.Now()
-	vt, err := e.Run()
-	wall := time.Since(start)
-	commits, syncs := e.EventStats()
-	return EventShardResult{
-		Events:      3 * rounds * hosts,
-		Lanes:       e.Lanes(),
-		Commits:     commits,
-		Syncs:       syncs,
-		VirtualTime: vt,
-		Wall:        wall,
-	}, err
-}
+import "fmt"
 
 // eventShardPoints are the (hosts, clusters, lanes) rows of the event-shard
 // table: the cluster-grid scale points at one lane per cluster, plus
 // coarser lane counts on the 1000-host grid (several clusters per lane —
 // inter-cluster traffic inside a lane still serializes through WAN turns,
 // so fewer lanes trade parallelism for fewer barriers).
-var eventShardPoints = []struct {
-	hosts, clusters, events, lanes int
-}{
-	{64, 8, 24000, 0},
-	{256, 16, 49152, 0},
-	{1000, 100, 100000, 4},
-	{1000, 100, 100000, 25},
-	{1000, 100, 100000, 0},
+var eventShardPoints = []RingSpec{
+	{Hosts: 64, Clusters: 8, Events: 24000, Lanes: 0},
+	{Hosts: 256, Clusters: 16, Events: 49152, Lanes: 0},
+	{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 4},
+	{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 25},
+	{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 0},
 }
 
 // EventShard produces the sharded event-core scale table: hosts × lanes →
@@ -88,16 +31,6 @@ var eventShardPoints = []struct {
 // schedulers. Config.SynthHosts/SynthClusters, when set, replace the
 // default sweep with that single grid at auto lane count.
 func EventShard(cfg Config) (*Table, error) {
-	points := eventShardPoints
-	if cfg.SynthHosts > 0 {
-		clusters := cfg.SynthClusters
-		if clusters < 1 {
-			clusters = 1
-		}
-		points = []struct{ hosts, clusters, events, lanes int }{
-			{cfg.SynthHosts, clusters, 100000, 0},
-		}
-	}
 	t := &Table{
 		ID:     "Event shard",
 		Title:  "sharded event core on synthetic grids (per-cluster lanes vs single lane)",
@@ -108,21 +41,23 @@ func EventShard(cfg Config) (*Table, error) {
 		},
 	}
 	type key struct{ hosts, clusters int }
-	base := map[key]EventShardResult{}
-	for _, pt := range points {
-		k := key{pt.hosts, pt.clusters}
+	base := map[key]RingResult{}
+	for _, pt := range cfg.ringPoints(eventShardPoints, 0) {
+		k := key{pt.Hosts, pt.Clusters}
 		ref, ok := base[k]
 		if !ok {
-			cfg.logf("eventshard: %d hosts / %d clusters, single lane", pt.hosts, pt.clusters)
+			cfg.logf("eventshard: %d hosts / %d clusters, single lane", pt.Hosts, pt.Clusters)
+			single := pt
+			single.Lanes = 1
 			var err error
-			ref, err = EventShardRun(pt.hosts, pt.clusters, pt.events, 1)
+			ref, err = RingRun(single)
 			if err != nil {
 				return nil, err
 			}
 			base[k] = ref
 		}
-		cfg.logf("eventshard: %d hosts / %d clusters, lanes=%d", pt.hosts, pt.clusters, pt.lanes)
-		sh, err := EventShardRun(pt.hosts, pt.clusters, pt.events, pt.lanes)
+		cfg.logf("eventshard: %d hosts / %d clusters, lanes=%d", pt.Hosts, pt.Clusters, pt.Lanes)
+		sh, err := RingRun(pt)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +66,7 @@ func EventShard(cfg Config) (*Table, error) {
 				sh.VirtualTime, ref.VirtualTime, sh.Commits, ref.Commits)
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(pt.hosts), fmt.Sprint(pt.clusters), fmt.Sprint(sh.Lanes), fmt.Sprint(sh.Events),
+			fmt.Sprint(pt.Hosts), fmt.Sprint(pt.Clusters), fmt.Sprint(sh.Lanes), fmt.Sprint(sh.Events),
 			fmtMs(ref.Wall), fmtMs(sh.Wall),
 			fmt.Sprintf("%.1fx", float64(ref.Wall)/float64(sh.Wall)),
 			fmt.Sprint(ref.Syncs), fmt.Sprint(sh.Syncs),

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dslu"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 	"repro/internal/vgrid"
@@ -106,11 +107,16 @@ func (c Config) logf(format string, args ...any) {
 
 // Table is a formatted experiment result.
 type Table struct {
-	ID     string
-	Title  string
+	// ID names the table the way the paper does ("Table 1", "Figure 3").
+	ID string
+	// Title describes the workload: platform, matrix, scale.
+	Title string
+	// Header holds the column names.
 	Header []string
-	Rows   [][]string
-	Notes  []string
+	// Rows holds the formatted cells, one slice per row, aligned with Header.
+	Rows [][]string
+	// Notes are free-form lines printed under the table (not part of the CSV).
+	Notes []string
 }
 
 // Fprint renders the table as aligned text.
@@ -219,11 +225,15 @@ func fig3SpeedScale(cfg Config) float64 {
 	return 40.96 / (s * s * s)
 }
 
-// --- Cell runners.
+// --- The run path: every cell of every table goes through Config.solve.
 
+// cell is the outcome of one solver run: a verified time, or the verdict
+// that replaces it in the table.
 type cell struct {
 	time float64
-	fact float64
+	// end is the engine's virtual clock when the run stopped, also for a
+	// failed run (the windowed telemetry spans the whole simulation).
+	end  float64
 	ok   bool
 	note string
 }
@@ -292,73 +302,116 @@ func (c Config) newEngine(plt *cluster.Platform) *vgrid.Engine {
 	return e
 }
 
-func dsluLaunch(e *vgrid.Engine, plt *cluster.Platform, a *sparse.CSR, b []float64) (*dslu.Pending, error) {
-	return dslu.Launch(e, plt.Hosts, a, b, dslu.Options{})
+// runSpec is everything that distinguishes one solver run from another: the
+// solver and its options, and what is attached to the engine it runs on.
+type runSpec struct {
+	// dslu runs the distributed direct baseline instead of multisplitting;
+	// of opts it reads TrackMemory only.
+	dslu bool
+	// opts reaches core.Launch verbatim.
+	opts core.Options
+	// plan, when non-nil, is the fault plan injected into the run.
+	plan *vgrid.FaultPlan
+	// flows is the number of background flows perturbing the WAN.
+	flows int
+	// rec, when non-nil, records the run's spans; a caller that streams
+	// attaches its obs.Streamer to the recorder beforehand.
+	rec *obs.Recorder
 }
 
-func runDSLU(plt *cluster.Platform, a *sparse.CSR, b []float64, track bool) cell {
-	res, err := dslu.Solve(plt.Platform, plt.Hosts, a, b, dslu.Options{TrackMemory: track})
-	switch {
-	case errors.Is(err, vgrid.ErrOutOfMemory):
-		return cell{note: "nem"}
-	case err != nil:
-		return cell{note: "err"}
+// withAdapt applies the -adapt overlay of the paper tables to a run's
+// options: the live decomposition is switched on where it is defined — a
+// synchronous run (resplits need lockstep) with exact band solves.
+func (c Config) withAdapt(o core.Options) core.Options {
+	if c.Adapt && !o.Async && o.TwoStage.InnerIters == 0 {
+		o.Adapt = true
+		o.AdaptInterval = c.AdaptInterval
+		o.AdaptHysteresis = c.AdaptHysteresis
 	}
-	if r := relResidual(a, res.X, b); r > residualGate {
-		return cell{note: fmt.Sprintf("bad(%.0e)", r)}
-	}
-	return cell{time: res.Time, fact: res.FactorTime, ok: true}
+	return o
 }
 
-type msOpts struct {
-	async   bool
-	overlap int
-	track   bool
-	flows   int
-	// topo routes the collectives through cluster leaders; gateway batches
-	// the inter-cluster boundary exchange through per-cluster aggregators.
-	topo    bool
-	gateway bool
-	// ts, when enabled, switches the inner solves to two-stage sweeps.
-	ts core.TwoStage
-}
-
-func runMS(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, o msOpts) (cell, *core.Result) {
-	e := cfg.newEngine(plt)
-	co := core.Options{
-		Async:           o.async,
-		Overlap:         o.overlap,
-		TrackMemory:     o.track,
-		TopoCollectives: o.topo,
-		Gateway:         o.gateway,
-		TwoStage:        o.ts,
+// solve is the one run path of the package: it builds the engine, attaches
+// the fault plan and the recorder, launches the solver and the background
+// flows, runs the simulation and classifies the outcome. The verdict set is
+//
+//	nem    a host ran out of memory
+//	stall  the run deadlocked (a blocking exchange lost a message)
+//	dead   the fault-tolerant dead-rank detection fired
+//	err    any other run-time failure
+//	div    no convergence within the iteration budget
+//	bad(r) the returned x fails the residual gate with relative residual r
+//
+// and the cause of the first four goes to Config.Progress. A solver that
+// rejects its input or options before any virtual time is spent is not a
+// verdict: that error is returned and fails the experiment. The
+// multisplitting result is returned for every launched run (nil for dslu).
+func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSpec) (cell, *core.Result, error) {
+	e := c.newEngine(plt)
+	if s.plan != nil {
+		e.SetFaultPlan(s.plan)
 	}
-	if cfg.Adapt && !o.async && o.ts.InnerIters == 0 {
-		co.Adapt = true
-		co.AdaptInterval = cfg.AdaptInterval
-		co.AdaptHysteresis = cfg.AdaptHysteresis
+	if s.rec != nil {
+		e.Observe(s.rec)
 	}
-	pend, err := core.Launch(e, plt.Hosts, a, b, co)
+	// Both solvers hand back a pending run with these two methods; only
+	// their result types differ.
+	var pend interface {
+		Running() bool
+		Finish()
+	}
+	var err error
+	if s.dslu {
+		pend, err = dslu.Launch(e, plt.Hosts, a, b, dslu.Options{TrackMemory: s.opts.TrackMemory})
+	} else {
+		pend, err = core.Launch(e, plt.Hosts, a, b, s.opts)
+	}
 	if err != nil {
-		return cell{note: "err"}, nil
+		return cell{}, nil, fmt.Errorf("experiments: %w", err)
 	}
-	if o.flows > 0 {
-		plt.Perturb(e, o.flows, pend.Running)
+	if s.flows > 0 {
+		plt.Perturb(e, s.flows, pend.Running)
 	}
-	_, err = e.Run()
+	end, err := e.Run()
 	pend.Finish()
-	res := pend.Result()
-	logResplits(cfg, res)
+	var (
+		res       *core.Result
+		x         []float64
+		took      float64
+		converged = true
+	)
+	switch p := pend.(type) {
+	case *dslu.Pending:
+		r := p.Result()
+		x, took = r.X, r.Time
+	case *core.Pending:
+		res = p.Result()
+		x, took, converged = res.X, res.Time, res.Converged
+	}
+	logResplits(c, res)
+
+	out := cell{end: end}
 	switch {
 	case errors.Is(err, vgrid.ErrOutOfMemory):
-		return cell{note: "nem"}, res
+		out.note = "nem"
+	case errors.Is(err, vgrid.ErrDeadlock):
+		out.note = "stall"
+	case err != nil && strings.Contains(err.Error(), "appears dead"):
+		out.note = "dead"
 	case err != nil:
-		return cell{note: "err"}, res
-	case !res.Converged:
-		return cell{note: "div"}, res
+		out.note = "err"
+	case !converged:
+		out.note = "div"
 	}
-	if r := relResidual(a, res.X, b); r > residualGate {
-		return cell{note: fmt.Sprintf("bad(%.0e)", r)}, res
+	if err != nil {
+		c.logf("  run failed (%s): %v", out.note, err)
 	}
-	return cell{time: res.Time, fact: res.FactorTime, ok: true}, res
+	if out.note == "" {
+		if r := relResidual(a, x, b); r > residualGate {
+			out.note = fmt.Sprintf("bad(%.0e)", r)
+		} else {
+			out.time, out.ok = took, true
+		}
+	}
+	return out, res, nil
 }

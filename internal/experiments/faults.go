@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/sparse"
 	"repro/internal/vgrid"
 )
 
@@ -20,46 +17,14 @@ var faultSweepDrops = []float64{0, 0.01, 0.05, 0.10}
 // crash/restart scenario: a site-1 host behind the shared WAN link.
 const faultCrashHost = "c3-s1-08"
 
-// faultMSOpts selects one solver variant of the fault sweep.
-type faultMSOpts struct {
-	async bool
-	ft    bool
-	plan  *vgrid.FaultPlan
-}
-
-// runMSFault runs one multisplitting solve under a fault plan and classifies
-// the outcome: a verified time, "stall" when the run deadlocked on a lost
-// message (the fate of the plain synchronous solver under drops), or "dead"
-// when the fault-tolerant dead-rank detection fired.
-func runMSFault(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, o faultMSOpts) (cell, *core.Result) {
-	e := cfg.newEngine(plt)
-	if o.plan != nil {
-		e.SetFaultPlan(o.plan)
-	}
-	pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{
-		Async:         o.async,
-		FaultTolerant: o.ft,
-	})
-	if err != nil {
-		return cell{note: "err"}, nil
-	}
-	_, err = e.Run()
-	pend.Finish()
-	res := pend.Result()
-	switch {
-	case errors.Is(err, vgrid.ErrDeadlock):
-		return cell{note: "stall"}, res
-	case err != nil && strings.Contains(err.Error(), "appears dead"):
-		return cell{note: "dead"}, res
-	case err != nil:
-		return cell{note: "err"}, res
-	case !res.Converged:
-		return cell{note: "div"}, res
-	}
-	if r := relResidual(a, res.X, b); r > residualGate {
-		return cell{note: fmt.Sprintf("bad(%.0e)", r)}, res
-	}
-	return cell{time: res.Time, ok: true}, res
+// faultSweepVariants are the three solver columns of the fault sweep.
+var faultSweepVariants = []struct {
+	name string
+	opts core.Options
+}{
+	{"sync multisplitting", core.Options{}},
+	{"sync + retry", core.Options{FaultTolerant: true}},
+	{"async fault-tolerant", core.Options{Async: true, FaultTolerant: true}},
 }
 
 func (c Config) faultSeed() int64 {
@@ -98,36 +63,46 @@ func FaultSweep(cfg Config) (*Table, error) {
 		}
 		return vgrid.NewFaultPlan(seed).DropOnLink("wan", 0, math.Inf(1), p)
 	}
-	row := func(scenario string, plan func() *vgrid.FaultPlan) {
-		cfg.logf("faultsweep: %s, sync multisplitting", scenario)
-		s, _ := runMSFault(cfg, cluster.Cluster3(-1), a, b, faultMSOpts{plan: plan()})
-		cfg.logf("faultsweep: %s, sync + retry", scenario)
-		sr, _ := runMSFault(cfg, cluster.Cluster3(-1), a, b, faultMSOpts{ft: true, plan: plan()})
-		cfg.logf("faultsweep: %s, async fault-tolerant", scenario)
-		as, ares := runMSFault(cfg, cluster.Cluster3(-1), a, b, faultMSOpts{async: true, ft: true, plan: plan()})
-		iters := "-"
-		if as.ok && ares != nil {
-			iters = fmt.Sprint(ares.Iterations)
+	row := func(scenario string, plan func() *vgrid.FaultPlan) error {
+		cells := []string{scenario}
+		iters := "-" // of the last variant, the asynchronous one
+		for _, v := range faultSweepVariants {
+			cfg.logf("faultsweep: %s, %s", scenario, v.name)
+			c, res, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: v.opts, plan: plan()})
+			if err != nil {
+				return err
+			}
+			cells = append(cells, c.timeStr())
+			iters = "-"
+			if c.ok {
+				iters = fmt.Sprint(res.Iterations)
+			}
 		}
-		t.Rows = append(t.Rows, []string{scenario, s.timeStr(), sr.timeStr(), as.timeStr(), iters})
+		t.Rows = append(t.Rows, append(cells, iters))
+		return nil
 	}
 	for _, p := range faultSweepDrops {
 		p := p
-		row(fmt.Sprintf("drop %g%%", 100*p), func() *vgrid.FaultPlan { return dropPlan(p) })
+		if err := row(fmt.Sprintf("drop %g%%", 100*p), func() *vgrid.FaultPlan { return dropPlan(p) }); err != nil {
+			return nil, err
+		}
 	}
 
 	// Crash/restart scenario: take a site-1 host down for the second quarter
 	// of the fault-free asynchronous run's virtual duration.
 	cfg.logf("faultsweep: probing fault-free async duration")
-	clean, _ := runMSFault(cfg, cluster.Cluster3(-1), a, b, faultMSOpts{async: true, ft: true})
+	clean, _, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Async: true, FaultTolerant: true}})
+	if err != nil {
+		return nil, err
+	}
 	if !clean.ok {
 		return t, fmt.Errorf("experiments: fault-free async probe failed (%s)", clean.note)
 	}
 	from, until := 0.25*clean.time, 0.5*clean.time
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("crash: %s down over [%.3fs, %.3fs) of a %.3fs fault-free async run", faultCrashHost, from, until, clean.time))
-	row(fmt.Sprintf("crash %s", faultCrashHost), func() *vgrid.FaultPlan {
+	err = row(fmt.Sprintf("crash %s", faultCrashHost), func() *vgrid.FaultPlan {
 		return vgrid.NewFaultPlan(seed).CrashHost(faultCrashHost, from, until)
 	})
-	return t, nil
+	return t, err
 }

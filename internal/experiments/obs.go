@@ -9,102 +9,38 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/sparse"
 )
 
-// obsRun is one observed solver run: its outcome cell plus the recorded
-// observability data and the critical-path decomposition.
-type obsRun struct {
-	cell cell
-	rec  *obs.Recorder
-	cp   *obs.CPReport
-}
-
-// runObserved executes one solver ("dslu", "sync" or "async") on a fresh
-// platform with an observability recorder attached and walks the critical
-// path afterwards.
-func runObserved(cfg Config, newPlat func() *cluster.Platform, solver string, a *sparse.CSR, b []float64) obsRun {
-	plt := newPlat()
-	e := cfg.newEngine(plt)
-	rec := &obs.Recorder{}
-	e.Observe(rec)
-
-	var run obsRun
-	run.rec = rec
-	fail := func(note string) obsRun {
-		run.cell = cell{note: note}
-		return run
+// writeFile creates path and streams fn into it.
+func writeFile(path string, fn func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	switch solver {
-	case "dslu":
-		pend, err := dsluLaunch(e, plt, a, b)
-		if err != nil {
-			return fail("err")
-		}
-		if _, err := e.Run(); err != nil {
-			return fail("err")
-		}
-		pend.Finish()
-		res := pend.Result()
-		if r := relResidual(a, res.X, b); r > residualGate {
-			return fail(fmt.Sprintf("bad(%.0e)", r))
-		}
-		run.cell = cell{time: res.Time, fact: res.FactorTime, ok: true}
-	default:
-		pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{Async: solver == "async"})
-		if err != nil {
-			return fail("err")
-		}
-		if _, err := e.Run(); err != nil {
-			pend.Finish()
-			return fail("err")
-		}
-		pend.Finish()
-		res := pend.Result()
-		if !res.Converged {
-			return fail("div")
-		}
-		if r := relResidual(a, res.X, b); r > residualGate {
-			return fail(fmt.Sprintf("bad(%.0e)", r))
-		}
-		run.cell = cell{time: res.Time, fact: res.FactorTime, ok: true}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
 	}
-	run.cp = obs.CriticalPath(rec)
-	return run
+	return f.Close()
 }
 
 // writeObsArtifacts writes the per-run trace/metrics files requested through
 // Config.TraceJSON / Config.MetricsOut.
-func writeObsArtifacts(cfg Config, key string, run obsRun) error {
-	write := func(path string, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
+func writeObsArtifacts(cfg Config, key string, rec *obs.Recorder, makespan float64) error {
 	if cfg.TraceJSON != "" {
 		path := fmt.Sprintf("%s-%s.json", cfg.TraceJSON, key)
-		if err := write(path, func(w io.Writer) error { return obs.WriteTraceJSON(w, run.rec) }); err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return obs.WriteTraceJSON(w, rec) }); err != nil {
 			return err
 		}
 		cfg.logf("utilization: trace written to %s", path)
 	}
 	if cfg.MetricsOut != "" {
-		makespan := run.cell.time
-		if run.cp != nil {
-			makespan = run.cp.Makespan
-		}
-		m := obs.ComputeMetrics(run.rec, makespan)
+		m := obs.ComputeMetrics(rec, makespan)
 		base := fmt.Sprintf("%s-%s", cfg.MetricsOut, key)
-		if err := write(base+".metrics.json", m.WriteJSON); err != nil {
+		if err := writeFile(base+".metrics.json", m.WriteJSON); err != nil {
 			return err
 		}
-		if err := write(base+".metrics.csv", m.WriteCSV); err != nil {
+		if err := writeFile(base+".metrics.csv", m.WriteCSV); err != nil {
 			return err
 		}
 		cfg.logf("utilization: metrics written to %s.metrics.{json,csv}", base)
@@ -141,31 +77,35 @@ func Utilization(cfg Config) (*Table, error) {
 	for _, cd := range clusters {
 		for _, solver := range []string{"dslu", "sync", "async"} {
 			cfg.logf("utilization: %s, %s", cd.name, solver)
-			run := runObserved(cfg, cd.newPlat, solver, a, b)
-			row := []string{cd.name, solver, run.cell.timeStr(), "-", "-", "-", "-"}
-			if run.cell.ok && run.cp != nil && run.cp.Makespan > 0 {
-				cp := run.cp
-				pct := func(v float64) string { return fmt.Sprintf("%.1f", 100*v/cp.Makespan) }
-				top := cp.TopK(1)
-				topStr := "-"
-				if len(top) > 0 {
-					topStr = fmt.Sprintf("%s %s %s", top[0].Cat, top[0].Name, fmtSec(top[0].Dur()))
-				}
-				row = []string{cd.name, solver, run.cell.timeStr(),
-					pct(cp.Compute), pct(cp.Network), pct(cp.Wait), topStr}
-				if cfg.CriticalPath {
-					for i, s := range cp.TopK(3) {
-						t.Notes = append(t.Notes, fmt.Sprintf("%s/%s critical #%d: %s %s [%.4f, %.4f] %s",
-							cd.name, solver, i+1, s.Cat, s.Name, s.Start, s.End, fmtSec(s.Dur())))
+			rec := &obs.Recorder{}
+			c, _, err := cfg.solve(cd.newPlat(), a, b, runSpec{
+				dslu: solver == "dslu", opts: core.Options{Async: solver == "async"}, rec: rec,
+			})
+			if err != nil {
+				return nil, err
+			}
+			row := []string{cd.name, solver, c.timeStr(), "-", "-", "-", "-"}
+			if c.ok {
+				makespan := c.time
+				if cp := obs.CriticalPath(rec); cp != nil && cp.Makespan > 0 {
+					makespan = cp.Makespan
+					pct := func(v float64) string { return fmt.Sprintf("%.1f", 100*v/cp.Makespan) }
+					row[3], row[4], row[5] = pct(cp.Compute), pct(cp.Network), pct(cp.Wait)
+					if top := cp.TopK(1); len(top) > 0 {
+						row[6] = fmt.Sprintf("%s %s %s", top[0].Cat, top[0].Name, fmtSec(top[0].Dur()))
+					}
+					if cfg.CriticalPath {
+						for i, s := range cp.TopK(3) {
+							t.Notes = append(t.Notes, fmt.Sprintf("%s/%s critical #%d: %s %s [%.4f, %.4f] %s",
+								cd.name, solver, i+1, s.Cat, s.Name, s.Start, s.End, fmtSec(s.Dur())))
+						}
 					}
 				}
-			}
-			t.Rows = append(t.Rows, row)
-			if run.cell.ok {
-				if err := writeObsArtifacts(cfg, cd.name+"-"+solver, run); err != nil {
+				if err := writeObsArtifacts(cfg, cd.name+"-"+solver, rec, makespan); err != nil {
 					return nil, err
 				}
 			}
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t, nil

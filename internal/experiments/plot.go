@@ -10,9 +10,12 @@ import (
 
 // Series is one named curve for the ASCII plot.
 type Series struct {
-	Name   string
+	// Name labels the curve in the legend.
+	Name string
+	// Marker is the character the curve is drawn with.
 	Marker byte
-	Y      []float64
+	// Y holds one finite value per x position.
+	Y []float64
 }
 
 // AsciiPlot renders line series against a shared x axis as a fixed-size

@@ -1,0 +1,116 @@
+package experiments
+
+import (
+	"bytes"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/vgrid"
+)
+
+// TestRunnerClassification drives the one run path into each verdict of its
+// classifier on small inputs and checks that a run-time failure's cause
+// reaches Config.Progress.
+func TestRunnerClassification(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	wan := func() *cluster.Platform { return cluster.Cluster3(-1) }
+	forever := math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		plt   func() *cluster.Platform
+		spec  runSpec
+		note  string // "" = a verified time
+		cause string // substring of the progress line of a failed run
+	}{
+		{name: "ok", plt: wan, spec: runSpec{opts: core.Options{Async: true}}},
+		{name: "ok-dslu", plt: wan, spec: runSpec{dslu: true}},
+		{name: "nem", plt: func() *cluster.Platform { return cluster.Cluster1(4, 4096) },
+			spec: runSpec{opts: core.Options{TrackMemory: true}}, note: "nem", cause: "not enough memory"},
+		{name: "nem-dslu", plt: func() *cluster.Platform { return cluster.Cluster1(4, 4096) },
+			spec: runSpec{dslu: true, opts: core.Options{TrackMemory: true}}, note: "nem", cause: "not enough memory"},
+		{name: "stall", plt: wan, note: "stall", cause: "deadlock",
+			spec: runSpec{plan: vgrid.NewFaultPlan(1).DropOnLink("wan", 0, forever, 1)}},
+		{name: "dead", plt: wan, note: "dead", cause: "appears dead",
+			spec: runSpec{opts: core.Options{FaultTolerant: true},
+				plan: vgrid.NewFaultPlan(1).CrashHost(faultCrashHost, 0, forever)}},
+		{name: "err", cfg: Config{Lanes: -1}, plt: wan, note: "err", cause: "shared between scheduler lanes"},
+		{name: "div", plt: wan, spec: runSpec{opts: core.Options{MaxIter: 1}}, note: "div"},
+	} {
+		var progress bytes.Buffer
+		tc.cfg.Progress = &progress
+		c, res, err := tc.cfg.solve(tc.plt(), a, b, tc.spec)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if c.note != tc.note || c.ok != (tc.note == "") {
+			t.Errorf("%s: verdict %q (ok=%v), want %q", tc.name, c.note, c.ok, tc.note)
+		}
+		if c.ok && (c.time <= 0 || c.timeStr() != fmtSec(c.time)) {
+			t.Errorf("%s: verified cell prints %q for time %g", tc.name, c.timeStr(), c.time)
+		}
+		if (res == nil) != tc.spec.dslu {
+			t.Errorf("%s: multisplitting result %v, want one exactly for a multisplitting run", tc.name, res)
+		}
+		if !strings.Contains(progress.String(), tc.cause) || (tc.cause == "") != (progress.Len() == 0) {
+			t.Errorf("%s: progress %q, want the cause %q", tc.name, progress.String(), tc.cause)
+		}
+	}
+}
+
+// TestRejectedOptionsFailTheExperiment: options the solver refuses before
+// spending virtual time are an error of the run path and of the experiment
+// built on it — not a table of "err" cells.
+func TestRejectedOptionsFailTheExperiment(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Detector: "gossip"}})
+	if err == nil || !strings.Contains(err.Error(), "gossip") {
+		t.Errorf("solve with an unknown detector: err %v, want the wrapped cause", err)
+	}
+	tab, err := TwoStageTable(Config{Scale: 64, TwoStageSchedule: "bogus"})
+	if err == nil || tab != nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("twostage with schedule \"bogus\": table %v, err %v; want an error naming it", tab, err)
+	}
+}
+
+// TestRegistry: ByName and All are two views of one registry — every All
+// entry resolves through ByName (by name and by each alias) to the same
+// function, no identifier is claimed twice, and the unknown-name error
+// lists the valid names.
+func TestRegistry(t *testing.T) {
+	fn := func(f func(Config) (*Table, error)) uintptr { return reflect.ValueOf(f).Pointer() }
+	seen := map[string]bool{}
+	for _, x := range registry {
+		for _, id := range append([]string{x.Name}, x.Aliases...) {
+			if seen[id] {
+				t.Errorf("identifier %q is claimed twice", id)
+			}
+			seen[id] = true
+			run, err := ByName(id)
+			if err != nil || fn(run) != fn(x.Run) {
+				t.Errorf("ByName(%q) = %v, does not resolve to the %s entry", id, err, x.Name)
+			}
+		}
+	}
+	all := All()
+	if len(all) != 13 || all[0].Name != "table1" || all[len(all)-1].Name != "adaptive" {
+		t.Errorf("All() = %d entries from %q, want the 13 default experiments in paper order", len(all), all[0].Name)
+	}
+	for _, x := range all {
+		if run, err := ByName(x.Name); err != nil || fn(run) != fn(x.Run) {
+			t.Errorf("All entry %q does not resolve through ByName", x.Name)
+		}
+	}
+	_, err := ByName("nope")
+	if err == nil || !strings.Contains(err.Error(), "table4fair") || !strings.Contains(err.Error(), "adaptive") {
+		t.Errorf("unknown-name error %v does not list the valid names", err)
+	}
+}

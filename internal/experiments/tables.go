@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/sparse"
 )
@@ -15,34 +17,63 @@ var table1Procs = []int{1, 2, 3, 4, 6, 8, 9, 12, 16, 20}
 // processors run out of memory).
 var table2Procs = []int{4, 6, 8, 9, 12, 16, 20}
 
-const msHeader = "ms-header"
-
 var compareHeader = []string{
 	"procs", "distributed SuperLU", "sync multisplitting-LU",
 	"async multisplitting-LU", "factorization time",
 }
 
-// scalabilityRow runs the three solvers on the first nprocs machines of
-// cluster1 and formats one table row. memOverride as in cluster.Cluster1.
-func scalabilityRow(cfg Config, a *sparse.CSR, b []float64, nprocs int, memOverride int64) []string {
-	if nprocs == 1 {
-		// One processor: the distributed solver degenerates to the
-		// sequential direct method; multisplitting is not defined.
-		cfg.logf("table: %d procs, sequential direct", nprocs)
-		d := runDSLU(cluster.Cluster1(1, memOverride), a, b, memOverride != -1)
-		return []string{"1", d.timeStr(), "-", "-", "-"}
+// compare runs the three solvers of the paper's comparison tables —
+// distributed SuperLU, synchronous and asynchronous multisplitting-LU — each
+// on a fresh platform, and returns their time cells in that order followed
+// by the synchronous factorization time. what prefixes the progress lines;
+// track accounts solver storage against host memory ("nem" cells).
+func (c Config) compare(what string, newPlat func() *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) ([]string, error) {
+	c.logf("%s, distributed SuperLU", what)
+	d, _, err := c.solve(newPlat(), a, b, runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows})
+	if err != nil {
+		return nil, err
 	}
-	cfg.logf("table: %d procs, distributed SuperLU", nprocs)
-	d := runDSLU(cluster.Cluster1(nprocs, memOverride), a, b, memOverride != -1)
-	cfg.logf("table: %d procs, sync multisplitting", nprocs)
-	s, _ := runMS(cfg, cluster.Cluster1(nprocs, memOverride), a, b, msOpts{track: memOverride != -1})
-	cfg.logf("table: %d procs, async multisplitting", nprocs)
-	as, _ := runMS(cfg, cluster.Cluster1(nprocs, memOverride), a, b, msOpts{async: true, track: memOverride != -1})
+	c.logf("%s, sync multisplitting", what)
+	s, sres, err := c.solve(newPlat(), a, b, runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows})
+	if err != nil {
+		return nil, err
+	}
+	c.logf("%s, async multisplitting", what)
+	as, _, err := c.solve(newPlat(), a, b, runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows})
+	if err != nil {
+		return nil, err
+	}
 	fact := "-"
 	if s.ok {
-		fact = fmtSec(s.fact)
+		fact = fmtSec(sres.FactorTime)
 	}
-	return []string{fmt.Sprint(nprocs), d.timeStr(), s.timeStr(), as.timeStr(), fact}
+	return []string{d.timeStr(), s.timeStr(), as.timeStr(), fact}, nil
+}
+
+// scalabilityRows fills a cluster1 scalability table: for each processor
+// count, the three solvers on the first nprocs machines of cluster1.
+// memOverride as in cluster.Cluster1.
+func scalabilityRows(cfg Config, t *Table, a *sparse.CSR, b []float64, procs []int, memOverride int64) (*Table, error) {
+	for _, nprocs := range procs {
+		newPlat := func() *cluster.Platform { return cluster.Cluster1(nprocs, memOverride) }
+		if nprocs == 1 {
+			// One processor: the distributed solver degenerates to the
+			// sequential direct method; multisplitting is not defined.
+			cfg.logf("table: %d procs, sequential direct", nprocs)
+			d, _, err := cfg.solve(newPlat(), a, b, runSpec{dslu: true, opts: core.Options{TrackMemory: memOverride != -1}})
+			if err != nil {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, []string{"1", d.timeStr(), "-", "-", "-"})
+			continue
+		}
+		cells, err := cfg.compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, memOverride != -1, 0)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, append([]string{fmt.Sprint(nprocs)}, cells...))
+	}
+	return t, nil
 }
 
 // Table1 reproduces the paper's Table 1: scalability of distributed SuperLU
@@ -55,10 +86,7 @@ func Table1(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("cluster1 scalability, cage10-like matrix (n=%d, scale %d)", a.Rows, cfg.scale()),
 		Header: compareHeader,
 	}
-	for _, p := range table1Procs {
-		t.Rows = append(t.Rows, scalabilityRow(cfg, a, b, p, -1))
-	}
-	return t, nil
+	return scalabilityRows(cfg, t, a, b, table1Procs, -1)
 }
 
 // Table2 reproduces the paper's Table 2: the cage11 matrix on cluster1.
@@ -84,11 +112,7 @@ func Table2(cfg Config) (*Table, error) {
 		},
 	}
 	// The sub-4-processor row demonstrates the paper's "nem" boundary.
-	t.Rows = append(t.Rows, scalabilityRow(cfg, a, b, 2, budget))
-	for _, p := range table2Procs {
-		t.Rows = append(t.Rows, scalabilityRow(cfg, a, b, p, budget))
-	}
-	return t, nil
+	return scalabilityRows(cfg, t, a, b, append([]int{2}, table2Procs...), budget)
 }
 
 // Table3 reproduces the paper's Table 3: the three solvers on the local
@@ -101,29 +125,28 @@ func Table3(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("distant/heterogeneous clusters (scale %d)", cfg.scale()),
 		Header: append([]string{"matrix", "cluster"}, compareHeader[1:]...),
 	}
-	addRow := func(name, cl string, a *sparse.CSR, mem int64, newPlat func(int64) *cluster.Platform) {
+	addRow := func(name, cl string, a *sparse.CSR, mem int64, newPlat func(int64) *cluster.Platform) error {
 		b, _ := gen.RHSForSolution(a)
-		cfg.logf("table3: %s on %s, distributed SuperLU", name, cl)
-		d := runDSLU(newPlat(mem), a, b, mem != -1)
-		cfg.logf("table3: %s on %s, sync multisplitting", name, cl)
-		s, _ := runMS(cfg, newPlat(mem), a, b, msOpts{track: mem != -1})
-		cfg.logf("table3: %s on %s, async multisplitting", name, cl)
-		as, _ := runMS(cfg, newPlat(mem), a, b, msOpts{async: true, track: mem != -1})
-		fact := "-"
-		if s.ok {
-			fact = fmtSec(s.fact)
+		cells, err := cfg.compare(fmt.Sprintf("table3: %s on %s", name, cl),
+			func() *cluster.Platform { return newPlat(mem) }, a, b, mem != -1, 0)
+		if err != nil {
+			return err
 		}
-		t.Rows = append(t.Rows, []string{name, cl, d.timeStr(), s.timeStr(), as.timeStr(), fact})
+		t.Rows = append(t.Rows, append([]string{name, cl}, cells...))
+		return nil
 	}
 
 	cage11 := Cage11Like(cfg)
-	addRow("cage11", "cluster2", cage11, -1, func(m int64) *cluster.Platform { return cluster.Cluster2(m) })
+	if err := addRow("cage11", "cluster2", cage11, -1, cluster.Cluster2); err != nil {
+		return nil, err
+	}
 
 	// cage12 on cluster3: the distributed solver's aggregate fill exceeds
 	// the hosts' memory while the per-band multisplitting factors fit. The
 	// budget is extrapolated from the cage11 fill ratio.
 	cage12 := Cage12Like(cfg)
-	fill11, err := probeFill(cluster.Cluster2(-1), cage11, mustRHS(cage11))
+	b11, _ := gen.RHSForSolution(cage11)
+	fill11, err := probeFill(cluster.Cluster2(-1), cage11, b11)
 	if err != nil {
 		return nil, err
 	}
@@ -132,36 +155,43 @@ func Table3(cfg Config) (*Table, error) {
 	budget := fill12 * 24 / 10 * 3 / 10 // 30% of the per-rank need: dslu cannot fit
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("cage12 per-host budget %d bytes (30%% of the distributed solver's per-rank fill)", budget))
-	addRow("cage12", "cluster3", cage12, budget, func(m int64) *cluster.Platform { return cluster.Cluster3(m) })
+	if err := addRow("cage12", "cluster3", cage12, budget, cluster.Cluster3); err != nil {
+		return nil, err
+	}
 
 	g := Gen500k(cfg)
-	addRow(fmt.Sprintf("%d matrix", 500000/cfg.scale()), "cluster3", g, -1,
-		func(m int64) *cluster.Platform { return cluster.Cluster3(m) })
+	if err := addRow(fmt.Sprintf("%d matrix", 500000/cfg.scale()), "cluster3", g, -1, cluster.Cluster3); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// perturbationTable fills a Table 4 variant: the three solvers on the 500000
+// generated matrix under 0, 1, 5 and 10 background flows across the WAN of
+// the platform newPlat builds. id prefixes the progress lines.
+func perturbationTable(cfg Config, id string, t *Table, newPlat func() *cluster.Platform) (*Table, error) {
+	a := Gen500k(cfg)
+	b, _ := gen.RHSForSolution(a)
+	t.Header = []string{
+		"perturbing flows", "distributed SuperLU", "sync multisplitting-LU", "async multisplitting-LU",
+	}
+	for _, flows := range []int{0, 1, 5, 10} {
+		cells, err := cfg.compare(fmt.Sprintf("%s: %d flows", id, flows), newPlat, a, b, false, flows)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, append([]string{fmt.Sprint(flows)}, cells[:3]...))
+	}
 	return t, nil
 }
 
 // Table4 reproduces the paper's Table 4: the impact of perturbing
 // communications on the 500000 generated matrix over cluster3.
 func Table4(cfg Config) (*Table, error) {
-	a := Gen500k(cfg)
-	b, _ := gen.RHSForSolution(a)
-	t := &Table{
+	return perturbationTable(cfg, "table4", &Table{
 		ID:    "Table 4",
 		Title: fmt.Sprintf("network perturbation on cluster3, %d generated matrix (scale %d)", 500000/cfg.scale(), cfg.scale()),
-		Header: []string{
-			"perturbing flows", "distributed SuperLU", "sync multisplitting-LU", "async multisplitting-LU",
-		},
-	}
-	for _, flows := range []int{0, 1, 5, 10} {
-		cfg.logf("table4: %d flows, distributed SuperLU", flows)
-		d := runDSLUPerturbed(cfg, cluster.Cluster3(-1), a, b, flows)
-		cfg.logf("table4: %d flows, sync multisplitting", flows)
-		s, _ := runMS(cfg, cluster.Cluster3(-1), a, b, msOpts{flows: flows})
-		cfg.logf("table4: %d flows, async multisplitting", flows)
-		as, _ := runMS(cfg, cluster.Cluster3(-1), a, b, msOpts{async: true, flows: flows})
-		t.Rows = append(t.Rows, []string{fmt.Sprint(flows), d.timeStr(), s.timeStr(), as.timeStr()})
-	}
-	return t, nil
+	}, func() *cluster.Platform { return cluster.Cluster3(-1) })
 }
 
 // Table4Fair is the Table 4 scenario with TCP-like fair sharing on the
@@ -169,26 +199,11 @@ func Table4(cfg Config) (*Table, error) {
 // perturbing flows shared the real Internet path, and correspondingly
 // gentler slowdowns (an extension, not a paper table).
 func Table4Fair(cfg Config) (*Table, error) {
-	a := Gen500k(cfg)
-	b, _ := gen.RHSForSolution(a)
-	t := &Table{
+	return perturbationTable(cfg, "table4fair", &Table{
 		ID:    "Table 4 (fair-sharing variant)",
 		Title: fmt.Sprintf("perturbation with TCP-like WAN sharing, %d generated matrix (scale %d)", 500000/cfg.scale(), cfg.scale()),
-		Header: []string{
-			"perturbing flows", "distributed SuperLU", "sync multisplitting-LU", "async multisplitting-LU",
-		},
 		Notes: []string{"extension: the paper's WAN contention was TCP-fair, our default model is FIFO"},
-	}
-	for _, flows := range []int{0, 1, 5, 10} {
-		cfg.logf("table4fair: %d flows, distributed SuperLU", flows)
-		d := runDSLUPerturbed(cfg, cluster.Cluster3(-1).FairWAN(), a, b, flows)
-		cfg.logf("table4fair: %d flows, sync multisplitting", flows)
-		s, _ := runMS(cfg, cluster.Cluster3(-1).FairWAN(), a, b, msOpts{flows: flows})
-		cfg.logf("table4fair: %d flows, async multisplitting", flows)
-		as, _ := runMS(cfg, cluster.Cluster3(-1).FairWAN(), a, b, msOpts{async: true, flows: flows})
-		t.Rows = append(t.Rows, []string{fmt.Sprint(flows), d.timeStr(), s.timeStr(), as.timeStr()})
-	}
-	return t, nil
+	}, func() *cluster.Platform { return cluster.Cluster3(-1).FairWAN() })
 }
 
 // Figure3 reproduces the paper's Figure 3: the impact of the overlap size on
@@ -212,105 +227,81 @@ func Figure3(cfg Config) (*Table, error) {
 	for ov := 0; ov <= 5000; ov += 500 {
 		scaled := 2 * ov / cfg.scale()
 		cfg.logf("figure3: overlap %d (scaled %d)", ov, scaled)
-		s, sres := runMS(cfg, cluster.Cluster3(-1).ScaleSpeed(speed), a, b, msOpts{overlap: scaled})
-		as, _ := runMS(cfg, cluster.Cluster3(-1).ScaleSpeed(speed), a, b, msOpts{async: true, overlap: scaled})
+		s, sres, err := cfg.solve(cluster.Cluster3(-1).ScaleSpeed(speed), a, b,
+			runSpec{opts: cfg.withAdapt(core.Options{Overlap: scaled})})
+		if err != nil {
+			return nil, err
+		}
+		as, _, err := cfg.solve(cluster.Cluster3(-1).ScaleSpeed(speed), a, b,
+			runSpec{opts: core.Options{Async: true, Overlap: scaled}})
+		if err != nil {
+			return nil, err
+		}
 		iters := "-"
 		fact := "-"
-		if s.ok && sres != nil {
+		if s.ok {
 			iters = fmt.Sprintf("%.2f", float64(sres.Iterations)/100)
-			fact = fmtSec(s.fact)
+			fact = fmtSec(sres.FactorTime)
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprint(ov), s.timeStr(), as.timeStr(), fact, iters})
 	}
 	return t, nil
 }
 
-// runDSLUPerturbed runs the distributed solver under background flows.
-func runDSLUPerturbed(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, flows int) cell {
-	if flows == 0 {
-		return runDSLU(plt, a, b, false)
-	}
-	e := cfg.newEngine(plt)
-	pend, err := dsluLaunch(e, plt, a, b)
-	if err != nil {
-		return cell{note: "err"}
-	}
-	plt.Perturb(e, flows, pend.Running)
-	_, err = e.Run()
-	pend.Finish()
-	res := pend.Result()
-	if err != nil {
-		return cell{note: "err"}
-	}
-	if r := relResidual(a, res.X, b); r > residualGate {
-		return cell{note: fmt.Sprintf("bad(%.0e)", r)}
-	}
-	return cell{time: res.Time, fact: res.FactorTime, ok: true}
-}
-
-func mustRHS(a *sparse.CSR) []float64 {
-	b, _ := gen.RHSForSolution(a)
-	return b
-}
-
-// ByName returns the experiment runner for an identifier ("table1".."table4",
-// "figure3" / "fig3").
-func ByName(name string) (func(Config) (*Table, error), error) {
-	switch name {
-	case "table1", "1":
-		return Table1, nil
-	case "table2", "2":
-		return Table2, nil
-	case "table3", "3":
-		return Table3, nil
-	case "table4", "4":
-		return Table4, nil
-	case "table4fair":
-		return Table4Fair, nil
-	case "figure3", "fig3":
-		return Figure3, nil
-	case "faultsweep", "faults":
-		return FaultSweep, nil
-	case "utilization", "util":
-		return Utilization, nil
-	case "windowed", "window":
-		return WindowedUtilization, nil
-	case "topology", "topo":
-		return TopologyTable, nil
-	case "clustergrid", "cluster-grid":
-		return ClusterGrid, nil
-	case "eventshard", "event-shard":
-		return EventShard, nil
-	case "twostage", "two-stage":
-		return TwoStageTable, nil
-	case "adaptive", "adapt":
-		return Adaptive, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q", name)
-	}
-}
-
-// All lists every experiment in paper order.
-func All() []struct {
+// Experiment is one entry of the experiment registry.
+type Experiment struct {
+	// Name is the identifier msexp takes on its command line.
 	Name string
-	Run  func(Config) (*Table, error)
-} {
-	return []struct {
-		Name string
-		Run  func(Config) (*Table, error)
-	}{
-		{"table1", Table1},
-		{"table2", Table2},
-		{"table3", Table3},
-		{"table4", Table4},
-		{"figure3", Figure3},
-		{"faultsweep", FaultSweep},
-		{"utilization", Utilization},
-		{"windowed", WindowedUtilization},
-		{"topology", TopologyTable},
-		{"clustergrid", ClusterGrid},
-		{"eventshard", EventShard},
-		{"twostage", TwoStageTable},
-		{"adaptive", Adaptive},
+	// Aliases are the alternative identifiers ByName accepts.
+	Aliases []string
+	// Run regenerates the experiment's table.
+	Run func(Config) (*Table, error)
+	// InAll marks the experiments a run without arguments regenerates.
+	InAll bool
+}
+
+// registry lists every experiment in paper order; ByName and All derive from
+// it.
+var registry = []Experiment{
+	{"table1", []string{"1"}, Table1, true},
+	{"table2", []string{"2"}, Table2, true},
+	{"table3", []string{"3"}, Table3, true},
+	{"table4", []string{"4"}, Table4, true},
+	{"table4fair", nil, Table4Fair, false},
+	{"figure3", []string{"fig3"}, Figure3, true},
+	{"faultsweep", []string{"faults"}, FaultSweep, true},
+	{"utilization", []string{"util"}, Utilization, true},
+	{"windowed", []string{"window"}, WindowedUtilization, true},
+	{"topology", []string{"topo"}, TopologyTable, true},
+	{"clustergrid", []string{"cluster-grid"}, ClusterGrid, true},
+	{"eventshard", []string{"event-shard"}, EventShard, true},
+	{"twostage", []string{"two-stage"}, TwoStageTable, true},
+	{"adaptive", []string{"adapt"}, Adaptive, true},
+}
+
+// ByName returns the experiment runner for a registry name or alias
+// ("table1".."table4", "figure3" / "fig3", ...); the error for an unknown
+// identifier lists the valid names.
+func ByName(name string) (func(Config) (*Table, error), error) {
+	var names []string
+	for _, x := range registry {
+		for _, id := range append([]string{x.Name}, x.Aliases...) {
+			if id == name {
+				return x.Run, nil
+			}
+		}
+		names = append(names, x.Name)
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (valid: %s)", name, strings.Join(names, " "))
+}
+
+// All lists, in paper order, the experiments a default run regenerates.
+func All() []Experiment {
+	var all []Experiment
+	for _, x := range registry {
+		if x.InAll {
+			all = append(all, x)
+		}
+	}
+	return all
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -40,9 +41,13 @@ func TopologyTable(cfg Config) (*Table, error) {
 	baseline := 0.0
 	for _, m := range modes {
 		cfg.logf("topology: %s", m.name)
-		c, res := runMS(cfg, cluster.Cluster3(-1), a, b, msOpts{topo: m.topo, gateway: m.gateway})
+		c, res, err := cfg.solve(cluster.Cluster3(-1), a, b,
+			runSpec{opts: cfg.withAdapt(core.Options{TopoCollectives: m.topo, Gateway: m.gateway})})
+		if err != nil {
+			return nil, err
+		}
 		row := []string{m.name, c.timeStr(), "-", "-", "-", "-"}
-		if c.ok && res != nil {
+		if c.ok {
 			if baseline == 0 {
 				baseline = c.time
 			}

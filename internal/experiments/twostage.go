@@ -93,30 +93,27 @@ func TwoStageTable(cfg Config) (*Table, error) {
 		Header: []string{"inner k", "sync multisplitting", "async multisplitting",
 			"outer iters (sync)", "inner sweeps (sync)"},
 	}
-	row := func(label string, o msOpts) (*core.Result, error) {
-		cfg.logf("twostage: %s, sync", label)
-		o.async = false
-		sc, sres := runMS(cfg, cluster.Cluster3(-1), a, b, o)
-		cfg.logf("twostage: %s, async", label)
-		o.async = true
-		ac, _ := runMS(cfg, cluster.Cluster3(-1), a, b, o)
-		iters, sweeps := "-", "-"
-		if sres != nil {
-			iters = fmt.Sprintf("%d", sres.Iterations)
-			if sres.InnerSweeps > 0 {
-				sweeps = fmt.Sprintf("%d", sres.InnerSweeps)
-			}
+	for _, k := range []int{0, 1, 2, 4, 8} { // 0: the exact-band baseline
+		label, o := "exact", core.Options{}
+		if k > 0 {
+			label, o = fmt.Sprintf("%d", k), core.Options{TwoStage: cfg.twoStage(k)}
 		}
-		t.Rows = append(t.Rows, []string{label, sc.timeStr(), ac.timeStr(), iters, sweeps})
-		return sres, nil
-	}
-	if _, err := row("exact", msOpts{}); err != nil {
-		return nil, err
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		if _, err := row(fmt.Sprintf("%d", k), msOpts{ts: cfg.twoStage(k)}); err != nil {
+		cfg.logf("twostage: %s, sync", label)
+		sc, sres, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: cfg.withAdapt(o)})
+		if err != nil {
 			return nil, err
 		}
+		cfg.logf("twostage: %s, async", label)
+		o.Async = true
+		ac, _, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: o})
+		if err != nil {
+			return nil, err
+		}
+		sweeps := "-"
+		if sres.InnerSweeps > 0 {
+			sweeps = fmt.Sprintf("%d", sres.InnerSweeps)
+		}
+		t.Rows = append(t.Rows, []string{label, sc.timeStr(), ac.timeStr(), fmt.Sprintf("%d", sres.Iterations), sweeps})
 	}
 
 	// The memory wall: budget the hosts between the preconditioner footprint
@@ -127,19 +124,25 @@ func TwoStageTable(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("memory-wall rows: per-host budget %d bytes (self-calibrated between band-%d preconditioner and exact band LU fill)", budget, width))
-	cfg.logf("twostage: memory wall, distributed SuperLU")
-	dc := runDSLU(cluster.Cluster3(budget), a, b, true)
-	cfg.logf("twostage: memory wall, exact multisplitting")
-	ec, _ := runMS(cfg, cluster.Cluster3(budget), a, b, msOpts{track: true})
-	cfg.logf("twostage: memory wall, two-stage multisplitting")
-	tc, tres := runMS(cfg, cluster.Cluster3(budget), a, b, msOpts{track: true, ts: cfg.twoStage(4)})
-	sweeps := "-"
-	if tres != nil && tres.InnerSweeps > 0 {
-		sweeps = fmt.Sprintf("%d", tres.InnerSweeps)
+	for _, w := range []struct {
+		label, what string
+		spec        runSpec
+	}{
+		{"wall: dslu", "distributed SuperLU", runSpec{dslu: true}},
+		{"wall: exact", "exact multisplitting", runSpec{opts: cfg.withAdapt(core.Options{})}},
+		{"wall: k=4", "two-stage multisplitting", runSpec{opts: core.Options{TwoStage: cfg.twoStage(4)}}},
+	} {
+		cfg.logf("twostage: memory wall, %s", w.what)
+		w.spec.opts.TrackMemory = true
+		c, res, err := cfg.solve(cluster.Cluster3(budget), a, b, w.spec)
+		if err != nil {
+			return nil, err
+		}
+		sweeps := "-"
+		if res != nil && res.InnerSweeps > 0 {
+			sweeps = fmt.Sprintf("%d", res.InnerSweeps)
+		}
+		t.Rows = append(t.Rows, []string{w.label, c.timeStr(), "-", "-", sweeps})
 	}
-	t.Rows = append(t.Rows,
-		[]string{"wall: dslu", dc.timeStr(), "-", "-", "-"},
-		[]string{"wall: exact", ec.timeStr(), "-", "-", "-"},
-		[]string{"wall: k=4", tc.timeStr(), "-", "-", sweeps})
 	return t, nil
 }

@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -23,57 +22,32 @@ import (
 	"repro/internal/vgrid"
 )
 
-// windowedRun is one observed solve folded into virtual-time windows.
-type windowedRun struct {
-	cell cell
-	wm   *obs.WindowedMetrics
-}
-
-// runWindowedMS runs one fault-tolerant asynchronous multisplitting solve
-// with the windowed telemetry attached. When cfg.StreamTrace is set the
-// windows are accumulated from the streaming flush path (spans are not
-// retained; the trace bytes go to io.Discard) — the result is the same
-// table through the other deterministic feed.
-func runWindowedMS(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, plan *vgrid.FaultPlan, width float64) windowedRun {
-	e := cfg.newEngine(plt)
-	if plan != nil {
-		e.SetFaultPlan(plan)
-	}
+// runWindowed runs one fault-tolerant asynchronous multisplitting solve and
+// folds it into virtual-time windows of the given width. When
+// cfg.StreamTrace is set the windows are accumulated from the streaming
+// flush path (spans are not retained; the trace bytes go to io.Discard) —
+// the result is the same table through the other deterministic feed.
+func runWindowed(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, plan *vgrid.FaultPlan, width float64) (cell, *obs.WindowedMetrics, error) {
 	rec := &obs.Recorder{}
-	e.Observe(rec)
 	var st *obs.Streamer
 	if cfg.StreamTrace {
 		st = obs.NewStreamer(io.Discard, 0)
 		st.AccumulateWindows(width)
 		rec.SetStream(st)
 	}
-	pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{Async: true, FaultTolerant: true})
+	c, _, err := cfg.solve(plt, a, b, runSpec{
+		opts: core.Options{Async: true, FaultTolerant: true}, plan: plan, rec: rec,
+	})
 	if err != nil {
-		return windowedRun{cell: cell{note: "err"}}
+		return c, nil, err
 	}
-	_, err = e.Run()
-	pend.Finish()
-	res := pend.Result()
-	makespan := e.Now()
-	var wm *obs.WindowedMetrics
-	if st != nil {
-		if err := st.Close(); err != nil {
-			return windowedRun{cell: cell{note: "err"}}
-		}
-		wm = st.Windows(makespan)
-	} else {
-		wm = obs.ComputeWindows(rec, width, makespan, obs.CriticalPath(rec))
+	if st == nil {
+		return c, obs.ComputeWindows(rec, width, c.end, obs.CriticalPath(rec)), nil
 	}
-	switch {
-	case err != nil:
-		return windowedRun{cell: cell{note: "err"}, wm: wm}
-	case !res.Converged:
-		return windowedRun{cell: cell{note: "div"}, wm: wm}
+	if err := st.Close(); err != nil {
+		return c, nil, err
 	}
-	if r := relResidual(a, res.X, b); r > residualGate {
-		return windowedRun{cell: cell{note: fmt.Sprintf("bad(%.0e)", r)}, wm: wm}
-	}
-	return windowedRun{cell: cell{time: res.Time, ok: true}, wm: wm}
+	return c, st.Windows(c.end), nil
 }
 
 // winMeans folds a windowed report into per-window host means and the byte
@@ -122,7 +96,10 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 	// Probe the clean makespan to place the fault windows and size the
 	// telemetry windows relative to the run.
 	cfg.logf("windowed: probing clean async run")
-	probe, _ := runMSFault(cfg, cluster.Cluster2(-1), a, b, faultMSOpts{async: true, ft: true})
+	probe, _, err := cfg.solve(cluster.Cluster2(-1), a, b, runSpec{opts: core.Options{Async: true, FaultTolerant: true}})
+	if err != nil {
+		return nil, err
+	}
 	if !probe.ok {
 		return nil, fmt.Errorf("experiments: windowed clean probe failed (%s)", probe.note)
 	}
@@ -151,23 +128,25 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 	}
 
 	cfg.logf("windowed: clean run with telemetry")
-	clean := runWindowedMS(cfg, cluster.Cluster2(-1), a, b, nil, width)
+	clean, cleanWM, err := runWindowed(cfg, cluster.Cluster2(-1), a, b, nil, width)
+	if err != nil {
+		return nil, err
+	}
 	cfg.logf("windowed: degraded run with telemetry")
 	plan := vgrid.NewFaultPlan(cfg.faultSeed()).
 		DegradeLink(windowedDegradedLink, degFrom, degUntil, 8, 1.0/8).
 		CrashHost(windowedCrashedHost, crashFrom, crashUntil)
-	deg := runWindowedMS(cfg, cluster.Cluster2(-1), a, b, plan, width)
-	if clean.wm == nil || deg.wm == nil {
-		return nil, fmt.Errorf("experiments: windowed runs produced no telemetry (clean %s, degraded %s)",
-			clean.cell.timeStr(), deg.cell.timeStr())
+	deg, degWM, err := runWindowed(cfg, cluster.Cluster2(-1), a, b, plan, width)
+	if err != nil {
+		return nil, err
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("solve times: clean %s, degraded %s", clean.cell.timeStr(), deg.cell.timeStr()))
+	t.Notes = append(t.Notes, fmt.Sprintf("solve times: clean %s, degraded %s", clean.timeStr(), deg.timeStr()))
 
-	cu, cw, _ := winMeans(clean.wm, windowedDegradedLink)
-	du, dw, dl := winMeans(deg.wm, windowedDegradedLink)
-	n := clean.wm.Windows
-	if deg.wm.Windows > n {
-		n = deg.wm.Windows
+	cu, cw, _ := winMeans(cleanWM, windowedDegradedLink)
+	du, dw, dl := winMeans(degWM, windowedDegradedLink)
+	n := cleanWM.Windows
+	if degWM.Windows > n {
+		n = degWM.Windows
 	}
 	for w := 0; w < n; w++ {
 		t.Rows = append(t.Rows, []string{
@@ -183,12 +162,12 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 		for _, out := range []struct {
 			key string
 			wm  *obs.WindowedMetrics
-		}{{"clean", clean.wm}, {"degraded", deg.wm}} {
+		}{{"clean", cleanWM}, {"degraded", degWM}} {
 			base := fmt.Sprintf("%s-windowed-%s", cfg.MetricsOut, out.key)
-			if err := writeTo(base+".windows.json", out.wm.WriteJSON); err != nil {
+			if err := writeFile(base+".windows.json", out.wm.WriteJSON); err != nil {
 				return nil, err
 			}
-			if err := writeTo(base+".windows.csv", out.wm.WriteCSV); err != nil {
+			if err := writeFile(base+".windows.csv", out.wm.WriteCSV); err != nil {
 				return nil, err
 			}
 			cfg.logf("windowed: metrics written to %s.windows.{json,csv}", base)
@@ -197,27 +176,11 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// writeTo creates path and streams fn into it.
-func writeTo(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ObsModesResult is one timed observability-overhead run.
 type ObsModesResult struct {
-	// Events is the scheduler commit-point count of the ring workload.
-	Events int
-	// Wall is the host wall-clock time of the simulation.
-	Wall time.Duration
-	// VirtualTime is the simulated makespan (identical across modes).
-	VirtualTime float64
+	// RingResult is the underlying ring run (its virtual outcome is
+	// identical across modes); Wall also covers the mode's export work.
+	RingResult
 	// Spans is the number of spans the run emitted (0 with the layer off).
 	Spans int
 	// PeakSpans is the peak number of spans held in memory: all of them in
@@ -240,71 +203,57 @@ type ObsModesResult struct {
 // buys. Export bytes go to io.Discard so the record times the layer, not
 // the filesystem. The virtual result is identical across modes.
 func ObsModesRun(hosts, clusters, events, lanes int, mode string) (ObsModesResult, error) {
-	rounds := (events + 3*hosts - 1) / (3 * hosts)
-	if rounds < 1 {
-		rounds = 1
-	}
-	plt := cluster.Synthetic(hosts, clusters, 0.3, 7)
-	e := vgrid.NewEngine(plt.Platform)
-	e.SetLanes(lanes)
-
-	var rec *obs.Recorder
-	var st *obs.Streamer
-	if mode != "off" {
-		rec = &obs.Recorder{}
-		e.Observe(rec)
-	}
-	if mode == "streaming" {
-		st = obs.NewStreamer(io.Discard, 0)
-		st.AccumulateWindows(0.05)
-		rec.SetStream(st)
-	}
-	spawnRing(e, plt, hosts, rounds)
-
-	start := time.Now()
-	vt, err := e.Run()
-	if err != nil {
-		return ObsModesResult{}, err
-	}
-	res := ObsModesResult{Events: 3 * rounds * hosts, VirtualTime: vt}
 	switch mode {
-	case "off":
-	case "aggregate":
-		res.Spans = rec.NumSpans()
-		res.PeakSpans = rec.NumSpans()
-	case "aggregate+export":
-		if err := obs.WriteTraceJSON(io.Discard, rec); err != nil {
-			return ObsModesResult{}, err
-		}
-		m := obs.ComputeMetrics(rec, vt)
-		if err := m.WriteJSON(io.Discard); err != nil {
-			return ObsModesResult{}, err
-		}
-		res.Spans = rec.NumSpans()
-		res.PeakSpans = rec.NumSpans()
-	case "windowed":
-		if err := obs.WriteTraceJSON(io.Discard, rec); err != nil {
-			return ObsModesResult{}, err
-		}
-		wm := obs.ComputeWindows(rec, 0.05, vt, nil)
-		if err := wm.WriteJSON(io.Discard); err != nil {
-			return ObsModesResult{}, err
-		}
-		res.Spans = rec.NumSpans()
-		res.PeakSpans = rec.NumSpans()
-	case "streaming":
-		if err := st.Close(); err != nil {
-			return ObsModesResult{}, err
-		}
-		wm := st.Windows(vt)
-		if err := wm.WriteJSON(io.Discard); err != nil {
-			return ObsModesResult{}, err
-		}
-		res.Spans = int(st.Flushed())
-		res.PeakSpans = st.PeakPending()
+	case "off", "aggregate", "aggregate+export", "windowed", "streaming":
 	default:
 		return ObsModesResult{}, fmt.Errorf("experiments: unknown obs mode %q", mode)
 	}
-	res.Wall = time.Since(start)
+	var rec *obs.Recorder
+	var st *obs.Streamer
+	ring, err := RingRun(RingSpec{
+		Hosts: hosts, Clusters: clusters, Events: events, Lanes: lanes,
+		Attach: func(e *vgrid.Engine) {
+			if mode == "off" {
+				return
+			}
+			rec = &obs.Recorder{}
+			e.Observe(rec)
+			if mode == "streaming" {
+				st = obs.NewStreamer(io.Discard, 0)
+				st.AccumulateWindows(0.05)
+				rec.SetStream(st)
+			}
+		},
+	})
+	if err != nil {
+		return ObsModesResult{}, err
+	}
+	res := ObsModesResult{RingResult: ring}
+	vt := ring.VirtualTime
+	export := time.Now()
+	switch mode {
+	case "aggregate+export":
+		if err = obs.WriteTraceJSON(io.Discard, rec); err == nil {
+			err = obs.ComputeMetrics(rec, vt).WriteJSON(io.Discard)
+		}
+	case "windowed":
+		if err = obs.WriteTraceJSON(io.Discard, rec); err == nil {
+			err = obs.ComputeWindows(rec, 0.05, vt, nil).WriteJSON(io.Discard)
+		}
+	case "streaming":
+		if err = st.Close(); err == nil {
+			err = st.Windows(vt).WriteJSON(io.Discard)
+		}
+	}
+	if err != nil {
+		return ObsModesResult{}, err
+	}
+	switch {
+	case st != nil:
+		res.Spans, res.PeakSpans = int(st.Flushed()), st.PeakPending()
+	case rec != nil:
+		res.Spans, res.PeakSpans = rec.NumSpans(), rec.NumSpans()
+	}
+	res.Wall += time.Since(export)
 	return res, nil
 }

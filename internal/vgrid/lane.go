@@ -195,26 +195,17 @@ func (ln *lane) endGroup() {
 func (ln *lane) run(limit float64) {
 	e := ln.eng
 	for {
-		var p *Proc
 		var resumeAt float64
 		var deliver *Message
-		if e.scanSched {
-			p, resumeAt, deliver = ln.pickNextScan()
-		} else {
-			p = ln.idxMin()
-			if p != nil {
-				resumeAt = p.key
-				if p.st() == stateBlocked {
-					deliver = p.deliverable()
-				}
+		p := ln.idxMin()
+		if p != nil {
+			resumeAt = p.key
+			if p.st() == stateBlocked {
+				deliver = p.deliverable()
 			}
-			if e.crossCheck {
-				sp, sat, sm := ln.pickNextScan()
-				if sp != p || (p != nil && (sat != resumeAt || sm != deliver)) {
-					panic(fmt.Sprintf("vgrid: scheduler index divergence: heap picked (%v, %v, %v), scan picked (%v, %v, %v)",
-						procName(p), resumeAt, deliver, procName(sp), sat, sm))
-				}
-			}
+		}
+		if e.crossCheck != nil {
+			e.crossCheck(ln, p, resumeAt, deliver)
 		}
 		if p == nil || resumeAt >= limit {
 			return
@@ -289,7 +280,7 @@ func (ln *lane) run(limit float64) {
 			if ln.traceOn() {
 				ln.trace(fmt.Sprintf("t=%.6f %s done err=%v", q.clock, q.Name, q.err))
 			}
-		} else if !e.scanSched {
+		} else {
 			ln.rekey(q)
 		}
 		ln.endGroup()
@@ -335,9 +326,9 @@ func (ln *lane) markLinks(links []*Link, serialized bool) {
 // resolveLaneCount decides how many scheduler lanes the run uses, from the
 // requested count (SetLanes), the platform's cluster structure and the
 // available lookahead. Anything that breaks the sharding preconditions —
-// the reference scan or cross-check schedulers, hosts outside every
-// cluster, a missing or non-positive inter-cluster lookahead — falls back
-// to a single lane, which is always correct.
+// the per-pick cross-check hook, hosts outside every cluster, a missing or
+// non-positive inter-cluster lookahead — falls back to a single lane, which
+// is always correct.
 func (e *Engine) resolveLaneCount() int {
 	nc := e.Platform.NumClusters()
 	nl := e.lanesReq
@@ -350,7 +341,7 @@ func (e *Engine) resolveLaneCount() int {
 	if nl < 1 {
 		nl = 1
 	}
-	if nl == 1 || e.scanSched || e.crossCheck || len(e.procs) < 2 {
+	if nl == 1 || e.crossCheck != nil || len(e.procs) < 2 {
 		return 1
 	}
 	for _, p := range e.procs {

@@ -19,10 +19,9 @@
 //   - fault clamps are folded into the key itself (eventTime applies
 //     faultState.wake), so an outage never requires a rescan.
 //
-// The pre-index linear scan survives as pickNextScan, the reference
-// implementation behind Engine.SetScanScheduler: equivalence tests cross
-// check every heap pick against it, and the event-core benchmarks use it as
-// the "before" core.
+// The pre-index linear scan survives in sched_test.go as the oracle: the
+// equivalence tests install it through Engine.crossCheck and compare every
+// heap pick against it.
 
 package vgrid
 
@@ -132,9 +131,6 @@ func (ln *lane) initIndex() {
 // rekey recomputes a process's next-event time and restores the heap
 // invariant, inserting the process if it is not currently indexed.
 func (ln *lane) rekey(p *Proc) {
-	if ln.eng.scanSched {
-		return
-	}
 	p.key = ln.eventTime(p)
 	if p.heapPos < 0 {
 		p.heapPos = len(ln.idx)
@@ -184,7 +180,7 @@ func (ln *lane) idxMin() *Proc {
 // dst must belong to this lane — cross-lane deposits go through the lane
 // inbox and reach here only at the coordinator's window barrier.
 func (ln *lane) noteDeposit(dst *Proc, m *Message) {
-	if ln.eng.scanSched || dst.st() != stateBlocked || !matches(m, dst.matchSrc, dst.matchTag) {
+	if dst.st() != stateBlocked || !matches(m, dst.matchSrc, dst.matchTag) {
 		return
 	}
 	pm := dst.pendingMatch
@@ -192,66 +188,4 @@ func (ln *lane) noteDeposit(dst *Proc, m *Message) {
 		dst.pendingMatch = m
 		ln.rekey(dst)
 	}
-}
-
-// SetScanScheduler switches the engine to the pre-index O(P) reference
-// scheduler (a full scan over the processes at every commit). The virtual
-// schedule is identical in both modes — the scan is kept as the ground
-// truth for the scheduler-equivalence tests and as the "before" core of the
-// event-core benchmarks. Implies a single scheduler lane. Must be called
-// before Run.
-func (e *Engine) SetScanScheduler(on bool) {
-	if e.started {
-		panic("vgrid: SetScanScheduler after Run")
-	}
-	e.scanSched = on
-}
-
-// pickNextScan selects the lane's process with the earliest next event by
-// scanning every process — the pre-index O(P) reference scheduler (always
-// single-lane, so the scan covers the whole engine). For a blocked process
-// the next event is the earliest matching message arrival (clamped to its
-// clock) or its receive deadline, whichever comes first; ready processes
-// resume at their own clock. Under a fault plan every candidate time is
-// clamped past the outage windows of the process's host; a process whose
-// host never returns is unschedulable. The indexed scheduler commits the
-// exact same sequence; the scan remains as the ground truth for
-// equivalence tests and before/after benchmarks.
-func (ln *lane) pickNextScan() (best *Proc, at float64, msg *Message) {
-	fs := ln.eng.faults
-	at = math.Inf(1)
-	var bestMsg *Message
-	for _, p := range ln.procs {
-		var t float64
-		var dm *Message
-		switch p.st() {
-		case stateReady, stateComputing, stateDeferred:
-			// For stateDeferred, p.clock is the dispatch time — a lower
-			// bound on the true resume time; the lane loop resolves the
-			// bound before committing to any later event.
-			t = p.clock
-		case stateBlocked:
-			t = p.matchDeadline
-			if m := p.earliestMatch(); m != nil {
-				if ta := math.Max(p.clock, m.Arrival); ta <= t {
-					t, dm = ta, m
-				}
-			}
-			if math.IsInf(t, 1) {
-				continue
-			}
-		default:
-			continue
-		}
-		if fs != nil {
-			t = fs.wake(p.host, t)
-			if math.IsInf(t, 1) {
-				continue
-			}
-		}
-		if t < at || (t == at && better(p, best)) {
-			best, at, bestMsg = p, t, dm
-		}
-	}
-	return best, at, bestMsg
 }

@@ -2,10 +2,85 @@ package vgrid
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 )
+
+// pickNextScan selects the lane's process with the earliest next event by
+// scanning every process — the pre-index O(P) scheduler, kept as the oracle
+// the indexed scheduler is checked against (always single-lane, so the scan
+// covers the whole engine). For a blocked process the next event is the
+// earliest matching message arrival (clamped to its clock) or its receive
+// deadline, whichever comes first; ready processes resume at their own
+// clock. Under a fault plan every candidate time is clamped past the outage
+// windows of the process's host; a process whose host never returns is
+// unschedulable. Ties go to the lowest process ID.
+func (ln *lane) pickNextScan() (best *Proc, at float64, msg *Message) {
+	fs := ln.eng.faults
+	at = math.Inf(1)
+	for _, p := range ln.procs {
+		var t float64
+		var dm *Message
+		switch p.st() {
+		case stateReady, stateComputing, stateDeferred:
+			// For stateDeferred, p.clock is the dispatch time — a lower
+			// bound on the true resume time; the lane loop resolves the
+			// bound before committing to any later event.
+			t = p.clock
+		case stateBlocked:
+			t = p.matchDeadline
+			if m := p.earliestMatch(); m != nil {
+				if ta := math.Max(p.clock, m.Arrival); ta <= t {
+					t, dm = ta, m
+				}
+			}
+			if math.IsInf(t, 1) {
+				continue
+			}
+		default:
+			continue
+		}
+		if fs != nil {
+			t = fs.wake(p.host, t)
+			if math.IsInf(t, 1) {
+				continue
+			}
+		}
+		if t < at || (t == at && (best == nil || p.ID < best.ID)) {
+			best, at, msg = p, t, dm
+		}
+	}
+	return best, at, msg
+}
+
+// scanOracle installs the reference scan as the engine's per-pick
+// cross-check: every pick of the scheduler index must be the process, time
+// and delivered message the scan selects, or the run panics. The returned
+// counter holds the number of checked picks that the lane loop commits
+// (a pick on a deferred segment's lower bound is resolved and re-picked,
+// and the final empty pick ends the run).
+func scanOracle(e *Engine) *int64 {
+	name := func(p *Proc) string {
+		if p == nil {
+			return "<none>"
+		}
+		return p.Name
+	}
+	commits := new(int64)
+	e.crossCheck = func(ln *lane, p *Proc, at float64, deliver *Message) {
+		sp, sat, sm := ln.pickNextScan()
+		if sp != p || (p != nil && (sat != at || sm != deliver)) {
+			panic(fmt.Sprintf("vgrid: scheduler index divergence: heap picked (%v, %v, %v), scan picked (%v, %v, %v)",
+				name(p), at, deliver, name(sp), sat, sm))
+		}
+		if p != nil && p.st() != stateDeferred {
+			*commits++
+		}
+	}
+	return commits
+}
 
 // randWorkload spawns nprocs processes on the platform's first hosts, each
 // executing a seeded pseudo-random mix of every scheduler-visible primitive:
@@ -46,16 +121,19 @@ func randWorkload(e *Engine, pl *Platform, nprocs, steps int, seed int64) {
 }
 
 // runRandScenario executes one fault-laden randomized scenario on a
-// synthetic grid and returns its trace and final virtual time. scan selects
-// the O(P) reference scheduler; crossCheck makes the indexed scheduler
-// verify every pick against the scan (panicking on the first divergence).
-func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers int) ([]string, float64) {
+// synthetic grid and returns its trace and final virtual time. crossCheck
+// makes the indexed scheduler verify every pick against the reference scan
+// (panicking on the first divergence) and asserts that no commit escaped
+// the check.
+func runRandScenario(t *testing.T, seed int64, crossCheck bool, workers int) ([]string, float64) {
 	t.Helper()
 	const nprocs, steps = 20, 50
 	pl := Synthetic(nprocs, 4, 0.4, seed)
 	e := NewEngine(pl)
-	e.SetScanScheduler(scan)
-	e.crossCheck = crossCheck
+	var checked *int64
+	if crossCheck {
+		checked = scanOracle(e)
+	}
 	if workers > 0 {
 		e.SetWorkers(workers)
 	}
@@ -70,7 +148,10 @@ func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers in
 	randWorkload(e, pl, nprocs, steps, seed)
 	vt, err := e.Run()
 	if err != nil {
-		t.Fatalf("seed %d (scan=%v workers=%d): %v", seed, scan, workers, err)
+		t.Fatalf("seed %d (crossCheck=%v workers=%d): %v", seed, crossCheck, workers, err)
+	}
+	if commits, _ := e.EventStats(); crossCheck && (*checked != commits || commits == 0) {
+		t.Fatalf("seed %d (workers=%d): oracle checked %d of %d commits", seed, workers, *checked, commits)
 	}
 	return lines, vt
 }
@@ -79,25 +160,25 @@ func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers in
 // test: on randomized fault-laden scenarios (message loss, link degradation,
 // host crash windows, deferred computes), the indexed scheduler must select
 // the identical event sequence as the pre-index O(P) scan. Each scenario
-// runs three ways — scan, indexed with per-pick cross-checking against the
-// scan, and indexed with a worker pool — and all three must produce
-// byte-identical traces.
+// runs three ways — indexed alone, indexed with every pick cross-checked
+// against the scan, and cross-checked with a worker pool — and all three
+// must produce byte-identical traces.
 func TestSchedulerIndexMatchesScanUnderFaults(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1030} {
-		ref, refVT := runRandScenario(t, seed, true, false, 0)
+		ref, refVT := runRandScenario(t, seed, false, 0)
 		if len(ref) == 0 {
-			t.Fatalf("seed %d: scan scenario produced no trace", seed)
+			t.Fatalf("seed %d: scenario produced no trace", seed)
 		}
-		checked, vt := runRandScenario(t, seed, false, true, 0)
+		checked, vt := runRandScenario(t, seed, true, 0)
 		if vt != refVT {
-			t.Errorf("seed %d: virtual time diverged: indexed %g, scan %g", seed, vt, refVT)
+			t.Errorf("seed %d: virtual time diverged: cross-checked %g, plain %g", seed, vt, refVT)
 		}
 		if strings.Join(checked, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("seed %d: indexed trace differs from scan trace", seed)
+			t.Errorf("seed %d: cross-checked trace differs from the plain indexed trace", seed)
 		}
-		pooled, pvt := runRandScenario(t, seed, false, true, 3)
+		pooled, pvt := runRandScenario(t, seed, true, 3)
 		if pvt != refVT || strings.Join(pooled, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("seed %d: pooled indexed run diverged from scan (vt %g vs %g)", seed, pvt, refVT)
+			t.Errorf("seed %d: pooled cross-checked run diverged (vt %g vs %g)", seed, pvt, refVT)
 		}
 	}
 }

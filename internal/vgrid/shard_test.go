@@ -137,8 +137,8 @@ func TestShardedMatchesSingleLaneUnderFaults(t *testing.T) {
 
 // TestShardedFallsBackToSingleLane pins the guardrails: topologies and
 // configurations that cannot shard resolve to one lane instead of
-// miscomputing — no clusters, clusterless hosts, the reference scan
-// scheduler, and a zero lookahead override.
+// miscomputing — no clusters, clusterless hosts, the per-pick cross-check
+// against the reference scan, and a zero lookahead override.
 func TestShardedFallsBackToSingleLane(t *testing.T) {
 	run := func(name string, mk func() *Engine) {
 		e := mk()
@@ -161,10 +161,10 @@ func TestShardedFallsBackToSingleLane(t *testing.T) {
 		e.SetLanes(0)
 		return e
 	})
-	run("scan scheduler", func() *Engine {
+	run("cross-checked scheduler", func() *Engine {
 		e := NewEngine(Synthetic(8, 2, 0, 1))
 		e.SetLanes(0)
-		e.SetScanScheduler(true)
+		scanOracle(e)
 		return e
 	})
 }

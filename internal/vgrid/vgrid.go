@@ -406,11 +406,10 @@ type Engine struct {
 	poolOnce sync.Once
 	jobs     chan *computeJob
 
-	// scanSched selects the pre-index O(P) reference scheduler.
-	scanSched bool
-	// crossCheck makes the indexed scheduler verify every pick against the
-	// reference scan (test hook; panics on divergence).
-	crossCheck bool
+	// crossCheck, when non-nil, is shown every pick of the scheduler index
+	// before it is committed (test hook: sched_test.go compares the pick with
+	// its O(P) reference scan). Setting it forces a single lane.
+	crossCheck func(ln *lane, p *Proc, at float64, deliver *Message)
 
 	// lanesReq is the requested scheduler-lane count (SetLanes): 1 single
 	// lane (default), 0 auto (one lane per cluster), n an explicit count.
@@ -656,9 +655,7 @@ func (e *Engine) Run() (float64, error) {
 		e.mergeShardLog()
 	} else {
 		ln := e.lanes[0]
-		if !e.scanSched {
-			ln.initIndex()
-		}
+		ln.initIndex()
 		ln.run(math.Inf(1))
 	}
 	// Check for deadlock: any process not done means nobody was runnable.
@@ -737,16 +734,6 @@ func (e *Engine) Errors() []error {
 
 // Now returns the engine's high-water virtual time.
 func (e *Engine) Now() float64 { return e.now }
-
-// procName labels a process in diagnostics, tolerating nil.
-func procName(p *Proc) string {
-	if p == nil {
-		return "<none>"
-	}
-	return p.Name
-}
-
-func better(p, cur *Proc) bool { return cur == nil || p.ID < cur.ID }
 
 func (p *Proc) earliestMatch() *Message {
 	var best *Message
