@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench race vet bench bench-json bench-json-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
+.PHONY: all build test test-bench tables-twice race vet bench bench-json bench-json-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
 
 all: verify
 
@@ -120,4 +120,15 @@ bench-diff-fixture:
 lint-docs:
 	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt internal/experiments cmd/msprof cmd/benchjson
 
-verify: build vet lint-docs test test-bench race bench-json-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture
+# The paper tables are a function of their inputs: one binary run twice must
+# print the same bytes. (order.RCM used to break its ties by map iteration, and
+# the distributed-LU column of the scale-32 pair moved in its last digit from
+# run to run.) Part of verify.
+tables-twice:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) build -o "$$d/msexp" ./cmd/msexp && \
+	for args in "-scale 64 table1 table2 table3 table4" "-scale 32 table2 table3"; do \
+		"$$d/msexp" -quiet -csv $$args > "$$d/a.csv" && "$$d/msexp" -quiet -csv $$args > "$$d/b.csv" && \
+		cmp "$$d/a.csv" "$$d/b.csv" || { echo "tables-twice: msexp $$args differs run to run"; exit 1; }; \
+	done && echo "tables-twice: same bytes twice"
+
+verify: build vet lint-docs test test-bench tables-twice race bench-json-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture

@@ -21,7 +21,9 @@ package dslu
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/mp"
 	"repro/internal/obs"
@@ -80,6 +82,7 @@ type Result struct {
 
 // Pending is a solve registered on an engine.
 type Pending struct {
+	mu    sync.Mutex // guards res while ranks finish
 	res   Result
 	procs []*vgrid.Proc
 	done  bool
@@ -135,6 +138,9 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	if len(hosts) == 0 {
 		return nil, errors.New("dslu: no hosts")
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("dslu: order %d is beyond the int32 column index range", n)
+	}
 	// Static pivoting + fill-reducing ordering, computed identically by
 	// every rank at load time (communication-free preprocessing).
 	rowPerm, err := order.MaxTransversal(a)
@@ -166,97 +172,163 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 
 // srow is a sorted sparse row: cols strictly increasing.
 type srow struct {
-	cols []int
+	cols []int32
 	vals []float64
 }
 
-// find returns the position of col j, or -1.
-func (r *srow) find(j int) int {
-	k := sort.SearchInts(r.cols, j)
-	if k < len(r.cols) && r.cols[k] == j {
-		return k
-	}
-	return -1
+// pivotBlock holds the finalized rows of one block the way the update kernel
+// reads them: row k0+j has the diagonal piv[j] and, right of it, the entries
+// cols/vals[ptr[j]:ptr[j+1]].
+type pivotBlock struct {
+	k0   int
+	piv  []float64
+	ptr  []int
+	cols []int32
+	vals []float64
 }
 
-// rowStore holds one rank's share of the matrix during elimination.
+func (b *pivotBlock) reset(k0 int) {
+	b.k0, b.piv, b.ptr = k0, b.piv[:0], append(b.ptr[:0], 0)
+	b.cols, b.vals = b.cols[:0], b.vals[:0]
+}
+
+// decode appends the rows of a fan-out payload: per pivot row k, the triple
+// k, count, piv and then count (col, val) pairs, cols > k ascending.
+func (b *pivotBlock) decode(payload []float64) {
+	for pos := 0; pos < len(payload); {
+		end := pos + 3 + 2*int(payload[pos+1])
+		b.piv = append(b.piv, payload[pos+2])
+		for pos += 3; pos < end; pos += 2 {
+			b.cols = append(b.cols, int32(payload[pos]))
+			b.vals = append(b.vals, payload[pos+1])
+		}
+		b.ptr = append(b.ptr, len(b.cols))
+	}
+}
+
+// rowStore holds one rank's share of the matrix during elimination. Owned
+// rows are addressed by local index: the rows of the rank's t-th block sit at
+// t·BlockSize onwards.
 type rowStore struct {
-	// rows[i] holds owned, not-yet-finalized rows, and the U part
-	// (cols >= i) once finalized.
-	rows map[int]*srow
-	// lrows[i] holds the multipliers of owned rows; columns are appended
-	// in ascending order because pivots are processed in order.
-	lrows map[int]*srow
-	// colRows[j] lists owned rows known to carry an entry in column j
-	// (may contain stale/finalized rows; filtered at use).
-	colRows map[int][]int
-	// colRowsL and colRowsU index the factor entries for the solves.
-	colRowsL map[int][]int
-	colRowsU map[int][]int
-	entries  int64 // live stored entries (for memory accounting)
+	nb int
+	// rows[l] is what is left to eliminate of an owned row, and its U part
+	// (cols >= the row) once finalized; lrows[l] holds its multipliers,
+	// ascending because pivots are applied in order.
+	rows, lrows []srow
+	// bucket[b] lists the owned rows whose leading column lies in block b:
+	// the rows block b's pivots reach, and no others.
+	bucket [][]int32
+	// lTrail[b] and uTrail[b] count the owned factor entries in the columns
+	// of block b outside b's own rows: the work a triangular solve does when
+	// block b's part of the solution arrives.
+	lTrail, uTrail []int64
+	entries        int64 // live stored entries (for memory accounting)
+	// delta[j] is the net change of entries the block's pivot j has caused
+	// in the running phase; dropped records that one of them was negative.
+	delta   []int64
+	dropped bool
 
-	// merge scratch buffers.
-	scratchC []int
-	scratchV []float64
+	// The sparse accumulator: acc is zero and mark false outside update.
+	acc  []float64
+	mark []bool
+	pat  []int32
 }
 
-// eliminate applies pivot row (k, piv, pcols, pvals) to owned row i:
-// row_i := row_i − (a_ik/piv)·pivotrow, moving a_ik into L. pcols must be
-// sorted ascending with all entries > k.
-func (st *rowStore) eliminate(i, k int, piv float64, pcols []int, pvals []float64, cnt *vec.Counter) {
-	r := st.rows[i]
-	kp := r.find(k)
-	if kp < 0 {
-		return
+// file puts row l into the bucket of its leading column.
+func (st *rowStore) file(l int) {
+	if c := st.rows[l].cols; len(c) > 0 {
+		b := int(c[0]) / st.nb
+		st.bucket[b] = append(st.bucket[b], int32(l))
 	}
-	aik := r.vals[kp]
-	if aik == 0 {
-		r.cols = append(r.cols[:kp], r.cols[kp+1:]...)
-		r.vals = append(r.vals[:kp], r.vals[kp+1:]...)
-		st.entries--
-		return
-	}
-	mult := aik / piv
-	lr := st.lrows[i]
-	lr.cols = append(lr.cols, k)
-	lr.vals = append(lr.vals, mult)
-	st.colRowsL[k] = append(st.colRowsL[k], i)
+}
 
-	// Merge r (minus position kp) with −mult·pivot into the scratch row.
-	nc := st.scratchC[:0]
-	nv := st.scratchV[:0]
-	ai, bi := 0, 0
-	added := 0
-	for ai < len(r.cols) || bi < len(pcols) {
-		if ai == kp {
-			ai++
+// update applies the pivot rows of b, in ascending order, to the owned row
+// l — row := row − (a_ik/piv_k)·pivotrow_k for every k the row reaches, a_ik
+// moving into L — and returns how many applied. The row is scattered into the
+// dense accumulator once, takes the pivots there in the order (and with the
+// operations) a pivot-by-pivot sweep of sorted rows would, and is gathered
+// once: by a scan of its column range when that is dense, else by sorting the
+// pattern.
+func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
+	r, lr := &st.rows[l], &st.lrows[l]
+	if len(r.cols) == 0 || int(r.cols[0]) >= b.k0+len(b.piv) {
+		return 0
+	}
+	acc, mark := st.acc, st.mark
+	for t, c := range r.cols {
+		acc[c], mark[c] = r.vals[t], true
+	}
+	lo, hi := int(r.cols[0]), int(r.cols[len(r.cols)-1])
+	nnz, had, flops := len(r.cols), len(lr.cols), 0
+	for j := lo - b.k0; j < len(b.piv); j++ {
+		k := b.k0 + j
+		if !mark[k] {
 			continue
 		}
-		switch {
-		case bi >= len(pcols) || (ai < len(r.cols) && r.cols[ai] < pcols[bi]):
-			nc = append(nc, r.cols[ai])
-			nv = append(nv, r.vals[ai])
-			ai++
-		case ai >= len(r.cols) || pcols[bi] < r.cols[ai]:
-			j := pcols[bi]
-			nc = append(nc, j)
-			nv = append(nv, -mult*pvals[bi])
-			st.colRows[j] = append(st.colRows[j], i)
-			added++
-			bi++
-		default: // equal columns
-			nc = append(nc, r.cols[ai])
-			nv = append(nv, r.vals[ai]-mult*pvals[bi])
-			ai++
-			bi++
+		aik := acc[k]
+		acc[k], mark[k] = 0, false
+		nnz--
+		if aik == 0 { // explicit zero: the entry goes, nothing else happens
+			st.delta[j]--
+			st.dropped = true
+			continue
+		}
+		mult := aik / b.piv[j]
+		lr.cols = append(lr.cols, int32(k))
+		lr.vals = append(lr.vals, mult)
+		pc := b.cols[b.ptr[j]:b.ptr[j+1]]
+		pv := b.vals[b.ptr[j]:b.ptr[j+1]][:len(pc)]
+		fill := nnz
+		for t, c := range pc {
+			if !mark[c] { // fill: 0 − mult·p
+				mark[c] = true
+				nnz++
+			}
+			acc[c] -= mult * pv[t]
+		}
+		if len(pc) > 0 {
+			hi = max(hi, int(pc[len(pc)-1]))
+		}
+		st.delta[j] += int64(nnz - fill) // a_ik left the row and entered L
+		flops += 2*len(pc) + 1
+	}
+	cnt.Add(float64(flops))
+	st.entries += int64(nnz + len(lr.cols) - had - len(r.cols))
+
+	if hi-lo < 4*nnz {
+		r.cols, r.vals = r.cols[:0], r.vals[:0]
+		for c := lo; c <= hi; c++ {
+			if mark[c] {
+				r.cols = append(r.cols, int32(c))
+				r.vals = append(r.vals, acc[c])
+				acc[c], mark[c] = 0, false
+			}
+		}
+		return len(lr.cols) - had
+	}
+	// Every column of the pattern comes from the row or an applied pivot.
+	pat := st.pat[:0]
+	take := func(cs []int32) {
+		for _, c := range cs {
+			if mark[c] {
+				mark[c] = false
+				pat = append(pat, c)
+			}
 		}
 	}
-	st.scratchC = nc[:0]
-	st.scratchV = nv[:0]
-	r.cols = append(r.cols[:0], nc...)
-	r.vals = append(r.vals[:0], nv...)
-	st.entries += int64(added) // +fill −1 (moved to L) +1 (L entry)
-	cnt.Add(2*float64(len(pcols)) + 1)
+	take(r.cols)
+	for _, k := range lr.cols[had:] {
+		j := int(k) - b.k0
+		take(b.cols[b.ptr[j]:b.ptr[j+1]])
+	}
+	slices.Sort(pat)
+	r.cols, r.vals = append(r.cols[:0], pat...), r.vals[:0]
+	for _, c := range pat {
+		r.vals = append(r.vals, acc[c])
+		acc[c] = 0
+	}
+	st.pat = pat
+	return len(lr.cols) - had
 }
 
 func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pend *Pending) error {
@@ -266,6 +338,8 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 	nb := o.BlockSize
 	nBlocks := (n + nb - 1) / nb
 	ownerOf := func(block int) int { return block % nprocs }
+	span := func(block int) (k0, k1 int) { return block * nb, min(block*nb+nb, n) }
+	local := func(block int) int { return block / nprocs * nb } // of the block's first row
 	ctx := simctx.New()
 	ctx.Obs = obs.NewScope(cm.Proc().Obs(), cm.Proc().Name)
 	if o.TrackMemory {
@@ -275,10 +349,26 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 	factStart := cm.Now()
 	cnt := ctx.Counter
 	charge := cm.Charge
-	allocated := int64(0)
-	trackAlloc := func(s *rowStore) error {
-		want := s.entries * 24 // value + column index + list slot
-		if want > allocated {
+	st := &rowStore{
+		nb:     nb,
+		rows:   make([]srow, local(nBlocks-1)+nb),
+		lrows:  make([]srow, local(nBlocks-1)+nb),
+		bucket: make([][]int32, nBlocks),
+		lTrail: make([]int64, nBlocks),
+		uTrail: make([]int64, nBlocks),
+		delta:  make([]int64, nb),
+		acc:    make([]float64, n),
+		mark:   make([]bool, n),
+	}
+	// Memory accounting: 24 bytes an entry (value + column index + list
+	// slot), charged at the high-water mark of a pivot-by-pivot sweep.
+	// trackAlloc charges the rows as they are gathered, so a host that runs
+	// out notices at once; settle closes an elimination phase. The two agree
+	// unless an explicit zero was dropped on the way — then the per-pivot
+	// deltas say what the sweep would have reached.
+	var allocated, settled, base int64
+	grow := func(want int64) error {
+		if o.TrackMemory && want > allocated {
 			if err := ctx.Alloc(want - allocated); err != nil {
 				return err
 			}
@@ -286,83 +376,87 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 		}
 		return nil
 	}
+	trackAlloc := func() error { return grow(st.entries * 24) }
+	settle := func() error {
+		if st.dropped {
+			want, run := settled, base
+			for _, d := range st.delta {
+				run += d
+				want = max(want, run*24)
+			}
+			if want < allocated {
+				cm.Proc().Free(allocated - want)
+				allocated = want
+			}
+			if err := grow(want); err != nil {
+				return err
+			}
+			st.dropped = false
+		}
+		clear(st.delta)
+		settled, base = allocated, st.entries
+		return nil
+	}
 
 	// Load owned rows.
-	st := &rowStore{
-		rows:     map[int]*srow{},
-		lrows:    map[int]*srow{},
-		colRows:  map[int][]int{},
-		colRowsL: map[int][]int{},
-		colRowsU: map[int][]int{},
-		scratchC: make([]int, 0, 256),
-		scratchV: make([]float64, 0, 256),
-	}
-	myRHS := map[int]float64{}
-	for i := 0; i < n; i++ {
-		if ownerOf(i/nb) != rank {
-			continue
+	for blk := rank; blk < nBlocks; blk += nprocs {
+		k0, k1 := span(blk)
+		for k := k0; k < k1; k++ {
+			lo, hi := c.RowPtr[k], c.RowPtr[k+1]
+			r := &st.rows[local(blk)+k-k0]
+			r.cols = make([]int32, hi-lo)
+			for t, j := range c.ColInd[lo:hi] {
+				r.cols[t] = int32(j)
+			}
+			r.vals = append([]float64(nil), c.Val[lo:hi]...)
+			st.entries += int64(hi - lo)
+			st.file(local(blk) + k - k0)
 		}
-		lo, hi := c.RowPtr[i], c.RowPtr[i+1]
-		r := &srow{
-			cols: append([]int(nil), c.ColInd[lo:hi]...),
-			vals: append([]float64(nil), c.Val[lo:hi]...),
-		}
-		for _, j := range r.cols {
-			st.colRows[j] = append(st.colRows[j], i)
-		}
-		st.entries += int64(hi - lo)
-		st.rows[i] = r
-		st.lrows[i] = &srow{}
-		myRHS[i] = w[i]
 	}
 	cnt.Add(float64(c.NNZ())) // load/permute pass
 	charge()
-	if err := trackAlloc(st); err != nil {
+	if err := trackAlloc(); err != nil {
 		return err
 	}
+	settled, base = allocated, st.entries
 
 	// --- Factorization: blocked right-looking fan-out.
+	var pb pivotBlock
+	var payload []float64
 	for blk := 0; blk < nBlocks; blk++ {
-		k0 := blk * nb
-		k1 := k0 + nb
-		if k1 > n {
-			k1 = n
-		}
-		own := ownerOf(blk) == rank
-		// The broadcast payload: for each pivot row k: k, count, piv, then
-		// (col, val) pairs with cols > k in ascending order.
-		var payload []float64
-		if own {
-			// Intra-block elimination.
+		k0, k1 := span(blk)
+		oom := func(err error) error { return fmt.Errorf("dslu: block %d: %w", blk, err) }
+		pb.reset(k0)
+		done := 0 // the owner's local rows below it are the block's own
+		if ownerOf(blk) == rank {
+			// Intra-block elimination: row k takes the finalized rows before
+			// it, is finalized, and joins the block and the fan-out payload —
+			// for each pivot row k: k, count, piv, then (col, val) pairs with
+			// cols > k in ascending order.
+			payload = payload[:0]
+			done = local(blk) + k1 - k0
 			for k := k0; k < k1; k++ {
-				prow := st.rows[k]
-				dp := prow.find(k)
-				if dp < 0 || prow.vals[dp] == 0 {
+				l := local(blk) + k - k0
+				st.update(l, &pb, cnt)
+				r := &st.rows[l]
+				if len(r.cols) == 0 || int(r.cols[0]) != k || r.vals[0] == 0 {
 					return fmt.Errorf("%w: row %d", ErrZeroPivot, k)
 				}
-				piv := prow.vals[dp]
-				pcols := prow.cols[dp+1:]
-				pvals := prow.vals[dp+1:]
-				for i := k + 1; i < k1; i++ {
-					if _, mine := st.rows[i]; mine {
-						st.eliminate(i, k, piv, pcols, pvals, cnt)
+				if err := trackAlloc(); err != nil {
+					return oom(err)
+				}
+				from := len(payload)
+				payload = append(payload, float64(k), float64(len(r.cols)-1), r.vals[0])
+				for t := 1; t < len(r.cols); t++ {
+					payload = append(payload, float64(r.cols[t]), r.vals[t])
+					if j := int(r.cols[t]); j >= k1 {
+						st.uTrail[j/nb]++
 					}
 				}
-				if err := trackAlloc(st); err != nil {
-					return err
-				}
+				pb.decode(payload[from:])
 			}
-			// Finalized: register U entries for the back solve and build
-			// the fan-out payload.
-			for k := k0; k < k1; k++ {
-				prow := st.rows[k]
-				dp := prow.find(k)
-				piv := prow.vals[dp]
-				payload = append(payload, float64(k), float64(len(prow.cols)-dp-1), piv)
-				for t := dp + 1; t < len(prow.cols); t++ {
-					payload = append(payload, float64(prow.cols[t]), prow.vals[t])
-					st.colRowsU[prow.cols[t]] = append(st.colRowsU[prow.cols[t]], k)
-				}
+			if err := settle(); err != nil {
+				return oom(err)
 			}
 			charge()
 			for r := 0; r < nprocs; r++ {
@@ -374,38 +468,24 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 			}
 		} else {
 			pk := cm.Recv(ownerOf(blk), tagPivotBlock)
-			payload = pk.Floats
+			pb.decode(pk.Floats)
+			cm.Release(pk)
 		}
-		// Update phase: apply every pivot row of the block, in order, to
-		// owned trailing rows.
-		pos := 0
-		var pcols []int
-		var pvals []float64
-		for pos < len(payload) {
-			k := int(payload[pos])
-			cnt2 := int(payload[pos+1])
-			piv := payload[pos+2]
-			pos += 3
-			pcols = pcols[:0]
-			pvals = pvals[:0]
-			for t := 0; t < cnt2; t++ {
-				pcols = append(pcols, int(payload[pos]))
-				pvals = append(pvals, payload[pos+1])
-				pos += 2
+		// Update phase: every owned trailing row the block reaches takes its
+		// pivot rows and moves to the bucket of its new leading column.
+		for _, l := range st.bucket[blk] {
+			if int(l) < done {
+				continue
 			}
-			for _, i := range st.colRows[k] {
-				if i < k1 {
-					continue // finalized or handled intra-block
-				}
-				if _, mine := st.rows[i]; !mine {
-					continue
-				}
-				st.eliminate(i, k, piv, pcols, pvals, cnt)
+			st.lTrail[blk] += int64(st.update(int(l), &pb, cnt))
+			st.file(int(l))
+			if err := trackAlloc(); err != nil {
+				return oom(err)
 			}
-			delete(st.colRows, k)
-			if err := trackAlloc(st); err != nil {
-				return err
-			}
+		}
+		st.bucket[blk] = nil
+		if err := settle(); err != nil {
+			return oom(err)
 		}
 		charge()
 	}
@@ -415,53 +495,44 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 			Start: factStart, End: factEnd, Flops: cnt.Flops()})
 	}
 
-	// --- Forward solve: L y = w, streaming y blocks in ascending order.
+	// --- Forward solve: L y = w, streaming y blocks in ascending order. The
+	// fan-out algorithm subtracts l_ik·y_k from row i's right-hand side when
+	// block k/nb arrives, in ascending k: the running sum below, taken when
+	// row i's own turn comes, with the flops booked block by block as the
+	// algorithm spends them.
 	y := make([]float64, n)
+	var sol []float64
 	for blk := 0; blk < nBlocks; blk++ {
-		k0 := blk * nb
-		k1 := k0 + nb
-		if k1 > n {
-			k1 = n
-		}
-		own := ownerOf(blk) == rank
-		if own {
+		k0, k1 := span(blk)
+		if ownerOf(blk) == rank {
 			for k := k0; k < k1; k++ {
-				s := myRHS[k]
-				lr := st.lrows[k]
-				// Entries with col >= k0 are intra-block (cols ascending).
-				t0 := sort.SearchInts(lr.cols, k0)
-				for t := t0; t < len(lr.cols); t++ {
-					s -= lr.vals[t] * y[lr.cols[t]]
+				lr := &st.lrows[local(blk)+k-k0]
+				s := w[k]
+				intra := 0
+				for t, j := range lr.cols {
+					s -= lr.vals[t] * y[j]
+					if int(j) >= k0 {
+						intra++
+					}
 				}
-				cnt.Add(2 * float64(len(lr.cols)-t0))
+				cnt.Add(2 * float64(intra))
 				y[k] = s
 			}
-			yblk := append([]float64{float64(k0)}, y[k0:k1]...)
+			sol = append(append(sol[:0], float64(k0)), y[k0:k1]...)
 			charge()
 			for r := 0; r < nprocs; r++ {
 				if r != rank {
-					if err := cm.SendFloats(r, tagFwdBlock, yblk); err != nil {
+					if err := cm.SendFloats(r, tagFwdBlock, sol); err != nil {
 						return err
 					}
 				}
 			}
 		} else {
 			pk := cm.Recv(ownerOf(blk), tagFwdBlock)
-			base := int(pk.Floats[0])
-			copy(y[base:base+len(pk.Floats)-1], pk.Floats[1:])
+			copy(y[int(pk.Floats[0]):], pk.Floats[1:])
+			cm.Release(pk)
 		}
-		// Apply to owned future rows.
-		for k := k0; k < k1; k++ {
-			for _, i := range st.colRowsL[k] {
-				if i >= k1 {
-					lr := st.lrows[i]
-					if t := lr.find(k); t >= 0 {
-						myRHS[i] -= lr.vals[t] * y[k]
-						cnt.Add(2)
-					}
-				}
-			}
-		}
+		cnt.Add(2 * float64(st.lTrail[blk])) // applied to owned future rows
 		charge()
 	}
 
@@ -472,61 +543,51 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 	}
 
 	// --- Back substitution: U x = y, streaming x blocks in descending order.
+	// Row i's sum again runs when its turn comes, in the order the fan-out
+	// subtracts: the blocks right of its own from the last one down, columns
+	// ascending inside each, then its own block's.
 	x := make([]float64, n)
-	yAcc := map[int]float64{}
-	for i := range st.rows {
-		yAcc[i] = y[i]
-	}
 	for blk := nBlocks - 1; blk >= 0; blk-- {
-		k0 := blk * nb
-		k1 := k0 + nb
-		if k1 > n {
-			k1 = n
-		}
-		own := ownerOf(blk) == rank
-		if own {
+		k0, k1 := span(blk)
+		if ownerOf(blk) == rank {
 			for k := k1 - 1; k >= k0; k-- {
-				row := st.rows[k]
-				dp := row.find(k)
-				if dp < 0 || row.vals[dp] == 0 {
-					return fmt.Errorf("%w: diagonal %d", ErrZeroPivot, k)
+				r := &st.rows[local(blk)+k-k0]
+				s := y[k]
+				in := 1 // r.cols[1:in] are the intra-block U entries
+				for in < len(r.cols) && int(r.cols[in]) < k1 {
+					in++
 				}
-				s := yAcc[k]
-				// Intra-block U entries: k < col < k1 (cols ascending).
-				for t := dp + 1; t < len(row.cols) && row.cols[t] < k1; t++ {
-					s -= row.vals[t] * x[row.cols[t]]
-					cnt.Add(2)
+				for e := len(r.cols); e > in; {
+					from := e - 1
+					for lim := r.cols[from] / int32(nb) * int32(nb); from > in && r.cols[from-1] >= lim; {
+						from--
+					}
+					for t := from; t < e; t++ {
+						s -= r.vals[t] * x[r.cols[t]]
+					}
+					e = from
 				}
-				x[k] = s / row.vals[dp]
+				for t := 1; t < in; t++ {
+					s -= r.vals[t] * x[r.cols[t]]
+				}
+				cnt.Add(2 * float64(in-1))
+				x[k] = s / r.vals[0]
 			}
-			xblk := append([]float64{float64(k0)}, x[k0:k1]...)
+			sol = append(append(sol[:0], float64(k0)), x[k0:k1]...)
 			charge()
 			for r := 0; r < nprocs; r++ {
 				if r != rank {
-					if err := cm.SendFloats(r, tagBackBlock, xblk); err != nil {
+					if err := cm.SendFloats(r, tagBackBlock, sol); err != nil {
 						return err
 					}
 				}
 			}
 		} else {
 			pk := cm.Recv(ownerOf(blk), tagBackBlock)
-			base := int(pk.Floats[0])
-			copy(x[base:base+len(pk.Floats)-1], pk.Floats[1:])
+			copy(x[int(pk.Floats[0]):], pk.Floats[1:])
+			cm.Release(pk)
 		}
-		// Apply to owned earlier rows (U entries from rows before this
-		// block into this block's columns).
-		for k := k0; k < k1; k++ {
-			for _, i := range st.colRowsU[k] {
-				if i < k0 {
-					if row, mine := st.rows[i]; mine {
-						if t := row.find(k); t >= 0 {
-							yAcc[i] -= row.vals[t] * x[k]
-							cnt.Add(2)
-						}
-					}
-				}
-			}
-		}
+		cnt.Add(2 * float64(st.uTrail[blk])) // applied to owned earlier rows
 		charge()
 	}
 
@@ -537,47 +598,40 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 
 	// --- Gather the solution (undo the RCM permutation) at rank 0.
 	if rank != 0 {
-		var mine []float64
-		for i := range st.rows {
-			mine = append(mine, float64(i), x[i])
+		sol = sol[:0]
+		for blk := rank; blk < nBlocks; blk += nprocs {
+			for k, k1 := span(blk); k < k1; k++ {
+				sol = append(sol, float64(k), x[k])
+			}
 		}
-		if err := cm.SendFloats(0, tagGatherX, mine); err != nil {
+		if err := cm.SendFloats(0, tagGatherX, sol); err != nil {
 			return err
 		}
 	} else {
-		full := make([]float64, n)
-		for i := range st.rows {
-			full[i] = x[i]
-		}
 		for r := 1; r < nprocs; r++ {
 			pk := cm.Recv(r, tagGatherX)
 			for t := 0; t+1 < len(pk.Floats); t += 2 {
-				full[int(pk.Floats[t])] = pk.Floats[t+1]
+				x[int(pk.Floats[t])] = pk.Floats[t+1]
 			}
+			cm.Release(pk)
 		}
-		out := make([]float64, n)
+		out := x
 		if rcm != nil {
+			out = make([]float64, n)
 			for j := 0; j < n; j++ {
-				out[j] = full[rcm[j]]
+				out[j] = x[rcm[j]]
 			}
-		} else {
-			copy(out, full)
 		}
 		pend.res.X = out
 	}
 
-	// Statistics (single-threaded engine: plain writes).
+	// Statistics. Ranks on different scheduler lanes finish concurrently.
+	pend.mu.Lock()
+	defer pend.mu.Unlock()
 	if factEnd > pend.res.FactorTime {
 		pend.res.FactorTime = factEnd
 	}
-	var fill int64
-	for _, lr := range st.lrows {
-		fill += int64(len(lr.cols))
-	}
-	for _, r := range st.rows {
-		fill += int64(len(r.cols))
-	}
-	pend.res.FillNNZ += fill
+	pend.res.FillNNZ += st.entries // every stored entry is a factor entry now
 	pend.res.BytesSent += cm.Proc().BytesSent
 	if end := cm.Now(); end > pend.res.Time {
 		pend.res.Time = end

@@ -1,7 +1,6 @@
 package dslu
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -118,16 +117,6 @@ func TestSmallBlockSize(t *testing.T) {
 func TestBlockSizeLargerThanMatrix(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 60, Seed: 6})
 	solveCheck(t, 2, a, Options{BlockSize: 100}, 1e-8)
-}
-
-func TestOutOfMemory(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1000, Seed: 7})
-	b, _ := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(2, 20_000)
-	_, err := Solve(pl, hosts, a, b, Options{TrackMemory: true})
-	if !errors.Is(err, vgrid.ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
 }
 
 func TestShapeErrors(t *testing.T) {

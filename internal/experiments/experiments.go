@@ -236,6 +236,9 @@ type cell struct {
 	end  float64
 	ok   bool
 	note string
+	// fill is the factor entry count of a distributed-LU run (the "nem"
+	// budgets are calibrated on it).
+	fill int64
 }
 
 func (c cell) timeStr() string {
@@ -281,12 +284,12 @@ const residualGate = 1e-4
 
 // probeFill runs the distributed solver without memory limits and returns
 // its total factor fill (used to self-calibrate the "nem" budgets).
-func probeFill(plt *cluster.Platform, a *sparse.CSR, b []float64) (int64, error) {
-	res, err := dslu.Solve(plt.Platform, plt.Hosts, a, b, dslu.Options{})
-	if err != nil {
-		return 0, fmt.Errorf("experiments: fill probe: %w", err)
+func (c Config) probeFill(plt *cluster.Platform, a *sparse.CSR, b []float64) (int64, error) {
+	d, _, err := c.solve(plt, a, b, runSpec{dslu: true})
+	if err == nil && !d.ok {
+		err = fmt.Errorf("experiments: fill probe: %s", d.note)
 	}
-	return res.FillNNZ, nil
+	return d.fill, err
 }
 
 func (c Config) newEngine(plt *cluster.Platform) *vgrid.Engine {
@@ -375,6 +378,7 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 	end, err := e.Run()
 	pend.Finish()
 	var (
+		out       = cell{end: end}
 		res       *core.Result
 		x         []float64
 		took      float64
@@ -383,14 +387,13 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 	switch p := pend.(type) {
 	case *dslu.Pending:
 		r := p.Result()
-		x, took = r.X, r.Time
+		x, took, out.fill = r.X, r.Time, r.FillNNZ
 	case *core.Pending:
 		res = p.Result()
 		x, took, converged = res.X, res.Time, res.Converged
 	}
 	logResplits(c, res)
 
-	out := cell{end: end}
 	switch {
 	case errors.Is(err, vgrid.ErrOutOfMemory):
 		out.note = "nem"

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -112,5 +113,32 @@ func TestRegistry(t *testing.T) {
 	_, err := ByName("nope")
 	if err == nil || !strings.Contains(err.Error(), "table4fair") || !strings.Contains(err.Error(), "adaptive") {
 		t.Errorf("unknown-name error %v does not list the valid names", err)
+	}
+}
+
+// TestTable3BudgetFromRowRun pins where Table 3's "nem" budget comes from: the
+// fill of the cage11 row's own distributed-LU run, not a second simulation of
+// it. The table launches the distributed solver three times, once per row.
+func TestTable3BudgetFromRowRun(t *testing.T) {
+	var progress bytes.Buffer
+	cfg := Config{Scale: 64, Progress: &progress}
+	tab, err := Table3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(progress.String(), ", distributed SuperLU\n"); n != 3 {
+		t.Fatalf("%d distributed-LU launches, want 3:\n%s", n, progress.String())
+	}
+	cage11, cage12 := Cage11Like(cfg), Cage12Like(cfg)
+	b, _ := gen.RHSForSolution(cage11)
+	d, _, err := cfg.solve(cluster.Cluster2(-1), cage11, b, runSpec{dslu: true})
+	if err != nil || !d.ok || d.fill < int64(cage11.NNZ()) {
+		t.Fatalf("row run: %+v, %v", d, err)
+	}
+	density := float64(d.fill) / (float64(cage11.Rows) * float64(cage11.Rows))
+	need := int64(density*float64(cage12.Rows)*float64(cage12.Rows)) * 24 / 10 // per rank of cluster3
+	want := fmt.Sprintf("cage12 per-host budget %d bytes ", need*3/10)
+	if len(tab.Notes) != 1 || !strings.HasPrefix(tab.Notes[0], want) {
+		t.Fatalf("notes %q, want one starting %q", tab.Notes, want)
 	}
 }

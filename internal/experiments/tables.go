@@ -25,29 +25,30 @@ var compareHeader = []string{
 // compare runs the three solvers of the paper's comparison tables —
 // distributed SuperLU, synchronous and asynchronous multisplitting-LU — each
 // on a fresh platform, and returns their time cells in that order followed
-// by the synchronous factorization time. what prefixes the progress lines;
-// track accounts solver storage against host memory ("nem" cells).
-func (c Config) compare(what string, newPlat func() *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) ([]string, error) {
+// by the synchronous factorization time, and the distributed solver's factor
+// fill. what prefixes the progress lines; track accounts solver storage
+// against host memory ("nem" cells).
+func (c Config) compare(what string, newPlat func() *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) ([]string, int64, error) {
 	c.logf("%s, distributed SuperLU", what)
 	d, _, err := c.solve(newPlat(), a, b, runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c.logf("%s, sync multisplitting", what)
 	s, sres, err := c.solve(newPlat(), a, b, runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c.logf("%s, async multisplitting", what)
 	as, _, err := c.solve(newPlat(), a, b, runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	fact := "-"
 	if s.ok {
 		fact = fmtSec(sres.FactorTime)
 	}
-	return []string{d.timeStr(), s.timeStr(), as.timeStr(), fact}, nil
+	return []string{d.timeStr(), s.timeStr(), as.timeStr(), fact}, d.fill, nil
 }
 
 // scalabilityRows fills a cluster1 scalability table: for each processor
@@ -67,7 +68,7 @@ func scalabilityRows(cfg Config, t *Table, a *sparse.CSR, b []float64, procs []i
 			t.Rows = append(t.Rows, []string{"1", d.timeStr(), "-", "-", "-"})
 			continue
 		}
-		cells, err := cfg.compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, memOverride != -1, 0)
+		cells, _, err := cfg.compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, memOverride != -1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +99,7 @@ func Table2(cfg Config) (*Table, error) {
 	b, _ := gen.RHSForSolution(a)
 	// Probe the factor fill at 4 processors to size the per-host memory.
 	cfg.logf("table2: probing 4-processor fill")
-	fill, err := probeFill(cluster.Cluster1(4, -1), a, b)
+	fill, err := cfg.probeFill(cluster.Cluster1(4, -1), a, b)
 	if err != nil {
 		return nil, err
 	}
@@ -125,42 +126,39 @@ func Table3(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("distant/heterogeneous clusters (scale %d)", cfg.scale()),
 		Header: append([]string{"matrix", "cluster"}, compareHeader[1:]...),
 	}
-	addRow := func(name, cl string, a *sparse.CSR, mem int64, newPlat func(int64) *cluster.Platform) error {
+	// addRow returns the factor fill of the row's distributed-LU run.
+	addRow := func(name, cl string, a *sparse.CSR, mem int64, newPlat func(int64) *cluster.Platform) (int64, error) {
 		b, _ := gen.RHSForSolution(a)
-		cells, err := cfg.compare(fmt.Sprintf("table3: %s on %s", name, cl),
+		cells, fill, err := cfg.compare(fmt.Sprintf("table3: %s on %s", name, cl),
 			func() *cluster.Platform { return newPlat(mem) }, a, b, mem != -1, 0)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		t.Rows = append(t.Rows, append([]string{name, cl}, cells...))
-		return nil
+		return fill, nil
 	}
 
 	cage11 := Cage11Like(cfg)
-	if err := addRow("cage11", "cluster2", cage11, -1, cluster.Cluster2); err != nil {
+	fill11, err := addRow("cage11", "cluster2", cage11, -1, cluster.Cluster2)
+	if err != nil {
 		return nil, err
 	}
 
 	// cage12 on cluster3: the distributed solver's aggregate fill exceeds
 	// the hosts' memory while the per-band multisplitting factors fit. The
-	// budget is extrapolated from the cage11 fill ratio.
+	// budget is extrapolated from the fill ratio of the cage11 row's run.
 	cage12 := Cage12Like(cfg)
-	b11, _ := gen.RHSForSolution(cage11)
-	fill11, err := probeFill(cluster.Cluster2(-1), cage11, b11)
-	if err != nil {
-		return nil, err
-	}
 	ratio := float64(fill11) / (float64(cage11.Rows) * float64(cage11.Rows))
 	fill12 := int64(ratio * float64(cage12.Rows) * float64(cage12.Rows))
 	budget := fill12 * 24 / 10 * 3 / 10 // 30% of the per-rank need: dslu cannot fit
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("cage12 per-host budget %d bytes (30%% of the distributed solver's per-rank fill)", budget))
-	if err := addRow("cage12", "cluster3", cage12, budget, cluster.Cluster3); err != nil {
+	if _, err := addRow("cage12", "cluster3", cage12, budget, cluster.Cluster3); err != nil {
 		return nil, err
 	}
 
 	g := Gen500k(cfg)
-	if err := addRow(fmt.Sprintf("%d matrix", 500000/cfg.scale()), "cluster3", g, -1, cluster.Cluster3); err != nil {
+	if _, err := addRow(fmt.Sprintf("%d matrix", 500000/cfg.scale()), "cluster3", g, -1, cluster.Cluster3); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -176,7 +174,7 @@ func perturbationTable(cfg Config, id string, t *Table, newPlat func() *cluster.
 		"perturbing flows", "distributed SuperLU", "sync multisplitting-LU", "async multisplitting-LU",
 	}
 	for _, flows := range []int{0, 1, 5, 10} {
-		cells, err := cfg.compare(fmt.Sprintf("%s: %d flows", id, flows), newPlat, a, b, false, flows)
+		cells, _, err := cfg.compare(fmt.Sprintf("%s: %d flows", id, flows), newPlat, a, b, false, flows)
 		if err != nil {
 			return nil, err
 		}

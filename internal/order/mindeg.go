@@ -2,6 +2,7 @@ package order
 
 import (
 	"container/heap"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -20,19 +21,7 @@ func MinDegree(a *sparse.CSR) []int {
 		panic("order: MinDegree needs a square matrix")
 	}
 	n := a.Rows
-	adj := make([]map[int]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int]struct{})
-	}
-	for i := 0; i < n; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColInd[p]
-			if i != j {
-				adj[i][j] = struct{}{}
-				adj[j][i] = struct{}{}
-			}
-		}
-	}
+	adj := symAdjacency(a)
 	pq := make(degreeHeap, 0, n)
 	stamp := make([]int, n) // heap-entry versions for lazy deletion
 	for i := 0; i < n; i++ {
@@ -51,20 +40,15 @@ func MinDegree(a *sparse.CSR) []int {
 		eliminated[v] = true
 		perm[v] = next
 		next++
-		// Turn the remaining neighborhood into a clique.
-		nbrs := make([]int, 0, len(adj[v]))
-		for w := range adj[v] {
-			if !eliminated[w] {
-				nbrs = append(nbrs, w)
-			}
-		}
+		// Turn the remaining neighborhood into a clique: every neighbour's
+		// list becomes its union with the neighbourhood, less v and itself.
+		// Eliminated vertices were taken out of every list at their turn.
+		nbrs := adj[v]
 		for _, w := range nbrs {
-			delete(adj[w], v)
-			for _, u := range nbrs {
-				if u != w {
-					adj[w][u] = struct{}{}
-				}
-			}
+			merged := slices.Concat(adj[w], nbrs)
+			slices.Sort(merged)
+			merged = slices.DeleteFunc(slices.Compact(merged), func(u int) bool { return u == v || u == w })
+			adj[w] = merged
 		}
 		adj[v] = nil
 		for _, w := range nbrs {

@@ -8,6 +8,7 @@ package order
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -32,12 +33,16 @@ func RCM(a *sparse.CSR) []int {
 		deg[i] = len(adj[i])
 	}
 	visited := make([]bool, n)
+	levels := make([]int, n)
+	for i := range levels {
+		levels[i] = -1
+	}
 	orderOldByNew := make([]int, 0, n)
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, deg, start)
+		root := pseudoPeripheral(adj, deg, levels, start)
 		// BFS from root, neighbors in increasing-degree order.
 		queue := []int{root}
 		visited[root] = true
@@ -69,78 +74,72 @@ func RCM(a *sparse.CSR) []int {
 	return perm
 }
 
-// symAdjacency builds the adjacency lists of A+Aᵀ excluding self-loops.
+// symAdjacency builds the adjacency lists of A+Aᵀ excluding self-loops,
+// each sorted ascending. No map is involved, here or anywhere else on the way
+// to a permutation: iteration order is part of the result (it breaks every
+// tie), and a map's would differ from call to call.
 func symAdjacency(a *sparse.CSR) [][]int {
-	n := a.Rows
-	set := make([]map[int]bool, n)
-	for i := range set {
-		set[i] = make(map[int]bool)
-	}
-	for i := 0; i < n; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColInd[p]
-			if i == j {
-				continue
-			}
-			set[i][j] = true
-			set[j][i] = true
-		}
-	}
-	adj := make([][]int, n)
+	adj := make([][]int, a.Rows)
 	for i := range adj {
-		adj[i] = make([]int, 0, len(set[i]))
-		for j := range set[i] {
-			adj[i] = append(adj[i], j)
+		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if i != j {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
+			}
 		}
-		sort.Ints(adj[i])
+	}
+	for i := range adj {
+		slices.Sort(adj[i])
+		adj[i] = slices.Compact(adj[i])
 	}
 	return adj
 }
 
 // pseudoPeripheral finds a vertex of (approximately) maximum eccentricity in
 // the connected component of start, using the standard George–Liu iteration.
-func pseudoPeripheral(adj [][]int, deg []int, start int) int {
+// levels is scratch of length n holding -1 everywhere, and is left that way.
+func pseudoPeripheral(adj [][]int, deg, levels []int, start int) int {
 	root := start
 	lastEcc := -1
 	for iter := 0; iter < 8; iter++ {
-		levels, ecc := bfsLevels(adj, root)
-		if ecc <= lastEcc {
+		seen, ecc := bfsLevels(adj, levels, root)
+		// Pick the minimum-degree vertex in the last level, the lowest
+		// numbered among equals.
+		best := -1
+		for _, v := range seen {
+			if levels[v] == ecc && (best == -1 || deg[v] < deg[best] || deg[v] == deg[best] && v < best) {
+				best = v
+			}
+		}
+		for _, v := range seen {
+			levels[v] = -1
+		}
+		if ecc <= lastEcc || best == root {
 			break
 		}
 		lastEcc = ecc
-		// Pick the minimum-degree vertex in the last level.
-		best, bestDeg := -1, 1<<62
-		for v, l := range levels {
-			if l == ecc && deg[v] < bestDeg {
-				best, bestDeg = v, deg[v]
-			}
-		}
-		if best == -1 || best == root {
-			break
-		}
 		root = best
 	}
 	return root
 }
 
-func bfsLevels(adj [][]int, root int) (map[int]int, int) {
-	levels := map[int]int{root: 0}
-	queue := []int{root}
+// bfsLevels writes into levels the distance from root of every vertex of
+// root's component and returns those vertices with the largest distance.
+func bfsLevels(adj [][]int, levels []int, root int) ([]int, int) {
+	levels[root] = 0
+	seen := []int{root}
 	ecc := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(seen); head++ {
+		v := seen[head]
 		for _, w := range adj[v] {
-			if _, ok := levels[w]; !ok {
+			if levels[w] < 0 {
 				levels[w] = levels[v] + 1
-				if levels[w] > ecc {
-					ecc = levels[w]
-				}
-				queue = append(queue, w)
+				ecc = levels[w]
+				seen = append(seen, w)
 			}
 		}
 	}
-	return levels, ecc
+	return seen, ecc
 }
 
 // MaxTransversal computes a row permutation that puts a structurally
