@@ -603,8 +603,12 @@ func run(matrixPath, rhsPath string, procs, overlap int, async, topo, gateway bo
 	}
 	fmt.Printf("solved n=%d nnz=%d on %d processors (%s, %s weights, %s solver, overlap %d)\n",
 		a.Rows, a.NNZ(), len(hosts), mode, schemeName, solverName, overlap)
-	fmt.Printf("virtual time %.4fs (factorization %.4fs), iterations %d, traffic %d bytes in %d messages\n",
-		res.Time, res.FactorTime, res.Iterations, res.BytesSent, res.MsgsSent)
+	steps := 0
+	for _, it := range res.IterationsPerRank {
+		steps += it
+	}
+	fmt.Printf("virtual time %.4fs (factorization %.4fs), iterations %d (%d of %d band steps idle), traffic %d bytes in %d messages\n",
+		res.Time, res.FactorTime, res.Iterations, res.IdleSteps, steps, res.BytesSent, res.MsgsSent)
 	if res.InnerSweeps > 0 {
 		fmt.Printf("two-stage: %d inner sweeps (%s schedule, omega %g, band %d), %.3g inner flops vs %.3g factor flops, %d fallbacks\n",
 			res.InnerSweeps, ts.Schedule, ts.Omega, ts.PrecondBand, res.InnerFlops, res.FactorFlops, res.TwoStageFallbacks)

@@ -254,6 +254,12 @@ type Result struct {
 	Iterations int
 	// IterationsPerRank records each rank's own count.
 	IterationsPerRank []int
+	// IdleSteps counts, over all ranks, the exact band steps whose inputs had
+	// not changed since the band's previous step — an asynchronous rank
+	// iterating faster than its neighbours' data arrives. The grid pays them.
+	IdleSteps int
+	// IdleStepsPerRank records each rank's own share of IdleSteps.
+	IdleStepsPerRank []int
 	// FactorTime is the largest per-rank factorization time in virtual
 	// seconds (the paper's "factorization time" column).
 	FactorTime float64
@@ -439,6 +445,7 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	}
 	pend := &Pending{}
 	pend.res.IterationsPerRank = make([]int, len(hosts))
+	pend.res.IdleStepsPerRank = make([]int, len(hosts))
 	pend.procs = mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
 		return msRank(c, a, b, d, cp, o, pend)
 	})

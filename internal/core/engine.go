@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/detect"
 	"repro/internal/iterative"
@@ -53,6 +54,11 @@ type bandState struct {
 	// non-finite iterate or the inner stage's error.
 	diff float64
 	err  error
+	// zMoved is nonzero when an input of the exact step changed since the
+	// band's last one: the writers of z OR in the bits they flip, step clears
+	// it, a new band (loadBand) and Session.Resolve set it. While it is zero
+	// a step can only reproduce xSub, and iterate charges it unsolved.
+	zMoved uint64
 }
 
 // owned returns the band's owned segment of the iterate (the band minus its
@@ -110,8 +116,9 @@ type rankState struct {
 	// internal/plan).
 	cp *plan.Plan
 	rp *plan.RankPlan
-	// recvGroupByPeer maps a contributor rank to its index in rp.Recv.
-	recvGroupByPeer map[int]int
+	// echoGroup maps a send group to the rp.Recv index of the same peer (−1
+	// when this rank does not depend on that peer).
+	echoGroup       []int
 	verIncorporated []float64 // latest version seen per recv group
 	echoFrom        []float64 // highest own version echoed back, per group
 	// lastRecv[g] holds the last packed values received from recv group g so
@@ -134,6 +141,7 @@ type rankState struct {
 	gw *gwState
 
 	iter        int
+	idleSteps   int     // exact band steps whose inputs had not moved (Result.IdleSteps)
 	diff        float64 // largest successive-iterate difference of the last step
 	stableRuns  int
 	stableStart int // first iteration of the current stable streak
@@ -206,9 +214,9 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 		bs.z = take(len(bs.depCols))
 	}
 	st.sendBuf = take(sendCap)[:0]
-	st.recvGroupByPeer = map[int]int{}
-	for gi, g := range st.rp.Recv {
-		st.recvGroupByPeer[g.Peer] = gi
+	st.echoGroup = make([]int, len(st.rp.Send))
+	for si, s := range st.rp.Send {
+		st.echoGroup[si] = slices.IndexFunc(st.rp.Recv, func(g plan.PeerIO) bool { return g.Peer == s.Peer })
 	}
 	st.verIncorporated = take(ng)
 	st.echoFrom = take(ng)
@@ -238,6 +246,7 @@ func (st *rankState) loadBand(bs *bandState, k int) error {
 	c, ctx, a := st.c, st.ctx, st.aGlob
 	band := st.d.Bands[k]
 	bs.band = band
+	bs.zMoved = 1
 	bs.sub = a.Submatrix(band.Lo, band.Hi, band.Lo, band.Hi)
 	bs.depCols = st.cp.DepCols[k]
 	bs.depMat = a.SelectColumns(band.Lo, band.Hi, bs.depCols)
@@ -380,22 +389,26 @@ func (st *rankState) applyGroup(gi int, ver, echo float64, vals []float64) {
 	last := st.lastRecv[gi]
 	off := 0
 	for _, s := range g.Segs {
-		z := st.bandOf(s.To).z
+		bs := st.bandOf(s.To)
+		z, moved := bs.z, uint64(0)
 		for i, pos := range s.Pos {
 			v := vals[off+i]
-			z[pos] += s.Weights[i] * (v - last[off+i])
+			zn := z[pos] + s.Weights[i]*(v-last[off+i])
+			moved |= math.Float64bits(zn) ^ math.Float64bits(z[pos])
+			z[pos] = zn
 			last[off+i] = v
 		}
+		bs.zMoved |= moved
 		off += len(s.Pos)
 	}
 	st.ctx.Counter.Add(3 * float64(g.Vals))
 }
 
-// reflFor returns the echo header for a message to peer: the highest of the
-// peer's versions this rank has incorporated, or −1 when this rank does not
-// depend on the peer at all.
-func (st *rankState) reflFor(peer int) float64 {
-	if gi, ok := st.recvGroupByPeer[peer]; ok {
+// reflFor returns the echo header for a message of send group si: the
+// highest of the peer's versions this rank has incorporated, or −1 when this
+// rank does not depend on the peer at all.
+func (st *rankState) reflFor(si int) float64 {
+	if gi := st.echoGroup[si]; gi >= 0 {
 		return st.verIncorporated[gi]
 	}
 	return -1
@@ -414,6 +427,10 @@ func (st *rankState) packVals(g *plan.PeerIO, buf []float64) []float64 {
 	return buf
 }
 
+// idleStepHook, installed by tests only, is asked at every step iterate is
+// about to charge without computing; returning true computes it after all.
+var idleStepHook func(st *rankState) bool
+
 // iterate runs the computation step (step 2) for every owned band: BLoc =
 // BSub − Dep·z, solve the subsystem (exactly, or by the scheduled inner
 // sweeps of the two-stage mode), measure the successive-iterate difference.
@@ -424,7 +441,7 @@ func (st *rankState) packVals(g *plan.PeerIO, buf []float64) []float64 {
 // ranks' segments on the worker pool. A band whose inner sweeps diverged
 // falls back to the exact solve and redoes its step.
 func (st *rankState) iterate() error {
-	cost := 0.0
+	cost, idle := 0.0, 0
 	for i := range st.bands {
 		bs := &st.bands[i]
 		if bs.twoStage() {
@@ -432,9 +449,24 @@ func (st *rankState) iterate() error {
 			cost += bs.stageCost(bs.ts.sweeps)
 		} else {
 			cost += bs.stepFlops
+			if bs.zMoved == 0 {
+				idle++
+			}
 		}
 	}
+	st.idleSteps += idle
 	start := st.c.Now()
+	if idle == len(st.bands) && (idleStepHook == nil || !idleStepHook(st)) {
+		// No band's input moved (an asynchronous rank waiting on the WAN):
+		// solving again would reproduce xSub bit for bit. The grid still pays
+		// the step — clock and counter are charged exactly as ComputeSeg and
+		// step would — and xSub == xPrev gives the difference 0.
+		st.ctx.Counter.Add(cost)
+		st.ctx.Charged += cost
+		st.c.Compute(cost)
+		st.diff = 0
+		return nil
+	}
 	st.c.ComputeSeg(cost, st.stepFn)
 	sweeps, totalSweeps := 0, int64(0)
 	for i := range st.bands {
@@ -498,6 +530,7 @@ func (bs *bandState) step(cnt *vec.Counter) {
 	bs.err = nil
 	bs.diff = vec.DiffNormInf(bs.xSub, bs.xPrev, cnt)
 	copy(bs.xPrev, bs.xSub)
+	bs.zMoved = 0
 }
 
 // ship sends this rank's boundary components to their dependents (step 3):
@@ -506,12 +539,16 @@ func (bs *bandState) step(cnt *vec.Counter) {
 // inter-cluster groups are batched through the cluster aggregator instead.
 func (st *rankState) ship() error {
 	for i, s := range st.rp.Local {
-		x, z, last := st.bandOf(s.From).xSub, st.bandOf(s.To).z, st.localLast[i]
+		to := st.bandOf(s.To)
+		x, z, last, moved := st.bandOf(s.From).xSub, to.z, st.localLast[i], uint64(0)
 		for k, pos := range s.Pos {
 			v := x[s.Loc[k]]
-			z[pos] += s.Weights[k] * (v - last[k])
+			zn := z[pos] + s.Weights[k]*(v-last[k])
+			moved |= math.Float64bits(zn) ^ math.Float64bits(z[pos])
+			z[pos] = zn
 			last[k] = v
 		}
+		to.zMoved |= moved
 		st.ctx.Counter.Add(3 * float64(len(s.Pos)))
 	}
 	for gi := range st.rp.Send {
@@ -519,7 +556,7 @@ func (st *rankState) ship() error {
 		if st.gw != nil && st.gw.sendViaGw[gi] {
 			continue
 		}
-		st.sendBuf = append(st.sendBuf[:0], float64(st.iter), st.reflFor(g.Peer))
+		st.sendBuf = append(st.sendBuf[:0], float64(st.iter), st.reflFor(gi))
 		st.sendBuf = st.packVals(g, st.sendBuf)
 		if err := st.c.SendFloats(g.Peer, tagX, st.sendBuf); err != nil {
 			return err
@@ -649,6 +686,8 @@ func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 		}
 	}
 	pend.res.FactorFlops += st.factFlops
+	pend.res.IdleSteps += st.idleSteps
+	pend.res.IdleStepsPerRank[st.rank] = st.idleSteps
 	if ad != nil {
 		pend.res.ResplitFlops += ad.flops
 	}

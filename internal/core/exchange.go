@@ -190,8 +190,10 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			}
 		}
 	}
-	st.ctx.Tracef("DBG rank=%d iter=%d t=%.5f crit=%.3e round=%v stable=%d localOK=%v",
-		st.rank, st.iter, st.c.Now(), crit, roundComplete, st.stableRuns, localOK)
+	if st.ctx.Trace != nil { // boxing the arguments allocates: not on an untraced iteration
+		st.ctx.Tracef("DBG rank=%d iter=%d t=%.5f crit=%.3e round=%v stable=%d localOK=%v",
+			st.rank, st.iter, st.c.Now(), crit, roundComplete, st.stableRuns, localOK)
+	}
 	if st.o.FaultTolerant {
 		if now := st.c.Now(); now-ap.lastRefresh >= st.o.DeadRankTimeout {
 			ap.lastRefresh = now

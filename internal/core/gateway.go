@@ -95,8 +95,10 @@ type gwState struct {
 	recvViaGw []bool
 	// hasInterRecv is true when any recv group routes through the gateway.
 	hasInterRecv bool
-	// inbox stages the freshest record per recv group (gateway groups only).
-	inbox []gwRecord
+	// inbox stages the freshest record per recv group (gateway groups only);
+	// recvOf maps an origin rank to its gateway recv group (−1: none).
+	inbox  []gwRecord
+	recvOf []int
 
 	upBuf   []float64
 	packBuf []float64
@@ -143,9 +145,14 @@ func newGwState(cp *plan.Plan, rank int, clusterOf []int, red bool) *gwState {
 		}
 	}
 	inArena := make([]float64, inVals)
+	g.recvOf = make([]int, cp.NRanks)
+	for r := range g.recvOf {
+		g.recvOf[r] = -1
+	}
 	for gi, io := range rp.Recv {
 		if clusterOf[io.Peer] != clusterOf[rank] {
 			g.recvViaGw[gi] = true
+			g.recvOf[io.Peer] = gi
 			g.hasInterRecv = true
 			g.inbox[gi].vals = inArena[:io.Vals:io.Vals]
 			inArena = inArena[io.Vals:]
@@ -269,12 +276,12 @@ func (g *gwState) shipInter(st *rankState) error {
 		if g.isAgg {
 			pr := g.pairIdx[[2]int{g.self, io.Peer}]
 			pr.rec.ver = float64(st.iter)
-			pr.rec.echo = st.reflFor(io.Peer)
+			pr.rec.echo = st.reflFor(gi)
 			pr.rec.vals = st.packVals(io, pr.rec.vals[:0])
 			pr.rec.fresh = true
 			continue
 		}
-		g.upBuf = append(g.upBuf, float64(io.Peer), float64(st.iter), st.reflFor(io.Peer))
+		g.upBuf = append(g.upBuf, float64(io.Peer), float64(st.iter), st.reflFor(gi))
 		g.upBuf = st.packVals(io, g.upBuf)
 	}
 	if g.red && !g.isAgg {
@@ -358,7 +365,7 @@ func (g *gwState) flushWan(st *rankState) error {
 // this aggregator go straight to its inbox, the rest are staged for the
 // down fan-out. In red mode the trailing cluster maximum folds into the
 // running global maximum.
-func (g *gwState) parseWan(st *rankState, pk *mp.Packet) error {
+func (g *gwState) parseWan(pk *mp.Packet) error {
 	f := pk.Floats
 	if g.red {
 		if len(f) == 0 {
@@ -376,11 +383,8 @@ func (g *gwState) parseWan(st *rankState, pk *mp.Packet) error {
 			return fmt.Errorf("core: gateway: bad WAN record %d->%d", origin, dst)
 		}
 		if dst == g.self {
-			gi, ok := st.recvGroupByPeer[origin]
-			if !ok {
-				return fmt.Errorf("core: gateway: WAN record from unknown contributor %d", origin)
-			}
-			g.inbox[gi].stash(f[2], f[3], f[4:4+pr.nvals])
+			// The pair exists, so origin is one of this rank's WAN contributors.
+			g.inbox[g.recvOf[origin]].stash(f[2], f[3], f[4:4+pr.nvals])
 		} else {
 			pr.rec.stash(f[2], f[3], f[4:4+pr.nvals])
 		}
@@ -429,10 +433,10 @@ func (g *gwState) parseDown(st *rankState, pk *mp.Packet) error {
 	}
 	for len(f) > 0 {
 		origin := int(f[0])
-		gi, ok := st.recvGroupByPeer[origin]
-		if !ok || !g.recvViaGw[gi] {
+		if uint(origin) >= uint(len(g.recvOf)) || g.recvOf[origin] < 0 {
 			return fmt.Errorf("core: gateway: down record from unknown contributor %d", origin)
 		}
+		gi := g.recvOf[origin]
 		nv := st.rp.Recv[gi].Vals
 		if len(f) < 3+nv {
 			return fmt.Errorf("core: gateway: short down record from contributor %d", origin)
@@ -484,7 +488,7 @@ func (g *gwState) syncRound(st *rankState) error {
 		if err != nil {
 			return err
 		}
-		err = g.parseWan(st, pk)
+		err = g.parseWan(pk)
 		st.c.Release(pk)
 		if err != nil {
 			return err
@@ -538,7 +542,7 @@ func (g *gwState) pump(st *rankState) error {
 			if pk == nil {
 				break
 			}
-			err := g.parseWan(st, pk)
+			err := g.parseWan(pk)
 			st.c.Release(pk)
 			if err != nil {
 				return err

@@ -111,53 +111,71 @@ func TestOptionMatrix(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Band: 150, PerRow: 6, Margin: 0.1, Seed: 5})
 	b, _ := gen.RHSForSolution(a)
 	xref := directSolve(t, a, b)
-	features := []struct {
-		name string
-		set  func(o *Options)
-	}{
-		{"async", func(o *Options) { o.Async = true }},
-		{"maxstale", func(o *Options) { o.Async, o.MaxStale = true, 2 }},
-		{"residual", func(o *Options) { o.UseResidual = true }},
-		{"balance", func(o *Options) { o.Balance = true }},
-		{"gateway", func(o *Options) { o.Gateway, o.TopoCollectives = true, true }},
-		{"twostage", func(o *Options) { o.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 8} }},
-		{"fault-tolerant", func(o *Options) { o.FaultTolerant = true }},
-		{"tree", func(o *Options) { o.TreeCollectives = true }},
-		{"equilibrate", func(o *Options) { o.Equilibrate = true }},
-		{"scheme", func(o *Options) { o.Scheme, o.Overlap = WeightAverage, 6 }},
-		{"adapt", func(o *Options) { o.Adapt, o.AdaptInterval = true, 3 }},
-	}
+	forEachMatrixConfig(t, func(t *testing.T, o Options) {
+		pl, hosts := matrixPlatform()
+		res, err := Solve(pl, hosts, a, b, o)
+		if matrixRejected(o) {
+			if !errors.Is(err, ErrIncompatible) {
+				t.Fatalf("documented exception: err = %v, want ErrIncompatible", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSolution(t, res, xref, 1e-6)
+		if r := residualInf(a, res.X, b); r > 1e-6 {
+			t.Fatalf("true residual %v", r)
+		}
+	})
+}
+
+// matrixFeatures are the option-matrix features; forEachMatrixConfig runs fn
+// as a subtest for every pair of them at one and two bands per rank.
+var matrixFeatures = []struct {
+	name string
+	set  func(o *Options)
+}{
+	{"async", func(o *Options) { o.Async = true }},
+	{"maxstale", func(o *Options) { o.Async, o.MaxStale = true, 2 }},
+	{"residual", func(o *Options) { o.UseResidual = true }},
+	{"balance", func(o *Options) { o.Balance = true }},
+	{"gateway", func(o *Options) { o.Gateway, o.TopoCollectives = true, true }},
+	{"twostage", func(o *Options) { o.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 8} }},
+	{"fault-tolerant", func(o *Options) { o.FaultTolerant = true }},
+	{"tree", func(o *Options) { o.TreeCollectives = true }},
+	{"equilibrate", func(o *Options) { o.Equilibrate = true }},
+	{"scheme", func(o *Options) { o.Scheme, o.Overlap = WeightAverage, 6 }},
+	{"adapt", func(o *Options) { o.Adapt, o.AdaptInterval = true, 3 }},
+}
+
+func forEachMatrixConfig(t *testing.T, fn func(t *testing.T, o Options)) {
 	for bpp := 1; bpp <= 2; bpp++ {
-		for i := range features {
-			for j := i; j < len(features); j++ {
-				fi, fj := features[i], features[j]
+		for i, fi := range matrixFeatures {
+			for _, fj := range matrixFeatures[i:] {
 				t.Run(fmt.Sprintf("bands=%d/%s+%s", bpp, fi.name, fj.name), func(t *testing.T) {
 					o := Options{Tol: 1e-9, BandsPerProc: bpp}
 					fi.set(&o)
 					fj.set(&o)
-					// Unequal speeds keep Balance from degenerating to the
-					// uniform split.
-					pl, hosts := twoSiteClustered(2, 2)
-					hosts[1].Speed *= 2
-					hosts[3].Speed /= 2
-					res, err := Solve(pl, hosts, a, b, o)
-					if o.Adapt && (bpp > 1 || o.TwoStage.enabled()) {
-						if !errors.Is(err, ErrIncompatible) {
-							t.Fatalf("documented exception: err = %v, want ErrIncompatible", err)
-						}
-						return
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkSolution(t, res, xref, 1e-6)
-					if r := residualInf(a, res.X, b); r > 1e-6 {
-						t.Fatalf("true residual %v", r)
-					}
+					fn(t, o)
 				})
 			}
 		}
 	}
+}
+
+// matrixRejected reports the two documented ErrIncompatible pairs.
+func matrixRejected(o Options) bool {
+	return o.Adapt && (o.BandsPerProc > 1 || o.TwoStage.enabled())
+}
+
+// matrixPlatform is the option matrix's grid: two sites of two hosts, with
+// unequal speeds so Balance does not degenerate to the uniform split.
+func matrixPlatform() (*vgrid.Platform, []*vgrid.Host) {
+	pl, hosts := twoSiteClustered(2, 2)
+	hosts[1].Speed *= 2
+	hosts[3].Speed /= 2
+	return pl, hosts
 }
 
 // TestOptionsRejectedBeforeLaunch: malformed options fail in Launch, before

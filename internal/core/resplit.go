@@ -309,6 +309,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	// dependency column the contributors' weighted values sum to exactly
 	// x[j-off], which is what z and the lastRecv baselines are set to.
 	st2.iter = st.iter
+	st2.idleSteps = st.idleSteps
 	st2.diff = st.diff
 	st2.stableStart = st.iter
 	st2.factFlops += st.factFlops

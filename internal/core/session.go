@@ -465,6 +465,7 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 	}
 	pend := &Pending{}
 	pend.res.IterationsPerRank = make([]int, len(hosts))
+	pend.res.IdleStepsPerRank = make([]int, len(hosts))
 	refresh := newVals != nil
 	mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
 		return s.rankBody(c, b, refresh, pend)
@@ -538,7 +539,7 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 	for i := range st.localLast {
 		vec.Zero(st.localLast[i])
 	}
-	st.iter, st.diff, st.stableRuns, st.stableStart = 0, 0, 0, 0
+	st.iter, st.idleSteps, st.diff, st.stableRuns, st.stableStart = 0, 0, 0, 0, 0
 	st.factFlops = 0
 
 	factStart := c.Now()
@@ -548,6 +549,7 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 		vec.Zero(bs.xPrev)
 		vec.Zero(bs.z)
 		copy(bs.bSub, bGlob[bs.band.Lo:bs.band.Hi])
+		bs.zMoved = 1
 		if bs.twoStage() {
 			bs.ts.totalSweeps, bs.ts.innerFlops, bs.ts.fallbacks = 0, 0, 0
 			bs.ts.sched = newInnerSchedule(bs.ts.opt)

@@ -145,10 +145,6 @@ func (t *Table) Fprint(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, line(t.Header)); err != nil {
 		return err
 	}
-	total := len(widths) - 1 + 2*len(widths)
-	for _, wd := range widths {
-		total += wd
-	}
 	if _, err := fmt.Fprintln(w, strings.Repeat("-", len(line(t.Header)))); err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ func (f *sparseFactors) SolveT(x, b []float64, c *vec.Counter) {
 	if len(x) != n || len(b) != n {
 		panic("splu: SolveT shape mismatch")
 	}
-	y := make([]float64, n)
+	y := f.work // every entry is overwritten before it is read
 	// y = Qᵀ·b.
 	if f.q != nil {
 		for k := 0; k < n; k++ {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/order"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -36,11 +37,9 @@ type refFactors struct {
 	work, rwork   []float64
 }
 
-// refFactor takes the column order q from the factorization it is compared
-// with instead of calling internal/order itself: order.RCM breaks degree ties
-// by map iteration, so two calls on one matrix may return different orders,
-// and the ordering is not what this oracle is about.
-func refFactor(s *SparseLU, a *sparse.CSR, q []int, c *vec.Counter) (*refFactors, error) {
+// refFactor computes its own column order: internal/order iterates no map, so
+// two calls on one matrix return the same permutation.
+func refFactor(s *SparseLU, a *sparse.CSR, c *vec.Counter) (*refFactors, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
 	}
@@ -50,8 +49,22 @@ func refFactor(s *SparseLU, a *sparse.CSR, q []int, c *vec.Counter) (*refFactors
 		tol = 1.0
 	}
 	sym := 0.0
-	if q != nil {
-		sym += 2 * float64(a.NNZ())
+	var q []int
+	if n > 2 {
+		var perm []int
+		switch s.Order {
+		case OrderRCM:
+			perm = order.RCM(a)
+		case OrderMinDegree:
+			perm = order.MinDegree(a)
+		}
+		if perm != nil {
+			q = make([]int, n)
+			for old, new_ := range perm {
+				q[new_] = old
+			}
+			sym += 2 * float64(a.NNZ())
+		}
 	}
 	ac := a.ToCSC()
 	sym += 2 * float64(a.NNZ())
@@ -436,6 +449,7 @@ func equalFactors(t *testing.T, f *sparseFactors, r *refFactors) {
 	equalBits(t, "lx", f.lx, r.lx)
 	equalBits(t, "ux", f.ux, r.ux)
 	equalInts(t, "pinv", f.pinv, r.pinv)
+	equalInts(t, "q", f.q, r.q)
 	for _, c := range []struct {
 		what      string
 		got, want float64
@@ -488,7 +502,7 @@ func TestSparseLUMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					f := fact.(*sparseFactors)
-					ref, err := refFactor(s, a, f.q, &cr)
+					ref, err := refFactor(s, a, &cr)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -344,6 +344,10 @@ func TestSparseLUFactorAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { f.Solve(x, b, nil) }); n != 0 {
 		t.Errorf("Solve allocates %v objects per run", n)
 	}
+	// The condition estimator calls SolveT in a loop.
+	if n := testing.AllocsPerRun(10, func() { f.SolveT(x, b, nil) }); n != 0 {
+		t.Errorf("SolveT allocates %v objects per run", n)
+	}
 	ap := perturb(a, 1e-6)
 	if n := testing.AllocsPerRun(5, func() {
 		if err := f.Refactor(ap, nil); err != nil {
