@@ -25,14 +25,16 @@ test-bench:
 # test against encoding/json and its allocation budget, the sparse LU's
 # bit-for-bit comparison with its pre-rework reference loops, and the proof
 # that an idle asynchronous step charged is a step computed (every skipped
-# step recomputed on the side, 1 vs 4 workers). The explicit
+# step recomputed on the side, 1 vs 4 workers), and the session option matrix
+# (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
+# rank states crossing engines and worker pools). The explicit
 # timeout is for internal/experiments: ~8 min alone under the race detector
 # on a 2-vCPU host, past go test's 10 min default once the other packages
 # compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
-	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestIdleStepsExact' ./internal/core
+	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults' ./internal/vgrid
 

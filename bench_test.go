@@ -359,13 +359,24 @@ func BenchmarkSolverPhases(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// One recorder on both Resolves' engines: the spans accumulate, each
+		// Resolve on its own virtual timeline starting at zero.
 		rec := &obs.Recorder{}
-		sess.Obs = rec
-		if _, err := sess.Resolve(nil, rhs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Resolve(v, rhs); err != nil {
-			b.Fatal(err)
+		for _, vals := range [][]float64{nil, v} {
+			pl, hosts := newPlat()
+			e := vgrid.NewEngine(pl)
+			e.Observe(rec)
+			pend, err := sess.Launch(e, hosts, vals, rhs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+			pend.Finish()
+			if !pend.Result().Converged {
+				b.Fatal("no convergence")
+			}
 		}
 		factor, refactor, bytesMoved, waitShare = phaseBreakdown(rec)
 	}

@@ -116,13 +116,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			names = append(names, e.Name)
 		}
 	}
-	for _, name := range names {
+	// Resolve every name before running the first: a typo costs nothing.
+	exps := make([]func(experiments.Config) (*experiments.Table, error), len(names))
+	for i, name := range names {
 		exp, err := experiments.ByName(name)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		tab, err := exp(cfg)
+		exps[i] = exp
+	}
+	for i, name := range names {
+		tab, err := exps[i](cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "%s failed: %v\n", name, err)
 			return 1

@@ -42,6 +42,20 @@ func TestUnknownExperimentListsNames(t *testing.T) {
 	}
 }
 
+// TestUnknownExperimentFailsBeforeTheFirstRuns: every name is resolved before
+// any experiment runs, so a typo after a valid name prints no table.
+func TestUnknownExperimentFailsBeforeTheFirstRuns(t *testing.T) {
+	code, out, errs := msexp("-quiet", "-scale", "64", "table1", "bogus")
+	if code != 2 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want usage status 2 and no table", code, out)
+	}
+	for _, want := range []string{`"bogus"`, "table1", "adaptive"} {
+		if !strings.Contains(errs, want) {
+			t.Errorf("diagnostic %q does not mention %s", errs, want)
+		}
+	}
+}
+
 // TestRejectedInputFailsWithoutATable: input the solver or the ring harness
 // refuses is an exit-1 diagnostic naming the cause — not a table of "err"
 // cells with exit 0, and not a panic.

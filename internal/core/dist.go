@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
-	"repro/internal/mp"
-	"repro/internal/simctx"
 	"repro/internal/sparse"
 	"repro/internal/splu"
 	"repro/internal/vec"
@@ -204,7 +203,8 @@ func (o *Options) withDefaults() Options {
 }
 
 // ErrIncompatible is wrapped by every error that rejects a combination of
-// individually valid options; test for it with errors.Is.
+// individually valid options — the two Adapt pairs in Options.validate and
+// nothing else; test for it with errors.Is.
 var ErrIncompatible = errors.New("core: incompatible options")
 
 // validate is the one place a defaulted option set is checked against the
@@ -332,12 +332,12 @@ type ResplitEvent struct {
 // engine has run.
 type Pending struct {
 	res   Result
+	sess  *Session // owes this solve's FactorFlops until Finish
 	procs []*vgrid.Proc
+	mu    sync.Mutex // finishRank: lanes finish ranks concurrently
 	done  bool
 	// total aggregates per-rank flop counts. Counters are single-owner
-	// (see vec.Counter); this is the one cross-process meeting point, so it
-	// must be the atomic vec.Total even though rank bodies are serialized
-	// today — compute segments may finish on worker threads.
+	// (see vec.Counter); this is their one cross-process meeting point.
 	total vec.Total
 }
 
@@ -361,36 +361,67 @@ func (p *Pending) Running() bool {
 	return false
 }
 
-// Finish marks the result readable. Call it after the engine has run; it is
+// Finish marks the result readable and adds the solve's factorization
+// arithmetic to its session's tally. Call it after the engine has run; it is
 // needed when ranks failed (e.g. out of memory) before filling the result.
-func (p *Pending) Finish() { p.done = true }
+func (p *Pending) Finish() {
+	if p.sess != nil {
+		p.sess.FactorFlops += p.res.FactorFlops
+		p.sess = nil
+	}
+	p.done = true
+}
 
-// finishRank records one rank's run statistics. Plain writes are safe: rank
-// bodies execute serially under the engine even when compute segments run on
-// worker threads; only the flop total crosses goroutines and goes through
-// the atomic Total.
-func (p *Pending) finishRank(c *mp.Comm, ctx *simctx.Ctx, iter int, factTime float64, converged bool) {
-	rank := c.Rank()
-	p.res.IterationsPerRank[rank] = iter
-	if iter > p.res.Iterations {
-		p.res.Iterations = iter
+// finish is the tail of a run this package drove itself: the engine's end
+// time and error in, the result out, ErrNoConvergence reported with the
+// partial result attached.
+func (p *Pending) finish(end float64, runErr error) (*Result, error) {
+	p.res.Time = end
+	p.Finish()
+	res := p.Result()
+	if runErr != nil {
+		return res, runErr
 	}
-	if factTime > p.res.FactorTime {
-		p.res.FactorTime = factTime
+	if !res.Converged {
+		return res, ErrNoConvergence
 	}
-	if rank == 0 {
-		p.res.Converged = converged
+	return res, nil
+}
+
+// finishRank folds one finished rank into the result. Ranks in different
+// scheduler lanes finish concurrently, hence the lock; what is folded is a
+// maximum or a sum of integer-valued tallies, so the order of arrival does
+// not show. The flop total has its own atomic meeting point.
+func (p *Pending) finishRank(st *rankState, factTime, resplitFlops float64, converged bool) {
+	c := st.c
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res := &p.res
+	res.IterationsPerRank[st.rank] = st.iter
+	res.Iterations = max(res.Iterations, st.iter)
+	res.FactorTime = max(res.FactorTime, factTime)
+	if st.rank == 0 {
+		res.Converged = converged
 	}
-	p.res.BytesSent += c.Proc().BytesSent
-	p.res.MsgsSent += c.Proc().MsgsSent
-	p.res.IntraBytes += c.Proc().IntraBytes
-	p.res.InterBytes += c.Proc().InterBytes
-	p.res.IntraMsgs += c.Proc().IntraMsgs
-	p.res.InterMsgs += c.Proc().InterMsgs
-	if end := c.Now(); end > p.res.Time {
-		p.res.Time = end
+	for i := range st.bands {
+		if ts := st.bands[i].ts; ts != nil {
+			res.InnerSweeps += ts.totalSweeps
+			res.InnerFlops += ts.innerFlops
+			res.TwoStageFallbacks += ts.fallbacks
+		}
 	}
-	p.total.MergeCounter(ctx.Counter)
+	res.FactorFlops += st.factFlops
+	res.ResplitFlops += resplitFlops
+	res.IdleSteps += st.idleSteps
+	res.IdleStepsPerRank[st.rank] = st.idleSteps
+	res.BytesSent += c.Proc().BytesSent
+	res.MsgsSent += c.Proc().MsgsSent
+	res.IntraBytes += c.Proc().IntraBytes
+	res.InterBytes += c.Proc().InterBytes
+	res.IntraMsgs += c.Proc().IntraMsgs
+	res.InterMsgs += c.Proc().InterMsgs
+	res.Time = max(res.Time, c.Now())
+	p.total.MergeCounter(st.ctx.Counter)
 	p.done = true
 }
 
@@ -398,60 +429,13 @@ func (p *Pending) finishRank(c *mp.Comm, ctx *simctx.Ctx, iter int, factTime flo
 // host owning BandsPerProc bands (one band per processor is the simple
 // variant of Section 2; see paper Remark 2). The matrix and right-hand side
 // are globally readable at load time, as the paper's Initialization step
-// allows. Call engine.Run, then read Pending.Result.
+// allows. Call engine.Run, then Pending.Finish, then read Pending.Result.
+//
+// It is the first Resolve of a session nobody keeps: the set-up, the rank
+// body and the result are Session.Launch's, and a is read, never copied.
 func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Pending, error) {
-	o := opt.withDefaults()
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("core: shape mismatch: A is %dx%d, len(b)=%d", a.Rows, a.Cols, len(b))
-	}
-	if err := o.validate(n, len(hosts)); err != nil {
-		return nil, err
-	}
-	if o.Gateway || o.TopoCollectives {
-		if err := e.Platform.ValidateTopology(); err != nil {
-			return nil, fmt.Errorf("core: topology-aware mode: %w", err)
-		}
-	}
-	var err error
-	if o.Equilibrate {
-		a, b, err = equilibrate(a, b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var d *Decomposition
-	if o.Balance {
-		var starts []int
-		starts, err = balancedStarts(n, hosts, o.BandsPerProc)
-		if err != nil {
-			return nil, err
-		}
-		d, err = NewDecompositionFromStarts(n, starts, o.Overlap, o.Scheme)
-	} else {
-		d, err = NewDecomposition(n, len(hosts)*o.BandsPerProc, o.Overlap, o.Scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	// The communication plan is computed once here, from the decomposition
-	// geometry and the sparsity, and shared read-only by all rank bodies.
-	cp, err := buildCommPlan(a, d, len(hosts))
-	if err != nil {
-		return nil, err
-	}
-	pend := &Pending{}
-	pend.res.IterationsPerRank = make([]int, len(hosts))
-	pend.res.IdleStepsPerRank = make([]int, len(hosts))
-	pend.procs = mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
-		return msRank(c, a, b, d, cp, o, pend)
-	})
-	// Mark the pending result complete when the engine finishes: the last
-	// rank to return fills the aggregate fields.
-	return pend, nil
+	s := &Session{a: a, o: opt.withDefaults()}
+	return s.Launch(e, hosts, nil, b)
 }
 
 // Solve builds an engine over the platform, runs the solver on the given
@@ -463,42 +447,37 @@ func Solve(pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.CSR, b []float64, 
 	if err != nil {
 		return nil, err
 	}
-	end, err := e.Run()
-	pend.res.Time = end
-	pend.done = true
-	res := pend.Result()
-	if err != nil {
-		return res, err
-	}
-	if !res.Converged {
-		return res, ErrNoConvergence
-	}
-	return res, nil
+	return pend.finish(e.Run())
 }
 
 func csrBytes(m *sparse.CSR) int64 {
 	return int64(m.NNZ())*16 + int64(len(m.RowPtr))*8
 }
 
-// equilibrate left-scales the system by the inverse diagonal: returns
-// (D⁻¹A, D⁻¹b). The solution of the scaled system equals the original's.
-func equilibrate(a *sparse.CSR, b []float64) (*sparse.CSR, []float64, error) {
+// equilibrate left-scales a in place by its inverse diagonal (D⁻¹A) and
+// returns the diagonal D it divided by, which scaleRHS applies to every
+// right-hand side. The solution of the scaled system equals the original's.
+func equilibrate(a *sparse.CSR) ([]float64, error) {
 	diag := a.Diagonal()
 	for i, d := range diag {
 		if d == 0 {
-			return nil, nil, fmt.Errorf("core: cannot equilibrate, zero diagonal at row %d", i)
+			return nil, fmt.Errorf("core: cannot equilibrate, zero diagonal at row %d", i)
 		}
 	}
-	out := a.Clone()
-	for i := 0; i < out.Rows; i++ {
+	for i := 0; i < a.Rows; i++ {
 		inv := 1 / diag[i]
-		for p := out.RowPtr[i]; p < out.RowPtr[i+1]; p++ {
-			out.Val[p] *= inv
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			a.Val[p] *= inv
 		}
 	}
+	return diag, nil
+}
+
+// scaleRHS returns D⁻¹b for the diagonal equilibrate returned.
+func scaleRHS(b, diag []float64) []float64 {
 	nb := make([]float64, len(b))
 	for i := range b {
 		nb[i] = b[i] / diag[i]
 	}
-	return out, nb, nil
+	return nb
 }

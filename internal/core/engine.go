@@ -56,9 +56,15 @@ type bandState struct {
 	err  error
 	// zMoved is nonzero when an input of the exact step changed since the
 	// band's last one: the writers of z OR in the bits they flip, step clears
-	// it, a new band (loadBand) and Session.Resolve set it. While it is zero
-	// a step can only reproduce xSub, and iterate charges it unsolved.
+	// it, startRun sets it. While it is zero a step can only reproduce xSub,
+	// and iterate charges it unsolved.
 	zMoved uint64
+
+	// subMap and depMap are the positions in the session template's Val array
+	// feeding sub.Val and depMat.Val. They are derived by the first Resolve
+	// that brings new values (Session.refreshBand), so a one-shot Launch never
+	// builds them and a resplit band starts without them.
+	subMap, depMap []int
 }
 
 // owned returns the band's owned segment of the iterate (the band minus its
@@ -96,18 +102,16 @@ type rankState struct {
 
 	// aGlob and bGlob are the globally-readable system (paper
 	// Initialization); the adaptive resplit transition re-extracts the new
-	// band from them. gen counts the resplit transitions this rank has
-	// applied — the persistent Session uses it to notice that its frozen
-	// value-refresh maps went stale.
+	// band from them.
 	aGlob *sparse.CSR
 	bGlob []float64
-	gen   int
 
 	// stepFn is the computation-step segment body (step), built once so the
 	// per-iteration ComputeSeg call allocates no closure.
 	stepFn func()
-	// factFlops accumulates this rank's factorization arithmetic (exact LU
-	// or band preconditioner, plus any two-stage fallback factor) for
+	// factFlops accumulates the factorization arithmetic this rank spent on
+	// the current solve (exact LU or band preconditioner, a session's
+	// refactorization, plus any two-stage fallback factor) for
 	// Result.FactorFlops.
 	factFlops float64
 
@@ -140,6 +144,11 @@ type rankState struct {
 	// aggregator ranks instead of direct WAN messages.
 	gw *gwState
 
+	progress
+}
+
+// progress is what one solve counts on a rank; startRun zeroes it whole.
+type progress struct {
 	iter        int
 	idleSteps   int     // exact band steps whose inputs had not moved (Result.IdleSteps)
 	diff        float64 // largest successive-iterate difference of the last step
@@ -153,9 +162,8 @@ func (st *rankState) bandOf(k int) *bandState { return &st.bands[k/st.cp.NRanks]
 
 // newRankState loads and factors the rank's bands (paper step 1 + Remark 4)
 // and wires the rank into the shared communication plan (DependsOnMe of
-// Algorithm 1, built once in Launch). It returns the state and the
-// factorization time.
-func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *plan.Plan, o Options) (*rankState, float64, error) {
+// Algorithm 1, built once by the set-up).
+func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *plan.Plan, o Options) (*rankState, error) {
 	rank := c.Rank()
 	st := &rankState{c: c, ctx: ctx, o: o, rank: rank, d: d, cp: cp,
 		aGlob: a, bGlob: bGlob}
@@ -163,19 +171,37 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 
 	// --- Initialization: load and factor the bands.
 	st.bands = make([]bandState, d.L()/cp.NRanks)
-	factStart := c.Now()
 	for i := range st.bands {
 		if err := st.loadBand(&st.bands[i], rank+i*cp.NRanks); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	factTime := c.Now() - factStart
+	st.echoGroup = make([]int, len(st.rp.Send))
+	for si, s := range st.rp.Send {
+		st.echoGroup[si] = slices.IndexFunc(st.rp.Recv, func(g plan.PeerIO) bool { return g.Peer == s.Peer })
+	}
+	st.stepFn = st.step
+	st.startRun()
+	return st, nil
+}
 
-	// --- Iteration state over the shared plan: per-peer receive groups with
-	// preallocated incremental-update buffers, one reused send buffer sized
-	// by the largest packed message (or the final gather's owned segments,
-	// whichever is larger). All the float state sub-slices a single arena
-	// (three-index slicing keeps the append-grown sendBuf in its lane).
+// startRun puts the rank at the start of a solve from a zero guess. It is
+// the second half of newRankState and the whole reset of a rank a Session
+// kept, so a kept rank starts a Resolve in exactly the state a fresh one
+// would: everything a solve writes — iterates, dependency values, exchange
+// baselines, version/echo bookkeeping, gateway staging, the two-stage
+// schedules and tallies, the progress counters — is rebuilt here and nowhere
+// else. What survives is what the factorization economy is about: the
+// extracted matrices, their factors and the plan view.
+//
+// Iteration state over the shared plan: per-peer receive groups with
+// incremental-update buffers, one reused send buffer sized by the largest
+// packed message (or the final gather's owned segments, whichever is
+// larger). All the float state sub-slices a single arena (three-index
+// slicing keeps the append-grown sendBuf in its lane).
+func (st *rankState) startRun() {
+	cp, rank := st.cp, st.rank
+	st.progress = progress{}
 	ng := len(st.rp.Recv)
 	sendCap := cp.MaxSendVals(rank) + msgHdr
 	owned := 0
@@ -207,17 +233,16 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 		bs.xSub = take(sz)
 		bs.xPrev = take(sz)
 		bs.rhs = take(sz)
-		if bs.ts != nil {
-			bs.ts.r = take(sz)
-			bs.ts.t = take(sz)
+		if ts := bs.ts; ts != nil {
+			// The preconditioner and a fallback to the exact solve outlive the
+			// solve; the schedule, the scratch and the tallies do not.
+			*ts = twoStageState{opt: ts.opt, pc: ts.pc, fellBack: ts.fellBack,
+				sched: newInnerSchedule(ts.opt), r: take(sz), t: take(sz)}
 		}
 		bs.z = take(len(bs.depCols))
+		bs.zMoved, bs.diff, bs.err = 1, 0, nil
 	}
 	st.sendBuf = take(sendCap)[:0]
-	st.echoGroup = make([]int, len(st.rp.Send))
-	for si, s := range st.rp.Send {
-		st.echoGroup[si] = slices.IndexFunc(st.rp.Recv, func(g plan.PeerIO) bool { return g.Peer == s.Peer })
-	}
 	st.verIncorporated = take(ng)
 	st.echoFrom = take(ng)
 	st.lastRecv = make([][]float64, ng)
@@ -230,14 +255,12 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 	}
 	st.freshSeen = make([]bool, ng)
 	st.staleCount = make([]int, ng)
-	if o.Gateway {
+	if st.o.Gateway {
 		// The reduction piggyback needs a pre-exchange criterion (the
 		// successive-iterate difference) and the lockstep of the synchronous
 		// policy.
-		st.gw = newGwState(cp, rank, rankClusters(c), !o.Async && !o.UseResidual)
+		st.gw = newGwState(cp, rank, rankClusters(st.c), !st.o.Async && !st.o.UseResidual)
 	}
-	st.stepFn = st.step
-	return st, factTime, nil
 }
 
 // loadBand extracts band k of the decomposition into bs and factors it,
@@ -246,7 +269,6 @@ func (st *rankState) loadBand(bs *bandState, k int) error {
 	c, ctx, a := st.c, st.ctx, st.aGlob
 	band := st.d.Bands[k]
 	bs.band = band
-	bs.zMoved = 1
 	bs.sub = a.Submatrix(band.Lo, band.Hi, band.Lo, band.Hi)
 	bs.depCols = st.cp.DepCols[k]
 	bs.depMat = a.SelectColumns(band.Lo, band.Hi, bs.depCols)
@@ -568,21 +590,11 @@ func (st *rankState) ship() error {
 	return nil
 }
 
-// msRank is the body of Algorithm 1 executed by every rank: one engine loop
-// — iterate, ship, exchange — parameterized by the exchange policy
-// (synchronous barrier, asynchronous freshest-drain, or bounded staleness)
-// and the stopping criterion (successive iterate or true residual).
-func msRank(c *mp.Comm, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *plan.Plan, o Options, pend *Pending) error {
-	st, factTime, err := newRankState(c, newRankCtx(c, o), a, bGlob, d, cp, o)
-	if err != nil {
-		return err
-	}
-	return msRankRun(st, pend, factTime)
-}
-
-// msRankRun drives an initialized rank state through the engine loop and the
-// final gather. It is shared by the one-shot driver (msRank) and the
-// persistent Session, which rebuilds only the numeric state between calls.
+// msRankRun is the body of Algorithm 1 from the first iteration on: one
+// engine loop — iterate, ship, exchange — parameterized by the exchange policy
+// (synchronous barrier, asynchronous freshest-drain, or bounded staleness) and
+// the stopping criterion (successive iterate or true residual), then the
+// final gather. Session.rankBody hands it a rank at the start of a solve.
 func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 	c, o := st.c, st.o
 
@@ -678,19 +690,10 @@ func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 		pend.res.X = x
 	}
 
-	for i := range st.bands {
-		if ts := st.bands[i].ts; ts != nil {
-			pend.res.InnerSweeps += ts.totalSweeps
-			pend.res.InnerFlops += ts.innerFlops
-			pend.res.TwoStageFallbacks += ts.fallbacks
-		}
-	}
-	pend.res.FactorFlops += st.factFlops
-	pend.res.IdleSteps += st.idleSteps
-	pend.res.IdleStepsPerRank[st.rank] = st.idleSteps
+	resplitFlops := 0.0
 	if ad != nil {
-		pend.res.ResplitFlops += ad.flops
+		resplitFlops = ad.flops
 	}
-	pend.finishRank(c, st.ctx, st.iter, factTime, converged)
+	pend.finishRank(st, factTime, resplitFlops, converged)
 	return nil
 }

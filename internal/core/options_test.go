@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/sparse"
 	"repro/internal/vgrid"
 )
 
@@ -126,6 +127,73 @@ func TestOptionMatrix(t *testing.T) {
 		checkSolution(t, res, xref, 1e-6)
 		if r := residualInf(a, res.X, b); r > 1e-6 {
 			t.Fatalf("true residual %v", r)
+		}
+	})
+}
+
+// TestSessionOptionMatrix is the same contract for persistent sessions: every
+// configuration TestOptionMatrix admits, a session admits. A refactoring
+// session's three Resolves on drifting values reach the dense-LU answer of
+// their values with a small true residual; and every Resolve of a NoRefactor
+// session is a fresh Solve on the same values bit for bit — virtual time,
+// iterations per rank, traffic, flops, solution — which is what "Launch is a
+// session's first Resolve" means. Adapt is exempt from the second half only:
+// the decomposition a resplit reached legitimately carries over.
+func TestSessionOptionMatrix(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Band: 150, PerRow: 6, Margin: 0.1, Seed: 5})
+	b, _ := gen.RHSForSolution(a)
+	vals := append([][]float64{nil}, perturbedVals(a, 2)...)
+	systems := make([]*sparse.CSR, len(vals))
+	xrefs := make([][]float64, len(vals))
+	for k, v := range vals {
+		systems[k] = a.Clone()
+		if v != nil {
+			copy(systems[k].Val, v)
+		}
+		xrefs[k] = directSolve(t, systems[k], b)
+	}
+	forEachMatrixConfig(t, func(t *testing.T, o Options) {
+		newSession := func(noRefactor bool) *Session {
+			sess, err := NewSession(matrixPlatform, a, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.NoRefactor = noRefactor
+			return sess
+		}
+		if matrixRejected(o) {
+			if _, err := newSession(false).Resolve(nil, b); !errors.Is(err, ErrIncompatible) {
+				t.Fatalf("documented exception: err = %v, want ErrIncompatible", err)
+			}
+			return
+		}
+		refactoring, factoring := newSession(false), newSession(true)
+		for k, v := range vals {
+			res, err := refactoring.Resolve(v, b)
+			if err != nil {
+				t.Fatalf("resolve %d: %v", k, err)
+			}
+			checkSolution(t, res, xrefs[k], 1e-6)
+			if r := residualInf(systems[k], res.X, b); r > 1e-6 {
+				t.Fatalf("resolve %d: true residual %v", k, r)
+			}
+			if o.Adapt {
+				continue
+			}
+			res, err = factoring.Resolve(v, b)
+			if err != nil {
+				t.Fatalf("NoRefactor resolve %d: %v", k, err)
+			}
+			pl, hosts := matrixPlatform()
+			fresh, err := Solve(pl, hosts, systems[k], b, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("NoRefactor resolve %d vs fresh Solve", k)
+			sameResult(t, what, res, fresh)
+			if res.FactorFlops != fresh.FactorFlops {
+				t.Errorf("%s: factor flops %v vs %v", what, res.FactorFlops, fresh.FactorFlops)
+			}
 		}
 	})
 }

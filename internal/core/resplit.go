@@ -297,7 +297,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 		c.Proc().Free(st.bands[0].workingSet() + st.bands[0].factorBytes())
 	}
 
-	st2, _, err := newRankState(c, ctx, st.aGlob, st.bGlob, d2, cp2, o)
+	st2, err := newRankState(c, ctx, st.aGlob, st.bGlob, d2, cp2, o)
 	if err != nil {
 		return 0, err
 	}
@@ -313,7 +313,6 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	st2.diff = st.diff
 	st2.stableStart = st.iter
 	st2.factFlops += st.factFlops
-	st2.gen = st.gen + 1
 	nb := &st2.bands[0]
 	copy(nb.xSub, x[nb.band.Lo-off:nb.band.Hi-off])
 	copy(nb.xPrev, nb.xSub)

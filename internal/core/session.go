@@ -2,8 +2,8 @@
 // lifted to sequences of same-pattern systems. A Newton-multisplitting outer
 // loop solves a Jacobian system whose sparsity never changes; a session keeps
 // every band's symbolic state — submatrices, dependency-column selection,
-// communication plan, buffers and factorization — alive across solves and
-// refreshes only the numeric values, refactorizing through the frozen pattern
+// communication plan and factorization — alive across solves and refreshes
+// only the numeric values, refactorizing through the frozen pattern
 // (splu.Refactorer) instead of factoring from scratch.
 
 package core
@@ -16,7 +16,6 @@ import (
 	"repro/internal/mp"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/simctx"
 	"repro/internal/sparse"
 	"repro/internal/splu"
 	"repro/internal/vec"
@@ -328,101 +327,70 @@ func (s *SeqSession) Fallbacks() int {
 }
 
 // Session is the distributed counterpart of SeqSession: a persistent
-// multisplitting solver over the simulated grid. Engines cannot be re-run, so
-// every Resolve builds a fresh platform and engine from the supplied factory;
-// what persists is each rank's solver state — submatrices, dependency-column
-// selection, communication plan, buffers and factorization. Later Resolves
-// refresh the numeric values through frozen position maps and refactorize as
-// a declared compute segment: the refactor cost is known exactly after the
-// symbolic phase (splu.Refactorer.RefactorFlops), so it schedules like any
-// other declared segment and overlaps across ranks on the worker pool,
-// instead of the measured lower-bound scheduling a deferred factorization
-// needs.
+// multisplitting solver over the simulated grid, and the one path every
+// distributed solve takes (core.Launch is the first Resolve of a session
+// nobody keeps). Engines cannot be re-run, so every Resolve runs on a fresh
+// platform and engine; what persists is the set-up — equilibration scaling,
+// decomposition, communication plan — and each rank's solver state:
+// submatrices, dependency-column selection, plan view and factorization.
+// Later Resolves refresh the numeric values through frozen position maps and
+// refactorize as a declared compute segment: the refactor cost is known
+// exactly after the symbolic phase (splu.Refactorer.RefactorFlops), so it
+// schedules like any other declared segment and overlaps across ranks on the
+// worker pool, instead of the measured lower-bound scheduling a deferred
+// factorization needs. Every option composes with it; see DESIGN.md §8.3.
 type Session struct {
-	// Workers sets the engine worker-thread count for every Resolve
-	// (0 = serial). The virtual result is identical for every setting.
-	Workers int
 	// NoRefactor forces a full factorization on every Resolve (per-step
 	// Factor baseline, for ablation).
 	NoRefactor bool
-	// EngineTrace, when set, receives every scheduler event line of every
-	// Resolve's engine (the determinism witness: the stream must be
-	// byte-identical for any Workers setting).
-	EngineTrace func(line string)
-	// Obs, when set, is attached to every Resolve's engine; spans of
-	// successive Resolves accumulate (each on its own virtual timeline
-	// starting at zero).
-	Obs *obs.Recorder
 	// FactorFlops accumulates factorization + refactorization flops across
-	// all Resolves and ranks.
+	// all Resolves and ranks: the sum of every finished Resolve's
+	// Result.FactorFlops.
 	FactorFlops float64
 
 	newPlatform func() (*vgrid.Platform, []*vgrid.Host)
-	a           *sparse.CSR
+	a           *sparse.CSR // pattern template; left-scaled when diag is set
 	o           Options
-	d           *Decomposition
-	cp          *plan.Plan
-	ranks       []*sessionRank
+
+	// The set-up, fixed by the first Launch (d == nil before it).
+	diag  []float64 // Options.Equilibrate: the diagonal a was divided by
+	d     *Decomposition
+	cp    *plan.Plan
+	ranks []*rankState
 }
 
-// sessionRank is the state of one rank that survives across Resolves,
-// together with the frozen maps (one pair per owned band) refreshing its
-// extracted values. gen mirrors the rank state's resplit generation: when an
-// adaptive Resolve resplit the decomposition mid-run, the maps were built for
-// a band that no longer exists and must be re-derived before the next refresh.
-type sessionRank struct {
-	st      *rankState
-	subMaps [][]int
-	depMaps [][]int
-	gen     int
-}
-
-// freezeMaps derives the value-refresh maps for the rank's current bands.
-func (s *Session) freezeMaps(sr *sessionRank) {
-	st := sr.st
-	sr.subMaps = make([][]int, len(st.bands))
-	sr.depMaps = make([][]int, len(st.bands))
-	for i := range st.bands {
-		bs := &st.bands[i]
-		sr.subMaps[i] = s.a.SubmatrixMap(bs.band.Lo, bs.band.Hi, bs.band.Lo, bs.band.Hi)
-		sr.depMaps[i] = s.a.SelectColumnsMap(bs.band.Lo, bs.band.Hi, bs.depCols)
-	}
-	sr.gen = st.gen
-}
-
-// NewSession prepares a persistent distributed session for the pattern of a.
-// The decomposition is fixed by the first Resolve's host count, which is also
-// where the options are validated (Options.validate); options that reshape
-// the decomposition per solve (Balance) or rewrite the matrix (Equilibrate)
-// are rejected here.
+// NewSession prepares a persistent distributed session for the pattern of a;
+// the values of a are the initial numeric state. Nothing else happens here:
+// the first Resolve validates the options and fixes the decomposition from
+// its hosts (their count, and their speeds under Options.Balance).
 func NewSession(newPlatform func() (*vgrid.Platform, []*vgrid.Host), a *sparse.CSR, opt Options) (*Session, error) {
-	o := opt.withDefaults()
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("core: session needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if o.Balance {
-		return nil, fmt.Errorf("%w: sessions do not support Balance", ErrIncompatible)
-	}
-	if o.Equilibrate {
-		return nil, fmt.Errorf("%w: sessions do not support Equilibrate", ErrIncompatible)
-	}
-	if o.Gateway {
-		// The gateway routing tables live outside the per-rank state a session
-		// persists; sessions run the direct plan.
-		return nil, fmt.Errorf("%w: sessions do not support Gateway", ErrIncompatible)
-	}
 	if newPlatform == nil {
 		return nil, errors.New("core: session needs a platform factory")
 	}
-	return &Session{newPlatform: newPlatform, a: a.Clone(), o: o}, nil
+	return &Session{newPlatform: newPlatform, a: a.Clone(), o: opt.withDefaults()}, nil
 }
 
 // Resolve solves the system with matrix values newVals (ordered like the
 // template's Val array; nil keeps the previous values) and right-hand side b
-// on a fresh engine, reusing every rank's persistent state.
+// on a fresh engine, reusing every rank's persistent state. It is to Launch
+// what Solve is to core.Launch.
 func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
-	if len(b) != s.a.Rows {
-		return nil, fmt.Errorf("core: session rhs length %d, want %d", len(b), s.a.Rows)
+	pl, hosts := s.newPlatform()
+	e := vgrid.NewEngine(pl)
+	pend, err := s.Launch(e, hosts, newVals, b)
+	if err != nil {
+		return nil, err
+	}
+	return pend.finish(e.Run())
+}
+
+// Launch registers one Resolve on an engine the caller configures and runs
+// (workers, lanes, fault plan, recorder, trace): call engine.Run, then
+// Pending.Finish, then read Pending.Result. The first Launch is the set-up;
+// every later one must bring as many hosts.
+func (s *Session) Launch(e *vgrid.Engine, hosts []*vgrid.Host, newVals, b []float64) (*Pending, error) {
+	if n := s.a.Rows; s.a.Cols != n || len(b) != n {
+		return nil, fmt.Errorf("core: shape mismatch: A is %dx%d, len(b)=%d", s.a.Rows, s.a.Cols, len(b))
 	}
 	if newVals != nil {
 		if len(newVals) != s.a.NNZ() {
@@ -430,150 +398,137 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 		}
 		copy(s.a.Val, newVals)
 	}
-	pl, hosts := s.newPlatform()
-	if s.d == nil {
-		if err := s.o.validate(s.a.Rows, len(hosts)); err != nil {
+	switch {
+	case s.d == nil:
+		if err := s.setUp(e.Platform, hosts); err != nil {
 			return nil, err
 		}
-		d, err := NewDecomposition(s.a.Rows, len(hosts)*s.o.BandsPerProc, s.o.Overlap, s.o.Scheme)
+	case len(hosts) != len(s.ranks):
+		return nil, fmt.Errorf("core: session built for %d hosts, got %d", len(s.ranks), len(hosts))
+	case newVals != nil && s.diag != nil:
+		// The new values arrive unscaled, and their diagonal is the new D.
+		diag, err := equilibrate(s.a)
 		if err != nil {
 			return nil, err
 		}
-		if err := d.Validate(); err != nil {
-			return nil, err
-		}
-		cp, err := buildCommPlan(s.a, d, len(hosts))
-		if err != nil {
-			return nil, err
-		}
-		s.d = d
-		s.cp = cp
-		s.ranks = make([]*sessionRank, len(hosts))
-	} else if len(hosts) != len(s.ranks) {
-		return nil, fmt.Errorf("core: session built for %d hosts, factory produced %d", len(s.ranks), len(hosts))
+		s.diag = diag
 	}
-
-	e := vgrid.NewEngine(pl)
-	if s.Workers > 0 {
-		e.SetWorkers(s.Workers)
+	if s.diag != nil {
+		b = scaleRHS(b, s.diag)
 	}
-	if s.EngineTrace != nil {
-		e.Trace = s.EngineTrace
-	}
-	if s.Obs != nil {
-		e.Observe(s.Obs)
-	}
-	pend := &Pending{}
+	pend := &Pending{sess: s}
 	pend.res.IterationsPerRank = make([]int, len(hosts))
 	pend.res.IdleStepsPerRank = make([]int, len(hosts))
 	refresh := newVals != nil
-	mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
+	pend.procs = mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
 		return s.rankBody(c, b, refresh, pend)
 	})
-	end, err := e.Run()
-	pend.res.Time = end
-	pend.done = true
-	res := pend.Result()
-	if err != nil {
-		return res, err
-	}
-	if !res.Converged {
-		return res, ErrNoConvergence
-	}
-	return res, nil
+	return pend, nil
 }
 
-// rankBody is the per-Resolve process body: first call builds the rank state
-// (full factorization), later calls rebind the fresh comm/ctx, refresh the
-// numeric values and refactorize. Rank bodies are serialized by the engine,
-// so the writes into s.ranks and s.FactorFlops need no synchronization.
-func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pending) error {
-	ctx := newRankCtx(c, s.o)
-	rank := c.Rank()
-	sr := s.ranks[rank]
-	var factTime float64
-	factFlops := ctx.Counter.Flops()
-	if sr == nil {
-		st, ft, err := newRankState(c, ctx, s.a, bGlob, s.d, s.cp, s.o)
-		if err != nil {
+// setUp is everything a solve decides before its first rank body runs, from
+// the defaulted options, the template and the first hosts: option and
+// topology validation, the equilibration scaling, the balanced or uniform
+// decomposition, and the communication plan — computed once from the
+// decomposition geometry and the sparsity and shared read-only by all rank
+// bodies. A Session keeps it; nothing is kept of a failed one.
+func (s *Session) setUp(pl *vgrid.Platform, hosts []*vgrid.Host) error {
+	o, a, n := s.o, s.a, s.a.Rows
+	if err := o.validate(n, len(hosts)); err != nil {
+		return err
+	}
+	if o.Gateway || o.TopoCollectives {
+		if err := pl.ValidateTopology(); err != nil {
+			return fmt.Errorf("core: topology-aware mode: %w", err)
+		}
+	}
+	var diag []float64
+	var err error
+	if o.Equilibrate {
+		a = a.Clone()
+		if diag, err = equilibrate(a); err != nil {
 			return err
 		}
-		sr = &sessionRank{st: st}
-		s.freezeMaps(sr)
-		s.ranks[rank] = sr
-		factTime = ft
+	}
+	var d *Decomposition
+	if o.Balance {
+		var starts []int
+		if starts, err = balancedStarts(n, hosts, o.BandsPerProc); err != nil {
+			return err
+		}
+		d, err = NewDecompositionFromStarts(n, starts, o.Overlap, o.Scheme)
 	} else {
-		ft, err := s.refreshRank(sr, c, ctx, bGlob, refresh)
-		if err != nil {
-			return err
-		}
-		factTime = ft
+		d, err = NewDecomposition(n, len(hosts)*o.BandsPerProc, o.Overlap, o.Scheme)
 	}
-	s.FactorFlops += ctx.Counter.Flops() - factFlops
-	return msRankRun(sr.st, pend, factTime)
+	if err != nil {
+		return err
+	}
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	cp, err := buildCommPlan(a, d, len(hosts))
+	if err != nil {
+		return err
+	}
+	s.a, s.diag, s.d, s.cp, s.ranks = a, diag, d, cp, make([]*rankState, len(hosts))
+	return nil
 }
 
-// refreshRank rebinds a persistent rank to a fresh engine run, refreshes its
-// numeric values through the frozen maps and refactorizes.
-func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlob []float64, refresh bool) (float64, error) {
-	st := sr.st
-	st.c, st.ctx = c, ctx
-
-	// A resplit during the previous Resolve moved the band: re-derive the
-	// frozen value-refresh maps for the current range. The factorization
-	// already matches the new band (the transition factored it), so the
-	// ordinary refactor path below stays valid.
-	if sr.gen != st.gen {
-		s.freezeMaps(sr)
-	}
-
-	// Reset the iteration state: a Resolve is a new solve from a zero guess,
-	// identical to what a fresh rank would run.
-	for i := range st.lastRecv {
-		vec.Zero(st.lastRecv[i])
-		st.verIncorporated[i] = 0
-		st.echoFrom[i] = 0
-		st.freshSeen[i] = false
-		st.staleCount[i] = 0
-	}
-	for i := range st.localLast {
-		vec.Zero(st.localLast[i])
-	}
-	st.iter, st.idleSteps, st.diff, st.stableRuns, st.stableStart = 0, 0, 0, 0, 0
-	st.factFlops = 0
-
+// rankBody is the process body of one rank for one Resolve: a rank the
+// session has no state for loads and factors its bands; a kept one is bound
+// to the new process, restarted (rankState.startRun) and, when the Resolve
+// brought new values, refreshed and refactorized band by band. Either way the
+// time that took is the Resolve's factorization time and msRankRun iterates
+// from there. Each body writes its own slot of s.ranks and nothing else of
+// the session: bodies of different scheduler lanes run concurrently.
+func (s *Session) rankBody(c *mp.Comm, b []float64, refresh bool, pend *Pending) error {
+	ctx := newRankCtx(c, s.o)
+	st := s.ranks[c.Rank()]
 	factStart := c.Now()
-	for i := range st.bands {
-		bs := &st.bands[i]
-		vec.Zero(bs.xSub)
-		vec.Zero(bs.xPrev)
-		vec.Zero(bs.z)
-		copy(bs.bSub, bGlob[bs.band.Lo:bs.band.Hi])
-		bs.zMoved = 1
-		if bs.twoStage() {
-			bs.ts.totalSweeps, bs.ts.innerFlops, bs.ts.fallbacks = 0, 0, 0
-			bs.ts.sched = newInnerSchedule(bs.ts.opt)
+	if st == nil {
+		var err error
+		if st, err = newRankState(c, ctx, s.a, b, s.d, s.cp, s.o); err != nil {
+			return err
 		}
-		// The simulated process is new even though the factors persist in the
-		// driver: account its working set against the fresh host. In two-stage
-		// mode the resident factor is the band preconditioner, not an LU.
-		if err := ctx.Alloc(bs.workingSet() + bs.factorBytes()); err != nil {
-			return 0, err
-		}
-		if !refresh {
-			continue
-		}
-		for k, p := range sr.subMaps[i] {
-			bs.sub.Val[k] = s.a.Val[p]
-		}
-		for k, p := range sr.depMaps[i] {
-			bs.depMat.Val[k] = s.a.Val[p]
-		}
-		if err := s.refactorBand(st, bs); err != nil {
-			return 0, err
+		s.ranks[c.Rank()] = st
+	} else {
+		st.c, st.ctx, st.bGlob, st.factFlops = c, ctx, b, 0
+		st.startRun()
+		for i := range st.bands {
+			if err := s.refreshBand(st, &st.bands[i], refresh); err != nil {
+				return err
+			}
 		}
 	}
-	return c.Now() - factStart, nil
+	return msRankRun(st, pend, c.Now()-factStart)
+}
+
+// refreshBand brings one kept band up to the Resolve: the new right-hand
+// side, its memory on the fresh host and, when the values changed, the
+// extracted values through the frozen position maps and the factor.
+func (s *Session) refreshBand(st *rankState, bs *bandState, refresh bool) error {
+	copy(bs.bSub, st.bGlob[bs.band.Lo:bs.band.Hi])
+	// The simulated process is new even though the factors persist in the
+	// driver: account its working set against the fresh host. In two-stage
+	// mode the resident factor is the band preconditioner, not an LU.
+	if err := st.ctx.Alloc(bs.workingSet() + bs.factorBytes()); err != nil {
+		return err
+	}
+	if !refresh {
+		return nil
+	}
+	if bs.subMap == nil {
+		lo, hi := bs.band.Lo, bs.band.Hi
+		bs.subMap = s.a.SubmatrixMap(lo, hi, lo, hi)
+		bs.depMap = s.a.SelectColumnsMap(lo, hi, bs.depCols)
+	}
+	for k, p := range bs.subMap {
+		bs.sub.Val[k] = s.a.Val[p]
+	}
+	for k, p := range bs.depMap {
+		bs.depMat.Val[k] = s.a.Val[p]
+	}
+	return s.refactorBand(st, bs)
 }
 
 // refactorBand brings one band's factor up to date with its refreshed
@@ -599,7 +554,6 @@ func (s *Session) refactorBand(st *rankState, bs *bandState) error {
 		if err != nil {
 			return fmt.Errorf("rank %d: preconditioner refresh: %w", st.rank, err)
 		}
-		st.factFlops += ctx.Counter.Flops() - flops0
 	case canRefactor && !s.NoRefactor:
 		// The refactor cost is frozen by the symbolic phase, so this is a
 		// declared segment; Charge reconciles the rare pivot-degradation
@@ -621,9 +575,11 @@ func (s *Session) refactorBand(st *rankState, bs *bandState) error {
 			return err
 		}
 	}
+	flops := ctx.Counter.Flops() - flops0
+	st.factFlops += flops
 	if sc := ctx.Observe(); sc != nil {
 		sc.Span(obs.Span{Cat: cat, Name: name,
-			Start: start, End: c.Now(), Flops: ctx.Counter.Flops() - flops0})
+			Start: start, End: c.Now(), Flops: flops})
 	}
 	return nil
 }

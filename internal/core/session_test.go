@@ -1,11 +1,12 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/sparse"
 	"repro/internal/splu"
@@ -170,41 +171,70 @@ func TestSeqSessionResolveAllocationFree(t *testing.T) {
 	}
 }
 
-// runSessionWithWorkers drives a 3-step resolve sequence (factor, then two
-// refactorized solves) with the given worker count, capturing the
-// concatenated scheduler traces of all three engines.
-func runSessionWithWorkers(t *testing.T, workers int, o Options) (string, []*Result, float64) {
+// launchResolve drives one Resolve through Session.Launch on an engine the
+// configure callback set up — what Session.Resolve does, with the engine in
+// the caller's hands.
+func launchResolve(t *testing.T, sess *Session, pl *vgrid.Platform, hosts []*vgrid.Host, vals, b []float64, configure func(e *vgrid.Engine)) *Result {
+	t.Helper()
+	e := vgrid.NewEngine(pl)
+	configure(e)
+	pend, err := sess.Launch(e, hosts, vals, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pend.Running() {
+		t.Fatal("Pending.Running() is false before the engine ran")
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pend.Running() {
+		t.Fatal("Pending.Running() is true after the engine ran")
+	}
+	pend.Finish()
+	return pend.Result()
+}
+
+// runSessionOnEngines drives a 3-step resolve sequence (factor, then two
+// refactorized solves) on a generated two-site grid through Session.Launch,
+// on engines with the given worker and lane counts (lanes 0: one lane per
+// cluster), capturing the concatenated scheduler traces of all three engines.
+func runSessionOnEngines(t *testing.T, workers, lanes int, o Options) (string, []*Result, float64) {
 	t.Helper()
 	m := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Band: 50, PerRow: 8, Margin: 0.08, Negative: true, Seed: 3030})
 	b, _ := gen.RHSForSolution(m)
-	vals := perturbedVals(m, 2)
-	sess, err := NewSession(newLanFactory(6), m, o)
+	factory := func() (*vgrid.Platform, []*vgrid.Host) {
+		plt := cluster.Synthetic(6, 2, 0.3, 5)
+		return plt.Platform, plt.Hosts
+	}
+	sess, err := NewSession(factory, m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Workers = workers
 	var sb strings.Builder
-	sess.EngineTrace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
 	var results []*Result
-	r0, err := sess.Resolve(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results = append(results, r0)
-	for _, v := range vals {
-		r, err := sess.Resolve(v, b)
-		if err != nil {
-			t.Fatal(err)
+	for _, v := range append([][]float64{nil}, perturbedVals(m, 2)...) {
+		pl, hosts := factory()
+		var eng *vgrid.Engine
+		results = append(results, launchResolve(t, sess, pl, hosts, v, b, func(e *vgrid.Engine) {
+			eng = e
+			e.SetWorkers(workers)
+			e.SetLanes(lanes)
+			e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+		}))
+		if lanes == 0 && eng.Lanes() != 2 {
+			t.Fatalf("engine ran %d lanes on the two-site grid, want one per cluster", eng.Lanes())
 		}
-		results = append(results, r)
 	}
 	return sb.String(), results, sess.FactorFlops
 }
 
 // TestSessionWorkersDeterministic: with sessions and refactorization enabled,
 // the concatenated scheduler traces of a factor + refactor + refactor resolve
-// sequence must stay byte-identical across worker counts, in both sync and
-// async mode, along with bitwise-identical solutions and flop totals.
+// sequence must stay byte-identical across worker and lane counts, in both
+// sync and async mode, along with bitwise-identical solutions and flop
+// totals. The engines are the caller's (Session.Launch): a session has no
+// engine knobs of its own.
 func TestSessionWorkersDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -215,32 +245,22 @@ func TestSessionWorkersDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr1, res1, ff1 := runSessionWithWorkers(t, 1, tc.o)
-			tr4, res4, ff4 := runSessionWithWorkers(t, 4, tc.o)
-			if tr1 != tr4 {
-				d := firstDiffLine(tr1, tr4)
-				t.Fatalf("traces diverge (first differing line %d):\n1 worker:  %s\n4 workers: %s", d[0], d[1], d[2])
-			}
-			if ff1 != ff4 {
-				t.Fatalf("factor flops: %v vs %v", ff1, ff4)
-			}
-			for k := range res1 {
-				if res1[k].Iterations != res4[k].Iterations {
-					t.Fatalf("resolve %d iterations: %d vs %d", k, res1[k].Iterations, res4[k].Iterations)
+			tr1, res1, ff1 := runSessionOnEngines(t, 1, 1, tc.o)
+			for _, v := range []struct{ workers, lanes int }{{4, 1}, {1, 0}, {4, 0}} {
+				trN, resN, ffN := runSessionOnEngines(t, v.workers, v.lanes, tc.o)
+				what := fmt.Sprintf("%d workers, lanes=%d", v.workers, v.lanes)
+				if tr1 != trN {
+					d := firstDiffLine(tr1, trN)
+					t.Fatalf("%s: traces diverge (first differing line %d):\n1 worker, 1 lane: %s\nthis run:         %s", what, d[0], d[1], d[2])
 				}
-				if res1[k].Time != res4[k].Time {
-					t.Fatalf("resolve %d virtual time: %v vs %v", k, res1[k].Time, res4[k].Time)
+				if ff1 != ffN {
+					t.Fatalf("%s: factor flops: %v vs %v", what, ff1, ffN)
 				}
-				if res1[k].TotalFlops != res4[k].TotalFlops {
-					t.Fatalf("resolve %d total flops: %v vs %v", k, res1[k].TotalFlops, res4[k].TotalFlops)
-				}
-				for i := range res1[k].X {
-					if math.Float64bits(res1[k].X[i]) != math.Float64bits(res4[k].X[i]) {
-						t.Fatalf("resolve %d x[%d] differs bitwise", k, i)
+				for k := range res1 {
+					sameResult(t, fmt.Sprintf("%s: resolve %d", what, k), resN[k], res1[k])
+					if !resN[k].Converged {
+						t.Fatalf("%s: resolve %d did not converge", what, k)
 					}
-				}
-				if !res1[k].Converged {
-					t.Fatalf("resolve %d did not converge", k)
 				}
 			}
 		})
@@ -319,34 +339,69 @@ func TestSessionRefactorResolveCheaper(t *testing.T) {
 	}
 }
 
-// TestSessionOptionRejections: options that reshape the decomposition or the
-// matrix per solve are incompatible with persistent sessions.
+// TestSessionOptionRejections: a session takes every option a one-shot solve
+// takes (TestSessionOptionMatrix); the one thing NewSession refuses is a
+// missing platform factory.
 func TestSessionOptionRejections(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 100, Seed: 1})
-	cases := []struct {
-		name       string
-		o          Options
-		nilFactory bool
-	}{
-		{"balance", Options{Balance: true}, false},
-		{"equilibrate", Options{Equilibrate: true}, false},
-		{"nil-factory", Options{}, true},
+	t.Run("nil-factory", func(t *testing.T) {
+		if _, err := NewSession(nil, a, Options{}); err == nil {
+			t.Fatal("expected rejection")
+		}
+	})
+}
+
+// TestSessionFactorFlopsPerResolve: every Resolve reports the factorization
+// arithmetic it ran — a full factorization first, then a refactorization, a
+// full factorization again (NoRefactor) or a preconditioner refresh
+// (two-stage) — and the session's tally is the sum of its Resolves'.
+func TestSessionFactorFlopsPerResolve(t *testing.T) {
+	m := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Band: 50, PerRow: 8, Margin: 0.08, Negative: true, Seed: 3030})
+	b, _ := gen.RHSForSolution(m)
+	vals := append([][]float64{nil}, perturbedVals(m, 2)...)
+	shares := func(o Options, noRefactor bool) []float64 {
+		t.Helper()
+		sess, err := NewSession(newLanFactory(6), m, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.NoRefactor = noRefactor
+		var out []float64
+		sum := 0.0
+		for k, v := range vals {
+			before := sess.FactorFlops
+			r, err := sess.Resolve(v, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.FactorFlops <= 0 {
+				t.Fatalf("resolve %d reports %v factor flops", k, r.FactorFlops)
+			}
+			if share := sess.FactorFlops - before; share != r.FactorFlops {
+				t.Fatalf("resolve %d: Result.FactorFlops %v, its share of Session.FactorFlops %v", k, r.FactorFlops, share)
+			}
+			out = append(out, r.FactorFlops)
+			sum += r.FactorFlops
+		}
+		if sess.FactorFlops != sum {
+			t.Fatalf("Session.FactorFlops %v, the three Resolves sum to %v", sess.FactorFlops, sum)
+		}
+		return out
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pf := newLanFactory(2)
-			if tc.nilFactory {
-				pf = nil
-			}
-			_, err := NewSession(pf, a, tc.o)
-			if err == nil {
-				t.Fatal("expected rejection")
-			}
-			if !tc.nilFactory && !errors.Is(err, ErrIncompatible) {
-				t.Fatalf("err = %v, want ErrIncompatible", err)
-			}
-		})
+	exact := Options{Tol: 1e-8, Overlap: 10}
+	refactor := shares(exact, false)
+	full := shares(exact, true)
+	for k := 1; k < 3; k++ {
+		if full[k] < 0.9*full[0] {
+			t.Errorf("NoRefactor resolve %d: %v flops against %v for the first factorization", k, full[k], full[0])
+		}
+		if refactor[k] >= full[k] {
+			t.Errorf("resolve %d: refactorization %v flops, full factorization %v", k, refactor[k], full[k])
+		}
 	}
+	twoStage := exact
+	twoStage.TwoStage = TwoStage{InnerIters: 4, PrecondBand: 8}
+	shares(twoStage, false)
 }
 
 // TestSessionHostCountPinned: the decomposition is fixed by the first

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -193,14 +192,81 @@ func TestGatewayFlatPlatformNoop(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsGateway: persistent sessions run the direct plan.
-func TestSessionRejectsGateway(t *testing.T) {
-	a, _, _ := topoTestSystem(t)
-	_, err := NewSession(func() (*vgrid.Platform, []*vgrid.Host) {
-		return twoSiteClustered(2, 2)
-	}, a, Options{Gateway: true})
-	if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "do not support Gateway") {
-		t.Fatalf("err = %v", err)
+// TestSessionAcceptsGateway: a session routes its inter-cluster exchange
+// through the aggregators like a one-shot solve — the first Resolve is the
+// gateway Solve bit for bit, and a refreshed Resolve starts from clean
+// gateway staging and converges on the new values with the same WAN economy.
+func TestSessionAcceptsGateway(t *testing.T) {
+	a, b, _ := topoTestSystem(t)
+	factory := func() (*vgrid.Platform, []*vgrid.Host) { return twoSiteClustered(2, 2) }
+	o := Options{Tol: 1e-9, Gateway: true, TopoCollectives: true}
+	sess, err := NewSession(factory, a, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sess.Resolve(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, hosts := factory()
+	ref, err := Solve(pl, hosts, a, b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "first Resolve vs Solve", first, ref)
+
+	direct, err := NewSession(factory, a, Options{Tol: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := perturbedVals(a, 1)[0]
+	a2 := a.Clone()
+	copy(a2.Val, vals)
+	for _, v := range [][]float64{nil, vals} {
+		if _, err := direct.Resolve(v, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, err := sess.Resolve(vals, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := residualInf(a2, second.X, b); r > 1e-7 {
+		t.Fatalf("refreshed gateway Resolve: true residual %v", r)
+	}
+	plain, err := direct.Resolve(vals, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.InterMsgs >= plain.InterMsgs {
+		t.Fatalf("gateway session crossed the WAN %d times, the direct session %d", second.InterMsgs, plain.InterMsgs)
+	}
+}
+
+// TestSessionTopologyValidated: a session validates the platform's cluster
+// declarations like Solve does — a host outside every declared cluster fails
+// the first Resolve, whichever topology-aware mode asked for them.
+func TestSessionTopologyValidated(t *testing.T) {
+	a, b, _ := topoTestSystem(t)
+	for name, o := range map[string]Options{
+		"topo-collectives": {TopoCollectives: true},
+		"gateway":          {Gateway: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sess, err := NewSession(func() (*vgrid.Platform, []*vgrid.Host) {
+				pl, hosts := twoSitePlatform(2, 2)
+				pl.AddCluster("siteA", hosts[:2]...)
+				pl.AddCluster("siteB", hosts[2:3]...)
+				return pl, hosts
+			}, a, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sess.Resolve(nil, b)
+			if err == nil || !strings.Contains(err.Error(), "belongs to no cluster") {
+				t.Fatalf("err = %v", err)
+			}
+		})
 	}
 }
 

@@ -202,7 +202,7 @@ func (st *rankState) buildTwoStage(bs *bandState) (bool, error) {
 	if err := ctx.Alloc(pc.Bytes()); err != nil {
 		return false, err
 	}
-	bs.ts = &twoStageState{opt: o.TwoStage, pc: pc, sched: newInnerSchedule(o.TwoStage)}
+	bs.ts = &twoStageState{opt: o.TwoStage, pc: pc} // startRun arms the schedule
 	return true, nil
 }
 

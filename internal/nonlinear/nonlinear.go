@@ -315,10 +315,3 @@ func SolveDistributed(newPlatform func() (*vgrid.Platform, []*vgrid.Host), p *Pr
 	}
 	return res, ErrNewtonNoConvergence
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/sparse"
@@ -173,6 +174,39 @@ func TestNewtonDistributedAsyncInner(t *testing.T) {
 		if math.Abs(res.X[i]-xtrue[i]) > 1e-5*(1+math.Abs(xtrue[i])) {
 			t.Fatalf("x[%d] = %v, want %v", i, res.X[i], xtrue[i])
 		}
+	}
+}
+
+// TestNewtonDistributedEveryInnerOption: the inner options pass straight
+// through the session — gateway exchange with topology-aware collectives,
+// speed-balanced bands and equilibration together, on a two-site grid of
+// unequal hosts — and Newton reaches the sequential solver's answer.
+func TestNewtonDistributedEveryInnerOption(t *testing.T) {
+	p, _ := cubicProblem(600, 7)
+	var c vec.Counter
+	seq, err := SolveSequential(p, &splu.SparseLU{}, Options{NewtonTol: 1e-10}, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPlat := func() (*vgrid.Platform, []*vgrid.Host) {
+		plt := cluster.Synthetic(6, 2, 0.3, 5)
+		return plt.Platform, plt.Hosts
+	}
+	res, err := SolveDistributed(newPlat, p, Options{
+		NewtonTol: 1e-9,
+		Inner: core.Options{Tol: 1e-11, Gateway: true, TopoCollectives: true,
+			Balance: true, Equilibrate: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.X {
+		if math.Abs(res.X[i]-seq.X[i]) > 1e-6*(1+math.Abs(seq.X[i])) {
+			t.Fatalf("x[%d] = %v, sequential Newton %v", i, res.X[i], seq.X[i])
+		}
+	}
+	if res.NewtonIterations < 2 || res.FactorFlops <= 0 {
+		t.Fatalf("%d Newton steps, %v factor flops: the session did not carry over", res.NewtonIterations, res.FactorFlops)
 	}
 }
 
