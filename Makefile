@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench tables-twice race vet bench bench-json bench-json-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-obs bench-obs-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
+.PHONY: all build test test-bench tables-twice race vet bench bench-json bench-json-smoke bench-eventshard bench-eventshard-smoke bench-twostage bench-twostage-smoke bench-adapt bench-adapt-smoke bench-diff-fixture lint-docs verify
 
 all: verify
 
@@ -19,8 +19,8 @@ test-bench:
 # The worker pool runs compute segments on real OS threads, so the race
 # detector is part of the verified loop, not an optional extra. The focused
 # second runs pin the observability determinism contract (byte-identical
-# exports for 1 vs N workers) and the communication-plan equivalence
-# contract (byte-identical iterates and traces for the gateway exchange)
+# exports for 1 vs N workers, batch and streamed) and the communication-plan
+# equivalence contract (byte-identical iterates and traces for the gateway exchange)
 # under the race detector, together with the export encoder's differential
 # test against encoding/json and its allocation budget, the sparse LU's
 # bit-for-bit comparison with its pre-rework reference loops, and the proof
@@ -33,10 +33,10 @@ test-bench:
 # compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
-	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults' ./internal/vgrid
+	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks' ./internal/vgrid
 
 vet:
 	$(GO) vet ./...
@@ -84,19 +84,6 @@ bench-twostage:
 bench-twostage-smoke:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkTwoStage' -benchtime 1x -o BENCH_twostage.json
 
-# Machine-readable record of the observability layer's price on the
-# 1000-host/100k-event synthetic run: off, aggregate, aggregate + batch
-# export, batch export + windowed metrics, and the streaming flight-recorder
-# mode (obs-spans emitted, obs-peak-spans held — the bounded-memory claim).
-# The windowed and streaming rows produce the same artifacts, so their
-# sim-wall-clock ratio is the streaming overhead.
-bench-obs:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkObsModes' -benchtime 5x -o BENCH_obs.json
-
-# One-iteration smoke of the observability pipeline, part of verify.
-bench-obs-smoke:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkObsModes' -benchtime 1x -o BENCH_obs.json
-
 # Machine-readable baseline of the live decomposition: the cluster2 solve
 # with one host persistently slowed and the controller on, recording what
 # the adaptivity costs (resplit-count, resplit-flops — the safety checks,
@@ -135,4 +122,4 @@ tables-twice:
 		cmp "$$d/a.csv" "$$d/b.csv" || { echo "tables-twice: msexp $$args differs run to run"; exit 1; }; \
 	done && echo "tables-twice: same bytes twice"
 
-verify: build vet lint-docs test test-bench tables-twice race bench-json-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture
+verify: build vet lint-docs test test-bench tables-twice race bench-json-smoke bench-eventshard-smoke bench-twostage-smoke bench-adapt-smoke bench-diff-fixture

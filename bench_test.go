@@ -1,7 +1,7 @@
-// Benchmarks regenerating each of the paper's tables and figure, plus
-// micro-benchmarks of the underlying kernels. One benchmark iteration runs
-// the whole experiment at the benchmark scale (64: coarse but preserving the
-// headline comparisons); use cmd/msexp for presentation-quality runs.
+// Micro-benchmarks of the kernels and layers under the paper's experiments.
+// Regenerating the tables end to end is the bench/ module's job (workload
+// paper_table3), and so is the price of the observability modes
+// (grid1000_observed); use cmd/msexp for presentation-quality runs.
 package repro_test
 
 import (
@@ -25,36 +25,6 @@ import (
 )
 
 const benchScale = 64
-
-func benchTable(b *testing.B, run func(experiments.Config) (*experiments.Table, error)) {
-	b.Helper()
-	cfg := experiments.Config{Scale: benchScale}
-	for i := 0; i < b.N; i++ {
-		tab, err := run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates the cluster1/cage10 scalability table.
-func BenchmarkTable1(b *testing.B) { benchTable(b, experiments.Table1) }
-
-// BenchmarkTable2 regenerates the cluster1/cage11 table with its memory
-// boundary.
-func BenchmarkTable2(b *testing.B) { benchTable(b, experiments.Table2) }
-
-// BenchmarkTable3 regenerates the distant/heterogeneous comparison table.
-func BenchmarkTable3(b *testing.B) { benchTable(b, experiments.Table3) }
-
-// BenchmarkTable4 regenerates the network-perturbation table.
-func BenchmarkTable4(b *testing.B) { benchTable(b, experiments.Table4) }
-
-// BenchmarkFigure3 regenerates the overlap-sweep series.
-func BenchmarkFigure3(b *testing.B) { benchTable(b, experiments.Figure3) }
 
 // --- Kernel micro-benchmarks.
 
@@ -478,40 +448,7 @@ func BenchmarkEventHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkObsModes prices the observability layer on the event-core
-// workload (make bench-obs → BENCH_obs.json): the 1000-host/100-cluster
-// 100k-event ring with the layer off, aggregating spans in memory,
-// aggregating plus batch-exporting (trace + metrics), batch-exporting with
-// windowed metrics, and streaming the trace through the bounded
-// flight-recorder ring with windows fed from the flush path. obs-spans is
-// the span count a mode emitted, obs-peak-spans the peak span count held in
-// memory — equal to obs-spans for the batch modes, the ring occupancy when
-// streaming. The windowed and streaming rows produce the same artifacts
-// (full trace + windowed metrics), so the streaming overhead claim of the
-// telemetry layer compares exactly those two; the obs-peak-spans column is
-// what the bounded ring buys for that price.
-func BenchmarkObsModes(b *testing.B) {
-	for _, mode := range []string{"off", "aggregate", "aggregate+export", "windowed", "streaming"} {
-		b.Run(mode+"/hosts=1000", func(b *testing.B) {
-			var res experiments.ObsModesResult
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.ObsModesRun(1000, 100, 100000, 1, mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-				wall += r.Wall
-			}
-			b.ReportMetric(float64(res.Events), "sim-events")
-			b.ReportMetric(float64(wall)/float64(b.N)/1e6, "sim-wall-clock")
-			b.ReportMetric(float64(res.Spans), "obs-spans")
-			b.ReportMetric(float64(res.PeakSpans), "obs-peak-spans")
-		})
-	}
-}
-
-// recordRing runs the 1000-host/100-cluster ring of BenchmarkObsModes (34
+// recordRing runs the 1000-host/100-cluster ring of the event-core studies (34
 // rounds, 102 000 events) with a retaining recorder and returns it with the
 // run's virtual makespan: the span population the export benchmarks work on.
 func recordRing(b *testing.B) (*obs.Recorder, float64) {

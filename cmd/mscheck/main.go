@@ -60,19 +60,9 @@ func main() {
 // checkTopology builds the named platform, validates its cluster
 // declarations and prints the layout the topology-aware modes rely on.
 func checkTopology(name string, procs int) error {
-	var plt *cluster.Platform
-	switch name {
-	case "cluster1":
-		if procs < 1 || procs > 20 {
-			return fmt.Errorf("cluster1 has 1..20 machines, asked for %d", procs)
-		}
-		plt = cluster.Cluster1(procs, -1)
-	case "cluster2":
-		plt = cluster.Cluster2(-1)
-	case "cluster3":
-		plt = cluster.Cluster3(-1)
-	default:
-		return fmt.Errorf("unknown cluster %q", name)
+	plt, err := cluster.ByName(name, procs)
+	if err != nil {
+		return err
 	}
 	if err := plt.Platform.ValidateTopology(); err != nil {
 		return fmt.Errorf("topology of %s INVALID: %w", name, err)

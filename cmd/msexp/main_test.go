@@ -56,9 +56,9 @@ func TestUnknownExperimentFailsBeforeTheFirstRuns(t *testing.T) {
 	}
 }
 
-// TestRejectedInputFailsWithoutATable: input the solver or the ring harness
-// refuses is an exit-1 diagnostic naming the cause — not a table of "err"
-// cells with exit 0, and not a panic.
+// TestRejectedInputFailsWithoutATable: input the solver, the ring harness or
+// the sharded engine refuses is an exit-1 diagnostic naming the cause — not a
+// table of "err" cells with exit 0, and not a panic.
 func TestRejectedInputFailsWithoutATable(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -67,6 +67,8 @@ func TestRejectedInputFailsWithoutATable(t *testing.T) {
 		{[]string{"-scale", "64", "-quiet", "-inner-schedule", "bogus", "twostage"}, []string{"twostage failed", "bogus"}},
 		{[]string{"-quiet", "-hosts", "5", "-clusters", "9", "clustergrid"}, []string{"clustergrid failed", "clusters"}},
 		{[]string{"-quiet", "-hosts", "5", "-clusters", "9", "eventshard"}, []string{"eventshard failed", "clusters"}},
+		// cluster3's NICs carry intra- and inter-site routes: one lane only.
+		{[]string{"-quiet", "-csv", "-scale", "64", "-lanes", "0", "table3"}, []string{"table3 failed", "cannot be sharded"}},
 	} {
 		code, out, errs := msexp(tc.args...)
 		if code != 1 || out != "" {

@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/vgrid"
 )
@@ -78,6 +79,39 @@ func (p *Platform) ScaleSpeed(f float64) *Platform {
 	return p
 }
 
+// Names lists the built-in platforms ByName knows, in the paper's order.
+var Names = []string{"cluster1", "cluster2", "cluster3"}
+
+// ByName builds a built-in platform by its command-line name, without memory
+// limits. procs is the machine count of cluster1 (1..20); cluster2 and
+// cluster3 have the paper's fixed sizes and ignore it.
+func ByName(name string, procs int) (*Platform, error) {
+	switch name {
+	case "cluster1":
+		if procs < 1 || procs > 20 {
+			return nil, fmt.Errorf("cluster1 has 1..20 machines, asked for %d", procs)
+		}
+		return Cluster1(procs, -1), nil
+	case "cluster2":
+		return Cluster2(-1), nil
+	case "cluster3":
+		return Cluster3(-1), nil
+	}
+	return nil, fmt.Errorf("unknown cluster %q (want %s)", name, strings.Join(Names, ", "))
+}
+
+// memory resolves a builder's memOverride against its default capacity: a
+// positive override replaces it, 0 keeps it, a negative one disables limits.
+func memory(def, override int64) int64 {
+	switch {
+	case override > 0:
+		return override
+	case override < 0:
+		return 0
+	}
+	return def
+}
+
 // lanWire gives every host its own NIC; a route concatenates the two NICs
 // (switched Ethernet: contention only at the endpoints).
 func lanWire(pl *vgrid.Platform, hosts []*vgrid.Host) []*vgrid.Link {
@@ -100,13 +134,7 @@ func Cluster1(n int, memOverride int64) *Platform {
 	if n < 1 || n > 20 {
 		panic(fmt.Sprintf("cluster: cluster1 has 20 machines, asked for %d", n))
 	}
-	mem := int64(Mem256)
-	switch {
-	case memOverride > 0:
-		mem = memOverride
-	case memOverride < 0:
-		mem = 0
-	}
+	mem := memory(Mem256, memOverride)
 	pl := vgrid.NewPlatform()
 	hosts := make([]*vgrid.Host, n)
 	sites := make([]int, n)
@@ -134,13 +162,7 @@ func hetSpeeds(n int) []float64 {
 // Cluster2 builds the 8-machine heterogeneous local cluster. memOverride as
 // in Cluster1 (default 512 MB machines).
 func Cluster2(memOverride int64) *Platform {
-	mem := int64(Mem512)
-	switch {
-	case memOverride > 0:
-		mem = memOverride
-	case memOverride < 0:
-		mem = 0
-	}
+	mem := memory(Mem512, memOverride)
 	pl := vgrid.NewPlatform()
 	speeds := hetSpeeds(8)
 	hosts := make([]*vgrid.Host, 8)
@@ -156,13 +178,7 @@ func Cluster2(memOverride int64) *Platform {
 // Cluster3 builds the two-site heterogeneous grid: 7 machines on site 0 and
 // 3 on site 1, LANs joined by a shared 20 Mb link. memOverride as above.
 func Cluster3(memOverride int64) *Platform {
-	mem := int64(Mem512)
-	switch {
-	case memOverride > 0:
-		mem = memOverride
-	case memOverride < 0:
-		mem = 0
-	}
+	mem := memory(Mem512, memOverride)
 	pl := vgrid.NewPlatform()
 	const n = 10
 	speeds := hetSpeeds(n)

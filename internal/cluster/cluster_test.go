@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -37,6 +38,29 @@ func TestCluster1Bounds(t *testing.T) {
 			}()
 			Cluster1(n, 0)
 		}()
+	}
+}
+
+// TestByName pins the platform table the commands share: every listed name
+// builds its platform without memory limits, cluster1 alone sizes by procs,
+// and a rejection says what would have been accepted.
+func TestByName(t *testing.T) {
+	for i, want := range []int{6, 8, 10} {
+		p, err := ByName(Names[i], 6)
+		if err != nil || len(p.Hosts) != want || p.Hosts[0].Memory != 0 {
+			t.Errorf("ByName(%s, 6): %d hosts, err %v; want %d unlimited hosts", Names[i], len(p.Hosts), err, want)
+		}
+	}
+	for _, procs := range []int{0, 21} {
+		if _, err := ByName("cluster1", procs); err == nil || err.Error() != fmt.Sprintf("cluster1 has 1..20 machines, asked for %d", procs) {
+			t.Errorf("ByName(cluster1, %d): %v", procs, err)
+		}
+	}
+	if _, err := ByName("cluster2", 0); err != nil {
+		t.Errorf("cluster2 has a fixed size, procs must not matter: %v", err)
+	}
+	if _, err := ByName("cluster4", 4); err == nil || err.Error() != `unknown cluster "cluster4" (want cluster1, cluster2, cluster3)` {
+		t.Errorf("ByName(cluster4): %v", err)
 	}
 }
 

@@ -313,8 +313,7 @@ type runSpec struct {
 	plan *vgrid.FaultPlan
 	// flows is the number of background flows perturbing the WAN.
 	flows int
-	// rec, when non-nil, records the run's spans; a caller that streams
-	// attaches its obs.Streamer to the recorder beforehand.
+	// rec, when non-nil, records the run's spans (obs.Exporting.Rec).
 	rec *obs.Recorder
 }
 
@@ -343,8 +342,10 @@ func (c Config) withAdapt(o core.Options) core.Options {
 //
 // and the cause of the first four goes to Config.Progress. A solver that
 // rejects its input or options before any virtual time is spent is not a
-// verdict: that error is returned and fails the experiment. The
-// multisplitting result is returned for every launched run (nil for dslu).
+// verdict, and neither is an engine that cannot shard the platform over the
+// requested lanes (vgrid.ErrUnshardable): that error is returned and fails
+// the experiment. The multisplitting result is returned for every launched
+// run (nil for dslu).
 func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSpec) (cell, *core.Result, error) {
 	e := c.newEngine(plt)
 	if s.plan != nil {
@@ -373,6 +374,9 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 	}
 	end, err := e.Run()
 	pend.Finish()
+	if errors.Is(err, vgrid.ErrUnshardable) {
+		return cell{}, nil, fmt.Errorf("experiments: %w", err)
+	}
 	var (
 		out       = cell{end: end}
 		res       *core.Result

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -11,41 +9,17 @@ import (
 	"repro/internal/obs"
 )
 
-// writeFile creates path and streams fn into it.
-func writeFile(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// artifacts names the per-run files of an observability-aware experiment:
+// <TraceJSON>-<key>.json and <MetricsOut>-<key>.metrics.{json,csv}.
+func (c Config) artifacts(key string) obs.Export {
+	var x obs.Export
+	if c.TraceJSON != "" {
+		x.TraceJSON = c.TraceJSON + "-" + key + ".json"
 	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
+	if c.MetricsOut != "" {
+		x.MetricsOut = c.MetricsOut + "-" + key
 	}
-	return f.Close()
-}
-
-// writeObsArtifacts writes the per-run trace/metrics files requested through
-// Config.TraceJSON / Config.MetricsOut.
-func writeObsArtifacts(cfg Config, key string, rec *obs.Recorder, makespan float64) error {
-	if cfg.TraceJSON != "" {
-		path := fmt.Sprintf("%s-%s.json", cfg.TraceJSON, key)
-		if err := writeFile(path, func(w io.Writer) error { return obs.WriteTraceJSON(w, rec) }); err != nil {
-			return err
-		}
-		cfg.logf("utilization: trace written to %s", path)
-	}
-	if cfg.MetricsOut != "" {
-		m := obs.ComputeMetrics(rec, makespan)
-		base := fmt.Sprintf("%s-%s", cfg.MetricsOut, key)
-		if err := writeFile(base+".metrics.json", m.WriteJSON); err != nil {
-			return err
-		}
-		if err := writeFile(base+".metrics.csv", m.WriteCSV); err != nil {
-			return err
-		}
-		cfg.logf("utilization: metrics written to %s.metrics.{json,csv}", base)
-	}
-	return nil
+	return x
 }
 
 // Utilization quantifies the paper's "communication dominates grid-parallel
@@ -66,25 +40,26 @@ func Utilization(cfg Config) (*Table, error) {
 			"shares decompose the makespan exactly along the run's critical path (internal/obs)",
 		},
 	}
-	clusters := []struct {
-		name    string
-		newPlat func() *cluster.Platform
-	}{
-		{"cluster1", func() *cluster.Platform { return cluster.Cluster1(8, -1) }},
-		{"cluster2", func() *cluster.Platform { return cluster.Cluster2(-1) }},
-		{"cluster3", func() *cluster.Platform { return cluster.Cluster3(-1) }},
-	}
-	for _, cd := range clusters {
+	for _, name := range cluster.Names {
 		for _, solver := range []string{"dslu", "sync", "async"} {
-			cfg.logf("utilization: %s, %s", cd.name, solver)
-			rec := &obs.Recorder{}
-			c, _, err := cfg.solve(cd.newPlat(), a, b, runSpec{
+			cfg.logf("utilization: %s, %s", name, solver)
+			plt, err := cluster.ByName(name, 8)
+			if err != nil {
+				return nil, err
+			}
+			x := cfg.artifacts(name + "-" + solver)
+			ex, err := x.Begin()
+			if err != nil {
+				return nil, err
+			}
+			rec := ex.Rec
+			c, _, err := cfg.solve(plt, a, b, runSpec{
 				dslu: solver == "dslu", opts: core.Options{Async: solver == "async"}, rec: rec,
 			})
 			if err != nil {
 				return nil, err
 			}
-			row := []string{cd.name, solver, c.timeStr(), "-", "-", "-", "-"}
+			row := []string{name, solver, c.timeStr(), "-", "-", "-", "-"}
 			if c.ok {
 				makespan := c.time
 				if cp := obs.CriticalPath(rec); cp != nil && cp.Makespan > 0 {
@@ -97,12 +72,18 @@ func Utilization(cfg Config) (*Table, error) {
 					if cfg.CriticalPath {
 						for i, s := range cp.TopK(3) {
 							t.Notes = append(t.Notes, fmt.Sprintf("%s/%s critical #%d: %s %s [%.4f, %.4f] %s",
-								cd.name, solver, i+1, s.Cat, s.Name, s.Start, s.End, fmtSec(s.Dur())))
+								name, solver, i+1, s.Cat, s.Name, s.Start, s.End, fmtSec(s.Dur())))
 						}
 					}
 				}
-				if err := writeObsArtifacts(cfg, cd.name+"-"+solver, rec, makespan); err != nil {
+				if _, err := ex.Finish(makespan); err != nil {
 					return nil, err
+				}
+				if x.TraceJSON != "" {
+					cfg.logf("utilization: trace written to %s", x.TraceJSON)
+				}
+				if x.MetricsOut != "" {
+					cfg.logf("utilization: metrics written to %s.metrics.{json,csv}", x.MetricsOut)
 				}
 			}
 			t.Rows = append(t.Rows, row)

@@ -1,5 +1,5 @@
 // The synthetic-ring harness shared by the event-core studies (clustergrid,
-// eventshard, the observability-overhead record) and the root benchmarks.
+// eventshard) and the root benchmarks.
 
 package experiments
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -41,7 +42,8 @@ func TestRunnerClassification(t *testing.T) {
 		{name: "dead", plt: wan, note: "dead", cause: "appears dead",
 			spec: runSpec{opts: core.Options{FaultTolerant: true},
 				plan: vgrid.NewFaultPlan(1).CrashHost(faultCrashHost, 0, forever)}},
-		{name: "err", cfg: Config{Lanes: -1}, plt: wan, note: "err", cause: "shared between scheduler lanes"},
+		{name: "err", plt: wan, note: "err", cause: "unknown host",
+			spec: runSpec{plan: vgrid.NewFaultPlan(1).CrashHost("nobody", 0, 1)}},
 		{name: "div", plt: wan, spec: runSpec{opts: core.Options{MaxIter: 1}}, note: "div"},
 	} {
 		var progress bytes.Buffer
@@ -67,14 +69,20 @@ func TestRunnerClassification(t *testing.T) {
 }
 
 // TestRejectedOptionsFailTheExperiment: options the solver refuses before
-// spending virtual time are an error of the run path and of the experiment
-// built on it — not a table of "err" cells.
+// spending virtual time, and a lane count the engine cannot shard the
+// platform over, are an error of the run path and of the experiment built on
+// it — not a table of "err" cells.
 func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
 	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Detector: "gossip"}})
 	if err == nil || !strings.Contains(err.Error(), "gossip") {
 		t.Errorf("solve with an unknown detector: err %v, want the wrapped cause", err)
+	}
+	// cluster3's NICs carry intra- and inter-site routes: one lane only.
+	_, _, err = Config{Lanes: -1}.solve(cluster.Cluster3(-1), a, b, runSpec{})
+	if !errors.Is(err, vgrid.ErrUnshardable) {
+		t.Errorf("solve on cluster3 with a lane per cluster: err %v, want vgrid.ErrUnshardable", err)
 	}
 	tab, err := TwoStageTable(Config{Scale: 64, TwoStageSchedule: "bogus"})
 	if err == nil || tab != nil || !strings.Contains(err.Error(), "bogus") {

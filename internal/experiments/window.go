@@ -1,18 +1,13 @@
-// The windowed-utilization experiment and the observability-overhead
-// benchmark harness. The windowed experiment is the demonstration piece of
-// the windowed telemetry layer (internal/obs: WindowAccum): it injects a
-// mid-run WAN-class degradation and a host crash into a cluster2 solve and
-// shows the per-window utilization trough that aggregate metrics average
-// away. ObsModesRun is the overhead record behind BENCH_obs.json: the same
-// 1000-host ring workload the event-core studies use, timed with the
-// observability layer off, aggregating, exporting, windowing and streaming.
+// The windowed-utilization experiment, the demonstration piece of the
+// windowed telemetry layer (internal/obs: WindowAccum): it injects a mid-run
+// WAN-class degradation and a host crash into a cluster2 solve and shows the
+// per-window utilization trough that aggregate metrics average away.
 
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"time"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -25,29 +20,28 @@ import (
 // runWindowed runs one fault-tolerant asynchronous multisplitting solve and
 // folds it into virtual-time windows of the given width. When
 // cfg.StreamTrace is set the windows are accumulated from the streaming
-// flush path (spans are not retained; the trace bytes go to io.Discard) —
+// flush path (spans are not retained; the trace bytes go to os.DevNull) —
 // the result is the same table through the other deterministic feed.
 func runWindowed(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, plan *vgrid.FaultPlan, width float64) (cell, *obs.WindowedMetrics, error) {
-	rec := &obs.Recorder{}
-	var st *obs.Streamer
+	x := obs.Export{Window: width}
 	if cfg.StreamTrace {
-		st = obs.NewStreamer(io.Discard, 0)
-		st.AccumulateWindows(width)
-		rec.SetStream(st)
+		x.StreamTrace, x.TraceJSON = true, os.DevNull
+	}
+	ex, err := x.Begin()
+	if err != nil {
+		return cell{}, nil, err
 	}
 	c, _, err := cfg.solve(plt, a, b, runSpec{
-		opts: core.Options{Async: true, FaultTolerant: true}, plan: plan, rec: rec,
+		opts: core.Options{Async: true, FaultTolerant: true}, plan: plan, rec: ex.Rec,
 	})
 	if err != nil {
 		return c, nil, err
 	}
-	if st == nil {
-		return c, obs.ComputeWindows(rec, width, c.end, obs.CriticalPath(rec)), nil
-	}
-	if err := st.Close(); err != nil {
+	out, err := ex.Finish(c.end)
+	if err != nil {
 		return c, nil, err
 	}
-	return c, st.Windows(c.end), nil
+	return c, out.Windows, nil
 }
 
 // winMeans folds a windowed report into per-window host means and the byte
@@ -164,96 +158,11 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 			wm  *obs.WindowedMetrics
 		}{{"clean", cleanWM}, {"degraded", degWM}} {
 			base := fmt.Sprintf("%s-windowed-%s", cfg.MetricsOut, out.key)
-			if err := writeFile(base+".windows.json", out.wm.WriteJSON); err != nil {
-				return nil, err
-			}
-			if err := writeFile(base+".windows.csv", out.wm.WriteCSV); err != nil {
+			if err := out.wm.WriteFiles(base); err != nil {
 				return nil, err
 			}
 			cfg.logf("windowed: metrics written to %s.windows.{json,csv}", base)
 		}
 	}
 	return t, nil
-}
-
-// ObsModesResult is one timed observability-overhead run.
-type ObsModesResult struct {
-	// RingResult is the underlying ring run (its virtual outcome is
-	// identical across modes); Wall also covers the mode's export work.
-	RingResult
-	// Spans is the number of spans the run emitted (0 with the layer off).
-	Spans int
-	// PeakSpans is the peak number of spans held in memory: all of them in
-	// batch modes, the flight-recorder ring occupancy when streaming.
-	PeakSpans int
-}
-
-// ObsModesRun times the synthetic-grid ring workload (the event-core
-// studies' 1000-host/100k-event shape) under one observability mode:
-//
-//	off                no recorder attached
-//	aggregate          recorder attached, nothing exported
-//	aggregate+export   recorder + batch trace export + aggregate metrics
-//	windowed           recorder + batch trace export + windowed metrics
-//	streaming          streaming trace + windows from the flush path
-//
-// The windowed and streaming modes produce the same artifacts (a full trace
-// plus windowed metrics), so their wall-clock ratio is the price of the
-// bounded-memory flight recorder; their obs-peak-spans ratio is what it
-// buys. Export bytes go to io.Discard so the record times the layer, not
-// the filesystem. The virtual result is identical across modes.
-func ObsModesRun(hosts, clusters, events, lanes int, mode string) (ObsModesResult, error) {
-	switch mode {
-	case "off", "aggregate", "aggregate+export", "windowed", "streaming":
-	default:
-		return ObsModesResult{}, fmt.Errorf("experiments: unknown obs mode %q", mode)
-	}
-	var rec *obs.Recorder
-	var st *obs.Streamer
-	ring, err := RingRun(RingSpec{
-		Hosts: hosts, Clusters: clusters, Events: events, Lanes: lanes,
-		Attach: func(e *vgrid.Engine) {
-			if mode == "off" {
-				return
-			}
-			rec = &obs.Recorder{}
-			e.Observe(rec)
-			if mode == "streaming" {
-				st = obs.NewStreamer(io.Discard, 0)
-				st.AccumulateWindows(0.05)
-				rec.SetStream(st)
-			}
-		},
-	})
-	if err != nil {
-		return ObsModesResult{}, err
-	}
-	res := ObsModesResult{RingResult: ring}
-	vt := ring.VirtualTime
-	export := time.Now()
-	switch mode {
-	case "aggregate+export":
-		if err = obs.WriteTraceJSON(io.Discard, rec); err == nil {
-			err = obs.ComputeMetrics(rec, vt).WriteJSON(io.Discard)
-		}
-	case "windowed":
-		if err = obs.WriteTraceJSON(io.Discard, rec); err == nil {
-			err = obs.ComputeWindows(rec, 0.05, vt, nil).WriteJSON(io.Discard)
-		}
-	case "streaming":
-		if err = st.Close(); err == nil {
-			err = st.Windows(vt).WriteJSON(io.Discard)
-		}
-	}
-	if err != nil {
-		return ObsModesResult{}, err
-	}
-	switch {
-	case st != nil:
-		res.Spans, res.PeakSpans = int(st.Flushed()), st.PeakPending()
-	case rec != nil:
-		res.Spans, res.PeakSpans = rec.NumSpans(), rec.NumSpans()
-	}
-	res.Wall += time.Since(export)
-	return res, nil
 }

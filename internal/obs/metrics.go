@@ -112,39 +112,77 @@ const (
 	CntClusterMsgs = "cluster_msgs"
 )
 
+// spanFold is the one consumer of a run's spans behind the aggregate and the
+// windowed metrics: the batch exports feed it Recorder.Spans after the run,
+// the streamer every span it flushes. The host-level spans of one track
+// reach both feeds in the track's program order, so the float sums — and the
+// export bytes — do not depend on the feed.
+type spanFold struct {
+	hosts   map[string]*HostUtil // per-track budgets (nil: no Metrics wanted)
+	windows *WindowAccum         // nil: no WindowedMetrics wanted
+}
+
+// add folds one span. Only the tiling host-level categories enter the host
+// budgets, not net spans and solver overlays.
+func (f *spanFold) add(s *Span) {
+	if f.windows != nil {
+		f.windows.AddSpan(*s)
+	}
+	if f.hosts == nil {
+		return
+	}
+	switch s.Cat {
+	case CatCompute, CatSend, CatWait, CatSleep:
+	default:
+		return
+	}
+	h := f.hosts[s.Track]
+	if h == nil {
+		h = &HostUtil{Track: s.Track}
+		f.hosts[s.Track] = h
+	}
+	d := s.End - s.Start
+	switch s.Cat {
+	case CatCompute:
+		h.Compute += d
+	case CatSend:
+		h.Send += d
+	case CatWait:
+		h.Wait += d
+	case CatSleep:
+		h.Sleep += d
+	}
+	h.Flops += s.Flops
+}
+
+// feed folds a batch recorder: its spans in export order, then its samples.
+func (f *spanFold) feed(r *Recorder) {
+	spans := r.Spans()
+	for i := range spans {
+		f.add(&spans[i])
+	}
+	if f.windows != nil {
+		for _, p := range r.Samples() {
+			f.windows.AddSample(p)
+		}
+	}
+}
+
 // ComputeMetrics aggregates a recorder into Metrics. makespan is the run's
 // end-to-end virtual time (Engine.Now after Run); host idle time is measured
-// against it. Net spans and solver overlays do not contribute to host budgets
-// — only the tiling host-level categories do.
+// against it.
 func ComputeMetrics(r *Recorder, makespan float64) *Metrics {
+	f := spanFold{hosts: map[string]*HostUtil{}}
+	f.feed(r)
+	return f.metrics(r, makespan)
+}
+
+// metrics finishes the folded host budgets against the makespan and adds
+// what the recorder retains in either mode: link and traffic counters,
+// counter totals and the sample series.
+func (f *spanFold) metrics(r *Recorder, makespan float64) *Metrics {
 	m := &Metrics{Makespan: makespan}
-	hosts := map[string]*HostUtil{}
-	for _, s := range r.Spans() {
-		var slot *float64
-		h := hosts[s.Track]
-		switch s.Cat {
-		case CatCompute, CatSend, CatWait, CatSleep:
-			if h == nil {
-				h = &HostUtil{Track: s.Track}
-				hosts[s.Track] = h
-			}
-		default:
-			continue
-		}
-		switch s.Cat {
-		case CatCompute:
-			slot = &h.Compute
-		case CatSend:
-			slot = &h.Send
-		case CatWait:
-			slot = &h.Wait
-		case CatSleep:
-			slot = &h.Sleep
-		}
-		*slot += s.End - s.Start
-		h.Flops += s.Flops
-	}
-	for _, h := range hosts {
+	for _, h := range f.hosts {
 		h.Idle = makespan - h.Compute - h.Send - h.Wait - h.Sleep
 		if h.Idle < 0 {
 			h.Idle = 0

@@ -81,7 +81,9 @@ type Streamer struct {
 	overflow int
 	closed   bool
 
-	windows *WindowAccum
+	// fold receives every flushed span: the windows AccumulateWindows asked
+	// for, and the host budgets of an Export that writes aggregate metrics.
+	fold spanFold
 }
 
 // NewStreamer returns a streamer writing one Chrome trace-event JSON
@@ -100,16 +102,16 @@ func NewStreamer(w io.Writer, ring int) *Streamer {
 // Must be called before the run; retrieve the result with Windows after
 // Close.
 func (st *Streamer) AccumulateWindows(width float64) {
-	st.windows = NewWindowAccum(width)
+	st.fold.windows = NewWindowAccum(width)
 }
 
 // Windows finishes and returns the windowed metrics accumulated during
 // streaming (nil unless AccumulateWindows was called). Call after Close.
 func (st *Streamer) Windows(makespan float64) *WindowedMetrics {
-	if st.windows == nil {
+	if st.fold.windows == nil {
 		return nil
 	}
-	return st.windows.Finish(makespan, nil)
+	return st.fold.windows.Finish(makespan, nil)
 }
 
 // PeakPending reports the largest number of spans the ring ever held — the
@@ -249,12 +251,10 @@ func (st *Streamer) tid(pid int, track int32) int {
 	return int(tids[track] - 1)
 }
 
-// emit writes one span out (and folds it into the window accumulator).
+// emit writes one span out and folds it into the metrics accumulators.
 func (st *Streamer) emit(s *Span, track int32) {
 	st.flushed++
-	if st.windows != nil {
-		st.windows.AddSpan(*s)
-	}
+	st.fold.add(s)
 	pid := pidOf(s.Cat)
 	st.enc.span(s, pid, st.tid(pid, track))
 }
@@ -277,8 +277,8 @@ func (st *Streamer) Close() error {
 		var counter counterNamer
 		samples := st.rec.Samples()
 		for i := range samples {
-			if st.windows != nil {
-				st.windows.AddSample(samples[i])
+			if st.fold.windows != nil {
+				st.fold.windows.AddSample(samples[i])
 			}
 			name := counter.of(&samples[i])
 			st.enc.counter(name, st.tid(pidMetrics, st.intern(name)), samples[i].T, samples[i].V)

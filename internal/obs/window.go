@@ -338,14 +338,9 @@ func (a *WindowAccum) Finish(makespan float64, cp *CPReport) *WindowedMetrics {
 // for any worker or lane count. cp may be nil to skip the per-window
 // critical-path attribution.
 func ComputeWindows(r *Recorder, width, makespan float64, cp *CPReport) *WindowedMetrics {
-	a := NewWindowAccum(width)
-	for _, s := range r.Spans() {
-		a.AddSpan(s)
-	}
-	for _, p := range r.Samples() {
-		a.AddSample(p)
-	}
-	return a.Finish(makespan, cp)
+	f := spanFold{windows: NewWindowAccum(width)}
+	f.feed(r)
+	return f.windows.Finish(makespan, cp)
 }
 
 // Windows splits the critical-path segments at window boundaries and sums

@@ -34,11 +34,21 @@ func windowedSolve(t *testing.T, workers, lanes int) (wj, wc []byte) {
 // tests; fixed so runs with different worker/lane counts window identically.
 const testWindowWidth = 0.01
 
-// solveObserved runs the shared multi-cluster workload (12 hosts in 3
-// clusters so lane sharding engages) with a recorder attached. When
-// prepare is non-nil it runs on the recorder before launch (the streaming
-// tests attach their Streamer there).
+// solveObserved runs the shared multi-cluster workload with a fresh recorder
+// attached. When prepare is non-nil it runs on the recorder before launch
+// (the streaming tests attach their Streamer there).
 func solveObserved(t *testing.T, workers, lanes int, prepare func(*obs.Recorder)) (*obs.Recorder, float64) {
+	t.Helper()
+	rec := &obs.Recorder{}
+	if prepare != nil {
+		prepare(rec)
+	}
+	return rec, solveOn(t, workers, lanes, rec)
+}
+
+// solveOn runs the shared multi-cluster workload (12 hosts in 3 clusters so
+// lane sharding engages) observed by rec and returns the engine's end time.
+func solveOn(t *testing.T, workers, lanes int, rec *obs.Recorder) float64 {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 600, Band: 40, PerRow: 8, Margin: 0.05, Negative: true, Seed: 77})
 	b, _ := gen.RHSForSolution(a)
@@ -46,10 +56,6 @@ func solveObserved(t *testing.T, workers, lanes int, prepare func(*obs.Recorder)
 	e := vgrid.NewEngine(plt.Platform)
 	e.SetWorkers(workers)
 	e.SetLanes(lanes)
-	rec := &obs.Recorder{}
-	if prepare != nil {
-		prepare(rec)
-	}
 	e.Observe(rec)
 	pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{Tol: 1e-8, Overlap: 10})
 	if err != nil {
@@ -63,7 +69,7 @@ func solveObserved(t *testing.T, workers, lanes int, prepare func(*obs.Recorder)
 	if !pend.Result().Converged {
 		t.Fatal("solve did not converge")
 	}
-	return rec, end
+	return end
 }
 
 // TestWindowedMetricsDeterministic: the windowed JSON and CSV exports must

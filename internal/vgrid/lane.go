@@ -49,6 +49,7 @@
 package vgrid
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -297,14 +298,20 @@ func (ln *lane) windowLoop() {
 	}
 }
 
+// ErrUnshardable is wrapped by the error Engine.Run returns when a sharded
+// run finds a link shared between scheduler lanes (cluster3's NICs carry
+// both intra- and inter-site routes): the topology only runs on one lane.
+var ErrUnshardable = errors.New("this topology cannot be sharded — run with a single lane")
+
 // markLinks validates link ownership on a sharded engine: every link is
 // either private to one lane (intra-cluster routes) or global
 // (inter-cluster routes, touched only during serialized WAN turns). A link
 // appearing in both roles — or in two lanes' intra routes — would be
 // updated out of order between lanes, so the engine refuses the topology
-// instead of silently corrupting it. The check is a per-send atomic load
-// after the first classification.
-func (ln *lane) markLinks(links []*Link, serialized bool) {
+// instead of silently corrupting it: the send fails with ErrUnshardable and
+// so does the run, whatever the other processes make of the stall. The
+// check is a per-send atomic load after the first classification.
+func (ln *lane) markLinks(links []*Link, serialized bool) error {
 	want := int32(-1)
 	if !serialized {
 		want = int32(ln.id) + 1
@@ -318,9 +325,12 @@ func (ln *lane) markLinks(links []*Link, serialized bool) {
 			continue
 		}
 		if l.laneClass.Load() != want {
-			panic(fmt.Sprintf("vgrid: link %q is shared between scheduler lanes; this topology cannot be sharded — run with a single lane", l.Name))
+			err := fmt.Errorf("vgrid: link %q is shared between scheduler lanes: %w", l.Name, ErrUnshardable)
+			ln.eng.unshardable.CompareAndSwap(nil, &err)
+			return err
 		}
 	}
+	return nil
 }
 
 // resolveLaneCount decides how many scheduler lanes the run uses, from the

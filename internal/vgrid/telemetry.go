@@ -10,6 +10,7 @@ package vgrid
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 )
@@ -105,4 +106,18 @@ func WriteLaneTelemetryJSON(w io.Writer, stats []LaneWindowStat) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(stats)
+}
+
+// FprintLaneTelemetry writes a compact summary of lane telemetry rows of the
+// given bucket width, one line per bucket and at most maxRows of them.
+func FprintLaneTelemetry(w io.Writer, stats []LaneWindowStat, width float64, maxRows int) {
+	fmt.Fprintf(w, "lane telemetry: %d windows (width %g)\n", len(stats), width)
+	for i, ls := range stats {
+		if i == maxRows {
+			fmt.Fprintf(w, "  ... %d more windows\n", len(stats)-i)
+			break
+		}
+		fmt.Fprintf(w, "  w%-3d occupancy %.3f  wan-turns %d  grant-wait %.4fs  inbox %d\n",
+			ls.W, ls.Occupancy, ls.WanTurns, ls.WanGrantWait, ls.InboxDepth)
+	}
 }

@@ -433,6 +433,9 @@ type Engine struct {
 	wanTurns int64
 	// parkCh carries the lanes' park reports to the window coordinator.
 	parkCh chan parkMsg
+	// unshardable is the first shared-link rejection of a sharded run
+	// (lane.markLinks); Run returns it ahead of any process error.
+	unshardable atomic.Pointer[error]
 	// laneStatWidth and laneStats hold the coordinator's lane telemetry
 	// (SetLaneTelemetry): per-virtual-time-bucket safe-window occupancy,
 	// WAN-turn and inbox statistics. See telemetry.go.
@@ -657,6 +660,9 @@ func (e *Engine) Run() (float64, error) {
 		ln := e.lanes[0]
 		ln.initIndex()
 		ln.run(math.Inf(1))
+	}
+	if err := e.unshardable.Load(); err != nil {
+		return e.now, *err
 	}
 	// Check for deadlock: any process not done means nobody was runnable.
 	if msg := e.deadlockReport(); msg != "" {
@@ -986,7 +992,9 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 		<-req.grant
 	}
 	if e.sharded && links != nil {
-		p.ln.markLinks(links, serialize)
+		if err := p.ln.markLinks(links, serialize); err != nil {
+			return false, err
+		}
 	}
 	var latency, pushTime float64
 	start := p.clock
