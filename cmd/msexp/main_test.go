@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/tables-*.csv from the command's current output")
 
 // msexp runs the command in-process and returns its exit status and output.
 func msexp(args ...string) (code int, stdout, stderr string) {
@@ -80,4 +84,63 @@ func TestRejectedInputFailsWithoutATable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPaperTablesGolden holds every virtual-time table to recorded bytes: the
+// tables are a function of their inputs, so a run that differs from the file
+// differs either from the commit that recorded it or from itself
+// (order.RCM used to break its ties by map iteration, and the distributed-LU
+// column of the scale-32 pair moved in its last digit from run to run). The
+// wall-clock experiments (clustergrid, eventshard) are not in the files.
+// Regenerate with `go test ./cmd/msexp -update`, read the diff, and give the
+// reason in CHANGES.md.
+func TestPaperTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every paper table (~20 s)")
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/tables-scale64.csv", []string{"-scale", "64", "table1", "table2", "table3", "table4", "figure3",
+			"faultsweep", "utilization", "windowed", "topology", "twostage", "adaptive", "table4fair"}},
+		{"testdata/tables-scale32.csv", []string{"-scale", "32", "table2", "table3"}},
+	} {
+		code, out, errs := msexp(append([]string{"-quiet", "-csv"}, tc.args...)...)
+		if code != 0 || errs != "" {
+			t.Errorf("msexp %v: exit %d, stderr %q", tc.args, code, errs)
+			continue
+		}
+		if *update {
+			if err := os.WriteFile(tc.golden, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			line, got, rec := firstDiff(out, string(want))
+			t.Errorf("msexp %v differs from %s at line %d:\n got  %q\n want %q", tc.args, tc.golden, line, got, rec)
+		}
+	}
+}
+
+// firstDiff returns the number of the first line on which two different texts
+// differ, with that line of each ("" past the end of the shorter one).
+func firstDiff(a, b string) (line int, la, lb string) {
+	as, bs := strings.Split(a, "\n"), strings.Split(b, "\n")
+	i := 0
+	for i < len(as) && i < len(bs) && as[i] == bs[i] {
+		i++
+	}
+	if i < len(as) {
+		la = as[i]
+	}
+	if i < len(bs) {
+		lb = bs[i]
+	}
+	return i + 1, la, lb
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -189,6 +190,38 @@ func TestGatewayFlatPlatformNoop(t *testing.T) {
 	checkSolution(t, res, xtrue, 1e-6)
 	if res.InterMsgs != 0 || res.InterBytes != 0 {
 		t.Fatalf("flat platform counted inter-cluster traffic: %d msgs", res.InterMsgs)
+	}
+}
+
+// TestTopologyExchangeAllocBudget pins the allocation economy of the hot
+// solve path: one full solve of the scale-64 cage system on cluster3 with
+// topology-aware collectives and the gateway-aggregated exchange must stay
+// under 2000 heap allocations. The budget has ~15% headroom over the
+// measured ~1.7k so incidental churn passes but a reintroduced
+// per-iteration allocation storm (the packed-message, envelope and span
+// storms this guards against were ~36k) fails loudly.
+func TestTopologyExchangeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting run skipped in -short mode")
+	}
+	a := gen.CageLike(11397/64, 1030)
+	rhs, _ := gen.RHSForSolution(a)
+	solve := func() {
+		plt := cluster.Cluster3(-1)
+		r, err := Solve(plt.Platform, plt.Hosts, a, rhs, Options{
+			TopoCollectives: true, Gateway: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Converged {
+			t.Fatal("no convergence")
+		}
+	}
+	// AllocsPerRun's own warm-up run primes the engine's buffer pools.
+	allocs := testing.AllocsPerRun(3, solve)
+	if allocs > 2000 {
+		t.Errorf("topology-exchange solve allocates %.0f objects, budget is 2000", allocs)
 	}
 }
 

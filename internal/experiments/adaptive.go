@@ -27,10 +27,10 @@ const adaptiveDegradedHost = "c2-07"
 // adaptiveSlowdown is the degradation factor over the fault window.
 const adaptiveSlowdown = 8.0
 
-// AdaptiveMatrix returns the system the adaptive experiment solves: large
+// adaptiveMatrix returns the system the adaptive experiment solves: large
 // and narrow-banded so the band solves dominate the LAN exchange and a row
 // rebalance moves the makespan (n = 128000/scale).
-func AdaptiveMatrix(cfg Config) *sparse.CSR {
+func adaptiveMatrix(cfg Config) *sparse.CSR {
 	return gen.DiagDominant(gen.DiagDominantOpts{
 		N: 128000 / cfg.scale(), Band: 24, PerRow: 12, Margin: 0.002, Negative: true, Seed: 31,
 	})
@@ -61,7 +61,7 @@ func adaptiveOptions(cfg Config, adapt bool) core.Options {
 // cluster2 grid, with the resplit timeline of the degraded adaptive run in
 // the notes.
 func Adaptive(cfg Config) (*Table, error) {
-	a := AdaptiveMatrix(cfg)
+	a := adaptiveMatrix(cfg)
 	b, _ := gen.RHSForSolution(a)
 
 	run := func(plan *vgrid.FaultPlan, adapt bool) (cell, *core.Result, error) {

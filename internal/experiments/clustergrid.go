@@ -11,7 +11,7 @@ import "fmt"
 
 // clusterGridPoints are the default scale points of the cluster-grid table;
 // the last one is the 1000-host/100k-event target.
-var clusterGridPoints = []RingSpec{
+var clusterGridPoints = []ringSpec{
 	{Hosts: 64, Clusters: 8, Events: 24000, Lanes: 1},
 	{Hosts: 256, Clusters: 16, Events: 49152, Lanes: 1},
 	{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 1},
@@ -33,7 +33,7 @@ func ClusterGrid(cfg Config) (*Table, error) {
 	for _, pt := range cfg.ringPoints(clusterGridPoints, 1) {
 		cfg.logf("clustergrid: %d hosts / %d clusters", pt.Hosts, pt.Clusters)
 		pt.Workers = cfg.Workers
-		r, err := RingRun(pt)
+		r, err := ringRun(pt)
 		if err != nil {
 			return nil, err
 		}

@@ -13,11 +13,11 @@ import (
 // is met from above and the virtual outcome does not depend on the worker
 // count.
 func TestRingRunWorkersAgree(t *testing.T) {
-	one, err := RingRun(RingSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1, Workers: 1})
+	one, err := ringRun(ringSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RingRun(RingSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1, Workers: 3})
+	many, err := ringRun(ringSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +35,16 @@ func TestRingRunWorkersAgree(t *testing.T) {
 
 // TestRingRunRejectsBadGrid: a grid cluster.Synthetic cannot build (more
 // clusters than hosts, none at all) or an empty event target is an error
-// from RingRun and from both experiments built on it, not a panic.
+// from ringRun and from both experiments built on it, not a panic.
 func TestRingRunRejectsBadGrid(t *testing.T) {
-	for _, s := range []RingSpec{
+	for _, s := range []ringSpec{
 		{Hosts: 5, Clusters: 9, Events: 100},
 		{Hosts: 5, Clusters: 0, Events: 100},
 		{Hosts: 0, Clusters: 0, Events: 100},
 		{Hosts: 4, Clusters: 2, Events: 0},
 	} {
-		if _, err := RingRun(s); err == nil {
-			t.Errorf("RingRun(%+v) accepted", s)
+		if _, err := ringRun(s); err == nil {
+			t.Errorf("ringRun(%+v) accepted", s)
 		}
 	}
 	for name, run := range map[string]func(Config) (*Table, error){"clustergrid": ClusterGrid, "eventshard": EventShard} {

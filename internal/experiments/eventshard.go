@@ -18,7 +18,7 @@ import "fmt"
 // coarser lane counts on the 1000-host grid (several clusters per lane —
 // inter-cluster traffic inside a lane still serializes through WAN turns,
 // so fewer lanes trade parallelism for fewer barriers).
-var eventShardPoints = []RingSpec{
+var eventShardPoints = []ringSpec{
 	{Hosts: 64, Clusters: 8, Events: 24000, Lanes: 0},
 	{Hosts: 256, Clusters: 16, Events: 49152, Lanes: 0},
 	{Hosts: 1000, Clusters: 100, Events: 100000, Lanes: 4},
@@ -41,7 +41,7 @@ func EventShard(cfg Config) (*Table, error) {
 		},
 	}
 	type key struct{ hosts, clusters int }
-	base := map[key]RingResult{}
+	base := map[key]ringResult{}
 	for _, pt := range cfg.ringPoints(eventShardPoints, 0) {
 		k := key{pt.Hosts, pt.Clusters}
 		ref, ok := base[k]
@@ -50,14 +50,14 @@ func EventShard(cfg Config) (*Table, error) {
 			single := pt
 			single.Lanes = 1
 			var err error
-			ref, err = RingRun(single)
+			ref, err = ringRun(single)
 			if err != nil {
 				return nil, err
 			}
 			base[k] = ref
 		}
 		cfg.logf("eventshard: %d hosts / %d clusters, lanes=%d", pt.Hosts, pt.Clusters, pt.Lanes)
-		sh, err := RingRun(pt)
+		sh, err := ringRun(pt)
 		if err != nil {
 			return nil, err
 		}

@@ -15,11 +15,11 @@ import (
 // virtual makespan and commit count, and sharding pays fewer cross-goroutine
 // synchronization points than committing centrally.
 func TestEventShardLaneCountsAgree(t *testing.T) {
-	ref, err := RingRun(RingSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1})
+	ref, err := ringRun(ringSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := RingRun(RingSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 0})
+	sh, err := ringRun(ringSpec{Hosts: 32, Clusters: 4, Events: 3000, Lanes: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

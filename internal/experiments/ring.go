@@ -1,5 +1,5 @@
 // The synthetic-ring harness shared by the event-core studies (clustergrid,
-// eventshard) and the root benchmarks.
+// eventshard).
 
 package experiments
 
@@ -11,8 +11,8 @@ import (
 	"repro/internal/vgrid"
 )
 
-// RingSpec describes one timed run of the ring workload on a generated grid.
-type RingSpec struct {
+// ringSpec describes one timed run of the ring workload on a generated grid.
+type ringSpec struct {
 	// Hosts and Clusters size the synthetic platform (1 ≤ Clusters ≤ Hosts).
 	Hosts, Clusters int
 	// Events is a target number of scheduler commit points: the round count
@@ -23,15 +23,12 @@ type RingSpec struct {
 	Lanes int
 	// Workers sets the engine's worker-thread count (0 keeps the default).
 	Workers int
-	// Attach, when non-nil, is called with the engine before the ring is
-	// spawned — the place to attach a recorder.
-	Attach func(*vgrid.Engine)
 }
 
-// RingResult is one timed ring run. The virtual outcome (Events, Commits,
+// ringResult is one timed ring run. The virtual outcome (Events, Commits,
 // VirtualTime) is identical for any lane and worker count — only Syncs and
 // Wall change.
-type RingResult struct {
+type ringResult struct {
 	// Events is the number of commit points the workload generates (one
 	// compute, one send and one receive per host and round).
 	Events int
@@ -50,10 +47,10 @@ type RingResult struct {
 	Wall time.Duration
 }
 
-// RingRun times one ring-workload simulation.
-func RingRun(s RingSpec) (RingResult, error) {
+// ringRun times one ring-workload simulation.
+func ringRun(s ringSpec) (ringResult, error) {
 	if s.Clusters < 1 || s.Clusters > s.Hosts || s.Events < 1 {
-		return RingResult{}, fmt.Errorf("experiments: ring needs 1 <= clusters <= hosts and events >= 1 (hosts %d, clusters %d, events %d)",
+		return ringResult{}, fmt.Errorf("experiments: ring needs 1 <= clusters <= hosts and events >= 1 (hosts %d, clusters %d, events %d)",
 			s.Hosts, s.Clusters, s.Events)
 	}
 	rounds := (s.Events + 3*s.Hosts - 1) / (3 * s.Hosts)
@@ -63,15 +60,12 @@ func RingRun(s RingSpec) (RingResult, error) {
 	if s.Workers > 0 {
 		e.SetWorkers(s.Workers)
 	}
-	if s.Attach != nil {
-		s.Attach(e)
-	}
 	spawnRing(e, plt, rounds)
 	start := time.Now()
 	vt, err := e.Run()
 	wall := time.Since(start)
 	commits, syncs := e.EventStats()
-	return RingResult{
+	return ringResult{
 		Events:      3 * rounds * s.Hosts,
 		Lanes:       e.Lanes(),
 		Commits:     commits,
@@ -114,7 +108,7 @@ func spawnRing(e *vgrid.Engine, plt *cluster.Platform, rounds int) {
 // ringPoints returns the runs of an event-core study: its default sweep, or
 // — when Config.SynthHosts is set — that single grid at the given lane count
 // and the 100k-event target.
-func (c Config) ringPoints(sweep []RingSpec, lanes int) []RingSpec {
+func (c Config) ringPoints(sweep []ringSpec, lanes int) []ringSpec {
 	if c.SynthHosts <= 0 {
 		return sweep
 	}
@@ -122,7 +116,7 @@ func (c Config) ringPoints(sweep []RingSpec, lanes int) []RingSpec {
 	if clusters < 1 {
 		clusters = 1
 	}
-	return []RingSpec{{Hosts: c.SynthHosts, Clusters: clusters, Events: 100000, Lanes: lanes}}
+	return []ringSpec{{Hosts: c.SynthHosts, Clusters: clusters, Events: 100000, Lanes: lanes}}
 }
 
 // fmtMs renders a wall-clock duration in milliseconds.

@@ -2,8 +2,9 @@
 // and delivered message envelopes. The iterative solvers send thousands of
 // messages per solve, and before pooling every one of them allocated a
 // payload copy in mp.SendFloats, a Message envelope in SendFate and a
-// Packet on receive — the ~36k allocs/op storm BenchmarkTopologyExchange
-// measured. The pools recycle all three.
+// Packet on receive — ~36k allocations per gateway solve on cluster3, the
+// scenario core.TestTopologyExchangeAllocBudget now holds under 2000. The
+// pools recycle all three.
 //
 // Ownership protocol:
 //
