@@ -27,7 +27,10 @@ test-bench:
 # that an idle asynchronous step charged is a step computed (every skipped
 # step recomputed on the side, 1 vs 4 workers), and the session option matrix
 # (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
-# rank states crossing engines and worker pools). The explicit
+# rank states crossing engines and worker pools). The vgrid rerun also holds
+# what pins "compute segments still overlap" now that process bodies are
+# coroutines of their lane, and that Run stops every coroutine it leaves
+# unfinished. The explicit
 # timeout is for internal/experiments: ~8 min alone under the race detector
 # on a 2-vCPU host, past go test's 10 min default once the other packages
 # compete for the cores.
@@ -36,7 +39,7 @@ race:
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
-	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks' ./internal/vgrid
+	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError' ./internal/vgrid
 
 vet:
 	$(GO) vet ./...

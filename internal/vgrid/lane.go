@@ -1,14 +1,13 @@
-// Sharded event scheduling: per-cluster scheduler lanes advancing inside
-// conservative safe windows derived from WAN lookahead. The single-lane
-// engine serializes every commit through one scheduler goroutine whose two
-// channel handoffs per event dominate the cost at 1000 hosts; after the
-// gateway work the vast majority of events are intra-cluster and independent
-// between clusters, which is exactly the structure conservative parallel
-// discrete-event simulation exploits.
+// The event loop and its sharding: per-cluster scheduler lanes advancing
+// inside conservative safe windows derived from WAN lookahead. A lane resumes
+// its processes as coroutines (coro.go), one at a time; the vast majority of
+// events are intra-cluster and independent between clusters, which is
+// exactly the structure conservative parallel discrete-event simulation
+// exploits.
 //
 // The model: processes are partitioned by cluster into lanes. Each lane owns
-// its processes, its own indexed min-heap (sched.go) and its own
-// resume/yield loop, so intra-cluster events never touch a shared channel.
+// its processes, its own indexed min-heap (sched.go) and its own commit
+// loop, so intra-cluster events never touch a channel.
 // A coordinator (the Run goroutine) advances the lanes in windows. At each
 // window barrier it applies the cross-lane deposits accumulated in the
 // per-lane inboxes, computes T = min over lanes of the earliest pending
@@ -71,25 +70,20 @@ type commitGroup struct {
 	traceLo, traceHi       int32
 }
 
-// wanReq is a parked inter-lane send awaiting its serialized WAN turn,
-// keyed by the send slice (time, process ID).
-type wanReq struct {
-	t     float64
-	id    int
-	grant chan struct{}
-}
-
 // parkMsg is a lane's report to the coordinator that it has stopped
-// running: wan non-nil means one of its processes is parked mid-send
-// awaiting a WAN turn; wan nil means the lane finished its window (its
-// earliest pending event is at or past the horizon).
+// running: wan set means one of its processes is parked mid-send awaiting a
+// serialized WAN turn, keyed by the send slice (t, id) and granted through
+// the lane's grant channel; wan unset means the lane finished its window
+// (its earliest pending event is at or past the horizon).
 type parkMsg struct {
 	ln  *lane
-	wan *wanReq
+	wan bool
+	t   float64
+	id  int
 }
 
 // lane is one scheduler shard: a set of processes (one or more whole
-// clusters), their event heap, their resume/yield loop, their hot-path
+// clusters), their event heap, their commit loop, their hot-path
 // pools and — while sharded — their buffered emission log and cross-lane
 // inbox. A single-lane engine runs exactly one lane over every process.
 type lane struct {
@@ -100,8 +94,13 @@ type lane struct {
 	// idx is the lane's event index: a binary min-heap of schedulable
 	// processes keyed on (next-event time, ID). See sched.go.
 	idx []*Proc
-	// yieldCh receives the lane's processes as they yield back.
-	yieldCh chan *Proc
+	// limit is the exclusive horizon of the window being run; picked the
+	// process advance committed last, which the lane loop resumes next.
+	limit  float64
+	picked *Proc
+	// grant delivers the lane's WAN turns: a process parked mid-send blocks
+	// its lane, so one slot is all the coordinator ever fills.
+	grant chan struct{}
 	// windowCh delivers the horizon of each window the coordinator opens
 	// for this lane (sharded mode only).
 	windowCh chan float64
@@ -192,8 +191,28 @@ func (ln *lane) endGroup() {
 // limit (exclusive horizon) or no process is schedulable. The single-lane
 // engine calls it once with an infinite limit — this loop, not a separate
 // code path, is the whole single-lane scheduler; the sharded coordinator
-// calls it once per window through windowLoop.
+// calls it once per window through windowLoop. The loop only switches: a
+// process that yields has already committed the lane's next event itself.
 func (ln *lane) run(limit float64) {
+	ln.limit = limit
+	for p := ln.advance(); p != nil; p = ln.picked {
+		p.next() // returns when p yields to another pick, or finishes
+		if p.st() == stateDone {
+			if ln.traceOn() {
+				ln.trace(fmt.Sprintf("t=%.6f %s done err=%v", p.clock, p.Name, p.err))
+			}
+			ln.endGroup()
+			ln.picked = ln.advance()
+		}
+	}
+}
+
+// advance commits the lane's earliest pending event and returns its process,
+// ready to be resumed, or nil when that event is at or past the limit or no
+// process is schedulable. It runs on whichever side of the switch holds the
+// lane: the lane loop, or the coroutine of the process that just yielded —
+// which, when the pick is that process again, carries on without a switch.
+func (ln *lane) advance() *Proc {
 	e := ln.eng
 	for {
 		var resumeAt float64
@@ -208,8 +227,8 @@ func (ln *lane) run(limit float64) {
 		if e.crossCheck != nil {
 			e.crossCheck(ln, p, resumeAt, deliver)
 		}
-		if p == nil || resumeAt >= limit {
-			return
+		if p == nil || resumeAt >= ln.limit {
+			return nil
 		}
 		if p.st() == stateDeferred {
 			// The pick landed on a deferred segment's dispatch-time lower
@@ -242,14 +261,12 @@ func (ln *lane) run(limit float64) {
 				o.Span(s)
 			}
 		}
-		if p.st() == stateComputing {
+		if p.computing != nil {
 			// The pick is committed at the pre-charged virtual time; only the
 			// wall clock waits for the segment to finish (ComputeFunc) — a
 			// collected ComputeDeferred segment has already been waited for.
-			if p.computing != nil {
-				<-p.computing
-				p.computing = nil
-			}
+			<-p.computing
+			p.computing = nil
 		}
 		p.clock = resumeAt
 		ln.commits++
@@ -275,16 +292,7 @@ func (ln *lane) run(limit float64) {
 		if deliver != nil && ln.traceOn() {
 			ln.trace(fmt.Sprintf("t=%.6f %s recv from=%d tag=%d bytes=%d", resumeAt, p.Name, deliver.From, deliver.Tag, deliver.Bytes))
 		}
-		p.resume <- struct{}{}
-		q := <-ln.yieldCh
-		if q.st() == stateDone {
-			if ln.traceOn() {
-				ln.trace(fmt.Sprintf("t=%.6f %s done err=%v", q.clock, q.Name, q.err))
-			}
-		} else {
-			ln.rekey(q)
-		}
-		ln.endGroup()
+		return p
 	}
 }
 
@@ -399,7 +407,7 @@ func (e *Engine) buildLanes(nl int) {
 	nc := e.Platform.NumClusters()
 	e.lanes = make([]*lane, nl)
 	for i := range e.lanes {
-		e.lanes[i] = &lane{id: i, eng: e, yieldCh: make(chan *Proc)}
+		e.lanes[i] = &lane{id: i, eng: e}
 	}
 	for _, p := range e.procs {
 		li := 0
@@ -418,6 +426,7 @@ func (e *Engine) buildLanes(nl int) {
 				ln.rec = obs.NewJournal()
 			}
 			ln.windowCh = make(chan float64)
+			ln.grant = make(chan struct{}, 1)
 		}
 		e.parkCh = make(chan parkMsg)
 	}
@@ -437,7 +446,7 @@ func (e *Engine) runSharded() {
 		go ln.windowLoop()
 	}
 	running := 0
-	var wanQ []*wanReq
+	var wanQ []parkMsg
 	for {
 		applied := 0
 		for _, ln := range e.lanes {
@@ -490,17 +499,16 @@ func (e *Engine) runSharded() {
 					ts.WanGrantWait += h - req.t
 				}
 				wanQ[best] = wanQ[len(wanQ)-1]
-				wanQ[len(wanQ)-1] = nil
 				wanQ = wanQ[:len(wanQ)-1]
 				e.wanTurns++
 				running++
-				close(req.grant)
+				req.ln.grant <- struct{}{}
 				continue
 			}
 			pm := <-e.parkCh
 			running--
-			if pm.wan != nil {
-				wanQ = append(wanQ, pm.wan)
+			if pm.wan {
+				wanQ = append(wanQ, pm)
 			}
 		}
 	}

@@ -20,13 +20,13 @@
 //
 // No locking: the pools are per scheduler lane, and every pool operation
 // happens at a point serialized within the owning lane — inside the lane's
-// unique running process or on the lane goroutine between commits — with
-// the channel handoffs that pass control establishing the happens-before
-// edges. A buffer or envelope that crosses lanes inside a message simply
-// changes pools: the receiver returns it to its own lane's pool, which is
-// the only lane that will hand it out again. ComputeFunc/ComputeDeferred
-// segments run concurrently with the scheduler and therefore must not touch
-// the pools (the same rule that bars them from all simulator primitives).
+// unique running process or in the lane loop between commits, which the
+// coroutine switch keeps on one thread of control. A buffer or envelope
+// that crosses lanes inside a message simply changes pools: the receiver
+// returns it to its own lane's pool, which is the only lane that will hand
+// it out again. ComputeFunc/ComputeDeferred segments run concurrently with
+// the scheduler and therefore must not touch the pools (the same rule that
+// bars them from all simulator primitives).
 //
 // Ownership guards: a double ReleaseMessage always panics (the envelope
 // carries a pooled bit). SetPoolCheck(true) additionally arms the

@@ -195,6 +195,15 @@ func ping(t *testing.T, e *Engine) {
 // same link used inside two clusters) fails the run with ErrUnshardable
 // instead of silently racing on the link's queue state.
 func TestShardedRejectsSharedLinks(t *testing.T) {
+	_, err := sharedLinkEngine().Run()
+	if !errors.Is(err, ErrUnshardable) || !strings.Contains(err.Error(), `link "shared" is shared between scheduler lanes`) {
+		t.Fatalf("want ErrUnshardable naming the link, got %v", err)
+	}
+}
+
+// sharedLinkEngine builds the two-lane run TestShardedRejectsSharedLinks
+// describes; its two receivers are still blocked when Run gives up.
+func sharedLinkEngine() *Engine {
 	pl := NewPlatform()
 	var hosts []*Host
 	for i := 0; i < 4; i++ {
@@ -228,10 +237,7 @@ func TestShardedRejectsSharedLinks(t *testing.T) {
 			return nil
 		})
 	}
-	_, err := e.Run()
-	if !errors.Is(err, ErrUnshardable) || !strings.Contains(err.Error(), `link "shared" is shared between scheduler lanes`) {
-		t.Fatalf("want ErrUnshardable naming the link, got %v", err)
-	}
+	return e
 }
 
 // TestShardedLookaheadGuard pins the horizon guard: an explicit lookahead

@@ -6,11 +6,14 @@
 // processes and charge their counted flop cost to a virtual clock, while
 // messages cost latency plus bytes over the route's bottleneck bandwidth.
 //
-// Simulated processes are goroutines, but exactly one runs at a time: every
-// simulator primitive (Compute, Send, Recv, TryRecv, Sleep, Alloc) yields to
-// the scheduler, which always resumes the process with the smallest next
-// event time. Because a process can only create future events at or after
-// its own clock, this order is causally safe and fully deterministic.
+// Simulated processes are coroutines of the scheduler lane that owns them
+// (iter.Pull; coro.go), so exactly one runs at a time: every simulator
+// primitive (Compute, Send, Recv, TryRecv, Sleep, Alloc) yields to the
+// scheduler, which always resumes the process with the smallest next event
+// time — a direct switch, with no channel operation and no pass through the
+// Go scheduler's run queue. Because a process can only create future events
+// at or after its own clock, this order is causally safe and fully
+// deterministic.
 //
 // Pure compute segments are the one exception to the single-runner rule:
 // Proc.ComputeFunc charges its declared virtual cost up front and hands the
@@ -286,105 +289,6 @@ const (
 	AnyTag = -1
 )
 
-type procState int32
-
-const (
-	stateReady procState = iota
-	stateRunning
-	stateBlocked
-	// stateComputing marks a process inside ComputeFunc: its virtual cost is
-	// already charged (so its next event time is final) while the real work
-	// may still be running on a pool worker. The scheduler treats it like a
-	// ready process and waits for the work only when the process is picked.
-	stateComputing
-	// stateDeferred marks a process inside ComputeDeferred: the segment is
-	// running on a pool worker and its virtual cost is unknown until it
-	// returns, so the process's clock is only a lower bound (charges are
-	// non-negative). The scheduler may not commit to any event at or after
-	// that bound until the true cost has been collected.
-	stateDeferred
-	stateDone
-)
-
-// Proc is a simulated process. All methods must be called from within the
-// process's own body function.
-type Proc struct {
-	// ID is the process's index in the engine's spawn order (and its address
-	// for messages).
-	ID int
-	// Name identifies the process in traces and diagnostics.
-	Name string
-
-	eng  *Engine
-	host *Host
-	// ln is the scheduler lane that owns this process, assigned at Run
-	// start (single-lane engines have exactly one lane).
-	ln    *lane
-	clock float64
-	// state is atomic because peers on other lanes may poll Done/Err
-	// concurrently with this process's own transitions.
-	state   atomic.Int32
-	resume  chan struct{}
-	mailbox []*Message
-	// matcher is set while blocked in Recv.
-	matchSrc, matchTag int
-	// matchDeadline bounds a blocked receive in virtual time: +Inf for a
-	// plain Recv, the timeout instant for RecvTimeout.
-	matchDeadline float64
-	err           error
-	allocated     int64
-	// key is the process's cached next-event time, maintained by the
-	// scheduler index (sched.go); heapPos is its position in the engine's
-	// event heap, -1 while not indexed (running, done, or scan mode).
-	key     float64
-	heapPos int
-	// pendingMatch caches the earliest mailbox message matching the current
-	// blocked receive, maintained incrementally: Recv seeds it with a scan,
-	// Send deposits improve it in O(1). Only meaningful while blocked.
-	pendingMatch *Message
-	// computing is non-nil while a ComputeFunc segment is in flight on the
-	// worker pool; it is closed by the worker when the segment returns.
-	computing chan struct{}
-	// fnPanic carries a panic recovered on the worker back to the process
-	// goroutine, where it is re-raised so safeBody turns it into an error.
-	fnPanic any
-	// deferredFlops is the measured cost of a ComputeDeferred segment,
-	// written by the worker before computing is closed and charged by the
-	// scheduler at collection time.
-	deferredFlops float64
-	// sendSeq counts this process's sends; combined with the ID it forms
-	// the per-sender message sequence number (see sendFate).
-	sendSeq int64
-
-	// FlopsDone counts the virtual floating-point work charged so far.
-	FlopsDone float64
-	// BytesSent counts the simulated bytes this process sent (drops included:
-	// the sender pays for lost messages too).
-	BytesSent int64
-	// MsgsSent counts the messages this process sent, delivered or not.
-	MsgsSent int64
-	// IntraBytes counts the sent bytes that stayed inside the sender's
-	// cluster (loopback included); with no clusters declared all traffic is
-	// intra-cluster.
-	IntraBytes int64
-	// InterBytes counts the sent bytes that crossed a cluster boundary.
-	InterBytes int64
-	// IntraMsgs counts the messages that stayed inside the sender's cluster.
-	IntraMsgs int64
-	// InterMsgs counts the messages that crossed a cluster boundary.
-	InterMsgs int64
-	// ComputeTime accumulates the virtual time spent in compute segments.
-	ComputeTime float64
-	// BusyTime accumulates the clock time compute segments occupied,
-	// including fault-plan stalls: under a host outage or slowdown window it
-	// grows faster than ComputeTime. The gap between the two is the
-	// degradation signal the adaptive controller rebalances on.
-	BusyTime float64
-	// BlockedTime accumulates the virtual time spent blocked in Recv.
-	BlockedTime   float64
-	lastBlockedAt float64
-}
-
 // Engine runs a set of processes over a platform.
 type Engine struct {
 	// Platform is the simulated grid the processes run on.
@@ -404,7 +308,7 @@ type Engine struct {
 	// concurrently; 1 runs every segment inline (fully serial).
 	workers  int
 	poolOnce sync.Once
-	jobs     chan *computeJob
+	jobs     chan *Proc
 
 	// crossCheck, when non-nil, is shown every pick of the scheduler index
 	// before it is committed (test hook: sched_test.go compares the pick with
@@ -499,12 +403,12 @@ func (e *Engine) SetLookahead(l float64) {
 }
 
 // EventStats reports the run's scheduling volume: commits is the number of
-// committed event slices, syncs the number of cross-goroutine
-// synchronization points the scheduler needed — every commit on a
-// single-lane engine (each one is a resume/yield handoff through the
-// central loop), but only window barriers plus serialized WAN turns on a
-// sharded one. The eventshard benchmark records the ratio as the handoff
-// reduction.
+// committed event slices, syncs the number of points at which the run had to
+// be in one global order — every commit on a single-lane engine (each one
+// passes through the one lane, as a coroutine switch or, when a process's
+// next event is its own, in place), but only window barriers plus serialized
+// WAN turns on a sharded one, the only points where goroutines synchronize.
+// The eventshard experiment records the ratio as the handoff reduction.
 func (e *Engine) EventStats() (commits, syncs int64) {
 	for _, ln := range e.lanes {
 		commits += ln.commits
@@ -516,8 +420,8 @@ func (e *Engine) EventStats() (commits, syncs int64) {
 }
 
 // SetWorkers bounds the number of OS threads that execute ComputeFunc
-// segments concurrently (default GOMAXPROCS). n = 1 runs segments inline on
-// the process goroutine. Must be called before Run.
+// segments concurrently (default GOMAXPROCS). n = 1 runs segments inline in
+// the process body. Must be called before Run.
 func (e *Engine) SetWorkers(n int) {
 	if e.started {
 		panic("vgrid: SetWorkers after Run")
@@ -548,83 +452,20 @@ func (e *Engine) Observe(rec *obs.Recorder) {
 // off). Drivers use it to build per-process emission scopes.
 func (e *Engine) Obs() *obs.Recorder { return e.obs }
 
-// computeJob is one ComputeFunc segment queued on the worker pool.
-type computeJob struct {
-	p  *Proc
-	fn func()
-}
-
-func (j *computeJob) run() {
-	defer func() {
-		if r := recover(); r != nil {
-			j.p.fnPanic = r
-		}
-		close(j.p.computing)
-	}()
-	j.fn()
-}
-
 // startPool lazily spins up the worker goroutines on first use. The jobs
 // channel is buffered with one slot per process — a process can have at most
 // one segment in flight — so dispatching never blocks the scheduler.
 func (e *Engine) startPool() {
 	e.poolOnce.Do(func() {
-		e.jobs = make(chan *computeJob, len(e.procs))
+		e.jobs = make(chan *Proc, len(e.procs))
 		for i := 0; i < e.workers; i++ {
 			go func() {
-				for j := range e.jobs {
-					j.run()
+				for p := range e.jobs {
+					p.runSegment()
 				}
 			}()
 		}
 	})
-}
-
-// Spawn registers a process on a host with a body function. Must be called
-// before Run.
-func (e *Engine) Spawn(h *Host, name string, body func(p *Proc) error) *Proc {
-	if e.started {
-		panic("vgrid: Spawn after Run")
-	}
-	p := &Proc{
-		ID:            len(e.procs),
-		Name:          name,
-		eng:           e,
-		host:          h,
-		resume:        make(chan struct{}),
-		matchDeadline: math.Inf(1),
-		heapPos:       -1,
-	}
-	p.setSt(stateReady)
-	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		err := safeBody(body, p)
-		// The error is written before the atomic state transition so a
-		// peer that observes Done also observes the error.
-		p.err = err
-		p.setSt(stateDone)
-		// Release any memory the process still holds.
-		p.host.used -= p.allocated
-		p.allocated = 0
-		p.ln.yieldCh <- p
-	}()
-	return p
-}
-
-// st reads the process state (atomically: peers on other lanes poll it).
-func (p *Proc) st() procState { return procState(p.state.Load()) }
-
-// setSt writes the process state.
-func (p *Proc) setSt(s procState) { p.state.Store(int32(s)) }
-
-func safeBody(body func(p *Proc) error, p *Proc) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("vgrid: process %s panicked: %v", p.Name, r)
-		}
-	}()
-	return body(p)
 }
 
 // Run executes the simulation until every process finishes. It returns the
@@ -638,11 +479,6 @@ func (e *Engine) Run() (float64, error) {
 		panic("vgrid: Run called twice")
 	}
 	e.started = true
-	if e.faults != nil {
-		if err := e.faults.resolve(e.Platform); err != nil {
-			return 0, err
-		}
-	}
 	defer func() {
 		// Stop the worker pool, if one was started. At this point no segment
 		// is in flight: a computing process is always schedulable, so the
@@ -650,7 +486,20 @@ func (e *Engine) Run() (float64, error) {
 		if e.jobs != nil {
 			close(e.jobs)
 		}
+		// No goroutine outlives Run: end the coroutine of every process it
+		// left unfinished — blocked at a deadlock or behind an unshardable
+		// link, or never started because the fault plan did not resolve. A
+		// suspended body unwinds from its yield (Proc.yield), with err and
+		// state staying as the return values below saw them.
+		for _, p := range e.procs {
+			p.stop()
+		}
 	}()
+	if e.faults != nil {
+		if err := e.faults.resolve(e.Platform); err != nil {
+			return 0, err
+		}
+	}
 	nl := e.resolveLaneCount()
 	e.buildLanes(nl)
 	if e.sharded {
@@ -683,39 +532,31 @@ func (e *Engine) Run() (float64, error) {
 // window horizon and its blocked processes — so a cross-lane stall shows
 // which lane starved which.
 func (e *Engine) deadlockReport() string {
-	blockedName := func(p *Proc) string {
-		name := p.Name
-		if e.faults != nil && math.IsInf(e.faults.wake(p.host, p.clock), 1) {
-			name += " (host down)"
-		}
-		return name
-	}
-	if !e.sharded {
-		var blocked []string
-		for _, p := range e.procs {
-			if p.st() != stateDone {
-				blocked = append(blocked, blockedName(p))
-			}
-		}
-		return strings.Join(blocked, ", ")
-	}
 	var parts []string
 	for _, ln := range e.lanes {
 		var blocked []string
 		for _, p := range ln.procs {
-			if p.st() != stateDone {
-				blocked = append(blocked, blockedName(p))
+			if p.st() == stateDone {
+				continue
 			}
+			name := p.Name
+			if e.faults != nil && math.IsInf(e.faults.wake(p.host, p.clock), 1) {
+				name += " (host down)"
+			}
+			blocked = append(blocked, name)
 		}
 		if len(blocked) == 0 {
 			continue
 		}
-		next := math.Inf(1)
-		if p := ln.idxMin(); p != nil {
-			next = p.key
+		s := strings.Join(blocked, ", ")
+		if e.sharded {
+			next := math.Inf(1)
+			if p := ln.idxMin(); p != nil {
+				next = p.key
+			}
+			s = fmt.Sprintf("lane %d [clock=%.6f next=%g horizon=%.6f]: %s", ln.id, ln.now, next, e.horizon, s)
 		}
-		parts = append(parts, fmt.Sprintf("lane %d [clock=%.6f next=%g horizon=%.6f]: %s",
-			ln.id, ln.now, next, e.horizon, strings.Join(blocked, ", ")))
+		parts = append(parts, s)
 	}
 	return strings.Join(parts, "; ")
 }
@@ -758,12 +599,6 @@ func matches(m *Message, src, tag int) bool {
 	return (src == AnySource || m.From == src) && (tag == AnyTag || m.Tag == tag)
 }
 
-// yield parks the process until its lane's scheduler resumes it.
-func (p *Proc) yield() {
-	p.ln.yieldCh <- p
-	<-p.resume
-}
-
 // Host returns the host the process runs on.
 func (p *Proc) Host() *Host { return p.host }
 
@@ -804,131 +639,6 @@ func (p *Proc) Obs() *obs.Recorder {
 		return p.ln.obsRec()
 	}
 	return p.eng.obs
-}
-
-// chargeFlops advances the clock and work statistics by flops at the host's
-// speed, without yielding. Under a fault plan the work pauses across outage
-// windows of the host (warm restart), so the clock advances by the work time
-// plus any overlapping downtime.
-func (p *Proc) chargeFlops(flops float64) {
-	if flops < 0 {
-		panic("vgrid: negative flops")
-	}
-	start := p.clock
-	dt := flops / p.host.Speed
-	if fs := p.eng.faults; fs != nil {
-		p.clock = fs.busyEnd(p.host, p.clock, dt)
-	} else {
-		p.clock += dt
-	}
-	p.ComputeTime += dt
-	p.BusyTime += p.clock - start
-	p.FlopsDone += flops
-	// Serialized emission point: either the process goroutine is the unique
-	// runner in its lane, or the lane scheduler is collecting a deferred
-	// segment's charge.
-	if o := p.ln.obsRec(); o != nil && p.clock > start {
-		o.Span(obs.Span{Track: p.Name, Cat: obs.CatCompute, Name: "compute",
-			Start: start, End: p.clock, Flops: flops})
-	}
-}
-
-// Compute charges flops of work at the host's speed and advances the clock.
-func (p *Proc) Compute(flops float64) {
-	p.chargeFlops(flops)
-	p.setSt(stateReady)
-	p.yield()
-}
-
-// ComputeFunc charges flops of declared work up front — advancing the clock
-// exactly as Compute(flops) would — and executes fn, the real arithmetic the
-// declared cost stands for. With more than one worker configured, fn runs on
-// the engine's worker pool while the scheduler proceeds to other processes
-// whose next events are not later, so independent compute segments of
-// different processes overlap in wall-clock time; the scheduler waits for fn
-// before this process resumes, so everything the process observes afterwards
-// is as if fn had run inline. The virtual schedule is identical for any
-// worker count.
-//
-// fn must not call simulator primitives and must touch only process-local
-// state (its owner's vectors, matrices and flop counter): unlike the process
-// body, it is not serialized with other processes' segments.
-func (p *Proc) ComputeFunc(flops float64, fn func()) {
-	p.chargeFlops(flops)
-	if p.eng.workers <= 1 {
-		fn()
-		p.setSt(stateReady)
-		p.yield()
-		return
-	}
-	p.eng.startPool()
-	p.computing = make(chan struct{})
-	p.fnPanic = nil
-	p.setSt(stateComputing)
-	p.eng.jobs <- &computeJob{p: p, fn: fn}
-	p.yield()
-	// The scheduler has already waited for the segment; surface its panic on
-	// the process goroutine so safeBody converts it into a process error.
-	if r := p.fnPanic; r != nil {
-		p.fnPanic = nil
-		panic(r)
-	}
-}
-
-// ComputeDeferred executes fn — a compute phase whose virtual cost cannot be
-// declared up front (e.g. a sparse factorization whose flop count depends on
-// the fill it discovers) — and charges the cost fn returns when it
-// completes, exactly as Compute(fn()) would have. With more than one worker
-// configured, fn runs on the engine's worker pool: until it returns, the
-// process's clock is treated as a lower bound on its next event (charges are
-// non-negative), so the scheduler keeps running other processes with earlier
-// events and resolves the true cost only when this process could be next.
-// The virtual schedule is identical for any worker count.
-//
-// The restrictions on fn are the same as for ComputeFunc: no simulator
-// primitives, process-local state only.
-//
-// Commit guarantee: when ComputeDeferred returns, fn has fully completed,
-// its writes to process-local state are visible to the process goroutine and
-// its measured cost has been charged. Callers may therefore read results fn
-// produced — a factorization handle, an error — immediately after the call,
-// with no extra synchronization. The scheduler enforces this by collecting
-// the segment (waiting on p.computing, then charging deferredFlops) before
-// the owning process can be committed and resumed; see Run's stateDeferred
-// branch. TestComputeDeferredCommitsBeforeReturn pins the invariant under
-// the race detector.
-func (p *Proc) ComputeDeferred(fn func() float64) {
-	if p.eng.workers <= 1 {
-		p.chargeFlops(fn())
-		p.setSt(stateReady)
-		p.yield()
-		return
-	}
-	p.eng.startPool()
-	p.computing = make(chan struct{})
-	p.fnPanic = nil
-	p.deferredFlops = 0
-	p.setSt(stateDeferred)
-	p.eng.jobs <- &computeJob{p: p, fn: func() { p.deferredFlops = fn() }}
-	p.yield()
-	if r := p.fnPanic; r != nil {
-		p.fnPanic = nil
-		panic(r)
-	}
-}
-
-// Sleep advances the clock by dt seconds without doing work.
-func (p *Proc) Sleep(dt float64) {
-	if dt < 0 {
-		panic("vgrid: negative sleep")
-	}
-	if o := p.ln.obsRec(); o != nil && dt > 0 {
-		o.Span(obs.Span{Track: p.Name, Cat: obs.CatSleep, Name: "sleep",
-			Start: p.clock, End: p.clock + dt})
-	}
-	p.clock += dt
-	p.setSt(stateReady)
-	p.yield()
 }
 
 // Send transmits a payload of the given size to the destination process.
@@ -987,9 +697,8 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 	cross := e.sharded && dst.ln != p.ln
 	serialize := e.sharded && links != nil && !e.Platform.SameCluster(p.host, dst.host)
 	if serialize {
-		req := &wanReq{t: p.clock, id: p.ID, grant: make(chan struct{})}
-		e.parkCh <- parkMsg{ln: p.ln, wan: req}
-		<-req.grant
+		e.parkCh <- parkMsg{ln: p.ln, wan: true, t: p.clock, id: p.ID}
+		<-p.ln.grant
 	}
 	if e.sharded && links != nil {
 		if err := p.ln.markLinks(links, serialize); err != nil {

@@ -287,8 +287,8 @@ func TestDeadlockDetected(t *testing.T) {
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
-	if !strings.Contains(err.Error(), "p0") {
-		t.Fatalf("deadlock error should name p0: %v", err)
+	if err.Error() != "vgrid: deadlock: all processes blocked: p0" {
+		t.Fatalf("deadlock error should name p0 and nothing else: %v", err)
 	}
 }
 
@@ -471,6 +471,9 @@ func TestErrorsExposedPerProcess(t *testing.T) {
 	}
 }
 
+// TestProcessPanicBecomesError: a body that panics — at once, or after
+// several switches to its lane and back, a WAN turn among them on the
+// sharded run — ends as "process X panicked: …" and takes nobody else down.
 func TestProcessPanicBecomesError(t *testing.T) {
 	pl := NewPlatform()
 	h := pl.AddHost("h", 1e9, 0)
@@ -481,6 +484,35 @@ func TestProcessPanicBecomesError(t *testing.T) {
 	_, err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not converted to error: %v", err)
+	}
+	for _, lanes := range []int{1, 0} {
+		pl := Synthetic(8, 2, 0, 3)
+		e := NewEngine(pl)
+		e.SetLanes(lanes)
+		procs := make([]*Proc, 8)
+		for i := range procs {
+			procs[i] = e.Spawn(pl.Hosts[i], fmt.Sprintf("p%d", i), func(p *Proc) error {
+				p.Compute(1e5)
+				p.Send(procs[(i+4)%8], 0, nil, 64)
+				p.Recv(AnySource, 0)
+				if i == 5 {
+					panic("boom")
+				}
+				return nil
+			})
+		}
+		_, err := e.Run()
+		if want := 2 - lanes; e.Lanes() != want {
+			t.Fatalf("SetLanes(%d): %d lanes, want %d", lanes, e.Lanes(), want)
+		}
+		if err == nil || err.Error() != "process p5: vgrid: process p5 panicked: boom" {
+			t.Fatalf("SetLanes(%d): err = %v", lanes, err)
+		}
+		for i, perr := range e.Errors() {
+			if (perr != nil) != (i == 5) {
+				t.Errorf("SetLanes(%d): p%d: err = %v", lanes, i, perr)
+			}
+		}
 	}
 }
 
