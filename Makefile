@@ -22,8 +22,9 @@ test-bench:
 # exports for 1 vs N workers, batch and streamed) and the communication-plan
 # equivalence contract (byte-identical iterates and traces for the gateway exchange)
 # under the race detector, together with the export encoder's differential
-# test against encoding/json and its allocation budget, the sparse LU's
-# bit-for-bit comparison with its pre-rework reference loops, and the proof
+# test against encoding/json and its allocation budget, the sparse LU's, the
+# band LU's and the two-row SpMV's bit-for-bit comparisons with their
+# pre-rework reference loops, and the proof
 # that an idle asynchronous step charged is a step computed (every skipped
 # step recomputed on the side, 1 vs 4 workers), and the session option matrix
 # (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
@@ -39,6 +40,8 @@ race:
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
+	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
+	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError' ./internal/vgrid
 
 vet:
@@ -51,9 +54,9 @@ bench:
 	bash bench/run.sh
 
 # Fails on any exported identifier of the simulator, the solver core, the
-# observability layer, the messaging/context plumbing or the platform layer
-# that lacks a doc comment.
+# observability layer, the messaging/context plumbing, the platform layer or
+# the dense/band kernels that lacks a doc comment.
 lint-docs:
-	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt internal/experiments cmd/msprof
+	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt internal/experiments internal/dense cmd/msprof
 
 verify: build vet lint-docs test test-bench race

@@ -14,9 +14,9 @@ var ErrNotSPD = errors.New("dense: matrix is not symmetric positive definite")
 // Cholesky is the factorization A = L·Lᵀ of a symmetric positive definite
 // matrix, with L lower triangular.
 type Cholesky struct {
-	N     int
+	N     int     // dimension of A
 	L     *Matrix // lower triangle holds L; upper is unused
-	Flops float64
+	Flops float64 // arithmetic the factorization spent
 }
 
 // FactorCholesky computes the Cholesky factorization of a, which must be

@@ -17,7 +17,7 @@ var ErrSingular = errors.New("dense: matrix is singular")
 
 // Matrix is a row-major dense matrix.
 type Matrix struct {
-	Rows, Cols int
+	Rows, Cols int       // shape
 	Data       []float64 // len Rows*Cols, element (i,j) at Data[i*Cols+j]
 }
 
@@ -85,10 +85,10 @@ func (m *Matrix) MulVec(y, x []float64, c *vec.Counter) {
 // LU is a dense LU factorization with partial pivoting: P·A = L·U with unit
 // lower-triangular L stored below the diagonal of LU and U on and above it.
 type LU struct {
-	N     int
-	LU    *Matrix
-	Piv   []int // row i of the factor came from original row Piv[i]
-	Flops float64
+	N     int     // dimension of A
+	LU    *Matrix // L below the diagonal, U on and above it
+	Piv   []int   // row i of the factor came from original row Piv[i]
+	Flops float64 // arithmetic the last FactorLU or Refactor spent
 }
 
 // FactorLU computes the dense LU factorization of a (which is not modified).
@@ -204,13 +204,18 @@ func (f *LU) Solve(x, b []float64, c *vec.Counter) {
 // Band is a general band matrix with kl sub-diagonals and ku super-diagonals
 // stored in LAPACK band layout with room for fill during pivoting: column j
 // holds rows j-ku-kl .. j+kl in a (2kl+ku+1)×n array (the extra kl rows
-// absorb pivot fill, as in LAPACK gbtrf).
+// absorb pivot fill, as in LAPACK gbtrf, so U's bandwidth is kv = kl+ku).
+//
+// With stride = 2kl+ku+1, A(i,j) is Data[kv+i-j + j·stride]. The kernels walk
+// that array through three expressions and no accessor: the diagonal A(i,i)
+// is Data[kv + i·stride]; column k below its diagonal (L's multipliers, rows
+// k+1..k+kl) is the contiguous Data[k·stride+kv+1 : k·stride+kv+1+kl]; row i
+// right of its diagonal (U, columns i+1..i+kv) starts at
+// Data[kv+i + (i+1)·(stride-1)] and steps by stride-1.
 type Band struct {
-	N, KL, KU int
-	// Data[(kl+ku+i-j) + j*stride] holds A(i,j) once factored; before
-	// factorization entries live in rows kl..2kl+ku of each column.
-	Data   []float64
-	stride int
+	N, KL, KU int       // dimension, sub-diagonals, super-diagonals
+	Data      []float64 // the (2kl+ku+1)×n array above, column after column
+	stride    int
 }
 
 // NewBand returns a zeroed n×n band matrix with the given bandwidths.
@@ -222,16 +227,20 @@ func NewBand(n, kl, ku int) *Band {
 	return &Band{N: n, KL: kl, KU: ku, Data: make([]float64, stride*n), stride: stride}
 }
 
-// Set assigns A(i,j); |i-j| must lie within the band.
-func (b *Band) Set(i, j int, v float64) {
+// Index returns the position of A(i,j) in Data; |i-j| must lie within the
+// band. Callers that fill the same entries repeatedly keep the positions.
+func (b *Band) Index(i, j int) int {
 	if i < 0 || i >= b.N || j < 0 || j >= b.N {
 		panic("dense: band index out of range")
 	}
 	if i-j > b.KL || j-i > b.KU {
 		panic(fmt.Sprintf("dense: (%d,%d) outside band kl=%d ku=%d", i, j, b.KL, b.KU))
 	}
-	b.Data[b.index(i, j)] = v
+	return (b.KL + b.KU + i - j) + j*b.stride
 }
+
+// Set assigns A(i,j); |i-j| must lie within the band.
+func (b *Band) Set(i, j int, v float64) { b.Data[b.Index(i, j)] = v }
 
 // At returns A(i,j), zero outside the band.
 func (b *Band) At(i, j int) float64 {
@@ -241,18 +250,14 @@ func (b *Band) At(i, j int) float64 {
 	if i-j > b.KL || j-i > b.KU {
 		return 0
 	}
-	return b.Data[b.index(i, j)]
-}
-
-func (b *Band) index(i, j int) int {
-	return (b.KL + b.KU + i - j) + j*b.stride
+	return b.Data[b.Index(i, j)]
 }
 
 // BandLU is an LU factorization of a band matrix with partial pivoting.
 type BandLU struct {
 	b     *Band
 	piv   []int
-	Flops float64
+	Flops float64 // arithmetic the last FactorBand or Refactor spent
 }
 
 // FactorBand factors the band matrix in place (gbtrf-style) and returns the
@@ -270,6 +275,15 @@ func FactorBand(b *Band, c *vec.Counter) (*BandLU, error) {
 // Band returns the underlying band storage. Refactor callers zero it, refill
 // it with new values (same pattern) and then call Refactor.
 func (f *BandLU) Band() *Band { return f.b }
+
+// SolveFlops returns the exact count one Solve adds, 2·n·(kl+kv+1): the
+// forward sweep over kl sub-diagonals, the back substitution over kv = kl+ku
+// and the division — two flops per stored element.
+func (f *BandLU) SolveFlops() float64 { return 2 * float64(len(f.b.Data)) }
+
+// Bytes returns the resident size of the factors: the band storage including
+// its pivot-fill rows.
+func (f *BandLU) Bytes() int64 { return 8 * int64(len(f.b.Data)) }
 
 // Zero clears the band storage, including the pivot-fill rows.
 func (b *Band) Zero() {
@@ -294,106 +308,79 @@ func (f *BandLU) Refactor(c *vec.Counter) error {
 // factorBandInPlace is the gbtrf-style elimination shared by FactorBand and
 // BandLU.Refactor.
 func factorBandInPlace(b *Band, piv []int) (float64, error) {
-	n, kl, ku := b.N, b.KL, b.KU
+	n, kl := b.N, b.KL
+	kv := kl + b.KU // upper bandwidth once pivoting has filled in
+	data, step := b.Data, b.stride-1
 	flops := 0.0
-	// Effective upper bandwidth after pivoting grows to kl+ku.
-	kv := kl + ku
 	for k := 0; k < n; k++ {
-		// Pivot search among rows k..min(k+kl, n-1) in column k.
-		p := k
-		best := math.Abs(b.at2(k, k, kv))
-		iMax := k + kl
-		if iMax > n-1 {
-			iMax = n - 1
-		}
-		for i := k + 1; i <= iMax; i++ {
-			if a := math.Abs(b.at2(i, k, kv)); a > best {
-				best, p = a, i
+		km, jm := min(kl, n-1-k), min(kv, n-1-k)
+		// Pivot search in column k, rows k..k+km (col[t] is row k+t).
+		dk := kv + k*b.stride
+		col := data[dk : dk+km+1]
+		p, best := 0, math.Abs(col[0])
+		for t := 1; t <= km; t++ {
+			if a := math.Abs(col[t]); a > best {
+				best, p = a, t
 			}
 		}
 		if best == 0 {
 			return 0, ErrSingular
 		}
-		piv[k] = p
-		jMax := k + kv
-		if jMax > n-1 {
-			jMax = n - 1
-		}
-		if p != k {
-			for j := k; j <= jMax; j++ {
-				vk := b.at2(k, j, kv)
-				vp := b.at2(p, j, kv)
-				b.set2(k, j, vp, kv)
-				b.set2(p, j, vk, kv)
+		piv[k] = k + p
+		if p != 0 {
+			// Swap rows k and k+p over columns k..k+jm.
+			for q := dk; q <= dk+jm*step; q += step {
+				data[q], data[q+p] = data[q+p], data[q]
 			}
 		}
-		pivot := b.at2(k, k, kv)
-		for i := k + 1; i <= iMax; i++ {
-			l := b.at2(i, k, kv) / pivot
-			b.set2(i, k, l, kv)
+		pivot := col[0]
+		for t := 1; t <= km; t++ {
+			l := col[t] / pivot
+			col[t] = l
 			if l == 0 {
 				continue
 			}
-			for j := k + 1; j <= jMax; j++ {
-				b.set2(i, j, b.at2(i, j, kv)-l*b.at2(k, j, kv), kv)
+			// Row k+t -= l·row k over columns k+1..k+jm.
+			for q := dk + step; q <= dk+jm*step; q += step {
+				data[q+t] -= l * data[q]
 			}
-			flops += 2 * float64(jMax-k)
+			flops += 2 * float64(jm)
 		}
 	}
 	return flops, nil
 }
 
-// at2/set2 access the factored layout where the upper bandwidth is kv=kl+ku.
-func (b *Band) at2(i, j, kv int) float64 {
-	if i-j > b.KL || j-i > kv {
-		return 0
-	}
-	return b.Data[(b.KL+b.KU+i-j)+j*b.stride]
-}
-
-func (b *Band) set2(i, j int, v float64, kv int) {
-	if i-j > b.KL || j-i > kv {
-		if v != 0 {
-			panic("dense: band fill outside storage")
-		}
-		return
-	}
-	b.Data[(b.KL+b.KU+i-j)+j*b.stride] = v
-}
-
 // Solve computes x with A·x = b0 using the band factorization.
 func (f *BandLU) Solve(x, b0 []float64, c *vec.Counter) {
 	b := f.b
-	n, kl, ku := b.N, b.KL, b.KU
-	kv := kl + ku
+	n, kl := b.N, b.KL
+	kv := kl + b.KU
 	if len(x) != n || len(b0) != n {
 		panic("dense: BandLU Solve shape mismatch")
 	}
+	data, step := b.Data, b.stride-1
 	copy(x, b0)
-	// Forward: apply row swaps and L (unit diagonal) in elimination order.
+	// Forward: apply row swaps and L (unit diagonal) in elimination order,
+	// column k's multipliers as one axpy onto x[k+1:].
 	for k := 0; k < n; k++ {
 		if p := f.piv[k]; p != k {
 			x[k], x[p] = x[p], x[k]
 		}
-		iMax := k + kl
-		if iMax > n-1 {
-			iMax = n - 1
-		}
-		for i := k + 1; i <= iMax; i++ {
-			x[i] -= b.at2(i, k, kv) * x[k]
+		km := min(kl, n-1-k)
+		xk, xs := x[k], x[k+1:k+1+km]
+		for t, l := range data[k*b.stride+kv+1:][:km] {
+			xs[t] -= l * xk
 		}
 	}
-	// Back substitution with U (bandwidth kv).
+	// Back substitution with U (bandwidth kv), row i left to right.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
-		jMax := i + kv
-		if jMax > n-1 {
-			jMax = n - 1
+		q := kv + i + (i+1)*step
+		for _, xj := range x[i+1 : i+1+min(kv, n-1-i)] {
+			s -= data[q] * xj
+			q += step
 		}
-		for j := i + 1; j <= jMax; j++ {
-			s -= b.at2(i, j, kv) * x[j]
-		}
-		x[i] = s / b.at2(i, i, kv)
+		x[i] = s / data[kv+i*b.stride]
 	}
-	c.Add(2 * float64(n) * float64(kl+kv+1))
+	c.Add(f.SolveFlops())
 }

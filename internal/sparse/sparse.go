@@ -222,33 +222,63 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
+// dot2 returns the dot products with x of the two adjacent stored rows
+// [a,b) and [b,e), each summed left to right in storage order: what a
+// one-row loop computes, bit for bit, with the two rows' dependent add chains
+// overlapped. Reslicing the rows into locals keeps the slice headers in
+// registers and ties len(val) to len(ind). An odd last row is the pair (row,
+// empty): e == b.
+func (m *CSR) dot2(x []float64, a, b, e int) (s0, s1 float64) {
+	ind0, ind1 := m.ColInd[a:b], m.ColInd[b:e]
+	val0, val1 := m.Val[a:b], m.Val[b:e]
+	n := min(len(ind0), len(ind1))
+	for t := 0; t < n; t++ {
+		s0 += val0[t] * x[ind0[t]]
+		s1 += val1[t] * x[ind1[t]]
+	}
+	for t := n; t < len(ind0); t++ {
+		s0 += val0[t] * x[ind0[t]]
+	}
+	for t := n; t < len(ind1); t++ {
+		s1 += val1[t] * x[ind1[t]]
+	}
+	return s0, s1
+}
+
 // MulVec computes y = A*x. len(x) must be Cols and len(y) must be Rows.
 func (m *CSR) MulVec(y, x []float64, c *vec.Counter) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("sparse: MulVec shape: A is %dx%d, len(x)=%d len(y)=%d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Val[p] * x[m.ColInd[p]]
-		}
-		y[i] = s
+	rp, i := m.RowPtr, 0
+	for ; i+1 < m.Rows; i += 2 {
+		y[i], y[i+1] = m.dot2(x, rp[i], rp[i+1], rp[i+2])
+	}
+	if i < m.Rows {
+		y[i], _ = m.dot2(x, rp[i], rp[i+1], rp[i+1])
 	}
 	c.Add(2 * float64(m.NNZ()))
 }
 
 // MulVecSub computes y -= A*x (the "BLoc = BSub − Dep·X" update in the
-// multisplitting iteration).
+// multisplitting iteration). A pair of empty rows is skipped, its y left as
+// it is: a dependency matrix stores nothing outside its band's boundary rows.
 func (m *CSR) MulVecSub(y, x []float64, c *vec.Counter) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("sparse: MulVecSub shape: A is %dx%d, len(x)=%d len(y)=%d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Val[p] * x[m.ColInd[p]]
+	rp, i := m.RowPtr, 0
+	for ; i+1 < m.Rows; i += 2 {
+		if rp[i] == rp[i+2] {
+			continue
 		}
-		y[i] -= s
+		s0, s1 := m.dot2(x, rp[i], rp[i+1], rp[i+2])
+		y[i] -= s0
+		y[i+1] -= s1
+	}
+	if i < m.Rows {
+		s0, _ := m.dot2(x, rp[i], rp[i+1], rp[i+1])
+		y[i] -= s0
 	}
 	c.Add(2 * float64(m.NNZ()))
 }

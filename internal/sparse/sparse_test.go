@@ -113,6 +113,98 @@ func TestMulVecSub(t *testing.T) {
 	}
 }
 
+// TestMulVecMatchesReference holds MulVec and MulVecSub, which sum two
+// adjacent rows at once, to the one-row-at-a-time loop they replaced:
+// Float64bits of every y[i] and the counted flops, on the shapes the pairing
+// can get wrong (no rows, one row, an odd count, empty rows and the empty pairs
+// MulVecSub skips, neighbours of unequal length either way round).
+func TestMulVecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	// fromLens builds a matrix whose row i stores lens[i] entries.
+	fromLens := func(cols int, lens ...int) *CSR {
+		m := &CSR{Rows: len(lens), Cols: cols, RowPtr: make([]int, len(lens)+1)}
+		for i, n := range lens {
+			for _, j := range rng.Perm(cols)[:n] {
+				m.ColInd = append(m.ColInd, j)
+				m.Val = append(m.Val, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(9)-4)))
+			}
+			m.RowPtr[i+1] = len(m.ColInd)
+		}
+		return m
+	}
+	for name, m := range map[string]*CSR{
+		"no rows":             fromLens(5),
+		"one row":             fromLens(5, 4),
+		"one empty row":       fromLens(5, 0),
+		"odd count":           fromLens(9, 3, 7, 2, 9, 5),
+		"empty rows":          fromLens(6, 0, 4, 0, 0, 3, 0),
+		"short then long":     fromLens(12, 1, 12, 2, 11),
+		"long then short":     fromLens(12, 12, 1, 11, 2, 7),
+		"no columns":          fromLens(0, 0, 0, 0),
+		"no entries":          fromLens(4, 0, 0, 0, 0, 0),
+		"random, even count":  randomCSR(rng, 40, 31, 400),
+		"random, odd count":   randomCSR(rng, 41, 57, 300),
+		"random, mostly void": randomCSR(rng, 33, 20, 25),
+	} {
+		x := make([]float64, m.Cols)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		y0 := make([]float64, m.Rows)
+		for i := range y0 {
+			y0[i] = rng.NormFloat64()
+			if i%3 == 0 {
+				y0[i] = math.Copysign(0, -1) // -0 − (+0) must stay -0, skipped or not
+			}
+		}
+		want, wantSub := make([]float64, m.Rows), append([]float64(nil), y0...)
+		for i := 0; i < m.Rows; i++ {
+			s := 0.0
+			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+				s += m.Val[p] * x[m.ColInd[p]]
+			}
+			want[i] = s
+			wantSub[i] -= s
+		}
+		got, gotSub := append([]float64(nil), y0...), append([]float64(nil), y0...)
+		var c, cs vec.Counter
+		m.MulVec(got, x, &c)
+		m.MulVecSub(gotSub, x, &cs)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: MulVec y[%d] = %v, reference %v", name, i, got[i], want[i])
+			}
+			if math.Float64bits(gotSub[i]) != math.Float64bits(wantSub[i]) {
+				t.Errorf("%s: MulVecSub y[%d] = %v, reference %v", name, i, gotSub[i], wantSub[i])
+			}
+		}
+		if f := 2 * float64(m.NNZ()); c.Flops() != f || cs.Flops() != f {
+			t.Errorf("%s: counted %v and %v flops, want %v", name, c.Flops(), cs.Flops(), f)
+		}
+	}
+}
+
+// TestMulVecShapePanics: both products refuse a vector of the wrong length,
+// with the message that names the method and the shapes.
+func TestMulVecShapePanics(t *testing.T) {
+	m := sampleCSR(t)
+	for want, call := range map[string]func(){
+		"sparse: MulVec shape: A is 3x3, len(x)=2 len(y)=3":    func() { m.MulVec(make([]float64, 3), make([]float64, 2), nil) },
+		"sparse: MulVec shape: A is 3x3, len(x)=3 len(y)=4":    func() { m.MulVec(make([]float64, 4), make([]float64, 3), nil) },
+		"sparse: MulVecSub shape: A is 3x3, len(x)=4 len(y)=3": func() { m.MulVecSub(make([]float64, 3), make([]float64, 4), nil) },
+		"sparse: MulVecSub shape: A is 3x3, len(x)=3 len(y)=2": func() { m.MulVecSub(make([]float64, 2), make([]float64, 3), nil) },
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("panic %v, want %q", got, want)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestSubmatrix(t *testing.T) {
 	m := sampleCSR(t)
 	s := m.Submatrix(1, 3, 0, 2)

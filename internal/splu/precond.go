@@ -37,19 +37,15 @@ type Preconditioner interface {
 
 // bandPrecond is the band-extraction preconditioner: M is the |i-j| <= width
 // band of the source matrix, held in LAPACK band storage and factored by the
-// pivoting banded LU. srcPos freezes which entries of the source CSR land in
-// the band so Refresh is a straight value copy.
+// pivoting banded LU. The scatter map freezes which entries of the source CSR
+// land where in the band, so the fill and Refresh are straight value copies.
 type bandPrecond struct {
-	lu     *dense.BandLU
-	n      int
-	kl, ku int
-	width  int
-	nnz    int
+	lu *dense.BandLU
 	// srcPos[k] is the position in the source CSR's Val array of the k-th
-	// band entry; srcI/srcJ are its coordinates. Frozen at construction.
-	srcPos []int
-	srcI   []int
-	srcJ   []int
+	// band entry, dst[k] its position in the band's Data; pattern is the
+	// fingerprint of the source pattern both were derived from.
+	srcPos, dst []int
+	pattern     uint64
 }
 
 // NewBandPreconditioner extracts the |i-j| <= width band of a and factors it
@@ -65,27 +61,27 @@ func NewBandPreconditioner(a *sparse.CSR, width int, c *vec.Counter) (Preconditi
 		return nil, fmt.Errorf("splu: preconditioner band width %d < 0", width)
 	}
 	n := a.Rows
-	kl := width
-	if kl > n-1 {
-		kl = n - 1
-	}
-	if kl < 0 {
-		kl = 0
-	}
-	p := &bandPrecond{n: n, kl: kl, ku: kl, width: width}
-	band := dense.NewBand(n, kl, kl)
+	kl := max(min(width, n-1), 0)
+	inBand := func(i, j int) bool { return i-j <= kl && j-i <= kl }
+	count := 0
 	for i := 0; i < n; i++ {
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.ColInd[q]
-			if d := i - j; d >= -kl && d <= kl {
-				band.Set(i, j, a.Val[q])
-				p.srcPos = append(p.srcPos, q)
-				p.srcI = append(p.srcI, i)
-				p.srcJ = append(p.srcJ, j)
+		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if inBand(i, j) {
+				count++
 			}
 		}
 	}
-	p.nnz = len(p.srcPos)
+	p := &bandPrecond{srcPos: make([]int, 0, count), dst: make([]int, 0, count), pattern: patternHash(a)}
+	band := dense.NewBand(n, kl, kl)
+	for i := 0; i < n; i++ {
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			if j := a.ColInd[q]; inBand(i, j) {
+				p.srcPos = append(p.srcPos, q)
+				p.dst = append(p.dst, band.Index(i, j))
+			}
+		}
+	}
+	p.fill(band, a)
 	lu, err := dense.FactorBand(band, c)
 	if err != nil {
 		return nil, fmt.Errorf("splu: band preconditioner (width %d): %w", width, err)
@@ -94,36 +90,43 @@ func NewBandPreconditioner(a *sparse.CSR, width int, c *vec.Counter) (Preconditi
 	return p, nil
 }
 
+// fill copies the band entries of a, whose pattern is the frozen one, into
+// band, whose other positions are zero.
+func (p *bandPrecond) fill(band *dense.Band, a *sparse.CSR) {
+	dst := p.dst[:len(p.srcPos)]
+	for k, q := range p.srcPos {
+		band.Data[dst[k]] = a.Val[q]
+	}
+}
+
 // Apply implements Preconditioner.
 func (p *bandPrecond) Apply(x, r []float64, c *vec.Counter) { p.lu.Solve(x, r, c) }
 
-// ApplyFlops mirrors dense.BandLU.Solve's count with kv = kl+ku.
-func (p *bandPrecond) ApplyFlops() float64 {
-	return 2 * float64(p.n) * float64(p.kl+(p.kl+p.ku)+1)
-}
+// ApplyFlops implements Preconditioner.
+func (p *bandPrecond) ApplyFlops() float64 { return p.lu.SolveFlops() }
 
 // FactorFlops implements Preconditioner.
 func (p *bandPrecond) FactorFlops() float64 { return p.lu.Flops }
 
 // Bytes implements Preconditioner: the band storage including pivot fill.
-func (p *bandPrecond) Bytes() int64 { return int64(p.n) * int64(2*p.kl+p.ku+1) * 8 }
+func (p *bandPrecond) Bytes() int64 { return p.lu.Bytes() }
 
 // N implements Preconditioner.
-func (p *bandPrecond) N() int { return p.n }
+func (p *bandPrecond) N() int { return p.lu.Band().N }
 
 // Refresh implements Preconditioner: refill the band through the frozen
-// position map and refactor numerically.
+// scatter map and refactor numerically.
 func (p *bandPrecond) Refresh(a *sparse.CSR, c *vec.Counter) error {
-	if a.Rows != p.n || a.Cols != p.n {
-		return fmt.Errorf("splu: refresh dimension %dx%d != %d", a.Rows, a.Cols, p.n)
+	if n := p.N(); a.Rows != n || a.Cols != n {
+		return fmt.Errorf("splu: refresh dimension %dx%d != %d", a.Rows, a.Cols, n)
 	}
-	if p.nnz > 0 && len(a.Val) <= p.srcPos[p.nnz-1] {
-		return fmt.Errorf("splu: refresh pattern shrank below frozen band positions")
+	// A different pattern scattered through the frozen map would refill M
+	// from the wrong entries and the sweeps would run on it without an error.
+	if patternHash(a) != p.pattern {
+		return fmt.Errorf("splu: refresh pattern mismatch: %d nnz, not in the positions the preconditioner was built from", a.NNZ())
 	}
 	band := p.lu.Band()
 	band.Zero()
-	for k, q := range p.srcPos {
-		band.Set(p.srcI[k], p.srcJ[k], a.Val[q])
-	}
+	p.fill(band, a)
 	return p.lu.Refactor(c)
 }

@@ -2,6 +2,7 @@ package splu
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -133,5 +134,73 @@ func TestBandPreconditionerErrors(t *testing.T) {
 	small := gen.Tridiag(4, -1, 4, -1)
 	if err := m.Refresh(small, &c); err == nil {
 		t.Fatal("refresh from mismatched matrix accepted")
+	}
+}
+
+// TestBandPreconditionerRefreshRejectsOtherPattern: equal shape and entry
+// count do not make an equal pattern. Refilled through the frozen scatter
+// map, a matrix whose columns are shifted used to give a wrong M and no
+// error.
+func TestBandPreconditionerRefreshRejectsOtherPattern(t *testing.T) {
+	a := gen.Tridiag(10, -1, 4, -1)
+	m, err := NewBandPreconditioner(a, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := a.Clone()
+	// Row 0 stores columns 0 and 1: move the second entry out to column 2.
+	shifted.ColInd[1] = 2
+	if shifted.NNZ() != a.NNZ() {
+		t.Fatal("test matrix has another entry count")
+	}
+	if err := m.Refresh(shifted, nil); err == nil {
+		t.Fatal("refresh from a same-nnz matrix with a shifted column accepted")
+	}
+	if err := m.Refresh(a, nil); err != nil {
+		t.Fatalf("same pattern rejected after a rejection: %v", err)
+	}
+}
+
+// TestBandPrecondAllocBudget pins the preconditioner's allocations on the
+// band shape of the wan_async_twostage workload (one of ten bands of an
+// n=12000, Band 220 matrix, preconditioner width 16): a build allocates the
+// band storage, the pivots, the two presized halves of the scatter map and
+// the two structs and nothing else — no slice is grown — and Apply and Refresh
+// allocate nothing.
+func TestBandPrecondAllocBudget(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 220, PerRow: 10, Negative: true, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pc, err := NewBandPreconditioner(a, 16, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pc.(*bandPrecond)
+	if len(p.srcPos) == 0 || len(p.srcPos) == a.NNZ() {
+		t.Fatalf("%d of %d entries in the band: the shape no longer exercises the extraction", len(p.srcPos), a.NNZ())
+	}
+	held := uint64(p.Bytes()) + 8*uint64(p.N()+len(p.srcPos)+len(p.dst))
+	bytes := after.TotalAlloc - before.TotalAlloc
+	// The allocator rounds each of the four arrays up to its size class
+	// (3.2 % on this shape); a slice grown by append would double that array.
+	if bytes > held+held/20 {
+		t.Errorf("build allocated %d bytes to keep %d, budget is +5%%", bytes, held)
+	}
+	if objects := testing.AllocsPerRun(3, func() { _, _ = NewBandPreconditioner(a, 16, nil) }); objects > 8 {
+		t.Errorf("build allocated %v objects, budget is 8", objects)
+	}
+	x, r := make([]float64, a.Rows), make([]float64, a.Rows)
+	vec.Fill(r, 1)
+	if n := testing.AllocsPerRun(10, func() { p.Apply(x, r, nil) }); n != 0 {
+		t.Errorf("Apply allocates %v objects per run", n)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := p.Refresh(a, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Refresh allocates %v objects per run", n)
 	}
 }

@@ -644,7 +644,7 @@ func (s BandSolver) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error)
 	if err != nil {
 		return nil, err
 	}
-	f := &bandFact{lu: lu, n: m.Rows, kl: bw, ku: bw, perm: perm}
+	f := &bandFact{lu: lu, n: m.Rows, perm: perm}
 	if perm != nil {
 		f.pb = make([]float64, m.Rows)
 		f.px = make([]float64, m.Rows)
@@ -653,10 +653,9 @@ func (s BandSolver) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error)
 }
 
 type bandFact struct {
-	lu     *dense.BandLU
-	n      int
-	kl, ku int
-	perm   []int // symmetric permutation applied before factoring, or nil
+	lu   *dense.BandLU
+	n    int
+	perm []int // symmetric permutation applied before factoring, or nil
 	// pb/px hold the permuted right-hand side and solution so the permuted
 	// Solve path is allocation-free (single-owner, like the factorization).
 	pb, px []float64
@@ -678,11 +677,6 @@ func (f *bandFact) Solve(x, b []float64, c *vec.Counter) {
 
 func (f *bandFact) FactorFlops() float64 { return f.lu.Flops }
 
-// SolveFlops mirrors dense.BandLU.Solve's count with kv = kl+ku.
-func (f *bandFact) SolveFlops() float64 {
-	return 2 * float64(f.n) * float64(f.kl+(f.kl+f.ku)+1)
-}
+func (f *bandFact) SolveFlops() float64 { return f.lu.SolveFlops() }
 
-func (f *bandFact) Bytes() int64 {
-	return int64(f.n) * int64(2*f.kl+f.ku+1) * 8
-}
+func (f *bandFact) Bytes() int64 { return f.lu.Bytes() }
