@@ -4,11 +4,11 @@
 // width and the per-link-class staleness bounds online, from committed
 // per-window measurements only.
 //
-// The package is deliberately dependency-light (sparse and obs only, never
-// core), so the solver core can import it: core.BalancedStarts delegates its
-// speed-proportional partitioning math to StartsFromWeights, and the engine's
-// resplit epochs feed Controller with per-rank window observations gathered
-// through ordinary simulator messages. Everything here is a pure function of
+// The package is deliberately dependency-light (sparse only, never core), so
+// the solver core can import it: core's speed-balanced decomposition
+// (Options.Balance) delegates its partitioning math to StartsFromWeights, and
+// the engine's resplit epochs feed Controller with per-rank window
+// observations gathered through ordinary simulator messages. Everything here is a pure function of
 // its inputs — no clocks, no randomness — which is what keeps adaptive runs
 // byte-identical for any worker or lane count.
 package adapt
@@ -22,8 +22,8 @@ import (
 // sizes proportional to the nonnegative weights w, returning the partition
 // boundaries (len(w)+1 values: starts[0]=0, starts[len(w)]=n, strictly
 // increasing). Every band gets at least one row, so n must be at least
-// len(w). This is the shared weights→starts helper behind
-// core.BalancedStarts (weights = host speeds) and the resplit controller
+// len(w). This is the shared weights→starts helper behind core's
+// Options.Balance (weights = host speeds) and the resplit controller
 // (weights = observed effective speeds).
 func StartsFromWeights(n int, w []float64) ([]int, error) {
 	if len(w) == 0 {
@@ -165,9 +165,6 @@ type Controller struct {
 func NewController(cfg Config) *Controller {
 	return &Controller{cfg: cfg.withDefaults()}
 }
-
-// Interval returns the epoch period in iterations.
-func (c *Controller) Interval() int { return c.cfg.Interval }
 
 // Proposal is one epoch's accepted controller output.
 type Proposal struct {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -286,33 +285,5 @@ func TestTuneStale(t *testing.T) {
 	}
 	if got := TuneStale(4, 4, 0, 9, true); got != 4 {
 		t.Fatalf("floor: got %d, want 4", got)
-	}
-}
-
-// TestFromWindows replays a hand-built windowed report through the
-// converter.
-func TestFromWindows(t *testing.T) {
-	wm := &obs.WindowedMetrics{
-		Width: 1, Makespan: 2, Windows: 2,
-		Hosts: []obs.HostWindow{
-			{Track: "ms-0", W: 0, Compute: 0.5, Wait: 0.25, Sleep: 0.25},
-			{Track: "ms-1", W: 0, Compute: 0.9, Wait: 0.05},
-			{Track: "bg-0", W: 0, Compute: 1.0},
-			{Track: "ms-0", W: 1, Compute: 0.4},
-		},
-	}
-	rows := map[string]int{"ms-0": 100, "ms-1": 60}
-	got := FromWindows(wm, 0, 2, func(track string) (int, int, bool) {
-		r, ok := map[string]int{"ms-0": 0, "ms-1": 1}[track]
-		return r, rows[track], ok
-	})
-	if len(got) != 2 {
-		t.Fatalf("got %d observations, want 2", len(got))
-	}
-	if got[0].Rows != 100 || got[0].Busy != 0.5 || got[0].Wait != 0.5 {
-		t.Fatalf("rank 0 observation %+v", got[0])
-	}
-	if got[1].Rows != 60 || got[1].Busy != 0.9 || got[1].Wait != 0.05 {
-		t.Fatalf("rank 1 observation %+v", got[1])
 	}
 }

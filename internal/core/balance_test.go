@@ -30,7 +30,7 @@ func hostsWithSpeeds(speeds []float64) (*vgrid.Platform, []*vgrid.Host) {
 
 func TestBalancedStartsProportional(t *testing.T) {
 	_, hosts := hostsWithSpeeds([]float64{1e9, 3e9})
-	starts, err := BalancedStarts(400, hosts)
+	starts, err := balancedStarts(400, hosts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBalancedStartsCyclicBands(t *testing.T) {
 
 func TestBalancedStartsEqualSpeedsIsUniform(t *testing.T) {
 	_, hosts := hostsWithSpeeds([]float64{2e9, 2e9, 2e9, 2e9})
-	starts, err := BalancedStarts(100, hosts)
+	starts, err := balancedStarts(100, hosts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +74,15 @@ func TestBalancedStartsEqualSpeedsIsUniform(t *testing.T) {
 
 func TestBalancedStartsDegenerate(t *testing.T) {
 	_, hosts := hostsWithSpeeds([]float64{1e9, 1e9, 1e9})
-	if _, err := BalancedStarts(2, hosts); err == nil {
+	if _, err := balancedStarts(2, hosts, 1); err == nil {
 		t.Fatal("n < hosts accepted")
 	}
-	if _, err := BalancedStarts(10, nil); err == nil {
+	if _, err := balancedStarts(10, nil, 1); err == nil {
 		t.Fatal("no hosts accepted")
 	}
 	// Extreme ratios must still yield non-empty bands.
 	_, extreme := hostsWithSpeeds([]float64{1, 1e12, 1e12})
-	starts, err := BalancedStarts(30, extreme)
+	starts, err := balancedStarts(30, extreme, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

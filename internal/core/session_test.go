@@ -9,8 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/sparse"
-	"repro/internal/splu"
-	"repro/internal/vec"
 	"repro/internal/vgrid"
 )
 
@@ -42,133 +40,6 @@ func perturbedVals(m *sparse.CSR, steps int) [][]float64 {
 		vals[s] = v
 	}
 	return vals
-}
-
-func TestSeqSessionFirstResolveMatchesSolveSequential(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 300, Band: 30, PerRow: 6, Margin: 0.1, Negative: true, Seed: 41})
-	b, _ := gen.RHSForSolution(a)
-	d, err := NewDecomposition(a.Rows, 4, 8, WeightOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c1, c2 vec.Counter
-	ref, err := SolveSequential(a, b, d, &splu.SparseLU{}, 1e-10, 10000, &c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSeqSession(a, d, &splu.SparseLU{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.Resolve(nil, b, 1e-10, 10000, &c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iterations != ref.Iterations {
-		t.Fatalf("iterations: session %d, SolveSequential %d", got.Iterations, ref.Iterations)
-	}
-	for i := range ref.X {
-		if math.Float64bits(got.X[i]) != math.Float64bits(ref.X[i]) {
-			t.Fatalf("x[%d] differs bitwise: %v vs %v", i, got.X[i], ref.X[i])
-		}
-	}
-	if sess.FactorFlops <= 0 {
-		t.Fatalf("FactorFlops not accumulated: %v", sess.FactorFlops)
-	}
-}
-
-// TestSeqSessionMultiResolve: each refactorized Resolve must agree with a
-// fresh factor-from-scratch solve of the same values, and the amortized
-// session must spend under half the factorization work of the per-step
-// Factor baseline.
-func TestSeqSessionMultiResolve(t *testing.T) {
-	m := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Band: 8, PerRow: 3, Margin: 0.1, Negative: true, Seed: 2024})
-	b, _ := gen.RHSForSolution(m)
-	vals := perturbedVals(m, 6)
-	d, err := NewDecomposition(m.Rows, 4, 8, WeightOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSeqSession(m, d, &splu.SparseLU{PivotTol: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := NewSeqSession(m, d, &splu.SparseLU{PivotTol: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.NoRefactor = true
-	var cs, cb vec.Counter
-	if _, err := sess.Resolve(nil, b, 1e-10, 10000, &cs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := base.Resolve(nil, b, 1e-10, 10000, &cb); err != nil {
-		t.Fatal(err)
-	}
-	for s, v := range vals {
-		got, err := sess.Resolve(v, b, 1e-10, 10000, &cs)
-		if err != nil {
-			t.Fatalf("step %d: %v", s, err)
-		}
-		bg, err := base.Resolve(v, b, 1e-10, 10000, &cb)
-		if err != nil {
-			t.Fatalf("step %d baseline: %v", s, err)
-		}
-		// Fresh factor of the same values, no session.
-		fresh := m.Clone()
-		copy(fresh.Val, v)
-		var cf vec.Counter
-		ref, err := SolveSequential(fresh, b, d, &splu.SparseLU{PivotTol: 0.1}, 1e-10, 10000, &cf)
-		if err != nil {
-			t.Fatalf("step %d fresh: %v", s, err)
-		}
-		if got.Iterations != ref.Iterations {
-			t.Fatalf("step %d iterations: session %d, fresh %d", s, got.Iterations, ref.Iterations)
-		}
-		for i := range ref.X {
-			if math.Abs(got.X[i]-ref.X[i]) > 1e-9*(1+math.Abs(ref.X[i])) {
-				t.Fatalf("step %d x[%d]: session %v, fresh %v", s, i, got.X[i], ref.X[i])
-			}
-			if math.Abs(bg.X[i]-ref.X[i]) > 1e-9*(1+math.Abs(ref.X[i])) {
-				t.Fatalf("step %d x[%d]: baseline %v, fresh %v", s, i, bg.X[i], ref.X[i])
-			}
-		}
-	}
-	if sess.Fallbacks() != 0 {
-		t.Fatalf("unexpected pivot fallbacks: %d", sess.Fallbacks())
-	}
-	if 2*sess.FactorFlops > base.FactorFlops {
-		t.Fatalf("refactorization saved less than 2x: session %v, baseline %v", sess.FactorFlops, base.FactorFlops)
-	}
-}
-
-// TestSeqSessionResolveAllocationFree: a steady-state Resolve (values
-// refreshed, refactorization, iteration sweep) performs no allocation.
-func TestSeqSessionResolveAllocationFree(t *testing.T) {
-	m := gen.DiagDominant(gen.DiagDominantOpts{N: 300, Band: 30, PerRow: 6, Margin: 0.1, Negative: true, Seed: 99})
-	b, _ := gen.RHSForSolution(m)
-	d, err := NewDecomposition(m.Rows, 4, 8, WeightOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSeqSession(m, d, &splu.SparseLU{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c vec.Counter
-	if _, err := sess.Resolve(nil, b, 1e-10, 10000, &c); err != nil {
-		t.Fatal(err)
-	}
-	v := make([]float64, m.NNZ())
-	copy(v, m.Val)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := sess.Resolve(v, b, 1e-10, 10000, &c); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Resolve allocates: %v allocs/op", allocs)
-	}
 }
 
 // launchResolve drives one Resolve through Session.Launch on an engine the

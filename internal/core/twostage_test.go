@@ -324,53 +324,6 @@ func TestTwoStageMemoryWall(t *testing.T) {
 	checkClose(t, res.X, xtrue, 1e-5, "two-stage beyond the wall")
 }
 
-// TestSeqSessionTwoStage pins the sequential session's two-stage path: the
-// first Resolve matches the exact sequential solve, and a same-pattern
-// refresh (the Newton-step shape) matches a from-scratch solve on the new
-// values — through the preconditioner's frozen-map Refresh, not a rebuild.
-func TestSeqSessionTwoStage(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Band: 12, PerRow: 7, Negative: true, Seed: 21})
-	b, _ := gen.RHSForSolution(a)
-	d, err := NewDecomposition(a.Rows, 4, 8, WeightOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSeqSession(a, d, &splu.SparseLU{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.TwoStage = TwoStage{InnerIters: 4, PrecondBand: 4}
-	var c vec.Counter
-	res, err := sess.Resolve(nil, b, 1e-10, 50000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := SolveSequential(a, b, d, &splu.SparseLU{}, 1e-10, 50000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkClose(t, res.X, exact.X, 1e-7, "first two-stage Resolve vs exact")
-	if sess.InnerSweeps == 0 {
-		t.Fatal("no inner sweeps recorded")
-	}
-	if sess.TwoStageFallbacks != 0 {
-		t.Fatalf("unexpected fallbacks: %d", sess.TwoStageFallbacks)
-	}
-
-	vals := perturbedVals(a, 1)[0]
-	res2, err := sess.Resolve(vals, b, 1e-10, 50000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2 := a.Clone()
-	copy(a2.Val, vals)
-	exact2, err := SolveSequential(a2, b, d, &splu.SparseLU{}, 1e-10, 50000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkClose(t, res2.X, exact2.X, 1e-7, "refreshed two-stage Resolve vs exact")
-}
-
 // TestSessionTwoStageResolves pins the distributed session's two-stage path
 // bitwise: the first Resolve reproduces the one-shot solve, and a refreshed
 // Resolve reproduces a from-scratch one-shot solve on the new values (the

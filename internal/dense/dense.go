@@ -41,12 +41,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.Data[i*m.Cols+j] = v
 }
 
-// Add accumulates v into element (i, j).
-func (m *Matrix) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.Data[i*m.Cols+j] += v
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("dense: index (%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
@@ -64,22 +58,6 @@ func (m *Matrix) Row(i int) []float64 {
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// MulVec computes y = M*x.
-func (m *Matrix) MulVec(y, x []float64, c *vec.Counter) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("dense: MulVec shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	c.Add(2 * float64(m.Rows) * float64(m.Cols))
 }
 
 // LU is a dense LU factorization with partial pivoting: P·A = L·U with unit
@@ -241,17 +219,6 @@ func (b *Band) Index(i, j int) int {
 
 // Set assigns A(i,j); |i-j| must lie within the band.
 func (b *Band) Set(i, j int, v float64) { b.Data[b.Index(i, j)] = v }
-
-// At returns A(i,j), zero outside the band.
-func (b *Band) At(i, j int) float64 {
-	if i < 0 || i >= b.N || j < 0 || j >= b.N {
-		panic("dense: band index out of range")
-	}
-	if i-j > b.KL || j-i > b.KU {
-		return 0
-	}
-	return b.Data[b.Index(i, j)]
-}
 
 // BandLU is an LU factorization of a band matrix with partial pivoting.
 type BandLU struct {

@@ -336,3 +336,40 @@ func TestFactorBandRandomWide(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// What follows is used by this package's tests only: building matrices entry
+// by entry, right-hand sides from a known solution, and reading a band matrix
+// back by coordinates.
+
+// Add accumulates v into element (i, j).
+func (m *Matrix) Add(i, j int, v float64) {
+	m.check(i, j)
+	m.Data[i*m.Cols+j] += v
+}
+
+// MulVec computes y = M*x.
+func (m *Matrix) MulVec(y, x []float64, c *vec.Counter) {
+	if len(x) != m.Cols || len(y) != m.Rows {
+		panic("dense: MulVec shape mismatch")
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		s := 0.0
+		for j, v := range row {
+			s += v * x[j]
+		}
+		y[i] = s
+	}
+	c.Add(2 * float64(m.Rows) * float64(m.Cols))
+}
+
+// At returns A(i,j), zero outside the band.
+func (b *Band) At(i, j int) float64 {
+	if i < 0 || i >= b.N || j < 0 || j >= b.N {
+		panic("dense: band index out of range")
+	}
+	if i-j > b.KL || j-i > b.KU {
+		return 0
+	}
+	return b.Data[b.Index(i, j)]
+}

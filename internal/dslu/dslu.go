@@ -111,23 +111,6 @@ func (p *Pending) Running() bool {
 // needed when ranks failed (e.g. out of memory) before filling the result.
 func (p *Pending) Finish() { p.done = true }
 
-// Solve creates an engine on the platform, runs the distributed LU solver
-// across the hosts, and returns the result.
-func Solve(pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Result, error) {
-	e := vgrid.NewEngine(pl)
-	pend, err := Launch(e, hosts, a, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	end, err := e.Run()
-	pend.res.Time = end
-	pend.done = true
-	if err != nil {
-		return pend.Result(), err
-	}
-	return pend.Result(), nil
-}
-
 // Launch registers the solver on the engine, one rank per host.
 func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Pending, error) {
 	o := opt.withDefaults()

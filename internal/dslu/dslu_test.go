@@ -215,3 +215,21 @@ func TestLatencySensitivity(t *testing.T) {
 		t.Fatalf("WAN run %.4fs not much slower than LAN %.4fs", wanRes.Time, lanRes.Time)
 	}
 }
+
+// Solve creates an engine on the platform, runs the distributed LU solver
+// across the hosts, and returns the result: Launch, Run and Finish the way
+// this package's tests want them.
+func Solve(pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Result, error) {
+	e := vgrid.NewEngine(pl)
+	pend, err := Launch(e, hosts, a, b, opt)
+	if err != nil {
+		return nil, err
+	}
+	end, err := e.Run()
+	pend.res.Time = end
+	pend.done = true
+	if err != nil {
+		return pend.Result(), err
+	}
+	return pend.Result(), nil
+}

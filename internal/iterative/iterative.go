@@ -1,11 +1,10 @@
-// Package iterative provides the classical iterative methods the paper's
-// multisplitting scheme generalizes (point and block Jacobi) together with
-// the spectral-radius machinery needed to check Theorem 1's convergence
-// hypotheses ρ(M⁻¹N) < 1 and ρ(|M⁻¹N|) < 1 numerically.
+// Package iterative provides the spectral-radius machinery needed to check
+// Theorem 1's convergence hypotheses ρ(M⁻¹N) < 1 and ρ(|M⁻¹N|) < 1
+// numerically (power iteration over the splitting operators) and the inner
+// relaxation sweeps of the two-stage method.
 package iterative
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,125 +13,6 @@ import (
 	"repro/internal/splu"
 	"repro/internal/vec"
 )
-
-// ErrNoConvergence is returned when an iteration hits its cap before
-// reaching the requested tolerance.
-var ErrNoConvergence = errors.New("iterative: iteration did not converge")
-
-// Result reports the outcome of an iterative solve.
-type Result struct {
-	// Iterations is the number of sweeps performed.
-	Iterations int
-	// Diff is the final successive-iterate infinity-norm difference.
-	Diff float64
-}
-
-// Jacobi solves A·x = b with the point Jacobi iteration, overwriting x
-// (which provides the initial guess). It stops when the successive-iterate
-// difference drops below tol in the infinity norm.
-func Jacobi(a *sparse.CSR, x, b []float64, tol float64, maxIter int, c *vec.Counter) (Result, error) {
-	n := a.Rows
-	if a.Cols != n || len(x) != n || len(b) != n {
-		panic("iterative: Jacobi shape mismatch")
-	}
-	diag := a.Diagonal()
-	for i, d := range diag {
-		if d == 0 {
-			return Result{}, fmt.Errorf("iterative: zero diagonal at row %d", i)
-		}
-	}
-	xNew := make([]float64, n)
-	for k := 1; k <= maxIter; k++ {
-		for i := 0; i < n; i++ {
-			s := b[i]
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				j := a.ColInd[p]
-				if j != i {
-					s -= a.Val[p] * x[j]
-				}
-			}
-			xNew[i] = s / diag[i]
-		}
-		c.Add(2 * float64(a.NNZ()))
-		diff := vec.DiffNormInf(x, xNew, c)
-		copy(x, xNew)
-		if diff <= tol {
-			return Result{Iterations: k, Diff: diff}, nil
-		}
-	}
-	return Result{Iterations: maxIter}, ErrNoConvergence
-}
-
-// BlockJacobi solves A·x = b with the block Jacobi iteration over the given
-// contiguous row blocks (each [starts[l], starts[l+1]) forms one block). The
-// diagonal blocks are factored once with the supplied direct solver; the
-// iteration then is exactly the single-decomposition special case of the
-// paper's multisplitting method (Remark 1).
-func BlockJacobi(a *sparse.CSR, starts []int, d splu.Direct, x, b []float64, tol float64, maxIter int, c *vec.Counter) (Result, error) {
-	n := a.Rows
-	if a.Cols != n || len(x) != n || len(b) != n {
-		panic("iterative: BlockJacobi shape mismatch")
-	}
-	if len(starts) < 2 || starts[0] != 0 || starts[len(starts)-1] != n {
-		panic("iterative: starts must span [0,n]")
-	}
-	nb := len(starts) - 1
-	type block struct {
-		r0, r1 int
-		fact   splu.Factorization
-		offDia *sparse.CSR // rows of the block with the diagonal block zeroed
-	}
-	blocks := make([]block, nb)
-	for l := 0; l < nb; l++ {
-		r0, r1 := starts[l], starts[l+1]
-		if r1 <= r0 {
-			panic("iterative: empty block")
-		}
-		sub := a.Submatrix(r0, r1, r0, r1)
-		f, err := d.Factor(sub, c)
-		if err != nil {
-			return Result{}, fmt.Errorf("iterative: block %d: %w", l, err)
-		}
-		// Off-diagonal coupling: full rows minus the diagonal block.
-		co := sparse.NewCOO(r1-r0, n)
-		for i := r0; i < r1; i++ {
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				j := a.ColInd[p]
-				if j < r0 || j >= r1 {
-					co.Append(i-r0, j, a.Val[p])
-				}
-			}
-		}
-		blocks[l] = block{r0: r0, r1: r1, fact: f, offDia: co.ToCSR()}
-	}
-	xNew := make([]float64, n)
-	for k := 1; k <= maxIter; k++ {
-		for _, bl := range blocks {
-			rhs := vec.Clone(b[bl.r0:bl.r1])
-			bl.offDia.MulVecSub(rhs, x, c)
-			bl.fact.Solve(xNew[bl.r0:bl.r1], rhs, c)
-		}
-		diff := vec.DiffNormInf(x, xNew, c)
-		copy(x, xNew)
-		if diff <= tol {
-			return Result{Iterations: k, Diff: diff}, nil
-		}
-	}
-	return Result{Iterations: maxIter}, ErrNoConvergence
-}
-
-// UniformBlocks returns block boundaries splitting n rows into nb nearly
-// equal contiguous blocks.
-func UniformBlocks(n, nb int) []int {
-	if nb < 1 || nb > n {
-		panic(fmt.Sprintf("iterative: cannot split %d rows into %d blocks", n, nb))
-	}
-	starts := make([]int, nb+1)
-	for l := 0; l <= nb; l++ {
-		starts[l] = l * n / nb
-	}
-	return starts
-}
 
 // PowerMethod estimates the spectral radius of the linear operator given by
 // apply (y = T·x) using power iteration with a deterministic random start.

@@ -1,119 +1,15 @@
 package iterative
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
-	"repro/internal/sparse"
 	"repro/internal/splu"
 	"repro/internal/vec"
 )
-
-func TestJacobiConverges(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 200, Seed: 1})
-	b, xtrue := gen.RHSForSolution(a)
-	x := make([]float64, a.Rows)
-	var c vec.Counter
-	res, err := Jacobi(a, x, b, 1e-10, 10000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations < 2 {
-		t.Fatalf("iterations = %d", res.Iterations)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xtrue[i]) > 1e-7*(1+math.Abs(xtrue[i])) {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], xtrue[i])
-		}
-	}
-	if c.Flops() <= 0 {
-		t.Fatal("no flops charged")
-	}
-}
-
-func TestJacobiZeroDiagonal(t *testing.T) {
-	co := sparse.NewCOO(2, 2)
-	co.Append(0, 1, 1)
-	co.Append(1, 0, 1)
-	var c vec.Counter
-	x := make([]float64, 2)
-	if _, err := Jacobi(co.ToCSR(), x, []float64{1, 1}, 1e-8, 10, &c); err == nil {
-		t.Fatal("zero diagonal accepted")
-	}
-}
-
-func TestJacobiNoConvergence(t *testing.T) {
-	a := gen.Tridiag(50, -3, 1, -3) // point Jacobi diverges
-	b := make([]float64, 50)
-	b[0] = 1
-	x := make([]float64, 50)
-	var c vec.Counter
-	_, err := Jacobi(a, x, b, 1e-10, 30, &c)
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestBlockJacobiConverges(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 300, Seed: 2})
-	b, xtrue := gen.RHSForSolution(a)
-	x := make([]float64, a.Rows)
-	var c vec.Counter
-	res, err := BlockJacobi(a, UniformBlocks(a.Rows, 4), &splu.SparseLU{}, x, b, 1e-10, 10000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xtrue[i]) > 1e-7*(1+math.Abs(xtrue[i])) {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], xtrue[i])
-		}
-	}
-	// Block Jacobi must need fewer sweeps than point Jacobi.
-	xj := make([]float64, a.Rows)
-	pj, err := Jacobi(a, xj, b, 1e-10, 10000, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations >= pj.Iterations {
-		t.Fatalf("block Jacobi %d sweeps, point Jacobi %d", res.Iterations, pj.Iterations)
-	}
-}
-
-func TestBlockJacobiSingleBlockIsDirect(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 80, Seed: 3})
-	b, xtrue := gen.RHSForSolution(a)
-	x := make([]float64, a.Rows)
-	var c vec.Counter
-	res, err := BlockJacobi(a, UniformBlocks(a.Rows, 1), &splu.SparseLU{}, x, b, 1e-10, 10, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 2 {
-		t.Fatalf("single block took %d sweeps", res.Iterations)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xtrue[i]) > 1e-8*(1+math.Abs(xtrue[i])) {
-			t.Fatal("wrong solution")
-		}
-	}
-}
-
-func TestUniformBlocks(t *testing.T) {
-	s := UniformBlocks(10, 3)
-	if len(s) != 4 || s[0] != 0 || s[3] != 10 {
-		t.Fatalf("blocks = %v", s)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for too many blocks")
-		}
-	}()
-	UniformBlocks(2, 3)
-}
 
 func TestPowerMethodKnownMatrix(t *testing.T) {
 	// Diagonal matrix: spectral radius equals the largest |entry|.

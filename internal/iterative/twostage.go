@@ -14,7 +14,7 @@ import (
 // fall back to the exact band solve instead of iterating on garbage.
 var ErrDiverged = errors.New("iterative: iteration diverging")
 
-// Divergence thresholds shared by PrecondSweeps and SOR: a sweep residual
+// Divergence thresholds of PrecondSweeps: a sweep residual
 // beyond divergeTotal times the starting residual, or divergeStreak
 // consecutive sweeps each growing by more than divergeGrowth, is declared
 // divergent. The streak requirement keeps transient growth (a rough warm

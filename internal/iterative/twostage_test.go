@@ -110,19 +110,3 @@ func TestPrecondSweepsValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestSORDiverges checks that the reworked SOR surfaces divergence as an
-// error (the fallback trigger) instead of returning a garbage iterate.
-func TestSORDiverges(t *testing.T) {
-	a := gen.Tridiag(60, -3, 1, -3)
-	b := make([]float64, 60)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, 60)
-	var c vec.Counter
-	_, err := SOR(a, x, b, 1.9, 1e-12, 5000, &c)
-	if !errors.Is(err, ErrDiverged) {
-		t.Fatalf("err = %v, want ErrDiverged", err)
-	}
-}

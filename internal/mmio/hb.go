@@ -372,16 +372,3 @@ func ReadHBFile(path string) (*sparse.CSR, error) {
 	defer f.Close()
 	return ReadHB(f)
 }
-
-// WriteHBFile writes m to disk in RUA Harwell-Boeing format.
-func WriteHBFile(path string, m *sparse.CSR, title, key string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteHB(f, m, title, key); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

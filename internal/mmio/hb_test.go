@@ -3,6 +3,7 @@ package mmio
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -220,7 +221,11 @@ func TestHBFileHelpers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.rua")
 	a := gen.Tridiag(12, -1, 4, -1)
-	if err := WriteHBFile(path, a, "tridiagonal", "TRI12"); err != nil {
+	var buf bytes.Buffer
+	if err := WriteHB(&buf, a, "tridiagonal", "TRI12"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadHBFile(path)

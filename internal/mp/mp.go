@@ -24,10 +24,10 @@ const (
 // User tags must stay below this value.
 const internalTagBase = 1 << 20
 
+// The numbering starts at +2 (the first two belonged to a barrier that is
+// gone): traces record tags, so the remaining values must not move.
 const (
-	tagBarrierIn = internalTagBase + iota
-	tagBarrierOut
-	tagReduceIn
+	tagReduceIn = internalTagBase + 2 + iota
 	tagReduceOut
 	tagBcast
 	tagGather
@@ -140,9 +140,6 @@ func (c *Comm) Compute(flops float64) { c.p.Compute(flops) }
 // accounting helpers operate on it. The caller (the rank body) builds and
 // owns the Ctx — one per process, never shared.
 func (c *Comm) AttachCtx(ctx *simctx.Ctx) { c.ctx = ctx }
-
-// Ctx returns the attached solver context (nil if none).
-func (c *Comm) Ctx() *simctx.Ctx { return c.ctx }
 
 // Charge converts flops counted since the last charge into virtual compute
 // time: the difference between the context counter and its charged
@@ -429,40 +426,6 @@ func (c *Comm) PeerErr(r int) error {
 	return c.procs[r].Err()
 }
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() error {
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	if c.Topo {
-		if ti := c.topo(); ti != nil {
-			_, err := c.hierAllreduce(0, OpSum, ti)
-			return err
-		}
-	}
-	if c.Tree {
-		_, err := c.treeAllreduce(0, OpSum)
-		return err
-	}
-	if c.rank == 0 {
-		for i := 1; i < n; i++ {
-			c.p.ReleaseMessage(c.p.Recv(AnySource, tagBarrierIn))
-		}
-		for i := 1; i < n; i++ {
-			if err := c.xsend(c.procs[i], tagBarrierOut, nil, msgOverheadBytes); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.xsend(c.procs[0], tagBarrierIn, nil, msgOverheadBytes); err != nil {
-		return err
-	}
-	c.p.ReleaseMessage(c.p.Recv(0, tagBarrierOut))
-	return nil
-}
-
 // Op is a reduction operator.
 type Op int
 
@@ -470,8 +433,6 @@ type Op int
 const (
 	OpSum Op = iota
 	OpMax
-	OpMin
-	OpAnd // treats values as booleans: zero is false
 )
 
 // scalar wraps one value in a pooled single-element payload buffer.
@@ -497,13 +458,6 @@ func (o Op) apply(a, b float64) float64 {
 		return a + b
 	case OpMax:
 		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
-	case OpAnd:
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
 	default:
 		panic("mp: unknown op")
 	}
@@ -540,16 +494,6 @@ func (c *Comm) Allreduce(v float64, op Op) (float64, error) {
 		return 0, err
 	}
 	return c.takeScalar(c.p.Recv(0, tagReduceOut)), nil
-}
-
-// AllreduceBool returns the logical AND across ranks.
-func (c *Comm) AllreduceBool(v bool) (bool, error) {
-	x := 0.0
-	if v {
-		x = 1
-	}
-	r, err := c.Allreduce(x, OpAnd)
-	return r != 0, err
 }
 
 // treeAllreduce reduces up the binary tree and broadcasts the result down.

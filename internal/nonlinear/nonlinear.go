@@ -10,10 +10,9 @@
 //
 //	(A + diag(φ'_i(x_i)))·δ = −F(x)
 //
-// are each solved with the multisplitting-direct method — sequentially or
-// across a simulated grid. For monotone nonlinearities (φ'_i ≥ 0) the
-// Jacobian inherits A's diagonal dominance, so Theorem 1 keeps applying to
-// every inner solve.
+// are each solved with the multisplitting-direct method across a simulated
+// grid. For monotone nonlinearities (φ'_i ≥ 0) the Jacobian inherits A's
+// diagonal dominance, so Theorem 1 keeps applying to every inner solve.
 package nonlinear
 
 import (
@@ -22,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sparse"
-	"repro/internal/splu"
 	"repro/internal/vec"
 	"repro/internal/vgrid"
 )
@@ -40,9 +38,12 @@ type Diagonal struct {
 
 // Problem is the semilinear system A·x + φ(x) = b.
 type Problem struct {
-	A   *sparse.CSR
+	// A is the linear part.
+	A *sparse.CSR
+	// Phi is the diagonal nonlinearity φ.
 	Phi Diagonal
-	B   []float64
+	// B is the right-hand side b.
+	B []float64
 }
 
 // Residual computes r = b − A·x − φ(x) and returns ‖r‖∞.
@@ -53,38 +54,6 @@ func (p *Problem) Residual(r, x []float64, c *vec.Counter) float64 {
 	}
 	c.Add(2 * float64(len(r)))
 	return vec.NormInf(r, c)
-}
-
-// Jacobian returns A + diag(φ'(x)).
-func (p *Problem) Jacobian(x []float64, c *vec.Counter) *sparse.CSR {
-	j := p.A.Clone()
-	for i := 0; i < j.Rows; i++ {
-		d := p.Phi.DPhi(i, x[i])
-		if d == 0 {
-			continue
-		}
-		set := false
-		for q := j.RowPtr[i]; q < j.RowPtr[i+1]; q++ {
-			if j.ColInd[q] == i {
-				j.Val[q] += d
-				set = true
-				break
-			}
-		}
-		if !set {
-			// Structural zero on the diagonal: rebuild with it (rare).
-			co := sparse.NewCOO(j.Rows, j.Cols)
-			for r := 0; r < j.Rows; r++ {
-				for q := j.RowPtr[r]; q < j.RowPtr[r+1]; q++ {
-					co.Append(r, j.ColInd[q], j.Val[q])
-				}
-			}
-			co.Append(i, i, d)
-			j = co.ToCSR()
-		}
-	}
-	c.Add(float64(j.Rows))
-	return j
 }
 
 // jacTemplate is the persistent Jacobian A + diag(φ'(x)): its pattern — A's
@@ -157,9 +126,6 @@ type Options struct {
 	NewtonTol float64
 	// MaxNewton caps the outer iterations (default 50).
 	MaxNewton int
-	// Bands is the decomposition width for the sequential driver
-	// (default 4).
-	Bands int
 	// NoRefactor disables the numeric refactorization of the inner solver
 	// sessions, re-factoring every band from scratch on every Newton step
 	// (the pre-session baseline, kept for ablation measurements).
@@ -174,14 +140,12 @@ func (o *Options) withDefaults() Options {
 	if out.MaxNewton == 0 {
 		out.MaxNewton = 50
 	}
-	if out.Bands == 0 {
-		out.Bands = 4
-	}
 	return out
 }
 
 // Result reports a Newton-multisplitting solve.
 type Result struct {
+	// X is the last Newton iterate: the solution when the error is nil.
 	X []float64
 	// NewtonIterations is the number of outer steps taken.
 	NewtonIterations int
@@ -190,78 +154,12 @@ type Result struct {
 	InnerIterations int
 	// Residual is the final ‖F(x)‖∞.
 	Residual float64
-	// Time accumulates the virtual time of the distributed inner solves
-	// (zero for the sequential driver).
+	// Time accumulates the virtual time of the inner solves.
 	Time float64
 	// FactorFlops is the total factorization + refactorization work of the
 	// inner solves (the cost the persistent sessions amortize: one full
 	// factorization per band, then cheap numeric refactors).
 	FactorFlops float64
-}
-
-// SolveSequential runs Newton with sequential multisplitting inner solves.
-// The inner solver is a persistent core.SeqSession: the Jacobian's pattern
-// never changes across Newton steps, so the bands are factored once on the
-// first step and numerically refactorized afterwards.
-func SolveSequential(p *Problem, solver splu.Direct, opt Options, c *vec.Counter) (*Result, error) {
-	o := opt.withDefaults()
-	n := p.A.Rows
-	if p.A.Cols != n || len(p.B) != n {
-		return nil, fmt.Errorf("nonlinear: shape mismatch")
-	}
-	if solver == nil {
-		solver = &splu.SparseLU{}
-	}
-	d, err := core.NewDecomposition(n, min(o.Bands, n), o.Inner.Overlap, o.Inner.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	tpl := newJacTemplate(p.A)
-	sess, err := core.NewSeqSession(tpl.j, d, solver)
-	if err != nil {
-		return nil, err
-	}
-	sess.NoRefactor = o.NoRefactor
-	// Two-stage inner solves compose with the Newton outer loop: the band
-	// preconditioner's pattern is the frozen Jacobian pattern, so it
-	// refreshes numerically each Newton step like the exact factors do.
-	sess.TwoStage = o.Inner.TwoStage
-	innerTol := o.Inner.Tol
-	if innerTol == 0 {
-		innerTol = 1e-10
-	}
-	maxIter := o.Inner.MaxIter
-	if maxIter == 0 {
-		maxIter = 100000
-	}
-	x := make([]float64, n)
-	r := make([]float64, n)
-	res := &Result{}
-	defer func() { res.FactorFlops = sess.FactorFlops }()
-	for k := 1; k <= o.MaxNewton; k++ {
-		res.NewtonIterations = k
-		res.Residual = p.Residual(r, x, c)
-		if res.Residual <= o.NewtonTol {
-			res.X = x
-			return res, nil
-		}
-		tpl.update(p, x, c)
-		sr, err := sess.Resolve(tpl.j.Val, r, innerTol, maxIter, c)
-		if err != nil {
-			return nil, fmt.Errorf("nonlinear: Newton step %d: %w", k, err)
-		}
-		res.InnerIterations += sr.Iterations
-		vec.Axpy(1, sr.X, x, c)
-		if !vec.AllFinite(x) {
-			return nil, fmt.Errorf("nonlinear: Newton step %d diverged", k)
-		}
-	}
-	res.X = x
-	res.Residual = p.Residual(r, x, c)
-	if res.Residual <= o.NewtonTol {
-		return res, nil
-	}
-	return res, ErrNewtonNoConvergence
 }
 
 // SolveDistributed runs Newton with distributed multisplitting inner solves

@@ -92,7 +92,7 @@ type Metrics struct {
 	Series []Series `json:"series"`
 }
 
-// Link-stat counter names emitted by the simulator; ComputeMetrics folds
+// Link-stat counter names emitted by the simulator; spanFold.metrics folds
 // these into Metrics.Links instead of the generic Counters list.
 const (
 	// CntLinkBytes accumulates wire bytes per link.
@@ -104,7 +104,7 @@ const (
 )
 
 // Cluster-traffic counter names emitted by the simulator, with track "intra"
-// or "inter"; ComputeMetrics folds these into Metrics.Traffic.
+// or "inter"; spanFold.metrics folds these into Metrics.Traffic.
 const (
 	// CntClusterBytes accumulates wire bytes per traffic class.
 	CntClusterBytes = "cluster_bytes"
@@ -166,15 +166,6 @@ func (f *spanFold) feed(r *Recorder) {
 			f.windows.AddSample(p)
 		}
 	}
-}
-
-// ComputeMetrics aggregates a recorder into Metrics. makespan is the run's
-// end-to-end virtual time (Engine.Now after Run); host idle time is measured
-// against it.
-func ComputeMetrics(r *Recorder, makespan float64) *Metrics {
-	f := spanFold{hosts: map[string]*HostUtil{}}
-	f.feed(r)
-	return f.metrics(r, makespan)
 }
 
 // metrics finishes the folded host budgets against the makespan and adds

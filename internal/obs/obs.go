@@ -188,10 +188,6 @@ func (r *Recorder) SetStream(st *Streamer) {
 	st.rec = r
 }
 
-// Streaming reports whether the recorder is in streaming mode (false for
-// nil).
-func (r *Recorder) Streaming() bool { return r != nil && r.stream != nil }
-
 // Advance tells a streaming recorder that the engine's commit time reached
 // t: every pending span that ended strictly before t is final (commit keys
 // are non-decreasing and spans never end before the commit that emits them)
@@ -348,9 +344,6 @@ func (r *Recorder) Count(name, track string, n float64) {
 	r.counts[countKey{name, track}] += n
 }
 
-// Enabled reports whether the recorder actually collects (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Spans returns every recorded span sorted by (Start, Track, emission
 // order) — the deterministic export order (see the package comment). The
 // slice is built on the first call after a span was recorded and shared by
@@ -453,9 +446,6 @@ func NewScope(rec *Recorder, name string) *Scope {
 	}
 	return &Scope{rec: rec, name: name}
 }
-
-// Enabled reports whether the scope actually emits (false for nil).
-func (sc *Scope) Enabled() bool { return sc != nil }
 
 // Span records a span, placing it on the scope's "solver:<name>" track when
 // the span names no track of its own.

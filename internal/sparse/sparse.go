@@ -18,9 +18,9 @@ import (
 // COO is a coordinate-format (triplet) matrix used as a builder. Duplicate
 // entries are summed when converting to CSR/CSC.
 type COO struct {
-	Rows, Cols int
-	I, J       []int
-	V          []float64
+	Rows, Cols int       // shape
+	I, J       []int     // row and column index of each triplet
+	V          []float64 // value of each triplet
 }
 
 // NewCOO returns an empty COO matrix with the given shape.
@@ -40,9 +40,6 @@ func (c *COO) Append(i, j int, v float64) {
 	c.J = append(c.J, j)
 	c.V = append(c.V, v)
 }
-
-// NNZ returns the number of stored triplets (duplicates counted).
-func (c *COO) NNZ() int { return len(c.V) }
 
 // ToCSR converts the triplets to CSR, summing duplicates and dropping
 // explicit zeros produced by the summation only if they were duplicates
@@ -76,46 +73,13 @@ func (c *COO) ToCSR() *CSR {
 	return m
 }
 
-// ToCSC converts the triplets to CSC via CSR.
-func (c *COO) ToCSC() *CSC { return c.ToCSR().ToCSC() }
-
 // CSR is a compressed sparse row matrix. Column indices within each row are
 // kept sorted and duplicate-free by every constructor in this package.
 type CSR struct {
-	Rows, Cols int
-	RowPtr     []int // length Rows+1
-	ColInd     []int // length NNZ
-	Val        []float64
-}
-
-// NewCSR builds a CSR matrix from raw components after validating them.
-func NewCSR(rows, cols int, rowPtr, colInd []int, val []float64) (*CSR, error) {
-	if len(rowPtr) != rows+1 {
-		return nil, fmt.Errorf("sparse: rowPtr length %d, want %d", len(rowPtr), rows+1)
-	}
-	if len(colInd) != len(val) {
-		return nil, fmt.Errorf("sparse: colInd/val length mismatch %d != %d", len(colInd), len(val))
-	}
-	if rowPtr[0] != 0 || rowPtr[rows] != len(val) {
-		return nil, fmt.Errorf("sparse: rowPtr bounds [%d,%d], want [0,%d]", rowPtr[0], rowPtr[rows], len(val))
-	}
-	for i := 0; i < rows; i++ {
-		if rowPtr[i] > rowPtr[i+1] {
-			return nil, fmt.Errorf("sparse: rowPtr not monotone at row %d", i)
-		}
-		if rowPtr[i+1] < 0 || rowPtr[i+1] > len(val) {
-			return nil, fmt.Errorf("sparse: rowPtr[%d]=%d outside [0,%d]", i+1, rowPtr[i+1], len(val))
-		}
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if colInd[p] < 0 || colInd[p] >= cols {
-				return nil, fmt.Errorf("sparse: column %d out of range at row %d", colInd[p], i)
-			}
-			if p > rowPtr[i] && colInd[p] <= colInd[p-1] {
-				return nil, fmt.Errorf("sparse: row %d columns not strictly sorted", i)
-			}
-		}
-	}
-	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd, Val: val}, nil
+	Rows, Cols int       // shape
+	RowPtr     []int     // length Rows+1
+	ColInd     []int     // length NNZ
+	Val        []float64 // length NNZ, ordered like ColInd
 }
 
 // NNZ returns the number of stored entries.
@@ -525,49 +489,14 @@ func (m *CSR) String() string {
 // CSC is a compressed sparse column matrix, the natural input format for the
 // left-looking sparse LU factorization.
 type CSC struct {
-	Rows, Cols int
-	ColPtr     []int
-	RowInd     []int
-	Val        []float64
+	Rows, Cols int       // shape
+	ColPtr     []int     // length Cols+1
+	RowInd     []int     // length NNZ
+	Val        []float64 // length NNZ, ordered like RowInd
 }
 
 // NNZ returns the number of stored entries.
 func (m *CSC) NNZ() int { return len(m.Val) }
-
-// ToCSR converts back to row-major compressed format.
-func (m *CSC) ToCSR() *CSR {
-	asRow := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: m.ColPtr, ColInd: m.RowInd, Val: m.Val}
-	return asRow.Transpose()
-}
-
-// Clone returns a deep copy of m.
-func (m *CSC) Clone() *CSC {
-	return &CSC{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		ColPtr: append([]int(nil), m.ColPtr...),
-		RowInd: append([]int(nil), m.RowInd...),
-		Val:    append([]float64(nil), m.Val...),
-	}
-}
-
-// MulVec computes y = A*x for a CSC matrix.
-func (m *CSC) MulVec(y, x []float64, c *vec.Counter) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: CSC MulVec shape: A is %dx%d, len(x)=%d len(y)=%d", m.Rows, m.Cols, len(x), len(y)))
-	}
-	vec.Zero(y)
-	for j := 0; j < m.Cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			y[m.RowInd[p]] += m.Val[p] * xj
-		}
-	}
-	c.Add(2 * float64(m.NNZ()))
-}
 
 // Identity returns the n×n identity matrix in CSR form.
 func Identity(n int) *CSR {
@@ -598,18 +527,6 @@ func Equal(a, b *CSR) bool {
 		}
 	}
 	return true
-}
-
-// InversePerm returns the inverse of permutation p (q with q[p[i]] = i).
-func InversePerm(p []int) []int {
-	q := make([]int, len(p))
-	for i, v := range p {
-		if v < 0 || v >= len(p) {
-			panic("sparse: invalid permutation")
-		}
-		q[v] = i
-	}
-	return q
 }
 
 // IsPerm reports whether p is a valid permutation of 0..len(p)-1.

@@ -58,26 +58,6 @@ func Norm1(a *sparse.CSR) float64 {
 	return m
 }
 
-// SolveRefined solves A·x = b and then performs steps of iterative
-// refinement (residual re-solves) to push the answer toward machine
-// accuracy — useful when the per-band factorization was computed with a
-// relaxed pivot threshold.
-func SolveRefined(a *sparse.CSR, fact Factorization, x, b []float64, steps int, c *vec.Counter) {
-	n := a.Rows
-	if len(x) != n || len(b) != n {
-		panic("splu: SolveRefined shape mismatch")
-	}
-	fact.Solve(x, b, c)
-	r := make([]float64, n)
-	d := make([]float64, n)
-	for s := 0; s < steps; s++ {
-		a.MulVec(r, x, c)
-		vec.Sub(r, b, r, c)
-		fact.Solve(d, r, c)
-		vec.Axpy(1, d, x, c)
-	}
-}
-
 // CondEst1 estimates the 1-norm condition number κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ of a
 // previously factored matrix using Hager's algorithm (the LAPACK xGECON
 // approach): ‖A⁻¹‖₁ is estimated from a few solves with A and Aᵀ. The

@@ -125,54 +125,6 @@ func TestCondEst1IllConditioned(t *testing.T) {
 	}
 }
 
-func TestSolveRefinedImprovesAccuracy(t *testing.T) {
-	// A badly scaled system solved with a sloppy pivot threshold; iterative
-	// refinement must reduce the residual.
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 300, Seed: 14})
-	for i := 0; i < a.Rows; i += 2 {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			a.Val[p] *= 1e8
-		}
-	}
-	b, _ := gen.RHSForSolution(a)
-	var c vec.Counter
-	f, err := (&SparseLU{PivotTol: 0.01}).Factor(a, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid := func(x []float64) float64 {
-		y := make([]float64, a.Rows)
-		a.MulVec(y, x, &c)
-		worst := 0.0
-		for i := range y {
-			if d := math.Abs(y[i] - b[i]); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	x0 := make([]float64, a.Rows)
-	f.Solve(x0, b, &c)
-	x2 := make([]float64, a.Rows)
-	SolveRefined(a, f, x2, b, 2, &c)
-	if resid(x2) > resid(x0) {
-		t.Fatalf("refinement worsened residual: %v -> %v", resid(x0), resid(x2))
-	}
-	if resid(x2) > 1e-3*(1+resid(x0)) && resid(x2) > 1e-6*norm1b(b) {
-		t.Fatalf("refined residual still large: %v", resid(x2))
-	}
-}
-
-func norm1b(b []float64) float64 {
-	m := 0.0
-	for _, v := range b {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Property: the estimator never exceeds the exact condition number (it is a
 // lower bound by construction) and stays within a reasonable factor.
 func TestCondEst1Property(t *testing.T) {

@@ -455,7 +455,7 @@ func equalFactors(t *testing.T, f *sparseFactors, r *refFactors) {
 		got, want float64
 	}{
 		{"FactorFlops", f.FactorFlops(), r.flops + r.symFlops},
-		{"NumericFlops", f.NumericFlops(), r.flops},
+		{"numeric flops", f.flops, r.flops},
 		{"SolveFlops", f.SolveFlops(), r.solveFlops},
 		{"RefactorFlops", f.RefactorFlops(), r.refactorFlops},
 		{"Bytes", float64(f.Bytes()), float64(r.Bytes())},

@@ -511,9 +511,6 @@ func (f *sparseFactors) Solve(x, b []float64, c *vec.Counter) {
 // FactorFlops implements Factorization: numeric plus counted symbolic work.
 func (f *sparseFactors) FactorFlops() float64 { return f.flops + f.symFlops }
 
-// NumericFlops returns only the numeric elimination cost (diagnostics).
-func (f *sparseFactors) NumericFlops() float64 { return f.flops }
-
 // SolveFlops implements Factorization.
 func (f *sparseFactors) SolveFlops() float64 { return f.solveFlops }
 

@@ -119,19 +119,6 @@ func Scale(alpha float64, x []float64, c *Counter) {
 	c.Add(float64(len(x)))
 }
 
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64, c *Counter) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vec: dot length mismatch %d != %d", len(x), len(y)))
-	}
-	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
-	}
-	c.Add(2 * float64(len(x)))
-	return s
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64, c *Counter) float64 {
 	s := 0.0
@@ -177,17 +164,6 @@ func Sub(dst, x, y []float64, c *Counter) {
 	}
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-	c.Add(float64(len(dst)))
-}
-
-// Add2 computes dst = x + y. dst may alias x or y.
-func Add2(dst, x, y []float64, c *Counter) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("vec: add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
 	}
 	c.Add(float64(len(dst)))
 }

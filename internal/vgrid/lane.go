@@ -20,7 +20,7 @@
 // any event inside the window: lanes are causally independent below the
 // horizon. A runtime guard panics if a cross-lane arrival ever lands below
 // the horizon (a platform whose representative-route lookahead overestimates
-// an actual route; use Engine.SetLookahead to bound it explicitly).
+// an actual route).
 //
 // Inter-cluster sends still serialize — they update shared WAN link state
 // (FIFO queues, fair shares) that other lanes also route through, and the
@@ -373,8 +373,8 @@ func (e *Engine) resolveLaneCount() int {
 	return nl
 }
 
-// resolveLookahead computes the safe-window lookahead L: the explicit
-// SetLookahead override if any, otherwise the platform's minimum
+// resolveLookahead computes the safe-window lookahead L: the tests'
+// lookaheadOverride if set, otherwise the platform's minimum
 // inter-cluster route latency scaled below every fault-plan latency
 // reduction (factors below 1 shrink real route latencies, so they must
 // shrink the bound too; factors above 1 only widen the margin) and shaved

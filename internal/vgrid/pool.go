@@ -29,8 +29,8 @@
 // bars them from all simulator primitives).
 //
 // Ownership guards: a double ReleaseMessage always panics (the envelope
-// carries a pooled bit). SetPoolCheck(true) additionally arms the
-// debug-build float-pool guard: PutFloats panics on a double put and
+// carries a pooled bit). The tests' poolCheck mode additionally arms the
+// float-pool guard: PutFloats panics on a double put and
 // poisons the returned buffer with NaNs, so a use-after-put surfaces as
 // NaN propagation instead of silent cross-message corruption.
 
@@ -49,23 +49,6 @@ const maxPoolClass = 24
 // sizeClass returns the smallest power-of-two exponent c with n ≤ 1<<c.
 func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
-}
-
-// SetPoolCheck arms (or disarms) the float-pool ownership guard: every
-// PutFloats is checked against the set of buffers already in a pool —
-// a double put panics immediately instead of corrupting a later message —
-// and returned buffers are poisoned with NaNs so a use-after-put surfaces
-// in the numerics. The check costs a mutex and a map operation per pool
-// call, so it is off by default; tests and debugging runs turn it on.
-// Must be called before Run.
-func (e *Engine) SetPoolCheck(on bool) {
-	if e.started {
-		panic("vgrid: SetPoolCheck after Run")
-	}
-	e.poolCheck = on
-	if on && e.poolOut == nil {
-		e.poolOut = make(map[*float64]bool)
-	}
 }
 
 // checkGet records that a pooled buffer left a pool (poolCheck mode).

@@ -41,27 +41,11 @@ func (pl *Platform) Clusters() []*Cluster { return pl.clusters }
 // NumClusters returns how many clusters the platform declares.
 func (pl *Platform) NumClusters() int { return len(pl.clusters) }
 
-// ClusterOf returns the cluster a host belongs to, or nil when the host is
-// unassigned.
-func (pl *Platform) ClusterOf(h *Host) *Cluster {
-	if h.cluster < 0 {
-		return nil
-	}
-	return pl.clusters[h.cluster]
-}
-
 // SameCluster reports whether two hosts share a cluster. Two unassigned
 // hosts count as sharing the (implicit) flat cluster, so on a platform with
 // no declarations every transfer is intra-cluster.
 func (pl *Platform) SameCluster(a, b *Host) bool {
 	return a.cluster == b.cluster
-}
-
-// InterCluster classifies the a→b route: true when a message between the
-// hosts crosses a cluster boundary. It is the per-route view of SameCluster
-// used by the traffic accounting in SendFate.
-func (pl *Platform) InterCluster(a, b *Host) bool {
-	return !pl.SameCluster(a, b)
 }
 
 // ValidateTopology checks the cluster declarations against the platform:

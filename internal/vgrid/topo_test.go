@@ -34,17 +34,14 @@ func TestClusterMetadata(t *testing.T) {
 	if pl.NumClusters() != 2 {
 		t.Fatalf("NumClusters = %d", pl.NumClusters())
 	}
-	if c := pl.ClusterOf(hosts[1]); c == nil || c.Name != "left" || c.Index != 0 {
-		t.Fatalf("ClusterOf(hosts[1]) = %+v", c)
+	if c := pl.Clusters()[hosts[1].ClusterIndex()]; c.Name != "left" || c.Index != 0 {
+		t.Fatalf("cluster of hosts[1] = %+v", c)
 	}
 	if hosts[2].ClusterIndex() != 1 {
 		t.Fatalf("ClusterIndex = %d", hosts[2].ClusterIndex())
 	}
 	if !pl.SameCluster(hosts[0], hosts[1]) || pl.SameCluster(hosts[1], hosts[2]) {
 		t.Fatal("SameCluster misclassifies")
-	}
-	if !pl.InterCluster(hosts[0], hosts[3]) || pl.InterCluster(hosts[2], hosts[3]) {
-		t.Fatal("InterCluster misclassifies")
 	}
 	if err := pl.ValidateTopology(); err != nil {
 		t.Fatalf("valid topology rejected: %v", err)

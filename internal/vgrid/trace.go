@@ -54,66 +54,6 @@ func parseTraceLine(line string) (TraceEvent, bool) {
 	return ev, true
 }
 
-// TraceSummary aggregates the recorded events per process.
-type TraceSummary struct {
-	// Proc is the process (or host) the row aggregates.
-	Proc string
-	// Sends counts messages this process sent that reached a mailbox.
-	Sends int
-	// Recvs counts received message events.
-	Recvs int
-	// Drops counts messages this process sent that a fault plan lost.
-	Drops int
-	// Crashes counts fault-plan crash events of this host.
-	Crashes int
-	// Restarts counts fault-plan restart events of this host.
-	Restarts int
-	// Dones counts process-completion events (0 or 1 per process).
-	Dones int
-	// FirstEvent is the time of the first recorded event.
-	FirstEvent float64
-	// LastEvent is the time of the last recorded event.
-	LastEvent float64
-}
-
-// Summaries returns per-process aggregates sorted by process name.
-func (r *Recorder) Summaries() []TraceSummary {
-	byProc := map[string]*TraceSummary{}
-	for _, ev := range r.Events {
-		s := byProc[ev.Proc]
-		if s == nil {
-			s = &TraceSummary{Proc: ev.Proc, FirstEvent: ev.Time}
-			byProc[ev.Proc] = s
-		}
-		switch ev.Kind {
-		case "send":
-			s.Sends++
-		case "recv":
-			s.Recvs++
-		case "drop":
-			s.Drops++
-		case "crash":
-			s.Crashes++
-		case "restart":
-			s.Restarts++
-		case "done":
-			s.Dones++
-		}
-		if ev.Time < s.FirstEvent {
-			s.FirstEvent = ev.Time
-		}
-		if ev.Time > s.LastEvent {
-			s.LastEvent = ev.Time
-		}
-	}
-	out := make([]TraceSummary, 0, len(byProc))
-	for _, s := range byProc {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Proc < out[j].Proc })
-	return out
-}
-
 // WriteTimeline renders a coarse per-process activity timeline: one row per
 // process, with event density bucketed into width columns over the run.
 func (r *Recorder) WriteTimeline(w io.Writer, width int) error {

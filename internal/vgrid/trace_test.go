@@ -57,24 +57,6 @@ func TestRecorderCapturesEvents(t *testing.T) {
 	}
 }
 
-func TestRecorderSummaries(t *testing.T) {
-	rec := tracedRun(t)
-	sums := rec.Summaries()
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %d, want 2", len(sums))
-	}
-	bySrc := map[string]TraceSummary{}
-	for _, s := range sums {
-		bySrc[s.Proc] = s
-	}
-	if bySrc["src"].Sends != 3 || bySrc["dst"].Recvs != 3 {
-		t.Fatalf("bad summaries: %+v", sums)
-	}
-	if bySrc["src"].LastEvent < bySrc["src"].FirstEvent {
-		t.Fatal("event times out of order")
-	}
-}
-
 func TestTimelineRendering(t *testing.T) {
 	rec := tracedRun(t)
 	var buf bytes.Buffer
@@ -87,27 +69,6 @@ func TestTimelineRendering(t *testing.T) {
 	}
 	if !strings.ContainsAny(out, ".:+*#") {
 		t.Fatalf("timeline has no activity marks:\n%s", out)
-	}
-}
-
-func TestSummariesFaultEvents(t *testing.T) {
-	rec := &Recorder{Events: []TraceEvent{
-		{Time: 0.5, Proc: "host-0", Kind: "crash"},
-		{Time: 1.0, Proc: "host-0", Kind: "restart"},
-		{Time: 1.5, Proc: "host-0", Kind: "crash"},
-		{Time: 2.0, Proc: "worker-1", Kind: "done"},
-	}}
-	sums := rec.Summaries()
-	byProc := map[string]TraceSummary{}
-	for _, s := range sums {
-		byProc[s.Proc] = s
-	}
-	h := byProc["host-0"]
-	if h.Crashes != 2 || h.Restarts != 1 {
-		t.Fatalf("host-0 crashes=%d restarts=%d, want 2/1", h.Crashes, h.Restarts)
-	}
-	if byProc["worker-1"].Dones != 1 {
-		t.Fatalf("worker-1 dones = %d, want 1", byProc["worker-1"].Dones)
 	}
 }
 

@@ -184,12 +184,6 @@ func (pl *Platform) SetRoute(a, b *Host, links ...*Link) {
 	pl.routes[[2]int{b.ID, a.ID}] = rev
 }
 
-// SetLoopback sets the cost of same-host transfers.
-func (pl *Platform) SetLoopback(latency, bandwidth float64) {
-	pl.loopLatency = latency
-	pl.loopBandwidth = bandwidth
-}
-
 // SetRouter installs a lazy route resolver: when Route finds no declared
 // route for a host pair, it asks the resolver and memoizes a non-nil answer
 // into the route table. This keeps platform construction O(hosts) for
@@ -324,7 +318,7 @@ type Engine struct {
 	// sharded is set while the run uses more than one lane.
 	sharded bool
 	// lookaheadOverride, when non-zero, replaces the platform-derived
-	// safe-window lookahead (SetLookahead); lookahead memoizes the
+	// safe-window lookahead (only tests set it); lookahead memoizes the
 	// resolved value.
 	lookaheadOverride float64
 	lookahead         float64
@@ -346,7 +340,7 @@ type Engine struct {
 	laneStatWidth float64
 	laneStats     map[int]*LaneWindowStat
 
-	// poolCheck arms the float-pool ownership guard (SetPoolCheck);
+	// poolCheck arms the float-pool ownership guard (only tests set it);
 	// poolOut tracks pooled buffers under poolMu across all lanes.
 	poolCheck bool
 	poolMu    sync.Mutex
@@ -384,23 +378,6 @@ func (e *Engine) SetLanes(n int) {
 // Lanes returns the number of scheduler lanes the run resolved to (0
 // before Run).
 func (e *Engine) Lanes() int { return len(e.lanes) }
-
-// SetLookahead overrides the platform-derived safe-window lookahead: the
-// minimum virtual delay of any inter-lane message. Use it when the
-// platform's representative-route estimate (minimum inter-cluster route
-// latency over first-host pairs) overestimates an actual route — the
-// engine panics mid-run if a cross-lane message ever arrives below the
-// current window horizon. Must be called before Run; 0 restores the
-// derived bound.
-func (e *Engine) SetLookahead(l float64) {
-	if e.started {
-		panic("vgrid: SetLookahead after Run")
-	}
-	if l < 0 {
-		panic("vgrid: negative lookahead")
-	}
-	e.lookaheadOverride = l
-}
 
 // EventStats reports the run's scheduling volume: commits is the number of
 // committed event slices, syncs the number of points at which the run had to
@@ -447,10 +424,6 @@ func (e *Engine) Observe(rec *obs.Recorder) {
 	}
 	e.obs = rec
 }
-
-// Obs returns the attached observability recorder (nil when observability is
-// off). Drivers use it to build per-process emission scopes.
-func (e *Engine) Obs() *obs.Recorder { return e.obs }
 
 // startPool lazily spins up the worker goroutines on first use. The jobs
 // channel is buffered with one slot per process — a process can have at most
@@ -568,15 +541,6 @@ func (e *Engine) firstError() error {
 		}
 	}
 	return nil
-}
-
-// Errors returns the per-process errors after Run (nil entries for success).
-func (e *Engine) Errors() []error {
-	errs := make([]error, len(e.procs))
-	for i, p := range e.procs {
-		errs[i] = p.err
-	}
-	return errs
 }
 
 // Now returns the engine's high-water virtual time.
@@ -805,7 +769,7 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 		}
 		if cross {
 			if arrival < e.horizon {
-				panic(fmt.Sprintf("vgrid: lookahead violated: %s -> %s arrives at %.9f inside window horizon %.9f; bound the lookahead with Engine.SetLookahead", p.Name, dst.Name, arrival, e.horizon))
+				panic(fmt.Sprintf("vgrid: lookahead violated: %s -> %s arrives at %.9f inside window horizon %.9f: the lookahead estimate exceeds this route's latency", p.Name, dst.Name, arrival, e.horizon))
 			}
 			dst.ln.inbox = append(dst.ln.inbox, m)
 		} else {
@@ -935,20 +899,6 @@ func (p *Proc) removeMessage(m *Message) {
 	panic("vgrid: message vanished from mailbox")
 }
 
-// Pending reports how many mailbox messages match (src, tag) and have
-// arrived by the current clock. Like TryRecv it synchronizes first.
-func (p *Proc) Pending(src, tag int) int {
-	p.setSt(stateReady)
-	p.yield()
-	n := 0
-	for _, m := range p.mailbox {
-		if matches(m, src, tag) && m.Arrival <= p.clock {
-			n++
-		}
-	}
-	return n
-}
-
 // Alloc reserves bytes of host memory, shared with every process on the
 // host. It fails with ErrOutOfMemory when the capacity would be exceeded.
 func (p *Proc) Alloc(bytes int64) error {
@@ -973,9 +923,6 @@ func (p *Proc) Free(bytes int64) {
 	p.allocated -= bytes
 	p.host.used -= bytes
 }
-
-// Allocated returns the bytes this process currently holds.
-func (p *Proc) Allocated() int64 { return p.allocated }
 
 // HostMemoryInUse returns the total bytes allocated on the host.
 func (h *Host) HostMemoryInUse() int64 { return h.used }

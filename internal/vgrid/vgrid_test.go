@@ -307,8 +307,8 @@ func TestMemoryAccounting(t *testing.T) {
 		if err := p.Alloc(600); err != nil {
 			return fmt.Errorf("alloc after free failed: %v", err)
 		}
-		if p.Allocated() != 1000 {
-			return fmt.Errorf("allocated = %d, want 1000", p.Allocated())
+		if p.allocated != 1000 {
+			return fmt.Errorf("allocated = %d, want 1000", p.allocated)
 		}
 		return nil
 	})
@@ -585,34 +585,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if sDst.BlockedTime <= 0 {
 		t.Fatalf("dst should have blocked: %+v", sDst)
-	}
-}
-
-func TestPending(t *testing.T) {
-	pl, a, b := twoHostPlatform(0.001, 1e9)
-	e := NewEngine(pl)
-	var src, dst *Proc
-	src = e.Spawn(a, "src", func(p *Proc) error {
-		for i := 0; i < 3; i++ {
-			if err := p.Send(dst, 1, nil, 8); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	_ = src
-	dst = e.Spawn(b, "dst", func(p *Proc) error {
-		p.Sleep(1)
-		if n := p.Pending(AnySource, 1); n != 3 {
-			return fmt.Errorf("pending = %d, want 3", n)
-		}
-		for i := 0; i < 3; i++ {
-			p.Recv(AnySource, 1)
-		}
-		return nil
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
