@@ -1,5 +1,6 @@
-// Command lintdocs fails when a package exports an undocumented identifier or
-// ships a function that nothing calls.
+// Command lintdocs fails when a package exports an undocumented identifier,
+// ships a function that nothing calls, or the prose names a test that does
+// not exist.
 //
 // Usage:
 //
@@ -17,6 +18,10 @@
 //     package. A package's own tests do not keep a function in the product:
 //     what only they use belongs in a _test.go file.
 //
+// README.md, DESIGN.md and EXPERIMENTS.md may back-quote only test, fuzz and
+// benchmark functions some _test.go file of the tree declares (`TestFoo*`
+// asks for one whose name starts with TestFoo).
+//
 // The second rule is syntactic. A function counts as named by `pkg.Name` in a
 // file that imports its package and by a bare `Name` inside its package; a
 // method counts as named by any `.Name` selector anywhere and by any interface
@@ -28,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -37,6 +43,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,8 +94,8 @@ type user struct {
 }
 
 // lintTree parses every Go file under root and returns the diagnostics of
-// both rules for the packages under root/internal and root/cmd, sorted by
-// position.
+// the two code rules for the packages under root/internal and root/cmd and
+// of the test-name rule for the docFiles, sorted by position.
 func lintTree(root string) ([]string, error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -116,6 +123,7 @@ func lintTree(root string) ([]string, error) {
 	}
 	var decls []declared
 	refs := map[funcKey]map[user]bool{}
+	tests := map[string]bool{}
 	err = filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -144,6 +152,9 @@ func lintTree(root string) ([]string, error) {
 		imports := importNames(file)
 		for _, decl := range file.Decls {
 			fd, _ := decl.(*ast.FuncDecl)
+			if isTest && fd != nil && fd.Recv == nil {
+				tests[fd.Name.Name] = true
+			}
 			if linted {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -185,6 +196,11 @@ func lintTree(root string) ([]string, error) {
 			flag(dc.d.Name.Pos(), "%s %s is named by no non-test code and by no other package's test", what, name)
 		}
 	}
+	if err := lintDocRefs(root, tests, func(file string, line int, msg string) {
+		diags = append(diags, diag{file, line, msg})
+	}); err != nil {
+		return nil, err
+	}
 	sort.SliceStable(diags, func(i, j int) bool {
 		if diags[i].file != diags[j].file {
 			return diags[i].file < diags[j].file
@@ -196,6 +212,54 @@ func lintTree(root string) ([]string, error) {
 		out[i] = fmt.Sprintf("%s:%d: %s", d.file, d.line, d.msg)
 	}
 	return out, nil
+}
+
+// docFiles are the prose files whose back-quoted test names must resolve.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// codeSpan matches a back-quoted span of one line, testName a test in it.
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+)
+
+// lintDocRefs reports every test name in a back-quoted span of the docFiles
+// under root that no test function of tests carries.
+func lintDocRefs(root string, tests map[string]bool, report func(file string, line int, msg string)) error {
+	for _, name := range docFiles {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, ref := range testName.FindAllString(span, -1) {
+					if !declaresTest(tests, ref) {
+						report(name, i+1, "`"+ref+"` names no test function in the tree")
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// declaresTest reports whether tests holds ref, or with a trailing * a name
+// that starts with it.
+func declaresTest(tests map[string]bool, ref string) bool {
+	prefix, ok := strings.CutSuffix(ref, "*")
+	if !ok {
+		return tests[ref]
+	}
+	for name := range tests {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // modulePath reads the module line of a go.mod file.

@@ -6,22 +6,17 @@
 //	msexp [-scale N] [-csv] [-quiet] [experiment ...]
 //
 // Experiments: table1 table2 table3 table4 figure3 faultsweep utilization
-// windowed topology clustergrid eventshard twostage adaptive (default:
-// all), plus table4fair on request. A cell holds a verified virtual time or
-// a verdict (nem, stall, dead, err, div, bad(r)); options a solver rejects
-// outright fail the experiment with exit status 1. -scale divides the
-// paper's matrix dimensions (default 16; 8 gives a closer, slower run; 1 is
-// the paper's exact sizes, only practical for the generated banded matrices).
-// -csv emits comma-separated values instead of aligned text (handy for
-// plotting figure3). -fault-seed reseeds the deterministic fault injection of
-// the faultsweep experiment.
-//
-// The clustergrid experiment times the event core itself on generated grids
-// (wall-clock and ns per commit of the indexed scheduler); -hosts/-clusters
-// replace its default scale sweep (64/256/1000 hosts) with a single grid of
-// that size. The eventshard experiment compares the sharded event core
-// (per-cluster scheduler lanes, -lanes) against the single-lane scheduler
-// on the same grids and honours -hosts/-clusters the same way.
+// windowed topology twostage adaptive (default: all), plus table4fair on
+// request. A cell holds a verified virtual time or a verdict (nem, stall,
+// dead, err, div, bad(r)); options a solver rejects outright fail the
+// experiment with exit status 1. -scale divides the paper's matrix dimensions
+// (default 16; 8 gives a closer, slower run; 1 is the paper's exact sizes,
+// only practical for the generated banded matrices). -csv emits
+// comma-separated values instead of aligned text (handy for plotting
+// figure3). -fault-seed reseeds the deterministic fault injection of the
+// faultsweep experiment. -workers and -lanes change only the host time of a
+// run, never a table; an out-of-range -scale, -window, -workers or -lanes is
+// exit status 2 before anything runs.
 //
 // The twostage experiment sweeps the two-stage solver's inner sweep count
 // against the exact-band baseline on cluster3, then demonstrates the memory
@@ -42,8 +37,7 @@
 //
 // The windowed experiment folds a clean and a degraded cluster2 solve into
 // fixed virtual-time windows (internal/obs windowed telemetry): -window sets
-// the window width, -stream-trace accumulates the windows from the
-// bounded-memory streaming flush path, and -metrics-out PREFIX writes
+// the window width, and -metrics-out PREFIX writes
 // PREFIX-windowed-{clean,degraded}.windows.{json,csv} for cmd/msprof.
 package main
 
@@ -76,9 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics-out", "", "utilization: write per-run metrics to PREFIX-<cluster>-<solver>.metrics.{json,csv}")
 	critPath := fs.Bool("critical-path", false, "utilization: append each run's top critical-path segments to the table notes")
 	window := fs.Float64("window", 0, "windowed: virtual-time window width in seconds for the windowed-utilization experiment (0 = auto: 1/8 of the clean makespan); with -metrics-out also writes PREFIX-windowed-{clean,degraded}.windows.{json,csv}")
-	streamTr := fs.Bool("stream-trace", false, "windowed: accumulate the windows from the bounded-memory streaming flush path instead of the retained spans (same numbers, exercises the flight-recorder feed)")
-	synHosts := fs.Int("hosts", 0, "clustergrid: run on a single generated grid of this many hosts instead of the default scale sweep")
-	synClust := fs.Int("clusters", 1, "clustergrid: cluster count of the -hosts grid")
 	innerSched := fs.String("inner-schedule", "", "twostage: inner-sweep schedule (fixed, ramp or residual; empty = fixed)")
 	omega := fs.Float64("omega", 0, "twostage: inner relaxation weight in (0, 2) (0 = default 1)")
 	pcBand := fs.Int("precond-band", 0, "twostage: preconditioner half-bandwidth (0 = default 16)")
@@ -91,6 +82,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Config reads a value below its range as "use the default"; on the
+	// command line it is a typo.
+	var bad string
+	switch {
+	case *scale < 1:
+		bad = "-scale must be >= 1"
+	case *window < 0:
+		bad = "-window must be >= 0"
+	case *lanes < 0:
+		bad = "-lanes must be >= 0"
+	case *workers < 0:
+		bad = "-workers must be >= 0"
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "msexp:", bad)
+		return 2
+	}
 
 	var progress io.Writer
 	if !*quiet {
@@ -98,9 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := experiments.Config{
 		Scale: *scale, Progress: progress, Workers: *workers, FaultSeed: *faultSeed,
-		TraceJSON: *traceJSON, MetricsOut: *metricsOut, CriticalPath: *critPath,
-		Window: *window, StreamTrace: *streamTr,
-		SynthHosts: *synHosts, SynthClusters: *synClust,
+		TraceJSON: *traceJSON, MetricsOut: *metricsOut, CriticalPath: *critPath, Window: *window,
 		TwoStageSchedule: *innerSched, TwoStageOmega: *omega, TwoStagePrecondBand: *pcBand,
 		Adapt: *adapt, AdaptInterval: *adaptInt, AdaptHysteresis: *adaptHyst,
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/tables-*.csv from the command's current output")
@@ -39,7 +41,7 @@ func TestUnknownExperimentListsNames(t *testing.T) {
 	if code != 2 || out != "" {
 		t.Fatalf("exit %d, stdout %q; want usage status 2 and no table", code, out)
 	}
-	for _, want := range []string{`"table9"`, "table1", "table4fair", "clustergrid", "adaptive"} {
+	for _, want := range []string{`"table9"`, "table1", "table4fair", "twostage", "adaptive"} {
 		if !strings.Contains(errs, want) {
 			t.Errorf("diagnostic %q does not mention %s", errs, want)
 		}
@@ -60,17 +62,42 @@ func TestUnknownExperimentFailsBeforeTheFirstRuns(t *testing.T) {
 	}
 }
 
-// TestRejectedInputFailsWithoutATable: input the solver, the ring harness or
-// the sharded engine refuses is an exit-1 diagnostic naming the cause — not a
-// table of "err" cells with exit 0, and not a panic.
+// TestOutOfRangeFlags: a numeric flag below its range is one diagnostic line
+// and usage status 2 before anything runs — not a silent fall-back to the
+// default the zero value of experiments.Config stands for.
+func TestOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "msexp: -scale must be >= 1\n"},
+		{[]string{"-scale", "-8"}, "msexp: -scale must be >= 1\n"},
+		{[]string{"-window", "-1"}, "msexp: -window must be >= 0\n"},
+		{[]string{"-lanes", "-2"}, "msexp: -lanes must be >= 0\n"},
+		{[]string{"-workers", "-1"}, "msexp: -workers must be >= 0\n"},
+	} {
+		dir := t.TempDir()
+		args := append(tc.args, "-quiet", "-metrics-out", dir+"/m", "table1", "windowed")
+		code, out, errs := msexp(args...)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 || out != "" || errs != tc.want || len(entries) != 0 {
+			t.Errorf("msexp %v: exit %d, stdout %q, stderr %q, %d files; want status 2 and %q", tc.args, code, out, errs, len(entries), tc.want)
+		}
+	}
+}
+
+// TestRejectedInputFailsWithoutATable: input the solver or the sharded engine
+// refuses is an exit-1 diagnostic naming the cause — not a table of "err"
+// cells with exit 0, and not a panic.
 func TestRejectedInputFailsWithoutATable(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
 		{[]string{"-scale", "64", "-quiet", "-inner-schedule", "bogus", "twostage"}, []string{"twostage failed", "bogus"}},
-		{[]string{"-quiet", "-hosts", "5", "-clusters", "9", "clustergrid"}, []string{"clustergrid failed", "clusters"}},
-		{[]string{"-quiet", "-hosts", "5", "-clusters", "9", "eventshard"}, []string{"eventshard failed", "clusters"}},
 		// cluster3's NICs carry intra- and inter-site routes: one lane only.
 		{[]string{"-quiet", "-csv", "-scale", "64", "-lanes", "0", "table3"}, []string{"table3 failed", "cannot be sharded"}},
 	} {
@@ -86,26 +113,42 @@ func TestRejectedInputFailsWithoutATable(t *testing.T) {
 	}
 }
 
-// TestPaperTablesGolden holds every virtual-time table to recorded bytes: the
-// tables are a function of their inputs, so a run that differs from the file
-// differs either from the commit that recorded it or from itself
-// (order.RCM used to break its ties by map iteration, and the distributed-LU
-// column of the scale-32 pair moved in its last digit from run to run). The
-// wall-clock experiments (clustergrid, eventshard) are not in the files.
-// Regenerate with `go test ./cmd/msexp -update`, read the diff, and give the
-// reason in CHANGES.md.
+// goldenRuns are the msexp runs TestPaperTablesGolden holds to recorded bytes.
+var goldenRuns = []struct {
+	golden string
+	args   []string
+}{
+	{"testdata/tables-scale64.csv", []string{"-scale", "64", "table1", "table2", "table3", "table4", "figure3",
+		"faultsweep", "utilization", "windowed", "topology", "twostage", "adaptive", "table4fair"}},
+	{"testdata/tables-scale32.csv", []string{"-scale", "32", "table2", "table3"}},
+}
+
+// TestGoldenCoversDefaultRun: every experiment a bare msexp run prints is in
+// the golden file, so no table of the default run goes unchecked.
+func TestGoldenCoversDefaultRun(t *testing.T) {
+	held := map[string]bool{}
+	for _, name := range goldenRuns[0].args {
+		held[name] = true
+	}
+	for _, x := range experiments.All() {
+		if !held[x.Name] {
+			t.Errorf("default experiment %q is not in %s", x.Name, goldenRuns[0].golden)
+		}
+	}
+}
+
+// TestPaperTablesGolden holds every table to recorded bytes: the tables are a
+// function of their inputs, so a run that differs from the file differs
+// either from the commit that recorded it or from itself (order.RCM used to
+// break its ties by map iteration, and the distributed-LU column of the
+// scale-32 pair moved in its last digit from run to run). Regenerate with
+// `go test ./cmd/msexp -update`, read the diff, and give the reason in
+// CHANGES.md.
 func TestPaperTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every paper table (~20 s)")
 	}
-	for _, tc := range []struct {
-		golden string
-		args   []string
-	}{
-		{"testdata/tables-scale64.csv", []string{"-scale", "64", "table1", "table2", "table3", "table4", "figure3",
-			"faultsweep", "utilization", "windowed", "topology", "twostage", "adaptive", "table4fair"}},
-		{"testdata/tables-scale32.csv", []string{"-scale", "32", "table2", "table3"}},
-	} {
+	for _, tc := range goldenRuns {
 		code, out, errs := msexp(append([]string{"-quiet", "-csv"}, tc.args...)...)
 		if code != 0 || errs != "" {
 			t.Errorf("msexp %v: exit %d, stderr %q", tc.args, code, errs)

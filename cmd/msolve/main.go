@@ -192,7 +192,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.opts.TwoStage = core.TwoStage{}
 	}
 	err := s.export.Validate()
-	if err == nil && s.twoStage && s.opts.TwoStage.InnerIters < 1 {
+	switch {
+	case err != nil:
+	case s.procs < 1:
+		err = errors.New("-procs must be >= 1")
+	case s.lanes < 0:
+		err = errors.New("-lanes must be >= 0")
+	case s.workers < 0:
+		err = errors.New("-workers must be >= 0")
+	case s.twoStage && s.opts.TwoStage.InnerIters < 1:
 		// InnerIters 0 means "two-stage off" to the solver: it would
 		// silently run the exact band solves instead.
 		err = errors.New("-two-stage needs -inner >= 1")

@@ -217,6 +217,11 @@ func TestUsageErrors(t *testing.T) {
 			"msolve: -stream-trace does not retain spans, so -critical-path is unavailable; drop one of the two\n"},
 		{[]string{"-two-stage", "-inner", "0"}, "msolve: -two-stage needs -inner >= 1\n"},
 		{[]string{"-window", "-1"}, "msolve: -window must be >= 0\n"},
+		{[]string{"-procs", "0"}, "msolve: -procs must be >= 1\n"},
+		{[]string{"-cluster", "cluster2", "-procs", "-1"}, "msolve: -procs must be >= 1\n"},
+		{[]string{"-hosts", "12", "-procs", "0"}, "msolve: -procs must be >= 1\n"},
+		{[]string{"-lanes", "-2"}, "msolve: -lanes must be >= 0\n"},
+		{[]string{"-workers", "-1", "-o", "DIR/x.txt"}, "msolve: -workers must be >= 0\n"},
 	} {
 		code, out, errs, files := msolve(t, tc.args...)
 		if code != 2 || out != "" || !strings.HasPrefix(errs, tc.want) || len(files) != 0 {
@@ -237,7 +242,6 @@ func TestRunFailures(t *testing.T) {
 		{[]string{"-solver", "bogus"}, `msolve: unknown solver "bogus"`},
 		{[]string{"-cluster", "cluster4"}, `msolve: unknown cluster "cluster4" (want cluster1, cluster2, cluster3)`},
 		{[]string{"-procs", "21"}, "msolve: cluster1 has 1..20 machines, asked for 21"},
-		{[]string{"-cluster", "cluster2", "-procs", "-1"}, "msolve: core: no hosts"},
 		{[]string{"-hosts", "4", "-clusters", "9"}, "msolve: generated grid: 9 clusters for 4 hosts"},
 		{[]string{"-crash", "c1-00@1"}, `msolve: crash spec "c1-00@1": want from:until`},
 		{[]string{"-slow", "c1-00@0:1:nan"}, `msolve: slow spec "c1-00@0:1:nan": bad factor: "nan" is not a number`},

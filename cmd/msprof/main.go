@@ -11,11 +11,14 @@
 //
 // FILE is either a windowed metrics file (PREFIX.windows.json, written when
 // -window > 0) or an aggregate metrics file (PREFIX.json); summary detects
-// which by the "width" field. diff and export need windowed files.
+// which by the "width" field. diff and export need windowed files. A missing
+// or unknown sub-command, a bad flag or a wrong number of files is exit
+// status 2; a file that cannot be read or is of the wrong kind is exit 1.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,35 +28,66 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	cmd, rest := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "summary":
-		err = runSummary(rest)
-	case "diff":
-		err = runDiff(rest)
-	case "export":
-		err = runExport(rest)
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msprof: %v\n", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+const usage = `usage:
   msprof summary FILE [-top N]   summarize a windowed or aggregate metrics file
   msprof diff OLD NEW [-top N]   compare two windowed metrics files
   msprof export FILE [-json OUT] [-csv OUT]   re-export windowed time series
-`)
-	os.Exit(2)
+`
+
+// errUsage marks a sub-command's complaint about its arguments (exit 2).
+var errUsage = errors.New("usage")
+
+// run is the command behind main: it runs one sub-command onto stdout and
+// returns the exit status (0 ok, 1 a file failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	fs := flag.NewFlagSet("msprof "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		files int
+		cmd   func(w io.Writer, paths []string) error
+	)
+	switch args[0] {
+	case "summary":
+		top := fs.Int("top", 20, "maximum windows (or hosts) to print")
+		files, cmd = 1, func(w io.Writer, p []string) error { return summary(w, p[0], *top) }
+	case "diff":
+		top := fs.Int("top", 40, "maximum windows to print")
+		files, cmd = 2, func(w io.Writer, p []string) error { return diff(w, p[0], p[1], *top) }
+	case "export":
+		jsonOut := fs.String("json", "", "write windowed time series as JSON to this file (\"-\" = stdout)")
+		csvOut := fs.String("csv", "", "write windowed time series as CSV to this file (\"-\" = stdout)")
+		files, cmd = 1, func(w io.Writer, p []string) error { return export(w, p[0], *jsonOut, *csvOut) }
+	default:
+		fmt.Fprintf(stderr, "msprof: unknown sub-command %q\n%s", args[0], usage)
+		return 2
+	}
+	paths, err := parseMixed(fs, args[1:])
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if len(paths) != files {
+		err = fmt.Errorf("%w: %s needs %d metrics file(s), got %d", errUsage, args[0], files, len(paths))
+	} else {
+		err = cmd(stdout, paths)
+	}
+	switch {
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(stderr, "msprof:", err)
+		return 2
+	case err != nil:
+		fmt.Fprintln(stderr, "msprof:", err)
+		return 1
+	}
+	return 0
 }
 
 // parseMixed parses fs accepting flags before or after the positional
@@ -91,24 +125,23 @@ func loadWindowed(path string) (*obs.WindowedMetrics, bool, error) {
 	return wm, true, nil
 }
 
-// runSummary implements `msprof summary`.
-func runSummary(args []string) error {
-	fs := flag.NewFlagSet("summary", flag.ExitOnError)
-	top := fs.Int("top", 20, "maximum windows (or hosts) to print")
-	pos, err := parseMixed(fs, args)
-	if err != nil {
-		return err
+// mustWindowed is loadWindowed for the sub-commands that need a windowed file.
+func mustWindowed(path string) (*obs.WindowedMetrics, error) {
+	wm, ok, err := loadWindowed(path)
+	if err == nil && !ok {
+		err = fmt.Errorf("%s: not a windowed metrics file (write one with -window > 0)", path)
 	}
-	if len(pos) != 1 {
-		return fmt.Errorf("summary needs exactly one metrics file")
-	}
-	path := pos[0]
+	return wm, err
+}
+
+// summary implements `msprof summary`.
+func summary(w io.Writer, path string, top int) error {
 	wm, ok, err := loadWindowed(path)
 	if err != nil {
 		return err
 	}
 	if ok {
-		wm.Fprint(os.Stdout, *top)
+		wm.Fprint(w, top)
 		return nil
 	}
 	raw, err := os.ReadFile(path)
@@ -119,16 +152,12 @@ func runSummary(args []string) error {
 	if err := json.Unmarshal(raw, m); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Printf("aggregate metrics: makespan %.6fs, %d hosts, %d links\n", m.Makespan, len(m.Hosts), len(m.Links))
+	fmt.Fprintf(w, "aggregate metrics: makespan %.6fs, %d hosts, %d links\n", m.Makespan, len(m.Hosts), len(m.Links))
 	hosts := make([]obs.HostUtil, len(m.Hosts))
 	copy(hosts, m.Hosts)
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Utilization > hosts[j].Utilization })
-	n := len(hosts)
-	if n > *top {
-		n = *top
-	}
-	for _, h := range hosts[:n] {
-		fmt.Printf("  %-16s util %.3f  compute %.4f  send %.4f  wait %.4f  idle %.4f\n",
+	for _, h := range hosts[:min(len(hosts), top)] {
+		fmt.Fprintf(w, "  %-16s util %.3f  compute %.4f  send %.4f  wait %.4f  idle %.4f\n",
 			h.Track, h.Utilization, h.Compute, h.Send, h.Wait, h.Idle)
 	}
 	return nil
@@ -174,48 +203,25 @@ func aggregate(wm *obs.WindowedMetrics) map[int]*winAgg {
 	return rows
 }
 
-// runDiff implements `msprof diff`: window-by-window deltas of mean
+// diff implements `msprof diff`: window-by-window deltas of mean
 // utilization, mean wait share and link traffic between two windowed files.
-func runDiff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	top := fs.Int("top", 40, "maximum windows to print")
-	pos, err := parseMixed(fs, args)
+func diff(w io.Writer, oldPath, newPath string, top int) error {
+	a, err := mustWindowed(oldPath)
 	if err != nil {
 		return err
 	}
-	if len(pos) != 2 {
-		return fmt.Errorf("diff needs exactly two windowed metrics files")
-	}
-	load := func(path string) (*obs.WindowedMetrics, error) {
-		wm, ok, err := loadWindowed(path)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("%s: not a windowed metrics file (write one with -window > 0)", path)
-		}
-		return wm, nil
-	}
-	a, err := load(pos[0])
-	if err != nil {
-		return err
-	}
-	b, err := load(pos[1])
+	b, err := mustWindowed(newPath)
 	if err != nil {
 		return err
 	}
 	if a.Width != b.Width {
-		fmt.Printf("note: window widths differ (%g vs %g); windows compare positionally\n", a.Width, b.Width)
+		fmt.Fprintf(w, "note: window widths differ (%g vs %g); windows compare positionally\n", a.Width, b.Width)
 	}
-	fmt.Printf("makespan %.6fs -> %.6fs (%+.6fs)\n", a.Makespan, b.Makespan, b.Makespan-a.Makespan)
+	fmt.Fprintf(w, "makespan %.6fs -> %.6fs (%+.6fs)\n", a.Makespan, b.Makespan, b.Makespan-a.Makespan)
 	ra, rb := aggregate(a), aggregate(b)
-	n := a.Windows
-	if b.Windows > n {
-		n = b.Windows
-	}
 	printed := 0
-	for w := 0; w < n && printed < *top; w++ {
-		x, y := ra[w], rb[w]
+	for i := 0; i < max(a.Windows, b.Windows) && printed < top; i++ {
+		x, y := ra[i], rb[i]
 		if x == nil && y == nil {
 			continue
 		}
@@ -226,57 +232,35 @@ func runDiff(args []string) error {
 		if y == nil {
 			y = &z
 		}
-		fmt.Printf("  w%-3d util %.3f -> %.3f (%+.3f)  wait %.3f -> %.3f (%+.3f)  bytes %.0f -> %.0f\n",
-			w, x.util, y.util, y.util-x.util, x.wait, y.wait, y.wait-x.wait, x.bytes, y.bytes)
+		fmt.Fprintf(w, "  w%-3d util %.3f -> %.3f (%+.3f)  wait %.3f -> %.3f (%+.3f)  bytes %.0f -> %.0f\n",
+			i, x.util, y.util, y.util-x.util, x.wait, y.wait, y.wait-x.wait, x.bytes, y.bytes)
 		printed++
 	}
 	return nil
 }
 
-// runExport implements `msprof export`: re-emit a windowed file's rows as
-// indented JSON and/or long-form CSV (stdout with "-").
-func runExport(args []string) error {
-	fs := flag.NewFlagSet("export", flag.ExitOnError)
-	jsonOut := fs.String("json", "", "write windowed time series as JSON to this file (\"-\" = stdout)")
-	csvOut := fs.String("csv", "", "write windowed time series as CSV to this file (\"-\" = stdout)")
-	pos, err := parseMixed(fs, args)
+// export implements `msprof export`: re-emit a windowed file's rows as
+// indented JSON and/or long-form CSV ("-" writes to w).
+func export(w io.Writer, path, jsonOut, csvOut string) error {
+	if jsonOut == "" && csvOut == "" {
+		return fmt.Errorf("%w: export needs -json and/or -csv", errUsage)
+	}
+	wm, err := mustWindowed(path)
 	if err != nil {
 		return err
 	}
-	if len(pos) != 1 {
-		return fmt.Errorf("export needs exactly one windowed metrics file")
-	}
-	if *jsonOut == "" && *csvOut == "" {
-		return fmt.Errorf("export needs -json and/or -csv")
-	}
-	wm, ok, err := loadWindowed(pos[0])
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%s: not a windowed metrics file (write one with -window > 0)", pos[0])
-	}
-	write := func(path string, emit func(w io.Writer) error) error {
-		if path == "-" {
-			return emit(os.Stdout)
+	for _, out := range []struct {
+		path string
+		emit func(io.Writer) error
+	}{{jsonOut, wm.WriteJSON}, {csvOut, wm.WriteCSV}} {
+		switch out.path {
+		case "":
+		case "-":
+			err = out.emit(w)
+		default:
+			err = obs.WriteFile(out.path, out.emit)
 		}
-		f, err := os.Create(path)
 		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if *jsonOut != "" {
-		if err := write(*jsonOut, wm.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if *csvOut != "" {
-		if err := write(*csvOut, wm.WriteCSV); err != nil {
 			return err
 		}
 	}

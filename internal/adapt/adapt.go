@@ -105,19 +105,6 @@ type Config struct {
 	// discarded so measurement noise cannot cause resplit thrash
 	// (default 0.10).
 	Hysteresis float64
-	// MinRows floors every proposed band size (default 1).
-	MinRows int
-	// HighWait and LowWait bound the mean wait-share dead band of the
-	// overlap tuner: above HighWait the ranks mostly wait on the exchange,
-	// so extra overlap rows ride under the communication for free and the
-	// overlap grows by one; below LowWait the run is compute-bound, the
-	// redundant rows cost real time, and the overlap shrinks by one. An
-	// overlap move costs a full refactorization, so the shrink threshold is
-	// deliberately deep — only a run whose exchange wait is negligible pays
-	// for it (defaults 0.85 and 0.02).
-	HighWait, LowWait float64
-	// MaxOverlap caps the overlap the tuner may grow to (default 8).
-	MaxOverlap int
 }
 
 // withDefaults fills the zero fields of a Config.
@@ -128,20 +115,22 @@ func (c Config) withDefaults() Config {
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 0.10
 	}
-	if c.MinRows <= 0 {
-		c.MinRows = 1
-	}
-	if c.HighWait <= 0 {
-		c.HighWait = 0.85
-	}
-	if c.LowWait <= 0 {
-		c.LowWait = 0.02
-	}
-	if c.MaxOverlap <= 0 {
-		c.MaxOverlap = 8
-	}
 	return c
 }
+
+// The overlap tuner's constants. highWait and lowWait bound the mean
+// wait-share dead band: above highWait the ranks mostly wait on the exchange,
+// so extra overlap rows ride under the communication for free and the overlap
+// grows by one; below lowWait the run is compute-bound, the redundant rows
+// cost real time, and the overlap shrinks by one. An overlap move costs a full
+// refactorization, so the shrink threshold is deliberately deep — only a run
+// whose exchange wait is negligible pays for it. maxOverlap caps the overlap
+// the tuner may grow to.
+const (
+	highWait   = 0.85
+	lowWait    = 0.02
+	maxOverlap = 8
+)
 
 // Controller is the deterministic band-rebalancing policy: feed it one
 // Observation per rank at every epoch and it proposes new partition starts
@@ -222,20 +211,6 @@ func (c *Controller) Propose(n int, curStarts []int, curOverlap int, obs []Obser
 	if err != nil {
 		return Proposal{}, false, err
 	}
-	if min := c.cfg.MinRows; min > 1 {
-		for i := 1; i < len(starts); i++ {
-			if starts[i]-starts[i-1] < min {
-				starts[i] = starts[i-1] + min
-			}
-		}
-		if starts[len(starts)-1] > n {
-			// MinRows does not fit; fall back to the unfloored split.
-			starts, err = StartsFromWeights(n, w)
-			if err != nil {
-				return Proposal{}, false, err
-			}
-		}
-	}
 	p := Proposal{Overlap: c.proposeOverlap(curOverlap, obs)}
 	maxDelta, maxRel := 0, 0.0
 	for i := 0; i+1 < len(curStarts); i++ {
@@ -266,10 +241,10 @@ func (c *Controller) Propose(n int, curStarts []int, curOverlap int, obs []Obser
 
 // proposeOverlap is the overlap tuner, steering the paper's
 // convergence-vs-compute tradeoff by where the time actually goes: when the
-// mean wait share of the epoch exceeds HighWait the ranks are mostly blocked
+// mean wait share of the epoch exceeds highWait the ranks are mostly blocked
 // on the exchange, the redundant overlap rows compute under the
 // communication for free, and a wider overlap buys convergence — grow by
-// one (capped at MaxOverlap). Below LowWait the run is compute-bound and
+// one (capped at maxOverlap). Below lowWait the run is compute-bound and
 // every redundant row costs wall time — shrink by one. Inside the dead band
 // nothing changes; the single-row steps and the wide band keep the tuner
 // from oscillating.
@@ -286,9 +261,9 @@ func (c *Controller) proposeOverlap(cur int, obs []Observation) int {
 	}
 	mean := sum / float64(cnt)
 	switch {
-	case mean > c.cfg.HighWait && cur < c.cfg.MaxOverlap:
+	case mean > highWait && cur < maxOverlap:
 		return cur + 1
-	case mean < c.cfg.LowWait && cur > 0:
+	case mean < lowWait && cur > 0:
 		return cur - 1
 	}
 	return cur

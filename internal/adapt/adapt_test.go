@@ -251,13 +251,13 @@ func TestControllerOverlapTuner(t *testing.T) {
 		cur, overlap int
 	}{
 		{99, 4, 5},   // wait share ≈ 0.99 → grow
-		{99, 8, 8},   // capped at MaxOverlap
+		{99, 8, 8},   // capped at maxOverlap
 		{0.01, 4, 3}, // compute-bound → shrink
 		{0.01, 0, 0}, // floored at zero
 		{1, 4, 4},    // share 0.5, dead band → hold
 	}
 	for _, tc := range cases {
-		c := NewController(Config{Interval: 10, Hysteresis: 0.5, MaxOverlap: 8})
+		c := NewController(Config{Interval: 10, Hysteresis: 0.5})
 		p, _, err := c.Propose(100, []int{0, 50, 100}, tc.cur, mk(tc.wait))
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/sparse"
@@ -18,6 +17,25 @@ const (
 	tagAbort  = 2 // a rank hit the iteration cap
 	tagGather = 3 // final solution assembly
 	tagAdapt  = 4 // resplit iterate redistribution (rank 0 → new bands)
+)
+
+// The convergence-detection and fault-tolerance constants.
+const (
+	// smoothRuns is the number of consecutive locally-converged iterations an
+	// asynchronous rank needs before it reports local convergence; it guards
+	// the detection against transient stalls.
+	smoothRuns = 3
+	// sendRetries is the total number of transmission attempts per message in
+	// fault-tolerant mode.
+	sendRetries = 4
+	// sendBackoff is the virtual backoff before the first retransmission,
+	// doubling after each.
+	sendBackoff = 1e-3
+	// deadRankTimeout is the virtual time a fault-tolerant receive waits
+	// before counting one failed attempt against a silent peer (after
+	// sendRetries attempts the peer is declared dead), and the cadence of the
+	// asynchronous detector's refresh.
+	deadRankTimeout = 1.0
 )
 
 // Options configures a distributed multisplitting solve.
@@ -43,10 +61,6 @@ type Options struct {
 	// Detector names the async convergence-detection protocol:
 	// "decentralized" (default, paper ref [4]) or "centralized" (ref [2]).
 	Detector string
-	// Smooth is the number of consecutive locally-converged iterations
-	// required before a rank reports local convergence in async mode
-	// (default 3); it guards the detection against transient stalls.
-	Smooth int
 	// TrackMemory accounts the band matrix and factors against the host
 	// memory capacity, so undersized platforms fail with "not enough
 	// memory" exactly as in the paper's Tables 2 and 3.
@@ -85,32 +99,17 @@ type Options struct {
 	// iteration whatever bands they connect, and segments between two bands of
 	// one rank never touch the network. Default 1.
 	BandsPerProc int
-	// Trace, when non-nil, receives iteration-level diagnostics from the
-	// asynchronous driver (one line per iteration per rank). It replaces
-	// the old package-level debug switch; pass os.Stderr to get the former
-	// behavior.
-	Trace io.Writer
 	// FaultTolerant opts into the degraded operating mode for unreliable
 	// grids (vgrid.FaultPlan): every send is retransmitted with exponential
-	// backoff in virtual time (SendRetries/SendBackoff), the synchronous
-	// driver replaces its blocking boundary receives with timeouts and
-	// fails fast with a diagnostic when a peer is dead (DeadRankTimeout),
-	// and the asynchronous driver periodically refreshes its convergence
-	// detector so detection survives lost protocol messages. Surviving
-	// bands keep iterating while a crashed host is down and pick up its
-	// data again after the restart (the async policy's freshest-iterate
-	// reuse needs no extra machinery for that).
+	// backoff in virtual time (sendRetries attempts, the first after
+	// sendBackoff), the synchronous driver replaces its blocking boundary
+	// receives with timeouts and fails fast with a diagnostic when a peer is
+	// dead (deadRankTimeout), and the asynchronous driver periodically
+	// refreshes its convergence detector so detection survives lost protocol
+	// messages. Surviving bands keep iterating while a crashed host is down
+	// and pick up its data again after the restart (the async policy's
+	// freshest-iterate reuse needs no extra machinery for that).
 	FaultTolerant bool
-	// SendRetries is the total number of transmission attempts per message
-	// in fault-tolerant mode (default 4).
-	SendRetries int
-	// SendBackoff is the virtual backoff before the first retransmission,
-	// doubling after each (default 1e-3 s).
-	SendBackoff float64
-	// DeadRankTimeout is the virtual time a fault-tolerant receive waits
-	// before counting one failed attempt against a silent peer; after
-	// SendRetries attempts the peer is declared dead (default 1 s).
-	DeadRankTimeout float64
 	// TopoCollectives routes the collectives (convergence Allreduce, final
 	// gather) through per-cluster leaders: members reduce to their leader
 	// over the LAN and only leaders cross the WAN, so a collective costs
@@ -135,7 +134,7 @@ type Options struct {
 	// symbolic pattern and factorization, iterates remapped across the old
 	// and new bands). Every proposal passes the paper's Theorem-1 safety
 	// check first (a conservative diagonal-dominance contraction bound valid
-	// for every WeightScheme); unsafe proposals are logged and skipped. In
+	// for every WeightScheme); unsafe proposals are counted and skipped. In
 	// asynchronous bounded-staleness mode the controller instead tunes each
 	// receive group's staleness bound per link class (intra- vs
 	// inter-cluster). Decisions use committed virtual-time data only, so
@@ -175,18 +174,6 @@ func (o *Options) withDefaults() Options {
 	if out.Detector == "" {
 		out.Detector = "decentralized"
 	}
-	if out.Smooth == 0 {
-		out.Smooth = 3
-	}
-	if out.SendRetries == 0 {
-		out.SendRetries = 4
-	}
-	if out.SendBackoff == 0 {
-		out.SendBackoff = 1e-3
-	}
-	if out.DeadRankTimeout == 0 {
-		out.DeadRankTimeout = 1
-	}
 	if out.AdaptInterval == 0 {
 		out.AdaptInterval = 20
 	}
@@ -217,12 +204,12 @@ func (o *Options) validate(n, nHosts int) error {
 		return fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), nHosts)
 	case o.Detector != "decentralized" && o.Detector != "centralized":
 		return fmt.Errorf("core: unknown detector %q", o.Detector)
-	case !(o.Tol > 0) || o.MaxIter < 0 || o.Smooth < 0 || o.MaxStale < 0 || o.BandsPerProc < 0:
-		return fmt.Errorf("core: option out of range (Tol %v, MaxIter %d, Smooth %d, MaxStale %d, BandsPerProc %d)",
-			o.Tol, o.MaxIter, o.Smooth, o.MaxStale, o.BandsPerProc)
-	case o.AdaptInterval < 0 || o.AdaptHysteresis < 0 || o.SendRetries < 0 || o.SendBackoff < 0 || o.DeadRankTimeout < 0:
-		return fmt.Errorf("core: option out of range (AdaptInterval %d, AdaptHysteresis %v, SendRetries %d, SendBackoff %v, DeadRankTimeout %v)",
-			o.AdaptInterval, o.AdaptHysteresis, o.SendRetries, o.SendBackoff, o.DeadRankTimeout)
+	case !(o.Tol > 0) || o.MaxIter < 0 || o.MaxStale < 0 || o.BandsPerProc < 0:
+		return fmt.Errorf("core: option out of range (Tol %v, MaxIter %d, MaxStale %d, BandsPerProc %d)",
+			o.Tol, o.MaxIter, o.MaxStale, o.BandsPerProc)
+	case o.AdaptInterval < 0 || o.AdaptHysteresis < 0:
+		return fmt.Errorf("core: option out of range (AdaptInterval %d, AdaptHysteresis %v)",
+			o.AdaptInterval, o.AdaptHysteresis)
 	case nHosts*o.BandsPerProc > n:
 		return fmt.Errorf("core: %d hosts with %d bands each exceed the %d unknowns", nHosts, o.BandsPerProc, n)
 	}
@@ -302,7 +289,7 @@ type Result struct {
 	// solve (zero without Options.Adapt).
 	Resplits int
 	// ResplitRejected counts controller proposals the Theorem-1 safety check
-	// refused; they were logged and skipped, never applied.
+	// refused; they were skipped, never applied.
 	ResplitRejected int
 	// ResplitFlops is the total arithmetic the resplit transitions cost
 	// across ranks: the re-derived symbolic patterns and full band

@@ -352,34 +352,31 @@ func newRankCtx(c *mp.Comm, o Options) *simctx.Ctx {
 	c.Tree = o.TreeCollectives
 	c.Topo = o.TopoCollectives
 	ctx := simctx.New()
-	ctx.Trace = o.Trace
 	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
 	if o.TrackMemory {
 		ctx.Mem = c.Proc()
 	}
 	c.AttachCtx(ctx)
 	if o.FaultTolerant {
-		c.Retry = mp.RetryPolicy{Attempts: o.SendRetries, Backoff: o.SendBackoff}
+		c.Retry = mp.RetryPolicy{Attempts: sendRetries, Backoff: sendBackoff}
 	}
 	return ctx
 }
 
 // recvCritical receives a message the protocol cannot progress without (a
 // synchronous boundary exchange, the final gather). In fault-tolerant mode
-// it waits in DeadRankTimeout windows instead of blocking forever and, once
+// it waits in deadRankTimeout windows instead of blocking forever and, once
 // the budget is exhausted, diagnoses the silent peer: crashed host, failed
 // process, or plain message loss.
 func (st *rankState) recvCritical(from, tag int, what string) (*mp.Packet, error) {
-	c, o := st.c, st.o
-	if !o.FaultTolerant {
+	c := st.c
+	if !st.o.FaultTolerant {
 		return c.Recv(from, tag), nil
 	}
-	for attempt := 1; attempt <= o.SendRetries; attempt++ {
-		if pk := c.RecvTimeout(from, tag, o.DeadRankTimeout); pk != nil {
+	for range sendRetries {
+		if pk := c.RecvTimeout(from, tag, deadRankTimeout); pk != nil {
 			return pk, nil
 		}
-		st.ctx.Faultf("rank %d iter %d: no %s from rank %d after %.3fs (attempt %d/%d)",
-			st.rank, st.iter, what, from, o.DeadRankTimeout, attempt, o.SendRetries)
 	}
 	switch {
 	case c.PeerFailed(from):
@@ -390,7 +387,7 @@ func (st *rankState) recvCritical(from, tag int, what string) (*mp.Packet, error
 			st.rank, from, what)
 	default:
 		return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: silent for %.3gs",
-			st.rank, from, what, float64(o.SendRetries)*o.DeadRankTimeout)
+			st.rank, from, what, sendRetries*deadRankTimeout)
 	}
 }
 

@@ -87,19 +87,3 @@ func firstDiffLine(a, b string) [3]interface{} {
 	}
 	return [3]interface{}{len(la), "<end>", "<end>"}
 }
-
-// TestTraceOption: the async iteration diagnostics must flow through
-// Options.Trace (per-solve, race-free) and stay silent when unset.
-func TestTraceOption(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 200, Seed: 7})
-	b, _ := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(4, 0)
-	var sb strings.Builder
-	if _, err := Solve(pl, hosts, a, b, Options{Async: true, Trace: &sb}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "DBG rank=") {
-		t.Fatalf("Options.Trace received no iteration diagnostics:\n%q", out)
-	}
-}

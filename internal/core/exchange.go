@@ -106,7 +106,7 @@ func (syncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
 type asyncPolicy struct {
 	det detect.Detector
 	// lastRefresh is the virtual time of the last detector Refresh in
-	// fault-tolerant mode. The cadence is DeadRankTimeout of virtual time —
+	// fault-tolerant mode. The cadence is deadRankTimeout of virtual time —
 	// far longer than any healthy verification round, so refreshes only ever
 	// abandon rounds that are genuinely stuck on a lost message. Epoch
 	// tagging makes the abandonment safe (stale responses are discarded),
@@ -181,7 +181,7 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			st.freshSeen[i] = false
 		}
 	}
-	localOK := st.stableRuns >= st.o.Smooth
+	localOK := st.stableRuns >= smoothRuns
 	if localOK {
 		for gi := range st.rp.Recv {
 			if st.echoFrom[gi] < float64(st.stableStart) {
@@ -190,14 +190,9 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			}
 		}
 	}
-	if st.ctx.Trace != nil { // boxing the arguments allocates: not on an untraced iteration
-		st.ctx.Tracef("DBG rank=%d iter=%d t=%.5f crit=%.3e round=%v stable=%d localOK=%v",
-			st.rank, st.iter, st.c.Now(), crit, roundComplete, st.stableRuns, localOK)
-	}
 	if st.o.FaultTolerant {
-		if now := st.c.Now(); now-ap.lastRefresh >= st.o.DeadRankTimeout {
+		if now := st.c.Now(); now-ap.lastRefresh >= deadRankTimeout {
 			ap.lastRefresh = now
-			st.ctx.Faultf("rank %d iter %d: detector refresh", st.rank, st.iter)
 			if sc := st.ctx.Observe(); sc != nil {
 				sc.Span(obs.Span{Cat: obs.CatDetect, Name: "detector-refresh",
 					Start: now, End: now, Iter: st.iter})
@@ -293,8 +288,6 @@ func (bp *boundedStalePolicy) tuneBounds(st *rankState) {
 	for gi := range bp.bounds {
 		nb := adapt.TuneStale(bp.bounds[gi], bp.maxStale, bp.forced[gi], bp.fresh[gi], bp.inter[gi])
 		if nb != bp.bounds[gi] {
-			st.ctx.Tracef("rank %d iter %d: staleness bound for rank %d contributor: %d -> %d",
-				st.rank, st.iter, st.rp.Recv[gi].Peer, bp.bounds[gi], nb)
 			if sc := st.ctx.Observe(); sc != nil {
 				sc.Count("stale_retune", 1)
 			}
@@ -307,13 +300,13 @@ func (bp *boundedStalePolicy) tuneBounds(st *rankState) {
 // waitForStale blocks (in virtual time) on every over-stale contributor.
 // While polling it keeps servicing the detector and the abort channel so a
 // stop decided elsewhere still terminates this rank. In fault-tolerant mode
-// the wait is capped at the dead-rank budget (SendRetries × DeadRankTimeout)
+// the wait is capped at the dead-rank budget (sendRetries × deadRankTimeout)
 // so a crashed contributor produces a diagnostic instead of a livelock.
 func (bp *boundedStalePolicy) waitForStale(st *rankState) (outcome, error) {
 	const pollInterval = 1e-4
 	maxWait := math.Inf(1)
 	if st.o.FaultTolerant {
-		maxWait = float64(st.o.SendRetries) * st.o.DeadRankTimeout
+		maxWait = sendRetries * deadRankTimeout
 	}
 	for gi := range st.rp.Recv {
 		g := &st.rp.Recv[gi]

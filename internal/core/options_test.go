@@ -255,14 +255,10 @@ func TestOptionsRejectedBeforeLaunch(t *testing.T) {
 		"detector":            {Async: true, Detector: "gossip"},
 		"negative-bands":      {BandsPerProc: -1},
 		"negative-stale":      {Async: true, MaxStale: -1},
-		"negative-smooth":     {Smooth: -1},
 		"negative-maxiter":    {MaxIter: -1},
 		"negative-tol":        {Tol: -1e-8},
 		"negative-interval":   {Adapt: true, AdaptInterval: -1},
 		"negative-hysteresis": {Adapt: true, AdaptHysteresis: -0.1},
-		"negative-retries":    {FaultTolerant: true, SendRetries: -1},
-		"negative-backoff":    {FaultTolerant: true, SendBackoff: -1e-3},
-		"negative-dead-rank":  {FaultTolerant: true, DeadRankTimeout: -1},
 		"more-bands-than-row": {BandsPerProc: 11},
 	} {
 		pl, hosts := lanPlatform(4, 0)

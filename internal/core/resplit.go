@@ -11,8 +11,8 @@
 //     the signal the controller rebalances on.
 //  2. Rank 0 feeds the observations to the adapt.Controller, and guards any
 //     accepted proposal with the paper's Theorem-1 contraction bound
-//     (adapt.CheckStarts). Unsafe or sub-hysteresis proposals are logged and
-//     skipped.
+//     (adapt.CheckStarts). Unsafe proposals are counted
+//     (Result.ResplitRejected) and skipped, sub-hysteresis ones skipped.
 //  3. Rank 0 broadcasts the decision: either "no change" or the new starts
 //     and overlap. An idle epoch therefore moves a few doubles, not the
 //     iterate — the controller is cheap enough to poll every few iterations.
@@ -126,7 +126,6 @@ func (ad *adaptRank) epoch(st *rankState, pend *Pending) error {
 		// window, so the shared Result is not written here: the per-rank
 		// total merges in the engine's finish path like the factor flops.
 		ad.flops += spent
-		st.ctx.Tracef("rank %d iter %d: resplit applied: starts=%v overlap=%d", st.rank, st.iter, starts, overlap)
 		if sc := st.ctx.Observe(); sc != nil {
 			sc.Span(obs.Span{Cat: obs.CatPhase, Name: "resplit", Iter: st.iter,
 				Start: epochStart, End: c.Now(), Flops: spent})
@@ -164,11 +163,8 @@ func (ad *adaptRank) decide(st *rankState, pend *Pending, gathered [][]float64) 
 			Busy: pay[0], Nominal: pay[2], Speed: pay[3], Wait: wait}
 	}
 	prop, changed, err := ad.ctrl.Propose(d.N, d.Starts(), d.Overlap, observations)
-	if err != nil {
-		st.ctx.Faultf("rank 0 iter %d: resplit controller: %v", st.iter, err)
-		return []float64{0}
-	}
-	if !changed {
+	if err != nil || !changed {
+		// A controller error keeps the current split, like a quiet epoch.
 		return []float64{0}
 	}
 	starts := prop.Starts
@@ -179,16 +175,13 @@ func (ad *adaptRank) decide(st *rankState, pend *Pending, gathered [][]float64) 
 	// The Theorem-1 contraction bound over the proposed bands is an O(nnz)
 	// row sweep; charge it where it runs (the caller reconciles via Charge).
 	st.ctx.Counter.Add(2 * float64(st.aGlob.NNZ()))
-	ratio, err := adapt.CheckStarts(st.aGlob, starts, prop.Overlap)
-	if err != nil {
+	if _, err := adapt.CheckStarts(st.aGlob, starts, prop.Overlap); err != nil {
 		pend.res.ResplitRejected++
-		st.ctx.Faultf("rank 0 iter %d: resplit rejected by safety check: %v", st.iter, err)
 		if sc := st.ctx.Observe(); sc != nil {
 			sc.Count("resplit_unsafe", 1)
 		}
 		return []float64{0}
 	}
-	st.ctx.Tracef("rank 0 iter %d: resplit proposal accepted (contraction bound %.4f)", st.iter, ratio)
 	decision := make([]float64, 3+len(starts))
 	decision[0] = 1
 	decision[1] = float64(prop.Overlap)

@@ -184,8 +184,8 @@ func (bs *bandState) stageCost(k int) float64 {
 
 // buildTwoStage factors a band's preconditioner (deferred segment, like the
 // exact factorization: the banded elimination cost is value-dependent). A
-// singular preconditioner band is logged and reported as not-built so
-// loadBand falls back to the exact path; a memory failure is final.
+// singular preconditioner band is reported as not-built so loadBand falls
+// back to the exact path; a memory failure is final.
 func (st *rankState) buildTwoStage(bs *bandState) (bool, error) {
 	o := st.o
 	ctx := st.ctx
@@ -196,7 +196,6 @@ func (st *rankState) buildTwoStage(bs *bandState) (bool, error) {
 		return ctx.Counter.Flops() - ctx.Charged
 	})
 	if pcErr != nil {
-		ctx.Faultf("rank %d: band preconditioner failed (%v); using exact band solve", st.rank, pcErr)
 		return false, nil
 	}
 	if err := ctx.Alloc(pc.Bytes()); err != nil {
@@ -233,8 +232,6 @@ func (bs *bandState) tsStep(cnt *vec.Counter) {
 // wound back to the counted work before continuing.
 func (st *rankState) twoStageFallback(bs *bandState) error {
 	ctx := st.ctx
-	ctx.Faultf("rank %d iter %d: inner sweeps diverged (%v); falling back to exact band solve",
-		st.rank, st.iter, bs.err)
 	if f := ctx.Counter.Flops(); f < ctx.Charged {
 		ctx.Charged = f
 	}

@@ -60,16 +60,6 @@ type Config struct {
 	// Window overrides the windowed-utilization experiment's virtual-time
 	// window width in seconds (0 auto-sizes to 1/8 of the clean makespan).
 	Window float64
-	// StreamTrace makes the windowed-utilization experiment accumulate its
-	// windows from the streaming flush path instead of the retained spans —
-	// same numbers, exercising the bounded-memory feed.
-	StreamTrace bool
-	// SynthHosts, when positive, makes the cluster-grid experiment run on a
-	// single generated grid of that many hosts instead of its default scale
-	// sweep.
-	SynthHosts int
-	// SynthClusters is the cluster count of the SynthHosts grid (minimum 1).
-	SynthClusters int
 	// TwoStageSchedule overrides the inner-sweep schedule of the two-stage
 	// experiment ("fixed", "ramp", "residual"; empty keeps the core default).
 	TwoStageSchedule string

@@ -302,7 +302,7 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"table1", "1", "table2", "table3", "table4", "figure3", "fig3", "faultsweep", "faults", "utilization", "util", "windowed", "window", "topology", "topo", "clustergrid", "cluster-grid", "eventshard", "event-shard", "twostage", "two-stage", "adaptive", "adapt"} {
+	for _, name := range []string{"table1", "1", "table2", "table3", "table4", "figure3", "fig3", "faultsweep", "faults", "utilization", "util", "windowed", "window", "topology", "topo", "twostage", "two-stage", "adaptive", "adapt"} {
 		if _, err := ByName(name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -310,7 +310,7 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if len(All()) != 13 {
+	if len(All()) != 11 {
 		t.Fatalf("All() has %d entries", len(All()))
 	}
 }

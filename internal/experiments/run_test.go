@@ -110,8 +110,8 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	all := All()
-	if len(all) != 13 || all[0].Name != "table1" || all[len(all)-1].Name != "adaptive" {
-		t.Errorf("All() = %d entries from %q, want the 13 default experiments in paper order", len(all), all[0].Name)
+	if len(all) != 11 || all[0].Name != "table1" || all[len(all)-1].Name != "adaptive" {
+		t.Errorf("All() = %d entries from %q, want the 11 default experiments in paper order", len(all), all[0].Name)
 	}
 	for _, x := range all {
 		if run, err := ByName(x.Name); err != nil || fn(run) != fn(x.Run) {
@@ -148,5 +148,80 @@ func TestTable3BudgetFromRowRun(t *testing.T) {
 	want := fmt.Sprintf("cage12 per-host budget %d bytes ", need*3/10)
 	if len(tab.Notes) != 1 || !strings.HasPrefix(tab.Notes[0], want) {
 		t.Fatalf("notes %q, want one starting %q", tab.Notes, want)
+	}
+}
+
+// TestSolveOnSyntheticGrid runs the full multisplitting solver (with the
+// topology-aware plans engaged) on a generated multi-cluster platform — the
+// path the msolve -hosts flag exercises.
+func TestSolveOnSyntheticGrid(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	plt := cluster.Synthetic(12, 3, 0.3, 5)
+	res, err := core.Solve(plt.Platform, plt.Hosts, a, b, core.Options{
+		Tol: 1e-8, TopoCollectives: true, Gateway: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("no convergence on synthetic grid")
+	}
+	if r := relResidual(a, res.X, b); r > residualGate {
+		t.Errorf("residual %g over gate %g", r, residualGate)
+	}
+	if res.InterBytes == 0 || res.IntraBytes == 0 {
+		t.Errorf("cluster traffic split empty: intra %d, inter %d — clusters not declared?", res.IntraBytes, res.InterBytes)
+	}
+}
+
+// solveWithLanes runs the full multisplitting solver on a generated
+// multi-cluster platform with the requested scheduler-lane count — the path
+// Config.Lanes and the msolve/msexp -lanes flags exercise.
+func solveWithLanes(t *testing.T, lanes int) (*core.Result, int) {
+	t.Helper()
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	plt := cluster.Synthetic(12, 3, 0.3, 5)
+	e := (Config{Lanes: lanes}).newEngine(plt)
+	pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{
+		Tol: 1e-8, TopoCollectives: true, Gateway: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pend.Finish()
+	res := pend.Result()
+	if !res.Converged {
+		t.Fatal("no convergence on synthetic grid")
+	}
+	return res, e.Lanes()
+}
+
+// TestSolverIteratesIdenticalAcrossLanes pins the sharded-core determinism
+// contract at the solver level: the multisplitting iterates (and the virtual
+// clock) are byte-identical whether the engine commits on one lane or one
+// lane per cluster.
+func TestSolverIteratesIdenticalAcrossLanes(t *testing.T) {
+	ref, refLanes := solveWithLanes(t, 0) // Config zero value: single lane
+	sh, shLanes := solveWithLanes(t, -1)  // auto: one lane per cluster
+	if refLanes != 1 || shLanes != 3 {
+		t.Errorf("lane counts %d and %d, want 1 and one per cluster (3)", refLanes, shLanes)
+	}
+	if sh.Iterations != ref.Iterations || sh.Time != ref.Time {
+		t.Errorf("sharded solve diverged: %d iters @ %g s vs %d iters @ %g s",
+			sh.Iterations, sh.Time, ref.Iterations, ref.Time)
+	}
+	if len(sh.X) != len(ref.X) {
+		t.Fatalf("iterate length %d vs %d", len(sh.X), len(ref.X))
+	}
+	for i := range sh.X {
+		if math.Float64bits(sh.X[i]) != math.Float64bits(ref.X[i]) {
+			t.Fatalf("iterate diverges at x[%d]: %x vs %x",
+				i, math.Float64bits(sh.X[i]), math.Float64bits(ref.X[i]))
+		}
 	}
 }

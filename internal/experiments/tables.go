@@ -271,8 +271,6 @@ var registry = []Experiment{
 	{"utilization", []string{"util"}, Utilization, true},
 	{"windowed", []string{"window"}, WindowedUtilization, true},
 	{"topology", []string{"topo"}, TopologyTable, true},
-	{"clustergrid", []string{"cluster-grid"}, ClusterGrid, true},
-	{"eventshard", []string{"event-shard"}, EventShard, true},
 	{"twostage", []string{"two-stage"}, TwoStageTable, true},
 	{"adaptive", []string{"adapt"}, Adaptive, true},
 }

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -18,16 +17,9 @@ import (
 )
 
 // runWindowed runs one fault-tolerant asynchronous multisplitting solve and
-// folds it into virtual-time windows of the given width. When
-// cfg.StreamTrace is set the windows are accumulated from the streaming
-// flush path (spans are not retained; the trace bytes go to os.DevNull) —
-// the result is the same table through the other deterministic feed.
+// folds it into virtual-time windows of the given width.
 func runWindowed(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, plan *vgrid.FaultPlan, width float64) (cell, *obs.WindowedMetrics, error) {
-	x := obs.Export{Window: width}
-	if cfg.StreamTrace {
-		x.StreamTrace, x.TraceJSON = true, os.DevNull
-	}
-	ex, err := x.Begin()
+	ex, err := obs.Export{Window: width}.Begin()
 	if err != nil {
 		return cell{}, nil, err
 	}
@@ -105,10 +97,6 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 	degFrom, degUntil := 0.25*T, 0.75*T
 	crashFrom, crashUntil := 0.40*T, 0.60*T
 
-	feed := "batch spans"
-	if cfg.StreamTrace {
-		feed = "streaming flush"
-	}
 	t := &Table{
 		ID: "Windowed utilization",
 		Title: fmt.Sprintf("windowed telemetry on cluster2 under degradation, cage11-like matrix (n=%d, scale %d, window %.3fs)",
@@ -117,7 +105,7 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("degraded run: %s latency x8 / bandwidth /8 over [%.3fs, %.3fs), %s crashed over [%.3fs, %.3fs)",
 				windowedDegradedLink, degFrom, degUntil, windowedCrashedHost, crashFrom, crashUntil),
-			fmt.Sprintf("windows accumulated from the %s feed (internal/obs); util/wait are host means per window", feed),
+			"windows accumulated from the batch spans feed (internal/obs); util/wait are host means per window",
 		},
 	}
 

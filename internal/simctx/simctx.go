@@ -1,10 +1,9 @@
 // Package simctx defines the per-process solver context threaded through the
 // distributed drivers (core, dslu) and their substrates (mp, splu): a flop
-// counter with its charged watermark, an optional iteration tracer and an
-// optional memory accountant. It replaces the previous convention of ad-hoc
-// *vec.Counter arguments plus package-level debug globals, so that several
-// simulated processes — and, under the parallel vgrid scheduler, several OS
-// threads — can run without sharing mutable state.
+// counter with its charged watermark, an optional memory accountant and an
+// optional observability scope, so that several simulated processes — and,
+// under the parallel vgrid scheduler, several OS threads — can run without
+// sharing mutable state.
 //
 // Ownership contract: every simulated process builds exactly one Ctx and is
 // its sole writer, mirroring vec.Counter's single-owner rule. Cross-process
@@ -13,9 +12,6 @@
 package simctx
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/obs"
 	"repro/internal/vec"
 )
@@ -27,7 +23,7 @@ type Allocator interface {
 	Alloc(bytes int64) error
 }
 
-// Ctx carries one simulated process's accounting and diagnostics.
+// Ctx carries one simulated process's accounting and observability.
 type Ctx struct {
 	// Counter accumulates the flops of every numerical kernel the process
 	// runs. Single-owner: only this process (or the one compute segment it
@@ -37,22 +33,15 @@ type Ctx struct {
 	// virtual compute time. Work declared up front (mp.Comm.ComputeSeg)
 	// advances it optimistically; mp.Comm.Charge reconciles any remainder.
 	Charged float64
-	// Trace, when non-nil, receives iteration-level diagnostic lines
-	// (the replacement for the old core.debugAsync global).
-	Trace io.Writer
 	// Mem, when non-nil, accounts allocations against the host capacity.
 	Mem Allocator
-	// Faults counts the fault-handling events this process recorded through
-	// Faultf: exhausted retransmission budgets, receive timeouts, dead-rank
-	// verdicts, detector refreshes. Zero on a healthy grid.
-	Faults int
 	// Obs, when non-nil, receives solver-level observability data on the
 	// virtual clock: factorization/iteration spans, residual samples, retry
 	// counters. Nil means observability is off (zero overhead).
 	Obs *obs.Scope
 }
 
-// New returns a Ctx with a fresh counter and no tracer or accountant.
+// New returns a Ctx with a fresh counter, no accountant and no scope.
 func New() *Ctx {
 	return &Ctx{Counter: &vec.Counter{}}
 }
@@ -64,26 +53,6 @@ func (c *Ctx) Cnt() *vec.Counter {
 		return nil
 	}
 	return c.Counter
-}
-
-// Tracef writes one diagnostic line when a tracer is attached.
-func (c *Ctx) Tracef(format string, args ...any) {
-	if c == nil || c.Trace == nil {
-		return
-	}
-	fmt.Fprintf(c.Trace, format+"\n", args...)
-}
-
-// Faultf records one fault-handling event: it bumps the Faults counter and
-// writes the line (prefixed "FAULT") to the tracer, so faulted runs show
-// drops, timeouts and degraded-mode decisions inline with the iteration
-// diagnostics. Nil-safe like Tracef.
-func (c *Ctx) Faultf(format string, args ...any) {
-	if c == nil {
-		return
-	}
-	c.Faults++
-	c.Tracef("FAULT "+format, args...)
 }
 
 // Observe returns the observability scope (nil-safe: nil when the Ctx is nil

@@ -385,7 +385,8 @@ func (e *Engine) Lanes() int { return len(e.lanes) }
 // passes through the one lane, as a coroutine switch or, when a process's
 // next event is its own, in place), but only window barriers plus serialized
 // WAN turns on a sharded one, the only points where goroutines synchronize.
-// The eventshard experiment records the ratio as the handoff reduction.
+// The benchmark's grid1000_events workload reports both (vgrid.commits,
+// vgrid.syncs) and the host time per commit.
 func (e *Engine) EventStats() (commits, syncs int64) {
 	for _, ln := range e.lanes {
 		commits += ln.commits
