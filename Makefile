@@ -30,8 +30,9 @@ test-bench:
 # (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
 # rank states crossing engines and worker pools). The vgrid rerun also holds
 # what pins "compute segments still overlap" now that process bodies are
-# coroutines of their lane, and that Run stops every coroutine it leaves
-# unfinished. The explicit
+# coroutines of their lane, that processes tied at a deferred segment's
+# dispatch instant all dispatch theirs before the first is collected, and
+# that Run stops every coroutine it leaves unfinished. The explicit
 # timeout is for internal/experiments: ~8 min alone under the race detector
 # on a 2-vCPU host, past go test's 10 min default once the other packages
 # compete for the cores.
@@ -39,10 +40,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
-	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference' ./internal/splu
+	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
-	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError' ./internal/vgrid
+	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError' ./internal/vgrid
 
 vet:
 	$(GO) vet ./...

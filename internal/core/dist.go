@@ -217,8 +217,8 @@ func (o *Options) validate(n, nHosts int) error {
 		return err
 	}
 	// The controller resizes one contiguous band per rank from per-rank busy
-	// windows; moving cyclic bands between ranks is the parked band-migration
-	// design (ROADMAP item 2).
+	// windows; moving cyclic bands between ranks is the band-migration design
+	// of ROADMAP item 4.
 	if o.Adapt && o.BandsPerProc > 1 {
 		return fmt.Errorf("%w: Adapt with BandsPerProc > 1", ErrIncompatible)
 	}

@@ -249,6 +249,42 @@ func TestDistributedOutOfMemory(t *testing.T) {
 	}
 }
 
+// TestDistributedSingularBand: a band the sparse LU cannot factor fails the
+// solve with splu.ErrSingular, inline and on a worker pool. The band's
+// factorization runs as a deferred segment with splu.FactorFloor as its floor,
+// so this holds only because Factor counts its work on the singular path too;
+// a measured cost below the floor would fail the process with the engine's
+// own error instead.
+func TestDistributedSingularBand(t *testing.T) {
+	const n = 40
+	co := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		if i == 30 {
+			co.Append(i, 5, 1) // the second band's row 30 is empty: singular
+			continue
+		}
+		co.Append(i, i, 4)
+		if i > 0 {
+			co.Append(i, i-1, -1)
+		}
+	}
+	a := co.ToCSR()
+	b := make([]float64, n)
+	vec.Fill(b, 1)
+	for _, workers := range []int{1, 2} {
+		pl, hosts := lanPlatform(2, 0)
+		e := vgrid.NewEngine(pl)
+		e.SetWorkers(workers)
+		pend, err := Launch(e, hosts, a, b, Options{Tol: 1e-8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pend.finish(e.Run()); !errors.Is(err, splu.ErrSingular) {
+			t.Fatalf("workers=%d: err = %v, want splu.ErrSingular", workers, err)
+		}
+	}
+}
+
 func TestDistributedMemoryFitsWhenSplit(t *testing.T) {
 	// The same per-host budget that fails with 2 hosts succeeds with more
 	// hosts: the paper's memory argument for multisplitting.

@@ -311,11 +311,13 @@ func (st *rankState) loadBand(bs *bandState, k int) error {
 // factorBand factors the band's submatrix with this rank's direct solver and
 // derives the exact step cost from the factor. The factorization's cost
 // depends on the fill it discovers, so it is a deferred segment: it runs on
-// the worker pool (overlapping the other ranks' factorizations) and its
-// counted flops are charged on completion. Reading fact/err right after the
-// call is safe: ComputeDeferred's commit guarantee (see vgrid) is that fn has
-// completed and its writes are visible before the call returns, for any
-// worker count.
+// the worker pool and its counted flops are charged on completion. Its floor
+// is what the solver always counts (splu.FactorFloor): with a positive floor
+// the ranks that reach their factorization at the same instant all dispatch
+// it before the first is collected, so the factorizations overlap. Reading
+// fact/err right after the call is safe: ComputeDeferred's commit guarantee
+// (see vgrid) is that fn has completed and its writes are visible before the
+// call returns, for any worker count.
 func (st *rankState) factorBand(bs *bandState) error {
 	ctx := st.ctx
 	solver := st.o.Solver
@@ -324,7 +326,7 @@ func (st *rankState) factorBand(bs *bandState) error {
 	}
 	var fact splu.Factorization
 	var err error
-	st.c.ComputeDeferred(func() float64 {
+	st.c.ComputeDeferred(splu.FactorFloor(solver, bs.sub), func() float64 {
 		fact, err = solver.Factor(bs.sub, ctx.Cnt())
 		return ctx.Counter.Flops() - ctx.Charged
 	})

@@ -239,8 +239,10 @@ func (s *Session) refactorBand(st *rankState, bs *bandState) error {
 		// dependent (pivoting), so this is a deferred segment like the
 		// initial build.
 		name = "precond-refresh"
+		// Floor 0: nothing is provable, a refreshed band whose multipliers
+		// all vanish counts no flop (splu.NewBandPreconditioner).
 		var err error
-		c.ComputeDeferred(func() float64 {
+		c.ComputeDeferred(0, func() float64 {
 			err = bs.ts.pc.Refresh(bs.sub, ctx.Cnt())
 			return ctx.Counter.Flops() - ctx.Charged
 		})

@@ -191,7 +191,9 @@ func (st *rankState) buildTwoStage(bs *bandState) (bool, error) {
 	ctx := st.ctx
 	var pc splu.Preconditioner
 	var pcErr error
-	st.c.ComputeDeferred(func() float64 {
+	// Floor 0: nothing is provable — a band whose multipliers all vanish
+	// counts no flop, and a singular one, which falls back, counts none.
+	st.c.ComputeDeferred(0, func() float64 {
 		pc, pcErr = splu.NewBandPreconditioner(bs.sub, o.TwoStage.PrecondBand, ctx.Cnt())
 		return ctx.Counter.Flops() - ctx.Charged
 	})

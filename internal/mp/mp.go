@@ -172,11 +172,12 @@ func (c *Comm) ComputeSeg(flops float64, fn func()) {
 // ComputeDeferred runs fn — a compute phase whose cost is unknowable up
 // front, such as a fill-dependent factorization — on the engine's worker
 // pool and charges the flops it returns when it completes
-// (vgrid.Proc.ComputeDeferred). The charged watermark advances by the
-// measured cost.
-func (c *Comm) ComputeDeferred(fn func() float64) {
+// (vgrid.Proc.ComputeDeferred, which also says what the floor minFlops buys
+// and what a measured cost below it does). The charged watermark advances by
+// the measured cost.
+func (c *Comm) ComputeDeferred(minFlops float64, fn func() float64) {
 	var measured float64
-	c.p.ComputeDeferred(func() float64 {
+	c.p.ComputeDeferred(minFlops, func() float64 {
 		measured = fn()
 		return measured
 	})

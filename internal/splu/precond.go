@@ -52,7 +52,10 @@ type bandPrecond struct {
 // with the banded LU. The width is clamped to the matrix bandwidth (a width
 // at or above the bandwidth makes M = A, i.e. an exact preconditioner). The
 // returned error is a singular or structurally deficient band; callers fall
-// back to the exact factorization in that case.
+// back to the exact factorization in that case. The count added to c has no
+// floor above zero — a band whose multipliers all vanish counts none, and so
+// does a singular one — and neither has Refresh's: a deferred build or
+// refresh declares a floor of 0.
 func NewBandPreconditioner(a *sparse.CSR, width int, c *vec.Counter) (Preconditioner, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)

@@ -5,7 +5,10 @@ package splu
 // the factors through the receiver, hand-written inner loops and append
 // growth from an nnz+n pre-size. The loops are kept verbatim as the oracle
 // TestSparseLUMatchesReference holds the production code to, value for value
-// and flop for flop. Nothing outside this file uses it.
+// and flop for flop. Nothing outside this file uses it. Next to it: the reach
+// DFS as it was before pruning (unprunedDFS), the oracle of
+// TestPrunedReachMatchesUnpruned, and the kernel benchmarks that price the
+// production Factor and Solve against the reference.
 
 import (
 	"fmt"
@@ -268,6 +271,152 @@ func (f *refFactors) dfs(i int, mark []bool, reach, dstack, pstack []int, top in
 		}
 	}
 	return top
+}
+
+// unprunedDFS is the reach DFS as it was before pruning, kept verbatim
+// (renamed): it scans every entry of each visited L column and tallies the
+// work as it goes — one op per node visit plus one per L entry scanned.
+func unprunedDFS(i int, pinv, lp []int, li []int32, mark []bool, reach, dstack, pstack []int, top int) (int, int) {
+	work := 0
+	head := 0
+	dstack[0] = i
+	for head >= 0 {
+		j := dstack[head]
+		jn := pinv[j]
+		if !mark[j] {
+			mark[j] = true
+			work++ // node visit
+			if jn >= 0 {
+				pstack[head] = lp[jn] + 1 // skip unit pivot entry
+			}
+		}
+		done := true
+		if jn >= 0 {
+			rest := li[pstack[head]:lp[jn+1]]
+			scanned := len(rest)
+			for t, child := range rest {
+				if !mark[child] {
+					scanned = t + 1
+					pstack[head] += scanned
+					head++
+					dstack[head] = int(child)
+					done = false
+					break
+				}
+			}
+			work += scanned // edge scans
+		}
+		if done {
+			head--
+			top--
+			reach[top] = j
+		}
+	}
+	return top, work
+}
+
+// TestPrunedReachMatchesUnpruned replays Factor's symbolic phase column by
+// column over the factors it produced, with the pivot order it chose: the
+// production dfs, scanning only what prune leaves of each L column, and
+// unprunedDFS must yield the same reach sequence, and the work unprunedDFS
+// tallies must equal what Factor counts from the reach — one per visit plus
+// |L(:,j)| − 1 per visited pivotal node. The shapes are the ones
+// TestSparseLUMatchesReference factors, plus the pivoting-heavy pattern at
+// PivotTol 0.1, where most pivots are off the diagonal.
+func TestPrunedReachMatchesUnpruned(t *testing.T) {
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		s    SparseLU
+	}{
+		{"wideband", gen.DiagDominant(gen.DiagDominantOpts{N: 700, Band: 120, PerRow: 10, Margin: 0.016, Negative: true, Seed: 3}), SparseLU{}},
+		{"narrowband", gen.DiagDominant(gen.DiagDominantOpts{N: 1500, Band: 12, PerRow: 7, Seed: 4}), SparseLU{}},
+		{"cage", gen.CageLike(400, 5), SparseLU{}},
+		{"cage-mindeg", gen.CageLike(400, 5), SparseLU{Order: OrderMinDegree}},
+		{"poisson", gen.Poisson2D(20, 17), SparseLU{}},
+		{"poisson-rcm", gen.Poisson2D(20, 17), SparseLU{Order: OrderRCM}},
+		{"pivoting", pivotingHeavy(300, 6), SparseLU{PivotTol: 0.1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fact, err := tc.s.Factor(tc.a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := fact.(*sparseFactors)
+			n, lp := f.n, f.lp
+			// prow[k] is the original row that pivoted at column k; li is L in
+			// original row numbering, as Factor holds it while it factors.
+			prow := make([]int, n)
+			for i, k := range f.pinv {
+				prow[k] = i
+			}
+			li := make([]int32, len(f.li))
+			for p, k := range f.li {
+				li[p] = int32(prow[k])
+			}
+			ac := tc.a.ToCSC()
+			pinv := make([]int, n)
+			for i := range pinv {
+				pinv[i] = -1
+			}
+			lend := make([]int, n)
+			mark, markR := make([]bool, n), make([]bool, n)
+			reach, reachR := make([]int, n), make([]int, n)
+			dstack, pstack := make([]int, n), make([]int, n)
+			scanned, skipped, offDiag := 0, 0, 0
+			for k := 0; k < n; k++ {
+				col := k
+				if f.q != nil {
+					col = f.q[k]
+				}
+				top, topR, work := n, n, 0
+				for _, i := range ac.RowInd[ac.ColPtr[col]:ac.ColPtr[col+1]] {
+					if !mark[i] {
+						top = dfs(i, pinv, lp, lend, li, mark, reach, dstack, pstack, top)
+					}
+					if !markR[i] {
+						var w int
+						topR, w = unprunedDFS(i, pinv, lp, li, markR, reachR, dstack, pstack, topR)
+						work += w
+					}
+				}
+				rs := reach[top:]
+				equalInts(t, fmt.Sprintf("column %d: reach", k), rs, reachR[topR:])
+				tally := len(rs)
+				for _, j := range rs {
+					if jn := pinv[j]; jn >= 0 {
+						tally += lp[jn+1] - lp[jn] - 1
+						scanned += lend[jn] - lp[jn] - 1
+						skipped += lp[jn+1] - lend[jn]
+					}
+				}
+				if tally != work {
+					t.Fatalf("column %d: Factor counts %d from the reach, the unpruned DFS did %d", k, tally, work)
+				}
+				r := prow[k]
+				if r != col {
+					offDiag++
+				}
+				pinv[r] = k
+				for _, i := range rs {
+					if jn := pinv[i]; jn >= 0 && jn < k {
+						prune(jn, int32(r), pinv, lend, li)
+					}
+					mark[i], markR[i] = false, false
+				}
+				lend[k] = lp[k+1]
+			}
+			t.Logf("edge scans %d, pruned away %d (%.0f %%), off-diagonal pivots %d of %d",
+				scanned, skipped, 100*float64(skipped)/float64(scanned+skipped), offDiag, n)
+			if skipped == 0 {
+				t.Errorf("nothing pruned: the test no longer exercises pruning")
+			}
+			if tc.s.PivotTol != 0 && offDiag == 0 {
+				t.Errorf("no off-diagonal pivot: the test no longer exercises pivoting")
+			}
+		})
+	}
 }
 
 func (f *refFactors) Solve(x, b []float64, c *vec.Counter) {
@@ -546,6 +695,89 @@ func TestSparseLUMatchesReference(t *testing.T) {
 					equalBits(t, "Solve after Refactor", x, xr)
 				})
 			}
+		}
+	}
+}
+
+// benchShapes are the band shapes the solvers hand the sparse LU, factored
+// the way core does (zero-value SparseLU, natural order): one of the eight
+// bands of lan_sync_wideband (fill 16×), one band of wan_async_narrowband,
+// and a cage-like scattered pattern whose factors are nearly dense.
+func benchShapes() []struct {
+	name string
+	a    *sparse.CSR
+} {
+	return []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"wideband", gen.DiagDominant(gen.DiagDominantOpts{N: 1330, Band: 120, PerRow: 10, Margin: 0.002, Negative: true, Seed: 1})},
+		{"narrowband", gen.DiagDominant(gen.DiagDominantOpts{N: 2500, Band: 12, PerRow: 7, Seed: 1})},
+		{"cage", gen.CageLike(600, 1)},
+	}
+}
+
+// BenchmarkSparseFactor prices Factor against the reference loops on each
+// shape; ns/entry is host time per stored factor entry.
+func BenchmarkSparseFactor(b *testing.B) {
+	for _, m := range benchShapes() {
+		var c vec.Counter
+		f, err := (&SparseLU{}).Factor(m.a, &c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l, u := f.(*sparseFactors).NNZFactors()
+		entries := float64(l + u)
+		b.Run(m.name+"/prod", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := (&SparseLU{}).Factor(m.a, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+		})
+		b.Run(m.name+"/ref", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := refFactor(&SparseLU{}, m.a, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+		})
+	}
+}
+
+// BenchmarkSparseSolve prices Solve against the reference loops on each
+// shape; ns/entry is host time per stored factor entry, the unit a
+// triangular sweep streams.
+func BenchmarkSparseSolve(b *testing.B) {
+	for _, m := range benchShapes() {
+		var c vec.Counter
+		f, err := (&SparseLU{}).Factor(m.a, &c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := refFactor(&SparseLU{}, m.a, &c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l, u := f.(*sparseFactors).NNZFactors()
+		entries := float64(l + u)
+		n := m.a.Rows
+		rhs, x := make([]float64, n), make([]float64, n)
+		for i := range rhs {
+			rhs[i] = math.Sin(float64(i))
+		}
+		for _, s := range []struct {
+			name  string
+			solve func(x, b []float64, c *vec.Counter)
+		}{{"prod", f.Solve}, {"ref", r.Solve}} {
+			b.Run(m.name+"/"+s.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s.solve(x, rhs, nil)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+			})
 		}
 	}
 }

@@ -92,10 +92,14 @@ func (s *SparseLU) Name() string { return "sparse-lu" }
 // can recompute the numeric values of a same-pattern matrix without ordering,
 // DFS or allocation (see refactor.go).
 type sparseFactors struct {
-	n          int
-	lp, up     []int
-	li, ui     []int32
-	lx, ux     []float64
+	n      int
+	lp, up []int
+	li, ui []int32
+	lx, ux []float64
+	// urun[k] reports that the off-diagonal rows of U(:,k) are r0, r0+1, …
+	// in storage order, r0 its first stored row: Solve sweeps such a column
+	// without its indices.
+	urun       []bool
 	pinv       []int // pinv[origRow] = pivotal position
 	q          []int // column k of the factorization is A(:, q[k]); nil = identity
 	flops      float64
@@ -141,6 +145,37 @@ func colAxpy(y []float64, ind []int32, val []float64, s float64) {
 	}
 }
 
+// runAxpy is colAxpy for a column whose rows are consecutive: y[t] -= val[t]·s
+// over a y resliced to the run, with no index to load or bounds-check per
+// entry. It runs from the far end of the run, four updates a step: in the
+// back sweep a run usually ends right above the diagonal, at the row whose
+// division the next column waits for, and updating it first lets that
+// division overlap the rest of the run. Each y[t] receives the same single
+// update as through colAxpy, so the result is the same to the bit.
+func runAxpy(y, val []float64, s float64) {
+	y = y[:len(val)]
+	t := len(val) - 1
+	for ; t >= 3; t -= 4 {
+		y[t] -= val[t] * s
+		y[t-1] -= val[t-1] * s
+		y[t-2] -= val[t-2] * s
+		y[t-3] -= val[t-3] * s
+	}
+	for ; t >= 0; t-- {
+		y[t] -= val[t] * s
+	}
+}
+
+// isRun reports whether rows is r0, r0+1, … for its first row r0.
+func isRun(rows []int32) bool {
+	for t, r := range rows {
+		if r != rows[0]+int32(t) {
+			return false
+		}
+	}
+	return true
+}
+
 // colDot is the transposed counterpart used by SolveT: it returns
 // s − Σ val[t]·y[ind[t]], accumulated in storage order.
 func colDot(y []float64, ind []int32, val []float64, s float64) float64 {
@@ -183,6 +218,7 @@ func growColumn(ind []int32, val []float64, need, k, n int) ([]int32, []float64)
 // pivot scan and pattern assembly — under the 1-op-per-touch model of
 // DESIGN.md, so the simulated factorization time reflects everything a real
 // factorization does. Refactor (refactor.go) repeats only the numeric part.
+// On ErrSingular it counts the work done up to the failing column.
 func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
@@ -230,6 +266,7 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	reach := make([]int, n)  // output stack: reach set in topological order
 	dstack := make([]int, n) // DFS node stack
 	pstack := make([]int, n) // DFS position stack
+	lend := make([]int, n)   // end of the part of L(:,j) the reach DFS scans
 
 	// Start each factor at nnz+n entries, twice its no-fill size: enough for
 	// the small and narrow bands, which then never regrow; growColumn takes
@@ -250,15 +287,16 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 		top := n
 		for _, i := range rows {
 			if !mark[i] {
-				var visits int
-				top, visits = dfs(i, pinv, lp, li, mark, reach, dstack, pstack, top)
-				sym += visits
+				top = dfs(i, pinv, lp, lend, li, mark, reach, dstack, pstack, top)
 			}
 		}
 		rs := reach[top:]
-		// Reach-set passes below (pivot scan, store/clear) touch each
-		// element twice; the scatter touches each input entry once.
-		sym += len(rows) + 2*len(rs)
+		// The scatter touches each input entry once; the DFS visits each
+		// element of the reach set once and the passes below (pivot scan,
+		// store/clear) twice. The DFS's edge scans are counted from the
+		// reach in the elimination loop: one per entry of every visited L
+		// column but its unit pivot, what the unpruned DFS scans.
+		sym += len(rows) + 3*len(rs)
 
 		// Numeric step: scatter then eliminate in topological order.
 		for t, i := range rows {
@@ -269,11 +307,12 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			if jn < 0 {
 				continue
 			}
+			p0, p1 := lp[jn]+1, lp[jn+1]
+			sym += p1 - p0
 			xj := x[j]
 			if xj == 0 {
 				continue
 			}
-			p0, p1 := lp[jn]+1, lp[jn+1]
 			colAxpy(x, li[p0:p1], lx[p0:p1], xj)
 			flops += 2 * (p1 - p0)
 		}
@@ -291,6 +330,9 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			}
 		}
 		if ipiv == -1 || a0 <= 0 {
+			// The work done up to here is counted, which keeps the promise
+			// of FactorFloor on this path too.
+			c.Add(float64(flops + sym))
 			return nil, ErrSingular
 		}
 		// Threshold pivoting: prefer the diagonal entry of the ordered
@@ -309,6 +351,7 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			if jn := pinv[i]; jn >= 0 && jn < k {
 				ui = append(ui, int32(jn))
 				ux = append(ux, x[i])
+				prune(jn, int32(ipiv), pinv, lend, li)
 			}
 		}
 		ui = append(ui, int32(k))
@@ -328,6 +371,7 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			mark[i] = false
 		}
 		lp[k+1] = len(lx)
+		lend[k] = lp[k+1]
 		flops += lp[k+1] - lp[k] - 1 // pivot divisions
 	}
 	// Remap L's row indices into pivotal numbering.
@@ -346,6 +390,20 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	f.finishSymbolic(a)
 	c.Add(f.flops + f.symFlops)
 	return f, nil
+}
+
+// FactorFloor returns a count d.Factor(a, c) is certain to add to c: the floor
+// a caller declares when it runs the factorization as a deferred compute
+// segment (vgrid.Proc.ComputeDeferred). SparseLU.Factor counts its CSC
+// transpose, 2·nnz(a), before the first column — so on its ErrSingular path
+// too, which counts the work done so far. The dense-family solvers promise
+// nothing: their counts skip zero multipliers, so a matrix that is already
+// triangular counts none.
+func FactorFloor(d Direct, a *sparse.CSR) float64 {
+	if _, ok := d.(*SparseLU); ok && a.Rows == a.Cols {
+		return 2 * float64(a.NNZ())
+	}
+	return 0
 }
 
 // patternHash fingerprints a CSR sparsity pattern: FNV-1a with one
@@ -412,11 +470,14 @@ func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 	// frozen pattern unconditionally (no value-dependent zero skips), so the
 	// cost is known before any values arrive.
 	rf := 0
+	f.urun = make([]bool, n)
 	for k := 0; k < n; k++ {
-		for _, jn := range f.ui[f.up[k] : f.up[k+1]-1] {
+		rows := f.ui[f.up[k] : f.up[k+1]-1]
+		for _, jn := range rows {
 			rf += 2 * (f.lp[jn+1] - f.lp[jn] - 1)
 		}
 		rf += f.lp[k+1] - f.lp[k] - 1 // pivot divisions
+		f.urun[k] = isRun(rows)
 	}
 	f.refactorFlops = float64(rf)
 	f.work = make([]float64, n)
@@ -424,39 +485,43 @@ func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 }
 
 // dfs pushes the reach set of node i (original row numbering) onto the
-// output stack reach[top-1...] and returns the new top together with the
-// symbolic work it did: one op per node visit plus one per L entry scanned.
-// mark must be clear on unvisited nodes; the caller clears visited marks
-// after consuming the set. li holds original row numbers at this stage.
-func dfs(i int, pinv, lp []int, li []int32, mark []bool, reach, dstack, pstack []int, top int) (int, int) {
-	work := 0
+// output stack reach[top-1...] and returns the new top. It scans L(:,j) of a
+// pivotal node only up to lend (see prune). A child that is not pivotal has
+// no children: it is finished where it is found, without a push, in the
+// place the push and pop would have finished it. mark must be clear on
+// unvisited nodes; the caller clears visited marks after consuming the set.
+// li holds original row numbers at this stage.
+func dfs(i int, pinv, lp, lend []int, li []int32, mark []bool, reach, dstack, pstack []int, top int) int {
 	head := 0
 	dstack[0] = i
+	mark[i] = true
+	if jn := pinv[i]; jn >= 0 {
+		pstack[0] = lp[jn] + 1 // skip unit pivot entry
+	}
 	for head >= 0 {
 		j := dstack[head]
 		jn := pinv[j]
-		if !mark[j] {
-			mark[j] = true
-			work++ // node visit
-			if jn >= 0 {
-				pstack[head] = lp[jn] + 1 // skip unit pivot entry
-			}
-		}
 		done := true
 		if jn >= 0 {
-			rest := li[pstack[head]:lp[jn+1]]
-			scanned := len(rest)
-			for t, child := range rest {
-				if !mark[child] {
-					scanned = t + 1
-					pstack[head] += scanned
-					head++
-					dstack[head] = int(child)
-					done = false
-					break
+			p := pstack[head]
+			for t, child := range li[p:lend[jn]] {
+				if mark[child] {
+					continue
 				}
+				mark[child] = true
+				cn := pinv[child]
+				if cn < 0 {
+					top--
+					reach[top] = int(child)
+					continue
+				}
+				pstack[head] = p + t + 1
+				head++
+				dstack[head] = int(child)
+				pstack[head] = lp[cn] + 1
+				done = false
+				break
 			}
-			work += scanned // edge scans
 		}
 		if done {
 			head--
@@ -464,7 +529,30 @@ func dfs(i int, pinv, lp []int, li []int32, mark []bool, reach, dstack, pstack [
 			reach[top] = j
 		}
 	}
-	return top, work
+	return top
+}
+
+// prune shortens the part of L(:,jn) the reach DFS scans, right after row r
+// (original numbering) pivoted at a column k whose U part holds jn. When r is
+// the last pivotal row of that part, every row after it was unpivoted at
+// column k; the DFS reached them all there, so they lie in L(:,k). A later
+// DFS that visits jn scans r before them and, by the time r is finished —
+// r is never an ancestor of jn, columns only grow along a path — has marked
+// all of L(:,k): the unpruned scan of the rows after r finds each of them
+// marked. Cutting them off therefore keeps the pushed and finished node
+// sequence, and with it every update order and stored factor, unchanged.
+//
+// The search for the last pivotal row runs backwards over unpivoted rows
+// only, and ends at the latest on the column's own pivot row, stored first.
+// After a cut r closes the part, so every later search stops at once.
+func prune(jn int, r int32, pinv, lend []int, li []int32) {
+	p := lend[jn] - 1
+	for pinv[li[p]] < 0 {
+		p--
+	}
+	if li[p] == r {
+		lend[jn] = p + 1
+	}
 }
 
 // Solve implements Factorization. It is allocation-free: the permuted
@@ -490,12 +578,17 @@ func (f *sparseFactors) Solve(x, b []float64, c *vec.Counter) {
 		}
 	}
 	// Back solve U·z = y (diagonal entry is last in each column).
-	up, ui, ux := f.up, f.ui, f.ux
+	up, ui, ux, urun := f.up, f.ui, f.ux, f.urun
 	for k := n - 1; k >= 0; k-- {
 		lo, hi := up[k], up[k+1]-1
 		yk := y[k] / ux[hi]
 		y[k] = yk
-		colAxpy(y, ui[lo:hi], ux[lo:hi], yk)
+		if urun[k] {
+			r0 := int(ui[lo]) // the diagonal's row k for an empty run
+			runAxpy(y[r0:r0+hi-lo], ux[lo:hi], yk)
+		} else {
+			colAxpy(y, ui[lo:hi], ux[lo:hi], yk)
+		}
 	}
 	// Undo the column ordering: x[q[k]] = z[k].
 	if f.q != nil {

@@ -298,23 +298,24 @@ func TestFactorOnceSolveMany(t *testing.T) {
 }
 
 // heldBytes is what a sparse factorization keeps alive once Factor returns:
-// the factor arrays at their capacity, the permutations, the Refactor
-// scatter map and the two scratch vectors.
+// the factor arrays at their capacity, the U run starts, the permutations,
+// the Refactor scatter map and the two scratch vectors.
 func (f *sparseFactors) heldBytes() uint64 {
 	idx := cap(f.li) + cap(f.ui)
 	ints := cap(f.lp) + cap(f.up) + cap(f.pinv) + cap(f.q) + cap(f.acp) + cap(f.ari) + cap(f.avp)
 	floats := cap(f.lx) + cap(f.ux) + cap(f.work) + cap(f.rwork)
-	return uint64(4*idx + 8*ints + 8*floats)
+	return uint64(cap(f.urun) + 4*idx + 8*ints + 8*floats)
 }
 
 // TestSparseLUFactorAllocBudget pins the factor-growth rule on the band shape
 // of the lan_sync_wideband workload (one of eight bands of an n=10000, Band
 // 120 matrix plus overlap, factored the way core does: zero-value SparseLU),
 // where fill makes the factors sixteen times the input. Everything Factor
-// allocates — work vectors, the CSC copy and every outgrown factor array
-// included — must stay within twice what the result keeps, in a number of
-// objects that does not depend on n. (Growing by append alone allocates five
-// times the final factors on this shape.)
+// allocates — work vectors, the DFS pruning state, the CSC copy and every
+// outgrown factor array included — must stay within 1.7 times what the
+// result keeps (measured 1.60), in a number of objects that does not depend
+// on n (measured 33). (Growing by append alone allocates five times the
+// final factors on this shape.)
 func TestSparseLUFactorAllocBudget(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1330, Band: 120, PerRow: 10, Margin: 0.002, Negative: true, Seed: 1})
 	s := &SparseLU{}
@@ -331,11 +332,11 @@ func TestSparseLUFactorAllocBudget(t *testing.T) {
 		t.Fatalf("shape has no heavy fill (%d factor entries from %d): the test no longer exercises growth", l+u, a.NNZ())
 	}
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	if held := f.heldBytes(); bytes > 2*held {
-		t.Errorf("Factor allocated %d bytes to keep %d (%.2fx), budget is 2x", bytes, held, float64(bytes)/float64(held))
+	if held := f.heldBytes(); 10*bytes > 17*held {
+		t.Errorf("Factor allocated %d bytes to keep %d (%.2fx), budget is 1.7x", bytes, held, float64(bytes)/float64(held))
 	}
-	if objects > 64 {
-		t.Errorf("Factor allocated %d objects, budget is 64", objects)
+	if objects > 40 {
+		t.Errorf("Factor allocated %d objects, budget is 40", objects)
 	}
 
 	b := make([]float64, a.Rows)

@@ -1,10 +1,15 @@
 package vgrid
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/obs"
 )
 
 // runComputeScenario spawns nproc processes that alternate declared compute
@@ -188,7 +193,7 @@ func TestSetWorkersAfterRunPanics(t *testing.T) {
 // TestComputeDeferredCommitsBeforeReturn pins the invariant the solver
 // drivers lean on when they run
 //
-//	c.ComputeDeferred(func() float64 { fact, factErr = solver.Factor(...); ... })
+//	c.ComputeDeferred(floor, func() float64 { fact, factErr = solver.Factor(...); ... })
 //	if factErr != nil { ... }
 //
 // reading factErr immediately after the call: by the time ComputeDeferred
@@ -216,7 +221,7 @@ func TestComputeDeferredCommitsBeforeReturn(t *testing.T) {
 					committed := false
 					before := p.Now()
 					cost := 1e9 * float64(i+it+1)
-					p.ComputeDeferred(func() float64 {
+					p.ComputeDeferred(cost/2, func() float64 {
 						n := atomic.AddInt32(&inFlight, 1)
 						for {
 							old := atomic.LoadInt32(&peak)
@@ -254,5 +259,105 @@ func TestComputeDeferredCommitsBeforeReturn(t *testing.T) {
 		if workers > 1 && peak < 2 {
 			t.Logf("workers=%d: deferred segments never overlapped (peak %d); invariant still checked", workers, peak)
 		}
+	}
+}
+
+// TestDeferredFloorOverlapsTiedProcesses: k processes tied at t = 0 each
+// dispatch a deferred segment with a positive cost floor. On 2 workers every
+// segment must be dispatched before the first one is collected — each
+// segment waits, with a timeout, until all k bodies have reached their
+// dispatch, which never happens if the lane blocks on the first segment it
+// dispatched — and the trace and the obs export must be the bytes of the
+// inline (workers = 1) run.
+func TestDeferredFloorOverlapsTiedProcesses(t *testing.T) {
+	const k = 6
+	run := func(workers int) (trace string, export []byte, late bool) {
+		pl := NewPlatform()
+		hosts := make([]*Host, k)
+		for i := range hosts {
+			hosts[i] = pl.AddHost(fmt.Sprintf("h%d", i), 1e9, 0)
+		}
+		e := NewEngine(pl)
+		e.SetWorkers(workers)
+		rec := &obs.Recorder{}
+		e.Observe(rec)
+		var sb strings.Builder
+		e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+		var dispatched atomic.Int32
+		var timedOut atomic.Bool
+		allIn := make(chan struct{})
+		for i := 0; i < k; i++ {
+			i := i
+			e.Spawn(hosts[i], fmt.Sprintf("p%d", i), func(p *Proc) error {
+				cost := 1e8 * float64(k-i) // the segments end in reverse order
+				if dispatched.Add(1) == k {
+					close(allIn)
+				}
+				p.ComputeDeferred(cost/4, func() float64 {
+					if workers > 1 {
+						select {
+						case <-allIn:
+						case <-time.After(5 * time.Second):
+							timedOut.Store(true)
+						}
+					}
+					return cost
+				})
+				p.Sleep(1e-3)
+				return nil
+			})
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteTraceJSON(&buf, rec); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), buf.Bytes(), timedOut.Load()
+	}
+	tr1, ex1, _ := run(1)
+	tr2, ex2, late := run(2)
+	if late {
+		t.Fatal("a segment was collected before every tied process had dispatched its own")
+	}
+	if tr1 != tr2 {
+		t.Fatalf("trace differs between 1 and 2 workers:\n--- 1 ---\n%s--- 2 ---\n%s", tr1, tr2)
+	}
+	if !bytes.Equal(ex1, ex2) {
+		t.Fatal("obs trace export differs between 1 and 2 workers")
+	}
+}
+
+// TestDeferredBelowFloorFails: a segment that measures less than the floor it
+// was dispatched with fails its process with an error, inline or pooled.
+func TestDeferredBelowFloorFails(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		pl := NewPlatform()
+		h := pl.AddHost("h", 1e9, 0)
+		g := pl.AddHost("g", 1e9, 0)
+		e := NewEngine(pl)
+		e.SetWorkers(workers)
+		e.Spawn(h, "short", func(p *Proc) error {
+			p.ComputeDeferred(2e6, func() float64 { return 1e6 })
+			return nil
+		})
+		e.Spawn(g, "peer", func(p *Proc) error {
+			p.Compute(5e6)
+			return nil
+		})
+		_, err := e.Run()
+		if err == nil || !strings.Contains(err.Error(), "below its declared floor") {
+			t.Fatalf("workers=%d: want the short segment to fail its process, got %v", workers, err)
+		}
+	}
+}
+
+// TestProcSizeClass: grid1000_events spawns a thousand processes, and Proc
+// fills its 320-byte allocation size class exactly — a field more moves every
+// process up a class.
+func TestProcSizeClass(t *testing.T) {
+	if s := unsafe.Sizeof(Proc{}); s > 320 {
+		t.Fatalf("Proc is %d bytes, past its 320-byte size class", s)
 	}
 }

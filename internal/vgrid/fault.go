@@ -300,6 +300,18 @@ func (fs *faultState) wake(h *Host, t float64) float64 {
 	return t
 }
 
+// workEnd returns the instant dt seconds of work started at t end on host h:
+// t + dt without a fault plan (a nil receiver), busyEnd with one. A charge
+// (Proc.chargeFlops) and a deferred segment's floor (Proc.ComputeDeferred)
+// both go through it; it is small enough to inline, so a plan-free charge
+// makes no call.
+func (fs *faultState) workEnd(h *Host, t, dt float64) float64 {
+	if fs == nil {
+		return t + dt
+	}
+	return fs.busyEnd(h, t, dt)
+}
+
 // busyEnd returns the completion time of dt seconds of work started at t on
 // the host, pausing across outage windows (the warm-restart model: work in
 // flight freezes with the host and resumes where it left off) and stretching

@@ -56,7 +56,7 @@ func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int
 			for it := 0; it < 20; it++ {
 				p.ComputeFunc(5e7, func() { acc = acc*1.5 + float64(it) })
 				if it%5 == 0 {
-					p.ComputeDeferred(func() float64 { acc *= 1.01; return 2e7 })
+					p.ComputeDeferred(2e7, func() float64 { acc *= 1.01; return 2e7 })
 				}
 				peer := procs[(i+3)%nproc]
 				if _, err := p.SendFate(peer, 7, nil, 10000); err != nil {

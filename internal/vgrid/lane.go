@@ -231,16 +231,20 @@ func (ln *lane) advance() *Proc {
 			return nil
 		}
 		if p.st() == stateDeferred {
-			// The pick landed on a deferred segment's dispatch-time lower
-			// bound. Its true resume time needs the measured cost: collect
-			// it, charge, and pick again — another process may now be
-			// earlier. Deterministic regardless of which segments have
+			// The pick landed on a deferred segment's lower bound, the end of
+			// its cost floor. Its true resume time needs the measured cost:
+			// collect it, charge, and pick again — another process may now
+			// be earlier. Deterministic regardless of which segments have
 			// physically finished, because every deferred process that could
-			// precede the final pick is resolved before committing.
+			// precede the final pick is resolved before committing. A cost
+			// below the floor fails the process when it resumes (unless the
+			// segment's own panic already will).
 			ln.beginGroup(resumeAt, p.ID, false)
 			<-p.computing
 			p.computing = nil
-			p.chargeFlops(p.deferredFlops)
+			if err := p.chargeDeferred(p.deferredFlops); err != nil && p.fnPanic == nil {
+				p.fnPanic = err
+			}
 			p.setSt(stateComputing)
 			ln.rekey(p)
 			ln.endGroup()

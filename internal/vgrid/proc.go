@@ -25,9 +25,9 @@ const (
 	stateComputing
 	// stateDeferred marks a process inside ComputeDeferred: the segment is
 	// running on a pool worker and its virtual cost is unknown until it
-	// returns, so the process's clock is only a lower bound (charges are
-	// non-negative). The scheduler may not commit to any event at or after
-	// that bound until the true cost has been collected.
+	// returns, so the end of its declared cost floor (until) is only a lower
+	// bound on its resume time. The scheduler may not commit to any event at
+	// or after that bound until the true cost has been collected.
 	stateDeferred
 	stateDone
 )
@@ -62,11 +62,15 @@ type Proc struct {
 	mailbox []*Message
 	// matcher is set while blocked in Recv.
 	matchSrc, matchTag int
-	// matchDeadline bounds a blocked receive in virtual time: +Inf for a
-	// plain Recv, the timeout instant for RecvTimeout.
-	matchDeadline float64
-	err           error
-	allocated     int64
+	// until is the instant that bounds the process's next event, by state:
+	// while blocked, the receive's deadline (+Inf for a plain Recv, the
+	// timeout instant for RecvTimeout); while deferred, the end of the
+	// segment's declared cost floor on its host, where the scheduler keys
+	// it. No process is both at once, and one field for the two keeps Proc
+	// in its size class.
+	until     float64
+	err       error
+	allocated int64
 	// key is the process's cached next-event time, maintained by the
 	// scheduler index (sched.go); heapPos is its position in the engine's
 	// event heap, -1 while not indexed (running, done, or scan mode).
@@ -127,12 +131,12 @@ func (e *Engine) Spawn(h *Host, name string, body func(p *Proc) error) *Proc {
 		panic("vgrid: Spawn after Run")
 	}
 	p := &Proc{
-		ID:            len(e.procs),
-		Name:          name,
-		eng:           e,
-		host:          h,
-		matchDeadline: math.Inf(1),
-		heapPos:       -1,
+		ID:      len(e.procs),
+		Name:    name,
+		eng:     e,
+		host:    h,
+		until:   math.Inf(1),
+		heapPos: -1,
 	}
 	p.setSt(stateReady)
 	e.procs = append(e.procs, p)
@@ -200,13 +204,8 @@ func (p *Proc) chargeFlops(flops float64) {
 	if flops < 0 {
 		panic("vgrid: negative flops")
 	}
-	start := p.clock
-	dt := flops / p.host.Speed
-	if fs := p.eng.faults; fs != nil {
-		p.clock = fs.busyEnd(p.host, p.clock, dt)
-	} else {
-		p.clock += dt
-	}
+	start, dt := p.clock, flops/p.host.Speed
+	p.clock = p.eng.faults.workEnd(p.host, p.clock, dt)
 	p.ComputeTime += dt
 	p.BusyTime += p.clock - start
 	p.FlopsDone += flops
@@ -278,12 +277,17 @@ func (p *Proc) runSegment() {
 // ComputeDeferred executes fn — a compute phase whose virtual cost cannot be
 // declared up front (e.g. a sparse factorization whose flop count depends on
 // the fill it discovers) — and charges the cost fn returns when it
-// completes, exactly as Compute(fn()) would have. With more than one worker
-// configured, fn runs on the engine's worker pool: until it returns, the
-// process's clock is treated as a lower bound on its next event (charges are
-// non-negative), so the scheduler keeps running other processes with earlier
-// events and resolves the true cost only when this process could be next.
-// The virtual schedule is identical for any worker count.
+// completes, exactly as Compute(fn()) would have. minFlops is a floor the
+// caller can promise the measured cost reaches (0 when nothing is provable).
+// With more than one worker configured, fn runs on the engine's worker pool:
+// until it returns, the instant the floor's work would end on the host is
+// treated as a lower bound on the process's next event, so the scheduler
+// keeps running other processes with earlier events — among them every
+// process tied at the dispatch instant, which dispatches its own segment
+// first when the floor is positive — and resolves the true cost only when
+// this process could be next. The virtual schedule is identical for any
+// worker count and any valid floor. A measured cost below minFlops ends the
+// process with an error.
 //
 // The restrictions on fn are the same as for ComputeFunc: no simulator
 // primitives, process-local state only.
@@ -297,13 +301,34 @@ func (p *Proc) runSegment() {
 // the owning process can be committed and resumed; see lane.advance's
 // stateDeferred branch. TestComputeDeferredCommitsBeforeReturn pins the invariant under
 // the race detector.
-func (p *Proc) ComputeDeferred(fn func() float64) {
+func (p *Proc) ComputeDeferred(minFlops float64, fn func() float64) {
+	if !(minFlops >= 0) {
+		panic("vgrid: negative flops floor")
+	}
+	p.until = p.eng.faults.workEnd(p.host, p.clock, minFlops/p.host.Speed)
 	if p.eng.workers <= 1 {
-		p.Compute(fn())
+		if err := p.chargeDeferred(fn()); err != nil {
+			panic(err)
+		}
+		p.setSt(stateReady)
+		p.yield()
 		return
 	}
 	p.deferredFlops = 0
 	p.dispatch(stateDeferred, func() { p.deferredFlops = fn() })
+}
+
+// chargeDeferred charges a deferred segment's measured cost from its
+// dispatch clock. A cost that ends before the declared floor's end means the
+// process was keyed past its true resume time: it fails, with its clock at
+// the floor's end so that its lane's commits never run backwards.
+func (p *Proc) chargeDeferred(flops float64) error {
+	p.chargeFlops(flops)
+	if p.clock >= p.until {
+		return nil
+	}
+	p.clock = p.until
+	return fmt.Errorf("vgrid: deferred segment measured %g flops, below its declared floor", flops)
 }
 
 // Sleep advances the clock by dt seconds without doing work.

@@ -15,7 +15,7 @@
 //   - a Send deposit into a blocked receiver's mailbox updates the
 //     receiver's pending-match and sifts it up if the arrival is earlier;
 //   - collecting a deferred segment's measured cost re-keys its owner from
-//     the lower-bound clock to the true resume time;
+//     the lower bound (the end of its cost floor) to the true resume time;
 //   - fault clamps are folded into the key itself (eventTime applies
 //     faultState.wake), so an outage never requires a rescan.
 //
@@ -34,13 +34,15 @@ import "math"
 func (ln *lane) eventTime(p *Proc) float64 {
 	var t float64
 	switch p.st() {
-	case stateReady, stateComputing, stateDeferred:
-		// For stateDeferred, p.clock is the dispatch time — a lower bound on
-		// the true resume time; the lane loop resolves the bound before
-		// committing to any later event.
+	case stateReady, stateComputing:
 		t = p.clock
+	case stateDeferred:
+		// The end of the segment's cost floor — a lower bound on the true
+		// resume time; the lane loop resolves the bound before committing to
+		// any later event.
+		t = p.until
 	case stateBlocked:
-		t = p.matchDeadline
+		t = p.until
 		if m := p.pendingMatch; m != nil {
 			if ta := math.Max(p.clock, m.Arrival); ta <= t {
 				t = ta
@@ -62,7 +64,7 @@ func (ln *lane) eventTime(p *Proc) float64 {
 // process at its current key, or nil when the key is a timeout deadline.
 func (p *Proc) deliverable() *Message {
 	if m := p.pendingMatch; m != nil {
-		if ta := math.Max(p.clock, m.Arrival); ta <= p.matchDeadline {
+		if ta := math.Max(p.clock, m.Arrival); ta <= p.until {
 			return m
 		}
 	}

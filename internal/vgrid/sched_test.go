@@ -14,7 +14,8 @@ import (
 // covers the whole engine). For a blocked process the next event is the
 // earliest matching message arrival (clamped to its clock) or its receive
 // deadline, whichever comes first; ready processes resume at their own
-// clock. Under a fault plan every candidate time is clamped past the outage
+// clock, deferred ones no earlier than the end of their cost floor. Under a
+// fault plan every candidate time is clamped past the outage
 // windows of the process's host; a process whose host never returns is
 // unschedulable. Ties go to the lowest process ID.
 func (ln *lane) pickNextScan() (best *Proc, at float64, msg *Message) {
@@ -24,13 +25,15 @@ func (ln *lane) pickNextScan() (best *Proc, at float64, msg *Message) {
 		var t float64
 		var dm *Message
 		switch p.st() {
-		case stateReady, stateComputing, stateDeferred:
-			// For stateDeferred, p.clock is the dispatch time — a lower
-			// bound on the true resume time; the lane loop resolves the
-			// bound before committing to any later event.
+		case stateReady, stateComputing:
 			t = p.clock
+		case stateDeferred:
+			// The end of the segment's cost floor — a lower bound on the
+			// true resume time; the lane loop resolves the bound before
+			// committing to any later event.
+			t = p.until
 		case stateBlocked:
-			t = p.matchDeadline
+			t = p.until
 			if m := p.earliestMatch(); m != nil {
 				if ta := math.Max(p.clock, m.Arrival); ta <= t {
 					t, dm = ta, m
@@ -101,7 +104,10 @@ func randWorkload(e *Engine, pl *Platform, nprocs, steps int, seed int64) {
 				case r < 0.30:
 					p.Compute(1e4 * (1 + 40*amt))
 				case r < 0.45:
-					p.ComputeDeferred(func() float64 { return 1e4 * (1 + 25*amt) })
+					// A floor anywhere from 0 to the whole cost: its end lands
+					// inside or across the crash and degrade windows.
+					cost := 1e4 * (1 + 25*amt)
+					p.ComputeDeferred(cost*synthU01(seed+2, at), func() float64 { return cost })
 				case r < 0.55:
 					p.Sleep(2e-4 * (1 + 9*amt))
 				case r < 0.80:
@@ -205,7 +211,7 @@ func syntheticGridTrace(t *testing.T, workers int) []string {
 				if r%2 == 0 {
 					p.ComputeFunc(flops, func() { acc += flops })
 				} else {
-					p.ComputeDeferred(func() float64 { acc += flops; return flops })
+					p.ComputeDeferred(flops/2, func() float64 { acc += flops; return flops })
 				}
 				if err := p.Send(next, r, nil, 256); err != nil {
 					return err
@@ -258,11 +264,11 @@ func deferredLateTrace(t *testing.T, workers int) []string {
 	e.Trace = func(line string) { lines = append(lines, line) }
 	var c *Proc
 	a := e.Spawn(ha, "A", func(p *Proc) error {
-		// The optimistic next-event bound is the dispatch clock (t=0); the
-		// true cost resolves to t=0.005, after every event of B. The
-		// wall-clock sleep keeps the segment physically unfinished when the
-		// scheduler's first pick lands on the bound.
-		p.ComputeDeferred(func() float64 {
+		// With no floor the optimistic next-event bound is the dispatch
+		// clock (t=0); the true cost resolves to t=0.005, after every event
+		// of B. The wall-clock sleep keeps the segment physically unfinished
+		// when the scheduler's first pick lands on the bound.
+		p.ComputeDeferred(0, func() float64 {
 			time.Sleep(2 * time.Millisecond)
 			return 5000
 		})

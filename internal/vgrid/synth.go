@@ -1,7 +1,8 @@
 // Synthetic platform generation: parameterized grids of heterogeneous
 // clusters, built in O(hosts) with lazy routing. The paper's experiments
-// hand-code three physical clusters; the scale sweeps (ROADMAP item 4) need
-// thousands of hosts, which only a generator can provide.
+// hand-code three physical clusters; grid-scale runs (bench's grid1000_*
+// workloads, the 10⁴–10⁵-host event core ROADMAP parks) need thousands of
+// hosts, which only a generator can provide.
 
 package vgrid
 

@@ -828,7 +828,7 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 // AnyTag as wildcards. The clock advances to the arrival time.
 func (p *Proc) Recv(src, tag int) *Message {
 	p.matchSrc, p.matchTag = src, tag
-	p.matchDeadline = math.Inf(1)
+	p.until = math.Inf(1)
 	p.setSt(stateBlocked)
 	p.lastBlockedAt = p.clock
 	// Seed the index's pending match with a one-time mailbox scan; later
@@ -854,12 +854,12 @@ func (p *Proc) RecvTimeout(src, tag int, timeout float64) *Message {
 		panic("vgrid: negative timeout")
 	}
 	p.matchSrc, p.matchTag = src, tag
-	p.matchDeadline = p.clock + timeout
+	p.until = p.clock + timeout
 	p.setSt(stateBlocked)
 	p.lastBlockedAt = p.clock
 	p.pendingMatch = p.earliestMatch()
 	p.yield()
-	p.matchDeadline = math.Inf(1)
+	p.until = math.Inf(1)
 	m := p.earliestMatch()
 	if m == nil || m.Arrival > p.clock {
 		return nil
