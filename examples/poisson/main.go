@@ -7,8 +7,9 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"math"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -17,7 +18,17 @@ import (
 )
 
 func main() {
-	const nx, ny = 120, 120
+	if err := run(os.Stdout, 120, 60); err != nil {
+		fmt.Fprintln(os.Stderr, "poisson:", err)
+		os.Exit(1)
+	}
+}
+
+// run solves the Poisson problem on a grid×grid mesh four ways (sync/async,
+// without and with an overlap of `overlap` rows) and prints one line per
+// solve.
+func run(w io.Writer, grid, overlap int) error {
+	nx, ny := grid, grid
 	a := gen.Poisson2D(nx, ny)
 	n := a.Rows
 
@@ -34,7 +45,7 @@ func main() {
 	var c vec.Counter
 	a.MulVec(b, xtrue, &c)
 
-	fmt.Printf("2-D Poisson, %dx%d grid (n=%d, nnz=%d) on cluster3 (7+3 machines, 20 Mb inter-site)\n",
+	fmt.Fprintf(w, "2-D Poisson, %dx%d grid (n=%d, nnz=%d) on cluster3 (7+3 machines, 20 Mb inter-site)\n",
 		nx, ny, n, a.NNZ())
 
 	type runCfg struct {
@@ -44,9 +55,9 @@ func main() {
 	}
 	for _, rc := range []runCfg{
 		{"synchronous, no overlap", false, 0},
-		{"synchronous, overlap 60", false, 60},
+		{fmt.Sprintf("synchronous, overlap %d", overlap), false, overlap},
 		{"asynchronous, no overlap", true, 0},
-		{"asynchronous, overlap 60", true, 60},
+		{fmt.Sprintf("asynchronous, overlap %d", overlap), true, overlap},
 	} {
 		plt := cluster.Cluster3(-1)
 		res, err := core.Solve(plt.Platform, plt.Hosts, a, b, core.Options{
@@ -56,7 +67,7 @@ func main() {
 			Scheme:  core.WeightOwner,
 		})
 		if err != nil {
-			log.Fatalf("%s: %v", rc.name, err)
+			return fmt.Errorf("%s: %w", rc.name, err)
 		}
 		worst := 0.0
 		for i := range res.X {
@@ -64,8 +75,9 @@ func main() {
 				worst = d
 			}
 		}
-		fmt.Printf("  %-26s %8.3f virtual s, %5d iterations, error %.2e\n",
+		fmt.Fprintf(w, "  %-26s %8.3f virtual s, %5d iterations, error %.2e\n",
 			rc.name, res.Time, res.Iterations, worst)
 	}
-	fmt.Println("overlap buys iterations; asynchrony hides the inter-site latency.")
+	fmt.Fprintln(w, "overlap buys iterations; asynchrony hides the inter-site latency.")
+	return nil
 }

@@ -13,8 +13,9 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"math"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -25,6 +26,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "transport:", err)
+		os.Exit(1)
+	}
+}
+
+// run solves the transport model with synchronous and with asynchronous
+// inner solves and prints one line per mode.
+func run(w io.Writer) error {
 	const (
 		nx, ny, nz = 16, 16, 16
 		nu         = 1.0      // diffusion
@@ -87,7 +97,7 @@ func main() {
 		B: s,
 	}
 
-	fmt.Printf("3-D transport model, %dx%dx%d grid (n=%d, nnz=%d), Newton + multisplitting on cluster3\n",
+	fmt.Fprintf(w, "3-D transport model, %dx%dx%d grid (n=%d, nnz=%d), Newton + multisplitting on cluster3\n",
 		nx, ny, nz, n, a.NNZ())
 	for _, mode := range []struct {
 		name  string
@@ -104,7 +114,7 @@ func main() {
 				Inner:     core.Options{Tol: 1e-10, Async: mode.async, Overlap: 32},
 			})
 		if err != nil {
-			log.Fatalf("%s: %v", mode.name, err)
+			return fmt.Errorf("%s: %w", mode.name, err)
 		}
 		worst := 0.0
 		for i := range res.X {
@@ -112,7 +122,8 @@ func main() {
 				worst = d
 			}
 		}
-		fmt.Printf("  %-26s %d Newton steps, %4d inner iterations, %.3f virtual s, error %.2e\n",
+		fmt.Fprintf(w, "  %-26s %d Newton steps, %4d inner iterations, %.3f virtual s, error %.2e\n",
 			mode.name, res.NewtonIterations, res.InnerIterations, res.Time, worst)
 	}
+	return nil
 }

@@ -11,7 +11,7 @@ package gen
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 	"repro/internal/vec"
@@ -59,53 +59,51 @@ func DiagDominant(o DiagDominantOpts) *sparse.CSR {
 	o.defaults()
 	n := o.N
 	rng := rand.New(rand.NewSource(o.Seed))
-	co := sparse.NewCOO(n, n)
+	// The longest row: its chain neighbours or PerRow draws, at most n−1,
+	// plus the diagonal.
+	rowCap := min(max(o.PerRow, 2), n-1) + 1
+	m := newRows(n, n*rowCap)
+	cols := make([]int, 0, rowCap)
 	for i := 0; i < n; i++ {
-		cols := map[int]bool{}
+		cols = cols[:0]
 		if i > 0 {
-			cols[i-1] = true
+			cols = append(cols, i-1)
 		}
 		if i < n-1 {
-			cols[i+1] = true
+			cols = append(cols, i+1)
 		}
 		// Cap the target by the columns actually reachable inside the band
 		// (rows near the boundary have fewer candidates).
-		lo, hi := i-o.Band, i+o.Band
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n-1 {
-			hi = n - 1
-		}
-		want := o.PerRow
-		if avail := hi - lo; avail < want {
-			want = avail
-		}
+		want := min(o.PerRow, min(i+o.Band, n-1)-max(i-o.Band, 0))
 		for len(cols) < want {
 			off := rng.Intn(2*o.Band+1) - o.Band
 			j := i + off
 			if j == i || j < 0 || j >= n {
 				continue
 			}
-			cols[j] = true
+			cols, _ = insert(cols, j)
 		}
+		var d int
+		cols, d = insert(cols, i)
+		v := addRow(m, cols)
 		sum := 0.0
-		for _, j := range sortedKeys(cols) {
-			var v float64
+		for t := range v {
+			if t == d {
+				continue
+			}
 			if o.Negative {
-				v = -(0.05 + 0.95*rng.Float64()) // in [-1,-0.05)
+				v[t] = -(0.05 + 0.95*rng.Float64()) // in [-1,-0.05)
 			} else {
-				v = rng.Float64()*2 - 1 // in [-1,1)
-				if v == 0 {
-					v = 0.5
+				v[t] = rng.Float64()*2 - 1 // in [-1,1)
+				if v[t] == 0 {
+					v[t] = 0.5
 				}
 			}
-			co.Append(i, j, v)
-			sum += math.Abs(v)
+			sum += math.Abs(v[t])
 		}
-		co.Append(i, i, (1+o.Margin)*sum)
+		v[d] = (1 + o.Margin) * sum
 	}
-	return co.ToCSR()
+	return m
 }
 
 // CageLike generates a synthetic stand-in for the UF cage family (DNA
@@ -116,134 +114,100 @@ func DiagDominant(o DiagDominantOpts) *sparse.CSR {
 // couplings, mimicking the cage model's configuration-graph bands.
 func CageLike(n int, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
-	co := sparse.NewCOO(n, n)
 	k := int(math.Sqrt(float64(n)))
 	if k < 2 {
 		k = 2
 	}
-	offsets := []int{-k * 2, -k, -2, -1, 1, 2, k, k * 2}
+	offsets := [...]int{-k * 2, -k, -2, -1, 1, 2, k, k * 2}
+	const extra = 5
+	rowCap := len(offsets) + extra + 1
+	m := newRows(n, n*rowCap)
+	cols := make([]int, 0, rowCap)
 	for i := 0; i < n; i++ {
 		// Deterministic structural couplings plus a few random ones.
-		cols := map[int]bool{}
+		cols = cols[:0]
 		for _, off := range offsets {
 			j := i + off
 			if j >= 0 && j < n && j != i {
-				cols[j] = true
+				cols, _ = insert(cols, j)
 			}
 		}
-		extra := 5
 		for e := 0; e < extra; e++ {
 			j := rng.Intn(n)
 			if j != i {
-				cols[j] = true
+				cols, _ = insert(cols, j)
 			}
 		}
 		// Substochastic off-diagonal mass: rows sum to 1−δ with δ≈0.1.
 		delta := 0.08 + 0.04*rng.Float64()
 		mass := 1 - delta
-		order := sortedKeys(cols)
-		weights := make([]float64, len(order))
+		var d int
+		cols, d = insert(cols, i)
+		v := addRow(m, cols) // each entry's weight, then its share of the mass
 		wsum := 0.0
-		for k := range order {
-			w := 0.1 + rng.Float64()
-			weights[k] = w
-			wsum += w
+		for t := range v {
+			if t != d {
+				v[t] = 0.1 + rng.Float64()
+				wsum += v[t]
+			}
 		}
-		for k, j := range order {
-			co.Append(i, j, -mass*weights[k]/wsum)
+		for t := range v {
+			v[t] = -mass * v[t] / wsum
 		}
-		co.Append(i, i, 1)
+		v[d] = 1
 	}
-	return co.ToCSR()
+	return m
 }
 
 // Poisson2D returns the 5-point finite-difference Laplacian on an nx×ny grid
 // (n = nx·ny unknowns, Dirichlet boundary), a symmetric irreducibly
 // diagonally dominant M-matrix — the paper's Section 5 model problem class.
 func Poisson2D(nx, ny int) *sparse.CSR {
-	n := nx * ny
-	co := sparse.NewCOO(n, n)
-	idx := func(i, j int) int { return i*ny + j }
+	m := newRows(nx*ny, 5*nx*ny)
+	offs, vals := []int{-ny, -1, 0, 1, ny}, []float64{-1, -1, 4, -1, -1}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			r := idx(i, j)
-			co.Append(r, r, 4)
-			if i > 0 {
-				co.Append(r, idx(i-1, j), -1)
-			}
-			if i < nx-1 {
-				co.Append(r, idx(i+1, j), -1)
-			}
-			if j > 0 {
-				co.Append(r, idx(i, j-1), -1)
-			}
-			if j < ny-1 {
-				co.Append(r, idx(i, j+1), -1)
-			}
+			stencil(m, i*ny+j, offs, vals, i > 0, j > 0, true, j < ny-1, i < nx-1)
 		}
 	}
-	return co.ToCSR()
+	return m
 }
 
 // Poisson3D returns the 7-point Laplacian on an nx×ny×nz grid.
 func Poisson3D(nx, ny, nz int) *sparse.CSR {
-	n := nx * ny * nz
-	co := sparse.NewCOO(n, n)
-	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
+	m := newRows(nx*ny*nz, 7*nx*ny*nz)
+	offs, vals := []int{-ny * nz, -nz, -1, 0, 1, nz, ny * nz}, []float64{-1, -1, -1, 6, -1, -1, -1}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
-				r := idx(i, j, k)
-				co.Append(r, r, 6)
-				if i > 0 {
-					co.Append(r, idx(i-1, j, k), -1)
-				}
-				if i < nx-1 {
-					co.Append(r, idx(i+1, j, k), -1)
-				}
-				if j > 0 {
-					co.Append(r, idx(i, j-1, k), -1)
-				}
-				if j < ny-1 {
-					co.Append(r, idx(i, j+1, k), -1)
-				}
-				if k > 0 {
-					co.Append(r, idx(i, j, k-1), -1)
-				}
-				if k < nz-1 {
-					co.Append(r, idx(i, j, k+1), -1)
-				}
+				stencil(m, (i*ny+j)*nz+k, offs, vals, i > 0, j > 0, k > 0, true, k < nz-1, j < ny-1, i < nx-1)
 			}
 		}
 	}
-	return co.ToCSR()
+	return m
 }
 
 // Tridiag returns the tridiagonal Toeplitz matrix with sub-diagonal a, main
 // diagonal b and super-diagonal c.
 func Tridiag(n int, a, b, c float64) *sparse.CSR {
-	co := sparse.NewCOO(n, n)
+	m := newRows(n, 3*n)
+	offs, vals := []int{-1, 0, 1}, []float64{a, b, c}
 	for i := 0; i < n; i++ {
-		if i > 0 {
-			co.Append(i, i-1, a)
-		}
-		co.Append(i, i, b)
-		if i < n-1 {
-			co.Append(i, i+1, c)
-		}
+		stencil(m, i, offs, vals, i > 0, true, i < n-1)
 	}
-	return co.ToCSR()
+	return m
 }
 
-// sortedKeys returns the keys of a column set in increasing order, so value
-// draws from the seeded RNG happen in a deterministic sequence.
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// stencil appends row r of m: vals[t] at column r+offs[t] for each t whose
+// neighbour is inside the grid (in[t]). offs ascend, so the row's columns do.
+func stencil(m *sparse.CSR, r int, offs []int, vals []float64, in ...bool) {
+	for t, off := range offs {
+		if in[t] {
+			m.ColInd = append(m.ColInd, r+off)
+			m.Val = append(m.Val, vals[t])
+		}
 	}
-	sort.Ints(out)
-	return out
+	m.RowPtr = append(m.RowPtr, len(m.Val))
 }
 
 // RandomDominant generates a random strictly diagonally dominant matrix with
@@ -253,35 +217,75 @@ func RandomDominant(n int, perRow int, margin float64, rng *rand.Rand) *sparse.C
 	if perRow < 1 {
 		perRow = 1
 	}
-	co := sparse.NewCOO(n, n)
+	want := min(perRow, n-1)
+	m := newRows(n, n*(want+1))
+	cols := make([]int, 0, want+1)
 	for i := 0; i < n; i++ {
-		cols := map[int]bool{}
-		want := perRow
-		if want > n-1 {
-			want = n - 1
-		}
+		cols = cols[:0]
 		for len(cols) < want {
 			j := rng.Intn(n)
 			if j != i {
-				cols[j] = true
+				cols, _ = insert(cols, j)
 			}
 		}
+		var d int
+		cols, d = insert(cols, i)
+		v := addRow(m, cols)
 		sum := 0.0
-		for _, j := range sortedKeys(cols) {
-			v := rng.NormFloat64()
-			if v == 0 {
-				v = 1
+		for t := range v {
+			if t == d {
+				continue
 			}
-			co.Append(i, j, v)
-			sum += math.Abs(v)
+			v[t] = rng.NormFloat64()
+			if v[t] == 0 {
+				v[t] = 1
+			}
+			sum += math.Abs(v[t])
 		}
 		sign := 1.0
 		if rng.Intn(2) == 0 {
 			sign = -1
 		}
-		co.Append(i, i, sign*(1+margin)*(sum+0.1))
+		v[d] = sign * (1 + margin) * (sum + 0.1)
 	}
-	return co.ToCSR()
+	return m
+}
+
+// newRows returns an n×n matrix with no rows yet and room for nnz entries.
+// Every generator appends its rows in order, each with ascending columns, so
+// no triplet list or re-sort is needed: a random row's column set is a short
+// sorted slice (insert), and its values are drawn in ascending column order.
+func newRows(n, nnz int) *sparse.CSR {
+	return &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, 1, n+1),
+		ColInd: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+}
+
+// addRow appends the next row of m with the ascending columns cols and
+// returns its values, zero, for the caller to fill.
+func addRow(m *sparse.CSR, cols []int) []float64 {
+	p := len(m.Val)
+	m.ColInd = append(m.ColInd, cols...)
+	m.Val = slices.Grow(m.Val, len(cols))[:p+len(cols)]
+	m.RowPtr = append(m.RowPtr, len(m.Val))
+	return m.Val[p:]
+}
+
+// insert adds j to the ascending set s unless it is there already, and
+// returns the set and j's position in it.
+func insert(s []int, j int) ([]int, int) {
+	k := len(s)
+	for k > 0 && s[k-1] > j {
+		k--
+	}
+	if k > 0 && s[k-1] == j {
+		return s, k - 1
+	}
+	s = append(s, j)
+	for q := len(s) - 1; q > k; q-- {
+		s[q] = s[q-1]
+	}
+	s[k] = j
+	return s, k
 }
 
 // RHSForSolution returns b = A·xtrue for a deterministic smooth xtrue

@@ -90,13 +90,37 @@ func nextDataLine(sc *bufio.Scanner) (string, error) {
 	return "", io.ErrUnexpectedEOF
 }
 
+// maxDim bounds a declared dimension. The reader allocates row pointers for
+// the size line's dimensions, so a corrupt size line must fail rather than ask
+// for gigabytes; the bound is above the largest cage matrix (cage15, 5.2
+// million rows).
+const maxDim = 1 << 23
+
+// checkSize rejects a size line whose dimensions are negative or above
+// maxDim, or not square under a symmetric qualifier (the mirrored entry
+// (j,i) must exist).
+func checkSize(h Header, rows, cols int, sizeLine string) error {
+	switch {
+	case rows < 0 || cols < 0:
+		return fmt.Errorf("mmio: negative size in %q", sizeLine)
+	case rows > maxDim || cols > maxDim:
+		return fmt.Errorf("mmio: size %dx%d exceeds the %d limit", rows, cols, maxDim)
+	case h.Symmetry != "general" && rows != cols:
+		return fmt.Errorf("mmio: %s matrix is %dx%d, not square", h.Symmetry, rows, cols)
+	}
+	return nil
+}
+
 func readCoordinate(sc *bufio.Scanner, h Header, sizeLine string) (*sparse.CSR, error) {
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
 		return nil, fmt.Errorf("mmio: bad size line %q: %w", sizeLine, err)
 	}
-	if rows < 0 || cols < 0 || nnz < 0 {
+	if nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative size in %q", sizeLine)
+	}
+	if err := checkSize(h, rows, cols, sizeLine); err != nil {
+		return nil, err
 	}
 	co := sparse.NewCOO(rows, cols)
 	for k := 0; k < nnz; k++ {
@@ -150,6 +174,9 @@ func readArray(sc *bufio.Scanner, h Header, sizeLine string) (*sparse.CSR, error
 	}
 	if h.Field == "pattern" {
 		return nil, fmt.Errorf("mmio: pattern array format is invalid")
+	}
+	if err := checkSize(h, rows, cols, sizeLine); err != nil {
+		return nil, err
 	}
 	co := sparse.NewCOO(rows, cols)
 	read := func(i, j int) error {

@@ -12,16 +12,71 @@ import (
 	"repro/internal/sparse"
 )
 
-func TestReadCoordinateGeneral(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate real general
+// goodInputs are well-formed MatrixMarket streams, one per format and
+// qualifier the reader expands; the Test* functions below check what each
+// reads as, and FuzzReadMatrixMarket starts from them and badInputs.
+var goodInputs = map[string]string{
+	"coordinate general": `%%MatrixMarket matrix coordinate real general
 % a comment
 3 3 4
 1 1 2.5
 2 2 -1
 3 1 4
 3 3 1e2
-`
-	m, err := ReadMatrix(strings.NewReader(in))
+`,
+	"coordinate symmetric": `%%MatrixMarket matrix coordinate real symmetric
+2 2 2
+1 1 3
+2 1 5
+`,
+	"coordinate skew-symmetric": `%%MatrixMarket matrix coordinate real skew-symmetric
+2 2 1
+2 1 4
+`,
+	"coordinate pattern": `%%MatrixMarket matrix coordinate pattern general
+2 3 2
+1 3
+2 1
+`,
+	"array general": `%%MatrixMarket matrix array real general
+2 2
+1
+2
+3
+4
+`,
+	"array symmetric": `%%MatrixMarket matrix array real symmetric
+2 2
+1
+7
+4
+`,
+}
+
+// badInputs are malformed streams ReadMatrix must refuse with an error.
+var badInputs = map[string]string{
+	"empty":                "",
+	"bad banner":           "%%NotMatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\n",
+	"bad object":           "%%MatrixMarket vector coordinate real general\n1 1 1\n",
+	"bad field":            "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 1\n",
+	"bad symmetry":         "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1\n",
+	"missing size":         "%%MatrixMarket matrix coordinate real general\n",
+	"truncated":            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n",
+	"index range":          "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n",
+	"bad value":            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n",
+	"pattern array":        "%%MatrixMarket matrix array pattern general\n1 1\n1\n",
+	"negative size":        "%%MatrixMarket matrix coordinate real general\n-1 2 0\n",
+	"short entry":          "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+	"bad row index":        "%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1\n",
+	"bad col index":        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1\n",
+	"bad array size":       "%%MatrixMarket matrix array real general\nx y\n",
+	"non-square symmetric": "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n2 1 1\n",
+	"negative array size":  "%%MatrixMarket matrix array real general\n-2 2\n",
+	"huge size":            "%%MatrixMarket matrix coordinate real general\n999999999 1 0\n",
+}
+
+func TestReadCoordinateGeneral(t *testing.T) {
+	m, err := ReadMatrix(strings.NewReader(goodInputs["coordinate general"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +89,7 @@ func TestReadCoordinateGeneral(t *testing.T) {
 }
 
 func TestReadCoordinateSymmetric(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate real symmetric
-2 2 2
-1 1 3
-2 1 5
-`
-	m, err := ReadMatrix(strings.NewReader(in))
+	m, err := ReadMatrix(strings.NewReader(goodInputs["coordinate symmetric"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +99,7 @@ func TestReadCoordinateSymmetric(t *testing.T) {
 }
 
 func TestReadCoordinateSkewSymmetric(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate real skew-symmetric
-2 2 1
-2 1 4
-`
-	m, err := ReadMatrix(strings.NewReader(in))
+	m, err := ReadMatrix(strings.NewReader(goodInputs["coordinate skew-symmetric"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +109,7 @@ func TestReadCoordinateSkewSymmetric(t *testing.T) {
 }
 
 func TestReadCoordinatePattern(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate pattern general
-2 3 2
-1 3
-2 1
-`
-	m, err := ReadMatrix(strings.NewReader(in))
+	m, err := ReadMatrix(strings.NewReader(goodInputs["coordinate pattern"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +119,7 @@ func TestReadCoordinatePattern(t *testing.T) {
 }
 
 func TestReadArrayGeneral(t *testing.T) {
-	in := `%%MatrixMarket matrix array real general
-2 2
-1
-2
-3
-4
-`
-	m, err := ReadMatrix(strings.NewReader(in))
+	m, err := ReadMatrix(strings.NewReader(goodInputs["array general"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +130,7 @@ func TestReadArrayGeneral(t *testing.T) {
 }
 
 func TestReadArraySymmetric(t *testing.T) {
-	in := `%%MatrixMarket matrix array real symmetric
-2 2
-1
-7
-4
-`
-	m, err := ReadMatrix(strings.NewReader(in))
+	m, err := ReadMatrix(strings.NewReader(goodInputs["array symmetric"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,24 +140,7 @@ func TestReadArraySymmetric(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad banner":     "%%NotMatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\n",
-		"bad object":     "%%MatrixMarket vector coordinate real general\n1 1 1\n",
-		"bad field":      "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 1\n",
-		"bad symmetry":   "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1\n",
-		"missing size":   "%%MatrixMarket matrix coordinate real general\n",
-		"truncated":      "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n",
-		"index range":    "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n",
-		"bad value":      "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n",
-		"pattern array":  "%%MatrixMarket matrix array pattern general\n1 1\n1\n",
-		"negative size":  "%%MatrixMarket matrix coordinate real general\n-1 2 0\n",
-		"short entry":    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
-		"bad row index":  "%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1\n",
-		"bad col index":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1\n",
-		"bad array size": "%%MatrixMarket matrix array real general\nx y\n",
-	}
-	for name, in := range cases {
+	for name, in := range badInputs {
 		if _, err := ReadMatrix(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}

@@ -10,6 +10,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/vec"
@@ -97,9 +98,9 @@ func (m *CSR) Clone() *CSR {
 }
 
 // shortRowSort is the row length up to which sortRows uses insertion sort.
-// Rows produced by Submatrix/SelectColumns and banded generators are almost
-// always this short, and the insertion sort is allocation-free whereas
-// sort.Sort boxes the rowView into an interface.
+// The rows it sorts (COO input, column-permuted rows) are almost always this
+// short, and the insertion sort is allocation-free whereas sort.Sort boxes
+// the rowView into an interface.
 const shortRowSort = 24
 
 func (m *CSR) sortRows() {
@@ -285,41 +286,78 @@ func (m *CSR) Submatrix(r0, r1, c0, c1 int) *CSR {
 // increasing) across rows [r0,r1), producing an (r1-r0)×len(cols) matrix
 // whose column k corresponds to original column cols[k].
 func (m *CSR) SelectColumns(r0, r1 int, cols []int) *CSR {
+	m.checkSelect("SelectColumns", r0, r1, cols)
+	rows := r1 - r0
+	rowPtr := make([]int, rows+1)
+	for i := r0; i < r1; i++ {
+		rowPtr[i-r0+1] = rowPtr[i-r0] + m.selectRow(i, cols, nil, nil, nil)
+	}
+	nnz := rowPtr[rows]
+	colInd := make([]int, nnz)
+	val := make([]float64, nnz)
+	for i := r0; i < r1; i++ {
+		a := rowPtr[i-r0]
+		m.selectRow(i, cols, colInd[a:], val[a:], nil)
+	}
+	return &CSR{Rows: rows, Cols: len(cols), RowPtr: rowPtr, ColInd: colInd, Val: val}
+}
+
+// checkSelect panics unless rows [r0,r1) are in range and cols is a strictly
+// increasing list of columns of m.
+func (m *CSR) checkSelect(op string, r0, r1 int, cols []int) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic("sparse: SelectColumns row range out of bounds")
+		panic("sparse: " + op + " row range out of bounds")
 	}
 	for k := 1; k < len(cols); k++ {
 		if cols[k] <= cols[k-1] {
-			panic("sparse: SelectColumns columns not strictly increasing")
+			panic("sparse: " + op + " columns not strictly increasing")
 		}
 	}
 	if len(cols) > 0 && (cols[0] < 0 || cols[len(cols)-1] >= m.Cols) {
-		panic("sparse: SelectColumns column out of range")
+		panic("sparse: " + op + " column out of range")
 	}
-	newCol := make(map[int]int, len(cols))
-	for k, j := range cols {
-		newCol[j] = k
+}
+
+// selectRow walks row i's ascending columns forward against the ascending
+// cols, from the first of cols at or past the row's first column, and
+// returns how many of the row's entries it selects. For the t-th, in row
+// order, it writes the column's index in cols to ks[t], its value to vs[t]
+// and its position in m.Val to ps[t]; a nil slice is not written.
+func (m *CSR) selectRow(i int, cols, ks []int, vs []float64, ps []int) int {
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	if lo == hi {
+		return 0
 	}
-	rows := r1 - r0
-	rowPtr := make([]int, rows+1)
-	nnz := 0
-	for p := m.RowPtr[r0]; p < m.RowPtr[r1]; p++ {
-		if _, ok := newCol[m.ColInd[p]]; ok {
-			nnz++
-		}
+	ind := m.ColInd[lo:hi]
+	k, _ := slices.BinarySearch(cols, ind[0])
+	if k == len(cols) || cols[k] > ind[len(ind)-1] {
+		return 0 // the usual band row: no listed column inside its span
 	}
-	colInd := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for i := r0; i < r1; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			if k, ok := newCol[m.ColInd[p]]; ok {
-				colInd = append(colInd, k)
-				val = append(val, m.Val[p])
+	t := 0
+	for p := 0; p < len(ind) && k < len(cols); p++ {
+		if j := ind[p]; cols[k] > j {
+			continue
+		} else if cols[k] < j {
+			// Skip the listed columns the row does not store in one search:
+			// a band row's span can cover hundreds of them.
+			d, found := slices.BinarySearch(cols[k:], j)
+			if k += d; !found {
+				continue
 			}
 		}
-		rowPtr[i-r0+1] = len(val)
+		if ks != nil {
+			ks[t] = k
+		}
+		if vs != nil {
+			vs[t] = m.Val[lo+p]
+		}
+		if ps != nil {
+			ps[t] = lo + p
+		}
+		t++
+		k++
 	}
-	return &CSR{Rows: rows, Cols: len(cols), RowPtr: rowPtr, ColInd: colInd, Val: val}
+	return t
 }
 
 // SubmatrixMap returns, for each stored entry of Submatrix(r0, r1, c0, c1)
@@ -349,20 +387,14 @@ func (m *CSR) SubmatrixMap(r0, r1, c0, c1 int) []int {
 // positions in m.Val of the entries SelectColumns(r0, r1, cols) extracts, in
 // extraction order.
 func (m *CSR) SelectColumnsMap(r0, r1 int, cols []int) []int {
-	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic("sparse: SelectColumnsMap row range out of bounds")
-	}
-	newCol := make(map[int]int, len(cols))
-	for k, j := range cols {
-		newCol[j] = k
-	}
-	var out []int
+	m.checkSelect("SelectColumnsMap", r0, r1, cols)
+	nnz := 0
 	for i := r0; i < r1; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			if _, ok := newCol[m.ColInd[p]]; ok {
-				out = append(out, p)
-			}
-		}
+		nnz += m.selectRow(i, cols, nil, nil, nil)
+	}
+	out := make([]int, nnz)
+	for i, t := r0, 0; i < r1; i++ {
+		t += m.selectRow(i, cols, nil, nil, out[t:])
 	}
 	return out
 }
@@ -426,7 +458,9 @@ func (m *CSR) ToCSC() *CSC {
 
 // Permute returns P·A·Qᵀ where rowPerm and colPerm give, for each original
 // index, its new position: new[rowPerm[i]][colPerm[j]] = old[i][j]. A nil
-// permutation means identity.
+// permutation means identity; a non-nil one must be a permutation. Each old
+// row is copied to its new place (a counting sort on the new row index) and,
+// when columns move, re-sorted.
 func (m *CSR) Permute(rowPerm, colPerm []int) *CSR {
 	if rowPerm != nil && len(rowPerm) != m.Rows {
 		panic("sparse: Permute row permutation size mismatch")
@@ -434,21 +468,35 @@ func (m *CSR) Permute(rowPerm, colPerm []int) *CSR {
 	if colPerm != nil && len(colPerm) != m.Cols {
 		panic("sparse: Permute column permutation size mismatch")
 	}
-	co := NewCOO(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		ni := i
-		if rowPerm != nil {
-			ni = rowPerm[i]
+	newRow := func(i int) int {
+		if rowPerm == nil {
+			return i
 		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			nj := m.ColInd[p]
-			if colPerm != nil {
-				nj = colPerm[nj]
-			}
-			co.Append(ni, nj, m.Val[p])
+		return rowPerm[i]
+	}
+	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1),
+		ColInd: make([]int, m.NNZ()), Val: make([]float64, m.NNZ())}
+	for i := 0; i < m.Rows; i++ {
+		out.RowPtr[newRow(i)+1] = m.RowPtr[i+1] - m.RowPtr[i]
+	}
+	for i := 0; i < m.Rows; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+	}
+	for i := 0; i < m.Rows; i++ {
+		lo, hi, q := m.RowPtr[i], m.RowPtr[i+1], out.RowPtr[newRow(i)]
+		copy(out.Val[q:], m.Val[lo:hi])
+		if colPerm == nil {
+			copy(out.ColInd[q:], m.ColInd[lo:hi])
+			continue
+		}
+		for p, j := range m.ColInd[lo:hi] {
+			out.ColInd[q+p] = colPerm[j]
 		}
 	}
-	return co.ToCSR()
+	if colPerm != nil {
+		out.sortRows()
+	}
+	return out
 }
 
 // Diagonal returns the main diagonal as a dense slice of length min(Rows,Cols).
