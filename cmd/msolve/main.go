@@ -43,8 +43,10 @@
 // attribution, and per-lane scheduler stats on sharded runs; analyzed with
 // cmd/msprof), and -stream-trace flushes the Perfetto trace incrementally
 // behind a bounded flight-recorder ring so span memory stays flat on huge
-// grids. All outputs are deterministic for any -workers and -lanes value
-// (-lanes 0 shards the event core into one scheduler lane per cluster).
+// grids. -trace prints a per-processor activity timeline drawn from the same
+// record, so it cannot be combined with -stream-trace, which retains no span.
+// All outputs are deterministic for any -workers and -lanes value (-lanes 0
+// shards the event core into one scheduler lane per cluster).
 //
 // The fault flags inject deterministic failures into the simulated grid:
 // -drop loses each message crossing -drop-link (default the inter-site
@@ -200,6 +202,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = errors.New("-lanes must be >= 0")
 	case s.workers < 0:
 		err = errors.New("-workers must be >= 0")
+	case s.trace && s.export.StreamTrace:
+		err = errors.New("-stream-trace does not retain spans, so -trace has no timeline to draw; drop one of the two")
 	case s.twoStage && s.opts.TwoStage.InnerIters < 1:
 		// InnerIters 0 means "two-stage off" to the solver: it would
 		// silently run the exact band solves instead.
@@ -315,18 +319,19 @@ func (s *spec) solve(stdout io.Writer) error {
 		fmt.Fprintf(stdout, "fault injection: seed %d, drop %.3g on %q, crash schedule %q, slowdown schedule %q, fault-tolerant %v\n",
 			s.faultSeed, s.drop, s.dropLink, s.crash, s.slow, s.opts.FaultTolerant)
 	}
-	var timeline *vgrid.Recorder
-	if s.trace {
-		timeline = &vgrid.Recorder{}
-		e.Record(timeline)
-	}
+	// rec is the run's one event record: the export's recorder, or a bare
+	// one when only -trace needs it.
 	var ex *obs.Exporting
+	var rec *obs.Recorder
 	if s.export != (obs.Export{}) {
 		if ex, err = s.export.Begin(); err != nil {
 			return err
 		}
-		e.Observe(ex.Rec)
+		rec = ex.Rec
+	} else if s.trace {
+		rec = &obs.Recorder{}
 	}
+	e.Observe(rec)
 	if s.export.Window > 0 {
 		e.SetLaneTelemetry(s.export.Window)
 	}
@@ -360,7 +365,7 @@ func (s *spec) solve(stdout io.Writer) error {
 	}
 	if s.trace {
 		fmt.Fprintln(stdout, "\nper-processor activity timeline (event density over virtual time):")
-		if err := timeline.WriteTimeline(stdout, 64); err != nil {
+		if err := writeTimeline(stdout, timelineEvents(rec, e.Stats()), 64); err != nil {
 			return err
 		}
 	}

@@ -215,6 +215,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-stream-trace"}, "msolve: -stream-trace needs -trace-json\n"},
 		{[]string{"-stream-trace", "-trace-json", "DIR/t.json", "-critical-path"},
 			"msolve: -stream-trace does not retain spans, so -critical-path is unavailable; drop one of the two\n"},
+		{[]string{"-trace", "-stream-trace", "-trace-json", "DIR/t.json"},
+			"msolve: -stream-trace does not retain spans, so -trace has no timeline to draw; drop one of the two\n"},
 		{[]string{"-two-stage", "-inner", "0"}, "msolve: -two-stage needs -inner >= 1\n"},
 		{[]string{"-window", "-1"}, "msolve: -window must be >= 0\n"},
 		{[]string{"-procs", "0"}, "msolve: -procs must be >= 1\n"},

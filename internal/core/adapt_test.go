@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/vgrid"
 )
 
@@ -39,8 +40,8 @@ func degradedPlan() *vgrid.FaultPlan {
 
 // adaptiveSolve runs one solve on a 6-host, 3-cluster synthetic grid (lane
 // shardable: one lane per cluster) with the given fault plan, worker count
-// and lane count, capturing the full scheduler trace.
-func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Options) (*Result, string) {
+// and lane count, capturing its record (recordOf).
+func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Options) (*Result, runRecord) {
 	t.Helper()
 	a := gen.DiagDominant(adaptGen)
 	b, _ := gen.RHSForSolution(a)
@@ -52,8 +53,8 @@ func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Op
 	if lanes >= 0 {
 		e.SetLanes(lanes)
 	}
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
@@ -65,7 +66,7 @@ func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Op
 		t.Fatal(err)
 	}
 	pend.Finish()
-	return pend.Result(), sb.String()
+	return pend.Result(), recordOf(e, rec)
 }
 
 // adaptXTrue is the reference solution of the system adaptiveSolve builds.
@@ -145,7 +146,7 @@ func TestAdaptiveNoFaultsNoResplit(t *testing.T) {
 
 // TestAdaptiveDeterministicAcrossLanesAndWorkers is the tentpole determinism
 // contract: with the controller live on a fault-laden topology, the engine
-// must produce byte-identical traces, bitwise-identical iterates and the
+// must produce byte-identical obs records, bitwise-identical iterates and the
 // same resplit timeline for every worker and lane count.
 func TestAdaptiveDeterministicAcrossLanesAndWorkers(t *testing.T) {
 	cases := []struct {
@@ -163,10 +164,9 @@ func TestAdaptiveDeterministicAcrossLanesAndWorkers(t *testing.T) {
 	}
 	for _, tc := range cases[1:] {
 		t.Run(tc.name, func(t *testing.T) {
-			res, trace := adaptiveSolve(t, tc.workers, tc.lanes, degradedPlan(), adaptOptions())
-			if trace != refTrace {
-				d := firstDiffLine(refTrace, trace)
-				t.Fatalf("trace diverges from w1-l1 (first differing line %d):\nref: %s\ngot: %s", d[0], d[1], d[2])
+			res, record := adaptiveSolve(t, tc.workers, tc.lanes, degradedPlan(), adaptOptions())
+			if d := refTrace.diff(record); d != "" {
+				t.Fatalf("record diverges from w1-l1: %s", d)
 			}
 			if res.Iterations != ref.Iterations || res.Time != ref.Time {
 				t.Fatalf("results diverge: %d/%v vs %d/%v", res.Iterations, res.Time, ref.Iterations, ref.Time)

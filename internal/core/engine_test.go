@@ -1,25 +1,26 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/vgrid"
 )
 
 // runWithWorkers solves a Table-1-shaped system on an 8-host LAN with the
-// given worker count, capturing the full scheduler trace.
-func runWithWorkers(t *testing.T, workers int, o Options) (string, *Result) {
+// given worker count, capturing its record (recordOf).
+func runWithWorkers(t *testing.T, workers int, o Options) (runRecord, *Result) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 712, Band: 60, PerRow: 10, Margin: 0.05, Negative: true, Seed: 1010})
 	b, _ := gen.RHSForSolution(a)
 	pl, hosts := lanPlatform(8, 0)
 	e := vgrid.NewEngine(pl)
 	e.SetWorkers(workers)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	pend, err := Launch(e, hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +31,12 @@ func runWithWorkers(t *testing.T, workers int, o Options) (string, *Result) {
 	}
 	pend.res.Time = end
 	pend.Finish()
-	return sb.String(), pend.Result()
+	return recordOf(e, rec), pend.Result()
 }
 
 // TestEngineWorkersDeterministic: running the compute segments on a pool of
-// 4 OS threads must leave the simulation bit-for-bit unchanged — the byte
-// stream of scheduler events, the solution vector, the iteration counts and
+// 4 OS threads must leave the simulation bit-for-bit unchanged — the obs
+// record of every scheduler event, the solution vector, the iteration counts and
 // the flop totals all identical to the fully serial run.
 func TestEngineWorkersDeterministic(t *testing.T) {
 	cases := []struct {
@@ -49,9 +50,8 @@ func TestEngineWorkersDeterministic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr1, res1 := runWithWorkers(t, 1, tc.o)
 			tr4, res4 := runWithWorkers(t, 4, tc.o)
-			if tr1 != tr4 {
-				d := firstDiffLine(tr1, tr4)
-				t.Fatalf("traces diverge (first differing line %d):\n1 worker:  %s\n4 workers: %s", d[0], d[1], d[2])
+			if d := tr1.diff(tr4); d != "" {
+				t.Fatalf("records diverge between 1 and 4 workers: %s", d)
 			}
 			if res1.Iterations != res4.Iterations {
 				t.Fatalf("iterations: %d vs %d", res1.Iterations, res4.Iterations)
@@ -77,13 +77,45 @@ func TestEngineWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func firstDiffLine(a, b string) [3]interface{} {
-	la := strings.Split(a, "\n")
-	lb := strings.Split(b, "\n")
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if la[i] != lb[i] {
-			return [3]interface{}{i + 1, la[i], lb[i]}
+// runRecord is everything two runs of one deterministic simulation must
+// agree on: the engine's commit count and end time and the whole obs record.
+type runRecord struct {
+	commits  int64
+	end      float64
+	spans    []obs.Span
+	samples  []obs.SamplePoint
+	counters []obs.CounterTotal
+}
+
+// recordOf collects a finished run's record.
+func recordOf(e *vgrid.Engine, rec *obs.Recorder) runRecord {
+	commits, _ := e.EventStats()
+	return runRecord{commits: commits, end: e.Now(), spans: rec.Spans(), samples: rec.Samples(), counters: rec.Counters()}
+}
+
+// diff describes the first difference between two records ("" when they are
+// identical).
+func (r runRecord) diff(o runRecord) string {
+	if r.commits != o.commits || r.end != o.end {
+		return fmt.Sprintf("%d commits ending at %v vs %d ending at %v", r.commits, r.end, o.commits, o.end)
+	}
+	if d := firstDiff("span", r.spans, o.spans); d != "" {
+		return d
+	}
+	if d := firstDiff("sample", r.samples, o.samples); d != "" {
+		return d
+	}
+	return firstDiff("counter", r.counters, o.counters)
+}
+
+func firstDiff[T comparable](what string, a, b []T) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("%s %d: %+v vs %+v", what, i, a[i], b[i])
 		}
 	}
-	return [3]interface{}{len(la), "<end>", "<end>"}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d vs %d %ss", len(a), len(b), what)
+	}
+	return ""
 }

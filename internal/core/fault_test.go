@@ -2,16 +2,18 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/vgrid"
 )
 
 // faultedSolve runs one distributed solve on a 2+2 two-site platform with an
-// optional fault plan, capturing the full engine trace.
-func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options) (*Result, string, error) {
+// optional fault plan, capturing its record (recordOf).
+func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options) (*Result, runRecord, error) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Seed: 23})
 	b, _ := gen.RHSForSolution(a)
@@ -20,11 +22,8 @@ func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options)
 	if workers > 0 {
 		e.SetWorkers(workers)
 	}
-	var trace strings.Builder
-	e.Trace = func(line string) {
-		trace.WriteString(line)
-		trace.WriteByte('\n')
-	}
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
@@ -35,7 +34,7 @@ func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options)
 	end, err := e.Run()
 	pend.res.Time = end
 	pend.done = true
-	return pend.Result(), trace.String(), err
+	return pend.Result(), recordOf(e, rec), err
 }
 
 func ftAsyncOptions() Options {
@@ -44,7 +43,7 @@ func ftAsyncOptions() Options {
 
 // TestFaultedSolveDeterministicAcrossWorkers: a full fault-tolerant
 // asynchronous solve under 5% WAN message drop must produce byte-identical
-// engine traces for a serial and a 4-thread worker pool.
+// obs records for a serial and a 4-thread worker pool.
 func TestFaultedSolveDeterministicAcrossWorkers(t *testing.T) {
 	plan := func() *vgrid.FaultPlan {
 		return vgrid.NewFaultPlan(7).DropOnLink("wan", 0, math.Inf(1), 0.05)
@@ -54,8 +53,8 @@ func TestFaultedSolveDeterministicAcrossWorkers(t *testing.T) {
 	if err1 != nil || err4 != nil {
 		t.Fatalf("faulted solves failed: %v / %v", err1, err4)
 	}
-	if tr1 != tr4 {
-		t.Fatal("engine traces differ between 1 and 4 workers under faults")
+	if d := tr1.diff(tr4); d != "" {
+		t.Fatalf("obs records differ between 1 and 4 workers under faults: %s", d)
 	}
 	if res1.Time != res4.Time || res1.Iterations != res4.Iterations {
 		t.Fatalf("results differ: time %v vs %v, iters %d vs %d",
@@ -64,15 +63,15 @@ func TestFaultedSolveDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestZeroFaultSolveIdenticalToNoPlan: installing an empty fault plan must
-// not perturb the trace of a fault-free solve in any way.
+// not perturb the obs record of a fault-free solve in any way.
 func TestZeroFaultSolveIdenticalToNoPlan(t *testing.T) {
 	_, trNone, errNone := faultedSolve(t, 0, nil, ftAsyncOptions())
 	_, trZero, errZero := faultedSolve(t, 0, vgrid.NewFaultPlan(99), ftAsyncOptions())
 	if errNone != nil || errZero != nil {
 		t.Fatalf("solves failed: %v / %v", errNone, errZero)
 	}
-	if trNone != trZero {
-		t.Fatal("zero-fault plan perturbed the engine trace")
+	if d := trNone.diff(trZero); d != "" {
+		t.Fatalf("zero-fault plan perturbed the obs record: %s", d)
 	}
 }
 
@@ -127,12 +126,18 @@ func TestAsyncCrashRestartConverges(t *testing.T) {
 	}
 	from, until := 0.25*clean.Time, 0.5*clean.Time
 	plan := vgrid.NewFaultPlan(3).CrashHost("h2", from, until)
-	res, trace, err := faultedSolve(t, 0, plan, ftAsyncOptions())
+	res, record, err := faultedSolve(t, 0, plan, ftAsyncOptions())
 	if err != nil {
 		t.Fatalf("crash/restart solve: %v", err)
 	}
-	if !strings.Contains(trace, "h2 crash") || !strings.Contains(trace, "h2 restart") {
-		t.Fatal("trace does not record the crash/restart events")
+	var marks []string
+	for _, s := range record.spans {
+		if s.Cat == obs.CatMark {
+			marks = append(marks, s.Track+" "+s.Name)
+		}
+	}
+	if !reflect.DeepEqual(marks, []string{"h2 crash", "h2 restart"}) {
+		t.Fatalf("the obs record marks %q, want the plan's crash and restart", marks)
 	}
 	checkSolution(t, res, xtrue, 1e-6)
 	if res.Time <= clean.Time {

@@ -2,12 +2,12 @@ package core
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 	"repro/internal/vgrid"
@@ -75,10 +75,10 @@ type idleRun struct {
 	res     *Result
 	commits int64
 	syncs   int64
-	trace   string
+	record  runRecord
 }
 
-// idleSolve runs one solve with the scheduler trace captured.
+// idleSolve runs one solve with its record captured (recordOf).
 func idleSolve(t *testing.T, pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.CSR, b []float64, o Options, workers int, plan *vgrid.FaultPlan) idleRun {
 	t.Helper()
 	e := vgrid.NewEngine(pl)
@@ -88,8 +88,8 @@ func idleSolve(t *testing.T, pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	pend, err := Launch(e, hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func idleSolve(t *testing.T, pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.
 	}
 	pend.res.Time = end
 	pend.Finish()
-	r := idleRun{res: pend.Result(), trace: sb.String()}
+	r := idleRun{res: pend.Result(), record: recordOf(e, rec)}
 	r.commits, r.syncs = e.EventStats()
 	if !r.res.Converged {
 		t.Fatal("no convergence")
@@ -146,9 +146,8 @@ func sameRun(t *testing.T, what string, got, want idleRun) {
 	if got.commits != want.commits || got.syncs != want.syncs {
 		t.Errorf("%s: %d commits / %d syncs vs %d / %d", what, got.commits, got.syncs, want.commits, want.syncs)
 	}
-	if got.trace != want.trace {
-		d := firstDiffLine(got.trace, want.trace)
-		t.Errorf("%s: scheduler traces diverge at line %d:\n%s\n%s", what, d[0], d[1], d[2])
+	if d := got.record.diff(want.record); d != "" {
+		t.Errorf("%s: obs records diverge: %s", what, d)
 	}
 }
 

@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/vgrid"
 )
@@ -69,8 +69,8 @@ func launchResolve(t *testing.T, sess *Session, pl *vgrid.Platform, hosts []*vgr
 // runSessionOnEngines drives a 3-step resolve sequence (factor, then two
 // refactorized solves) on a generated two-site grid through Session.Launch,
 // on engines with the given worker and lane counts (lanes 0: one lane per
-// cluster), capturing the concatenated scheduler traces of all three engines.
-func runSessionOnEngines(t *testing.T, workers, lanes int, o Options) (string, []*Result, float64) {
+// cluster), capturing the concatenated obs records of all three engines.
+func runSessionOnEngines(t *testing.T, workers, lanes int, o Options) ([]runRecord, []*Result, float64) {
 	t.Helper()
 	m := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Band: 50, PerRow: 8, Margin: 0.08, Negative: true, Seed: 3030})
 	b, _ := gen.RHSForSolution(m)
@@ -82,26 +82,28 @@ func runSessionOnEngines(t *testing.T, workers, lanes int, o Options) (string, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
+	var records []runRecord
 	var results []*Result
 	for _, v := range append([][]float64{nil}, perturbedVals(m, 2)...) {
 		pl, hosts := factory()
 		var eng *vgrid.Engine
+		rec := &obs.Recorder{}
 		results = append(results, launchResolve(t, sess, pl, hosts, v, b, func(e *vgrid.Engine) {
 			eng = e
 			e.SetWorkers(workers)
 			e.SetLanes(lanes)
-			e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+			e.Observe(rec)
 		}))
+		records = append(records, recordOf(eng, rec))
 		if lanes == 0 && eng.Lanes() != 2 {
 			t.Fatalf("engine ran %d lanes on the two-site grid, want one per cluster", eng.Lanes())
 		}
 	}
-	return sb.String(), results, sess.FactorFlops
+	return records, results, sess.FactorFlops
 }
 
 // TestSessionWorkersDeterministic: with sessions and refactorization enabled,
-// the concatenated scheduler traces of a factor + refactor + refactor resolve
+// the concatenated obs records of a factor + refactor + refactor resolve
 // sequence must stay byte-identical across worker and lane counts, in both
 // sync and async mode, along with bitwise-identical solutions and flop
 // totals. The engines are the caller's (Session.Launch): a session has no
@@ -120,9 +122,10 @@ func TestSessionWorkersDeterministic(t *testing.T) {
 			for _, v := range []struct{ workers, lanes int }{{4, 1}, {1, 0}, {4, 0}} {
 				trN, resN, ffN := runSessionOnEngines(t, v.workers, v.lanes, tc.o)
 				what := fmt.Sprintf("%d workers, lanes=%d", v.workers, v.lanes)
-				if tr1 != trN {
-					d := firstDiffLine(tr1, trN)
-					t.Fatalf("%s: traces diverge (first differing line %d):\n1 worker, 1 lane: %s\nthis run:         %s", what, d[0], d[1], d[2])
+				for k := range tr1 {
+					if d := tr1[k].diff(trN[k]); d != "" {
+						t.Fatalf("%s: resolve %d: records diverge: %s", what, k, d)
+					}
 				}
 				if ff1 != ffN {
 					t.Fatalf("%s: factor flops: %v vs %v", what, ff1, ffN)

@@ -33,9 +33,10 @@ func topoTestSystem(t *testing.T) (a *sparse.CSR, b, xtrue []float64) {
 }
 
 // runClustered solves on the clustered two-site platform with full
-// observability and scheduler tracing, returning the per-rank "diff" sample
-// values (the per-iteration successive-iterate criterion) alongside.
-func runClustered(t *testing.T, workers int, o Options) (*Result, string, map[string][]float64) {
+// observability, returning the run's record (recordOf) and the
+// per-rank "diff" sample values (the per-iteration successive-iterate
+// criterion) alongside.
+func runClustered(t *testing.T, workers int, o Options) (*Result, runRecord, map[string][]float64) {
 	t.Helper()
 	a, b, _ := topoTestSystem(t)
 	pl, hosts := twoSiteClustered(2, 2)
@@ -45,8 +46,6 @@ func runClustered(t *testing.T, workers int, o Options) (*Result, string, map[st
 	}
 	rec := &obs.Recorder{}
 	e.Observe(rec)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
 	pend, err := Launch(e, hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +62,7 @@ func runClustered(t *testing.T, workers int, o Options) (*Result, string, map[st
 			iterates[sp.Track] = append(iterates[sp.Track], sp.V)
 		}
 	}
-	return pend.Result(), sb.String(), iterates
+	return pend.Result(), recordOf(e, rec), iterates
 }
 
 // TestGatewaySyncByteIdentical is the plan-equivalence contract: the
@@ -131,7 +130,7 @@ func TestTopoCollectivesByteIdentical(t *testing.T) {
 
 // TestGatewayWorkersDeterministic: the gateway exchange must preserve the
 // engine's worker-count determinism contract — byte-identical scheduler
-// traces and results for 1 vs 4 workers, in every exchange mode.
+// obs records and results for 1 vs 4 workers, in every exchange mode.
 func TestGatewayWorkersDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -145,9 +144,8 @@ func TestGatewayWorkersDeterministic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r1, tr1, _ := runClustered(t, 1, tc.o)
 			r4, tr4, _ := runClustered(t, 4, tc.o)
-			if tr1 != tr4 {
-				d := firstDiffLine(tr1, tr4)
-				t.Fatalf("traces diverge (first differing line %d):\n1 worker:  %s\n4 workers: %s", d[0], d[1], d[2])
+			if d := tr1.diff(tr4); d != "" {
+				t.Fatalf("records diverge between 1 and 4 workers: %s", d)
 			}
 			if r1.Iterations != r4.Iterations || r1.Time != r4.Time {
 				t.Fatalf("results diverge: %d/%v vs %d/%v", r1.Iterations, r1.Time, r4.Iterations, r4.Time)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/iterative"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/splu"
 	"repro/internal/vec"
@@ -212,8 +213,8 @@ func TestTwoStageValidation(t *testing.T) {
 
 // gridSolve runs the solver configured by o on a generated multi-cluster
 // platform with the requested lane and worker counts (lanes < 0: one lane per
-// cluster) and returns the result plus the full engine trace.
-func gridSolve(t *testing.T, o Options, lanes, workers int) (*Result, string) {
+// cluster) and returns the result plus its record (recordOf).
+func gridSolve(t *testing.T, o Options, lanes, workers int) (*Result, runRecord) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 900, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
@@ -229,8 +230,8 @@ func gridSolve(t *testing.T, o Options, lanes, workers int) (*Result, string) {
 	if workers > 0 {
 		e.SetWorkers(workers)
 	}
-	var trace strings.Builder
-	e.Trace = func(line string) { trace.WriteString(line); trace.WriteByte('\n') }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	pend, err := Launch(e, plt.Hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -243,11 +244,11 @@ func gridSolve(t *testing.T, o Options, lanes, workers int) (*Result, string) {
 	if !res.Converged {
 		t.Fatal("no convergence on synthetic grid")
 	}
-	return res, trace.String()
+	return res, recordOf(e, rec)
 }
 
 // assertGridDeterministic pins the determinism contract for one option set:
-// traces and iterates are byte-identical whether the engine runs one lane or
+// obs records and iterates are byte-identical whether the engine runs one lane or
 // one lane per cluster, serial or on a worker pool.
 func assertGridDeterministic(t *testing.T, o Options) {
 	t.Helper()
@@ -275,8 +276,8 @@ func assertGridDeterministic(t *testing.T, o Options) {
 						i, math.Float64bits(got.X[i]), math.Float64bits(ref.X[i]))
 				}
 			}
-			if gotTrace != refTrace {
-				t.Error("engine trace not byte-identical")
+			if d := refTrace.diff(gotTrace); d != "" {
+				t.Errorf("obs record not identical: %s", d)
 			}
 		})
 	}

@@ -3,7 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,49 +13,65 @@ import (
 	"repro/internal/vgrid"
 )
 
-// observedSolve runs a small multisplitting solve on cluster1 with a recorder
-// attached and returns every observability export plus the engine's textual
-// trace and end time.
-func observedSolve(t *testing.T, workers int, async bool, attach bool) (exports [3][]byte, engineTrace string, rec *obs.Recorder, end float64) {
+// solveRun is what observedSolve reports of one run.
+type solveRun struct {
+	// exports are the trace JSON, metrics JSON and metrics CSV (nil without
+	// a recorder).
+	exports [3][]byte
+	rec     *obs.Recorder
+	end     float64
+	// stats, commits, syncs and x are the simulation itself: every
+	// process's final counters, the scheduling volume and the iterate.
+	stats          []vgrid.Stats
+	commits, syncs int64
+	x              []float64
+}
+
+// observedSolve runs a small multisplitting solve on cluster1, with a
+// recorder attached when attach is set, and returns every observability
+// export next to the simulation's own outcome.
+func observedSolve(t *testing.T, workers int, async bool, attach bool) solveRun {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 600, Band: 40, PerRow: 8, Margin: 0.05, Negative: true, Seed: 77})
 	b, _ := gen.RHSForSolution(a)
 	plt := cluster.Cluster1(4, -1)
 	e := vgrid.NewEngine(plt.Platform)
 	e.SetWorkers(workers)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	var r solveRun
 	if attach {
-		rec = &obs.Recorder{}
-		e.Observe(rec)
+		r.rec = &obs.Recorder{}
+		e.Observe(r.rec)
 	}
 	pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{Tol: 1e-8, Overlap: 10, Async: async})
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, err = e.Run()
+	r.end, err = e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pend.Finish()
-	if !pend.Result().Converged {
+	res := pend.Result()
+	if !res.Converged {
 		t.Fatal("solve did not converge")
 	}
+	r.stats, r.x = e.Stats(), res.X
+	r.commits, r.syncs = e.EventStats()
 	if attach {
 		var trace, mj, mc bytes.Buffer
-		if err := obs.WriteTraceJSON(&trace, rec); err != nil {
+		if err := obs.WriteTraceJSON(&trace, r.rec); err != nil {
 			t.Fatal(err)
 		}
-		m := obs.ComputeMetrics(rec, end)
+		m := obs.ComputeMetrics(r.rec, r.end)
 		if err := m.WriteJSON(&mj); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.WriteCSV(&mc); err != nil {
 			t.Fatal(err)
 		}
-		exports = [3][]byte{trace.Bytes(), mj.Bytes(), mc.Bytes()}
+		r.exports = [3][]byte{trace.Bytes(), mj.Bytes(), mc.Bytes()}
 	}
-	return exports, sb.String(), rec, end
+	return r
 }
 
 // TestObsDeterministicAcrossWorkers: with observability on, every export —
@@ -69,14 +85,11 @@ func TestObsDeterministicAcrossWorkers(t *testing.T) {
 			name = "async"
 		}
 		t.Run(name, func(t *testing.T) {
-			e1, tr1, _, _ := observedSolve(t, 1, async, true)
-			e4, tr4, _, _ := observedSolve(t, 4, async, true)
-			if tr1 != tr4 {
-				t.Fatal("engine traces diverge between worker counts")
-			}
+			r1 := observedSolve(t, 1, async, true)
+			r4 := observedSolve(t, 4, async, true)
 			labels := []string{"trace JSON", "metrics JSON", "metrics CSV"}
-			for i := range e1 {
-				if !bytes.Equal(e1[i], e4[i]) {
+			for i := range r1.exports {
+				if !bytes.Equal(r1.exports[i], r4.exports[i]) {
 					t.Fatalf("%s differs between 1 and 4 workers", labels[i])
 				}
 			}
@@ -88,8 +101,8 @@ func TestObsDeterministicAcrossWorkers(t *testing.T) {
 // decomposition must cover the walk's makespan within 1% (it is exact by
 // construction; the gate leaves float headroom).
 func TestObsCriticalPathSumsToMakespan(t *testing.T) {
-	_, _, rec, end := observedSolve(t, 1, false, true)
-	cp := obs.CriticalPath(rec)
+	r := observedSolve(t, 1, false, true)
+	cp := obs.CriticalPath(r.rec)
 	if cp == nil {
 		t.Fatal("no critical path from an instrumented run")
 	}
@@ -97,21 +110,30 @@ func TestObsCriticalPathSumsToMakespan(t *testing.T) {
 	if math.Abs(sum-cp.Makespan) > 0.01*cp.Makespan {
 		t.Fatalf("decomposition %g vs makespan %g off by more than 1%%", sum, cp.Makespan)
 	}
-	if cp.Makespan > end {
-		t.Fatalf("critical-path makespan %g exceeds engine end %g", cp.Makespan, end)
+	if cp.Makespan > r.end {
+		t.Fatalf("critical-path makespan %g exceeds engine end %g", cp.Makespan, r.end)
 	}
 }
 
 // TestObsOffLeavesSimulationUnchanged: attaching a recorder must not perturb
-// the simulation — the engine's textual trace (every scheduling decision and
-// virtual timestamp) is byte-identical with and without observability.
+// the simulation — every process's final clock, flops, busy and blocked time
+// and traffic, the scheduling volume, the end time and every bit of the
+// iterate are identical with and without observability.
 func TestObsOffLeavesSimulationUnchanged(t *testing.T) {
-	_, trOff, _, endOff := observedSolve(t, 1, false, false)
-	_, trOn, _, endOn := observedSolve(t, 1, false, true)
-	if trOff != trOn {
-		t.Fatal("observability changed the engine trace")
+	off := observedSolve(t, 1, false, false)
+	on := observedSolve(t, 1, false, true)
+	if !reflect.DeepEqual(off.stats, on.stats) {
+		t.Fatalf("observability changed the per-process stats:\noff %+v\non  %+v", off.stats, on.stats)
 	}
-	if endOff != endOn {
-		t.Fatalf("observability changed the end time: %g vs %g", endOff, endOn)
+	if off.commits != on.commits || off.syncs != on.syncs {
+		t.Fatalf("observability changed the event stats: %d/%d commits/syncs vs %d/%d", off.commits, off.syncs, on.commits, on.syncs)
+	}
+	if math.Float64bits(off.end) != math.Float64bits(on.end) {
+		t.Fatalf("observability changed the end time: %g vs %g", off.end, on.end)
+	}
+	for i := range off.x {
+		if math.Float64bits(off.x[i]) != math.Float64bits(on.x[i]) {
+			t.Fatalf("observability changed x[%d]: %v vs %v", i, off.x[i], on.x[i])
+		}
 	}
 }

@@ -160,29 +160,6 @@ func (f *denseFact) RefactorFlops() float64 { return f.lu.Flops }
 // there is no degraded state to fall back from.
 func (f *denseFact) Fallbacks() int { return 0 }
 
-// Refactor implements Refactorer for the Cholesky adapter.
-func (f *cholFact) Refactor(a *sparse.CSR, c *vec.Counter) error {
-	if a.Rows != f.n || a.Cols != f.n {
-		return fmt.Errorf("splu: Refactor needs %dx%d matrix, got %dx%d", f.n, f.n, a.Rows, a.Cols)
-	}
-	d := f.scratch
-	for i := range d.Data {
-		d.Data[i] = 0
-	}
-	for i := 0; i < f.n; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			d.Data[i*d.Cols+a.ColInd[p]] = a.Val[p]
-		}
-	}
-	return f.ch.Refactor(d, c)
-}
-
-// RefactorFlops implements Refactorer (value-dependent; see interface doc).
-func (f *cholFact) RefactorFlops() float64 { return f.ch.Flops }
-
-// Fallbacks implements Refactorer.
-func (f *cholFact) Fallbacks() int { return 0 }
-
 // Refactor implements Refactorer for the band adapter: refill the band
 // storage (applying the frozen RCM permutation directly, so no permuted CSR
 // is materialized) and re-run the gbtrf elimination in place.

@@ -13,7 +13,6 @@ import (
 var (
 	_ Refactorer = (*sparseFactors)(nil)
 	_ Refactorer = (*denseFact)(nil)
-	_ Refactorer = (*cholFact)(nil)
 	_ Refactorer = (*bandFact)(nil)
 )
 
@@ -149,7 +148,6 @@ func TestRefactorDenseFamily(t *testing.T) {
 		a *sparse.CSR
 	}{
 		{DenseSolver{}, gen.DiagDominant(gen.DiagDominantOpts{N: 60, Seed: 3})},
-		{CholeskySolver{}, gen.Poisson2D(8, 8)},
 		{BandSolver{}, gen.Tridiag(100, -1, 4, -1)},
 	}
 	for _, tc := range cases {

@@ -658,45 +658,6 @@ func (f *denseFact) FactorFlops() float64                 { return f.lu.Flops }
 func (f *denseFact) SolveFlops() float64                  { return 2 * float64(f.n) * float64(f.n) }
 func (f *denseFact) Bytes() int64                         { return int64(f.n) * int64(f.n) * 8 }
 
-// CholeskySolver adapts the dense Cholesky factorization to the Direct
-// interface, for symmetric positive definite bands (e.g. discretized
-// Laplacians). Factor fails with dense.ErrNotSPD on indefinite input.
-type CholeskySolver struct{}
-
-// Name implements Direct.
-func (CholeskySolver) Name() string { return "cholesky" }
-
-// Factor implements Direct.
-func (CholeskySolver) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	d := dense.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			d.Set(i, a.ColInd[p], a.Val[p])
-		}
-	}
-	ch, err := dense.FactorCholesky(d, c)
-	if err != nil {
-		return nil, err
-	}
-	return &cholFact{ch: ch, n: n, scratch: d}, nil
-}
-
-type cholFact struct {
-	ch *dense.Cholesky
-	n  int
-	// scratch is the dense image of the input, reused by Refactor.
-	scratch *dense.Matrix
-}
-
-func (f *cholFact) Solve(x, b []float64, c *vec.Counter) { f.ch.Solve(x, b, c) }
-func (f *cholFact) FactorFlops() float64                 { return f.ch.Flops }
-func (f *cholFact) SolveFlops() float64                  { return 2 * float64(f.n) * float64(f.n) }
-func (f *cholFact) Bytes() int64                         { return int64(f.n) * int64(f.n) * 8 }
-
 // BandSolver adapts the banded LU to the Direct interface. When Reorder is
 // true the matrix is first RCM-permuted to shrink the band.
 type BandSolver struct {

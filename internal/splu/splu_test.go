@@ -164,42 +164,6 @@ func TestSparseLUFillCounts(t *testing.T) {
 	}
 }
 
-func TestCholeskySolverOnPoisson(t *testing.T) {
-	a := gen.Poisson2D(8, 8)
-	solveCheck(t, CholeskySolver{}, a, 1e-9)
-}
-
-func TestCholeskySolverRejectsNonSPD(t *testing.T) {
-	a := gen.CageLike(30, 2) // nonsymmetric
-	var c vec.Counter
-	if _, err := (CholeskySolver{}).Factor(a, &c); err == nil {
-		t.Fatal("nonsymmetric matrix accepted by Cholesky")
-	}
-}
-
-func TestCholeskyInMultisplittingPosition(t *testing.T) {
-	// The Cholesky solver plugs into the Direct seam like any other.
-	solvers := []Direct{CholeskySolver{}, &SparseLU{}}
-	a := gen.Poisson2D(10, 10)
-	b, _ := gen.RHSForSolution(a)
-	var sols [][]float64
-	for _, d := range solvers {
-		var c vec.Counter
-		f, err := d.Factor(a, &c)
-		if err != nil {
-			t.Fatalf("%s: %v", d.Name(), err)
-		}
-		x := make([]float64, a.Rows)
-		f.Solve(x, b, &c)
-		sols = append(sols, x)
-	}
-	for i := range sols[0] {
-		if math.Abs(sols[0][i]-sols[1][i]) > 1e-7 {
-			t.Fatalf("cholesky and sparse LU disagree at %d", i)
-		}
-	}
-}
-
 func TestDenseSolver(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 60, Seed: 3})
 	solveCheck(t, DenseSolver{}, a, 1e-8)

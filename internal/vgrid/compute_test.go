@@ -13,8 +13,8 @@ import (
 )
 
 // runComputeScenario spawns nproc processes that alternate declared compute
-// segments with barrier-free sends to their neighbor, records the trace and
-// returns it with the per-process side effects and the end time.
+// segments with sleeps, records the run (recordString) and returns the record
+// with the per-process side effects and the end time.
 func runComputeScenario(t *testing.T, workers int, segWall time.Duration) (string, []float64, float64) {
 	t.Helper()
 	const nproc = 4
@@ -25,8 +25,8 @@ func runComputeScenario(t *testing.T, workers int, segWall time.Duration) (strin
 	}
 	e := NewEngine(pl)
 	e.SetWorkers(workers)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 
 	results := make([]float64, nproc)
 	for i := 0; i < nproc; i++ {
@@ -50,17 +50,17 @@ func runComputeScenario(t *testing.T, workers int, segWall time.Duration) (strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sb.String(), results, end
+	return recordString(rec), results, end
 }
 
 // TestComputeFuncDeterministic is the scheduler-level determinism check: the
-// trace, the side effects and the end time must be identical whether the
+// obs record, the side effects and the end time must be identical whether the
 // segments run inline (1 worker) or on a pool of 4.
 func TestComputeFuncDeterministic(t *testing.T) {
 	tr1, res1, end1 := runComputeScenario(t, 1, 0)
 	tr4, res4, end4 := runComputeScenario(t, 4, 0)
 	if tr1 != tr4 {
-		t.Fatalf("traces differ between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", tr1, tr4)
+		t.Fatalf("records differ between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", tr1, tr4)
 	}
 	if end1 != end4 {
 		t.Fatalf("end time differs: %v vs %v", end1, end4)
@@ -267,11 +267,11 @@ func TestComputeDeferredCommitsBeforeReturn(t *testing.T) {
 // segment must be dispatched before the first one is collected — each
 // segment waits, with a timeout, until all k bodies have reached their
 // dispatch, which never happens if the lane blocks on the first segment it
-// dispatched — and the trace and the obs export must be the bytes of the
-// inline (workers = 1) run.
+// dispatched — and the obs export must be the bytes of the inline
+// (workers = 1) run.
 func TestDeferredFloorOverlapsTiedProcesses(t *testing.T) {
 	const k = 6
-	run := func(workers int) (trace string, export []byte, late bool) {
+	run := func(workers int) (export []byte, late bool) {
 		pl := NewPlatform()
 		hosts := make([]*Host, k)
 		for i := range hosts {
@@ -281,8 +281,6 @@ func TestDeferredFloorOverlapsTiedProcesses(t *testing.T) {
 		e.SetWorkers(workers)
 		rec := &obs.Recorder{}
 		e.Observe(rec)
-		var sb strings.Builder
-		e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
 		var dispatched atomic.Int32
 		var timedOut atomic.Bool
 		allIn := make(chan struct{})
@@ -314,15 +312,12 @@ func TestDeferredFloorOverlapsTiedProcesses(t *testing.T) {
 		if err := obs.WriteTraceJSON(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String(), buf.Bytes(), timedOut.Load()
+		return buf.Bytes(), timedOut.Load()
 	}
-	tr1, ex1, _ := run(1)
-	tr2, ex2, late := run(2)
+	ex1, _ := run(1)
+	ex2, late := run(2)
 	if late {
 		t.Fatal("a segment was collected before every tied process had dispatched its own")
-	}
-	if tr1 != tr2 {
-		t.Fatalf("trace differs between 1 and 2 workers:\n--- 1 ---\n%s--- 2 ---\n%s", tr1, tr2)
 	}
 	if !bytes.Equal(ex1, ex2) {
 		t.Fatal("obs trace export differs between 1 and 2 workers")

@@ -1,6 +1,31 @@
 package vgrid
 
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/obs"
+)
+
 // Engine knobs and read-outs that only this package's tests use.
+
+// recordString renders everything a recorder holds one item a line: every
+// span in export order, every sample and every counter total, with %+v so
+// each float keeps all of its bits. Two runs agree on their obs record
+// exactly when the strings are equal.
+func recordString(rec *obs.Recorder) string {
+	var sb strings.Builder
+	for _, s := range rec.Spans() {
+		fmt.Fprintf(&sb, "%+v\n", s)
+	}
+	for _, s := range rec.Samples() {
+		fmt.Fprintf(&sb, "%+v\n", s)
+	}
+	for _, c := range rec.Counters() {
+		fmt.Fprintf(&sb, "%+v\n", c)
+	}
+	return sb.String()
+}
 
 // SetPoolCheck arms (or disarms) the float-pool ownership guard: every
 // PutFloats is checked against the set of buffers already in a pool —

@@ -68,7 +68,7 @@ type LinkFault struct {
 // run (Engine.SetFaultPlan). The plan is static — every fault is declared
 // before Run — and the loss of any individual message is a pure function of
 // (Seed, link name, message sequence number), so the same plan produces the
-// same faults, the same virtual schedule and the same trace on every run,
+// same faults, the same virtual schedule and the same obs record on every run,
 // for any worker count.
 type FaultPlan struct {
 	// Seed drives the per-message loss decisions.
@@ -121,7 +121,7 @@ func (fp *FaultPlan) DropOnLink(link string, from, until, prob float64) *FaultPl
 // is resolved against the platform (host and link names must exist) when Run
 // starts. Must be called before Run. An installed plan with no outages and
 // no link rules is exactly equivalent to no plan: the virtual schedule and
-// trace are unchanged.
+// the obs record are unchanged.
 func (e *Engine) SetFaultPlan(fp *FaultPlan) {
 	if e.started {
 		panic("vgrid: SetFaultPlan after Run")
@@ -133,7 +133,7 @@ func (e *Engine) SetFaultPlan(fp *FaultPlan) {
 	e.faults = &faultState{plan: fp}
 }
 
-// faultEvent is a plan milestone (crash or restart) emitted into the trace
+// faultEvent is a plan milestone (crash or restart) recorded as an obs mark
 // when the engine's high-water time passes it.
 type faultEvent struct {
 	time float64
@@ -152,7 +152,7 @@ type faultState struct {
 }
 
 // resolve binds the plan's host and link names to platform objects, merges
-// overlapping outage windows and builds the sorted trace-event schedule.
+// overlapping outage windows and builds the sorted milestone schedule.
 func (fs *faultState) resolve(pl *Platform) error {
 	hostByName := map[string]*Host{}
 	for _, h := range pl.Hosts {
@@ -425,22 +425,17 @@ func (fs *faultState) dropProb(l *Link, t float64) float64 {
 	return 1 - keep
 }
 
-// emit writes every plan event with time ≤ now into the trace and/or the
-// observability recorder (either may be nil), in the fixed (time, host, kind)
-// order. Deterministic: the engine's high-water time takes the same sequence
-// of values for any worker count.
-func (fs *faultState) emit(now float64, trace func(string), rec *obs.Recorder) {
+// emit records every plan event with time ≤ now as a mark span and a counter
+// in the observability recorder, in the fixed (time, host, kind) order.
+// Deterministic: the engine's high-water time takes the same sequence of
+// values for any worker count.
+func (fs *faultState) emit(now float64, rec *obs.Recorder) {
 	for fs.emitted < len(fs.events) && fs.events[fs.emitted].time <= now {
 		ev := fs.events[fs.emitted]
 		fs.emitted++
-		if trace != nil {
-			trace(fmt.Sprintf("t=%.6f %s %s", ev.time, ev.host, ev.kind))
-		}
-		if rec != nil {
-			rec.Span(obs.Span{Track: ev.host, Cat: obs.CatMark, Name: ev.kind,
-				Start: ev.time, End: ev.time})
-			rec.Count("fault_"+ev.kind, ev.host, 1)
-		}
+		rec.Span(obs.Span{Track: ev.host, Cat: obs.CatMark, Name: ev.kind,
+			Start: ev.time, End: ev.time})
+		rec.Count("fault_"+ev.kind, ev.host, 1)
 	}
 }
 

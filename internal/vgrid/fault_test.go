@@ -1,9 +1,13 @@
 package vgrid
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // faultTestPlatform builds two 3-host sites joined by a shared "wan" link.
@@ -32,10 +36,25 @@ func faultTestPlatform() (*Platform, []*Host) {
 	return pl, hosts
 }
 
+// faultRun is what runFaultScenario reports of one run.
+type faultRun struct {
+	// rec holds the run's obs record and record its rendering
+	// (recordString).
+	rec    *obs.Recorder
+	record string
+	// received counts each process's messages, waited those of them a
+	// blocked receive took, and dropped the sends SendFate reported lost.
+	received        []int
+	waited, dropped int
+	stats           []Stats
+	end             float64
+}
+
 // runFaultScenario runs a cross-site message/compute workload under the given
-// fault plan and returns the full trace, the per-process receive counts and
-// the end time.
-func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int, float64) {
+// fault plan with an obs recorder attached: each process polls for messages
+// while it works, taking one with a blocking receive every fourth step, and
+// finally drains what is still in flight with blocking receives.
+func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) faultRun {
 	t.Helper()
 	pl, hosts := faultTestPlatform()
 	e := NewEngine(pl)
@@ -43,15 +62,17 @@ func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	r := faultRun{rec: &obs.Recorder{}}
+	e.Observe(r.rec)
 
 	const nproc = 6
-	received := make([]int, nproc)
+	r.received = make([]int, nproc)
+	waited := make([]int, nproc)
+	dropped := make([]int, nproc)
 	procs := make([]*Proc, nproc)
 	for i := 0; i < nproc; i++ {
 		i := i
-		procs[i] = e.Spawn(hosts[i], "p", func(p *Proc) error {
+		procs[i] = e.Spawn(hosts[i], fmt.Sprintf("p%d", i), func(p *Proc) error {
 			acc := 0.0
 			for it := 0; it < 20; it++ {
 				p.ComputeFunc(5e7, func() { acc = acc*1.5 + float64(it) })
@@ -59,22 +80,39 @@ func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int
 					p.ComputeDeferred(2e7, func() float64 { acc *= 1.01; return 2e7 })
 				}
 				peer := procs[(i+3)%nproc]
-				if _, err := p.SendFate(peer, 7, nil, 10000); err != nil {
+				ok, err := p.SendFate(peer, 7, nil, 10000)
+				if err != nil {
 					return err
 				}
+				if !ok {
+					dropped[i]++
+				}
+				if it%4 == 3 && p.RecvTimeout(AnySource, 7, 5e-3) != nil {
+					r.received[i]++
+					waited[i]++
+				}
 				for p.TryRecv(AnySource, 7) != nil {
-					received[i]++
+					r.received[i]++
 				}
 				p.Sleep(1e-3)
+			}
+			for p.RecvTimeout(AnySource, 7, 0.05) != nil {
+				r.received[i]++
+				waited[i]++
 			}
 			return nil
 		})
 	}
-	end, err := e.Run()
-	if err != nil {
+	var err error
+	if r.end, err = e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return sb.String(), received, end
+	for i := range waited {
+		r.waited += waited[i]
+		r.dropped += dropped[i]
+	}
+	r.record, r.stats = recordString(r.rec), e.Stats()
+	return r
 }
 
 func fullFaultPlan() *FaultPlan {
@@ -87,55 +125,83 @@ func fullFaultPlan() *FaultPlan {
 
 // TestFaultPlanDeterministicAcrossWorkers extends the scheduler determinism
 // invariant to faulted runs: drops, outages and degradation windows charge
-// the virtual clock only, so the trace, the side effects and the end time
-// must be byte-identical for 1 and 4 workers.
+// the virtual clock only, so the obs record, the side effects and the end
+// time must be byte-identical for 1 and 4 workers.
 func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
-	tr1, rc1, end1 := runFaultScenario(t, 1, fullFaultPlan())
-	tr4, rc4, end4 := runFaultScenario(t, 4, fullFaultPlan())
-	if tr1 != tr4 {
-		t.Fatalf("faulted traces differ between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", tr1, tr4)
+	r1 := runFaultScenario(t, 1, fullFaultPlan())
+	r4 := runFaultScenario(t, 4, fullFaultPlan())
+	sameFaultRun(t, "4 workers", r4, r1)
+	if r1.dropped == 0 || !strings.Contains(r1.record, "Note:loss") {
+		t.Fatal("no drop events in the faulted record")
 	}
-	if end1 != end4 {
-		t.Fatalf("end time differs: %v vs %v", end1, end4)
+}
+
+// sameFaultRun fails the test unless got repeats want exactly.
+func sameFaultRun(t *testing.T, what string, got, want faultRun) {
+	t.Helper()
+	if got.record != want.record {
+		t.Fatalf("%s: obs record differs:\n--- want ---\n%s--- got ---\n%s", what, want.record, got.record)
 	}
-	for i := range rc1 {
-		if rc1[i] != rc4[i] {
-			t.Fatalf("proc %d receive count differs: %d vs %d", i, rc1[i], rc4[i])
+	if got.end != want.end {
+		t.Fatalf("%s: end time differs: %v vs %v", what, got.end, want.end)
+	}
+	if !reflect.DeepEqual(got.received, want.received) || !reflect.DeepEqual(got.stats, want.stats) {
+		t.Fatalf("%s: side effects differ: received %v vs %v, stats %+v vs %+v", what, got.received, want.received, got.stats, want.stats)
+	}
+}
+
+// TestRecorderCapturesEvents pins that the obs record is the whole record of
+// a faulted run: one send span per message sent, one lossy net span per
+// send SendFate reported lost, one caused wait span per message a blocked
+// receive took, and exactly the plan's host milestones as marks.
+func TestRecorderCapturesEvents(t *testing.T) {
+	r := runFaultScenario(t, 2, fullFaultPlan())
+	var sends, drops, delivered int
+	var marks []string
+	for _, s := range r.rec.Spans() {
+		switch {
+		case s.Cat == obs.CatSend:
+			sends++
+		case s.Cat == obs.CatNet && s.Note != "":
+			drops++
+		case s.Cat == obs.CatWait && s.Cause != 0:
+			delivered++
+		case s.Cat == obs.CatMark:
+			marks = append(marks, fmt.Sprintf("%g %s %s", s.Start, s.Track, s.Name))
 		}
 	}
-	if !strings.Contains(tr1, " drop ") || !strings.Contains(tr1, "reason=loss") {
-		t.Fatal("no drop events in the faulted trace")
+	var sent int64
+	for _, st := range r.stats {
+		sent += st.MsgsSent
 	}
-	if !strings.Contains(tr1, "s1-b crash") || !strings.Contains(tr1, "s1-b restart") {
-		t.Fatalf("crash/restart events missing from trace:\n%s", tr1)
+	if int64(sends) != sent {
+		t.Errorf("%d send spans for %d messages sent", sends, sent)
 	}
-	if !strings.Contains(tr1, "s2-d degrade") || !strings.Contains(tr1, "s2-d recover") {
-		t.Fatalf("degrade/recover events missing from trace:\n%s", tr1)
+	if drops != r.dropped || drops == 0 {
+		t.Errorf("%d lossy net spans for %d sends reported lost", drops, r.dropped)
+	}
+	t.Logf("%d sends, %d lost, %d blocking deliveries", sends, drops, delivered)
+	if delivered != r.waited || delivered == 0 {
+		t.Errorf("%d caused wait spans for %d blocking deliveries", delivered, r.waited)
+	}
+	want := []string{"0.2 s2-d degrade", "0.5 s1-b crash", "0.9 s1-b restart", "1.1 s2-d recover"}
+	if !reflect.DeepEqual(marks, want) {
+		t.Errorf("marks %q, want the plan's milestones %q", marks, want)
 	}
 }
 
 // TestZeroFaultPlanIdenticalToNoPlan: installing an empty plan must not
-// perturb the schedule in any way — the trace is byte-identical to a run
-// with no plan at all.
+// perturb the schedule in any way — the obs record is byte-identical to a
+// run with no plan at all.
 func TestZeroFaultPlanIdenticalToNoPlan(t *testing.T) {
-	trNone, rcNone, endNone := runFaultScenario(t, 2, nil)
-	trZero, rcZero, endZero := runFaultScenario(t, 2, NewFaultPlan(99))
-	if trNone != trZero {
-		t.Fatalf("zero-fault plan perturbed the trace:\n--- no plan ---\n%s--- zero plan ---\n%s", trNone, trZero)
-	}
-	if endNone != endZero {
-		t.Fatalf("end time differs: %v vs %v", endNone, endZero)
-	}
-	for i := range rcNone {
-		if rcNone[i] != rcZero[i] {
-			t.Fatalf("proc %d receive count differs: %d vs %d", i, rcNone[i], rcZero[i])
-		}
-	}
+	none := runFaultScenario(t, 2, nil)
+	zero := runFaultScenario(t, 2, NewFaultPlan(99))
+	sameFaultRun(t, "zero-fault plan", zero, none)
 }
 
 // TestDropOnLinkRate: with a 30% drop rule, the realized loss fraction over
-// many sends must be near 30%, and every send is either delivered or traced
-// as dropped.
+// many sends must be near 30%, and every send is either delivered or
+// recorded as dropped.
 func TestDropOnLinkRate(t *testing.T) {
 	pl := NewPlatform()
 	a := pl.AddHost("a", 1e9, 0)
@@ -143,12 +209,8 @@ func TestDropOnLinkRate(t *testing.T) {
 	pl.SetRoute(a, b, NewLink("lossy", 1e-5, 1e9))
 	e := NewEngine(pl)
 	e.SetFaultPlan(NewFaultPlan(3).DropOnLink("lossy", 0, math.Inf(1), 0.3))
-	drops := 0
-	e.Trace = func(line string) {
-		if strings.Contains(line, " drop ") {
-			drops++
-		}
-	}
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	const total = 2000
 	delivered := 0
 	e.Spawn(a, "sender", func(p *Proc) error {
@@ -172,6 +234,12 @@ func TestDropOnLinkRate(t *testing.T) {
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	drops := 0
+	for _, s := range rec.Spans() {
+		if s.Cat == obs.CatNet && s.Note != "" {
+			drops++
+		}
 	}
 	if delivered+drops != total {
 		t.Fatalf("delivered %d + dropped %d != %d sent", delivered, drops, total)

@@ -36,15 +36,15 @@
 // destination shares the sender's lane (fewer lanes than clusters).
 //
 // Determinism contract: the merged run is byte-identical to the single-lane
-// indexed scheduler — traces, obs exports, metrics, iterates — for any lane
+// indexed scheduler — obs exports, metrics, iterates — for any lane
 // and worker count. The sequential commit sequence is non-decreasing in
 // (time, process ID) (every arrival is strictly later than its send slice),
 // so each lane's commit log is sorted and a k-way merge by (time, process
-// ID) reconstructs the exact global order. While sharded, trace lines and
-// obs emissions are buffered per lane (the obs recorder in journal mode)
-// in per-commit groups, and replayed in merged order after the run; fault
-// milestones (faultState.emit) are suppressed during the run and re-emitted
-// at their exact sequential positions during the merge.
+// ID) reconstructs the exact global order. While sharded, obs emissions
+// are buffered per lane (the obs recorder in journal mode) in per-commit
+// groups, and replayed in merged order after the run; fault milestones
+// (faultState.emit) are suppressed during the run and re-emitted at their
+// exact sequential positions during the merge.
 package vgrid
 
 import (
@@ -56,18 +56,17 @@ import (
 )
 
 // commitGroup delimits one committed (or collected) slice in a lane's
-// buffered emission log: the journal-operation range [opsLo, opsHi) and the
-// trace-line range [traceLo, traceHi) the slice produced. opsSplit separates
-// the scheduler-side emissions that precede the fault-milestone flush in
-// the sequential loop (the wait span) from everything after it; flush marks
-// groups that correspond to a sequential commit (where faultState.emit
-// runs) as opposed to a deferred-cost collection (where it does not).
+// buffered emission log: the journal-operation range [opsLo, opsHi) the
+// slice produced. opsSplit separates the scheduler-side emissions that
+// precede the fault-milestone flush in the sequential loop (the wait span)
+// from everything after it; flush marks groups that correspond to a
+// sequential commit (where faultState.emit runs) as opposed to a
+// deferred-cost collection (where it does not).
 type commitGroup struct {
 	t                      float64
 	proc                   int32
 	flush                  bool
 	opsLo, opsSplit, opsHi int32
-	traceLo, traceHi       int32
 }
 
 // parkMsg is a lane's report to the coordinator that it has stopped
@@ -115,12 +114,9 @@ type lane struct {
 	// commits counts committed slices (collections excluded).
 	commits int64
 
-	// buffering is set while sharded with a trace hook or obs recorder
-	// attached: emissions are buffered per commit group and replayed in
-	// merged order after the run.
-	buffering bool
-	lines     []string
-	// rec is the lane's journal-mode obs recorder (nil when obs is off).
+	// rec is the lane's journal-mode obs recorder, set while sharded with a
+	// recorder attached (nil otherwise): emissions are buffered per commit
+	// group and replayed in merged order after the run.
 	rec    *obs.Recorder
 	groups []commitGroup
 
@@ -132,24 +128,11 @@ type lane struct {
 	floatFree [maxPoolClass + 1][][]float64
 }
 
-// traceOn reports whether the engine has a trace hook attached.
-func (ln *lane) traceOn() bool { return ln.eng.Trace != nil }
-
-// trace emits one trace line: directly in single-lane mode, into the
-// lane's buffered log while sharded.
-func (ln *lane) trace(line string) {
-	if ln.buffering {
-		ln.lines = append(ln.lines, line)
-	} else {
-		ln.eng.Trace(line)
-	}
-}
-
 // obsRec returns the recorder emissions from this lane must go to: the
 // lane's journal while sharded, the engine's recorder otherwise. A nil
 // return means observability is off.
 func (ln *lane) obsRec() *obs.Recorder {
-	if ln.buffering {
+	if ln.rec != nil {
 		return ln.rec
 	}
 	return ln.eng.obs
@@ -157,21 +140,21 @@ func (ln *lane) obsRec() *obs.Recorder {
 
 // beginGroup opens a buffered commit group for a slice at key (t, proc).
 func (ln *lane) beginGroup(t float64, proc int, flush bool) {
-	if !ln.buffering {
+	if ln.rec == nil {
 		return
 	}
 	lo := int32(ln.rec.NumOps())
 	ln.groups = append(ln.groups, commitGroup{
 		t: t, proc: int32(proc), flush: flush,
-		opsLo: lo, opsSplit: lo, traceLo: int32(len(ln.lines)),
+		opsLo: lo, opsSplit: lo,
 	})
 }
 
 // splitGroup marks the fault-flush position inside the current group: the
 // point where the sequential loop would emit pending fault milestones
-// (after the wait span, before the recv line and the slice body).
+// (after the wait span, before the slice body).
 func (ln *lane) splitGroup() {
-	if !ln.buffering {
+	if ln.rec == nil {
 		return
 	}
 	ln.groups[len(ln.groups)-1].opsSplit = int32(ln.rec.NumOps())
@@ -179,12 +162,10 @@ func (ln *lane) splitGroup() {
 
 // endGroup closes the current buffered commit group.
 func (ln *lane) endGroup() {
-	if !ln.buffering {
+	if ln.rec == nil {
 		return
 	}
-	g := &ln.groups[len(ln.groups)-1]
-	g.opsHi = int32(ln.rec.NumOps())
-	g.traceHi = int32(len(ln.lines))
+	ln.groups[len(ln.groups)-1].opsHi = int32(ln.rec.NumOps())
 }
 
 // run advances the lane until its earliest pending event is at or past
@@ -198,9 +179,6 @@ func (ln *lane) run(limit float64) {
 	for p := ln.advance(); p != nil; p = ln.picked {
 		p.next() // returns when p yields to another pick, or finishes
 		if p.st() == stateDone {
-			if ln.traceOn() {
-				ln.trace(fmt.Sprintf("t=%.6f %s done err=%v", p.clock, p.Name, p.err))
-			}
 			ln.endGroup()
 			ln.picked = ln.advance()
 		}
@@ -286,16 +264,13 @@ func (ln *lane) advance() *Proc {
 			// Watermark for the streaming trace mode: every span ending
 			// before this commit is final (a no-op recorder call otherwise).
 			e.obs.Advance(resumeAt)
-			if e.faults != nil && (e.Trace != nil || e.obs != nil) {
-				e.faults.emit(e.now, e.Trace, e.obs)
+			if e.faults != nil && e.obs != nil {
+				e.faults.emit(e.now, e.obs)
 			}
 		}
 		p.setSt(stateRunning)
 		p.pendingMatch = nil
 		ln.idxRemove(p)
-		if deliver != nil && ln.traceOn() {
-			ln.trace(fmt.Sprintf("t=%.6f %s recv from=%d tag=%d bytes=%d", resumeAt, p.Name, deliver.From, deliver.Tag, deliver.Bytes))
-		}
 		return p
 	}
 }
@@ -423,9 +398,7 @@ func (e *Engine) buildLanes(nl int) {
 	}
 	if nl > 1 {
 		e.sharded = true
-		buffering := e.Trace != nil || e.obs != nil
 		for _, ln := range e.lanes {
-			ln.buffering = buffering
 			if e.obs != nil {
 				ln.rec = obs.NewJournal()
 			}
@@ -524,18 +497,17 @@ func (e *Engine) runSharded() {
 	}
 }
 
-// mergeShardLog replays the lanes' buffered emission logs into the
-// engine's trace hook and obs recorder in global commit order: a k-way
-// merge of the per-lane commit-group lists by (time, process ID). Each
-// lane's log is sorted by construction (lane commits are non-decreasing in
-// that key) and keys never tie across lanes (a process lives in exactly
-// one lane), so the merge reconstructs the sequential emission order
-// exactly. Fault milestones are re-emitted at their sequential positions:
-// inside each flush group between the pre-split ops (the wait span) and
-// everything after, exactly where the single-lane loop calls
-// faultState.emit.
+// mergeShardLog replays the lanes' obs journals into the engine's recorder
+// in global commit order: a k-way merge of the per-lane commit-group lists
+// by (time, process ID). Each lane's log is sorted by construction (lane
+// commits are non-decreasing in that key) and keys never tie across lanes
+// (a process lives in exactly one lane), so the merge reconstructs the
+// sequential emission order exactly. Fault milestones are re-emitted at
+// their sequential positions: inside each flush group between the pre-split
+// ops (the wait span) and everything after, exactly where the single-lane
+// loop calls faultState.emit.
 func (e *Engine) mergeShardLog() {
-	if len(e.lanes) < 2 || !e.lanes[0].buffering {
+	if len(e.lanes) < 2 || e.lanes[0].rec == nil {
 		return
 	}
 	type cursor struct {
@@ -545,13 +517,8 @@ func (e *Engine) mergeShardLog() {
 	}
 	cursors := make([]*cursor, 0, len(e.lanes))
 	for _, ln := range e.lanes {
-		c := &cursor{ln: ln}
-		if ln.rec != nil {
-			c.rp = ln.rec.NewReplayer(e.obs)
-		}
-		cursors = append(cursors, c)
+		cursors = append(cursors, &cursor{ln: ln, rp: ln.rec.NewReplayer(e.obs)})
 	}
-	emitFaults := e.faults != nil && (e.Trace != nil || e.obs != nil)
 	for {
 		var bc *cursor
 		for _, c := range cursors {
@@ -579,19 +546,10 @@ func (e *Engine) mergeShardLog() {
 		// any watermark is exactly {End < t}, so the streamed bytes match a
 		// single-lane run even though the watermark subsequence differs.
 		e.obs.Advance(g.t)
-		if bc.rp != nil {
-			bc.rp.ReplayTo(int(g.opsSplit))
+		bc.rp.ReplayTo(int(g.opsSplit))
+		if g.flush && e.faults != nil {
+			e.faults.emit(g.t, e.obs)
 		}
-		if g.flush && emitFaults {
-			e.faults.emit(g.t, e.Trace, e.obs)
-		}
-		if bc.rp != nil {
-			bc.rp.ReplayTo(int(g.opsHi))
-		}
-		if e.Trace != nil {
-			for _, line := range bc.ln.lines[g.traceLo:g.traceHi] {
-				e.Trace(line)
-			}
-		}
+		bc.rp.ReplayTo(int(g.opsHi))
 	}
 }

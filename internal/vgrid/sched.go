@@ -4,7 +4,7 @@
 // for 1000-host grids. The heap key is the pair (next-event time, process
 // ID); keys are totally ordered, so the heap's minimum is exactly the
 // process the reference scan would select and the virtual schedule (and
-// with it every trace byte) is unchanged. Each scheduler lane owns one
+// with it every recorded span) is unchanged. Each scheduler lane owns one
 // heap over its own processes (lane.go); a single-lane engine has one heap
 // over everything, exactly the pre-shard structure.
 //

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // pickNextScan selects the lane's process with the earliest next event by
@@ -127,11 +129,12 @@ func randWorkload(e *Engine, pl *Platform, nprocs, steps int, seed int64) {
 }
 
 // runRandScenario executes one fault-laden randomized scenario on a
-// synthetic grid and returns its trace and final virtual time. crossCheck
+// synthetic grid and returns its obs record (recordString) and final virtual
+// time. crossCheck
 // makes the indexed scheduler verify every pick against the reference scan
 // (panicking on the first divergence) and asserts that no commit escaped
 // the check.
-func runRandScenario(t *testing.T, seed int64, crossCheck bool, workers int) ([]string, float64) {
+func runRandScenario(t *testing.T, seed int64, crossCheck bool, workers int) (string, float64) {
 	t.Helper()
 	const nprocs, steps = 20, 50
 	pl := Synthetic(nprocs, 4, 0.4, seed)
@@ -149,8 +152,8 @@ func runRandScenario(t *testing.T, seed int64, crossCheck bool, workers int) ([]
 	fp.CrashHost("g3", 0.001, 0.02)
 	fp.CrashHost("g11", 0.005, 0.04)
 	e.SetFaultPlan(fp)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	randWorkload(e, pl, nprocs, steps, seed)
 	vt, err := e.Run()
 	if err != nil {
@@ -159,7 +162,7 @@ func runRandScenario(t *testing.T, seed int64, crossCheck bool, workers int) ([]
 	if commits, _ := e.EventStats(); crossCheck && (*checked != commits || commits == 0) {
 		t.Fatalf("seed %d (workers=%d): oracle checked %d of %d commits", seed, workers, *checked, commits)
 	}
-	return lines, vt
+	return recordString(rec), vt
 }
 
 // TestSchedulerIndexMatchesScanUnderFaults is the scheduler-index property
@@ -168,37 +171,37 @@ func runRandScenario(t *testing.T, seed int64, crossCheck bool, workers int) ([]
 // the identical event sequence as the pre-index O(P) scan. Each scenario
 // runs three ways — indexed alone, indexed with every pick cross-checked
 // against the scan, and cross-checked with a worker pool — and all three
-// must produce byte-identical traces.
+// must produce byte-identical obs records.
 func TestSchedulerIndexMatchesScanUnderFaults(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1030} {
 		ref, refVT := runRandScenario(t, seed, false, 0)
 		if len(ref) == 0 {
-			t.Fatalf("seed %d: scenario produced no trace", seed)
+			t.Fatalf("seed %d: scenario recorded nothing", seed)
 		}
 		checked, vt := runRandScenario(t, seed, true, 0)
 		if vt != refVT {
 			t.Errorf("seed %d: virtual time diverged: cross-checked %g, plain %g", seed, vt, refVT)
 		}
-		if strings.Join(checked, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("seed %d: cross-checked trace differs from the plain indexed trace", seed)
+		if checked != ref {
+			t.Errorf("seed %d: cross-checked record differs from the plain indexed record", seed)
 		}
 		pooled, pvt := runRandScenario(t, seed, true, 3)
-		if pvt != refVT || strings.Join(pooled, "\n") != strings.Join(ref, "\n") {
+		if pvt != refVT || pooled != ref {
 			t.Errorf("seed %d: pooled cross-checked run diverged (vt %g vs %g)", seed, pvt, refVT)
 		}
 	}
 }
 
 // syntheticGridTrace runs a ring workload with real (pooled) compute
-// segments on a 256-host synthetic grid and returns the trace.
-func syntheticGridTrace(t *testing.T, workers int) []string {
+// segments on a 256-host synthetic grid and returns its obs record.
+func syntheticGridTrace(t *testing.T, workers int) string {
 	t.Helper()
 	const hosts, rounds = 256, 4
 	pl := Synthetic(hosts, 16, 0.3, 9)
 	e := NewEngine(pl)
 	e.SetWorkers(workers)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	procs := make([]*Proc, hosts)
 	for i := 0; i < hosts; i++ {
 		i := i
@@ -225,30 +228,31 @@ func syntheticGridTrace(t *testing.T, workers int) []string {
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	if len(lines) == 0 {
-		t.Fatalf("workers=%d: no trace recorded", workers)
+	out := recordString(rec)
+	if out == "" {
+		t.Fatalf("workers=%d: nothing recorded", workers)
 	}
-	return lines
+	return out
 }
 
 // TestSyntheticTraceByteIdenticalAcrossWorkers pins the determinism contract
 // at generator scale: a 256-host synthetic grid running pooled compute
-// segments produces byte-identical traces for 1 and N worker threads.
+// segments produces byte-identical obs records for 1 and N worker threads.
 func TestSyntheticTraceByteIdenticalAcrossWorkers(t *testing.T) {
-	ref := strings.Join(syntheticGridTrace(t, 1), "\n")
+	ref := syntheticGridTrace(t, 1)
 	for _, workers := range []int{2, 4} {
-		got := strings.Join(syntheticGridTrace(t, workers), "\n")
-		if got != ref {
-			t.Errorf("trace for workers=%d differs from workers=1", workers)
+		if syntheticGridTrace(t, workers) != ref {
+			t.Errorf("record for workers=%d differs from workers=1", workers)
 		}
 	}
 }
 
 // deferredLateTrace runs the deferred lower-bound scenario and returns its
-// trace: process A dispatches a deferred compute whose true cost (resolved
-// only when the worker finishes, well after the scheduler first considers
-// A's optimistic bound) lands far beyond process B's interleaved events.
-func deferredLateTrace(t *testing.T, workers int) []string {
+// obs record (recordString): process A dispatches a deferred compute whose
+// true cost (resolved only when the worker finishes, well after the
+// scheduler first considers A's optimistic bound) lands far beyond process
+// B's interleaved events.
+func deferredLateTrace(t *testing.T, workers int) string {
 	t.Helper()
 	pl := NewPlatform()
 	ha := pl.AddHost("ha", 1e6, 0)
@@ -260,8 +264,8 @@ func deferredLateTrace(t *testing.T, workers int) []string {
 	pl.SetRoute(ha, hb, l)
 	e := NewEngine(pl)
 	e.SetWorkers(workers)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
+	rec := &obs.Recorder{}
+	e.Observe(rec)
 	var c *Proc
 	a := e.Spawn(ha, "A", func(p *Proc) error {
 		// With no floor the optimistic next-event bound is the dispatch
@@ -293,32 +297,32 @@ func deferredLateTrace(t *testing.T, workers int) []string {
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return lines
+	return recordString(rec)
 }
 
 // TestDeferredLowerBoundResolvesLate is the regression test for the deferred
 // lower-bound subtlety: when a pick lands on a deferred segment's optimistic
 // bound, the scheduler must collect the true cost and re-pick instead of
-// committing — B's five interleaved sends precede A's send in the trace, and
-// the trace is byte-identical with and without a worker pool.
+// committing — B's five interleaved sends start before A's send, and the
+// record is byte-identical with and without a worker pool.
 func TestDeferredLowerBoundResolvesLate(t *testing.T) {
 	ref := deferredLateTrace(t, 1)
 	got := deferredLateTrace(t, 2)
-	if strings.Join(got, "\n") != strings.Join(ref, "\n") {
-		t.Fatalf("deferred trace differs between 1 and 2 workers:\n1: %s\n2: %s",
-			strings.Join(ref, "\n"), strings.Join(got, "\n"))
+	if got != ref {
+		t.Fatalf("deferred record differs between 1 and 2 workers:\n1: %s\n2: %s", ref, got)
 	}
+	// The record lists spans by start time, one per line.
 	aSend, lastBSend := -1, -1
-	for i, line := range got {
+	for i, line := range strings.Split(got, "\n") {
 		switch {
-		case strings.Contains(line, " A send"):
+		case strings.HasPrefix(line, "{Track:A Cat:send "):
 			aSend = i
-		case strings.Contains(line, " B send"):
+		case strings.HasPrefix(line, "{Track:B Cat:send "):
 			lastBSend = i
 		}
 	}
 	if aSend < 0 || lastBSend < 0 {
-		t.Fatalf("sends missing from trace: %v", got)
+		t.Fatalf("sends missing from the record:\n%s", got)
 	}
 	if aSend < lastBSend {
 		t.Errorf("deferred process committed at its optimistic bound: A's send (line %d) precedes B's last send (line %d)", aSend, lastBSend)

@@ -12,10 +12,9 @@ import (
 )
 
 // shardRun captures everything a sharded run must reproduce byte-identically:
-// the trace, the final virtual time, the full obs export and the commit
-// count (syncs legitimately differ between lane counts).
+// the final virtual time, the full obs export and the commit count (syncs
+// legitimately differ between lane counts).
 type shardRun struct {
-	lines    []string
 	vt       float64
 	spans    []obs.Span
 	samples  []obs.SamplePoint
@@ -50,8 +49,6 @@ func runShardScenario(t *testing.T, seed int64, lanes, workers int) shardRun {
 	e.SetFaultPlan(fp)
 	rec := &obs.Recorder{}
 	e.Observe(rec)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
 	randWorkload(e, pl, nprocs, steps, seed)
 	vt, err := e.Run()
 	if err != nil {
@@ -64,7 +61,7 @@ func runShardScenario(t *testing.T, seed int64, lanes, workers int) shardRun {
 	if e.Lanes() > 1 && syncs >= commits {
 		t.Errorf("seed %d lanes=%d: sharding saved no synchronization (%d syncs / %d commits)", seed, lanes, syncs, commits)
 	}
-	return shardRun{lines: lines, vt: vt, spans: rec.Spans(), samples: rec.Samples(),
+	return shardRun{vt: vt, spans: rec.Spans(), samples: rec.Samples(),
 		counters: rec.Counters(), commits: commits, lanes: e.Lanes()}
 }
 
@@ -77,20 +74,6 @@ func diffShard(t *testing.T, label string, ref, got shardRun) {
 	}
 	if got.commits != ref.commits {
 		t.Errorf("%s: %d commits, want %d", label, got.commits, ref.commits)
-	}
-	if strings.Join(got.lines, "\n") != strings.Join(ref.lines, "\n") {
-		i := 0
-		for i < len(ref.lines) && i < len(got.lines) && ref.lines[i] == got.lines[i] {
-			i++
-		}
-		a, b := "<end>", "<end>"
-		if i < len(ref.lines) {
-			a = ref.lines[i]
-		}
-		if i < len(got.lines) {
-			b = got.lines[i]
-		}
-		t.Errorf("%s: trace diverges at line %d:\n  want %q\n  got  %q", label, i, a, b)
 	}
 	if !reflect.DeepEqual(got.spans, ref.spans) {
 		i := 0
@@ -109,7 +92,7 @@ func diffShard(t *testing.T, label string, ref, got shardRun) {
 
 // TestShardedMatchesSingleLaneUnderFaults is the sharding property test: on
 // randomized fault-laden scenarios, the sharded engine must produce the
-// byte-identical trace, obs export (spans, samples, counters — including
+// byte-identical obs export (spans, samples, counters — including
 // emission order), virtual time and commit count as the single-lane indexed
 // scheduler, for every lane count (2, auto = one per cluster) and with a
 // worker pool. It also asserts the point of the exercise: a sharded run

@@ -21,7 +21,7 @@
 // of different processes overlap in wall-clock time. The virtual schedule is
 // unchanged — the scheduler commits clock charges in the same conservative
 // order and blocks on a segment's completion before resuming its owner — so
-// traces and results are identical for 1 worker and N workers.
+// obs records and results are identical for 1 worker and N workers.
 package vgrid
 
 import (
@@ -289,9 +289,7 @@ type Engine struct {
 	Platform *Platform
 	procs    []*Proc
 	started  bool
-	// Trace, when non-nil, receives one line per scheduling event.
-	Trace func(string)
-	now   float64
+	now      float64
 	// faults is the resolved fault-injection plan (nil for a healthy grid).
 	faults *faultState
 	// obs, when non-nil, receives virtual-time spans from the scheduler's
@@ -359,7 +357,7 @@ func NewEngine(pl *Platform) *Engine {
 // partitioned by cluster into n per-lane schedulers that advance
 // independently inside conservative WAN-lookahead safe windows (lane.go).
 // n = 1 (the default) is the single-lane scheduler; n = 0 means one lane
-// per cluster; other values are clamped to [1, clusters]. Traces, obs
+// per cluster; other values are clamped to [1, clusters]. Obs
 // exports, metrics and iterates are byte-identical for any lane count —
 // sharding changes wall-clock cost only. The engine falls back to a single
 // lane when the preconditions do not hold (scan or cross-check scheduler,
@@ -416,9 +414,9 @@ func (e *Engine) Workers() int { return e.workers }
 // Observe attaches an observability recorder: every scheduler commit point
 // emits a virtual-time span into it (compute segments, sender pushes,
 // in-flight transfers, blocked waits, sleeps, crash/restart marks). Must be
-// called before Run; pass nil to detach. Independent of the textual Trace
-// hook — attaching a recorder never changes the engine's trace output or its
-// virtual schedule, and the recorded data is identical for any worker count.
+// called before Run; pass nil to detach. The recorder is the engine's only
+// event record: attaching it never changes the virtual schedule, and the
+// recorded data is identical for any worker and lane count.
 func (e *Engine) Observe(rec *obs.Recorder) {
 	if e.started {
 		panic("vgrid: Observe after Run")
@@ -446,7 +444,7 @@ func (e *Engine) startPool() {
 // final virtual time and the first process error (all process errors are
 // available via Errors). With SetLanes the event loop shards into
 // per-cluster scheduler lanes advancing inside WAN-lookahead safe windows
-// (lane.go); the results — traces, obs exports, metrics, iterates — are
+// (lane.go); the results — obs exports, metrics, iterates — are
 // byte-identical to the single-lane run.
 func (e *Engine) Run() (float64, error) {
 	if e.started {
@@ -777,11 +775,6 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 			dst.mailbox = append(dst.mailbox, m)
 			p.ln.noteDeposit(dst, m)
 		}
-		if p.ln.traceOn() {
-			p.ln.trace(fmt.Sprintf("t=%.6f %s send to=%s tag=%d bytes=%d arrive=%.6f", p.clock, p.Name, dst.Name, tag, bytes, arrival))
-		}
-	} else if p.ln.traceOn() {
-		p.ln.trace(fmt.Sprintf("t=%.6f %s drop to=%s tag=%d bytes=%d reason=%s", p.clock, p.Name, dst.Name, tag, bytes, dropReason))
 	}
 	if o := p.ln.obsRec(); o != nil {
 		route := "loopback"
