@@ -32,10 +32,14 @@ test-bench:
 # what pins "compute segments still overlap" now that process bodies are
 # coroutines of their lane, that processes tied at a deferred segment's
 # dispatch instant all dispatch theirs before the first is collected, and
-# that Run stops every coroutine it leaves unfinished. The explicit
-# timeout is for internal/experiments: ~8 min alone under the race detector
-# on a 2-vCPU host, past go test's 10 min default once the other packages
-# compete for the cores.
+# that Run stops every coroutine it leaves unfinished. The experiments
+# rerun holds the runs of a table row going side by side: Table 3's budget
+# still taken from its row's own run, a rejected job failing its list with
+# exactly the earlier jobs' progress lines written and no goroutine left, and
+# the progress stream of msexp byte for byte the sequential one. The explicit
+# timeout is for internal/experiments: ~3 min alone under the race detector
+# on a 2-vCPU host (175 s; 190-250 s before a row's runs went side by side),
+# far more once the other packages compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
@@ -43,6 +47,8 @@ race:
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
+	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment' ./internal/experiments
+	$(GO) test -race -count=2 -run 'TestProgressGolden' ./cmd/msexp
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError' ./internal/vgrid
 
 vet:

@@ -16,7 +16,10 @@
 // figure3). -fault-seed reseeds the deterministic fault injection of the
 // faultsweep experiment. -workers and -lanes change only the host time of a
 // run, never a table; an out-of-range -scale, -window, -workers or -lanes is
-// exit status 2 before anything runs.
+// exit status 2 before anything runs. The independent runs of a table row go
+// side by side, at most GOMAXPROCS at a time (-workers bounds each run's
+// compute pool, not that count); the progress lines on stderr keep the order
+// of a sequential run.
 //
 // The twostage experiment sweeps the two-stage solver's inner sweep count
 // against the exact-band baseline on cluster3, then demonstrates the memory
@@ -63,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := fs.Bool("plot", false, "render figure3 as an ASCII plot (in addition to the table)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
-	workers := fs.Int("workers", 0, "worker threads for compute segments (0 = GOMAXPROCS); results are identical for any value")
+	workers := fs.Int("workers", 0, "worker threads of each run's compute pool (0 = GOMAXPROCS), not how many runs go side by side (at most GOMAXPROCS); results are identical for any value")
 	lanes := fs.Int("lanes", 1, "scheduler lanes (0 = auto: one per cluster); results are identical for any value")
 	faultSeed := fs.Int64("fault-seed", 0, "seed for the faultsweep experiment's fault injection (0 = fixed default)")
 	traceJSON := fs.String("trace-json", "", "utilization: write a Perfetto trace per run to PREFIX-<cluster>-<solver>.json")

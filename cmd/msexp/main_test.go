@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/experiments"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tables-*.csv from the command's current output")
+var update = flag.Bool("update", false, "rewrite the testdata/ golden files from the command's current output")
 
 // msexp runs the command in-process and returns its exit status and output.
 func msexp(args ...string) (code int, stdout, stderr string) {
@@ -154,20 +155,49 @@ func TestPaperTablesGolden(t *testing.T) {
 			t.Errorf("msexp %v: exit %d, stderr %q", tc.args, code, errs)
 			continue
 		}
-		if *update {
-			if err := os.WriteFile(tc.golden, []byte(out), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(tc.golden)
-		if err != nil {
+		holdGolden(t, tc.golden, fmt.Sprintf("msexp %v", tc.args), out)
+	}
+}
+
+// progressArgs run every experiment whose solver runs go side by side, Table
+// 2's and the memory wall's "nem" failure lines and the fault sweep's stall
+// and dead-rank lines included.
+var progressArgs = []string{"-scale", "64", "table2", "table3", "table4", "figure3", "twostage", "topology", "faultsweep"}
+
+// TestProgressGolden holds the progress stream to recorded bytes. The
+// independent runs of a row go side by side, but each run's lines — its
+// announce line, its failure line, its resplit log — reach stderr in list
+// order once every earlier run has finished, so the stream reads as if the
+// runs went one after another: a run that wrote its lines as they came would
+// interleave them.
+func TestProgressGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates seven experiments (~5 s)")
+	}
+	code, _, errs := msexp(progressArgs...)
+	if code != 0 {
+		t.Fatalf("msexp %v: exit %d, stderr %q", progressArgs, code, errs)
+	}
+	holdGolden(t, "testdata/progress-scale64.golden", fmt.Sprintf("stderr of msexp %v", progressArgs), errs)
+}
+
+// holdGolden compares got with the recorded file, or rewrites the file under
+// -update; what names the output in the failure message.
+func holdGolden(t *testing.T, golden, what, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if out != string(want) {
-			line, got, rec := firstDiff(out, string(want))
-			t.Errorf("msexp %v differs from %s at line %d:\n got  %q\n want %q", tc.args, tc.golden, line, got, rec)
-		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		line, g, rec := firstDiff(got, string(want))
+		t.Errorf("%s differs from %s at line %d:\n got  %q\n want %q", what, golden, line, g, rec)
 	}
 }
 

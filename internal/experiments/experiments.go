@@ -12,10 +12,12 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 
 	"repro/internal/cluster"
@@ -34,9 +36,10 @@ type Config struct {
 	Scale int
 	// Progress, when non-nil, receives per-run progress lines.
 	Progress io.Writer
-	// Workers bounds the worker-thread pool executing compute segments of
-	// the simulated solver ranks; 0 keeps the engine default (GOMAXPROCS).
-	// Results are identical for any value — only wall-clock time changes.
+	// Workers bounds each engine's worker-thread pool for the compute
+	// segments of the simulated solver ranks (0 = GOMAXPROCS), not how many
+	// runs go side by side. Results are identical for any value — only
+	// wall-clock time changes.
 	Workers int
 	// Lanes selects the engine's scheduler-lane count: 0 keeps the default
 	// single lane, -1 requests auto-sharding (one lane per cluster), n ≥ 1
@@ -407,4 +410,57 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 		}
 	}
 	return out, res, nil
+}
+
+// job is one run of a solveAll list: the progress line announcing it ("" for
+// none), the fresh platform it runs on and what distinguishes it.
+type job struct {
+	what string
+	plt  *cluster.Platform
+	spec runSpec
+}
+
+// solveAll runs jobs that read nothing from one another side by side, each
+// through solve on its own engine, started in list order with at most
+// GOMAXPROCS in flight, and returns their cells and results in list order.
+// A job logs into a buffer of its own, which solveAll writes to Progress once
+// every earlier job has finished: the stream is the one of a sequential run.
+// The first error in list order fails the list once every job before it has
+// finished: no further job starts, no line after the failed job's is
+// written, and every started job has finished when solveAll returns.
+func (c Config) solveAll(a *sparse.CSR, b []float64, jobs []job) ([]cell, []*core.Result, error) {
+	n, limit := len(jobs), runtime.GOMAXPROCS(0)
+	cells, results, errs := make([]cell, n), make([]*core.Result, n), make([]error, n)
+	logs, done := make([]bytes.Buffer, n), make([]bool, n)
+	finished := make(chan int, n) // the index of each job as it ends
+	run := func(i int) {
+		jc := c
+		jc.Progress = &logs[i]
+		if jobs[i].what != "" {
+			jc.logf("%s", jobs[i].what)
+		}
+		cells[i], results[i], errs[i] = jc.solve(jobs[i].plt, a, b, jobs[i].spec)
+		finished <- i
+	}
+	started, running, next := 0, 0, 0 // next: the first job whose lines are not written yet
+	for next < n {
+		for ; started < n && running < limit; started, running = started+1, running+1 {
+			go run(started)
+		}
+		i := <-finished
+		running--
+		done[i] = true
+		for ; next < n && done[next]; next++ {
+			if c.Progress != nil {
+				c.Progress.Write(logs[next].Bytes())
+			}
+			if errs[next] != nil {
+				for ; running > 0; running-- {
+					<-finished
+				}
+				return nil, nil, errs[next]
+			}
+		}
+	}
+	return cells, results, nil
 }

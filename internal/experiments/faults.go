@@ -64,21 +64,23 @@ func FaultSweep(cfg Config) (*Table, error) {
 		return vgrid.NewFaultPlan(seed).DropOnLink("wan", 0, math.Inf(1), p)
 	}
 	row := func(scenario string, plan func() *vgrid.FaultPlan) error {
-		cells := []string{scenario}
-		iters := "-" // of the last variant, the asynchronous one
-		for _, v := range faultSweepVariants {
-			cfg.logf("faultsweep: %s, %s", scenario, v.name)
-			c, res, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: v.opts, plan: plan()})
-			if err != nil {
-				return err
-			}
-			cells = append(cells, c.timeStr())
-			iters = "-"
-			if c.ok {
-				iters = fmt.Sprint(res.Iterations)
-			}
+		jobs := make([]job, len(faultSweepVariants))
+		for i, v := range faultSweepVariants {
+			jobs[i] = job{fmt.Sprintf("faultsweep: %s, %s", scenario, v.name), cluster.Cluster3(-1), runSpec{opts: v.opts, plan: plan()}}
 		}
-		t.Rows = append(t.Rows, append(cells, iters))
+		cells, results, err := cfg.solveAll(a, b, jobs)
+		if err != nil {
+			return err
+		}
+		row := []string{scenario}
+		for _, c := range cells {
+			row = append(row, c.timeStr())
+		}
+		iters := "-" // of the last variant, the asynchronous one
+		if last := len(cells) - 1; cells[last].ok {
+			iters = fmt.Sprint(results[last].Iterations)
+		}
+		t.Rows = append(t.Rows, append(row, iters))
 		return nil
 	}
 	for _, p := range faultSweepDrops {

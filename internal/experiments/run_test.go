@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -87,6 +89,37 @@ func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	tab, err := TwoStageTable(Config{Scale: 64, TwoStageSchedule: "bogus"})
 	if err == nil || tab != nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("twostage with schedule \"bogus\": table %v, err %v; want an error naming it", tab, err)
+	}
+
+	// Side by side, a rejected job fails its list the same way: solveAll
+	// returns the wrapped cause, has written exactly the lines of the jobs
+	// up to and including it (a failed run's cause among them), and no job
+	// goroutine outlives the call.
+	ok := runSpec{opts: core.Options{Async: true}}
+	var progress bytes.Buffer
+	base := runtime.NumGoroutine()
+	cells, results, err := Config{Progress: &progress}.solveAll(a, b, []job{
+		{"job 0", cluster.Cluster3(-1), ok},
+		{"job 1", cluster.Cluster3(-1), runSpec{plan: vgrid.NewFaultPlan(1).DropOnLink("wan", 0, math.Inf(1), 1)}},
+		{"job 2", cluster.Cluster3(-1), runSpec{opts: core.Options{Detector: "gossip"}}},
+		{"job 3", cluster.Cluster3(-1), ok},
+		{"job 4", cluster.Cluster3(-1), ok},
+	})
+	if err == nil || !strings.Contains(err.Error(), "gossip") || cells != nil || results != nil {
+		t.Errorf("solveAll with a rejected third job: err %v, %d cells; want the wrapped cause and none", err, len(cells))
+	}
+	// The lane and pool-worker goroutines of a run end a moment after it.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Errorf("%d goroutines after solveAll, %d before", n, base)
+	}
+	lines := strings.Split(progress.String(), "\n")
+	if len(lines) != 5 || lines[0] != "job 0" || lines[1] != "job 1" ||
+		!strings.HasPrefix(lines[2], "  run failed (stall): ") || lines[3] != "job 2" || lines[4] != "" {
+		t.Errorf("progress %q, want the lines of jobs 0-2 only", progress.String())
 	}
 }
 

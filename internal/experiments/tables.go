@@ -23,32 +23,25 @@ var compareHeader = []string{
 }
 
 // compare runs the three solvers of the paper's comparison tables —
-// distributed SuperLU, synchronous and asynchronous multisplitting-LU — each
-// on a fresh platform, and returns their time cells in that order followed
-// by the synchronous factorization time, and the distributed solver's factor
-// fill. what prefixes the progress lines; track accounts solver storage
-// against host memory ("nem" cells).
+// distributed SuperLU, synchronous and asynchronous multisplitting-LU — side
+// by side, each on a fresh platform, and returns their time cells in that
+// order followed by the synchronous factorization time, and the distributed
+// solver's factor fill. what prefixes the progress lines; track accounts
+// solver storage against host memory ("nem" cells).
 func (c Config) compare(what string, newPlat func() *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) ([]string, int64, error) {
-	c.logf("%s, distributed SuperLU", what)
-	d, _, err := c.solve(newPlat(), a, b, runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows})
-	if err != nil {
-		return nil, 0, err
-	}
-	c.logf("%s, sync multisplitting", what)
-	s, sres, err := c.solve(newPlat(), a, b, runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows})
-	if err != nil {
-		return nil, 0, err
-	}
-	c.logf("%s, async multisplitting", what)
-	as, _, err := c.solve(newPlat(), a, b, runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows})
+	cells, res, err := c.solveAll(a, b, []job{
+		{what + ", distributed SuperLU", newPlat(), runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows}},
+		{what + ", sync multisplitting", newPlat(), runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows}},
+		{what + ", async multisplitting", newPlat(), runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows}},
+	})
 	if err != nil {
 		return nil, 0, err
 	}
 	fact := "-"
-	if s.ok {
-		fact = fmtSec(sres.FactorTime)
+	if cells[1].ok {
+		fact = fmtSec(res[1].FactorTime)
 	}
-	return []string{d.timeStr(), s.timeStr(), as.timeStr(), fact}, d.fill, nil
+	return []string{cells[0].timeStr(), cells[1].timeStr(), cells[2].timeStr(), fact}, cells[0].fill, nil
 }
 
 // scalabilityRows fills a cluster1 scalability table: for each processor
@@ -222,26 +215,28 @@ func Figure3(cfg Config) (*Table, error) {
 	speed := fig3SpeedScale(cfg)
 	t.Notes = append(t.Notes,
 		"overlap in paper units; scaled rows = 2*overlap/scale, host speed scaled by 40.96/scale^3 to preserve the paper's compute/communication balance")
-	for ov := 0; ov <= 5000; ov += 500 {
+	// The whole sweep goes side by side: a sync and an async job per overlap.
+	const step = 500 // paper units
+	var jobs []job
+	for ov := 0; ov <= 10*step; ov += step {
 		scaled := 2 * ov / cfg.scale()
-		cfg.logf("figure3: overlap %d (scaled %d)", ov, scaled)
-		s, sres, err := cfg.solve(cluster.Cluster3(-1).ScaleSpeed(speed), a, b,
-			runSpec{opts: cfg.withAdapt(core.Options{Overlap: scaled})})
-		if err != nil {
-			return nil, err
-		}
-		as, _, err := cfg.solve(cluster.Cluster3(-1).ScaleSpeed(speed), a, b,
-			runSpec{opts: core.Options{Async: true, Overlap: scaled}})
-		if err != nil {
-			return nil, err
-		}
-		iters := "-"
-		fact := "-"
+		jobs = append(jobs,
+			job{fmt.Sprintf("figure3: overlap %d (scaled %d)", ov, scaled), cluster.Cluster3(-1).ScaleSpeed(speed),
+				runSpec{opts: cfg.withAdapt(core.Options{Overlap: scaled})}},
+			job{"", cluster.Cluster3(-1).ScaleSpeed(speed), runSpec{opts: core.Options{Async: true, Overlap: scaled}}})
+	}
+	cells, res, err := cfg.solveAll(a, b, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(cells); i += 2 {
+		s, sres := cells[i], res[i]
+		iters, fact := "-", "-"
 		if s.ok {
 			iters = fmt.Sprintf("%.2f", float64(sres.Iterations)/100)
 			fact = fmtSec(sres.FactorTime)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(ov), s.timeStr(), as.timeStr(), fact, iters})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(i / 2 * step), s.timeStr(), cells[i+1].timeStr(), fact, iters})
 	}
 	return t, nil
 }

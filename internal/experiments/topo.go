@@ -38,14 +38,17 @@ func TopologyTable(cfg Config) (*Table, error) {
 		{"gateway", false, true},
 		{"gateway+topo", true, true},
 	}
+	jobs := make([]job, len(modes))
+	for i, m := range modes {
+		jobs[i] = job{"topology: " + m.name, cluster.Cluster3(-1), runSpec{opts: cfg.withAdapt(core.Options{TopoCollectives: m.topo, Gateway: m.gateway})}}
+	}
+	cells, results, err := cfg.solveAll(a, b, jobs)
+	if err != nil {
+		return nil, err
+	}
 	baseline := 0.0
-	for _, m := range modes {
-		cfg.logf("topology: %s", m.name)
-		c, res, err := cfg.solve(cluster.Cluster3(-1), a, b,
-			runSpec{opts: cfg.withAdapt(core.Options{TopoCollectives: m.topo, Gateway: m.gateway})})
-		if err != nil {
-			return nil, err
-		}
+	for i, m := range modes {
+		c, res := cells[i], results[i]
 		row := []string{m.name, c.timeStr(), "-", "-", "-", "-"}
 		if c.ok {
 			if baseline == 0 {

@@ -93,56 +93,57 @@ func TwoStageTable(cfg Config) (*Table, error) {
 		Header: []string{"inner k", "sync multisplitting", "async multisplitting",
 			"outer iters (sync)", "inner sweeps (sync)"},
 	}
+	// The k sweep goes side by side: a sync and an async job per inner count.
+	var labels []string
+	var jobs []job
 	for _, k := range []int{0, 1, 2, 4, 8} { // 0: the exact-band baseline
 		label, o := "exact", core.Options{}
 		if k > 0 {
 			label, o = fmt.Sprintf("%d", k), core.Options{TwoStage: cfg.twoStage(k)}
 		}
-		cfg.logf("twostage: %s, sync", label)
-		sc, sres, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: cfg.withAdapt(o)})
-		if err != nil {
-			return nil, err
-		}
-		cfg.logf("twostage: %s, async", label)
+		labels = append(labels, label)
+		jobs = append(jobs, job{"twostage: " + label + ", sync", cluster.Cluster3(-1), runSpec{opts: cfg.withAdapt(o)}})
 		o.Async = true
-		ac, _, err := cfg.solve(cluster.Cluster3(-1), a, b, runSpec{opts: o})
-		if err != nil {
-			return nil, err
-		}
+		jobs = append(jobs, job{"twostage: " + label + ", async", cluster.Cluster3(-1), runSpec{opts: o}})
+	}
+	cells, results, err := cfg.solveAll(a, b, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, label := range labels {
+		sres := results[2*i]
 		sweeps := "-"
 		if sres.InnerSweeps > 0 {
 			sweeps = fmt.Sprintf("%d", sres.InnerSweeps)
 		}
-		t.Rows = append(t.Rows, []string{label, sc.timeStr(), ac.timeStr(), fmt.Sprintf("%d", sres.Iterations), sweeps})
+		t.Rows = append(t.Rows, []string{label, cells[2*i].timeStr(), cells[2*i+1].timeStr(), fmt.Sprintf("%d", sres.Iterations), sweeps})
 	}
 
 	// The memory wall: budget the hosts between the preconditioner footprint
-	// and the exact factor fill.
+	// and the exact factor fill; its three runs go side by side too.
 	budget, err := twoStageBudget(a, len(cluster.Cluster3(-1).Hosts), width)
 	if err != nil {
 		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("memory-wall rows: per-host budget %d bytes (self-calibrated between band-%d preconditioner and exact band LU fill)", budget, width))
-	for _, w := range []struct {
-		label, what string
-		spec        runSpec
-	}{
-		{"wall: dslu", "distributed SuperLU", runSpec{dslu: true}},
-		{"wall: exact", "exact multisplitting", runSpec{opts: cfg.withAdapt(core.Options{})}},
-		{"wall: k=4", "two-stage multisplitting", runSpec{opts: core.Options{TwoStage: cfg.twoStage(4)}}},
-	} {
-		cfg.logf("twostage: memory wall, %s", w.what)
-		w.spec.opts.TrackMemory = true
-		c, res, err := cfg.solve(cluster.Cluster3(budget), a, b, w.spec)
-		if err != nil {
-			return nil, err
-		}
+	wall := func(what string, spec runSpec) job {
+		spec.opts.TrackMemory = true
+		return job{"twostage: memory wall, " + what, cluster.Cluster3(budget), spec}
+	}
+	if cells, results, err = cfg.solveAll(a, b, []job{
+		wall("distributed SuperLU", runSpec{dslu: true}),
+		wall("exact multisplitting", runSpec{opts: cfg.withAdapt(core.Options{})}),
+		wall("two-stage multisplitting", runSpec{opts: core.Options{TwoStage: cfg.twoStage(4)}}),
+	}); err != nil {
+		return nil, err
+	}
+	for i, label := range []string{"wall: dslu", "wall: exact", "wall: k=4"} {
 		sweeps := "-"
-		if res != nil && res.InnerSweeps > 0 {
+		if res := results[i]; res != nil && res.InnerSweeps > 0 {
 			sweeps = fmt.Sprintf("%d", res.InnerSweeps)
 		}
-		t.Rows = append(t.Rows, []string{w.label, c.timeStr(), "-", "-", sweeps})
+		t.Rows = append(t.Rows, []string{label, cells[i].timeStr(), "-", "-", sweeps})
 	}
 	return t, nil
 }
