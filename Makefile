@@ -20,7 +20,9 @@ test-bench:
 # detector is part of the verified loop, not an optional extra. The focused
 # second runs pin the observability determinism contract (byte-identical
 # exports for 1 vs N workers, batch and streamed) and the communication-plan
-# equivalence contract (byte-identical iterates and traces for the gateway exchange)
+# equivalence contract (byte-identical iterates and traces for the gateway exchange,
+# and the relayed exchange's records against the digests recorded before the
+# relay moved into plan and mp, with mp's own round and pump tests)
 # under the race detector, together with the export encoder's differential
 # test against encoding/json and its allocation budget, the sparse LU's, the
 # band LU's and the two-row SpMV's bit-for-bit comparisons with their
@@ -43,7 +45,8 @@ test-bench:
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
-	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
+	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestGatewayRecordGolden|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
+	$(GO) test -race -count=2 -run 'TestRelayRound|TestRelayPumpKeepsNewest' ./internal/mp
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse

@@ -89,6 +89,8 @@ func TestGoldenStdout(t *testing.T) {
 		{"sync", []string{"-procs", "8"}},
 		{"async", []string{"-procs", "8", "-async", "-cluster", "cluster3"}},
 		{"topo-gateway", []string{"-procs", "10", "-cluster", "cluster3", "-topo", "-gateway"}},
+		{"topo-gateway-async", []string{"-procs", "10", "-cluster", "cluster3", "-async", "-topo", "-gateway"}},
+		{"gateway-async-ft-drop", []string{"-procs", "10", "-cluster", "cluster3", "-async", "-ft", "-drop", "0.01", "-gateway"}},
 		{"two-stage", []string{"-procs", "8", "-two-stage", "-inner", "4"}},
 		{"balance-adapt-slow", []string{"-procs", "8", "-cluster", "cluster2", "-balance", "-adapt", "-adapt-interval", "4", "-slow", "c2-00@0.001:inf:4"}},
 		{"ft-drop", []string{"-procs", "10", "-cluster", "cluster3", "-async", "-ft", "-drop", "0.01"}},

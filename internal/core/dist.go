@@ -11,12 +11,20 @@ import (
 	"repro/internal/vgrid"
 )
 
-// Solver message tags (detect reserves tags from 1<<18 upward).
+// Solver and relay message tags (detect reserves tags from 1<<18 upward).
+// Spans record tags, so the values do not move. tagAdapt and tagUp share 4
+// and cannot collide: only rank 0 sends tagAdapt, and rank 0 always
+// aggregates its own cluster (an aggregator is its cluster's lowest rank), so
+// it never sends an up batch — and a tagAdapt receive names rank 0 as its
+// source.
 const (
-	tagX      = 1 // boundary solution exchange
+	tagX      = 1 // boundary solution exchange (a group's direct message)
 	tagAbort  = 2 // a rank hit the iteration cap
 	tagGather = 3 // final solution assembly
 	tagAdapt  = 4 // resplit iterate redistribution (rank 0 → new bands)
+	tagUp     = 4 // relay: member → its aggregator
+	tagWAN    = 5 // relay: aggregator → remote aggregator
+	tagDown   = 6 // relay: aggregator → member
 )
 
 // The convergence-detection and fault-tolerance constants.
@@ -117,14 +125,16 @@ type Options struct {
 	// declarations on the platform (vgrid.Platform.AddCluster); without them
 	// the collectives silently stay flat/tree.
 	TopoCollectives bool
-	// Gateway batches the inter-cluster boundary exchange through one
-	// aggregator rank per cluster: every rank ships all of its inter-cluster
-	// segments to its aggregator in one LAN message, aggregators exchange
-	// one WAN message per cluster pair per iteration and fan the updates out
-	// locally. Per-origin version/echo headers ride along, so every exchange
+	// Gateway relays the inter-cluster boundary exchange through one
+	// aggregator rank per cluster, the route the communication plan holds
+	// for every inter-cluster group (plan.Relay), forwarded by mp.Relay: every
+	// rank ships all of its inter-cluster groups to its aggregator in one LAN
+	// message, aggregators exchange one WAN message per cluster pair per
+	// iteration and fan the updates out locally. A relayed record carries the
+	// direct message's own [version, echo, values] payload, so every exchange
 	// policy keeps its exact semantics (synchronous iterates are
-	// byte-identical to the direct plan). Requires cluster declarations; on
-	// a flat platform the option is a no-op.
+	// byte-identical to the direct exchange). Requires cluster declarations;
+	// on a flat platform the option is a no-op.
 	Gateway bool
 	// Adapt turns the decomposition into a live object: a deterministic
 	// feedback controller (internal/adapt) observes every rank's committed

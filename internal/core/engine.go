@@ -139,10 +139,11 @@ type rankState struct {
 	staleCount []int
 	sendBuf    []float64
 
-	// gw is the gateway-aggregation state (nil in direct mode or when the
-	// platform is flat): inter-cluster groups route through per-cluster
-	// aggregator ranks instead of direct WAN messages.
-	gw *gwState
+	// relay routes every send group and delivers every receive group, direct
+	// or over the plan's relay route (Options.Gateway); recvCritical is the
+	// blocking receive it and the final gather use.
+	relay        *mp.Relay
+	recvCritical mp.RecvFunc
 
 	progress
 }
@@ -189,7 +190,7 @@ func newRankState(c *mp.Comm, ctx *simctx.Ctx, a *sparse.CSR, bGlob []float64, d
 // the second half of newRankState and the whole reset of a rank a Session
 // kept, so a kept rank starts a Resolve in exactly the state a fresh one
 // would: everything a solve writes — iterates, dependency values, exchange
-// baselines, version/echo bookkeeping, gateway staging, the two-stage
+// baselines, version/echo bookkeeping, relay staging, the two-stage
 // schedules and tallies, the progress counters — is rebuilt here and nowhere
 // else. What survives is what the factorization economy is about: the
 // extracted matrices, their factors and the plan view.
@@ -255,12 +256,15 @@ func (st *rankState) startRun() {
 	}
 	st.freshSeen = make([]bool, ng)
 	st.staleCount = make([]int, ng)
+	var route *plan.Relay
 	if st.o.Gateway {
-		// The reduction piggyback needs a pre-exchange criterion (the
-		// successive-iterate difference) and the lockstep of the synchronous
-		// policy.
-		st.gw = newGwState(cp, rank, rankClusters(st.c), !st.o.Async && !st.o.UseResidual)
+		route = st.rp.Relay
 	}
+	st.recvCritical = recvCritical(st.c, st.o.FaultTolerant)
+	// The criterion rides a synchronous round when it is known before the
+	// exchange: the successive-iterate difference.
+	st.relay = mp.NewRelay(st.c, st.rp, route, mp.RelayTags{tagX, tagUp, tagWAN, tagDown},
+		st.recvCritical, !st.o.Async && !st.o.UseResidual)
 }
 
 // loadBand extracts band k of the decomposition into bs and factors it,
@@ -365,36 +369,38 @@ func newRankCtx(c *mp.Comm, o Options) *simctx.Ctx {
 	return ctx
 }
 
-// recvCritical receives a message the protocol cannot progress without (a
-// synchronous boundary exchange, the final gather). In fault-tolerant mode
-// it waits in deadRankTimeout windows instead of blocking forever and, once
-// the budget is exhausted, diagnoses the silent peer: crashed host, failed
-// process, or plain message loss.
-func (st *rankState) recvCritical(from, tag int, what string) (*mp.Packet, error) {
-	c := st.c
-	if !st.o.FaultTolerant {
-		return c.Recv(from, tag), nil
-	}
-	for range sendRetries {
-		if pk := c.RecvTimeout(from, tag, deadRankTimeout); pk != nil {
-			return pk, nil
+// recvCritical returns the receive of a message the protocol cannot
+// progress without (a synchronous boundary exchange, a relay round, the final
+// gather). In fault-tolerant mode it waits in deadRankTimeout windows instead
+// of blocking forever and, once the budget is exhausted, diagnoses the silent
+// peer: crashed host, failed process, or plain message loss. It closes over
+// the communicator only, so a rank state copied by a resplit keeps it.
+func recvCritical(c *mp.Comm, faultTolerant bool) mp.RecvFunc {
+	return func(from, tag int, what string) (*mp.Packet, error) {
+		if !faultTolerant {
+			return c.Recv(from, tag), nil
 		}
-	}
-	switch {
-	case c.PeerFailed(from):
-		return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: process failed: %w",
-			st.rank, from, what, c.PeerErr(from))
-	case c.PeerDown(from):
-		return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: its host is down",
-			st.rank, from, what)
-	default:
-		return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: silent for %.3gs",
-			st.rank, from, what, sendRetries*deadRankTimeout)
+		for range sendRetries {
+			if pk := c.RecvTimeout(from, tag, deadRankTimeout); pk != nil {
+				return pk, nil
+			}
+		}
+		switch {
+		case c.PeerFailed(from):
+			return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: process failed: %w",
+				c.Rank(), from, what, c.PeerErr(from))
+		case c.PeerDown(from):
+			return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: its host is down",
+				c.Rank(), from, what)
+		default:
+			return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: silent for %.3gs",
+				c.Rank(), from, what, sendRetries*deadRankTimeout)
+		}
 	}
 }
 
-// applyGroup incorporates one peer's packed update (direct message or
-// gateway-forwarded record): incremental z update under the weighting
+// applyGroup incorporates one peer's packed update, whichever route delivered
+// it: incremental z update under the weighting
 // scheme, segment by segment in the group's canonical order, plus
 // version/echo bookkeeping. vals carries exactly the group's Vals values.
 func (st *rankState) applyGroup(gi int, ver, echo float64, vals []float64) {
@@ -555,9 +561,9 @@ func (bs *bandState) step(cnt *vec.Counter) {
 }
 
 // ship sends this rank's boundary components to their dependents (step 3):
-// one packed message per peer group, and an in-place incremental update for
-// the segments between two of this rank's own bands. In gateway mode the
-// inter-cluster groups are batched through the cluster aggregator instead.
+// one packed [version, echo, values] record per peer group, routed by the
+// relay, and an in-place incremental update for the segments between two of
+// this rank's own bands.
 func (st *rankState) ship() error {
 	for i, s := range st.rp.Local {
 		to := st.bandOf(s.To)
@@ -573,20 +579,13 @@ func (st *rankState) ship() error {
 		st.ctx.Counter.Add(3 * float64(len(s.Pos)))
 	}
 	for gi := range st.rp.Send {
-		g := &st.rp.Send[gi]
-		if st.gw != nil && st.gw.sendViaGw[gi] {
-			continue
-		}
 		st.sendBuf = append(st.sendBuf[:0], float64(st.iter), st.reflFor(gi))
-		st.sendBuf = st.packVals(g, st.sendBuf)
-		if err := st.c.SendFloats(g.Peer, tagX, st.sendBuf); err != nil {
+		st.sendBuf = st.packVals(&st.rp.Send[gi], st.sendBuf)
+		if err := st.relay.Send(gi, st.sendBuf); err != nil {
 			return err
 		}
 	}
-	if st.gw != nil {
-		return st.gw.shipInter(st)
-	}
-	return nil
+	return st.relay.Flush(st.diff)
 }
 
 // msRankRun is the body of Algorithm 1 from the first iteration on: one

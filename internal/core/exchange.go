@@ -39,35 +39,21 @@ func newExchangePolicy(o Options, det detect.Detector) exchangePolicy {
 	}
 }
 
-// syncPolicy: blocking receive from every contributor group, then a
-// max-Allreduce on the local criterion — the classical synchronous
-// multisplitting round. In gateway mode the aggregator runs its forwarding
-// round first and the inter-cluster groups are taken from the gateway inbox
-// at the same positions of the peer-ascending apply loop, so the iterates
-// are byte-identical to the direct plan.
+// syncPolicy: the relay round, a blocking receive from every contributor
+// group in peer order, then the max over all ranks of the local criterion —
+// the classical synchronous multisplitting round. A relayed group is applied
+// at the same position of the peer-ascending loop as a direct one, so the
+// iterates are byte-identical whichever route the plan gives it; when the
+// relay round carried the criterion (max is order-independent, so it is
+// bitwise the Allreduce's) no second WAN round is needed.
 type syncPolicy struct{}
 
 func (syncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
-	if st.gw != nil {
-		if err := st.gw.syncRound(st); err != nil {
-			return 0, err
-		}
-		if err := st.gw.recvDownSync(st); err != nil {
-			return 0, err
-		}
+	if err := st.relay.Round(); err != nil {
+		return 0, err
 	}
 	for gi := range st.rp.Recv {
-		g := &st.rp.Recv[gi]
-		if st.gw != nil && st.gw.recvViaGw[gi] {
-			rec, ok := st.gw.take(gi)
-			if !ok {
-				return 0, fmt.Errorf("rank %d: gateway delivered no record from rank %d at iteration %d",
-					st.rank, g.Peer, st.iter)
-			}
-			st.applyGroup(gi, rec.ver, rec.echo, rec.vals)
-			continue
-		}
-		pk, err := st.recvCritical(g.Peer, tagX, "boundary data")
+		pk, err := st.relay.Recv(gi)
 		if err != nil {
 			return 0, err
 		}
@@ -79,17 +65,9 @@ func (syncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
 	if sc := st.ctx.Observe(); sc != nil {
 		sc.Sample(stop.series(), st.c.Now(), crit)
 	}
-	var global float64
-	if st.gw != nil && st.gw.red {
-		// The gateway round already reduced the criterion (piggybacked max,
-		// bitwise equal to the Allreduce), so no second WAN round is needed.
-		global = st.gw.globalCrit
-	} else {
-		var err error
-		global, err = st.c.Allreduce(crit, mp.OpMax)
-		if err != nil {
-			return 0, err
-		}
+	global, err := st.relay.Max(crit)
+	if err != nil {
+		return 0, err
 	}
 	if global <= st.o.Tol {
 		return outConverged, nil
@@ -121,38 +99,32 @@ func (ap *asyncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
 	return ap.finish(st, stop)
 }
 
+// drain pumps the relay first (an aggregator forwards whatever arrived since
+// its last iteration, a member stages the freshest record per origin), then
+// adopts the freshest update of every group.
 func (ap *asyncPolicy) drain(st *rankState) error {
-	if st.gw != nil {
-		// Pump the gateway first: an aggregator forwards whatever arrived
-		// since its last iteration, a plain rank refreshes its inbox with the
-		// freshest per-origin record (versions are monotone over the FIFO
-		// aggregator route, so overwriting is exactly DrainLatest semantics).
-		if err := st.gw.pump(st); err != nil {
-			return err
-		}
+	if err := st.relay.Pump(); err != nil {
+		return err
 	}
 	for gi := range st.rp.Recv {
-		g := &st.rp.Recv[gi]
-		if st.gw != nil && st.gw.recvViaGw[gi] {
-			if rec, ok := st.gw.take(gi); ok {
-				st.applyGroup(gi, rec.ver, rec.echo, rec.vals)
-				st.freshSeen[gi] = true
-				st.staleCount[gi] = 0
-			} else {
-				st.staleCount[gi]++
-			}
-			continue
-		}
-		if pk := st.c.DrainLatest(g.Peer, tagX); pk != nil {
-			st.applyGroup(gi, pk.Floats[0], pk.Floats[1], pk.Floats[msgHdr:])
-			st.c.Release(pk)
-			st.freshSeen[gi] = true
-			st.staleCount[gi] = 0
-		} else {
+		if !st.adopt(gi) {
 			st.staleCount[gi]++
 		}
 	}
 	return nil
+}
+
+// adopt applies group gi's freshest arrived update, if any, as fresh data.
+func (st *rankState) adopt(gi int) bool {
+	pk := st.relay.Latest(gi)
+	if pk == nil {
+		return false
+	}
+	st.applyGroup(gi, pk.Floats[0], pk.Floats[1], pk.Floats[msgHdr:])
+	st.c.Release(pk)
+	st.freshSeen[gi] = true
+	st.staleCount[gi] = 0
+	return true
 }
 
 func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
@@ -228,13 +200,12 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 type boundedStalePolicy struct {
 	asyncPolicy
 	maxStale int
-	// Adaptive per-group state (nil without Options.Adapt): the live bounds,
-	// the forced-wait and fresh-delivery counters of the current tuning
-	// window, and the link class per group.
+	// Adaptive per-group state (nil without Options.Adapt): the live bounds
+	// and the forced-wait and fresh-delivery counters of the current tuning
+	// window. A group's link class is whether the plan relays it.
 	bounds []int
 	forced []int
 	fresh  []int
-	inter  []bool
 }
 
 func (bp *boundedStalePolicy) exchange(st *rankState, stop stopper) (outcome, error) {
@@ -268,13 +239,8 @@ func (bp *boundedStalePolicy) tuneBounds(st *rankState) {
 		bp.bounds = make([]int, ng)
 		bp.forced = make([]int, ng)
 		bp.fresh = make([]int, ng)
-		bp.inter = make([]bool, ng)
-		clusters := rankClusters(st.c)
-		for gi := range st.rp.Recv {
+		for gi := range bp.bounds {
 			bp.bounds[gi] = bp.maxStale
-			if clusters != nil {
-				bp.inter[gi] = clusters[st.rp.Recv[gi].Peer] != clusters[st.rank]
-			}
 		}
 	}
 	for gi := range st.rp.Recv {
@@ -286,7 +252,7 @@ func (bp *boundedStalePolicy) tuneBounds(st *rankState) {
 		return
 	}
 	for gi := range bp.bounds {
-		nb := adapt.TuneStale(bp.bounds[gi], bp.maxStale, bp.forced[gi], bp.fresh[gi], bp.inter[gi])
+		nb := adapt.TuneStale(bp.bounds[gi], bp.maxStale, bp.forced[gi], bp.fresh[gi], st.rp.Recv[gi].Relayed())
 		if nb != bp.bounds[gi] {
 			if sc := st.ctx.Observe(); sc != nil {
 				sc.Count("stale_retune", 1)
@@ -316,28 +282,13 @@ func (bp *boundedStalePolicy) waitForStale(st *rankState) (outcome, error) {
 			bp.forced[gi]++
 		}
 		for st.staleCount[gi] > limit {
-			// Keep the gateway pumped inside the poll loop: an aggregator
-			// must go on forwarding while it waits, and a plain rank's fresh
-			// data can only arrive through its inbox.
-			if st.gw != nil {
-				if err := st.gw.pump(st); err != nil {
-					return 0, err
-				}
+			// Keep the relay pumped inside the poll loop: an aggregator must
+			// go on forwarding while it waits, and a member's relayed data
+			// can only arrive through it.
+			if err := st.relay.Pump(); err != nil {
+				return 0, err
 			}
-			got := false
-			if st.gw != nil && st.gw.recvViaGw[gi] {
-				if rec, ok := st.gw.take(gi); ok {
-					st.applyGroup(gi, rec.ver, rec.echo, rec.vals)
-					got = true
-				}
-			} else if pk := st.c.DrainLatest(g.Peer, tagX); pk != nil {
-				st.applyGroup(gi, pk.Floats[0], pk.Floats[1], pk.Floats[msgHdr:])
-				st.c.Release(pk)
-				got = true
-			}
-			if got {
-				st.freshSeen[gi] = true
-				st.staleCount[gi] = 0
+			if st.adopt(gi) {
 				break
 			}
 			if waited >= maxWait {

@@ -225,7 +225,7 @@ func TestMultibandTrackMemory(t *testing.T) {
 	b, _ := gen.RHSForSolution(a)
 	for _, k := range []int{1, 2} {
 		d, _ := NewDecomposition(a.Rows, 3*k, 0, WeightOwner)
-		cp, err := buildCommPlan(a, d, 3)
+		cp, err := buildCommPlan(a, d, make([]int, 3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -257,9 +257,9 @@ func (ad *adaptRank) redistribute(st *rankState, starts []int, overlap int) ([]f
 
 // resplit rebuilds this rank on the new partition: transition a clone of the
 // live decomposition, rebuild the communication plan from the shared
-// builder, free the old working set, construct a fresh rank state (fresh
-// symbolic pattern, full factorization charged to the virtual clock, gateway
-// state included) and remap the iterate, dependency values and
+// builder (relay routes included), free the old working set, construct a
+// fresh rank state (fresh symbolic pattern, full factorization charged to
+// the virtual clock) and remap the iterate, dependency values and
 // incremental-update baselines from the redistributed iterate window x,
 // whose first element holds global index off. It returns the arithmetic the
 // transition cost (plan rebuild + factorization).
@@ -278,7 +278,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	var planErr error
 	c.ComputeSeg(planFlops, func() {
 		ctx.Counter.Add(planFlops)
-		cp2, planErr = buildCommPlan(st.aGlob, d2, c.Size())
+		cp2, planErr = buildCommPlan(st.aGlob, d2, st.cp.Cluster)
 	})
 	if planErr != nil {
 		return 0, planErr

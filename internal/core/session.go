@@ -123,8 +123,8 @@ func (s *Session) Launch(e *vgrid.Engine, hosts []*vgrid.Host, newVals, b []floa
 // the defaulted options, the template and the first hosts: option and
 // topology validation, the equilibration scaling, the balanced or uniform
 // decomposition, and the communication plan — computed once from the
-// decomposition geometry and the sparsity and shared read-only by all rank
-// bodies. A Session keeps it; nothing is kept of a failed one.
+// decomposition geometry, the sparsity and the hosts' clusters, shared
+// read-only by all rank bodies. A Session keeps it, and nothing of a failed one.
 func (s *Session) setUp(pl *vgrid.Platform, hosts []*vgrid.Host) error {
 	o, a, n := s.o, s.a, s.a.Rows
 	if err := o.validate(n, len(hosts)); err != nil {
@@ -159,12 +159,40 @@ func (s *Session) setUp(pl *vgrid.Platform, hosts []*vgrid.Host) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	cp, err := buildCommPlan(a, d, len(hosts))
+	cluster := make([]int, len(hosts))
+	for r, h := range hosts {
+		cluster[r] = h.ClusterIndex()
+	}
+	cp, err := buildCommPlan(a, d, cluster)
 	if err != nil {
 		return err
 	}
 	s.a, s.diag, s.d, s.cp, s.ranks = a, diag, d, cp, make([]*rankState, len(hosts))
 	return nil
+}
+
+// buildCommPlan builds the shared communication plan for the decomposition
+// mapped cyclically onto the ranks (rank r owns bands r, r+P, r+2P…; with
+// one band per rank the map is the identity; rankState.bandOf inverts it).
+// cluster gives each rank's host cluster (Host.ClusterIndex), which makes
+// the plan relayed over a clustered platform. The segment and route
+// construction lives in exactly one place (internal/plan).
+func buildCommPlan(a *sparse.CSR, d *Decomposition, cluster []int) (*plan.Plan, error) {
+	nranks := len(cluster)
+	bands := make([]plan.Band, d.L())
+	for i, b := range d.Bands {
+		bands[i] = plan.Band{Start: b.Start, End: b.End, Lo: b.Lo, Hi: b.Hi}
+	}
+	return plan.Build(a, plan.Spec{
+		N:                d.N,
+		Bands:            bands,
+		NRanks:           nranks,
+		Owner:            func(b int) int { return b % nranks },
+		Contributors:     d.Contributors,
+		ContributorsInto: d.ContributorsInto,
+		Weight:           d.Weight,
+		Cluster:          cluster,
+	})
 }
 
 // rankBody is the process body of one rank for one Resolve: a rank the

@@ -38,8 +38,15 @@ func topoTestSystem(t *testing.T) (a *sparse.CSR, b, xtrue []float64) {
 // criterion) alongside.
 func runClustered(t *testing.T, workers int, o Options) (*Result, runRecord, map[string][]float64) {
 	t.Helper()
-	a, b, _ := topoTestSystem(t)
-	pl, hosts := twoSiteClustered(2, 2)
+	a, _, _ := topoTestSystem(t)
+	return runClusteredOn(t, func() (*vgrid.Platform, []*vgrid.Host) { return twoSiteClustered(2, 2) }, a, workers, o)
+}
+
+// runClusteredOn is runClustered on another clustered platform and system.
+func runClusteredOn(t *testing.T, platform func() (*vgrid.Platform, []*vgrid.Host), a *sparse.CSR, workers int, o Options) (*Result, runRecord, map[string][]float64) {
+	t.Helper()
+	b, _ := gen.RHSForSolution(a)
+	pl, hosts := platform()
 	e := vgrid.NewEngine(pl)
 	if workers > 0 {
 		e.SetWorkers(workers)

@@ -126,13 +126,6 @@ func (c *Comm) Size() int { return len(c.procs) }
 // Proc exposes the underlying simulated process (clock, compute, memory).
 func (c *Comm) Proc() *vgrid.Proc { return c.p }
 
-// PeerHost returns the host rank r runs on. Topology-aware layers use it to
-// derive the cluster layout of the communicator.
-func (c *Comm) PeerHost(r int) *vgrid.Host {
-	c.checkRank(r)
-	return c.procs[r].Host()
-}
-
 // Compute charges flops of local work.
 func (c *Comm) Compute(flops float64) { c.p.Compute(flops) }
 
@@ -209,14 +202,8 @@ func (c *Comm) checkRank(r int) {
 // silently (counted in Undelivered): loss is a simulated condition for the
 // solver to tolerate, not a Go error.
 func (c *Comm) xsend(dst *vgrid.Proc, tag int, floats []float64, bytes int) error {
-	_, err := c.xsendFate(dst, tag, floats, bytes)
+	_, err := c.xsendLoop(dst, tag, nil, floats, bytes)
 	return err
-}
-
-// xsendFate is xsend reporting whether any attempt delivered, so pooled
-// payload buffers can be reclaimed when the message never reached a mailbox.
-func (c *Comm) xsendFate(dst *vgrid.Proc, tag int, floats []float64, bytes int) (bool, error) {
-	return c.xsendLoop(dst, tag, nil, floats, bytes)
 }
 
 // xsendAny is the funnel for the rare non-float payloads (SendInts), boxed
@@ -226,8 +213,10 @@ func (c *Comm) xsendAny(dst *vgrid.Proc, tag int, payload any, bytes int) error 
 	return err
 }
 
-// xsendLoop runs the retry loop shared by both funnels; at most one of
-// payload/floats is non-nil (both nil for a bare signal).
+// xsendLoop runs the retry loop shared by both funnels and reports whether
+// any attempt delivered, so pooled payload buffers can be reclaimed when the
+// message never reached a mailbox. At most one of payload/floats is non-nil
+// (both nil for a bare signal).
 func (c *Comm) xsendLoop(dst *vgrid.Proc, tag int, payload any, floats []float64, bytes int) (bool, error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
@@ -275,7 +264,7 @@ func (c *Comm) SendFloats(dst, tag int, data []float64) error {
 	c.checkRank(dst)
 	buf := c.p.GetFloats(len(data))
 	copy(buf, data)
-	delivered, err := c.xsendFate(c.procs[dst], tag, buf, 8*len(buf)+msgOverheadBytes)
+	delivered, err := c.xsendLoop(c.procs[dst], tag, nil, buf, 8*len(buf)+msgOverheadBytes)
 	if !delivered && err == nil {
 		c.p.PutFloats(buf)
 	}
@@ -311,18 +300,23 @@ type Packet struct {
 	Arrival float64
 }
 
+// packet returns an empty Packet from the rank's shell pool.
+func (c *Comm) packet() *Packet {
+	k := len(c.pkFree)
+	if k == 0 {
+		return &Packet{}
+	}
+	pk := c.pkFree[k-1]
+	c.pkFree[k-1] = nil
+	c.pkFree = c.pkFree[:k-1]
+	return pk
+}
+
 // toPacket converts a delivered message into a Packet from the rank's shell
 // pool and recycles the vgrid envelope. The payload moves by reference: the
 // packet now owns it, until the caller hands both back with Release.
 func (c *Comm) toPacket(m *vgrid.Message) *Packet {
-	var pk *Packet
-	if k := len(c.pkFree); k > 0 {
-		pk = c.pkFree[k-1]
-		c.pkFree[k-1] = nil
-		c.pkFree = c.pkFree[:k-1]
-	} else {
-		pk = &Packet{}
-	}
+	pk := c.packet()
 	pk.From, pk.Tag, pk.Arrival = m.From, m.Tag, m.Arrival
 	if m.Floats != nil {
 		pk.Floats = m.Floats

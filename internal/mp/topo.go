@@ -12,14 +12,15 @@ package mp
 
 // topoInfo is the memoized cluster layout of a communicator's ranks.
 type topoInfo struct {
-	// cluster maps each rank to its host's cluster index.
-	cluster []int
+	// leaderOf maps each rank to its cluster's leader, the cluster's lowest
+	// rank (the aggregator of a relayed plan, plan.Relay).
+	leaderOf []int
 	// members lists the ranks of this rank's own cluster, ascending.
 	members []int
-	// leader is the lowest rank of this rank's cluster.
+	// leader is the leader of this rank's cluster.
 	leader int
-	// leaders lists each cluster's lowest rank, ascending; leaders[0] acts
-	// as the global root of the leader exchange.
+	// leaders lists the leaders, ascending; leaders[0] acts as the global
+	// root of the leader exchange.
 	leaders []int
 }
 
@@ -31,44 +32,34 @@ func (c *Comm) topo() *topoInfo {
 		return c.topoCached
 	}
 	c.topoDone = true
-	n := c.Size()
-	cl := make([]int, n)
-	seen := map[int]bool{}
-	for r := 0; r < n; r++ {
-		cl[r] = c.procs[r].Host().ClusterIndex()
-		if cl[r] < 0 {
+	cl := make([]int, c.Size())
+	ti := &topoInfo{leaderOf: make([]int, len(cl))}
+	for r := range cl {
+		if cl[r] = c.procs[r].Host().ClusterIndex(); cl[r] < 0 {
 			return nil
 		}
-		seen[cl[r]] = true
-	}
-	if len(seen) < 2 {
-		return nil
-	}
-	ti := &topoInfo{cluster: cl}
-	leaderOf := map[int]int{}
-	for r := 0; r < n; r++ {
-		if _, ok := leaderOf[cl[r]]; !ok {
-			leaderOf[cl[r]] = r
+		ti.leaderOf[r] = r
+		for _, l := range ti.leaders {
+			if cl[l] == cl[r] {
+				ti.leaderOf[r] = l
+				break
+			}
+		}
+		if ti.leaderOf[r] == r {
 			ti.leaders = append(ti.leaders, r)
 		}
-		if cl[r] == cl[c.rank] {
+	}
+	if len(ti.leaders) < 2 {
+		return nil
+	}
+	ti.leader = ti.leaderOf[c.rank]
+	for r, l := range ti.leaderOf {
+		if l == ti.leader {
 			ti.members = append(ti.members, r)
 		}
 	}
-	ti.leader = leaderOf[cl[c.rank]]
 	c.topoCached = ti
 	return ti
-}
-
-// clusterLeader returns the leader (lowest rank) of the cluster rank r
-// belongs to.
-func (ti *topoInfo) clusterLeader(r int) int {
-	for _, l := range ti.leaders {
-		if ti.cluster[l] == ti.cluster[r] {
-			return l
-		}
-	}
-	panic("mp: rank without cluster leader")
 }
 
 // hierAllreduce reduces member values to each cluster leader over the LAN,
@@ -119,7 +110,7 @@ func (c *Comm) hierAllreduce(v float64, op Op, ti *topoInfo) (float64, error) {
 // hierBcast routes a broadcast root → root's cluster leader → other leaders
 // (WAN) → cluster members (LAN): C−1 WAN messages for C clusters.
 func (c *Comm) hierBcast(root int, data []float64, ti *topoInfo) ([]float64, error) {
-	rootLeader := ti.clusterLeader(root)
+	rootLeader := ti.leaderOf[root]
 	send := func(dst int) error {
 		cp := c.p.GetFloats(len(data))
 		copy(cp, data)

@@ -56,6 +56,10 @@ type Spec struct {
 	ContributorsInto func(j int, buf []int) []int
 	// Weight returns band k's multisplitting weight for global column j.
 	Weight func(k, j int) float64
+	// Cluster, when non-nil, gives each rank's cluster: ranks with equal
+	// values share one. Over two or more clusters the plan is relayed (see
+	// Relay); without it, or over one cluster, every group is direct.
+	Cluster []int
 }
 
 // Seg is the unit of exchange: the boundary values band From contributes to
@@ -88,7 +92,16 @@ type PeerIO struct {
 	Segs []*Seg
 	// Vals is the total number of values in the packed message.
 	Vals int
+	// Via holds, in a relayed plan, the group's aggregator hops: the origin
+	// cluster's, then the destination cluster's (equal within a cluster).
+	Via [2]int
+	// Slot is the staging slot (Relay.Slots) of a relayed group's record at
+	// this rank.
+	Slot int
 }
+
+// Relayed reports whether the group crosses clusters in a relayed plan.
+func (g *PeerIO) Relayed() bool { return g.Via[0] != g.Via[1] }
 
 // RankPlan is one rank's view of the plan.
 type RankPlan struct {
@@ -101,6 +114,44 @@ type RankPlan struct {
 	Send []PeerIO
 	// Recv lists the incoming peer groups, peer-ascending.
 	Recv []PeerIO
+	// Relay is this rank's part of a relayed plan (nil in a direct plan).
+	Relay *Relay
+}
+
+// Relay is one rank's route tables in a relayed plan. Each cluster's lowest
+// rank is its aggregator: a member sends its inter-cluster groups up to it
+// in one batch, aggregators exchange one WAN batch per cluster pair, and the
+// destination's aggregator sends one batch down to each member; a record
+// waits in a staging slot at each rank it passes. Every link is listed, used
+// or not: a reducing round sends a message over each.
+type Relay struct {
+	// Agg is the aggregator of this rank's cluster (the rank itself when it
+	// aggregates).
+	Agg int
+	// Slots gives the value count of each staging slot's record.
+	Slots []int
+	// Local lists an aggregator's links to its other members (In: up, Out:
+	// down), ascending; a member's one link to Agg (In: down, Out: up).
+	Local []Link
+	// Remote lists an aggregator's links to the other aggregators, ascending.
+	Remote []Link
+}
+
+// Link is one relay edge: the groups its messages may carry, in wire
+// ((origin, dst)-ascending) order.
+type Link struct {
+	// Peer is the rank at the other end.
+	Peer int
+	// In and Out list the groups received from and sent to Peer.
+	In, Out []Hop
+}
+
+// Hop is one relayed group on a link (32-bit: a hop per group and link).
+type Hop struct {
+	// Origin and Dst are the group's sending and receiving ranks.
+	Origin, Dst int32
+	// Slot is the staging slot of the record at the table's rank.
+	Slot int32
 }
 
 // Plan is the complete communication plan of a decomposition mapped onto a
@@ -112,6 +163,8 @@ type Plan struct {
 	Bands []Band
 	// Owner maps each band to its rank.
 	Owner []int
+	// Cluster echoes Spec.Cluster.
+	Cluster []int
 	// DepCols lists, per band, the global columns outside the band that its
 	// rows couple to — the band's external dependency, in ascending order.
 	DepCols [][]int
@@ -134,10 +187,14 @@ func Build(a *sparse.CSR, sp Spec) (*Plan, error) {
 	if sp.NRanks <= 0 {
 		return nil, fmt.Errorf("plan: NRanks = %d", sp.NRanks)
 	}
+	if sp.Cluster != nil && len(sp.Cluster) != sp.NRanks {
+		return nil, fmt.Errorf("plan: %d cluster entries for %d ranks", len(sp.Cluster), sp.NRanks)
+	}
 	p := &Plan{
 		NRanks:  sp.NRanks,
 		Bands:   append([]Band(nil), sp.Bands...),
 		Owner:   make([]int, l),
+		Cluster: sp.Cluster,
 		DepCols: make([][]int, l),
 	}
 	for b := range sp.Bands {
@@ -302,7 +359,141 @@ func Build(a *sparse.CSR, sp Spec) (*Plan, error) {
 			return rp.Local[i].From < rp.Local[j].From
 		})
 	}
+	if sp.Cluster != nil {
+		p.relay(sp.Cluster)
+	}
 	return p, nil
+}
+
+// relay turns the plan into a relayed one when its ranks span two or more
+// clusters: it marks every group's hops and fills every rank's Relay.
+func (p *Plan) relay(cluster []int) {
+	nr := p.NRanks
+	// agg[r] is the lowest rank of r's cluster; pos[r] is an aggregator's
+	// index among the aggregators, or a member's among its cluster's other
+	// members, whose number size[agg] counts.
+	ints := make([]int, 3*nr)
+	agg, pos, size := ints[:nr], ints[nr:2*nr], ints[2*nr:]
+	var aggs []int
+	for r := range agg {
+		agg[r] = r
+		for _, a := range aggs {
+			if cluster[a] == cluster[r] {
+				agg[r] = a
+				break
+			}
+		}
+		if a := agg[r]; a == r {
+			pos[r], aggs = len(aggs), append(aggs, r)
+		} else {
+			pos[r], size[a] = size[a], size[a]+1
+		}
+	}
+	nc := len(aggs)
+	if nc < 2 {
+		return
+	}
+
+	// An aggregator's links sit at base[a], to its members then to the other
+	// aggregators; a member's one link at base[m].
+	relays, base := make([]Relay, nr), make([]int, nr+1)
+	for r := range relays {
+		p.Ranks[r].Relay, relays[r].Agg = &relays[r], agg[r]
+		base[r+1] = base[r] + 1
+		if agg[r] == r {
+			base[r+1] = base[r] + size[r] + nc - 1
+		}
+	}
+	links := make([]Link, base[nr])
+	local := func(a, m int) int { return base[a] + pos[m] }
+	remote := func(a, b int) int {
+		if pos[b] > pos[a] {
+			return base[a] + size[a] + pos[b] - 1
+		}
+		return base[a] + size[a] + pos[b]
+	}
+	for r, a := range agg {
+		if a != r {
+			links[base[r]].Peer, links[local(a, r)].Peer = a, r
+			relays[r].Local = links[base[r]:base[r+1]]
+			continue
+		}
+		relays[r].Local, relays[r].Remote = links[base[r]:base[r]+size[r]], links[base[r]+size[r]:base[r+1]]
+		for _, b := range aggs {
+			if b != r {
+				links[remote(r, b)].Peer = b
+			}
+		}
+	}
+
+	// sweep walks the groups in (origin, dst) order and gives each relayed
+	// one a staging slot at every rank on its route and a hop on every link
+	// it crosses. A counting sweep sizes the hop lists and the slots, a
+	// second one fills them.
+	cnt, nslot := make([]int, 2*len(links)), make([]int, nr)
+	nhops, nslots := 0, 0
+	sweep := func(fill bool) {
+		clear(nslot)
+		slot := func(r, vals int) int {
+			if fill {
+				relays[r].Slots[nslot[r]] = vals
+			} else {
+				nslots++
+			}
+			nslot[r]++
+			return nslot[r] - 1
+		}
+		add := func(li int, in bool, o, d, s int) {
+			h := Hop{int32(o), int32(d), int32(s)}
+			list, k := &links[li].Out, 2*li+1
+			if in {
+				list, k = &links[li].In, 2*li
+			}
+			if fill {
+				*list = append(*list, h)
+			} else {
+				cnt[k]++
+				nhops++
+			}
+		}
+		for o := range p.Ranks {
+			for gi := range p.Ranks[o].Send {
+				g := &p.Ranks[o].Send[gi]
+				d, ao, ad := g.Peer, agg[o], agg[g.Peer]
+				rg := findGroup(p.Ranks[d].Recv, o)
+				g.Via, rg.Via = [2]int{ao, ad}, [2]int{ao, ad}
+				if ao == ad {
+					continue
+				}
+				so := slot(ao, g.Vals)
+				g.Slot = so
+				if o != ao {
+					g.Slot = slot(o, g.Vals)
+					add(base[o], false, o, d, g.Slot)
+					add(local(ao, o), true, o, d, so)
+				}
+				add(remote(ao, ad), false, o, d, so)
+				sd := slot(ad, g.Vals)
+				add(remote(ad, ao), true, o, d, sd)
+				rg.Slot = sd
+				if d != ad {
+					rg.Slot = slot(d, g.Vals)
+					add(local(ad, d), false, o, d, sd)
+					add(base[d], true, o, d, rg.Slot)
+				}
+			}
+		}
+	}
+	sweep(false)
+	hops, slots := make([]Hop, nhops), make([]int, nslots)
+	for li := range links {
+		in, out := cnt[2*li], cnt[2*li+1]
+		links[li].In, links[li].Out, hops = hops[:0:in], hops[in:in:in+out], hops[in+out:]
+	}
+	for r := range relays {
+		relays[r].Slots, slots = slots[:nslot[r]:nslot[r]], slots[nslot[r]:]
+	}
+	sweep(true)
 }
 
 // findGroup returns the peer's group in a peer-ascending group list.

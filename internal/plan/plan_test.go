@@ -206,3 +206,60 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("no error for out-of-range owner")
 	}
 }
+
+// TestRelayedPlan: a plan is relayed only over two or more clusters, and
+// then exactly its inter-cluster groups are relayed, through the lowest rank
+// of each cluster, with a staging slot per group at each end.
+func TestRelayedPlan(t *testing.T) {
+	a, sp := testSpec(t, 240, 6, 6)
+	for _, cl := range [][]int{nil, {3, 3, 3, 3, 3, 3}} {
+		sp.Cluster = cl
+		p, err := Build(a, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range p.Ranks {
+			if p.Ranks[r].Relay != nil {
+				t.Fatalf("cluster %v: rank %d has relay tables", cl, r)
+			}
+			for _, g := range p.Ranks[r].Send {
+				if g.Relayed() {
+					t.Fatalf("cluster %v: group %d->%d relayed", cl, r, g.Peer)
+				}
+			}
+		}
+	}
+	sp.Cluster = []int{1, 0, 1, 0, 2, 2}
+	p, err := Build(a, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := []int{0, 1, 0, 1, 4, 4}
+	relayed := 0
+	for r := range p.Ranks {
+		rl := p.Ranks[r].Relay
+		if rl == nil || rl.Agg != agg[r] {
+			t.Fatalf("rank %d: relay %+v, want aggregator %d", r, rl, agg[r])
+		}
+		for _, g := range p.Ranks[r].Send {
+			if g.Relayed() != (sp.Cluster[r] != sp.Cluster[g.Peer]) || g.Via != [2]int{agg[r], agg[g.Peer]} {
+				t.Fatalf("group %d->%d: via %v", r, g.Peer, g.Via)
+			}
+			if g.Relayed() {
+				relayed++
+			}
+		}
+		for _, g := range p.Ranks[r].Recv {
+			if g.Relayed() && rl.Slots[g.Slot] != g.Vals {
+				t.Fatalf("group %d->%d: slot of %d values, want %d", g.Peer, r, rl.Slots[g.Slot], g.Vals)
+			}
+		}
+	}
+	if relayed == 0 {
+		t.Fatal("no relayed group")
+	}
+	sp.Cluster = []int{0, 1}
+	if _, err := Build(a, sp); err == nil {
+		t.Fatal("no error for a cluster list of the wrong length")
+	}
+}

@@ -38,9 +38,6 @@ type Refactorer interface {
 	// recent factorization's cost as the declaration estimate, and callers
 	// reconcile with Charge.
 	RefactorFlops() float64
-	// Fallbacks returns how many Refactor calls hit the pivot-degradation
-	// fallback and re-ran the full factorization.
-	Fallbacks() int
 }
 
 // Refactor implements Refactorer. It scatters the new values through the
@@ -54,8 +51,8 @@ type Refactorer interface {
 // |piv| >= PivotTol·max|column| (the same threshold Factor pivots with).
 // When new values break that bound — or produce an exact zero — the frozen
 // order is no longer trustworthy, so Refactor falls back to a full Factor
-// with fresh pivoting and adopts its factors in place; Fallbacks() counts
-// these. The fallback charges the full Factor cost instead of refactorFlops.
+// with fresh pivoting and adopts its factors in place. A fallback is seen on
+// the Counter: it charges the full Factor cost instead of RefactorFlops.
 func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 	n := f.n
 	if a.Rows != n || a.Cols != n {
@@ -111,9 +108,7 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 			if err != nil {
 				return err
 			}
-			g := nf.(*sparseFactors)
-			g.fallbacks = f.fallbacks + 1
-			*f = *g
+			*f = *nf.(*sparseFactors)
 			return nil
 		}
 		ux[hi] = piv
@@ -129,9 +124,6 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 // RefactorFlops implements Refactorer: the exact, pattern-determined numeric
 // cost of one Refactor pass.
 func (f *sparseFactors) RefactorFlops() float64 { return f.refactorFlops }
-
-// Fallbacks implements Refactorer.
-func (f *sparseFactors) Fallbacks() int { return f.fallbacks }
 
 // --- Dense-family refactorers: overwrite the persistent dense image and
 // re-run the elimination in place.
@@ -155,10 +147,6 @@ func (f *denseFact) Refactor(a *sparse.CSR, c *vec.Counter) error {
 
 // RefactorFlops implements Refactorer (value-dependent; see interface doc).
 func (f *denseFact) RefactorFlops() float64 { return f.lu.Flops }
-
-// Fallbacks implements Refactorer: dense LU re-pivots on every Refactor, so
-// there is no degraded state to fall back from.
-func (f *denseFact) Fallbacks() int { return 0 }
 
 // Refactor implements Refactorer for the band adapter: refill the band
 // storage (applying the frozen RCM permutation directly, so no permuted CSR
@@ -187,6 +175,3 @@ func (f *bandFact) Refactor(a *sparse.CSR, c *vec.Counter) error {
 
 // RefactorFlops implements Refactorer (value-dependent; see interface doc).
 func (f *bandFact) RefactorFlops() float64 { return f.lu.Flops }
-
-// Fallbacks implements Refactorer.
-func (f *bandFact) Fallbacks() int { return 0 }

@@ -47,10 +47,12 @@ func TestRefactorUnchangedBitIdentical(t *testing.T) {
 		pinv := append([]int(nil), f.pinv...)
 		solveFlops := f.SolveFlops()
 
+		// A fallback would charge a full Factor, not RefactorFlops.
+		want, c0 := f.RefactorFlops(), c.Flops()
 		if err := f.Refactor(sameValues(a), &c); err != nil {
 			t.Fatalf("order %v: Refactor: %v", ord, err)
 		}
-		if f.Fallbacks() != 0 {
+		if c.Flops()-c0 != want {
 			t.Fatalf("order %v: unexpected fallback on unchanged values", ord)
 		}
 		for p := range lx {
@@ -102,7 +104,7 @@ func TestRefactorChargesExactlyDeclaredFlops(t *testing.T) {
 
 // refactorVsFreshCheck refactors fact with the perturbed matrix and demands
 // its solution match a fresh factorization's to 1e-12.
-func refactorVsFreshCheck(t *testing.T, d Direct, fact Factorization, ap *sparse.CSR) {
+func refactorVsFreshCheck(t *testing.T, d Direct, fact Factorization, ap *sparse.CSR) (charged float64) {
 	t.Helper()
 	var c vec.Counter
 	r, ok := fact.(Refactorer)
@@ -112,6 +114,7 @@ func refactorVsFreshCheck(t *testing.T, d Direct, fact Factorization, ap *sparse
 	if err := r.Refactor(ap, &c); err != nil {
 		t.Fatalf("%s: Refactor: %v", d.Name(), err)
 	}
+	charged = c.Flops()
 	fresh, err := d.Factor(ap, &c)
 	if err != nil {
 		t.Fatalf("%s: fresh Factor: %v", d.Name(), err)
@@ -126,6 +129,7 @@ func refactorVsFreshCheck(t *testing.T, d Direct, fact Factorization, ap *sparse
 			t.Fatalf("%s: refactored solve differs at %d: %v vs %v", d.Name(), i, xr[i], xf[i])
 		}
 	}
+	return charged
 }
 
 func TestRefactorPerturbedMatchesFreshFactor(t *testing.T) {
@@ -136,9 +140,10 @@ func TestRefactorPerturbedMatchesFreshFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refactorVsFreshCheck(t, d, fact, perturb(a, 1e-3))
-	if fact.(Refactorer).Fallbacks() != 0 {
-		t.Fatal("perturbation should not have degraded the pivots")
+	// A degraded pivot would charge a full Factor, not RefactorFlops.
+	want := fact.(Refactorer).RefactorFlops()
+	if got := refactorVsFreshCheck(t, d, fact, perturb(a, 1e-3)); got != want {
+		t.Fatalf("perturbation degraded the pivots: Refactor charged %v, RefactorFlops %v", got, want)
 	}
 }
 
@@ -205,11 +210,18 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 			bad.Val[p] = 1e-10
 		}
 	}
+	// The fallback shows on the counter: it charges the full Factor of the
+	// new values, not RefactorFlops.
+	var full vec.Counter
+	if _, err := (&SparseLU{Order: OrderNatural}).Factor(bad, &full); err != nil {
+		t.Fatal(err)
+	}
+	frozen, c0 := r.RefactorFlops(), c.Flops()
 	if err := r.Refactor(bad, &c); err != nil {
 		t.Fatalf("Refactor with degraded pivot: %v", err)
 	}
-	if r.Fallbacks() != 1 {
-		t.Fatalf("Fallbacks = %d, want 1", r.Fallbacks())
+	if got := c.Flops() - c0; got != full.Flops() || got == frozen {
+		t.Fatalf("degraded Refactor charged %v, want the full Factor's %v (RefactorFlops %v)", got, full.Flops(), frozen)
 	}
 	// The adopted factors must solve the new system accurately.
 	b, xtrue := gen.RHSForSolution(bad)
@@ -220,12 +232,13 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 			t.Fatalf("post-fallback solve wrong at %d: %v vs %v", i, x[i], xtrue[i])
 		}
 	}
-	// A later healthy Refactor keeps working and keeps the count.
+	// A later healthy Refactor keeps working on the adopted pivots.
+	c0 = c.Flops()
 	if err := r.Refactor(sameValues(bad), &c); err != nil {
 		t.Fatal(err)
 	}
-	if r.Fallbacks() != 1 {
-		t.Fatalf("healthy refactor changed Fallbacks to %d", r.Fallbacks())
+	if got := c.Flops() - c0; got != r.RefactorFlops() {
+		t.Fatalf("healthy Refactor charged %v, RefactorFlops %v", got, r.RefactorFlops())
 	}
 }
 

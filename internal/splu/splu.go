@@ -121,9 +121,6 @@ type sparseFactors struct {
 	// refactorFlops is the exact numeric cost of one Refactor call, fully
 	// determined by the frozen pattern (no zero-skips on the refactor path).
 	refactorFlops float64
-	// fallbacks counts Refactor calls that hit the pivot-degradation
-	// fallback and re-ran the full factorization.
-	fallbacks int
 
 	// work is the Solve scratch, rwork the Refactor scatter scratch (held
 	// all-zero between Refactor calls). Separate buffers: Solve leaves work
