@@ -33,8 +33,10 @@ test-bench:
 # rank states crossing engines and worker pools). The vgrid rerun also holds
 # what pins "compute segments still overlap" now that process bodies are
 # coroutines of their lane, that processes tied at a deferred segment's
-# dispatch instant all dispatch theirs before the first is collected, and
-# that Run stops every coroutine it leaves unfinished. The experiments
+# dispatch instant all dispatch theirs before the first is collected, that
+# Run stops every coroutine it leaves unfinished, and that segments declaring
+# less than vgrid.InlineFlops run inline while a dispatched one reuses its
+# process's completion channel. The experiments
 # rerun holds the runs of a table row going side by side: Table 3's budget
 # still taken from its row's own run, a rejected job failing its list with
 # exactly the earlier jobs' progress lines written and no goroutine left, and
@@ -52,7 +54,7 @@ race:
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
 	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment' ./internal/experiments
 	$(GO) test -race -count=2 -run 'TestProgressGolden' ./cmd/msexp
-	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError' ./internal/vgrid
+	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError|TestComputeFuncInlinesShortSegments|TestDispatchAllocs' ./internal/vgrid
 
 vet:
 	$(GO) vet ./...

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -31,7 +32,37 @@ func runWithWorkers(t *testing.T, workers int, o Options) (runRecord, *Result) {
 	}
 	pend.res.Time = end
 	pend.Finish()
-	return recordOf(e, rec), pend.Result()
+	r := recordOf(e, rec)
+	requirePooledSteps(t, r.spans)
+	return r, pend.Result()
+}
+
+// requirePooledSteps fails the test when a step of the recorded run declared
+// less than vgrid.InlineFlops: such a step runs inline on any worker count,
+// so a 1-vs-N-worker comparison of the run would not reach the pool with it.
+// A step is the compute span a rank's iteration opens with.
+func requirePooledSteps(t *testing.T, spans []obs.Span) {
+	t.Helper()
+	iterAt := map[string]map[float64]bool{}
+	for _, s := range spans {
+		if track, ok := strings.CutPrefix(s.Track, "solver:"); ok && s.Cat == obs.CatIter {
+			if iterAt[track] == nil {
+				iterAt[track] = map[float64]bool{}
+			}
+			iterAt[track][s.Start] = true
+		}
+	}
+	steps, least := 0, math.Inf(1)
+	for _, s := range spans {
+		if s.Cat == obs.CatCompute && iterAt[s.Track][s.Start] {
+			steps++
+			least = math.Min(least, s.Flops)
+		}
+	}
+	if steps == 0 || least < vgrid.InlineFlops {
+		t.Fatalf("%d steps, the smallest declaring %v flops: below vgrid.InlineFlops = %d, steps would run inline on any worker count",
+			steps, least, vgrid.InlineFlops)
+	}
 }
 
 // TestEngineWorkersDeterministic: running the compute segments on a pool of

@@ -88,6 +88,11 @@ func TestGatewayRecordGolden(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("%s: no convergence", tc.name)
 		}
+		if tc.platform == nil {
+			// The sites6 and adaptive runs have steps of ~3.5k flops, which
+			// run inline; the 2+2 runs dispatch every step to the pool.
+			requirePooledSteps(t, rec.spans)
+		}
 		fmt.Fprintf(&got, "%s %s\n", tc.name, recordDigest(rec))
 	}
 	path := filepath.Join("testdata", "gateway-records.txt")

@@ -3,6 +3,7 @@ package vgrid
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -345,6 +346,142 @@ func TestDeferredBelowFloorFails(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "below its declared floor") {
 			t.Fatalf("workers=%d: want the short segment to fail its process, got %v", workers, err)
 		}
+	}
+}
+
+// shortRing runs a ring of processes on a heterogeneous 8-host grid, each
+// round a ComputeFunc segment declaring flops(i, r) then a message to the next
+// process, and returns the engine after Run with the obs record and every
+// process's accumulated segment results.
+func shortRing(t *testing.T, workers int, flops func(i, r int) float64) (*Engine, string, []float64) {
+	t.Helper()
+	const nproc, rounds = 8, 5
+	pl := Synthetic(nproc, 2, 0.3, 5)
+	e := NewEngine(pl)
+	e.SetWorkers(workers)
+	rec := &obs.Recorder{}
+	e.Observe(rec)
+	results := make([]float64, nproc)
+	procs := make([]*Proc, nproc)
+	for i := range procs {
+		procs[i] = e.Spawn(pl.Hosts[i], fmt.Sprintf("p%d", i), func(p *Proc) error {
+			for r := 0; r < rounds; r++ {
+				f := flops(i, r)
+				p.ComputeFunc(f, func() { results[i] = results[i]*3 + f })
+				if err := p.Send(procs[(i+1)%nproc], r, nil, 64); err != nil {
+					return err
+				}
+				p.Recv((i+nproc-1)%nproc, r)
+			}
+			return nil
+		})
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return e, recordString(rec), results
+}
+
+// TestComputeFuncInlinesShortSegments: on a 4-worker engine a segment
+// declaring less than InlineFlops runs inline — processes with only such
+// segments never start the pool — one declaring exactly InlineFlops is
+// dispatched, and a ring whose segments fall on both sides of the constant
+// leaves the record and the results of the one-worker run.
+func TestComputeFuncInlinesShortSegments(t *testing.T) {
+	if e, _, _ := shortRing(t, 4, func(i, r int) float64 { return InlineFlops - 1 - float64(i*r) }); e.jobs != nil {
+		t.Error("segments below InlineFlops started the worker pool")
+	}
+	if e, _, _ := shortRing(t, 4, func(i, r int) float64 {
+		if i == 3 && r == 2 {
+			return InlineFlops
+		}
+		return 1
+	}); e.jobs == nil {
+		t.Error("a segment declaring InlineFlops ran inline")
+	}
+	mixed := func(i, r int) float64 { return InlineFlops * (0.25 + 0.25*float64((i+r)%7)) }
+	_, rec1, res1 := shortRing(t, 1, mixed)
+	e4, rec4, res4 := shortRing(t, 4, mixed)
+	if e4.jobs == nil {
+		t.Fatal("the mixed ring never dispatched a segment")
+	}
+	if rec1 != rec4 {
+		t.Fatalf("records differ between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", rec1, rec4)
+	}
+	for i := range res1 {
+		if res1[i] != res4[i] {
+			t.Fatalf("p%d: segment results %v vs %v", i, res1[i], res4[i])
+		}
+	}
+}
+
+// TestDispatchAllocs: a dispatched segment reuses its process's completion
+// channel, so after its first segment a process dispatching segments above
+// the threshold allocates nothing per segment — doubling them must not add
+// an object.
+func TestDispatchAllocs(t *testing.T) {
+	run := func(segs int) uint64 {
+		pl := NewPlatform()
+		h := pl.AddHost("h", 1e9, 0)
+		e := NewEngine(pl)
+		e.SetWorkers(2)
+		fn := func() {}
+		e.Spawn(h, "p", func(p *Proc) error {
+			for k := 0; k < segs; k++ {
+				p.ComputeFunc(2*InlineFlops, fn)
+			}
+			return nil
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := e.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.jobs == nil {
+			t.Fatal("no segment was dispatched")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const segs = 2000
+	run(segs) // warm-up: one-time runtime allocations
+	short, long := run(segs), run(2*segs)
+	t.Logf("%d segments: %d objects; %d segments: %d objects", segs, short, 2*segs, long)
+	// A handful of objects either way is the runtime's (timer, stack growth).
+	if extra := int64(long) - int64(short); extra > 20 {
+		t.Errorf("%d more dispatched segments allocated %d more objects", segs, extra)
+	}
+}
+
+// BenchmarkComputeFuncHandoff grounds InlineFlops: the host price of one
+// trivial ComputeFunc segment of a lone process on a 2-worker engine, handed
+// to the pool ("pooled", declared at InlineFlops) or run inline ("inline",
+// declared just below). One op is one segment; EXPERIMENTS.md ("Host price —
+// inline segments") quotes this host's numbers.
+func BenchmarkComputeFuncHandoff(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		flops float64
+	}{{"pooled", InlineFlops}, {"inline", InlineFlops - 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			pl := NewPlatform()
+			h := pl.AddHost("h", 1e9, 0)
+			e := NewEngine(pl)
+			e.SetWorkers(2)
+			fn := func() {}
+			e.Spawn(h, "p", func(p *Proc) error {
+				for k := 0; k < b.N; k++ {
+					p.ComputeFunc(c.flops, fn)
+				}
+				return nil
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

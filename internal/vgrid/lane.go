@@ -219,7 +219,7 @@ func (ln *lane) advance() *Proc {
 			// segment's own panic already will).
 			ln.beginGroup(resumeAt, p.ID, false)
 			<-p.computing
-			p.computing = nil
+			p.inFlight = false
 			if err := p.chargeDeferred(p.deferredFlops); err != nil && p.fnPanic == nil {
 				p.fnPanic = err
 			}
@@ -243,12 +243,12 @@ func (ln *lane) advance() *Proc {
 				o.Span(s)
 			}
 		}
-		if p.computing != nil {
+		if p.inFlight {
 			// The pick is committed at the pre-charged virtual time; only the
 			// wall clock waits for the segment to finish (ComputeFunc) — a
 			// collected ComputeDeferred segment has already been waited for.
 			<-p.computing
-			p.computing = nil
+			p.inFlight = false
 		}
 		p.clock = resumeAt
 		ln.commits++

@@ -53,13 +53,15 @@ type Proc struct {
 	// The process is a coroutine of its lane (coro.go): next switches to the
 	// body until it yields or finishes, yieldTo switches back (false once
 	// stopped), stop ends an unfinished coroutine after the run. stopped marks
-	// a body being unwound by stop: its outcome must not reach err or state
-	// (it sits in the state word's padding, which keeps Proc in its size class).
-	stopped bool
-	next    func() (struct{}, bool)
-	stop    func()
-	yieldTo func(struct{}) bool
-	mailbox []*Message
+	// a body being unwound by stop: its outcome must not reach err or state.
+	// inFlight is set while a dispatched segment is uncollected. Both sit in
+	// the state word's padding, which keeps Proc in its size class.
+	stopped  bool
+	inFlight bool
+	next     func() (struct{}, bool)
+	stop     func()
+	yieldTo  func(struct{}) bool
+	mailbox  []*Message
 	// matcher is set while blocked in Recv.
 	matchSrc, matchTag int
 	// until is the instant that bounds the process's next event, by state:
@@ -80,15 +82,15 @@ type Proc struct {
 	// blocked receive, maintained incrementally: Recv seeds it with a scan,
 	// Send deposits improve it in O(1). Only meaningful while blocked.
 	pendingMatch *Message
-	// computing is non-nil while a compute segment (segment) is in flight on
-	// the worker pool; it is closed by the worker when the segment returns.
+	// computing is the process's completion channel (capacity 1, made on its
+	// first dispatch): the worker signals it when the segment returns.
 	computing chan struct{}
 	segment   func()
 	// fnPanic carries a panic recovered on the worker back to the process's
 	// coroutine, where it is re-raised so safeBody turns it into an error.
 	fnPanic any
 	// deferredFlops is the measured cost of a ComputeDeferred segment,
-	// written by the worker before computing is closed and charged by the
+	// written by the worker before it signals computing and charged by the
 	// scheduler at collection time.
 	deferredFlops float64
 	// sendSeq counts this process's sends; combined with the ID it forms
@@ -225,22 +227,29 @@ func (p *Proc) Compute(flops float64) {
 	p.yield()
 }
 
+// InlineFlops is the declared cost below which ComputeFunc runs a segment
+// inline on any worker count: the pool handoff would cost the host more than
+// overlapping the segment saves. Reading only the declared cost, the choice
+// is the same on every host and leaves the virtual schedule unchanged.
+const InlineFlops = 4096
+
 // ComputeFunc charges flops of declared work up front — advancing the clock
 // exactly as Compute(flops) would — and executes fn, the real arithmetic the
-// declared cost stands for. With more than one worker configured, fn runs on
-// the engine's worker pool while the scheduler proceeds to other processes
-// whose next events are not later, so independent compute segments of
-// different processes overlap in wall-clock time; the scheduler waits for fn
-// before this process resumes, so everything the process observes afterwards
-// is as if fn had run inline. The virtual schedule is identical for any
-// worker count.
+// declared cost stands for. With more than one worker configured and a
+// declared cost of at least InlineFlops, fn runs on the engine's worker pool
+// while the scheduler proceeds to other processes whose next events are not
+// later, so independent compute segments of different processes overlap in
+// wall-clock time; the scheduler waits for fn before this process resumes, so
+// everything the process observes afterwards is as if fn had run inline.
+// With 1 worker, or a declared cost below InlineFlops, fn runs inline. The
+// virtual schedule is identical for any worker count.
 //
 // fn must not call simulator primitives and must touch only process-local
 // state (its owner's vectors, matrices and flop counter): unlike the process
 // body, it is not serialized with other processes' segments.
 func (p *Proc) ComputeFunc(flops float64, fn func()) {
 	p.chargeFlops(flops)
-	if p.eng.workers <= 1 {
+	if p.eng.workers <= 1 || flops < InlineFlops {
 		fn()
 		p.setSt(stateReady)
 		p.yield()
@@ -254,7 +263,10 @@ func (p *Proc) ComputeFunc(flops float64, fn func()) {
 // re-raises a panic the worker recovered so safeBody turns it into an error.
 func (p *Proc) dispatch(st procState, fn func()) {
 	p.eng.startPool()
-	p.computing = make(chan struct{})
+	if p.computing == nil {
+		p.computing = make(chan struct{}, 1)
+	}
+	p.inFlight = true
 	p.segment = fn
 	p.setSt(st)
 	p.eng.jobs <- p
@@ -269,7 +281,7 @@ func (p *Proc) dispatch(st procState, fn func()) {
 func (p *Proc) runSegment() {
 	defer func() {
 		p.fnPanic = recover()
-		close(p.computing)
+		p.computing <- struct{}{}
 	}()
 	p.segment()
 }

@@ -17,8 +17,9 @@
 //
 // Pure compute segments are the one exception to the single-runner rule:
 // Proc.ComputeFunc charges its declared virtual cost up front and hands the
-// real work to a bounded pool of OS threads (Engine.SetWorkers), so segments
-// of different processes overlap in wall-clock time. The virtual schedule is
+// real work to a bounded pool of OS threads (Engine.SetWorkers; a segment
+// declaring less than InlineFlops runs inline), so segments of different
+// processes overlap in wall-clock time. The virtual schedule is
 // unchanged — the scheduler commits clock charges in the same conservative
 // order and blocks on a segment's completion before resuming its owner — so
 // obs records and results are identical for 1 worker and N workers.
@@ -297,7 +298,7 @@ type Engine struct {
 	obs *obs.Recorder
 
 	// workers bounds the pool of OS threads executing ComputeFunc segments
-	// concurrently; 1 runs every segment inline (fully serial).
+	// concurrently; 1, or a declared cost below InlineFlops, runs it inline.
 	workers  int
 	poolOnce sync.Once
 	jobs     chan *Proc
@@ -346,9 +347,10 @@ type Engine struct {
 }
 
 // NewEngine creates an engine for the platform. Compute segments handed to
-// Proc.ComputeFunc run on up to GOMAXPROCS OS threads; use SetWorkers to
-// change the bound (the virtual schedule is identical either way). The
-// scheduler runs a single lane unless SetLanes asks for sharding.
+// Proc.ComputeFunc run on up to GOMAXPROCS OS threads, those declaring less
+// than InlineFlops inline; use SetWorkers to change the bound (the virtual
+// schedule is identical either way). The scheduler runs a single lane unless
+// SetLanes asks for sharding.
 func NewEngine(pl *Platform) *Engine {
 	return &Engine{Platform: pl, workers: runtime.GOMAXPROCS(0), lanesReq: 1}
 }
@@ -396,8 +398,9 @@ func (e *Engine) EventStats() (commits, syncs int64) {
 }
 
 // SetWorkers bounds the number of OS threads that execute ComputeFunc
-// segments concurrently (default GOMAXPROCS). n = 1 runs segments inline in
-// the process body. Must be called before Run.
+// segments concurrently (default GOMAXPROCS). n = 1, or a declared cost below
+// InlineFlops, runs a segment inline in the process body. Must be called
+// before Run.
 func (e *Engine) SetWorkers(n int) {
 	if e.started {
 		panic("vgrid: SetWorkers after Run")
