@@ -66,9 +66,6 @@ type Options struct {
 	// iterate freely, adopt the freshest available neighbor data and detect
 	// convergence with a polling protocol.
 	Async bool
-	// Detector names the async convergence-detection protocol:
-	// "decentralized" (default, paper ref [4]) or "centralized" (ref [2]).
-	Detector string
 	// TrackMemory accounts the band matrix and factors against the host
 	// memory capacity, so undersized platforms fail with "not enough
 	// memory" exactly as in the paper's Tables 2 and 3.
@@ -92,11 +89,6 @@ type Options struct {
 	// model of Bertsekas–Tsitsiklis, paper ref [8]). Zero means totally
 	// asynchronous (no bound). Ignored in synchronous mode.
 	MaxStale int
-	// UseResidual stops on the true band residual
-	// ‖BSub − DepMat·z − ASub·XSub‖∞ ≤ Tol instead of the
-	// successive-iterate difference — a stronger criterion that costs one
-	// extra sparse matrix-vector product per iteration.
-	UseResidual bool
 	// TreeCollectives uses binomial-tree reductions for the synchronous
 	// convergence test (O(log P) depth) instead of the flat rank-0 star,
 	// as real MPI implementations do.
@@ -181,9 +173,6 @@ func (o *Options) withDefaults() Options {
 	if out.MaxIter == 0 {
 		out.MaxIter = 100000
 	}
-	if out.Detector == "" {
-		out.Detector = "decentralized"
-	}
 	if out.AdaptInterval == 0 {
 		out.AdaptInterval = 20
 	}
@@ -212,8 +201,6 @@ func (o *Options) validate(n, nHosts int) error {
 		return errors.New("core: no hosts")
 	case o.SolverPerRank != nil && len(o.SolverPerRank) != nHosts:
 		return fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), nHosts)
-	case o.Detector != "decentralized" && o.Detector != "centralized":
-		return fmt.Errorf("core: unknown detector %q", o.Detector)
 	case !(o.Tol > 0) || o.MaxIter < 0 || o.MaxStale < 0 || o.BandsPerProc < 0:
 		return fmt.Errorf("core: option out of range (Tol %v, MaxIter %d, MaxStale %d, BandsPerProc %d)",
 			o.Tol, o.MaxIter, o.MaxStale, o.BandsPerProc)

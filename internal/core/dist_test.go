@@ -153,7 +153,7 @@ func TestDistributedAsyncDecentralized(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Seed: 19})
 	b, xtrue := gen.RHSForSolution(a)
 	pl, hosts := lanPlatform(4, 0)
-	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-10, Async: true, Detector: "decentralized"})
+	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-10, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +161,6 @@ func TestDistributedAsyncDecentralized(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("not marked converged")
 	}
-}
-
-func TestDistributedAsyncCentralized(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Seed: 19})
-	b, xtrue := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(4, 0)
-	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-10, Async: true, Detector: "centralized"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, res, xtrue, 1e-6)
 }
 
 func TestDistributedAsyncIterationCountsVary(t *testing.T) {

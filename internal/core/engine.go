@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/detect"
 	"repro/internal/iterative"
 	"repro/internal/mp"
 	"repro/internal/obs"
@@ -91,7 +90,7 @@ func (bs *bandState) factorBytes() int64 {
 // several-non-adjacent-bands assignment of the paper's Remark 2; one band
 // per processor is simply len(bands) == 1 — its view of that plan and the
 // exchange bookkeeping. The engine loop (msRankRun) drives it through an
-// exchangePolicy and a stopper.
+// exchangePolicy.
 type rankState struct {
 	c     *mp.Comm
 	ctx   *simctx.Ctx
@@ -261,10 +260,10 @@ func (st *rankState) startRun() {
 		route = st.rp.Relay
 	}
 	st.recvCritical = recvCritical(st.c, st.o.FaultTolerant)
-	// The criterion rides a synchronous round when it is known before the
-	// exchange: the successive-iterate difference.
+	// A synchronous round carries the successive-iterate difference, known
+	// before the exchange.
 	st.relay = mp.NewRelay(st.c, st.rp, route, mp.RelayTags{tagX, tagUp, tagWAN, tagDown},
-		st.recvCritical, !st.o.Async && !st.o.UseResidual)
+		st.recvCritical, !st.o.Async)
 }
 
 // loadBand extracts band k of the decomposition into bs and factors it,
@@ -590,22 +589,13 @@ func (st *rankState) ship() error {
 
 // msRankRun is the body of Algorithm 1 from the first iteration on: one
 // engine loop — iterate, ship, exchange — parameterized by the exchange policy
-// (synchronous barrier, asynchronous freshest-drain, or bounded staleness) and
-// the stopping criterion (successive iterate or true residual), then the
-// final gather. Session.rankBody hands it a rank at the start of a solve.
+// (synchronous barrier, asynchronous freshest-drain, or bounded staleness),
+// which stops on the paper's successive-iterate difference, then the final
+// gather. Session.rankBody hands it a rank at the start of a solve.
 func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 	c, o := st.c, st.o
 
-	var det detect.Detector
-	var err error
-	if o.Async {
-		det, err = detect.New(o.Detector, c)
-		if err != nil {
-			return err
-		}
-	}
-	policy := newExchangePolicy(o, det)
-	stop := newStopper(o)
+	policy := newExchangePolicy(o, c)
 	ad := newAdaptRank(st)
 
 	converged := false
@@ -619,7 +609,7 @@ func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 		if err := st.ship(); err != nil {
 			return err
 		}
-		out, err := policy.exchange(st, stop)
+		out, err := policy.exchange(st)
 		if err != nil {
 			return err
 		}

@@ -25,30 +25,33 @@ const (
 // synchronous and asynchronous variants plus the bounded-staleness middle
 // ground.
 type exchangePolicy interface {
-	exchange(st *rankState, stop stopper) (outcome, error)
+	exchange(st *rankState) (outcome, error)
 }
 
-func newExchangePolicy(o Options, det detect.Detector) exchangePolicy {
-	switch {
-	case !o.Async:
+// newExchangePolicy returns the rank's policy; an asynchronous one carries
+// the rank's node of the detection tree.
+func newExchangePolicy(o Options, c *mp.Comm) exchangePolicy {
+	if !o.Async {
 		return syncPolicy{}
-	case o.MaxStale > 0:
-		return &boundedStalePolicy{asyncPolicy: asyncPolicy{det: det}, maxStale: o.MaxStale}
-	default:
-		return &asyncPolicy{det: det}
 	}
+	ap := asyncPolicy{det: detect.NewDecentralized(c)}
+	if o.MaxStale > 0 {
+		return &boundedStalePolicy{asyncPolicy: ap, maxStale: o.MaxStale}
+	}
+	return &ap
 }
 
 // syncPolicy: the relay round, a blocking receive from every contributor
-// group in peer order, then the max over all ranks of the local criterion —
-// the classical synchronous multisplitting round. A relayed group is applied
-// at the same position of the peer-ascending loop as a direct one, so the
-// iterates are byte-identical whichever route the plan gives it; when the
-// relay round carried the criterion (max is order-independent, so it is
-// bitwise the Allreduce's) no second WAN round is needed.
+// group in peer order, then the max over all ranks of the successive-iterate
+// difference — the classical synchronous multisplitting round. A relayed
+// group is applied at the same position of the peer-ascending loop as a
+// direct one, so the iterates are byte-identical whichever route the plan
+// gives it; when the relay round carried the difference (max is
+// order-independent, so it is bitwise the Allreduce's) no second WAN round
+// is needed.
 type syncPolicy struct{}
 
-func (syncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
+func (syncPolicy) exchange(st *rankState) (outcome, error) {
 	if err := st.relay.Round(); err != nil {
 		return 0, err
 	}
@@ -60,12 +63,11 @@ func (syncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
 		st.applyGroup(gi, pk.Floats[0], pk.Floats[1], pk.Floats[msgHdr:])
 		st.c.Release(pk)
 	}
-	crit := stop.crit(st)
 	st.c.Charge()
 	if sc := st.ctx.Observe(); sc != nil {
-		sc.Sample(stop.series(), st.c.Now(), crit)
+		sc.Sample("diff", st.c.Now(), st.diff)
 	}
-	global, err := st.relay.Max(crit)
+	global, err := st.relay.Max(st.diff)
 	if err != nil {
 		return 0, err
 	}
@@ -82,7 +84,7 @@ func (syncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
 // at least as new as the start of the current stable streak — the causal
 // round-trip criterion that keeps detection sound under message pipelining.
 type asyncPolicy struct {
-	det detect.Detector
+	det *detect.Decentralized
 	// lastRefresh is the virtual time of the last detector Refresh in
 	// fault-tolerant mode. The cadence is deadRankTimeout of virtual time —
 	// far longer than any healthy verification round, so refreshes only ever
@@ -92,11 +94,11 @@ type asyncPolicy struct {
 	lastRefresh float64
 }
 
-func (ap *asyncPolicy) exchange(st *rankState, stop stopper) (outcome, error) {
+func (ap *asyncPolicy) exchange(st *rankState) (outcome, error) {
 	if err := ap.drain(st); err != nil {
 		return 0, err
 	}
-	return ap.finish(st, stop)
+	return ap.finish(st)
 }
 
 // drain pumps the relay first (an aggregator forwards whatever arrived since
@@ -127,7 +129,7 @@ func (st *rankState) adopt(gi int) bool {
 	return true
 }
 
-func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
+func (ap *asyncPolicy) finish(st *rankState) (outcome, error) {
 	st.c.Charge()
 	roundComplete := true
 	for _, f := range st.freshSeen {
@@ -136,13 +138,11 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			break
 		}
 	}
-	crit := stop.crit(st)
-	st.c.Charge()
 	if sc := st.ctx.Observe(); sc != nil {
-		sc.Sample(stop.series(), st.c.Now(), crit)
+		sc.Sample("diff", st.c.Now(), st.diff)
 	}
 	switch {
-	case crit > st.o.Tol:
+	case st.diff > st.o.Tol:
 		st.stableRuns = 0
 		st.stableStart = st.iter
 	case roundComplete:
@@ -208,7 +208,7 @@ type boundedStalePolicy struct {
 	fresh  []int
 }
 
-func (bp *boundedStalePolicy) exchange(st *rankState, stop stopper) (outcome, error) {
+func (bp *boundedStalePolicy) exchange(st *rankState) (outcome, error) {
 	if err := bp.drain(st); err != nil {
 		return 0, err
 	}
@@ -219,7 +219,7 @@ func (bp *boundedStalePolicy) exchange(st *rankState, stop stopper) (outcome, er
 	if err != nil || out != outContinue {
 		return out, err
 	}
-	return bp.finish(st, stop)
+	return bp.finish(st)
 }
 
 // bound returns the staleness limit for one receive group: the live tuned
@@ -297,14 +297,12 @@ func (bp *boundedStalePolicy) waitForStale(st *rankState) (outcome, error) {
 			}
 			st.c.Proc().Sleep(pollInterval)
 			waited += pollInterval
-			if bp.det != nil {
-				stopNow, err := bp.det.Step(false)
-				if err != nil {
-					return 0, err
-				}
-				if stopNow {
-					return outConverged, nil
-				}
+			stopNow, err := bp.det.Step(false)
+			if err != nil {
+				return 0, err
+			}
+			if stopNow {
+				return outConverged, nil
 			}
 			if pk := st.c.TryRecv(mp.AnySource, tagAbort); pk != nil {
 				st.c.Release(pk)

@@ -56,22 +56,6 @@ func TestAsyncBoundedStaleness(t *testing.T) {
 	}
 }
 
-func TestSyncResidualStopping(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Seed: 61})
-	b, xtrue := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(4, 0)
-	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-8, UseResidual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, res, xtrue, 1e-7)
-	// Residual-based stopping really enforces the residual, not just the
-	// step size.
-	if r := residualInf(a, res.X, b); r > 1e-8*1.01 {
-		t.Fatalf("final residual %v above the requested tolerance", r)
-	}
-}
-
 func TestTreeCollectivesSolve(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 800, Seed: 62})
 	b, xtrue := gen.RHSForSolution(a)
@@ -90,17 +74,6 @@ func TestTreeCollectivesSolve(t *testing.T) {
 	if res.Iterations != flat.Iterations {
 		t.Fatalf("tree %d iterations vs flat %d", res.Iterations, flat.Iterations)
 	}
-}
-
-func TestAsyncResidualStopping(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Seed: 61})
-	b, xtrue := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(4, 0)
-	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-8, Async: true, UseResidual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, res, xtrue, 1e-6)
 }
 
 // TestOptionMatrix is the composition contract of the option surface: every
@@ -206,7 +179,6 @@ var matrixFeatures = []struct {
 }{
 	{"async", func(o *Options) { o.Async = true }},
 	{"maxstale", func(o *Options) { o.Async, o.MaxStale = true, 2 }},
-	{"residual", func(o *Options) { o.UseResidual = true }},
 	{"balance", func(o *Options) { o.Balance = true }},
 	{"gateway", func(o *Options) { o.Gateway, o.TopoCollectives = true, true }},
 	{"twostage", func(o *Options) { o.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 8} }},
@@ -252,7 +224,6 @@ func TestOptionsRejectedBeforeLaunch(t *testing.T) {
 	a := gen.Tridiag(40, -1, 4, -1)
 	b := make([]float64, 40)
 	for name, o := range map[string]Options{
-		"detector":            {Async: true, Detector: "gossip"},
 		"negative-bands":      {BandsPerProc: -1},
 		"negative-stale":      {Async: true, MaxStale: -1},
 		"negative-maxiter":    {MaxIter: -1},

@@ -18,9 +18,8 @@ var updateDigests = flag.Bool("update", false, "re-record internal/core/testdata
 
 // gatewayRecordConfigs are the relayed exchange configurations
 // TestGatewayRecordGolden holds to recorded digests: each exchange policy, the
-// topology-aware collectives, the explicit Allreduce a residual stopper needs
-// (no criterion rides the relay round), two bands per rank, a resplit that
-// rebuilds the relayed plan, and the link-class-tuned staleness bounds with
+// topology-aware collectives, two bands per rank, a resplit that rebuilds the
+// relayed plan, and the link-class-tuned staleness bounds with
 // and without the relay. The adaptive ones run on the option matrix's grid,
 // whose unequal speeds give the controller something to act on; the "sites6"
 // ones on two sites of six ranks and a narrow band (band > 0), where the
@@ -33,8 +32,6 @@ var gatewayRecordConfigs = []struct {
 }{
 	{"sync", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true}},
 	{"sync-topo", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, TopoCollectives: true}},
-	{"sync-residual", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, UseResidual: true}},
-	{"sync-residual-topo", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, UseResidual: true, TopoCollectives: true}},
 	{"async", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true}},
 	{"bounded", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true, MaxStale: 3}},
 	{"bands2-sync", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, BandsPerProc: 2}},

@@ -73,7 +73,7 @@ type gwDown struct {
 // exchange and the max-Allreduce. Max is order-independent, so the global
 // value (and hence the stop decision) is bitwise identical to the direct
 // plan's Allreduce. The piggyback requires the criterion to be known before
-// the exchange, which holds for the successive-iterate stopper only.
+// the exchange, which holds for the successive-iterate difference.
 type gwState struct {
 	clusterOf []int
 	self      int

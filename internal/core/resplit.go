@@ -330,7 +330,8 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	// Replace in place: the engine loop, the persistent Session and the
 	// pending result all hold this pointer. stepFn must be rebound — the
 	// method value newRankState built is bound to st2, and a segment body
-	// writing its diff to the abandoned copy would freeze the stopper.
+	// writing its diff to the abandoned copy would freeze the convergence
+	// test.
 	*st = *st2
 	st.stepFn = st.step
 	return planFlops + refactorFlops, nil

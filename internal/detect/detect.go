@@ -1,216 +1,32 @@
 // Package detect implements global convergence detection for asynchronous
-// iterations, the two options of step 4 of the paper's Algorithm 1:
+// iterations, step 4 of the paper's Algorithm 1, with the decentralized
+// protocol of paper ref [4]: processes form a binary tree; subtree
+// convergence states flow toward the root, the root triggers a verification
+// wave down the tree, and only an all-yes response commits the stop. State
+// changes (un-convergence) cancel pending detections.
 //
-//   - Centralized (paper ref [2]): every process reports local-convergence
-//     state changes to rank 0, which runs a verification round before
-//     broadcasting the stop order.
-//   - Decentralized (paper ref [4]): processes form a binary tree; subtree
-//     convergence states flow toward the root, the root triggers a
-//     verification wave down the tree, and only an all-yes response commits
-//     the stop. State changes (un-convergence) cancel pending detections.
-//
-// Both detectors are polling (non-blocking): the solver calls Step once per
+// The detector is polling (non-blocking): the solver calls Step once per
 // local iteration with its current local convergence state and keeps
 // iterating until Step reports the global stop.
 package detect
 
-import (
-	"fmt"
-
-	"repro/internal/mp"
-)
-
-// Detector is a pluggable global-convergence detection protocol.
-type Detector interface {
-	// Step reports this process's current local convergence state and
-	// processes protocol traffic. It returns true when global convergence
-	// has been committed and the process must stop iterating.
-	Step(localConverged bool) (bool, error)
-	// Refresh re-arms the protocol after suspected message loss: state
-	// reports are re-sent and a verification round that has been in flight
-	// implausibly long is abandoned. Verification waves are epoch-tagged,
-	// so responses from an abandoned round can never commit a later one —
-	// Refresh trades only liveness recovery, never safety. A no-op on a
-	// healthy grid beyond re-sending the current state; the fault-tolerant
-	// driver calls it periodically.
-	Refresh()
-	// Name identifies the protocol in experiment reports.
-	Name() string
-}
+import "repro/internal/mp"
 
 // Protocol message tags. The solver must not use tags in this range
-// (reserve user tags below 1<<18).
+// (reserve user tags below 1<<18). Spans record tags, so the values do not
+// move.
 const (
-	tagState  = 1<<18 + iota // worker -> coordinator / child -> parent state change
-	tagVerify                // coordinator/root -> workers: verification request
+	tagState  = 1<<18 + iota // child -> parent: subtree state change
+	tagVerify                // root -> leaves: verification request
 	tagVResp                 // verification response (up)
 	tagStop                  // commit: stop iterating
 	tagResume                // verification failed: keep iterating
 )
 
-// Centralized implements Detector with a rank-0 coordinator.
-type Centralized struct {
-	c *mp.Comm
-	// lastReported is this worker's last state sent to the coordinator.
-	lastReported bool
-	reportedOnce bool
-
-	// Coordinator state (rank 0 only).
-	state    []bool
-	inVerify bool
-	vresp    map[int]bool
-	// epoch numbers the verification rounds; responses carry the epoch of
-	// the round that asked, so a response to an abandoned round is ignored.
-	epoch   int
-	stopped bool
-	// Detections counts completed verification rounds (diagnostics).
-	Detections int
-}
-
-// NewCentralized creates a centralized detector over the communicator.
-func NewCentralized(c *mp.Comm) *Centralized {
-	d := &Centralized{c: c}
-	if c.Rank() == 0 {
-		d.state = make([]bool, c.Size())
-	}
-	return d
-}
-
-// Name implements Detector.
-func (d *Centralized) Name() string { return "centralized" }
-
-// Refresh implements Detector: workers re-send their current state on the
-// next Step (a lost report would otherwise stall detection forever); the
-// coordinator abandons a verification round that is still open, presuming
-// its request or a response was lost. Epoch tagging makes abandonment safe.
-func (d *Centralized) Refresh() {
-	if d.stopped {
-		return
-	}
-	if d.c.Rank() == 0 {
-		d.inVerify = false
-		d.vresp = nil
-		return
-	}
-	d.reportedOnce = false
-}
-
-// Step implements Detector.
-func (d *Centralized) Step(local bool) (bool, error) {
-	if d.stopped {
-		return true, nil
-	}
-	if d.c.Size() == 1 {
-		return local, nil
-	}
-	if d.c.Rank() == 0 {
-		return d.coordinatorStep(local)
-	}
-	return d.workerStep(local)
-}
-
-func (d *Centralized) workerStep(local bool) (bool, error) {
-	c := d.c
-	// Report state changes.
-	if !d.reportedOnce || local != d.lastReported {
-		if err := c.SendInts(0, tagState, []int{boolToInt(local)}); err != nil {
-			return false, err
-		}
-		d.reportedOnce = true
-		d.lastReported = local
-	}
-	// Answer verification requests with the *current* local state, echoing
-	// the round epoch so the coordinator can discard answers to rounds it
-	// has already abandoned.
-	for {
-		pk := c.TryRecv(0, tagVerify)
-		if pk == nil {
-			break
-		}
-		if err := c.SendInts(0, tagVResp, []int{boolToInt(local), pk.Ints[0]}); err != nil {
-			return false, err
-		}
-	}
-	if pk := c.TryRecv(0, tagStop); pk != nil {
-		d.stopped = true
-		return true, nil
-	}
-	return false, nil
-}
-
-func (d *Centralized) coordinatorStep(local bool) (bool, error) {
-	c := d.c
-	d.state[0] = local
-	for {
-		pk := c.TryRecv(mp.AnySource, tagState)
-		if pk == nil {
-			break
-		}
-		d.state[pk.From] = pk.Ints[0] != 0
-		if d.inVerify {
-			// A state change during verification invalidates it.
-			if pk.Ints[0] == 0 {
-				d.vresp = nil
-				d.inVerify = false
-			}
-		}
-	}
-	if d.inVerify {
-		for {
-			pk := c.TryRecv(mp.AnySource, tagVResp)
-			if pk == nil {
-				break
-			}
-			if d.vresp == nil { // verification already aborted; drop stale responses
-				continue
-			}
-			if pk.Ints[1] != d.epoch { // answer to an abandoned round
-				continue
-			}
-			d.vresp[pk.From] = pk.Ints[0] != 0
-		}
-		if d.vresp != nil && len(d.vresp) == c.Size()-1 {
-			ok := local
-			for _, v := range d.vresp {
-				ok = ok && v
-			}
-			d.inVerify = false
-			d.vresp = nil
-			d.Detections++
-			if ok {
-				for r := 1; r < c.Size(); r++ {
-					if err := c.Signal(r, tagStop); err != nil {
-						return false, err
-					}
-				}
-				d.stopped = true
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	// Start a verification round when everyone looks converged.
-	all := true
-	for _, s := range d.state {
-		all = all && s
-	}
-	if all {
-		d.inVerify = true
-		d.epoch++
-		d.vresp = make(map[int]bool, c.Size()-1)
-		for r := 1; r < c.Size(); r++ {
-			if err := c.SendInts(r, tagVerify, []int{d.epoch}); err != nil {
-				return false, err
-			}
-		}
-	}
-	return false, nil
-}
-
-// Decentralized implements Detector with a binary tree over the ranks:
-// parent(r) = (r−1)/2. Subtree convergence changes propagate up; the root
-// launches a verification wave and commits the stop only on an all-yes
-// response.
+// Decentralized is the detector of one rank, a node of the binary tree over
+// the ranks: parent(r) = (r−1)/2. Subtree convergence changes propagate up;
+// the root launches a verification wave and commits the stop only on an
+// all-yes response.
 type Decentralized struct {
 	c        *mp.Comm
 	parent   int
@@ -247,14 +63,13 @@ func NewDecentralized(c *mp.Comm) *Decentralized {
 	return d
 }
 
-// Name implements Detector.
-func (d *Decentralized) Name() string { return "decentralized" }
-
-// Refresh implements Detector: the node re-pushes its subtree state on the
-// next Step, the root abandons a verification round still in flight, and an
-// inner node stuck in a wave (its response, or the stop/resume order, was
-// lost) rejoins the idle state so it can answer the next wave. Epoch tags
-// keep responses from abandoned rounds from committing a later one.
+// Refresh re-arms the protocol after suspected message loss: the node
+// re-pushes its subtree state on the next Step, the root abandons a
+// verification round still in flight, and an inner node stuck in a wave (its
+// response, or the stop/resume order, was lost) rejoins the idle state so it
+// can answer the next wave. Epoch tags keep responses from abandoned rounds
+// from committing a later one, so Refresh trades only liveness recovery,
+// never safety. The fault-tolerant driver calls it periodically.
 func (d *Decentralized) Refresh() {
 	if d.stopped {
 		return
@@ -279,7 +94,9 @@ func (d *Decentralized) subtreeOK() bool {
 	return ok
 }
 
-// Step implements Detector.
+// Step reports this process's current local convergence state and
+// processes protocol traffic. It returns true when global convergence has
+// been committed and the process must stop iterating.
 func (d *Decentralized) Step(local bool) (bool, error) {
 	if d.stopped {
 		return true, nil
@@ -417,16 +234,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// New returns a detector by name ("centralized" or "decentralized").
-func New(name string, c *mp.Comm) (Detector, error) {
-	switch name {
-	case "centralized":
-		return NewCentralized(c), nil
-	case "decentralized":
-		return NewDecentralized(c), nil
-	default:
-		return nil, fmt.Errorf("detect: unknown protocol %q", name)
-	}
 }

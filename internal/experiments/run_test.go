@@ -77,9 +77,9 @@ func TestRunnerClassification(t *testing.T) {
 func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
-	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Detector: "gossip"}})
-	if err == nil || !strings.Contains(err.Error(), "gossip") {
-		t.Errorf("solve with an unknown detector: err %v, want the wrapped cause", err)
+	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Async: true, MaxStale: -1}})
+	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") {
+		t.Errorf("solve with a negative staleness bound: err %v, want the wrapped cause", err)
 	}
 	// cluster3's NICs carry intra- and inter-site routes: one lane only.
 	_, _, err = Config{Lanes: -1}.solve(cluster.Cluster3(-1), a, b, runSpec{})
@@ -101,11 +101,11 @@ func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	cells, results, err := Config{Progress: &progress}.solveAll(a, b, []job{
 		{"job 0", cluster.Cluster3(-1), ok},
 		{"job 1", cluster.Cluster3(-1), runSpec{plan: vgrid.NewFaultPlan(1).DropOnLink("wan", 0, math.Inf(1), 1)}},
-		{"job 2", cluster.Cluster3(-1), runSpec{opts: core.Options{Detector: "gossip"}}},
+		{"job 2", cluster.Cluster3(-1), runSpec{opts: core.Options{Async: true, MaxStale: -1}}},
 		{"job 3", cluster.Cluster3(-1), ok},
 		{"job 4", cluster.Cluster3(-1), ok},
 	})
-	if err == nil || !strings.Contains(err.Error(), "gossip") || cells != nil || results != nil {
+	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") || cells != nil || results != nil {
 		t.Errorf("solveAll with a rejected third job: err %v, %d cells; want the wrapped cause and none", err, len(cells))
 	}
 	// The lane and pool-worker goroutines of a run end a moment after it.

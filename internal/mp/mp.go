@@ -1,6 +1,6 @@
 // Package mp provides a rank-based, MPI-like message passing interface on
 // top of the vgrid simulator: point-to-point sends/receives (blocking and
-// non-blocking), broadcast, barrier, reductions and gathers. It is the
+// non-blocking), broadcast, reductions and gathers. It is the
 // communication substrate for both the multisplitting solvers (the paper's
 // MPI/Corba layers) and the distributed LU baseline.
 package mp
@@ -60,7 +60,7 @@ type Comm struct {
 	p     *vgrid.Proc
 	ctx   *simctx.Ctx
 
-	// Tree switches the collectives (Barrier, Allreduce, Bcast) from the
+	// Tree switches the collectives (Allreduce, Bcast) from the
 	// flat rank-0 star to binomial trees: O(log P) depth instead of O(P)
 	// messages through one endpoint, as real MPI implementations do. All
 	// ranks must agree on the setting.

@@ -290,7 +290,7 @@ func (r *Relay) take(g *plan.PeerIO) *Packet {
 }
 
 // Max returns the maximum of v over all ranks: the one the reducing round
-// delivered, or an Allreduce.
+// delivered, or, in a run with no relay route, an Allreduce.
 func (r *Relay) Max(v float64) (float64, error) {
 	if r.reduce {
 		return r.crit, nil
