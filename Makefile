@@ -36,7 +36,8 @@ test-bench:
 # dispatch instant all dispatch theirs before the first is collected, that
 # Run stops every coroutine it leaves unfinished, and that segments declaring
 # less than vgrid.InlineFlops run inline while a dispatched one reuses its
-# process's completion channel. The experiments
+# process's completion channel, that a yielding process wins or loses a tie
+# at the heap root by ID, and that the sharded lookahead memoizes no route. The experiments
 # rerun holds the runs of a table row going side by side: Table 3's budget
 # still taken from its row's own run, a rejected job failing its list with
 # exactly the earlier jobs' progress lines written and no goroutine left, and
@@ -54,7 +55,7 @@ race:
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
 	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment' ./internal/experiments
 	$(GO) test -race -count=2 -run 'TestProgressGolden' ./cmd/msexp
-	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError|TestComputeFuncInlinesShortSegments|TestDispatchAllocs' ./internal/vgrid
+	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError|TestComputeFuncInlinesShortSegments|TestDispatchAllocs|TestYieldTieBreaksByID|TestShardedLookaheadMaterializesNoRoutes' ./internal/vgrid
 
 vet:
 	$(GO) vet ./...

@@ -176,26 +176,29 @@ func (ln *lane) endGroup() {
 // process that yields has already committed the lane's next event itself.
 func (ln *lane) run(limit float64) {
 	ln.limit = limit
-	for p := ln.advance(); p != nil; p = ln.picked {
+	for p := ln.advance(nil); p != nil; p = ln.picked {
 		p.next() // returns when p yields to another pick, or finishes
 		if p.st() == stateDone {
 			ln.endGroup()
-			ln.picked = ln.advance()
+			ln.picked = ln.advance(nil)
 		}
 	}
 }
 
 // advance commits the lane's earliest pending event and returns its process,
-// ready to be resumed, or nil when that event is at or past the limit or no
-// process is schedulable. It runs on whichever side of the switch holds the
-// lane: the lane loop, or the coroutine of the process that just yielded —
-// which, when the pick is that process again, carries on without a switch.
-func (ln *lane) advance() *Proc {
+// ready to be resumed, or nil when that event is at or past the limit (no
+// process schedulable included). held is a keyed process outside the heap, competing
+// for the pick (takeMin), or nil. It runs on whichever side of the switch
+// holds the lane: the lane loop, or the coroutine of the process that just
+// yielded — which, when the pick is that process again, carries on without a
+// switch.
+func (ln *lane) advance(held *Proc) *Proc {
 	e := ln.eng
 	for {
 		var resumeAt float64
 		var deliver *Message
-		p := ln.idxMin()
+		p := ln.takeMin(held)
+		held = nil
 		if p != nil {
 			resumeAt = p.key
 			if p.st() == stateBlocked {
@@ -205,7 +208,7 @@ func (ln *lane) advance() *Proc {
 		if e.crossCheck != nil {
 			e.crossCheck(ln, p, resumeAt, deliver)
 		}
-		if p == nil || resumeAt >= ln.limit {
+		if p == nil {
 			return nil
 		}
 		if p.st() == stateDeferred {
@@ -224,7 +227,8 @@ func (ln *lane) advance() *Proc {
 				p.fnPanic = err
 			}
 			p.setSt(stateComputing)
-			ln.rekey(p)
+			p.key = ln.eventTime(p)
+			held = p
 			ln.endGroup()
 			continue
 		}
@@ -270,7 +274,6 @@ func (ln *lane) advance() *Proc {
 		}
 		p.setSt(stateRunning)
 		p.pendingMatch = nil
-		ln.idxRemove(p)
 		return p
 	}
 }

@@ -74,8 +74,8 @@ type Proc struct {
 	err       error
 	allocated int64
 	// key is the process's cached next-event time, maintained by the
-	// scheduler index (sched.go); heapPos is its position in the engine's
-	// event heap, -1 while not indexed (running, done, or scan mode).
+	// scheduler index (sched.go); heapPos is its position in its lane's
+	// event heap, -1 while not indexed (running, held by a pick, or done).
 	key     float64
 	heapPos int
 	// pendingMatch caches the earliest mailbox message matching the current
@@ -186,9 +186,9 @@ func safeBody(body func(p *Proc) error, p *Proc) (err error) {
 func (p *Proc) yield() {
 	if !p.stopped {
 		ln := p.ln
-		ln.rekey(p)
+		p.key = ln.eventTime(p)
 		ln.endGroup()
-		if ln.picked = ln.advance(); ln.picked == p {
+		if ln.picked = ln.advance(p); ln.picked == p {
 			return
 		}
 		p.stopped = !p.yieldTo(struct{}{})

@@ -10,8 +10,9 @@
 //
 // Re-keying is incremental at every commit point:
 //
-//   - a process that yields back to the scheduler is re-keyed from its new
-//     state (ready, blocked, computing, deferred or done);
+//   - a process that yields recomputes its key from its new state and is
+//     held outside the heap: the next pick tests it against the root
+//     (takeMin) and indexes it only when another process comes first;
 //   - a Send deposit into a blocked receiver's mailbox updates the
 //     receiver's pending-match and sifts it up if the arrival is earlier;
 //   - collecting a deferred segment's measured cost re-keys its owner from
@@ -130,37 +131,37 @@ func (ln *lane) initIndex() {
 	}
 }
 
-// rekey recomputes a process's next-event time and restores the heap
-// invariant, inserting the process if it is not currently indexed.
-func (ln *lane) rekey(p *Proc) {
-	p.key = ln.eventTime(p)
-	if p.heapPos < 0 {
-		p.heapPos = len(ln.idx)
-		ln.idx = append(ln.idx, p)
-		ln.idxUp(p.heapPos)
-		return
-	}
+// push indexes a process that is outside the heap.
+func (ln *lane) push(p *Proc) {
+	p.heapPos = len(ln.idx)
+	ln.idx = append(ln.idx, p)
 	ln.idxUp(p.heapPos)
-	ln.idxDown(p.heapPos)
 }
 
-// idxRemove takes a process out of the heap (it is being committed and
-// resumed, or it is done).
-func (ln *lane) idxRemove(p *Proc) {
-	i := p.heapPos
-	if i < 0 {
-		return
+// takeMin removes and returns the (key, ID) minimum of the heap and held, a
+// keyed process outside it (or nil). A held winner costs no heap operation; a
+// held loser takes the root's slot and sifts down. A pick at or past the
+// window limit (unschedulable included) is indexed again: takeMin returns nil.
+func (ln *lane) takeMin(held *Proc) *Proc {
+	p := held
+	if n := len(ln.idx); n > 0 && (p == nil || idxLess(ln.idx[0], p)) {
+		p = ln.idx[0]
+		if held == nil {
+			held = ln.idx[n-1]
+			ln.idx = ln.idx[:n-1]
+		}
+		if len(ln.idx) > 0 {
+			ln.idx[0] = held
+			held.heapPos = 0
+			ln.idxDown(0)
+		}
+		p.heapPos = -1
 	}
-	last := len(ln.idx) - 1
-	if i != last {
-		ln.idxSwap(i, last)
+	if p != nil && p.key >= ln.limit {
+		ln.push(p)
+		return nil
 	}
-	ln.idx = ln.idx[:last]
-	p.heapPos = -1
-	if i != last {
-		ln.idxUp(i)
-		ln.idxDown(i)
-	}
+	return p
 }
 
 // idxMin returns the lane's schedulable process with the smallest
@@ -187,7 +188,9 @@ func (ln *lane) noteDeposit(dst *Proc, m *Message) {
 	}
 	pm := dst.pendingMatch
 	if pm == nil || m.Arrival < pm.Arrival || (m.Arrival == pm.Arrival && m.seq < pm.seq) {
+		// A waiting receiver is indexed, and its key can only fall.
 		dst.pendingMatch = m
-		ln.rekey(dst)
+		dst.key = ln.eventTime(dst)
+		ln.idxUp(dst.heapPos)
 	}
 }

@@ -60,9 +60,26 @@ func (ln *lane) pickNextScan() (best *Proc, at float64, msg *Message) {
 	return best, at, msg
 }
 
+// checkHeap panics unless the lane's index is a heap under idxLess whose
+// entries each know their slot, and the pick p (nil or not) is out of it.
+func (ln *lane) checkHeap(p *Proc) {
+	for i, q := range ln.idx {
+		if q.heapPos != i {
+			panic(fmt.Sprintf("vgrid: heap entry %s at slot %d records heapPos %d", q.Name, i, q.heapPos))
+		}
+		if i > 0 && idxLess(q, ln.idx[(i-1)/2]) {
+			panic(fmt.Sprintf("vgrid: heap order broken at slot %d (%s)", i, q.Name))
+		}
+	}
+	if p != nil && p.heapPos != -1 {
+		panic(fmt.Sprintf("vgrid: pick %s still records heapPos %d", p.Name, p.heapPos))
+	}
+}
+
 // scanOracle installs the reference scan as the engine's per-pick
 // cross-check: every pick of the scheduler index must be the process, time
-// and delivered message the scan selects, or the run panics. The returned
+// and delivered message the scan selects, taken out of a well-formed heap
+// (checkHeap), or the run panics. The returned
 // counter holds the number of checked picks that the lane loop commits
 // (a pick on a deferred segment's lower bound is resolved and re-picked,
 // and the final empty pick ends the run).
@@ -80,6 +97,7 @@ func scanOracle(e *Engine) *int64 {
 			panic(fmt.Sprintf("vgrid: scheduler index divergence: heap picked (%v, %v, %v), scan picked (%v, %v, %v)",
 				name(p), at, deliver, name(sp), sat, sm))
 		}
+		ln.checkHeap(p)
 		if p != nil && p.st() != stateDeferred {
 			*commits++
 		}
@@ -189,6 +207,73 @@ func TestSchedulerIndexMatchesScanUnderFaults(t *testing.T) {
 		if pvt != refVT || pooled != ref {
 			t.Errorf("seed %d: pooled cross-checked run diverged (vt %g vs %g)", seed, pvt, refVT)
 		}
+	}
+}
+
+// sleepSpan renders one sleep span the way recordString does.
+func sleepSpan(track string, start, end float64) string {
+	return fmt.Sprintf("%+v\n", obs.Span{Track: track, Cat: obs.CatSleep, Name: "sleep", Start: start, End: end})
+}
+
+// TestYieldTieBreaksByID pins the (key, ID) tie-break at the held process:
+// two processes become ready at the same virtual instant, one of them by
+// yielding. A yielder with the lower ID wins the tie and carries on without a
+// coroutine switch (the lane resumes each process twice: at its first pick
+// and after the other's slice); one with the higher ID loses it and the other
+// process commits first. Each run's obs record is the one the scheduler
+// recorded when a yield pushed its process into the heap and popped the
+// minimum.
+func TestYieldTieBreaksByID(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		yielder int // the process that sleeps 1+1 while the other sleeps 2
+		order   string
+		record  string
+	}{
+		{"yielder has the lower ID", 0, "p0@1 p0@2 p1@2",
+			sleepSpan("p0", 0, 1) + sleepSpan("p1", 0, 2) + sleepSpan("p0", 1, 2)},
+		{"yielder has the higher ID", 1, "p1@1 p0@2 p1@2",
+			sleepSpan("p0", 0, 2) + sleepSpan("p1", 0, 1) + sleepSpan("p1", 1, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := NewPlatform()
+			e := NewEngine(pl)
+			rec := &obs.Recorder{}
+			e.Observe(rec)
+			var order []string
+			var resumes [2]int
+			for id := range resumes {
+				h := pl.AddHost(fmt.Sprintf("h%d", id), 1e9, 0)
+				p := e.Spawn(h, fmt.Sprintf("p%d", id), func(p *Proc) error {
+					sleeps := []float64{2}
+					if p.ID == tc.yielder {
+						sleeps = []float64{1, 1}
+					}
+					for _, dt := range sleeps {
+						p.Sleep(dt)
+						order = append(order, fmt.Sprintf("%s@%g", p.Name, p.Now()))
+					}
+					return nil
+				})
+				next := p.next
+				p.next = func() (struct{}, bool) {
+					resumes[id]++
+					return next()
+				}
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(order, " "); got != tc.order {
+				t.Errorf("slices ran in order %q, want %q", got, tc.order)
+			}
+			if resumes != [2]int{2, 2} {
+				t.Errorf("lane resumed the processes %v times, want [2 2]", resumes)
+			}
+			if got := recordString(rec); got != tc.record {
+				t.Errorf("obs record:\n%s\nwant:\n%s", got, tc.record)
+			}
+		})
 	}
 }
 

@@ -119,6 +119,27 @@ func TestShardedMatchesSingleLaneUnderFaults(t *testing.T) {
 	}
 }
 
+// TestShardedLookaheadMaterializesNoRoutes pins that the safe-window
+// lookahead reads the lazy router's representative routes without memoizing
+// them: after a sharded ring on a 1000-host, 100-cluster synthetic grid, the
+// route table holds exactly the ring's 1000 communicating pairs, not the
+// 100·99 representative pairs on top.
+func TestShardedLookaheadMaterializesNoRoutes(t *testing.T) {
+	pl := Synthetic(1000, 100, 0.3, 1)
+	e := NewEngine(pl)
+	e.SetLanes(0)
+	spawnRing(e, pl, 1)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Lanes() != 100 {
+		t.Fatalf("resolved to %d lanes, want 100", e.Lanes())
+	}
+	if n := len(pl.routes); n != 1000 {
+		t.Errorf("route table holds %d pairs, want the ring's 1000", n)
+	}
+}
+
 // TestShardedFallsBackToSingleLane pins the guardrails: topologies and
 // configurations that cannot shard resolve to one lane instead of
 // miscomputing — no clusters, clusterless hosts, the per-pick cross-check

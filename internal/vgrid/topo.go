@@ -84,7 +84,7 @@ func (pl *Platform) ValidateTopology() error {
 			if a.cluster == b.cluster {
 				continue
 			}
-			if _, ok := pl.routes[[2]int{a.ID, b.ID}]; !ok {
+			if _, ok := pl.routes[pairKey(a, b)]; !ok {
 				return fmt.Errorf("vgrid: no inter-cluster route %s (%s) -> %s (%s)",
 					a.Name, pl.clusters[a.cluster].Name, b.Name, pl.clusters[b.cluster].Name)
 			}
@@ -101,7 +101,8 @@ func (pl *Platform) ValidateTopology() error {
 // width the sharded scheduler may advance a lane without hearing from the
 // others. Returns +Inf when the platform has fewer than two non-empty
 // clusters or a representative pair has no route — both mean sharding has
-// no lookahead to exploit and the engine falls back to a single lane.
+// no lookahead to exploit and the engine falls back to a single lane. A lazy
+// router's answers are read, not memoized.
 func (pl *Platform) minInterClusterLatency() float64 {
 	min := math.Inf(1)
 	for _, ca := range pl.clusters {
@@ -109,8 +110,13 @@ func (pl *Platform) minInterClusterLatency() float64 {
 			if ca.Index == cb.Index || len(ca.Hosts) == 0 || len(cb.Hosts) == 0 {
 				continue
 			}
-			links, err := pl.Route(ca.Hosts[0], cb.Hosts[0])
-			if err != nil {
+			a, b := ca.Hosts[0], cb.Hosts[0]
+			links, ok := pl.routes[pairKey(a, b)]
+			if !ok && pl.router != nil {
+				links = pl.router(a, b)
+				ok = links != nil
+			}
+			if !ok {
 				return math.Inf(1)
 			}
 			lat := 0.0

@@ -119,7 +119,7 @@ func (l *Link) fairShare(now float64) float64 {
 type Platform struct {
 	// Hosts lists every machine, indexed by Host.ID.
 	Hosts  []*Host
-	routes map[[2]int][]*Link
+	routes map[uint64][]*Link
 	// router lazily resolves routes not declared with SetRoute; resolved
 	// routes are memoized into the routes map (see SetRouter).
 	router func(a, b *Host) []*Link
@@ -136,20 +136,25 @@ type Platform struct {
 	// routeLabels caches the "+"-joined link-name label per host pair for
 	// the observability send spans, so the hot send path does not rebuild
 	// the string per message.
-	routeLabels map[[2]int]string
-	// mu guards the lazily-memoized routes and routeLabels maps: on a
-	// sharded engine, lanes materialize routes concurrently.
+	routeLabels map[uint64]string
+	// mu guards only lazy memoization: routes written by the router and
+	// routeLabels, which lanes of a sharded engine fill concurrently.
+	// Declared routes are fixed before Run and read without it.
 	mu sync.RWMutex
 }
+
+// pairKey is the route-table key of the ordered host pair (a, b): one
+// uint64, which takes the runtime's 64-bit map path.
+func pairKey(a, b *Host) uint64 { return uint64(a.ID)<<32 | uint64(b.ID) }
 
 // NewPlatform returns an empty platform. Loopback transfers cost 1 µs
 // latency at 1 GB/s unless changed with SetLoopback.
 func NewPlatform() *Platform {
 	return &Platform{
-		routes:        make(map[[2]int][]*Link),
+		routes:        make(map[uint64][]*Link),
 		loopLatency:   1e-6,
 		loopBandwidth: 1e9,
-		routeLabels:   make(map[[2]int]string),
+		routeLabels:   make(map[uint64]string),
 	}
 }
 
@@ -177,12 +182,12 @@ func (pl *Platform) SetRoute(a, b *Host, links ...*Link) {
 	if len(links) == 0 {
 		panic("vgrid: route needs at least one link")
 	}
-	pl.routes[[2]int{a.ID, b.ID}] = links
+	pl.routes[pairKey(a, b)] = links
 	rev := make([]*Link, len(links))
 	for i, l := range links {
 		rev[len(links)-1-i] = l
 	}
-	pl.routes[[2]int{b.ID, a.ID}] = rev
+	pl.routes[pairKey(b, a)] = rev
 }
 
 // SetRouter installs a lazy route resolver: when Route finds no declared
@@ -190,7 +195,8 @@ func (pl *Platform) SetRoute(a, b *Host, links ...*Link) {
 // into the route table. This keeps platform construction O(hosts) for
 // generated grids (a 1000-host grid has ~10⁶ host pairs; materializing them
 // all up front is exactly the kind of cost the event-core refactor removes)
-// while SendFate still pays per-pair map lookups only. The resolver must be
+// and the table to the pairs that communicate; a send on such a platform
+// pays a read lock and one map probe. The resolver must be
 // deterministic — same pair, same links — and is called at most once per
 // ordered pair. Explicit SetRoute declarations take precedence. Fault plans
 // resolve link names against declared routes plus AddLinks, so a platform
@@ -206,26 +212,33 @@ func (pl *Platform) AddLinks(links ...*Link) {
 	pl.extraLinks = append(pl.extraLinks, links...)
 }
 
-// Route returns the links from a to b, or nil for loopback. On a platform
-// with a lazy resolver (SetRouter), the first lookup of a pair materializes
-// and memoizes its route.
+// Route returns the links from a to b, or nil for loopback: one map probe,
+// without a lock on a platform whose routes are all declared (SetRoute before
+// Run). On a platform with a lazy resolver (SetRouter), the first lookup of a
+// pair materializes and memoizes its route, so there the probe takes mu.
 func (pl *Platform) Route(a, b *Host) ([]*Link, error) {
 	if a.ID == b.ID {
 		return nil, nil
 	}
-	key := [2]int{a.ID, b.ID}
-	pl.mu.RLock()
-	links, ok := pl.routes[key]
-	pl.mu.RUnlock()
-	if !ok && pl.router != nil {
-		pl.mu.Lock()
-		if links, ok = pl.routes[key]; !ok {
-			if links = pl.router(a, b); links != nil {
-				pl.routes[key] = links
-				ok = true
+	key := pairKey(a, b)
+	var links []*Link
+	var ok bool
+	if pl.router == nil {
+		links, ok = pl.routes[key]
+	} else {
+		pl.mu.RLock()
+		links, ok = pl.routes[key]
+		pl.mu.RUnlock()
+		if !ok {
+			pl.mu.Lock()
+			if links, ok = pl.routes[key]; !ok {
+				if links = pl.router(a, b); links != nil {
+					pl.routes[key] = links
+					ok = true
+				}
 			}
+			pl.mu.Unlock()
 		}
-		pl.mu.Unlock()
 	}
 	if !ok {
 		return nil, fmt.Errorf("vgrid: no route %s -> %s", a.Name, b.Name)
@@ -236,7 +249,7 @@ func (pl *Platform) Route(a, b *Host) ([]*Link, error) {
 // routeLabel returns the cached "+"-joined link-name label for the a→b
 // route, building it on first use.
 func (pl *Platform) routeLabel(a, b *Host, links []*Link) string {
-	key := [2]int{a.ID, b.ID}
+	key := pairKey(a, b)
 	pl.mu.RLock()
 	s, ok := pl.routeLabels[key]
 	pl.mu.RUnlock()
