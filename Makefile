@@ -26,7 +26,8 @@ test-bench:
 # under the race detector, together with the export encoder's differential
 # test against encoding/json and its allocation budget, the sparse LU's, the
 # band LU's and the two-row SpMV's bit-for-bit comparisons with their
-# pre-rework reference loops, and the proof
+# pre-rework reference loops (the sparse LU's also over its fuzz seeds, with
+# its factor allocation budget), and the proof
 # that an idle asynchronous step charged is a step computed (every skipped
 # step recomputed on the side, 1 vs 4 workers), and the session option matrix
 # (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
@@ -50,7 +51,7 @@ race:
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestGatewayRecordGolden|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestRelayRound|TestRelayPumpKeepsNewest' ./internal/mp
-	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned' ./internal/splu
+	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned|FuzzSparseLUMatchesReference|TestSparseLUFactorAllocBudget' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
 	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment' ./internal/experiments

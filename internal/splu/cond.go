@@ -24,10 +24,15 @@ func (f *sparseFactors) SolveT(x, b []float64, c *vec.Counter) {
 		copy(y, b)
 	}
 	// Forward solve Uᵀ·w = y: row k of Uᵀ is column k of U (diagonal last).
-	up, ui, ux := f.up, f.ui, f.ux
+	up, ui, ux, us := f.up, f.ui, f.ux, f.us
 	for k := 0; k < n; k++ {
 		lo, hi := up[k], up[k+1]-1
-		y[k] = colDot(y, ui[lo:hi], ux[lo:hi], y[k]) / ux[hi]
+		if r0 := int(us[k]); r0 >= 0 {
+			y[k] = runDot(y[r0:r0+hi-lo], ux[lo:hi], y[k]) / ux[hi]
+		} else {
+			p := ^r0
+			y[k] = colDot(y, ui[p:p+hi-lo], ux[lo:hi], y[k]) / ux[hi]
+		}
 	}
 	// Back solve Lᵀ·v = w: row k of Lᵀ is column k of L (unit diagonal
 	// first).
@@ -108,7 +113,7 @@ func CondEst1(a *sparse.CSR, fact Factorization, c *vec.Counter) float64 {
 		}
 		xtz := 0.0
 		for i := range x {
-			xtz += x[i] * z[i]
+			xtz += float64(x[i] * z[i])
 		}
 		if bestV <= math.Abs(xtz) {
 			break

@@ -68,7 +68,7 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 	}
 	x := f.rwork // all-zero between calls; the scatter-clears below keep it so
 	lp, li, lx := f.lp, f.li, f.lx
-	up, ui, ux := f.up, f.ui, f.ux
+	up, ux := f.up, f.ux
 	for k := 0; k < n; k++ {
 		// Scatter A's column q[k] into pivotal coordinates.
 		lo, hi := f.acp[k], f.acp[k+1]
@@ -79,7 +79,9 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 		// into x[jn] lands before jn is consumed. No zero-skips — the cost is
 		// exactly refactorFlops.
 		lo, hi = up[k], up[k+1]-1
-		for t, jn := range ui[lo:hi] {
+		r0, rows := f.ucol(k, hi-lo)
+		for t := range ux[lo:hi] {
+			jn := urow(r0, rows, t)
 			xj := x[jn]
 			ux[lo+t] = xj
 			x[jn] = 0

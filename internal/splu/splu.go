@@ -84,7 +84,9 @@ func (s *SparseLU) Name() string { return "sparse-lu" }
 // Row indices are stored as int32: the triangular solves stream every stored
 // entry once per call, and 12 bytes per entry instead of 16 is a quarter less
 // memory traffic (Factor rejects n > MaxInt32). Column pointers stay int.
-// Bytes() reports the modelled footprint, not this layout (see there).
+// U stores no row for its diagonal entries, which end each column, and none
+// for a column whose other rows are one ascending run (see us). Bytes()
+// reports the modelled footprint, not this layout (see there).
 //
 // Beyond the factors themselves it retains the full output of the symbolic
 // phase — the frozen L/U pattern, the pivot order and a scatter map from the
@@ -96,10 +98,12 @@ type sparseFactors struct {
 	lp, up []int
 	li, ui []int32
 	lx, ux []float64
-	// urun[k] reports that the off-diagonal rows of U(:,k) are r0, r0+1, …
-	// in storage order, r0 its first stored row: Solve sweeps such a column
-	// without its indices.
-	urun       []bool
+	// us[k] locates the rows of the m off-diagonal entries of U(:,k),
+	// ux[up[k]:up[k+1]-1]. When they are r0, r0+1, … in storage order it is
+	// r0 (k for an empty column) and no row of the column is stored;
+	// otherwise it is ^p and the rows are ui[p:p+m]: ui holds the rows of
+	// such indexed columns only (see ucol).
+	us         []int32
 	pinv       []int // pinv[origRow] = pivotal position
 	q          []int // column k of the factorization is A(:, q[k]); nil = identity
 	flops      float64
@@ -135,10 +139,14 @@ type sparseFactors struct {
 // the factor arrays through the receiver reloads them after every store into
 // y, which may alias — and tying len(val) to len(ind) removes the bounds
 // check on ind.
+//
+// Every multiply-add of the package is written with the product converted,
+// float64(a*b): the Go spec then forbids fusing it into one rounding, so the
+// factors and solutions are the same bits on every GOARCH.
 func colAxpy(y []float64, ind []int32, val []float64, s float64) {
 	val = val[:len(ind)]
 	for t, v := range val {
-		y[ind[t]] -= v * s
+		y[ind[t]] -= float64(v * s)
 	}
 }
 
@@ -153,13 +161,13 @@ func runAxpy(y, val []float64, s float64) {
 	y = y[:len(val)]
 	t := len(val) - 1
 	for ; t >= 3; t -= 4 {
-		y[t] -= val[t] * s
-		y[t-1] -= val[t-1] * s
-		y[t-2] -= val[t-2] * s
-		y[t-3] -= val[t-3] * s
+		y[t] -= float64(val[t] * s)
+		y[t-1] -= float64(val[t-1] * s)
+		y[t-2] -= float64(val[t-2] * s)
+		y[t-3] -= float64(val[t-3] * s)
 	}
 	for ; t >= 0; t-- {
-		y[t] -= val[t] * s
+		y[t] -= float64(val[t] * s)
 	}
 }
 
@@ -178,36 +186,65 @@ func isRun(rows []int32) bool {
 func colDot(y []float64, ind []int32, val []float64, s float64) float64 {
 	val = val[:len(ind)]
 	for t, v := range val {
-		s -= v * y[ind[t]]
+		s -= float64(v * y[ind[t]])
 	}
 	return s
 }
 
-// growColumn returns ind and val with room for need more entries, column k of
-// n being the next to be stored. Factor knows each column's entry counts
-// before it stores them, so one call per column and factor lets the per-entry
-// appends that follow run without reallocating. How much to take
-// is a forecast of the final fill: early columns say little, so the capacity
-// doubles; once an eighth of the columns are stored, the fill seen so far is
+// runDot is colDot for a column whose rows are consecutive, over a y resliced
+// to the run: s − Σ val[t]·y[t], accumulated in the same order, so the result
+// is the same to the bit.
+func runDot(y, val []float64, s float64) float64 {
+	y = y[:len(val)]
+	for t, v := range val {
+		s -= float64(v * y[t])
+	}
+	return s
+}
+
+// urow returns row t of a U column that ucol returned as r0 and rows.
+func urow(r0 int, rows []int32, t int) int {
+	if rows == nil {
+		return r0 + t
+	}
+	return int(rows[t])
+}
+
+// ucol returns where the m off-diagonal rows of U(:,k) are: r0 and nil for a
+// run column, whose rows are r0, r0+1, …; -1 and the stored rows otherwise.
+// An indexed column has two rows or more, so rows is nil only for a run.
+func (f *sparseFactors) ucol(k, m int) (r0 int, rows []int32) {
+	r := int(f.us[k])
+	if r < 0 {
+		return -1, f.ui[^r : ^r+m]
+	}
+	return r, nil
+}
+
+// grow returns s with room for need more entries, column k of n being the
+// next to be stored. Factor knows each column's entry counts before it stores
+// them, so one call per column and array lets the per-entry appends that
+// follow run without reallocating. How much to take is a forecast of the
+// final length: early columns say little, so the capacity doubles; once an
+// eighth of the columns are stored, the length reached so far is
 // extrapolated linearly with 15% headroom. Leaving it to append would cost
 // far more: a wide band fills to 16× the input, and append's 1.25× steps for
-// large slices allocate five times the final factor on the way there.
-func growColumn(ind []int32, val []float64, need, k, n int) ([]int32, []float64) {
-	if cap(ind)-len(ind) >= need {
-		return ind, val
+// large slices allocate five times the final factor on the way there. The
+// two arrays of L grow in step: equal lengths forecast equal capacities.
+func grow[T int32 | float64](s []T, need, k, n int) []T {
+	if cap(s)-len(s) >= need {
+		return s
 	}
-	c := 2 * cap(ind)
+	c := 2 * cap(s)
 	if 8*k >= n {
-		c = int(1.15 * float64(len(ind)) * float64(n) / float64(k))
+		c = int(1.15 * float64(len(s)) * float64(n) / float64(k))
 	}
-	if c < len(ind)+need {
-		c = len(ind) + need
+	if c < len(s)+need {
+		c = len(s) + need
 	}
-	ni := make([]int32, len(ind), c)
-	copy(ni, ind)
-	nv := make([]float64, len(val), c)
-	copy(nv, val)
-	return ni, nv
+	ns := make([]T, len(s), c)
+	copy(ns, s)
+	return ns
 }
 
 // Factor implements Direct. Besides the numeric elimination flops it counts
@@ -264,13 +301,16 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	dstack := make([]int, n) // DFS node stack
 	pstack := make([]int, n) // DFS position stack
 	lend := make([]int, n)   // end of the part of L(:,j) the reach DFS scans
+	us := make([]int32, n)
 
 	// Start each factor at nnz+n entries, twice its no-fill size: enough for
-	// the small and narrow bands, which then never regrow; growColumn takes
-	// over when fill exceeds it.
+	// the small and narrow bands, which then never regrow; grow takes over
+	// when fill exceeds it. ui, which keeps the rows of indexed columns only,
+	// starts with room for any one column: a factor whose columns are all
+	// runs never regrows it.
 	est := a.NNZ() + n
 	li, lx := make([]int32, 0, est), make([]float64, 0, est)
-	ui, ux := make([]int32, 0, est), make([]float64, 0, est)
+	ui, ux := make([]int32, 0, n), make([]float64, 0, est)
 
 	for k := 0; k < n; k++ {
 		col := k
@@ -340,10 +380,18 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 		pivot := x[ipiv]
 		pinv[ipiv] = k
 
-		ui, ux = growColumn(ui, ux, len(rs)-lnew+1, k, n)
-		li, lx = growColumn(li, lx, lnew, k, n)
+		ui = grow(ui, len(rs)-lnew, k, n)
+		ux = grow(ux, len(rs)-lnew+1, k, n)
+		li = grow(li, lnew, k, n)
+		lx = grow(lx, lnew, k, n)
 
 		// Store U(:,k): entries whose rows are already pivotal + diagonal.
+		// The rows of a run column are taken back off ui: us[k] holds the
+		// first.
+		start := len(ui)
+		if start > math.MaxInt32 {
+			return nil, fmt.Errorf("splu: U row indices exceed the 32-bit offset range at column %d", k)
+		}
 		for _, i := range rs {
 			if jn := pinv[i]; jn >= 0 && jn < k {
 				ui = append(ui, int32(jn))
@@ -351,7 +399,14 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 				prune(jn, int32(ipiv), pinv, lend, li)
 			}
 		}
-		ui = append(ui, int32(k))
+		us[k] = ^int32(start)
+		if rows := ui[start:]; isRun(rows) {
+			us[k] = int32(k)
+			if len(rows) > 0 {
+				us[k] = rows[0]
+			}
+			ui = ui[:start]
+		}
 		ux = append(ux, pivot)
 		up[k+1] = len(ux)
 
@@ -377,7 +432,7 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	}
 	sym += len(lx) + len(ux) // pattern assembly (one op per stored entry)
 	f := &sparseFactors{
-		n: n, lp: lp, li: li, lx: lx, up: up, ui: ui, ux: ux, pinv: pinv, q: q,
+		n: n, lp: lp, li: li, lx: lx, up: up, ui: ui, ux: ux, us: us, pinv: pinv, q: q,
 		flops:      float64(flops),
 		symFlops:   float64(sym),
 		solveFlops: 2 * float64(len(lx)+len(ux)),
@@ -467,14 +522,14 @@ func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 	// frozen pattern unconditionally (no value-dependent zero skips), so the
 	// cost is known before any values arrive.
 	rf := 0
-	f.urun = make([]bool, n)
 	for k := 0; k < n; k++ {
-		rows := f.ui[f.up[k] : f.up[k+1]-1]
-		for _, jn := range rows {
+		m := f.up[k+1] - 1 - f.up[k]
+		r0, rows := f.ucol(k, m)
+		for t := 0; t < m; t++ {
+			jn := urow(r0, rows, t)
 			rf += 2 * (f.lp[jn+1] - f.lp[jn] - 1)
 		}
 		rf += f.lp[k+1] - f.lp[k] - 1 // pivot divisions
-		f.urun[k] = isRun(rows)
 	}
 	f.refactorFlops = float64(rf)
 	f.work = make([]float64, n)
@@ -575,16 +630,16 @@ func (f *sparseFactors) Solve(x, b []float64, c *vec.Counter) {
 		}
 	}
 	// Back solve U·z = y (diagonal entry is last in each column).
-	up, ui, ux, urun := f.up, f.ui, f.ux, f.urun
+	up, ui, ux, us := f.up, f.ui, f.ux, f.us
 	for k := n - 1; k >= 0; k-- {
 		lo, hi := up[k], up[k+1]-1
 		yk := y[k] / ux[hi]
 		y[k] = yk
-		if urun[k] {
-			r0 := int(ui[lo]) // the diagonal's row k for an empty run
+		if r0 := int(us[k]); r0 >= 0 {
 			runAxpy(y[r0:r0+hi-lo], ux[lo:hi], yk)
 		} else {
-			colAxpy(y, ui[lo:hi], ux[lo:hi], yk)
+			p := ^r0
+			colAxpy(y, ui[p:p+hi-lo], ux[lo:hi], yk)
 		}
 	}
 	// Undo the column ordering: x[q[k]] = z[k].
@@ -605,12 +660,13 @@ func (f *sparseFactors) FactorFlops() float64 { return f.flops + f.symFlops }
 func (f *sparseFactors) SolveFlops() float64 { return f.solveFlops }
 
 // Bytes implements Factorization. It is the modelled footprint — 8 bytes per
-// value and per index, three n+1 pointer arrays — that the simulated hosts'
-// memory accounting (the tables' "nem" cells) is calibrated on, not the
-// in-process size (which holds the indices as int32).
+// value and one 8-byte row index per value, three n+1 pointer arrays — that
+// the simulated hosts' memory accounting (the tables' "nem" cells) is
+// calibrated on, not the in-process size, which holds the indices as int32
+// and stores none for U's diagonal and run columns.
 func (f *sparseFactors) Bytes() int64 {
 	entries := int64(len(f.lx) + len(f.ux))
-	idx := int64(len(f.li)+len(f.ui)) + int64(3*(f.n+1))
+	idx := entries + int64(3*(f.n+1))
 	return entries*8 + idx*8
 }
 

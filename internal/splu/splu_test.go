@@ -262,13 +262,14 @@ func TestFactorOnceSolveMany(t *testing.T) {
 }
 
 // heldBytes is what a sparse factorization keeps alive once Factor returns:
-// the factor arrays at their capacity, the U run starts, the permutations,
-// the Refactor scatter map and the two scratch vectors.
+// the factor arrays at their capacity (ui, the rows of U's indexed columns,
+// included), the per-column U starts, the permutations, the Refactor scatter
+// map and the two scratch vectors.
 func (f *sparseFactors) heldBytes() uint64 {
-	idx := cap(f.li) + cap(f.ui)
+	idx := cap(f.li) + cap(f.ui) + cap(f.us)
 	ints := cap(f.lp) + cap(f.up) + cap(f.pinv) + cap(f.q) + cap(f.acp) + cap(f.ari) + cap(f.avp)
 	floats := cap(f.lx) + cap(f.ux) + cap(f.work) + cap(f.rwork)
-	return uint64(cap(f.urun) + 4*idx + 8*ints + 8*floats)
+	return uint64(4*idx + 8*ints + 8*floats)
 }
 
 // TestSparseLUFactorAllocBudget pins the factor-growth rule on the band shape
@@ -276,10 +277,12 @@ func (f *sparseFactors) heldBytes() uint64 {
 // 120 matrix plus overlap, factored the way core does: zero-value SparseLU),
 // where fill makes the factors sixteen times the input. Everything Factor
 // allocates — work vectors, the DFS pruning state, the CSC copy and every
-// outgrown factor array included — must stay within 1.7 times what the
-// result keeps (measured 1.60), in a number of objects that does not depend
-// on n (measured 33). (Growing by append alone allocates five times the
-// final factors on this shape.)
+// outgrown factor array included — must stay within 1.55 times what the
+// result keeps (measured 4 515 040 bytes to keep 2 944 888, 1.533), in a
+// number of objects that does not depend on n (measured 31). Every U column
+// of this shape is a run, so ui keeps only its initial room for one column.
+// (Storing every U row, as before run columns dropped theirs, read 1.599 and
+// 33; growing by append alone allocates five times the final factors.)
 func TestSparseLUFactorAllocBudget(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1330, Band: 120, PerRow: 10, Margin: 0.002, Negative: true, Seed: 1})
 	s := &SparseLU{}
@@ -296,11 +299,13 @@ func TestSparseLUFactorAllocBudget(t *testing.T) {
 		t.Fatalf("shape has no heavy fill (%d factor entries from %d): the test no longer exercises growth", l+u, a.NNZ())
 	}
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	if held := f.heldBytes(); 10*bytes > 17*held {
-		t.Errorf("Factor allocated %d bytes to keep %d (%.2fx), budget is 1.7x", bytes, held, float64(bytes)/float64(held))
+	held := f.heldBytes()
+	t.Logf("Factor allocated %d bytes in %d objects to keep %d (%.3fx)", bytes, objects, held, float64(bytes)/float64(held))
+	if 100*bytes > 155*held {
+		t.Errorf("Factor allocated %d bytes to keep %d (%.3fx), budget is 1.55x", bytes, held, float64(bytes)/float64(held))
 	}
-	if objects > 40 {
-		t.Errorf("Factor allocated %d objects, budget is 40", objects)
+	if objects > 32 {
+		t.Errorf("Factor allocated %d objects, budget is 32", objects)
 	}
 
 	b := make([]float64, a.Rows)
