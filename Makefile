@@ -24,10 +24,13 @@ test-bench:
 # and the relayed exchange's records against the digests recorded before the
 # relay moved into plan and mp, with mp's own round and pump tests)
 # under the race detector, together with the export encoder's differential
-# test against encoding/json and its allocation budget, the sparse LU's, the
-# band LU's and the two-row SpMV's bit-for-bit comparisons with their
-# pre-rework reference loops (the sparse LU's also over its fuzz seeds, with
-# its factor allocation budget), and the proof
+# test against encoding/json and its allocation budget (objects and, for the
+# batch trace and windows and a sparse window row, bytes), the windowed rows'
+# and the critical path's bit-for-bit comparison with the map-based
+# accumulator and the walk over the sorted span copy they replaced, the
+# sparse LU's, the band LU's and the two-row SpMV's bit-for-bit comparisons
+# with their pre-rework reference loops (the sparse LU's also over its fuzz
+# seeds, with its factor allocation budget), and the proof
 # that an idle asynchronous step charged is a step computed (every skipped
 # step recomputed on the side, 1 vs 4 workers), and the session option matrix
 # (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
@@ -48,7 +51,7 @@ test-bench:
 # far more once the other packages compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget|TestWindowsMatchReference' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestGatewayRecordGolden|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestRelayRound|TestRelayPumpKeepsNewest' ./internal/mp
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned|FuzzSparseLUMatchesReference|TestSparseLUFactorAllocBudget' ./internal/splu

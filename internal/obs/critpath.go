@@ -53,13 +53,14 @@ type CPReport struct {
 // interval it skips to one bucket, so Compute+Network+Wait equals Makespan
 // by construction. Returns nil when the recorder holds no host-level spans.
 func CriticalPath(r *Recorder) *CPReport {
-	// Host-level tiling spans per track, sorted by start.
-	byTrack := map[string][]Span{}
-	transfers := map[int64]Span{}
-	for _, s := range r.Spans() {
-		switch s.Cat {
+	// Host-level tiling spans per track, as chunk positions in export order
+	// — sorted by start.
+	byTrack := map[string][]int32{}
+	transfers := map[int64]*Span{}
+	for _, pos := range r.exportOrder() {
+		switch s := r.at(pos); s.Cat {
 		case CatCompute, CatSend, CatWait, CatSleep:
-			byTrack[s.Track] = append(byTrack[s.Track], s)
+			byTrack[s.Track] = append(byTrack[s.Track], pos)
 		case CatNet:
 			if s.Seq != 0 {
 				transfers[s.Seq] = s
@@ -69,9 +70,7 @@ func CriticalPath(r *Recorder) *CPReport {
 	var track string
 	t := -1.0
 	for name, spans := range byTrack {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-		byTrack[name] = spans
-		last := spans[len(spans)-1]
+		last := r.at(spans[len(spans)-1])
 		if last.End > t || (last.End == t && name < track) {
 			t = last.End
 			track = name
@@ -99,14 +98,14 @@ func CriticalPath(r *Recorder) *CPReport {
 	for steps := 0; t > 0 && steps < 4*r.NumSpans()+64; steps++ {
 		spans := byTrack[track]
 		// Latest span on the track starting strictly before t.
-		i := sort.Search(len(spans), func(i int) bool { return spans[i].Start >= t }) - 1
+		i := sort.Search(len(spans), func(i int) bool { return r.at(spans[i]).Start >= t }) - 1
 		if i < 0 {
 			// Nothing earlier on this track: the head gap is idle time.
 			attr(CPSegment{Track: track, Cat: "idle", Name: "idle", Start: 0, End: t})
 			t = 0
 			break
 		}
-		s := spans[i]
+		s := r.at(spans[i])
 		if s.End < t {
 			// Gap between s and the cursor: idle.
 			attr(CPSegment{Track: track, Cat: "idle", Name: "idle", Start: s.End, End: t})

@@ -8,9 +8,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The reference the hand-written encoder is held to: the reflection-driven
@@ -649,7 +651,10 @@ func TestStreamerCloseDrainsBuffer(t *testing.T) {
 // pipeline, whose per-event boxing and per-export span copies used to make a
 // traced run allocate twice what the simulation did: steady-state streaming
 // allocates at most once per 64 spans, a batch trace export allocates per
-// track and not per span, and a repeated Spans() is free.
+// track and not per span, the batch trace and windows together allocate less
+// than an eighth of the spans they walk (no span is copied), a window row
+// costs the cells it touches and not the windows between them, and a
+// repeated Spans() is free.
 func TestObsExportAllocBudget(t *testing.T) {
 	tracks := make([]string, 32)
 	for i := range tracks {
@@ -708,6 +713,49 @@ func TestObsExportAllocBudget(t *testing.T) {
 			small, large, budget, len(tracks))
 	}
 
+	// Batch trace plus windows, the first export of a fresh recording (so
+	// it pays for the index): a copy of the spans alone would cost eight
+	// times the budget.
+	var batch float64
+	for run := 0; run < 3; run++ {
+		rec = &Recorder{}
+		for i := 0; i < 16384; i++ {
+			emit(rec, i)
+		}
+		batch += allocBytes(1, func() {
+			if err := WriteTraceJSON(io.Discard, rec); err != nil {
+				t.Fatal(err)
+			}
+			ComputeWindows(rec, 16, 512, nil)
+		}) / 3
+	}
+	spanBytes := float64(rec.NumSpans()) * float64(unsafe.Sizeof(Span{}))
+	t.Logf("batch trace + windows over %d spans: %.0f bytes, %.3f of the spans' %.0f", rec.NumSpans(), batch, batch/spanBytes, spanBytes)
+	if batch >= spanBytes/8 {
+		t.Errorf("batch trace + windows over %d spans allocate %.0f bytes, budget is %.0f (an eighth of the spans)",
+			rec.NumSpans(), batch, spanBytes/8)
+	}
+
+	// A link touched at windows 0 and 10⁶ holds two cells, as one touched at
+	// windows 0 and 1 does: a row sized by its last window would take
+	// megabytes.
+	twoCells := func(w float64) float64 {
+		return allocBytes(20, func() {
+			a := NewWindowAccum(1)
+			a.AddSpan(Span{Track: "net", Cat: CatNet, Name: "msg", Start: 0.5, End: 0.75, Link: "wan", Bytes: 1})
+			a.AddSpan(Span{Track: "net", Cat: CatNet, Name: "msg", Start: w + 0.5, End: w + 0.75, Link: "wan", Bytes: 1})
+			if wm := a.Finish(w+1, nil); len(wm.Links) != 2 || wm.Windows != int(w)+1 {
+				t.Fatalf("%d link rows over %d windows, want 2 over %d", len(wm.Links), wm.Windows, int(w)+1)
+			}
+		})
+	}
+	near, far := twoCells(1), twoCells(1e6)
+	t.Logf("two link cells: %.0f bytes at windows 0 and 1, %.0f at windows 0 and 1e6", near, far)
+	if cells := float64(64 * unsafe.Sizeof(LinkWindow{})); far > cells {
+		t.Errorf("a link touched at windows 0 and 1e6 allocates %.0f bytes (%.0f at windows 0 and 1), budget is %.0f",
+			far, near, cells)
+	}
+
 	// The sorted view is built once per recording burst.
 	rec = &Recorder{}
 	for i := 0; i < 1000; i++ {
@@ -721,4 +769,17 @@ func TestObsExportAllocBudget(t *testing.T) {
 	if got := rec.Spans(); len(got) != len(first)+2 {
 		t.Errorf("Spans() after a new emission holds %d spans, want %d: the cached view was not dropped", len(got), len(first)+2)
 	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls.
+func allocBytes(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

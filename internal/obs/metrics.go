@@ -113,10 +113,10 @@ const (
 )
 
 // spanFold is the one consumer of a run's spans behind the aggregate and the
-// windowed metrics: the batch exports feed it Recorder.Spans after the run,
-// the streamer every span it flushes. The host-level spans of one track
-// reach both feeds in the track's program order, so the float sums — and the
-// export bytes — do not depend on the feed.
+// windowed metrics: the batch exports feed it the recorder's spans in export
+// order after the run, the streamer every span it flushes. The host-level
+// spans of one track reach both feeds in the track's program order, so the
+// float sums — and the export bytes — do not depend on the feed.
 type spanFold struct {
 	hosts   map[string]*HostUtil // per-track budgets (nil: no Metrics wanted)
 	windows *WindowAccum         // nil: no WindowedMetrics wanted
@@ -157,9 +157,8 @@ func (f *spanFold) add(s *Span) {
 
 // feed folds a batch recorder: its spans in export order, then its samples.
 func (f *spanFold) feed(r *Recorder) {
-	spans := r.Spans()
-	for i := range spans {
-		f.add(&spans[i])
+	for _, pos := range r.exportOrder() {
+		f.add(r.at(pos))
 	}
 	if f.windows != nil {
 		for _, p := range r.Samples() {

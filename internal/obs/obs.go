@@ -155,9 +155,13 @@ type Recorder struct {
 	// entries, so recording never moves previously stored spans.
 	spans  [][]Span
 	nSpans int
-	// sorted caches the export-ordered view Spans returns, so the exporters
-	// that each walk it (trace, windows, metrics, critical path) share one
-	// sort; recording a span drops it.
+	// order is the export order (see the package comment) as chunk
+	// positions: built on the first export after a span was recorded and
+	// walked by every later one (trace, windows, metrics, critical path), so
+	// they share one sort and copy no span. It is current while it holds
+	// every stored span; recording never touches it.
+	order []int32
+	// sorted caches the copy Spans returns, current on the same terms.
 	sorted  []Span
 	samples []SamplePoint
 	counts  map[countKey]float64
@@ -297,7 +301,6 @@ func (r *Recorder) Span(s Span) {
 		st.push(&s)
 		return
 	}
-	r.sorted = nil
 	if n := len(r.spans); n == 0 || len(r.spans[n-1]) == spanChunk {
 		r.spans = append(r.spans, make([]Span, 0, spanChunk))
 	}
@@ -344,45 +347,56 @@ func (r *Recorder) Count(name, track string, n float64) {
 	r.counts[countKey{name, track}] += n
 }
 
-// Spans returns every recorded span sorted by (Start, Track, emission
-// order) — the deterministic export order (see the package comment). The
-// slice is built on the first call after a span was recorded and shared by
-// every later one, so callers must not modify it.
+// Spans returns a copy of every recorded span in the export order (see the
+// package comment). The copy is built on the first call after a span was
+// recorded and shared by every later one, so callers must not modify it. The
+// package's own exports walk the chunks through the index instead.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	if r.sorted != nil || len(r.spans) == 0 {
-		return r.sorted
-	}
-	// Sort 16-byte keys, not the spans: a key carries the span's start and
-	// its position in emission order, which both locates the span in the
-	// chunks and breaks ties the way the emission index always did.
-	type key struct {
-		start float64
-		pos   int32
-	}
-	at := func(pos int32) *Span { return &r.spans[pos/spanChunk][pos%spanChunk] }
-	keys := make([]key, 0, r.nSpans)
-	for c, chunk := range r.spans {
-		for i := range chunk {
-			keys = append(keys, key{chunk[i].Start, int32(c*spanChunk + i)})
+	order := r.exportOrder()
+	if len(r.sorted) != len(order) {
+		r.sorted = make([]Span, len(order))
+		for i, pos := range order {
+			r.sorted[i] = *r.at(pos)
 		}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		if c := strings.Compare(at(a.pos).Track, at(b.pos).Track); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	r.sorted = make([]Span, len(keys))
-	for i, k := range keys {
-		r.sorted[i] = *at(k.pos)
 	}
 	return r.sorted
+}
+
+// at returns the span stored at a chunk position.
+func (r *Recorder) at(pos int32) *Span {
+	return &r.spans[pos/spanChunk][pos%spanChunk]
+}
+
+// exportOrder returns the chunk positions of the stored spans sorted by
+// (Start, Track, emission order) — nil for a nil, streaming or journal
+// recorder, which stores none. A position is the span's emission index, so
+// the last key breaks ties the way the emission index always did.
+func (r *Recorder) exportOrder() []int32 {
+	if r == nil {
+		return nil
+	}
+	if len(r.spans) == 0 || len(r.order) == r.nSpans {
+		return r.order
+	}
+	order := make([]int32, r.nSpans)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		sa, sb := r.at(a), r.at(b)
+		if c := cmp.Compare(sa.Start, sb.Start); c != 0 {
+			return c
+		}
+		if c := strings.Compare(sa.Track, sb.Track); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	r.order = order
+	return order
 }
 
 // Samples returns every recorded observation sorted by (Series, Track, T,

@@ -12,13 +12,13 @@ import (
 // message sequence number, because transfers on a shared link legitimately
 // overlap; metric samples become counter "C" tracks (pid 4). The output is
 // deterministic: same run, same bytes, regardless of worker count — events
-// follow the recorder's sorted span and sample orders, tids follow the sorted
-// track names, and the encoder (encode.go) writes every event's members and
-// args in one fixed order. A span or sample holding a NaN or an infinity
+// follow the recorder's span export order and sorted samples, tids follow the
+// sorted track names, and the encoder (encode.go) writes every event's members
+// and args in one fixed order. A span or sample holding a NaN or an infinity
 // fails the export with an error naming it; what was written before it is
 // an incomplete document.
 func WriteTraceJSON(w io.Writer, r *Recorder) error {
-	spans := r.Spans()
+	order := r.exportOrder()
 	samples := r.Samples()
 
 	// Assign tids: per pid, tracks sorted by name.
@@ -29,8 +29,9 @@ func WriteTraceJSON(w io.Writer, r *Recorder) error {
 		}
 		tids[pid][track] = 0
 	}
-	for i := range spans {
-		note(pidOf(spans[i].Cat), spans[i].Track)
+	for _, pos := range order {
+		s := r.at(pos)
+		note(pidOf(s.Cat), s.Track)
 	}
 	var counter counterNamer
 	for i := range samples {
@@ -54,8 +55,8 @@ func WriteTraceJSON(w io.Writer, r *Recorder) error {
 		}
 	}
 
-	for i := range spans {
-		s := &spans[i]
+	for _, pos := range order {
+		s := r.at(pos)
 		pid := pidOf(s.Cat)
 		enc.span(s, pid, tids[pid][s.Track])
 	}

@@ -115,16 +115,6 @@ type WindowedMetrics struct {
 	CritPath []CPWindow `json:"critpath,omitempty"`
 }
 
-type hostWinKey struct {
-	track string
-	w     int
-}
-
-type linkWinKey struct {
-	link string
-	w    int
-}
-
 type seriesWinKey struct {
 	series, track string
 	w             int
@@ -132,22 +122,93 @@ type seriesWinKey struct {
 
 // WindowAccum accumulates spans and samples into fixed-width virtual-time
 // windows. It is the shared engine behind ComputeWindows (batch, fed from the
-// recorder's sorted accessors after the run) and the streaming trace mode
-// (fed span-by-span at flush time, so windowed metrics survive even though
-// the spans themselves are not retained). Feeding order is deterministic in
-// both modes, so the float accumulation — and therefore the export bytes —
-// is too.
+// recorder's export order after the run) and the streaming trace mode (fed
+// span-by-span at flush time, so windowed metrics survive even though the
+// spans themselves are not retained). Feeding order is deterministic in both
+// modes, so the float accumulation — and therefore the export bytes — is too.
 type WindowAccum struct {
-	width  float64
-	hosts  map[hostWinKey]*HostWindow
-	links  map[linkWinKey]*LinkWindow
+	width float64
+	// Host and link names are interned: ids maps a name to its index in
+	// names, which is its row in hosts and links.
+	ids    map[string]int32
+	names  []string
+	hosts  cellRows[hostCols]
+	links  cellRows[linkCols]
 	series map[seriesWinKey]*SeriesWindow
-	// lastKey/lastHost short-circuit the map lookup for the common case of
-	// consecutive spans landing in the same (track, window) cell: both feeds
-	// deliver host spans grouped by track or by time, so runs of repeats
-	// dominate.
-	lastKey  hostWinKey
-	lastHost *HostWindow
+	// lastTrack/lastID short-circuit the name lookup for runs of host spans
+	// on one track, which dominate both feeds.
+	lastTrack string
+	lastID    int32
+}
+
+// hostCols are the columns a host cell accumulates; Finish adds the name,
+// the window and the derived shares.
+type hostCols struct {
+	compute, send, wait, sleep, flops, retries float64
+}
+
+// linkCols are the columns a link cell accumulates.
+type linkCols struct {
+	bytes, msgs, queueDelay, ageSum, ageMax float64
+}
+
+// cellRows keeps one row per interned name: the cells of the windows the
+// name touched, linked from its last window backward. The feeds mostly touch
+// a row's last window or the one past it, so a lookup rarely walks further
+// than the tail, and memory follows the cells touched, not windows × names.
+// Cells are carved from chunks that grow with the population and never move.
+type cellRows[T any] struct {
+	tail  []*cell[T] // per row: its last cell (nil while empty)
+	n     []int32    // per row: its cell count
+	free  []cell[T]  // what is left of the current chunk
+	cells int        // cells handed out, which sizes the next chunk
+}
+
+// cell is one (name, window) cell of a row.
+type cell[T any] struct {
+	w    int
+	prev *cell[T] // the row's previous cell, in window order
+	v    T
+}
+
+// grow adds an empty row.
+func (r *cellRows[T]) grow() {
+	r.tail = append(r.tail, nil)
+	r.n = append(r.n, 0)
+}
+
+// lastW returns the window of row id's last cell (-1 for an empty row).
+func (r *cellRows[T]) lastW(id int) int {
+	if c := r.tail[id]; c != nil {
+		return c.w
+	}
+	return -1
+}
+
+// at returns (inserting on demand) the columns of window w in row id.
+func (r *cellRows[T]) at(id int32, w int) *T {
+	var next *cell[T]
+	c := r.tail[id]
+	for c != nil && c.w > w {
+		next, c = c, c.prev
+	}
+	if c != nil && c.w == w {
+		return &c.v
+	}
+	if len(r.free) == 0 {
+		r.free = make([]cell[T], min(max(r.cells, 8), 1024))
+	}
+	nc := &r.free[0]
+	r.free = r.free[1:]
+	r.cells++
+	nc.w, nc.prev = w, c
+	if next == nil {
+		r.tail[id] = nc
+	} else {
+		next.prev = nc
+	}
+	r.n[id]++
+	return &nc.v
 }
 
 // NewWindowAccum returns an accumulator for windows of the given width.
@@ -158,9 +219,9 @@ func NewWindowAccum(width float64) *WindowAccum {
 	}
 	return &WindowAccum{
 		width:  width,
-		hosts:  map[hostWinKey]*HostWindow{},
-		links:  map[linkWinKey]*LinkWindow{},
+		ids:    map[string]int32{},
 		series: map[seriesWinKey]*SeriesWindow{},
+		lastID: -1,
 	}
 }
 
@@ -173,19 +234,17 @@ func (a *WindowAccum) winOf(t float64) int {
 	return w
 }
 
-// hostAt returns (creating on demand) the host row for (track, w).
-func (a *WindowAccum) hostAt(track string, w int) *HostWindow {
-	k := hostWinKey{track, w}
-	if a.lastHost != nil && a.lastKey == k {
-		return a.lastHost
+// intern returns the row of a host or link name, adding it on first sight.
+func (a *WindowAccum) intern(name string) int32 {
+	id, ok := a.ids[name]
+	if !ok {
+		id = int32(len(a.names))
+		a.ids[name] = id
+		a.names = append(a.names, name)
+		a.hosts.grow()
+		a.links.grow()
 	}
-	h := a.hosts[k]
-	if h == nil {
-		h = &HostWindow{Track: track, W: w}
-		a.hosts[k] = h
-	}
-	a.lastKey, a.lastHost = k, h
-	return h
+	return id
 }
 
 // AddSpan folds one span into the windows. Host-level tiling categories are
@@ -196,23 +255,9 @@ func (a *WindowAccum) hostAt(track string, w int) *HostWindow {
 func (a *WindowAccum) AddSpan(s Span) {
 	switch s.Cat {
 	case CatCompute, CatSend, CatWait, CatSleep:
-		a.splitHost(s, func(h *HostWindow, d, frac float64) {
-			switch s.Cat {
-			case CatCompute:
-				h.Compute += d
-			case CatSend:
-				h.Send += d
-			case CatWait:
-				h.Wait += d
-			case CatSleep:
-				h.Sleep += d
-			}
-			h.Flops += s.Flops * frac
-		})
+		a.splitHost(&s, s.Track)
 	case CatRetry:
-		track := strings.TrimPrefix(s.Track, "solver:")
-		s.Track = track
-		a.splitHost(s, func(h *HostWindow, d, _ float64) { h.Retries += d })
+		a.splitHost(&s, strings.TrimPrefix(s.Track, "solver:"))
 	case CatNet:
 		w := a.winOf(s.Start)
 		age := s.End - s.Start
@@ -222,35 +267,34 @@ func (a *WindowAccum) AddSpan(s Span) {
 			if link == "" {
 				continue
 			}
-			k := linkWinKey{link, w}
-			l := a.links[k]
-			if l == nil {
-				l = &LinkWindow{Link: link, W: w}
-				a.links[k] = l
-			}
-			l.Bytes += float64(s.Bytes)
-			l.Msgs++
-			l.QueueDelay += s.Queue
-			l.AgeSum += age
-			if age > l.AgeMax {
-				l.AgeMax = age
+			l := a.links.at(a.intern(link), w)
+			l.bytes += float64(s.Bytes)
+			l.msgs++
+			l.queueDelay += s.Queue
+			l.ageSum += age
+			if age > l.ageMax {
+				l.ageMax = age
 			}
 		}
 	}
 }
 
 // splitHost distributes a span's [Start, End) interval over the windows it
-// overlaps, calling add with each window's row, the overlap duration and the
-// overlap fraction of the whole span. Zero-length spans land whole in their
-// instant's window.
-func (a *WindowAccum) splitHost(s Span, add func(h *HostWindow, d, frac float64)) {
+// overlaps on the given host track, adding to each window's cell the overlap
+// duration and that fraction of the span's flops. Zero-length spans land
+// whole in their instant's window.
+func (a *WindowAccum) splitHost(s *Span, track string) {
+	if a.lastID < 0 || track != a.lastTrack {
+		a.lastTrack, a.lastID = track, a.intern(track)
+	}
+	id := a.lastID
 	if s.End <= s.Start {
-		add(a.hostAt(s.Track, a.winOf(s.Start)), 0, 1)
+		addHost(a.hosts.at(id, a.winOf(s.Start)), s, 0, 1)
 		return
 	}
 	total := s.End - s.Start
 	for w := a.winOf(s.Start); ; w++ {
-		lo := float64(w) * a.width
+		lo := float64(float64(w) * a.width)
 		hi := lo + a.width
 		if lo < s.Start {
 			lo = s.Start
@@ -259,12 +303,31 @@ func (a *WindowAccum) splitHost(s Span, add func(h *HostWindow, d, frac float64)
 			hi = s.End
 		}
 		if d := hi - lo; d > 0 {
-			add(a.hostAt(s.Track, w), d, d/total)
+			addHost(a.hosts.at(id, w), s, d, d/total)
 		}
 		if hi >= s.End {
 			return
 		}
 	}
+}
+
+// addHost adds d seconds of a span to its category's column of a host cell,
+// and frac of its flops unless it is a retry overlay.
+func addHost(h *hostCols, s *Span, d, frac float64) {
+	switch s.Cat {
+	case CatCompute:
+		h.compute += d
+	case CatSend:
+		h.send += d
+	case CatWait:
+		h.wait += d
+	case CatSleep:
+		h.sleep += d
+	case CatRetry:
+		h.retries += d
+		return
+	}
+	h.flops += float64(s.Flops * frac)
 }
 
 // AddSample folds one metric observation into its window's series summary.
@@ -295,34 +358,50 @@ func (a *WindowAccum) Finish(makespan float64, cp *CPReport) *WindowedMetrics {
 	if makespan > 0 {
 		wm.Windows = int(math.Ceil(makespan / a.width))
 	}
-	for k := range a.hosts {
-		if k.w >= wm.Windows {
-			wm.Windows = k.w + 1
-		}
-	}
-	for k := range a.links {
-		if k.w >= wm.Windows {
-			wm.Windows = k.w + 1
-		}
+	var nh, nl int
+	for id := range a.names {
+		nh += int(a.hosts.n[id])
+		nl += int(a.links.n[id])
+		wm.Windows = max(wm.Windows, a.hosts.lastW(id)+1, a.links.lastW(id)+1)
 	}
 	covered := func(w int) float64 {
-		c := makespan - float64(w)*a.width
+		c := makespan - float64(float64(w)*a.width)
 		if c <= 0 || c > a.width {
 			return a.width
 		}
 		return c
 	}
-	for _, h := range a.hosts {
-		c := covered(h.W)
-		h.Utilization = (h.Compute + h.Send) / c
-		h.WaitShare = h.Wait / c
+	byName := make([]int32, len(a.names))
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	wm.Hosts = sortedRows(a.hosts, func(x, y *HostWindow) int {
-		return cmp.Or(strings.Compare(x.Track, y.Track), cmp.Compare(x.W, y.W))
-	})
-	wm.Links = sortedRows(a.links, func(x, y *LinkWindow) int {
-		return cmp.Or(strings.Compare(x.Link, y.Link), cmp.Compare(x.W, y.W))
-	})
+	slices.SortFunc(byName, func(x, y int32) int { return strings.Compare(a.names[x], a.names[y]) })
+	if nh > 0 {
+		wm.Hosts = make([]HostWindow, nh)
+	}
+	if nl > 0 {
+		wm.Links = make([]LinkWindow, nl)
+	}
+	// Each row is written back to front into its slot of the output.
+	nh, nl = 0, 0
+	for _, id := range byName {
+		name := a.names[id]
+		nh += int(a.hosts.n[id])
+		for c, k := a.hosts.tail[id], nh; c != nil; c = c.prev {
+			k--
+			v, cov := &c.v, covered(c.w)
+			wm.Hosts[k] = HostWindow{Track: name, W: c.w, Compute: v.compute, Send: v.send, Wait: v.wait,
+				Sleep: v.sleep, Flops: v.flops, Retries: v.retries,
+				Utilization: (v.compute + v.send) / cov, WaitShare: v.wait / cov}
+		}
+		nl += int(a.links.n[id])
+		for c, k := a.links.tail[id], nl; c != nil; c = c.prev {
+			k--
+			v := &c.v
+			wm.Links[k] = LinkWindow{Link: name, W: c.w, Bytes: v.bytes, Msgs: v.msgs,
+				QueueDelay: v.queueDelay, AgeSum: v.ageSum, AgeMax: v.ageMax}
+		}
+	}
 	wm.Series = sortedRows(a.series, func(x, y *SeriesWindow) int {
 		return cmp.Or(strings.Compare(x.Series, y.Series), strings.Compare(x.Track, y.Track), cmp.Compare(x.W, y.W))
 	})
@@ -353,7 +432,7 @@ func (cp *CPReport) Windows(width float64) []CPWindow {
 	rows := map[int]*CPWindow{}
 	for _, seg := range cp.Segments {
 		for w := int(seg.Start / width); ; w++ {
-			lo := float64(w) * width
+			lo := float64(float64(w) * width)
 			hi := lo + width
 			if lo < seg.Start {
 				lo = seg.Start
