@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench race vet bench lint-docs verify
+.PHONY: all build test test-bench race vet bench lint-docs lint-fma verify
 
 all: verify
 
@@ -78,4 +78,30 @@ bench:
 lint-docs:
 	$(GO) run ./cmd/lintdocs
 
-verify: build vet lint-docs test test-bench race
+# Packages whose every multiply-add is written float64(a*b), which the Go spec
+# forbids fusing into one rounding (ROADMAP item 16): their results are the
+# same bits on every GOARCH. A package joins this list, the one place the
+# rule grows, once its sites are converted.
+FMA_CLEARED = splu obs dense sparse vec iterative
+
+# Cross-compiles every main of cmd/ and examples/ for arm64, riscv64 and
+# ppc64le, the backends that fuse x*y+z implicitly (amd64 never does), and
+# fails on a fused multiply-add in a function of a FMA_CLEARED package. The
+# toolchain cross-compiles from GOROOT: nothing is downloaded.
+lint-fma:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for arch in arm64 riscv64 ppc64le; do \
+		GOARCH=$$arch $(GO) build -o "$$dir/$$arch/" ./cmd/... ./examples/... || exit 1; \
+	done && \
+	re="^repro/internal/($$(echo $(FMA_CLEARED) | tr ' ' '|'))\\." && \
+	for bin in "$$dir"/*/*; do \
+		$(GO) tool objdump "$$bin" > "$$bin.s" || exit 1; \
+		awk -v arch="$$(basename "$$(dirname "$$bin")")" -v re="$$re" \
+			'/^TEXT/ { fn = $$2 } /\tFN?M(ADD|SUB)[DS]? / && fn ~ re { n[fn]++ } \
+			END { for (f in n) print "  " arch ": " f ", " n[f] " fused" }' "$$bin.s"; \
+	done | sort -u > "$$dir/fused" && \
+	if [ -s "$$dir/fused" ]; then \
+		echo "lint-fma: fused multiply-adds in $(FMA_CLEARED):"; cat "$$dir/fused"; exit 1; \
+	fi
+
+verify: build vet lint-docs lint-fma test test-bench race

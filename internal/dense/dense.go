@@ -139,7 +139,7 @@ func factorLUInPlace(lu *Matrix, piv []int) (float64, error) {
 			}
 			ri, rk := lu.Row(i), lu.Row(k)
 			for j := k + 1; j < n; j++ {
-				ri[j] -= l * rk[j]
+				ri[j] -= float64(l * rk[j])
 			}
 			flops += 2 * float64(n-k-1)
 		}
@@ -163,7 +163,7 @@ func (f *LU) Solve(x, b []float64, c *vec.Counter) {
 		row := f.LU.Row(i)
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s
 	}
@@ -172,17 +172,19 @@ func (f *LU) Solve(x, b []float64, c *vec.Counter) {
 		row := f.LU.Row(i)
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s / row[i]
 	}
-	c.Add(2 * float64(n) * float64(n))
+	c.Add(2 * float64(n*n))
 }
 
 // Band is a general band matrix with kl sub-diagonals and ku super-diagonals
 // stored in LAPACK band layout with room for fill during pivoting: column j
 // holds rows j-ku-kl .. j+kl in a (2kl+ku+1)×n array (the extra kl rows
-// absorb pivot fill, as in LAPACK gbtrf, so U's bandwidth is kv = kl+ku).
+// absorb pivot fill, as in LAPACK gbtrf). kv = kl+ku is the storage bound of
+// U's upper bandwidth, not U's width: a factorization that swaps no rows
+// leaves U ku wide, and BandLU keeps the width its elimination reached.
 //
 // With stride = 2kl+ku+1, A(i,j) is Data[kv+i-j + j·stride]. The kernels walk
 // that array through three expressions and no accessor: the diagonal A(i,i)
@@ -224,6 +226,7 @@ func (b *Band) Set(i, j int, v float64) { b.Data[b.Index(i, j)] = v }
 type BandLU struct {
 	b     *Band
 	piv   []int
+	uw    int     // U's actual upper width, at most kv (see factorBandInPlace)
 	Flops float64 // arithmetic the last FactorBand or Refactor spent
 }
 
@@ -231,12 +234,12 @@ type BandLU struct {
 // factorization. The receiver is consumed: do not reuse b afterwards.
 func FactorBand(b *Band, c *vec.Counter) (*BandLU, error) {
 	piv := make([]int, b.N)
-	flops, err := factorBandInPlace(b, piv)
+	flops, uw, err := factorBandInPlace(b, piv)
 	if err != nil {
 		return nil, err
 	}
 	c.Add(flops)
-	return &BandLU{b: b, piv: piv, Flops: flops}, nil
+	return &BandLU{b: b, piv: piv, uw: uw, Flops: flops}, nil
 }
 
 // Band returns the underlying band storage. Refactor callers zero it, refill
@@ -263,22 +266,32 @@ func (b *Band) Zero() {
 // f.Band() — the caller refills them first — reusing the pivot array and
 // allocating nothing. On error the factors are invalid.
 func (f *BandLU) Refactor(c *vec.Counter) error {
-	flops, err := factorBandInPlace(f.b, f.piv)
+	flops, uw, err := factorBandInPlace(f.b, f.piv)
 	if err != nil {
 		return err
 	}
-	f.Flops = flops
+	f.uw, f.Flops = uw, flops
 	c.Add(flops)
 	return nil
 }
 
 // factorBandInPlace is the gbtrf-style elimination shared by FactorBand and
-// BandLU.Refactor.
-func factorBandInPlace(b *Band, piv []int) (float64, error) {
-	n, kl := b.N, b.KL
-	kv := kl + b.KU // upper bandwidth once pivoting has filled in
+// BandLU.Refactor. It returns the flops and U's actual upper width uw.
+//
+// Like LAPACK dgbtf2 it tracks ju, the last column the elimination has
+// touched: a row at position r >= k holds its non-zeros in columns up to
+// max(ju, r+ku), so the pivot row of column k ends at ju = max(ju,
+// piv[k]+ku) and the swap and the row updates stop there. Every entry they
+// skip is a fill slot still at +0, and x - l·(+0) is x unless x is -0 and l
+// is negative (the full-width update writes +0 there): an input that stores
+// -0 right of column ju of some step may keep it where the full-width loops
+// wrote +0. Flops keep the storage model, 2·jm per non-zero multiplier with
+// jm = min(kv, n-1-k).
+func factorBandInPlace(b *Band, piv []int) (flops float64, uw int, err error) {
+	n, kl, ku := b.N, b.KL, b.KU
+	kv := kl + ku // storage bound of U's upper bandwidth
 	data, step := b.Data, b.stride-1
-	flops := 0.0
+	ju := 0
 	for k := 0; k < n; k++ {
 		km, jm := min(kl, n-1-k), min(kv, n-1-k)
 		// Pivot search in column k, rows k..k+km (col[t] is row k+t).
@@ -291,12 +304,15 @@ func factorBandInPlace(b *Band, piv []int) (float64, error) {
 			}
 		}
 		if best == 0 {
-			return 0, ErrSingular
+			return 0, 0, ErrSingular
 		}
 		piv[k] = k + p
+		ju = max(ju, min(k+p+ku, n-1))
+		uw = max(uw, ju-k)
+		last := dk + (ju-k)*step // row k's entry in column ju
 		if p != 0 {
-			// Swap rows k and k+p over columns k..k+jm.
-			for q := dk; q <= dk+jm*step; q += step {
+			// Swap rows k and k+p over columns k..ju.
+			for q := dk; q <= last; q += step {
 				data[q], data[q+p] = data[q+p], data[q]
 			}
 		}
@@ -307,17 +323,25 @@ func factorBandInPlace(b *Band, piv []int) (float64, error) {
 			if l == 0 {
 				continue
 			}
-			// Row k+t -= l·row k over columns k+1..k+jm.
-			for q := dk + step; q <= dk+jm*step; q += step {
-				data[q+t] -= l * data[q]
+			// Row k+t -= l·row k over columns k+1..ju.
+			for q := dk + step; q <= last; q += step {
+				data[q+t] -= float64(l * data[q])
 			}
 			flops += 2 * float64(jm)
 		}
 	}
-	return flops, nil
+	return flops, uw, nil
 }
 
 // Solve computes x with A·x = b0 using the band factorization.
+//
+// The back substitution sums row i of U over columns i+1..i+uw only, U's
+// actual width (kv when the elimination swapped rows kl apart, ku when it
+// never swapped): the entries it skips are +0, and s - (+0)·x[j] is s
+// unless s is -0 or x[j] is not finite. So x is the full-width loop's to
+// the bit, except that a -0 may stay -0 where the full width reads +0, and
+// a row whose skipped columns meet an infinite x[j] keeps ±Inf where the
+// full width reads NaN.
 func (f *BandLU) Solve(x, b0 []float64, c *vec.Counter) {
 	b := f.b
 	n, kl := b.N, b.KL
@@ -336,15 +360,15 @@ func (f *BandLU) Solve(x, b0 []float64, c *vec.Counter) {
 		km := min(kl, n-1-k)
 		xk, xs := x[k], x[k+1:k+1+km]
 		for t, l := range data[k*b.stride+kv+1:][:km] {
-			xs[t] -= l * xk
+			xs[t] -= float64(l * xk)
 		}
 	}
-	// Back substitution with U (bandwidth kv), row i left to right.
+	// Back substitution with U (width uw), row i left to right.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		q := kv + i + (i+1)*step
-		for _, xj := range x[i+1 : i+1+min(kv, n-1-i)] {
-			s -= data[q] * xj
+		for _, xj := range x[i+1 : i+1+min(f.uw, n-1-i)] {
+			s -= float64(data[q] * xj)
 			q += step
 		}
 		x[i] = s / data[kv+i*b.stride]

@@ -2,10 +2,13 @@ package dense
 
 // The band kernels as they were before the direct-index rework: every element
 // read and written through the accessors at2/set2 (two band tests, an add and
-// a multiply per element). The loops are kept verbatim as the oracle
-// TestBandLUMatchesReference holds the production code to, bit for bit and
-// flop for flop, and as the "ref" side of BenchmarkBandSolve. Nothing outside
-// this file uses them.
+// a multiply per element) and every row of U over the full storage width
+// kv = kl+ku. The loops are kept as the oracle TestBandLUMatchesReference
+// holds the production code to, bit for bit and flop for flop — which also
+// holds the production code's stop at U's actual width — and as the "ref"
+// side of BenchmarkBandSolve; their one change is the float64(a*b) form of
+// each multiply-add, so that neither side fuses. Nothing outside this file
+// uses them.
 
 import (
 	"errors"
@@ -58,7 +61,7 @@ func refFactorBandInPlace(b *Band, piv []int) (float64, error) {
 				continue
 			}
 			for j := k + 1; j <= jMax; j++ {
-				b.set2(i, j, b.at2(i, j, kv)-l*b.at2(k, j, kv), kv)
+				b.set2(i, j, b.at2(i, j, kv)-float64(l*b.at2(k, j, kv)), kv)
 			}
 			flops += 2 * float64(jMax-k)
 		}
@@ -102,7 +105,7 @@ func (f *BandLU) refSolve(x, b0 []float64, c *vec.Counter) {
 			iMax = n - 1
 		}
 		for i := k + 1; i <= iMax; i++ {
-			x[i] -= b.at2(i, k, kv) * x[k]
+			x[i] -= float64(b.at2(i, k, kv) * x[k])
 		}
 	}
 	// Back substitution with U (bandwidth kv).
@@ -113,7 +116,7 @@ func (f *BandLU) refSolve(x, b0 []float64, c *vec.Counter) {
 			jMax = n - 1
 		}
 		for j := i + 1; j <= jMax; j++ {
-			s -= b.at2(i, j, kv) * x[j]
+			s -= float64(b.at2(i, j, kv) * x[j])
 		}
 		x[i] = s / b.at2(i, i, kv)
 	}
@@ -127,7 +130,11 @@ type bandCase struct {
 	n, kl, ku int
 	at        func(rng *rand.Rand, i, j int) float64
 	swaps     bool // the elimination must swap rows
+	narrow    bool // its swaps must stay short of kl: ku < uw < kv
 	skips     bool // the elimination must meet exact-zero multipliers
+	// refill gives the Refactor stage's values when they are not at's: a
+	// refactor that widens U must widen what Solve reads.
+	refill func(rng *rand.Rand, i, j int) float64
 }
 
 // weakDiag gives off-diagonal entries of magnitude up to 1 and a diagonal a
@@ -157,6 +164,23 @@ func strongDiag(rng *rand.Rand, i, j int) float64 {
 	return 2*rng.Float64() - 1
 }
 
+// fewSwaps is strongDiag except in every tenth column j, whose diagonal is
+// weak and whose first sub-diagonal entry is the largest of the column: the
+// elimination swaps rows j and j+1 there and nowhere else, so U grows one
+// column past ku and stays short of kv. Row j's first super-diagonal entry,
+// the next column's pivot once the rows have swapped, is strong.
+func fewSwaps(rng *rand.Rand, i, j int) float64 {
+	switch {
+	case j%10 == 0 && i == j:
+		return 0.01 * (rng.Float64() + 0.1)
+	case j%10 == 0 && i == j+1:
+		return 5 + rng.Float64()
+	case j%10 == 1 && i == j-1:
+		return 50 + rng.Float64()
+	}
+	return strongDiag(rng, i, j)
+}
+
 // zeroMultiplier plants exact zeros in the first sub-diagonal of every third
 // column, so the elimination meets l == 0 (skipped, not counted) next to
 // non-zero multipliers; a weak diagonal elsewhere keeps swaps firing.
@@ -179,15 +203,35 @@ func tiedPivots(rng *rand.Rand, i, j int) float64 {
 	return weakDiag(rng, i, j)
 }
 
-func (bc bandCase) build(seed int64) *Band {
+func (bc bandCase) build(seed int64) *Band { return bc.fill(bc.at, seed) }
+
+func (bc bandCase) fill(at func(rng *rand.Rand, i, j int) float64, seed int64) *Band {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBand(bc.n, bc.kl, bc.ku)
 	for i := 0; i < bc.n; i++ {
 		for j := max(0, i-bc.kl); j <= min(bc.n-1, i+bc.ku); j++ {
-			b.Set(i, j, bc.at(rng, i, j))
+			b.Set(i, j, at(rng, i, j))
 		}
 	}
 	return b
+}
+
+// checkWidth fails unless f's width lies in [ku, kv] (clamped to n-1) and
+// every stored U entry right of it is +0, by bits: what Solve skips.
+func checkWidth(t *testing.T, stage string, f *BandLU) {
+	t.Helper()
+	b := f.b
+	kv := b.KL + b.KU
+	if f.uw < min(b.KU, b.N-1) || f.uw > min(kv, max(b.N-1, 0)) {
+		t.Fatalf("%s: uw %d outside [ku, kv] = [%d, %d] (n %d)", stage, f.uw, b.KU, kv, b.N)
+	}
+	for i := 0; i < b.N; i++ {
+		for j := i + f.uw + 1; j <= min(i+kv, b.N-1); j++ {
+			if v := b.Data[kv+i-j+j*b.stride]; math.Float64bits(v) != 0 {
+				t.Fatalf("%s: U(%d,%d) = %v right of uw %d", stage, i, j, v, f.uw)
+			}
+		}
+	}
 }
 
 func bitsEqual(t *testing.T, what string, got, want []float64) {
@@ -220,6 +264,8 @@ func TestBandLUMatchesReference(t *testing.T) {
 		{name: "exact-zero multipliers", n: 61, kl: 3, ku: 2, at: zeroMultiplier, swaps: true, skips: true},
 		{name: "tied pivot candidates", n: 30, kl: 4, ku: 2, at: tiedPivots, swaps: true},
 		{name: "preconditioner shape", n: 300, kl: 16, ku: 16, at: weakDiag, swaps: true},
+		{name: "preconditioner shape, no swap", n: 300, kl: 16, ku: 16, at: strongDiag, refill: weakDiag},
+		{name: "few swaps", n: 60, kl: 4, ku: 2, at: fewSwaps, swaps: true, narrow: true, refill: weakDiag},
 	}
 	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
@@ -248,6 +294,14 @@ func TestBandLUMatchesReference(t *testing.T) {
 					}
 				}
 				checkFactors("factor")
+				checkWidth(t, "factor", f)
+				kv := bc.kl + bc.ku
+				switch {
+				case !bc.swaps && f.uw != min(bc.ku, bc.n-1):
+					t.Fatalf("no swap, but uw %d != ku %d", f.uw, bc.ku)
+				case bc.narrow && (f.uw <= bc.ku || f.uw >= kv):
+					t.Fatalf("uw %d not strictly between ku %d and kv %d", f.uw, bc.ku, kv)
+				}
 				if c.Flops() != wantFlops {
 					t.Fatalf("counted %v flops, reference %v", c.Flops(), wantFlops)
 				}
@@ -267,23 +321,32 @@ func TestBandLUMatchesReference(t *testing.T) {
 				for i := range rhs {
 					rhs[i] = 2*rng.Float64() - 1
 				}
-				ref := &BandLU{b: want, piv: wantPiv, Flops: wantFlops}
-				wantX := make([]float64, bc.n)
-				var rc, gc vec.Counter
-				ref.refSolve(wantX, rhs, &rc)
-				x := make([]float64, bc.n)
-				f.Solve(x, rhs, &gc)
-				bitsEqual(t, "x", x, wantX)
-				if gc.Flops() != rc.Flops() || gc.Flops() != f.SolveFlops() {
-					t.Fatalf("solve counted %v flops, reference %v, declared %v", gc.Flops(), rc.Flops(), f.SolveFlops())
+				checkSolve := func(stage string) {
+					t.Helper()
+					ref := &BandLU{b: want, piv: wantPiv, Flops: wantFlops}
+					wantX := make([]float64, bc.n)
+					var rc, gc vec.Counter
+					ref.refSolve(wantX, rhs, &rc)
+					x := make([]float64, bc.n)
+					f.Solve(x, rhs, &gc)
+					bitsEqual(t, stage+" x", x, wantX)
+					if gc.Flops() != rc.Flops() || gc.Flops() != f.SolveFlops() {
+						t.Fatalf("%s solve counted %v flops, reference %v, declared %v", stage, gc.Flops(), rc.Flops(), f.SolveFlops())
+					}
+					// x aliasing b0.
+					alias := append([]float64(nil), rhs...)
+					f.Solve(alias, alias, nil)
+					bitsEqual(t, stage+" aliased x", alias, wantX)
 				}
-				// x aliasing b0.
-				alias := append([]float64(nil), rhs...)
-				f.Solve(alias, alias, nil)
-				bitsEqual(t, "aliased x", alias, wantX)
+				checkSolve("factor")
 
-				// Refactor from new values in the same storage.
-				got2, want2 := bc.build(seed+7), bc.build(seed+7)
+				// Refactor from new values in the same storage, then solve:
+				// a width Refactor does not refresh fails here.
+				at := bc.at
+				if bc.refill != nil {
+					at = bc.refill
+				}
+				got2, want2 := bc.fill(at, seed+7), bc.fill(at, seed+7)
 				copy(f.Band().Data, got2.Data)
 				copy(want.Data, want2.Data)
 				if wantFlops, err = refFactorBandInPlace(want, wantPiv); err != nil {
@@ -293,6 +356,8 @@ func TestBandLUMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkFactors("refactor")
+				checkWidth(t, "refactor", f)
+				checkSolve("refactor")
 			}
 		})
 	}
@@ -338,30 +403,37 @@ var benchSink float64
 
 // BenchmarkBandSolve prices one BandLU.Solve per stored element of the
 // factors (n·(2kl+ku+1)) on the wan_async_twostage preconditioner's shape
-// with pivoting active: "direct" is the production kernel, "ref" the
-// accessor form above.
+// (n 1200, kl = ku = 16), twice: "pivot" swaps rows in most columns, so U
+// is kv = 32 wide, and "noswap" is diagonally dominant, as every band of the
+// workload is, so U is ku = 16 wide. "direct" is the production kernel,
+// "ref" the accessor form above, which always runs the full kv width.
 func BenchmarkBandSolve(b *testing.B) {
-	bc := bandCase{n: 1200, kl: 16, ku: 16, at: weakDiag}
-	f, err := FactorBand(bc.build(1), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]float64, bc.n)
-	for i := range rhs {
-		rhs[i] = float64(i%17) - 8
-	}
-	x := make([]float64, bc.n)
-	elems := float64(len(f.b.Data))
-	for _, side := range []struct {
-		name  string
-		solve func(x, b0 []float64, c *vec.Counter)
-	}{{"direct", f.Solve}, {"ref", f.refSolve}} {
-		b.Run(side.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				side.solve(x, rhs, nil)
-			}
-			benchSink = x[0]
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
-		})
+	for _, shape := range []struct {
+		name string
+		at   func(rng *rand.Rand, i, j int) float64
+	}{{"pivot", weakDiag}, {"noswap", strongDiag}} {
+		bc := bandCase{n: 1200, kl: 16, ku: 16, at: shape.at}
+		f, err := FactorBand(bc.build(1), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := make([]float64, bc.n)
+		for i := range rhs {
+			rhs[i] = float64(i%17) - 8
+		}
+		x := make([]float64, bc.n)
+		elems := float64(len(f.b.Data))
+		for _, side := range []struct {
+			name  string
+			solve func(x, b0 []float64, c *vec.Counter)
+		}{{"direct", f.Solve}, {"ref", f.refSolve}} {
+			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					side.solve(x, rhs, nil)
+				}
+				benchSink = x[0]
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
+			})
+		}
 	}
 }

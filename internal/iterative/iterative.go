@@ -152,9 +152,9 @@ func AbsSplittingOperator(a *sparse.CSR, r0, r1 int, d splu.Direct, c *vec.Count
 			}
 			col := cols[j]
 			for i := range y {
-				y[i] += col[i] * xj
+				y[i] += float64(col[i] * xj)
 			}
 		}
-		c.Add(2 * float64(n) * float64(n))
+		c.Add(2 * float64(n*n))
 	}, nil
 }

@@ -51,7 +51,7 @@ func SweepFlops(a *sparse.CSR, m splu.Preconditioner) float64 {
 // measures the stage's contraction.
 func PrecondSweepsFlops(a *sparse.CSR, m splu.Preconditioner, k int) float64 {
 	n := float64(a.Rows)
-	return float64(k)*SweepFlops(a, m) + 2*float64(a.NNZ()) + n
+	return float64(float64(k)*SweepFlops(a, m)) + 2*float64(a.NNZ()) + n
 }
 
 // PrecondSweeps runs k sweeps of the preconditioned weighted-Richardson

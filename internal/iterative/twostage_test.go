@@ -93,6 +93,32 @@ func TestPrecondSweepsDiverges(t *testing.T) {
 	}
 }
 
+// TestPrecondSweepsInfiniteRHS: a +Inf in b still ends the stage with
+// ErrDiverged after its first sweep. The band solve no longer multiplies
+// U's structural zeros, and a 0·Inf among those products was NaN whatever
+// the rest of the solve did; the infinity must still reach the iterate as a
+// non-finite value without them. The matrix is the wan_async_twostage band
+// shape, whose preconditioner swaps no row (U is ku = 16 wide, not kv = 32).
+func TestPrecondSweepsInfiniteRHS(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 220, PerRow: 10, Negative: true, Seed: 1})
+	b, _ := gen.RHSForSolution(a)
+	b[600] = math.Inf(1)
+	m, err := splu.NewBandPreconditioner(a, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.Rows)
+	r := make([]float64, a.Rows)
+	tmp := make([]float64, a.Rows)
+	res, err := PrecondSweeps(a, m, x, b, 1, 4, r, tmp, nil)
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("err = %v, want ErrDiverged", err)
+	}
+	if res.Sweeps != 1 {
+		t.Fatalf("divergence reported after %d sweeps, want 1", res.Sweeps)
+	}
+}
+
 func TestPrecondSweepsValidation(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 20, Seed: 1})
 	b, _ := gen.RHSForSolution(a)

@@ -198,14 +198,14 @@ func (m *CSR) dot2(x []float64, a, b, e int) (s0, s1 float64) {
 	val0, val1 := m.Val[a:b], m.Val[b:e]
 	n := min(len(ind0), len(ind1))
 	for t := 0; t < n; t++ {
-		s0 += val0[t] * x[ind0[t]]
-		s1 += val1[t] * x[ind1[t]]
+		s0 += float64(val0[t] * x[ind0[t]])
+		s1 += float64(val1[t] * x[ind1[t]])
 	}
 	for t := n; t < len(ind0); t++ {
-		s0 += val0[t] * x[ind0[t]]
+		s0 += float64(val0[t] * x[ind0[t]])
 	}
 	for t := n; t < len(ind1); t++ {
-		s1 += val1[t] * x[ind1[t]]
+		s1 += float64(val1[t] * x[ind1[t]])
 	}
 	return s0, s1
 }

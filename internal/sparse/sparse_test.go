@@ -139,7 +139,7 @@ func TestMulVecMatchesReference(t *testing.T) {
 		for i := 0; i < m.Rows; i++ {
 			s := 0.0
 			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				s += m.Val[p] * x[m.ColInd[p]]
+				s += float64(m.Val[p] * x[m.ColInd[p]])
 			}
 			want[i] = s
 			wantSub[i] -= s

@@ -2,9 +2,11 @@ package splu
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/gen"
 	"repro/internal/sparse"
 	"repro/internal/vec"
@@ -166,7 +168,8 @@ func TestBandPreconditionerRefreshRejectsOtherPattern(t *testing.T) {
 // n=12000, Band 220 matrix, preconditioner width 16): a build allocates the
 // band storage, the pivots, the two presized halves of the scatter map and
 // the two structs and nothing else — no slice is grown — and Apply and Refresh
-// allocate nothing.
+// allocate nothing. It also pins the premise of the band solve's cost on
+// this shape: the elimination swaps no row, so U is ku = 16 wide, not kv = 32.
 func TestBandPrecondAllocBudget(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 220, PerRow: 10, Negative: true, Seed: 1})
 	var before, after runtime.MemStats
@@ -181,6 +184,7 @@ func TestBandPrecondAllocBudget(t *testing.T) {
 	if len(p.srcPos) == 0 || len(p.srcPos) == a.NNZ() {
 		t.Fatalf("%d of %d entries in the band: the shape no longer exercises the extraction", len(p.srcPos), a.NNZ())
 	}
+	checkNoSwap(t, "build", p.lu, 16)
 	held := uint64(p.Bytes()) + 8*uint64(p.N()+len(p.srcPos)+len(p.dst))
 	bytes := after.TotalAlloc - before.TotalAlloc
 	// The allocator rounds each of the four arrays up to its size class
@@ -202,5 +206,23 @@ func TestBandPrecondAllocBudget(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Refresh allocates %v objects per run", n)
+	}
+	checkNoSwap(t, "refresh", p.lu, 16)
+}
+
+// checkNoSwap fails unless lu's elimination swapped no row and left U ku
+// wide. BandLU keeps its pivots and U's width unexported; reflection reads
+// them without widening its API for a test.
+func checkNoSwap(t *testing.T, stage string, lu *dense.BandLU, ku int) {
+	t.Helper()
+	v := reflect.ValueOf(lu).Elem()
+	piv := v.FieldByName("piv")
+	for k := 0; k < piv.Len(); k++ {
+		if p := piv.Index(k).Int(); p != int64(k) {
+			t.Fatalf("%s: row %d swapped with row %d", stage, k, p)
+		}
+	}
+	if uw := v.FieldByName("uw").Int(); uw != int64(ku) {
+		t.Fatalf("%s: U is %d wide, want ku = %d", stage, uw, ku)
 	}
 }

@@ -106,7 +106,7 @@ func Axpy(alpha float64, x, y []float64, c *Counter) {
 		return
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 	c.Add(2 * float64(len(x)))
 }
@@ -123,7 +123,7 @@ func Scale(alpha float64, x []float64, c *Counter) {
 func Norm2(x []float64, c *Counter) float64 {
 	s := 0.0
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	c.Add(2 * float64(len(x)))
 	return math.Sqrt(s)
