@@ -42,10 +42,14 @@ test-bench:
 # less than vgrid.InlineFlops run inline while a dispatched one reuses its
 # process's completion channel, that a yielding process wins or loses a tie
 # at the heap root by ID, and that the sharded lookahead memoizes no route. The experiments
-# rerun holds the runs of a table row going side by side: Table 3's budget
-# still taken from its row's own run, a rejected job failing its list with
-# exactly the earlier jobs' progress lines written and no goroutine left, and
-# the progress stream of msexp byte for byte the sequential one. The explicit
+# rerun holds the runs of a table going side by side as one job list: Table
+# 3's budget still taken from the cage11 distributed run, a gated job starting
+# only after its job has ended with a verified cell and never after a failed
+# one, the first ready job started first, progress lines in list order when
+# jobs end out of order, a rejected job failing its list with exactly the
+# earlier jobs' progress lines written and no goroutine left, and the
+# progress stream of msexp byte for byte the sequential one (~40 s for the
+# experiments rerun, 26 s before the scheduler tests joined it). The explicit
 # timeout is for internal/experiments: ~3 min alone under the race detector
 # on a 2-vCPU host (175 s; 190-250 s before a row's runs went side by side),
 # far more once the other packages compete for the cores.
@@ -57,7 +61,7 @@ race:
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned|FuzzSparseLUMatchesReference|TestSparseLUFactorAllocBudget' ./internal/splu
 	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
-	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment' ./internal/experiments
+	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment|TestSolveAll' ./internal/experiments
 	$(GO) test -race -count=2 -run 'TestProgressGolden' ./cmd/msexp
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError|TestComputeFuncInlinesShortSegments|TestDispatchAllocs|TestYieldTieBreaksByID|TestShardedLookaheadMaterializesNoRoutes' ./internal/vgrid
 
@@ -82,7 +86,7 @@ lint-docs:
 # forbids fusing into one rounding (ROADMAP item 16): their results are the
 # same bits on every GOARCH. A package joins this list, the one place the
 # rule grows, once its sites are converted.
-FMA_CLEARED = splu obs dense sparse vec iterative
+FMA_CLEARED = splu obs dense sparse vec iterative dslu experiments
 
 # Cross-compiles every main of cmd/ and examples/ for arm64, riscv64 and
 # ppc64le, the backends that fuse x*y+z implicitly (amd64 never does), and

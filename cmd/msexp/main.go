@@ -16,10 +16,11 @@
 // figure3). -fault-seed reseeds the deterministic fault injection of the
 // faultsweep experiment. -workers and -lanes change only the host time of a
 // run, never a table; an out-of-range -scale, -window, -workers or -lanes is
-// exit status 2 before anything runs. The independent runs of a table row go
-// side by side, at most GOMAXPROCS at a time (-workers bounds each run's
-// compute pool, not that count); the progress lines on stderr keep the order
-// of a sequential run.
+// exit status 2 before anything runs. The runs of a table go side by side,
+// at most GOMAXPROCS at a time (-workers bounds each run's compute pool, not
+// that count), a run that needs an earlier run's outcome starting once that
+// run has ended; the progress lines on stderr keep the order of a sequential
+// run.
 //
 // The twostage experiment sweeps the two-stage solver's inner sweep count
 // against the exact-band baseline on cluster3, then demonstrates the memory

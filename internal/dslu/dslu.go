@@ -232,6 +232,10 @@ func (st *rowStore) file(l int) {
 // operations) a pivot-by-pivot sweep of sorted rows would, and is gathered
 // once: by a scan of its column range when that is dense, else by sorting the
 // pattern.
+//
+// Every multiply-add of the package is written with the product converted,
+// float64(a*b): the Go spec then forbids fusing it into one rounding, so the
+// factors and solutions are the same bits on every GOARCH.
 func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
 	r, lr := &st.rows[l], &st.lrows[l]
 	if len(r.cols) == 0 || int(r.cols[0]) >= b.k0+len(b.piv) {
@@ -267,7 +271,7 @@ func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
 				mark[c] = true
 				nnz++
 			}
-			acc[c] -= mult * pv[t]
+			acc[c] -= float64(mult * pv[t])
 		}
 		if len(pc) > 0 {
 			hi = max(hi, int(pc[len(pc)-1]))
@@ -493,7 +497,7 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 				s := w[k]
 				intra := 0
 				for t, j := range lr.cols {
-					s -= lr.vals[t] * y[j]
+					s -= float64(lr.vals[t] * y[j])
 					if int(j) >= k0 {
 						intra++
 					}
@@ -546,12 +550,12 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 						from--
 					}
 					for t := from; t < e; t++ {
-						s -= r.vals[t] * x[r.cols[t]]
+						s -= float64(r.vals[t] * x[r.cols[t]])
 					}
 					e = from
 				}
 				for t := 1; t < in; t++ {
-					s -= r.vals[t] * x[r.cols[t]]
+					s -= float64(r.vals[t] * x[r.cols[t]])
 				}
 				cnt.Add(2 * float64(in-1))
 				x[k] = s / r.vals[0]

@@ -5,8 +5,10 @@ package dslu
 // rows found through column→rows maps, both triangular solves applying every
 // entry the moment its block arrives. Kept verbatim (types renamed ref*) as
 // the oracle the kernel in dslu.go is compared with, entry by entry, in
-// TestMatchesReference. The one addition is the block index wrapped around an
-// out-of-memory error, which dslu.go reports too.
+// TestMatchesReference. The additions are the block index wrapped around an
+// out-of-memory error, which dslu.go reports too, and the float64 conversion
+// of each product that the package's no-fusion rule (see rowStore.update)
+// asks for.
 
 import (
 	"fmt"
@@ -103,7 +105,7 @@ func (st *refRowStore) eliminate(i, k int, piv float64, pcols []int, pvals []flo
 			bi++
 		default: // equal columns
 			nc = append(nc, r.cols[ai])
-			nv = append(nv, r.vals[ai]-mult*pvals[bi])
+			nv = append(nv, r.vals[ai]-float64(mult*pvals[bi]))
 			ai++
 			bi++
 		}
@@ -288,7 +290,7 @@ func refRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pend
 				// Entries with col >= k0 are intra-block (cols ascending).
 				t0 := sort.SearchInts(lr.cols, k0)
 				for t := t0; t < len(lr.cols); t++ {
-					s -= lr.vals[t] * y[lr.cols[t]]
+					s -= float64(lr.vals[t] * y[lr.cols[t]])
 				}
 				cnt.Add(2 * float64(len(lr.cols)-t0))
 				y[k] = s
@@ -313,7 +315,7 @@ func refRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pend
 				if i >= k1 {
 					lr := st.lrows[i]
 					if t := lr.find(k); t >= 0 {
-						myRHS[i] -= lr.vals[t] * y[k]
+						myRHS[i] -= float64(lr.vals[t] * y[k])
 						cnt.Add(2)
 					}
 				}
@@ -351,7 +353,7 @@ func refRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pend
 				s := yAcc[k]
 				// Intra-block U entries: k < col < k1 (cols ascending).
 				for t := dp + 1; t < len(row.cols) && row.cols[t] < k1; t++ {
-					s -= row.vals[t] * x[row.cols[t]]
+					s -= float64(row.vals[t] * x[row.cols[t]])
 					cnt.Add(2)
 				}
 				x[k] = s / row.vals[dp]
@@ -377,7 +379,7 @@ func refRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pend
 				if i < k0 {
 					if row, mine := st.rows[i]; mine {
 						if t := row.find(k); t >= 0 {
-							yAcc[i] -= row.vals[t] * x[k]
+							yAcc[i] -= float64(row.vals[t] * x[k])
 							cnt.Add(2)
 						}
 					}

@@ -276,10 +276,14 @@ const residualGate = 1e-4
 func (c Config) probeFill(plt *cluster.Platform, a *sparse.CSR, b []float64) (int64, error) {
 	d, _, err := c.solve(plt, a, b, runSpec{dslu: true})
 	if err == nil && !d.ok {
-		err = fmt.Errorf("experiments: fill probe: %s", d.note)
+		err = probeFailed(d)
 	}
 	return d.fill, err
 }
+
+// probeFailed is the error of a fill probe whose run did not verify: a budget
+// extrapolated from its fill would be meaningless.
+func probeFailed(d cell) error { return fmt.Errorf("experiments: fill probe: %s", d.note) }
 
 func (c Config) newEngine(plt *cluster.Platform) *vgrid.Engine {
 	e := vgrid.NewEngine(plt.Platform)
@@ -413,43 +417,80 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 }
 
 // job is one run of a solveAll list: the progress line announcing it ("" for
-// none), the fresh platform it runs on and what distinguishes it.
+// none), the system it solves, the platform it runs on and what distinguishes
+// it.
 type job struct {
 	what string
-	plt  *cluster.Platform
-	spec runSpec
+	a    *sparse.CSR
+	b    []float64
+	// plt builds the job's fresh platform as the job starts, from the cell of
+	// the job it waits on (the zero cell when it waits on none).
+	plt func(dep cell) *cluster.Platform
+	// after, when positive, gates the job on job after-1 of the list, an
+	// earlier one: the job starts only once that job has ended with a
+	// verified cell.
+	after int
+	spec  runSpec
 }
 
-// solveAll runs jobs that read nothing from one another side by side, each
-// through solve on its own engine, started in list order with at most
-// GOMAXPROCS in flight, and returns their cells and results in list order.
+// fixed is the platform builder of a job that waits on no job.
+func fixed(newPlat func() *cluster.Platform) func(cell) *cluster.Platform {
+	return func(cell) *cluster.Platform { return newPlat() }
+}
+
+// cluster3 builds a fresh cluster3 with the default host memory: the
+// platform of most jobs.
+func cluster3(cell) *cluster.Platform { return cluster.Cluster3(-1) }
+
+// solveAll is an experiment's scheduler: it runs the jobs of one list, each
+// through solve on its own engine, with at most GOMAXPROCS in flight, and
+// returns their cells and results in list order. Whenever a slot is free it
+// starts the first job in list order that is ready — one that waits on no
+// job, or whose job has ended — so an independent job overtakes a gated one,
+// and with one slot the jobs run in list order. A gated job whose job ended
+// without a verified cell never starts: it fails with the fill-probe error.
 // A job logs into a buffer of its own, which solveAll writes to Progress once
 // every earlier job has finished: the stream is the one of a sequential run.
 // The first error in list order fails the list once every job before it has
 // finished: no further job starts, no line after the failed job's is
 // written, and every started job has finished when solveAll returns.
-func (c Config) solveAll(a *sparse.CSR, b []float64, jobs []job) ([]cell, []*core.Result, error) {
+func (c Config) solveAll(jobs []job) ([]cell, []*core.Result, error) {
 	n, limit := len(jobs), runtime.GOMAXPROCS(0)
 	cells, results, errs := make([]cell, n), make([]*core.Result, n), make([]error, n)
-	logs, done := make([]bytes.Buffer, n), make([]bool, n)
+	logs, started, done := make([]bytes.Buffer, n), make([]bool, n), make([]bool, n)
 	finished := make(chan int, n) // the index of each job as it ends
-	run := func(i int) {
-		jc := c
+	run := func(i int, plt *cluster.Platform) {
+		jc, j := c, &jobs[i]
 		jc.Progress = &logs[i]
-		if jobs[i].what != "" {
-			jc.logf("%s", jobs[i].what)
+		if j.what != "" {
+			jc.logf("%s", j.what)
 		}
-		cells[i], results[i], errs[i] = jc.solve(jobs[i].plt, a, b, jobs[i].spec)
+		cells[i], results[i], errs[i] = jc.solve(plt, j.a, j.b, j.spec)
 		finished <- i
 	}
-	started, running, next := 0, 0, 0 // next: the first job whose lines are not written yet
-	for next < n {
-		for ; started < n && running < limit; started, running = started+1, running+1 {
-			go run(started)
+	running, next := 0, 0 // next: the first job whose lines are not written yet
+	for {
+		for i := next; i < n && running < limit; i++ {
+			if started[i] {
+				continue
+			}
+			var dep cell
+			if d := jobs[i].after - 1; d >= 0 {
+				if d >= i {
+					panic(fmt.Sprintf("experiments: job %d waits on job %d, not an earlier one", i, d))
+				}
+				if !done[d] {
+					continue
+				}
+				if dep = cells[d]; !dep.ok {
+					started[i], done[i], errs[i] = true, true, probeFailed(dep)
+					continue
+				}
+			}
+			started[i] = true
+			running++
+			go run(i, jobs[i].plt(dep))
 		}
-		i := <-finished
-		running--
-		done[i] = true
 		for ; next < n && done[next]; next++ {
 			if c.Progress != nil {
 				c.Progress.Write(logs[next].Bytes())
@@ -461,6 +502,11 @@ func (c Config) solveAll(a *sparse.CSR, b []float64, jobs []job) ([]cell, []*cor
 				return nil, nil, errs[next]
 			}
 		}
+		if next == n {
+			return cells, results, nil
+		}
+		i := <-finished
+		running--
+		done[i] = true
 	}
-	return cells, results, nil
 }

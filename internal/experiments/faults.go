@@ -63,31 +63,45 @@ func FaultSweep(cfg Config) (*Table, error) {
 		}
 		return vgrid.NewFaultPlan(seed).DropOnLink("wan", 0, math.Inf(1), p)
 	}
-	row := func(scenario string, plan func() *vgrid.FaultPlan) error {
-		jobs := make([]job, len(faultSweepVariants))
+	jobs := func(scenario string, plan func() *vgrid.FaultPlan) []job {
+		js := make([]job, len(faultSweepVariants))
 		for i, v := range faultSweepVariants {
-			jobs[i] = job{fmt.Sprintf("faultsweep: %s, %s", scenario, v.name), cluster.Cluster3(-1), runSpec{opts: v.opts, plan: plan()}}
+			js[i] = job{what: fmt.Sprintf("faultsweep: %s, %s", scenario, v.name), a: a, b: b, plt: cluster3,
+				spec: runSpec{opts: v.opts, plan: plan()}}
 		}
-		cells, results, err := cfg.solveAll(a, b, jobs)
+		return js
+	}
+	// rows runs the jobs of the scenarios as one list, a row per scenario.
+	rows := func(scenarios []string, list []job) error {
+		cells, results, err := cfg.solveAll(list)
 		if err != nil {
 			return err
 		}
-		row := []string{scenario}
-		for _, c := range cells {
-			row = append(row, c.timeStr())
+		nv := len(faultSweepVariants)
+		for k, scenario := range scenarios {
+			cells, results := cells[k*nv:(k+1)*nv], results[k*nv:(k+1)*nv]
+			row := []string{scenario}
+			for _, c := range cells {
+				row = append(row, c.timeStr())
+			}
+			iters := "-" // of the last variant, the asynchronous one
+			if cells[nv-1].ok {
+				iters = fmt.Sprint(results[nv-1].Iterations)
+			}
+			t.Rows = append(t.Rows, append(row, iters))
 		}
-		iters := "-" // of the last variant, the asynchronous one
-		if last := len(cells) - 1; cells[last].ok {
-			iters = fmt.Sprint(results[last].Iterations)
-		}
-		t.Rows = append(t.Rows, append(row, iters))
 		return nil
 	}
+	var scenarios []string
+	var list []job
 	for _, p := range faultSweepDrops {
 		p := p
-		if err := row(fmt.Sprintf("drop %g%%", 100*p), func() *vgrid.FaultPlan { return dropPlan(p) }); err != nil {
-			return nil, err
-		}
+		scenario := fmt.Sprintf("drop %g%%", 100*p)
+		scenarios = append(scenarios, scenario)
+		list = append(list, jobs(scenario, func() *vgrid.FaultPlan { return dropPlan(p) })...)
+	}
+	if err := rows(scenarios, list); err != nil {
+		return nil, err
 	}
 
 	// Crash/restart scenario: take a site-1 host down for the second quarter
@@ -103,8 +117,9 @@ func FaultSweep(cfg Config) (*Table, error) {
 	from, until := 0.25*clean.time, 0.5*clean.time
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("crash: %s down over [%.3fs, %.3fs) of a %.3fs fault-free async run", faultCrashHost, from, until, clean.time))
-	err = row(fmt.Sprintf("crash %s", faultCrashHost), func() *vgrid.FaultPlan {
+	crash := fmt.Sprintf("crash %s", faultCrashHost)
+	err = rows([]string{crash}, jobs(crash, func() *vgrid.FaultPlan {
 		return vgrid.NewFaultPlan(seed).CrashHost(faultCrashHost, from, until)
-	})
+	}))
 	return t, err
 }

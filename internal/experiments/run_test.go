@@ -7,7 +7,9 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,12 +100,12 @@ func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	ok := runSpec{opts: core.Options{Async: true}}
 	var progress bytes.Buffer
 	base := runtime.NumGoroutine()
-	cells, results, err := Config{Progress: &progress}.solveAll(a, b, []job{
-		{"job 0", cluster.Cluster3(-1), ok},
-		{"job 1", cluster.Cluster3(-1), runSpec{plan: vgrid.NewFaultPlan(1).DropOnLink("wan", 0, math.Inf(1), 1)}},
-		{"job 2", cluster.Cluster3(-1), runSpec{opts: core.Options{Async: true, MaxStale: -1}}},
-		{"job 3", cluster.Cluster3(-1), ok},
-		{"job 4", cluster.Cluster3(-1), ok},
+	cells, results, err := Config{Progress: &progress}.solveAll([]job{
+		{what: "job 0", a: a, b: b, plt: cluster3, spec: ok},
+		{what: "job 1", a: a, b: b, plt: cluster3, spec: runSpec{plan: vgrid.NewFaultPlan(1).DropOnLink("wan", 0, math.Inf(1), 1)}},
+		{what: "job 2", a: a, b: b, plt: cluster3, spec: runSpec{opts: core.Options{Async: true, MaxStale: -1}}},
+		{what: "job 3", a: a, b: b, plt: cluster3, spec: ok},
+		{what: "job 4", a: a, b: b, plt: cluster3, spec: ok},
 	})
 	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") || cells != nil || results != nil {
 		t.Errorf("solveAll with a rejected third job: err %v, %d cells; want the wrapped cause and none", err, len(cells))
@@ -120,6 +122,125 @@ func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	if len(lines) != 5 || lines[0] != "job 0" || lines[1] != "job 1" ||
 		!strings.HasPrefix(lines[2], "  run failed (stall): ") || lines[3] != "job 2" || lines[4] != "" {
 		t.Errorf("progress %q, want the lines of jobs 0-2 only", progress.String())
+	}
+}
+
+// startLog records the order in which solveAll starts the jobs of a list,
+// through their platform builders, and the cell each builder was handed.
+type startLog struct {
+	mu    sync.Mutex
+	order []int
+	deps  map[int]cell
+}
+
+func (l *startLog) plt(i int, newPlat func(cell) *cluster.Platform) func(cell) *cluster.Platform {
+	return func(dep cell) *cluster.Platform {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.order = append(l.order, i)
+		if l.deps == nil {
+			l.deps = map[int]cell{}
+		}
+		l.deps[i] = dep
+		return newPlat(dep)
+	}
+}
+
+// TestSolveAllStartsFirstReadyJob pins the scheduler's start rule: a job that
+// waits on job 0 starts only after job 0 has ended, and is handed its cell;
+// with two slots the independent job behind it starts first, with one slot
+// the jobs start in list order. The cells come back in list order either way.
+func TestSolveAllStartsFirstReadyJob(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	for _, tc := range []struct {
+		procs int
+		want  []int
+	}{{1, []int{0, 1, 2}}, {2, []int{0, 2, 1}}} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			var log startLog
+			cells, results, err := Config{}.solveAll([]job{
+				{a: a, b: b, plt: log.plt(0, cluster3), spec: runSpec{dslu: true}},
+				{a: a, b: b, plt: log.plt(1, cluster3), after: 1, spec: runSpec{opts: core.Options{Async: true}}},
+				{a: a, b: b, plt: log.plt(2, cluster3), spec: runSpec{}},
+			})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", tc.procs, err)
+			}
+			if !reflect.DeepEqual(log.order, tc.want) {
+				t.Errorf("GOMAXPROCS %d: jobs started in order %v, want %v", tc.procs, log.order, tc.want)
+			}
+			if dep := log.deps[1]; dep != cells[0] || !dep.ok || dep.fill == 0 {
+				t.Errorf("GOMAXPROCS %d: the gated job's builder got %+v, want job 0's cell %+v", tc.procs, dep, cells[0])
+			}
+			if results[0] != nil || results[1].Time != cells[1].time || results[2].Time != cells[2].time || cells[1].time == cells[2].time {
+				t.Errorf("GOMAXPROCS %d: cells %+v and results out of list order", tc.procs, cells)
+			}
+		}()
+	}
+}
+
+// TestSolveAllProgressInListOrder: when a later job ends first, its lines
+// still follow the earlier job's. Job 0, a distributed LU on cage11, runs
+// several times as long as the small jobs beside it; job 2 starts when job 1
+// ends, and its builder sees nothing written yet if job 0 is still running.
+func TestSolveAllProgressInListOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cage := Cage11Like(Config{Scale: 64})
+	cb, _ := gen.RHSForSolution(cage)
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	for attempt := 0; ; attempt++ {
+		var progress bytes.Buffer
+		overtaken := false // job 0 still unwritten when job 1 has ended
+		_, _, err := Config{Progress: &progress}.solveAll([]job{
+			{what: "job 0", a: cage, b: cb, plt: fixed(func() *cluster.Platform { return cluster.Cluster2(-1) }), spec: runSpec{dslu: true}},
+			{what: "job 1", a: a, b: b, plt: cluster3, spec: runSpec{}},
+			{what: "job 2", a: a, b: b, plt: func(cell) *cluster.Platform {
+				overtaken = progress.Len() == 0
+				return cluster.Cluster3(-1)
+			}, spec: runSpec{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := progress.String(); got != "job 0\njob 1\njob 2\n" {
+			t.Fatalf("progress %q, want the jobs' lines in list order", got)
+		}
+		if overtaken {
+			return
+		}
+		if attempt == 2 {
+			t.Fatal("job 0 ended before job 1 in three attempts: the test proves nothing")
+		}
+	}
+}
+
+// TestSolveAllFailedGate: a gated job whose job ends without a verified cell
+// never starts, and fails the list with the fill-probe error; only the lines
+// of the jobs up to the failed one are written.
+func TestSolveAllFailedGate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
+	b, _ := gen.RHSForSolution(a)
+	var log startLog
+	var progress bytes.Buffer
+	small := fixed(func() *cluster.Platform { return cluster.Cluster1(4, 4096) })
+	cells, _, err := Config{Progress: &progress}.solveAll([]job{
+		{what: "job 0", a: a, b: b, plt: log.plt(0, small), spec: runSpec{dslu: true, opts: core.Options{TrackMemory: true}}},
+		{what: "job 1", a: a, b: b, plt: log.plt(1, cluster3), after: 1, spec: runSpec{}},
+		{what: "job 2", a: a, b: b, plt: log.plt(2, cluster3), spec: runSpec{}},
+	})
+	if err == nil || err.Error() != "experiments: fill probe: nem" || cells != nil {
+		t.Errorf("err %v, %d cells; want the fill-probe error and none", err, len(cells))
+	}
+	if slices.Contains(log.order, 1) {
+		t.Errorf("jobs started %v: the gated job started after a failed run", log.order)
+	}
+	lines := strings.Split(progress.String(), "\n")
+	if len(lines) != 3 || lines[0] != "job 0" || !strings.HasPrefix(lines[1], "  run failed (nem): ") || lines[2] != "" {
+		t.Errorf("progress %q, want job 0's lines only", progress.String())
 	}
 }
 

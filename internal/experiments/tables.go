@@ -22,50 +22,58 @@ var compareHeader = []string{
 	"async multisplitting-LU", "factorization time",
 }
 
-// compare runs the three solvers of the paper's comparison tables —
-// distributed SuperLU, synchronous and asynchronous multisplitting-LU — side
-// by side, each on a fresh platform, and returns their time cells in that
-// order followed by the synchronous factorization time, and the distributed
-// solver's factor fill. what prefixes the progress lines; track accounts
-// solver storage against host memory ("nem" cells).
-func (c Config) compare(what string, newPlat func() *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) ([]string, int64, error) {
-	cells, res, err := c.solveAll(a, b, []job{
-		{what + ", distributed SuperLU", newPlat(), runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows}},
-		{what + ", sync multisplitting", newPlat(), runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows}},
-		{what + ", async multisplitting", newPlat(), runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows}},
-	})
-	if err != nil {
-		return nil, 0, err
+// compare returns the three jobs of a row of the paper's comparison tables —
+// distributed SuperLU, synchronous and asynchronous multisplitting-LU, in
+// that order — each on a fresh platform newPlat builds. what prefixes the
+// progress lines; track accounts solver storage against host memory ("nem"
+// cells).
+func (c Config) compare(what string, newPlat func(cell) *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) []job {
+	return []job{
+		{what: what + ", distributed SuperLU", a: a, b: b, plt: newPlat, spec: runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows}},
+		{what: what + ", sync multisplitting", a: a, b: b, plt: newPlat, spec: runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows}},
+		{what: what + ", async multisplitting", a: a, b: b, plt: newPlat, spec: runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows}},
 	}
+}
+
+// compareCells formats the outcome of a compare row: its three time cells
+// followed by the synchronous factorization time.
+func compareCells(cells []cell, res []*core.Result) []string {
 	fact := "-"
 	if cells[1].ok {
 		fact = fmtSec(res[1].FactorTime)
 	}
-	return []string{cells[0].timeStr(), cells[1].timeStr(), cells[2].timeStr(), fact}, cells[0].fill, nil
+	return []string{cells[0].timeStr(), cells[1].timeStr(), cells[2].timeStr(), fact}
 }
 
 // scalabilityRows fills a cluster1 scalability table: for each processor
-// count, the three solvers on the first nprocs machines of cluster1.
-// memOverride as in cluster.Cluster1.
+// count, the three solvers on the first nprocs machines of cluster1, all the
+// table's runs in one list. memOverride as in cluster.Cluster1.
 func scalabilityRows(cfg Config, t *Table, a *sparse.CSR, b []float64, procs []int, memOverride int64) (*Table, error) {
+	track := memOverride != -1
+	var jobs []job
 	for _, nprocs := range procs {
-		newPlat := func() *cluster.Platform { return cluster.Cluster1(nprocs, memOverride) }
+		newPlat := fixed(func() *cluster.Platform { return cluster.Cluster1(nprocs, memOverride) })
 		if nprocs == 1 {
 			// One processor: the distributed solver degenerates to the
 			// sequential direct method; multisplitting is not defined.
-			cfg.logf("table: %d procs, sequential direct", nprocs)
-			d, _, err := cfg.solve(newPlat(), a, b, runSpec{dslu: true, opts: core.Options{TrackMemory: memOverride != -1}})
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{"1", d.timeStr(), "-", "-", "-"})
+			jobs = append(jobs, job{what: "table: 1 procs, sequential direct", a: a, b: b, plt: newPlat,
+				spec: runSpec{dslu: true, opts: core.Options{TrackMemory: track}}})
 			continue
 		}
-		cells, _, err := cfg.compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, memOverride != -1, 0)
-		if err != nil {
-			return nil, err
+		jobs = append(jobs, cfg.compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, track, 0)...)
+	}
+	cells, res, err := cfg.solveAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	for _, nprocs := range procs {
+		if nprocs == 1 {
+			t.Rows = append(t.Rows, []string{"1", cells[0].timeStr(), "-", "-", "-"})
+			cells, res = cells[1:], res[1:]
+			continue
 		}
-		t.Rows = append(t.Rows, append([]string{fmt.Sprint(nprocs)}, cells...))
+		t.Rows = append(t.Rows, append([]string{fmt.Sprint(nprocs)}, compareCells(cells, res)...))
+		cells, res = cells[3:], res[3:]
 	}
 	return t, nil
 }
@@ -112,66 +120,80 @@ func Table2(cfg Config) (*Table, error) {
 // Table3 reproduces the paper's Table 3: the three solvers on the local
 // heterogeneous cluster (cage11) and the distant two-site cluster (cage12,
 // where distributed SuperLU runs out of memory, and the 500000 generated
-// matrix).
+// matrix). The nine runs are one list: the cage12 row waits on the cage11
+// row's distributed-LU run (job 0), whose fill sizes its hosts' memory, while
+// the other rows' runs fill the cores.
 func Table3(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Table 3",
 		Title:  fmt.Sprintf("distant/heterogeneous clusters (scale %d)", cfg.scale()),
 		Header: append([]string{"matrix", "cluster"}, compareHeader[1:]...),
 	}
-	// addRow returns the factor fill of the row's distributed-LU run.
-	addRow := func(name, cl string, a *sparse.CSR, mem int64, newPlat func(int64) *cluster.Platform) (int64, error) {
-		b, _ := gen.RHSForSolution(a)
-		cells, fill, err := cfg.compare(fmt.Sprintf("table3: %s on %s", name, cl),
-			func() *cluster.Platform { return newPlat(mem) }, a, b, mem != -1, 0)
-		if err != nil {
-			return 0, err
-		}
-		t.Rows = append(t.Rows, append([]string{name, cl}, cells...))
-		return fill, nil
-	}
-
-	cage11 := Cage11Like(cfg)
-	fill11, err := addRow("cage11", "cluster2", cage11, -1, cluster.Cluster2)
-	if err != nil {
-		return nil, err
-	}
-
+	cage11, cage12, g := Cage11Like(cfg), Cage12Like(cfg), Gen500k(cfg)
 	// cage12 on cluster3: the distributed solver's aggregate fill exceeds
 	// the hosts' memory while the per-band multisplitting factors fit. The
 	// budget is extrapolated from the fill ratio of the cage11 row's run.
-	cage12 := Cage12Like(cfg)
-	ratio := float64(fill11) / (float64(cage11.Rows) * float64(cage11.Rows))
-	fill12 := int64(ratio * float64(cage12.Rows) * float64(cage12.Rows))
-	budget := fill12 * 24 / 10 * 3 / 10 // 30% of the per-rank need: dslu cannot fit
+	budget := func(d cell) int64 {
+		ratio := float64(d.fill) / (float64(cage11.Rows) * float64(cage11.Rows))
+		fill12 := int64(ratio * float64(cage12.Rows) * float64(cage12.Rows))
+		return fill12 * 24 / 10 * 3 / 10 // 30% of the per-rank need: dslu cannot fit
+	}
+	rows := []struct {
+		name, cl string
+		a        *sparse.CSR
+		plt      func(cell) *cluster.Platform
+		// budgeted: the hosts' memory comes from job 0's fill, and solver
+		// storage is accounted against it.
+		budgeted bool
+	}{
+		{"cage11", "cluster2", cage11, fixed(func() *cluster.Platform { return cluster.Cluster2(-1) }), false},
+		{"cage12", "cluster3", cage12, func(d cell) *cluster.Platform { return cluster.Cluster3(budget(d)) }, true},
+		{fmt.Sprintf("%d matrix", 500000/cfg.scale()), "cluster3", g, cluster3, false},
+	}
+	var jobs []job
+	for _, r := range rows {
+		b, _ := gen.RHSForSolution(r.a)
+		row := cfg.compare(fmt.Sprintf("table3: %s on %s", r.name, r.cl), r.plt, r.a, b, r.budgeted, 0)
+		if r.budgeted {
+			for i := range row {
+				row[i].after = 1 // job 0: cage11's distributed-LU run
+			}
+		}
+		jobs = append(jobs, row...)
+	}
+	cells, res, err := cfg.solveAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rows {
+		t.Rows = append(t.Rows, append([]string{r.name, r.cl}, compareCells(cells[3*i:], res[3*i:])...))
+	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("cage12 per-host budget %d bytes (30%% of the distributed solver's per-rank fill)", budget))
-	if _, err := addRow("cage12", "cluster3", cage12, budget, cluster.Cluster3); err != nil {
-		return nil, err
-	}
-
-	g := Gen500k(cfg)
-	if _, err := addRow(fmt.Sprintf("%d matrix", 500000/cfg.scale()), "cluster3", g, -1, cluster.Cluster3); err != nil {
-		return nil, err
-	}
+		fmt.Sprintf("cage12 per-host budget %d bytes (30%% of the distributed solver's per-rank fill)", budget(cells[0])))
 	return t, nil
 }
 
 // perturbationTable fills a Table 4 variant: the three solvers on the 500000
 // generated matrix under 0, 1, 5 and 10 background flows across the WAN of
-// the platform newPlat builds. id prefixes the progress lines.
+// the platform newPlat builds, all the table's runs in one list. id prefixes
+// the progress lines.
 func perturbationTable(cfg Config, id string, t *Table, newPlat func() *cluster.Platform) (*Table, error) {
 	a := Gen500k(cfg)
 	b, _ := gen.RHSForSolution(a)
 	t.Header = []string{
 		"perturbing flows", "distributed SuperLU", "sync multisplitting-LU", "async multisplitting-LU",
 	}
-	for _, flows := range []int{0, 1, 5, 10} {
-		cells, _, err := cfg.compare(fmt.Sprintf("%s: %d flows", id, flows), newPlat, a, b, false, flows)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, append([]string{fmt.Sprint(flows)}, cells[:3]...))
+	flows := []int{0, 1, 5, 10}
+	var jobs []job
+	for _, f := range flows {
+		jobs = append(jobs, cfg.compare(fmt.Sprintf("%s: %d flows", id, f), fixed(newPlat), a, b, false, f)...)
+	}
+	cells, res, err := cfg.solveAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range flows {
+		t.Rows = append(t.Rows, append([]string{fmt.Sprint(f)}, compareCells(cells[3*i:], res[3*i:])[:3]...))
 	}
 	return t, nil
 }
@@ -215,17 +237,18 @@ func Figure3(cfg Config) (*Table, error) {
 	speed := fig3SpeedScale(cfg)
 	t.Notes = append(t.Notes,
 		"overlap in paper units; scaled rows = 2*overlap/scale, host speed scaled by 40.96/scale^3 to preserve the paper's compute/communication balance")
-	// The whole sweep goes side by side: a sync and an async job per overlap.
+	// The whole sweep is one list: a sync and an async job per overlap.
 	const step = 500 // paper units
+	plt := fixed(func() *cluster.Platform { return cluster.Cluster3(-1).ScaleSpeed(speed) })
 	var jobs []job
 	for ov := 0; ov <= 10*step; ov += step {
 		scaled := 2 * ov / cfg.scale()
 		jobs = append(jobs,
-			job{fmt.Sprintf("figure3: overlap %d (scaled %d)", ov, scaled), cluster.Cluster3(-1).ScaleSpeed(speed),
-				runSpec{opts: cfg.withAdapt(core.Options{Overlap: scaled})}},
-			job{"", cluster.Cluster3(-1).ScaleSpeed(speed), runSpec{opts: core.Options{Async: true, Overlap: scaled}}})
+			job{what: fmt.Sprintf("figure3: overlap %d (scaled %d)", ov, scaled), a: a, b: b, plt: plt,
+				spec: runSpec{opts: cfg.withAdapt(core.Options{Overlap: scaled})}},
+			job{a: a, b: b, plt: plt, spec: runSpec{opts: core.Options{Async: true, Overlap: scaled}}})
 	}
-	cells, res, err := cfg.solveAll(a, b, jobs)
+	cells, res, err := cfg.solveAll(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -40,9 +39,10 @@ func TopologyTable(cfg Config) (*Table, error) {
 	}
 	jobs := make([]job, len(modes))
 	for i, m := range modes {
-		jobs[i] = job{"topology: " + m.name, cluster.Cluster3(-1), runSpec{opts: cfg.withAdapt(core.Options{TopoCollectives: m.topo, Gateway: m.gateway})}}
+		jobs[i] = job{what: "topology: " + m.name, a: a, b: b, plt: cluster3,
+			spec: runSpec{opts: cfg.withAdapt(core.Options{TopoCollectives: m.topo, Gateway: m.gateway})}}
 	}
-	cells, results, err := cfg.solveAll(a, b, jobs)
+	cells, results, err := cfg.solveAll(jobs)
 	if err != nil {
 		return nil, err
 	}

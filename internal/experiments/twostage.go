@@ -93,7 +93,13 @@ func TwoStageTable(cfg Config) (*Table, error) {
 		Header: []string{"inner k", "sync multisplitting", "async multisplitting",
 			"outer iters (sync)", "inner sweeps (sync)"},
 	}
-	// The k sweep goes side by side: a sync and an async job per inner count.
+	// The memory wall: budget the hosts between the preconditioner footprint
+	// and the exact factor fill. The budget reads no run, so the k sweep and
+	// the wall are one list.
+	budget, err := twoStageBudget(a, len(cluster.Cluster3(-1).Hosts), width)
+	if err != nil {
+		return nil, err
+	}
 	var labels []string
 	var jobs []job
 	for _, k := range []int{0, 1, 2, 4, 8} { // 0: the exact-band baseline
@@ -102,11 +108,20 @@ func TwoStageTable(cfg Config) (*Table, error) {
 			label, o = fmt.Sprintf("%d", k), core.Options{TwoStage: cfg.twoStage(k)}
 		}
 		labels = append(labels, label)
-		jobs = append(jobs, job{"twostage: " + label + ", sync", cluster.Cluster3(-1), runSpec{opts: cfg.withAdapt(o)}})
+		jobs = append(jobs, job{what: "twostage: " + label + ", sync", a: a, b: b, plt: cluster3, spec: runSpec{opts: cfg.withAdapt(o)}})
 		o.Async = true
-		jobs = append(jobs, job{"twostage: " + label + ", async", cluster.Cluster3(-1), runSpec{opts: o}})
+		jobs = append(jobs, job{what: "twostage: " + label + ", async", a: a, b: b, plt: cluster3, spec: runSpec{opts: o}})
 	}
-	cells, results, err := cfg.solveAll(a, b, jobs)
+	wallPlat := fixed(func() *cluster.Platform { return cluster.Cluster3(budget) })
+	wall := func(what string, spec runSpec) job {
+		spec.opts.TrackMemory = true
+		return job{what: "twostage: memory wall, " + what, a: a, b: b, plt: wallPlat, spec: spec}
+	}
+	jobs = append(jobs,
+		wall("distributed SuperLU", runSpec{dslu: true}),
+		wall("exact multisplitting", runSpec{opts: cfg.withAdapt(core.Options{})}),
+		wall("two-stage multisplitting", runSpec{opts: core.Options{TwoStage: cfg.twoStage(4)}}))
+	cells, results, err := cfg.solveAll(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -118,26 +133,9 @@ func TwoStageTable(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{label, cells[2*i].timeStr(), cells[2*i+1].timeStr(), fmt.Sprintf("%d", sres.Iterations), sweeps})
 	}
-
-	// The memory wall: budget the hosts between the preconditioner footprint
-	// and the exact factor fill; its three runs go side by side too.
-	budget, err := twoStageBudget(a, len(cluster.Cluster3(-1).Hosts), width)
-	if err != nil {
-		return nil, err
-	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("memory-wall rows: per-host budget %d bytes (self-calibrated between band-%d preconditioner and exact band LU fill)", budget, width))
-	wall := func(what string, spec runSpec) job {
-		spec.opts.TrackMemory = true
-		return job{"twostage: memory wall, " + what, cluster.Cluster3(budget), spec}
-	}
-	if cells, results, err = cfg.solveAll(a, b, []job{
-		wall("distributed SuperLU", runSpec{dslu: true}),
-		wall("exact multisplitting", runSpec{opts: cfg.withAdapt(core.Options{})}),
-		wall("two-stage multisplitting", runSpec{opts: core.Options{TwoStage: cfg.twoStage(4)}}),
-	}); err != nil {
-		return nil, err
-	}
+	cells, results = cells[2*len(labels):], results[2*len(labels):]
 	for i, label := range []string{"wall: dslu", "wall: exact", "wall: k=4"} {
 		sweeps := "-"
 		if res := results[i]; res != nil && res.InnerSweeps > 0 {

@@ -56,7 +56,9 @@ func winMeans(wm *obs.WindowedMetrics, link string) (util, wait, linkKB map[int]
 	for i := range wm.Links {
 		l := &wm.Links[i]
 		if l.Link == link {
-			linkKB[l.W] += l.Bytes / 1024
+			// Converted, or the compiler fuses the add with the multiply
+			// the division becomes on arm64, riscv64 and ppc64le.
+			linkKB[l.W] += float64(l.Bytes / 1024)
 		}
 	}
 	return util, wait, linkKB
