@@ -24,8 +24,10 @@ test-bench:
 # and the relayed exchange's records against the digests recorded before the
 # relay moved into plan and mp, with mp's own round and pump tests)
 # under the race detector, together with the export encoder's differential
-# test against encoding/json and its allocation budget (objects and, for the
-# batch trace and windows and a sparse window row, bytes), the windowed rows'
+# test against encoding/json, its number shortcuts (the integral path and
+# the per-writer memo) against strconv over their fuzz seeds, and its
+# allocation budget (objects and, for the batch trace and windows and a
+# sparse window row, bytes), the windowed rows'
 # and the critical path's bit-for-bit comparison with the map-based
 # accumulator and the walk over the sorted span copy they replaced, the
 # sparse LU's, the band LU's and the two-row SpMV's bit-for-bit comparisons
@@ -55,7 +57,7 @@ test-bench:
 # far more once the other packages compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|TestObsExportAllocBudget|TestWindowsMatchReference' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|FuzzAppendFloat|TestObsExportAllocBudget|TestWindowsMatchReference' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestGatewayRecordGolden|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestRelayRound|TestRelayPumpKeepsNewest' ./internal/mp
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned|FuzzSparseLUMatchesReference|TestSparseLUFactorAllocBudget' ./internal/splu
@@ -83,25 +85,29 @@ lint-docs:
 	$(GO) run ./cmd/lintdocs
 
 # Packages whose every multiply-add is written float64(a*b), which the Go spec
-# forbids fusing into one rounding (ROADMAP item 16): their results are the
-# same bits on every GOARCH. A package joins this list, the one place the
-# rule grows, once its sites are converted.
-FMA_CLEARED = splu obs dense sparse vec iterative dslu experiments
+# forbids fusing into one rounding: their results are the same bits on every
+# GOARCH. Every package of the module is on it: each directory under
+# internal/, and "main", the mains of cmd/ and examples/. A narrower list
+# (make lint-fma FMA_CLEARED="vgrid core") shows one package's sites.
+FMA_CLEARED = $(notdir $(wildcard internal/*)) main
 
-# Cross-compiles every main of cmd/ and examples/ for arm64, riscv64 and
-# ppc64le, the backends that fuse x*y+z implicitly (amd64 never does), and
-# fails on a fused multiply-add in a function of a FMA_CLEARED package. The
+# Cross-compiles every main of cmd/ and examples/ and bench/'s main for
+# arm64, riscv64 and ppc64le, the backends that fuse x*y+z implicitly (amd64
+# never does), and fails on a fused multiply-add in a function of a
+# FMA_CLEARED package. bench/ is built for the internal functions only it
+# links; its own main functions are measurement code and not checked. The
 # toolchain cross-compiles from GOROOT: nothing is downloaded.
 lint-fma:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	for arch in arm64 riscv64 ppc64le; do \
 		GOARCH=$$arch $(GO) build -o "$$dir/$$arch/" ./cmd/... ./examples/... || exit 1; \
+		(cd bench && GOARCH=$$arch $(GO) build -o "$$dir/$$arch/bench" .) || exit 1; \
 	done && \
-	re="^repro/internal/($$(echo $(FMA_CLEARED) | tr ' ' '|'))\\." && \
+	re="^($$(echo $(FMA_CLEARED) | tr ' ' '\n' | sed 's,^,repro/internal/,; s,^repro/internal/main$$,main,' | paste -sd '|'))\\." && \
 	for bin in "$$dir"/*/*; do \
 		$(GO) tool objdump "$$bin" > "$$bin.s" || exit 1; \
-		awk -v arch="$$(basename "$$(dirname "$$bin")")" -v re="$$re" \
-			'/^TEXT/ { fn = $$2 } /\tFN?M(ADD|SUB)[DS]? / && fn ~ re { n[fn]++ } \
+		awk -v arch="$$(basename "$$(dirname "$$bin")")" -v re="$$re" -v bench="$$([ "$$(basename "$$bin")" = bench ] && echo 1)" \
+			'/^TEXT/ { fn = $$2 } /\tFN?M(ADD|SUB)[DS]? / && fn ~ re && !(bench && fn ~ /^main\./) { n[fn]++ } \
 			END { for (f in n) print "  " arch ": " f ", " n[f] " fused" }' "$$bin.s"; \
 	done | sort -u > "$$dir/fused" && \
 	if [ -s "$$dir/fused" ]; then \

@@ -76,7 +76,7 @@ func run(w io.Writer) error {
 				x := float64(i) / float64(nx-1)
 				y := float64(j) / float64(ny-1)
 				z := float64(k) / float64(nz-1)
-				d2 := (x-0.3)*(x-0.3) + (y-0.4)*(y-0.4) + (z-0.5)*(z-0.5)
+				d2 := float64((x-0.3)*(x-0.3)) + float64((y-0.4)*(y-0.4)) + float64((z-0.5)*(z-0.5))
 				ctrue[idx(i, j, k)] = math.Exp(-8 * d2)
 			}
 		}
@@ -85,7 +85,7 @@ func run(w io.Writer) error {
 	var cnt vec.Counter
 	a.MulVec(s, ctrue, &cnt)
 	for i := range s {
-		s[i] += react * ctrue[i] * ctrue[i] * ctrue[i]
+		s[i] += float64(react * ctrue[i] * ctrue[i] * ctrue[i])
 	}
 
 	prob := &nonlinear.Problem{

@@ -154,7 +154,7 @@ func hetSpeeds(n int) []float64 {
 		if n > 1 {
 			f = float64(i) / float64(n-1)
 		}
-		out[i] = SpeedP4_17 + f*(SpeedP4_26-SpeedP4_17)
+		out[i] = SpeedP4_17 + float64(f*(SpeedP4_26-SpeedP4_17))
 	}
 	return out
 }

@@ -419,7 +419,7 @@ func (st *rankState) applyGroup(gi int, ver, echo float64, vals []float64) {
 		z, moved := bs.z, uint64(0)
 		for i, pos := range s.Pos {
 			v := vals[off+i]
-			zn := z[pos] + s.Weights[i]*(v-last[off+i])
+			zn := z[pos] + float64(s.Weights[i]*(v-last[off+i]))
 			moved |= math.Float64bits(zn) ^ math.Float64bits(z[pos])
 			z[pos] = zn
 			last[off+i] = v
@@ -427,7 +427,7 @@ func (st *rankState) applyGroup(gi int, ver, echo float64, vals []float64) {
 		bs.zMoved |= moved
 		off += len(s.Pos)
 	}
-	st.ctx.Counter.Add(3 * float64(g.Vals))
+	st.ctx.Counter.Add(float64(3 * float64(g.Vals)))
 }
 
 // reflFor returns the echo header for a message of send group si: the
@@ -569,13 +569,13 @@ func (st *rankState) ship() error {
 		x, z, last, moved := st.bandOf(s.From).xSub, to.z, st.localLast[i], uint64(0)
 		for k, pos := range s.Pos {
 			v := x[s.Loc[k]]
-			zn := z[pos] + s.Weights[k]*(v-last[k])
+			zn := z[pos] + float64(s.Weights[k]*(v-last[k]))
 			moved |= math.Float64bits(zn) ^ math.Float64bits(z[pos])
 			z[pos] = zn
 			last[k] = v
 		}
 		to.zMoved |= moved
-		st.ctx.Counter.Add(3 * float64(len(s.Pos)))
+		st.ctx.Counter.Add(float64(3 * float64(len(s.Pos))))
 	}
 	for gi := range st.rp.Send {
 		st.sendBuf = append(st.sendBuf[:0], float64(st.iter), st.reflFor(gi))

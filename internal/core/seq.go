@@ -116,7 +116,7 @@ func SolveSequential(a *sparse.CSR, b []float64, d *Decomposition, solver splu.D
 				for i := range bs.depCols {
 					for _, ct := range bs.contributors[i] {
 						kb := systems[ct.band].band
-						z[i] += ct.weight * xb[ct.band][bs.depCols[i]-kb.Lo]
+						z[i] += float64(ct.weight * xb[ct.band][bs.depCols[i]-kb.Lo])
 					}
 				}
 				bs.depMat.MulVecSub(rhs, z, c)
@@ -146,7 +146,7 @@ func assemble(d *Decomposition, systems []*bandSystem, xb [][]float64) []float64
 	for k, bs := range systems {
 		for j := bs.band.Lo; j < bs.band.Hi; j++ {
 			if w := d.Weight(k, j); w > 0 {
-				x[j] += w * xb[k][j-bs.band.Lo]
+				x[j] += float64(w * xb[k][j-bs.band.Lo])
 			}
 		}
 	}

@@ -92,9 +92,11 @@ func DiagDominant(o DiagDominantOpts) *sparse.CSR {
 				continue
 			}
 			if o.Negative {
-				v[t] = -(0.05 + 0.95*rng.Float64()) // in [-1,-0.05)
+				v[t] = -(0.05 + float64(0.95*rng.Float64())) // in [-1,-0.05)
 			} else {
-				v[t] = rng.Float64()*2 - 1 // in [-1,1)
+				// rand's Float64 ends in a multiply: round it before
+				// doubling, or x+x fuses with it.
+				v[t] = float64(2*float64(rng.Float64())) - 1 // in [-1,1)
 				if v[t] == 0 {
 					v[t] = 0.5
 				}
@@ -139,7 +141,7 @@ func CageLike(n int, seed int64) *sparse.CSR {
 			}
 		}
 		// Substochastic off-diagonal mass: rows sum to 1−δ with δ≈0.1.
-		delta := 0.08 + 0.04*rng.Float64()
+		delta := 0.08 + float64(0.04*rng.Float64())
 		mass := 1 - delta
 		var d int
 		cols, d = insert(cols, i)
@@ -147,7 +149,7 @@ func CageLike(n int, seed int64) *sparse.CSR {
 		wsum := 0.0
 		for t := range v {
 			if t != d {
-				v[t] = 0.1 + rng.Float64()
+				v[t] = 0.1 + float64(rng.Float64())
 				wsum += v[t]
 			}
 		}
@@ -295,7 +297,7 @@ func RHSForSolution(a *sparse.CSR) (b, xtrue []float64) {
 	n := a.Rows
 	xtrue = make([]float64, n)
 	for i := range xtrue {
-		xtrue[i] = 1 + 0.5*math.Sin(float64(i)*0.01)
+		xtrue[i] = 1 + float64(0.5*math.Sin(float64(i)*0.01))
 	}
 	b = make([]float64, n)
 	var c vec.Counter

@@ -3,9 +3,10 @@ package gen
 // The generators as they were before rows were written straight into CSR:
 // each row's column set is a map, its keys are sorted by sortedKeys, and
 // every entry goes through a COO triplet list that ToCSR re-sorts. Kept
-// verbatim (bar the names) as the oracle the production generators must
-// reproduce bit for bit (TestGeneratorsMatchReference) and as the baseline of
-// the generator benchmarks.
+// verbatim (bar the names, and the float64 conversions that keep its
+// multiply-adds unfused as the generators' are) as the oracle the production
+// generators must reproduce bit for bit (TestGeneratorsMatchReference) and as
+// the baseline of the generator benchmarks.
 
 import (
 	"fmt"
@@ -56,9 +57,9 @@ func refDiagDominant(o DiagDominantOpts) *sparse.CSR {
 		for _, j := range refSortedKeys(cols) {
 			var v float64
 			if o.Negative {
-				v = -(0.05 + 0.95*rng.Float64()) // in [-1,-0.05)
+				v = -(0.05 + float64(0.95*rng.Float64())) // in [-1,-0.05)
 			} else {
-				v = rng.Float64()*2 - 1 // in [-1,1)
+				v = float64(2*float64(rng.Float64())) - 1 // in [-1,1)
 				if v == 0 {
 					v = 0.5
 				}
@@ -96,13 +97,13 @@ func refCageLike(n int, seed int64) *sparse.CSR {
 			}
 		}
 		// Substochastic off-diagonal mass: rows sum to 1−δ with δ≈0.1.
-		delta := 0.08 + 0.04*rng.Float64()
+		delta := 0.08 + float64(0.04*rng.Float64())
 		mass := 1 - delta
 		order := refSortedKeys(cols)
 		weights := make([]float64, len(order))
 		wsum := 0.0
 		for k := range order {
-			w := 0.1 + rng.Float64()
+			w := 0.1 + float64(rng.Float64())
 			weights[k] = w
 			wsum += w
 		}

@@ -73,3 +73,32 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadHarwellBoeing: no input makes ReadHB panic or size anything from a
+// header the data does not bear out; it returns an error or a matrix that
+// holds the CSR invariants. Seeded with every stream the reader tests use
+// (the oversized headers among them) and one writer output:
+//
+//	go test -run '^$' -fuzz FuzzReadHarwellBoeing -fuzztime 30s -parallel 1 ./internal/mmio
+func FuzzReadHarwellBoeing(f *testing.F) {
+	for _, in := range []string{sampleRUA, sampleRSA, samplePUA, sampleDExponent} {
+		f.Add(in)
+	}
+	for _, in := range hbBadInputs {
+		f.Add(in)
+	}
+	var buf bytes.Buffer
+	if err := WriteHB(&buf, gen.CageLike(12, 1), "cage-like", "CAGE12"); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := ReadHB(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := checkCSR(m); err != nil {
+			t.Fatalf("ReadHB returned a broken matrix: %v", err)
+		}
+	})
+}

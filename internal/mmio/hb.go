@@ -78,9 +78,11 @@ func (f hbFormat) fields(line string) []string {
 	return out
 }
 
-// readHBNumbers reads exactly n numeric tokens laid out under format f.
+// readHBNumbers reads exactly n numeric tokens laid out under format f. The
+// list grows with the lines read, not with n: a header's count is only
+// trusted once the data bears it out.
 func readHBNumbers(sc *bufio.Scanner, f hbFormat, n int, what string) ([]string, error) {
-	out := make([]string, 0, n)
+	var out []string
 	for len(out) < n {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
@@ -166,6 +168,16 @@ func ReadHB(r io.Reader) (*sparse.CSR, error) {
 	if nrow < 0 || ncol < 0 || nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative HB dimension")
 	}
+	h := Header{Symmetry: "general"}
+	switch symType {
+	case 'S':
+		h.Symmetry = "symmetric"
+	case 'Z':
+		h.Symmetry = "skew-symmetric"
+	}
+	if err := checkSize(h, nrow, ncol, line3); err != nil {
+		return nil, err
+	}
 	// Header line 4: formats.
 	if !sc.Scan() {
 		return nil, fmt.Errorf("mmio: HB header truncated")
@@ -221,11 +233,15 @@ func ReadHB(r io.Reader) (*sparse.CSR, error) {
 	if colPtr[0] != 0 || colPtr[ncol] != nnz {
 		return nil, fmt.Errorf("mmio: HB pointers span [%d,%d], want [0,%d]", colPtr[0], colPtr[ncol], nnz)
 	}
-	co := sparse.NewCOO(nrow, ncol)
+	// Every pointer is checked before any is used: a column running past
+	// NNZERO would index beyond the row indices read.
 	for j := 0; j < ncol; j++ {
 		if colPtr[j] > colPtr[j+1] {
 			return nil, fmt.Errorf("mmio: HB pointers not monotone at column %d", j)
 		}
+	}
+	co := sparse.NewCOO(nrow, ncol)
+	for j := 0; j < ncol; j++ {
 		for p := colPtr[j]; p < colPtr[j+1]; p++ {
 			i, err := strconv.Atoi(inds[p])
 			if err != nil {

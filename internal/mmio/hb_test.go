@@ -69,8 +69,7 @@ func TestReadHBSample(t *testing.T) {
 	}
 }
 
-func TestReadHBSymmetric(t *testing.T) {
-	in := `Symmetric sample                                                        KEY
+const sampleRSA = `Symmetric sample                                                        KEY
              3             1             1             1             0
 RSA                         2             2             2             0
 (6I5)           (6I5)           (3E20.12)
@@ -78,7 +77,9 @@ RSA                         2             2             2             0
     1    2
   4.000000000000E+00  7.000000000000E+00
 `
-	m, err := ReadHB(strings.NewReader(in))
+
+func TestReadHBSymmetric(t *testing.T) {
+	m, err := ReadHB(strings.NewReader(sampleRSA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +88,16 @@ RSA                         2             2             2             0
 	}
 }
 
-func TestReadHBPattern(t *testing.T) {
-	in := `Pattern sample                                                          KEY
+const samplePUA = `Pattern sample                                                          KEY
              2             1             1             0             0
 PUA                         2             2             2             0
 (6I5)           (6I5)           (3E20.12)
     1    2    3
     2    1
 `
-	m, err := ReadHB(strings.NewReader(in))
+
+func TestReadHBPattern(t *testing.T) {
+	m, err := ReadHB(strings.NewReader(samplePUA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +106,7 @@ PUA                         2             2             2             0
 	}
 }
 
-func TestReadHBDExponent(t *testing.T) {
-	in := `D exponent                                                              KEY
+const sampleDExponent = `D exponent                                                              KEY
              3             1             1             1             0
 RUA                         1             1             1             0
 (6I5)           (6I5)           (1D20.12)
@@ -113,7 +114,9 @@ RUA                         1             1             1             0
     1
   1.500000000000D+02
 `
-	m, err := ReadHB(strings.NewReader(in))
+
+func TestReadHBDExponent(t *testing.T) {
+	m, err := ReadHB(strings.NewReader(sampleDExponent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,32 +125,69 @@ RUA                         1             1             1             0
 	}
 }
 
-func TestReadHBErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty": "",
-		"unassembled": `t                                                                       K
+// hbBadInputs are streams ReadHB must reject, by name. The "ncol" ones
+// declare dimensions no file carries: each must fail on its header alone,
+// before anything is sized from it.
+var hbBadInputs = map[string]string{
+	"empty": "",
+	"unassembled": `t                                                                       K
  1 1 1 1
 RUE  2 2 2 0
 (6I5) (6I5) (3E20.12)
 `,
-		"complex": `t                                                                       K
+	"complex": `t                                                                       K
  1 1 1 1
 CUA  2 2 2 0
 (6I5) (6I5) (3E20.12)
 `,
-		"bad type len": `t                                                                       K
+	"bad type len": `t                                                                       K
  1 1 1 1
 R  2 2 2 0
 (6I5) (6I5) (3E20.12)
 `,
-		"truncated pointers": `t                                                                       K
+	"truncated pointers": `t                                                                       K
  1 1 1 1 0
 RUA  2 2 2 0
 (6I5)           (6I5)           (3E20.12)
     1    2
 `,
-	}
-	for name, in := range cases {
+	"ncol overflows a slice": `t                                                                       K
+ 1 1 1 1 0
+RUA  2 9223372036854775807 2 0
+(6I5)           (6I5)           (3E20.12)
+    1    2
+`,
+	"ncol 2e8": `t                                                                       K
+ 1 1 1 1 0
+RUA  2 200000000 2 0
+(6I5)           (6I5)           (3E20.12)
+    1    2
+`,
+	"ncol 2e9": `t                                                                       K
+ 1 1 1 1 0
+RUA  2 2000000000 2 0
+(6I5)           (6I5)           (3E20.12)
+    1    2
+`,
+	"symmetric not square": `t                                                                       K
+ 1 1 1 1 0
+RSA  3 2 2 0
+(6I5)           (6I5)           (3E20.12)
+    1    2    3
+    3    3
+  1.0  2.0
+`,
+	"pointer past nnzero": `t                                                                       K
+ 1 1 1 1 0
+PUA  2 2 2 0
+(6I5)           (6I5)
+    1    9    3
+    1    2
+`,
+}
+
+func TestReadHBErrors(t *testing.T) {
+	for name, in := range hbBadInputs {
 		if _, err := ReadHB(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}

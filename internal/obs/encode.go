@@ -31,10 +31,34 @@ type jsonWriter struct {
 	// bad names the first non-finite float field appended since it was last
 	// cleared; the caller turns it into an error naming the record.
 	bad string
+	// memo holds the text of recently written non-integral numbers.
+	memo *floatMemo
 }
 
 func newJSONWriter(w io.Writer) jsonWriter {
-	return jsonWriter{w: w, b: make([]byte, 0, flushAt+4096)}
+	return jsonWriter{w: w, b: make([]byte, 0, flushAt+4096), memo: new(floatMemo)}
+}
+
+// memoBits sizes the number memo at 1<<memoBits slots.
+const memoBits = 8
+
+// floatMemo is a direct-mapped cache from a float's bits to the text
+// appendFloat gave it. A trace repeats its numbers — span ends are the next
+// span's starts, link rows share byte counts — and copying the text back is
+// several times cheaper than running the shortest-digits search again. A slot
+// holding bits 0 is empty: +0 is integral and never reaches the memo.
+type floatMemo struct {
+	bits [1 << memoBits]uint64
+	n    [1 << memoBits]uint8
+	// text is wide enough for the longest appendFloat output, 25 bytes
+	// ("-0.0000012345678901234567").
+	text [1 << memoBits][32]byte
+}
+
+// memoSlot is the memo slot of a float's bits: the top memoBits bits of a
+// Fibonacci hash, so values differing only in low mantissa bits spread.
+func memoSlot(bits uint64) int {
+	return int(bits * 0x9e3779b97f4a7c15 >> (64 - memoBits))
 }
 
 // flush drains the buffer unless a failure is latched.
@@ -60,6 +84,12 @@ func (j *jsonWriter) str(s string) { j.b = appendString(j.b, s) }
 // float appends f in encoding/json's number format. A NaN or infinity is
 // recorded in bad under the given field name (and written as 0, to be
 // discarded with the failed document).
+//
+// Two shortcuts give appendFloat's bytes without its digit search. An
+// integral f below 2^53 in magnitude has an ulp of at most 1, so its
+// shortest round-trip digits are the integer's own, and strconv.AppendInt
+// writes them (−0 is excluded: it reads "-0"). Any other value whose bits are
+// in the memo is copied from there.
 func (j *jsonWriter) float(field string, f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if j.bad == "" {
@@ -67,7 +97,21 @@ func (j *jsonWriter) float(field string, f float64) {
 		}
 		f = 0
 	}
+	if -1<<53 < f && f < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			j.b = strconv.AppendInt(j.b, i, 10)
+			return
+		}
+	}
+	bits := math.Float64bits(f)
+	m, k := j.memo, memoSlot(bits)
+	if m.bits[k] == bits {
+		j.b = append(j.b, m.text[k][:m.n[k]]...)
+		return
+	}
+	n := len(j.b)
 	j.b = appendFloat(j.b, f)
+	m.bits[k], m.n[k] = bits, uint8(copy(m.text[k][:], j.b[n:]))
 }
 
 // appendFloat formats a finite f the way encoding/json does: the shortest

@@ -139,6 +139,29 @@ type countKey struct {
 	name, track string
 }
 
+// linkCounts is the totals of one link's three link-stat counters
+// (CntLinkBytes, CntLinkMsgs, CntLinkQueue, in that order), with which of
+// them were counted at all: a counter never counted is not listed.
+type linkCounts struct {
+	link string
+	v    [3]float64
+	has  [3]bool
+}
+
+// linkCounter returns the index of a link-stat counter name in
+// linkCounts.v, or -1 for any other name.
+func linkCounter(name string) int {
+	switch name {
+	case CntLinkBytes:
+		return 0
+	case CntLinkMsgs:
+		return 1
+	case CntLinkQueue:
+		return 2
+	}
+	return -1
+}
+
 // spanChunk is the fixed capacity of one span-storage chunk. Chunked
 // storage keeps recording an amortized-one-append operation without the
 // doubling reallocation-and-copy of a flat slice — on a 1000-host run the
@@ -165,6 +188,11 @@ type Recorder struct {
 	sorted  []Span
 	samples []SamplePoint
 	counts  map[countKey]float64
+	// links holds the link-stat counters, one cell per link found through
+	// linkIdx, so a message crossing a link updates its three totals with
+	// one map probe.
+	links   []linkCounts
+	linkIdx map[string]int
 	nextIdx int64
 	journal *journalLog
 	// stream, when non-nil, receives every span instead of chunked storage
@@ -331,7 +359,8 @@ func (r *Recorder) Sample(series, track string, t, v float64) {
 	r.nextIdx++
 }
 
-// Count adds n to the named accumulator on the track.
+// Count adds n to the named accumulator on the track. The link-stat names
+// accumulate in the track's link cell, the one CountLink updates.
 func (r *Recorder) Count(name, track string, n float64) {
 	if r == nil {
 		return
@@ -341,10 +370,50 @@ func (r *Recorder) Count(name, track string, n float64) {
 		j.counts = append(j.counts, countOp{name: name, track: track, v: n})
 		return
 	}
+	if k := linkCounter(name); k >= 0 {
+		c := r.linkCell(track)
+		c.v[k] += n
+		c.has[k] = true
+		return
+	}
 	if r.counts == nil {
 		r.counts = map[countKey]float64{}
 	}
 	r.counts[countKey{name, track}] += n
+}
+
+// CountLink records one message crossing a link: bytes on CntLinkBytes, 1
+// on CntLinkMsgs and the queueing delay on CntLinkQueue, the same additions
+// as the three Count calls.
+func (r *Recorder) CountLink(link string, bytes, queue float64) {
+	if r == nil {
+		return
+	}
+	if r.journal != nil {
+		r.Count(CntLinkBytes, link, bytes)
+		r.Count(CntLinkMsgs, link, 1)
+		r.Count(CntLinkQueue, link, queue)
+		return
+	}
+	c := r.linkCell(link)
+	c.v[0] += bytes
+	c.v[1]++
+	c.v[2] += queue
+	c.has = [3]bool{true, true, true}
+}
+
+// linkCell returns the link-stat cell of a link, adding it on first use.
+func (r *Recorder) linkCell(link string) *linkCounts {
+	i, ok := r.linkIdx[link]
+	if !ok {
+		if r.linkIdx == nil {
+			r.linkIdx = map[string]int{}
+		}
+		i = len(r.links)
+		r.linkIdx[link] = i
+		r.links = append(r.links, linkCounts{link: link})
+	}
+	return &r.links[i]
 }
 
 // Spans returns a copy of every recorded span in the export order (see the
@@ -428,9 +497,18 @@ func (r *Recorder) Counters() []CounterTotal {
 	if r == nil {
 		return nil
 	}
-	out := make([]CounterTotal, 0, len(r.counts))
+	out := make([]CounterTotal, 0, len(r.counts)+3*len(r.links))
 	for k, v := range r.counts {
 		out = append(out, CounterTotal{Name: k.name, Track: k.track, Value: v})
+	}
+	names := [3]string{CntLinkBytes, CntLinkMsgs, CntLinkQueue}
+	for i := range r.links {
+		c := &r.links[i]
+		for k, name := range names {
+			if c.has[k] {
+				out = append(out, CounterTotal{Name: name, Track: c.link, Value: c.v[k]})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -64,6 +65,41 @@ func TestScopeDefaultsSolverTrack(t *testing.T) {
 	}
 	if c := r.Counters(); c[0].Track != "ms-3" || c[0].Value != 2 {
 		t.Fatalf("counter = %+v", c[0])
+	}
+}
+
+// A link's three counters share one cell: CountLink, the three Count calls
+// it stands for, and a journal of CountLink replayed list the same totals,
+// summed in the same order, and a counter a link never had is not listed.
+func TestCountLinkMatchesCount(t *testing.T) {
+	q1, q2, q3 := 0.1, 0.2, 1e-7 // variables: their sum is rounded at run time
+	feed := []struct {
+		link         string
+		bytes, queue float64
+	}{{"wan", 256, q1}, {"lan", 64, 0}, {"wan", 128, q2}, {"wan", 1e6, q3}}
+	direct, viaLink, replayed, j := &Recorder{}, &Recorder{}, &Recorder{}, NewJournal()
+	for _, r := range []*Recorder{direct, viaLink, j} {
+		r.Count("retries", "a", 1)
+		r.Count(CntLinkBytes, "nic", 8)
+	}
+	for _, f := range feed {
+		direct.Count(CntLinkBytes, f.link, f.bytes)
+		direct.Count(CntLinkMsgs, f.link, 1)
+		direct.Count(CntLinkQueue, f.link, f.queue)
+		viaLink.CountLink(f.link, f.bytes, f.queue)
+		j.CountLink(f.link, f.bytes, f.queue)
+	}
+	j.NewReplayer(replayed).ReplayTo(j.NumOps())
+	want := []CounterTotal{
+		{CntLinkBytes, "lan", 64}, {CntLinkBytes, "nic", 8}, {CntLinkBytes, "wan", 256 + 128 + 1e6},
+		{CntLinkMsgs, "lan", 1}, {CntLinkMsgs, "wan", 3},
+		{CntLinkQueue, "lan", 0}, {CntLinkQueue, "wan", q1 + q2 + q3},
+		{"retries", "a", 1},
+	}
+	for name, r := range map[string]*Recorder{"Count": direct, "CountLink": viaLink, "replayed journal": replayed} {
+		if got := r.Counters(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: counters\n%v\nwant\n%v", name, got, want)
+		}
 	}
 }
 

@@ -348,10 +348,10 @@ func (fs *faultState) busyEnd(h *Host, t, dt float64) float64 {
 		f := fs.slowFactor(h, cur)
 		nb := fs.nextBoundary(h, cur)
 		if math.IsInf(nb, 1) {
-			return cur + rem*f
+			return cur + float64(rem*f)
 		}
 		if capacity := (nb - cur) / f; rem <= capacity {
-			return cur + rem*f
+			return cur + float64(rem*f)
 		} else {
 			rem -= capacity
 		}

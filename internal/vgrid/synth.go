@@ -38,7 +38,9 @@ func synthU01(seed int64, i int) float64 {
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return float64(h>>11) / float64(1<<53)
+	// Rounded here: the division is a multiply by 2^-53, and a caller's
+	// 2*u would otherwise fuse with it.
+	return float64(float64(h>>11) / float64(1<<53))
 }
 
 // Synthetic generates a grid platform with the given number of compute
@@ -74,8 +76,8 @@ func Synthetic(hosts, clusters int, heterogeneity float64, seed int64) *Platform
 	nics := make([]*Link, hosts)
 	ups := make([]*Link, clusters)
 	for i := 0; i < hosts; i++ {
-		u := 2*synthU01(seed, i) - 1
-		speed := SynthSpeedBase * (1 + heterogeneity*u)
+		u := float64(2*synthU01(seed, i)) - 1
+		speed := SynthSpeedBase * (1 + float64(heterogeneity*u))
 		pl.AddHost(fmt.Sprintf("g%d", i), speed, 0)
 		nics[i] = NewLink(fmt.Sprintf("nic-g%d", i), SynthLanLatency, SynthLanBandwidth)
 	}

@@ -733,9 +733,7 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 					// the time the message waited behind earlier transfers.
 					qd = l.nextFree - t0
 				}
-				o.Count(obs.CntLinkBytes, l.Name, float64(bytes))
-				o.Count(obs.CntLinkMsgs, l.Name, 1)
-				o.Count(obs.CntLinkQueue, l.Name, qd)
+				o.CountLink(l.Name, float64(bytes), qd)
 			}
 			if l.Mode == SharingFIFO {
 				l.nextFree = start + pushTime
