@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-bench race vet bench lint-docs lint-fma verify
+.PHONY: all build test test-bench race vet fmt bench lint-docs lint-fma verify
 
 all: verify
 
@@ -19,7 +19,10 @@ test-bench:
 # The worker pool runs compute segments on real OS threads, so the race
 # detector is part of the verified loop, not an optional extra. The focused
 # second runs pin the observability determinism contract (byte-identical
-# exports for 1 vs N workers, batch and streamed) and the communication-plan
+# exports for 1 vs N workers, batch and streamed, and the streamer's encoder
+# goroutine: the sequential writer's bytes at every batch boundary, a write
+# error or a non-finite span cutting the document where the sequential
+# writer cut it, no goroutine left behind) and the communication-plan
 # equivalence contract (byte-identical iterates and traces for the gateway exchange,
 # and the relayed exchange's records against the digests recorded before the
 # relay moved into plan and mp, with mp's own round and pump tests)
@@ -57,7 +60,7 @@ test-bench:
 # far more once the other packages compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|FuzzAppendFloat|TestObsExportAllocBudget|TestWindowsMatchReference' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|FuzzAppendFloat|TestObsExportAllocBudget|TestWindowsMatchReference|TestStreamerBatchBoundaries|TestStreamerLatchesWriteError|TestStreamerLeavesNoGoroutine|TestNonFiniteSpanFailsExport|TestStreamerGuards' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestGatewayRecordGolden|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestRelayRound|TestRelayPumpKeepsNewest' ./internal/mp
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned|FuzzSparseLUMatchesReference|TestSparseLUFactorAllocBudget' ./internal/splu
@@ -69,6 +72,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails on any Go file of the root module or bench/ that gofmt would rewrite
+# (or cannot parse), listing the files. The benchmark's build directory is
+# skipped.
+fmt:
+	@files=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')) && \
+	if [ -n "$$files" ]; then echo "fmt: gofmt would rewrite:"; echo "$$files"; exit 1; fi
 
 # The repository benchmark (BENCHMARK.json): every workload of bench/ with
 # its end-to-end and per-layer metrics. Host time is measured here and
@@ -114,4 +124,4 @@ lint-fma:
 		echo "lint-fma: fused multiply-adds in $(FMA_CLEARED):"; cat "$$dir/fused"; exit 1; \
 	fi
 
-verify: build vet lint-docs lint-fma test test-bench race
+verify: build vet fmt lint-docs lint-fma test test-bench race

@@ -15,11 +15,12 @@
 // comma-separated values instead of aligned text (handy for plotting
 // figure3). -fault-seed reseeds the deterministic fault injection of the
 // faultsweep experiment. -workers and -lanes change only the host time of a
-// run, never a table; an out-of-range -scale, -window, -workers or -lanes is
-// exit status 2 before anything runs. The runs of a table go side by side,
-// at most GOMAXPROCS at a time (-workers bounds each run's compute pool, not
-// that count), a run that needs an earlier run's outcome starting once that
-// run has ended; the progress lines on stderr keep the order of a sequential
+// run, never a table; an out-of-range -scale, -window, -workers, -lanes,
+// -omega or -precond-band and an unknown -inner-schedule are exit status 2
+// before anything runs. The runs of a table go side by side, at most
+// GOMAXPROCS at a time (-workers bounds each run's compute pool, not that
+// count), a run that needs an earlier run's outcome starting once that run
+// has ended; the progress lines on stderr keep the order of a sequential
 // run.
 //
 // The twostage experiment sweeps the two-stage solver's inner sweep count
@@ -52,6 +53,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -87,19 +89,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Config reads a value below its range as "use the default"; on the
-	// command line it is a typo.
-	var bad string
+	// command line it is a typo, and so are inner-solve parameters the
+	// solver would reject only once the first rows have run.
+	var bad error
 	switch {
 	case *scale < 1:
-		bad = "-scale must be >= 1"
+		bad = errors.New("-scale must be >= 1")
 	case *window < 0:
-		bad = "-window must be >= 0"
+		bad = errors.New("-window must be >= 0")
 	case *lanes < 0:
-		bad = "-lanes must be >= 0"
+		bad = errors.New("-lanes must be >= 0")
 	case *workers < 0:
-		bad = "-workers must be >= 0"
+		bad = errors.New("-workers must be >= 0")
+	default:
+		bad = core.TwoStage{Schedule: *innerSched, Omega: *omega, PrecondBand: *pcBand}.Validate()
 	}
-	if bad != "" {
+	if bad != nil {
 		fmt.Fprintln(stderr, "msexp:", bad)
 		return 2
 	}

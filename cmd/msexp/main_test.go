@@ -63,9 +63,10 @@ func TestUnknownExperimentFailsBeforeTheFirstRuns(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFlags: a numeric flag below its range is one diagnostic line
-// and usage status 2 before anything runs — not a silent fall-back to the
-// default the zero value of experiments.Config stands for.
+// TestOutOfRangeFlags: a numeric flag out of its range or an unknown
+// schedule name is one diagnostic line and usage status 2 before anything
+// runs — not a silent fall-back to the default the zero value of
+// experiments.Config stands for, nor a solver error after the first rows.
 func TestOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -76,9 +77,14 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-window", "-1"}, "msexp: -window must be >= 0\n"},
 		{[]string{"-lanes", "-2"}, "msexp: -lanes must be >= 0\n"},
 		{[]string{"-workers", "-1"}, "msexp: -workers must be >= 0\n"},
+		{[]string{"-inner-schedule", "nope"}, "msexp: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},
+		{[]string{"-omega", "3"}, "msexp: core: two-stage omega 3 outside (0,2)\n"},
+		{[]string{"-omega", "-0.5"}, "msexp: core: two-stage omega -0.5 outside (0,2)\n"},
+		{[]string{"-omega", "NaN"}, "msexp: core: two-stage omega NaN outside (0,2)\n"},
+		{[]string{"-precond-band", "-1"}, "msexp: core: two-stage preconditioner band -1 < 0\n"},
 	} {
 		dir := t.TempDir()
-		args := append(tc.args, "-quiet", "-metrics-out", dir+"/m", "table1", "windowed")
+		args := append(tc.args, "-quiet", "-metrics-out", dir+"/m", "table1", "windowed", "twostage")
 		code, out, errs := msexp(args...)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -98,7 +104,6 @@ func TestRejectedInputFailsWithoutATable(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{[]string{"-scale", "64", "-quiet", "-inner-schedule", "bogus", "twostage"}, []string{"twostage failed", "bogus"}},
 		// cluster3's NICs carry intra- and inter-site routes: one lane only.
 		{[]string{"-quiet", "-csv", "-scale", "64", "-lanes", "0", "table3"}, []string{"table3 failed", "cannot be sharded"}},
 	} {

@@ -75,6 +75,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -119,6 +121,22 @@ var (
 		"sparse": &splu.SparseLU{}, "dense": splu.DenseSolver{}, "band": splu.BandSolver{Reorder: true},
 	}
 )
+
+// lookup sets *dst to the value the -what flag names in table, or returns
+// an error listing the legal names.
+func lookup[V any](what, name string, table map[string]V, dst *V) error {
+	v, ok := table[name]
+	if !ok {
+		legal := make([]string, 0, len(table))
+		for k := range table {
+			legal = append(legal, k)
+		}
+		sort.Strings(legal)
+		return fmt.Errorf("unknown %s %q (want %s)", what, name, strings.Join(legal, ", "))
+	}
+	*dst = v
+	return nil
+}
 
 // bind declares the command's flags on fs, each writing its field of s.
 func (s *spec) bind(fs *flag.FlagSet) {
@@ -194,6 +212,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.opts.TwoStage = core.TwoStage{}
 	}
 	err := s.export.Validate()
+	if err == nil {
+		err = lookup("scheme", s.scheme, schemes, &s.opts.Scheme)
+	}
+	if err == nil {
+		err = lookup("solver", s.solver, solvers, &s.opts.Solver)
+	}
 	switch {
 	case err != nil:
 	case s.procs < 1:
@@ -208,6 +232,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// InnerIters 0 means "two-stage off" to the solver: it would
 		// silently run the exact band solves instead.
 		err = errors.New("-two-stage needs -inner >= 1")
+	case s.twoStage:
+		// -inner-schedule, -omega and -precond-band, which the solver
+		// would only reject once the matrix is read.
+		err = s.opts.TwoStage.Validate()
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "msolve:", err)
@@ -289,13 +317,6 @@ func (s *spec) solve(stdout io.Writer) error {
 	b, exact, err := s.rightHandSide(a)
 	if err != nil {
 		return err
-	}
-	var ok bool
-	if s.opts.Scheme, ok = schemes[s.scheme]; !ok {
-		return fmt.Errorf("unknown scheme %q", s.scheme)
-	}
-	if s.opts.Solver, ok = solvers[s.solver]; !ok {
-		return fmt.Errorf("unknown solver %q", s.solver)
 	}
 	plt, err := s.platform()
 	if err != nil {

@@ -226,6 +226,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-hosts", "12", "-procs", "0"}, "msolve: -procs must be >= 1\n"},
 		{[]string{"-lanes", "-2"}, "msolve: -lanes must be >= 0\n"},
 		{[]string{"-workers", "-1", "-o", "DIR/x.txt"}, "msolve: -workers must be >= 0\n"},
+		{[]string{"-cond", "-scheme", "bogus"}, "msolve: unknown scheme \"bogus\" (want average, owner)\n"},
+		{[]string{"-cond", "-solver", "bogus"}, "msolve: unknown solver \"bogus\" (want band, dense, sparse)\n"},
+		{[]string{"-two-stage", "-inner-schedule", "nope"}, "msolve: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},
+		{[]string{"-two-stage", "-omega", "3"}, "msolve: core: two-stage omega 3 outside (0,2)\n"},
+		{[]string{"-two-stage", "-omega", "-1"}, "msolve: core: two-stage omega -1 outside (0,2)\n"},
+		{[]string{"-two-stage", "-precond-band", "-1"}, "msolve: core: two-stage preconditioner band -1 < 0\n"},
 	} {
 		code, out, errs, files := msolve(t, tc.args...)
 		if code != 2 || out != "" || !strings.HasPrefix(errs, tc.want) || len(files) != 0 {
@@ -242,8 +248,6 @@ func TestRunFailures(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-scheme", "bogus"}, `msolve: unknown scheme "bogus"`},
-		{[]string{"-solver", "bogus"}, `msolve: unknown solver "bogus"`},
 		{[]string{"-cluster", "cluster4"}, `msolve: unknown cluster "cluster4" (want cluster1, cluster2, cluster3)`},
 		{[]string{"-procs", "21"}, "msolve: cluster1 has 1..20 machines, asked for 21"},
 		{[]string{"-hosts", "4", "-clusters", "9"}, "msolve: generated grid: 9 clusters for 4 hosts"},

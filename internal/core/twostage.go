@@ -82,12 +82,22 @@ func (t TwoStage) validate() error {
 	if !t.enabled() {
 		return nil
 	}
+	return t.Validate()
+}
+
+// Validate rejects inner-solve parameters the solver would refuse: an
+// unknown Schedule, an Omega outside (0, 2) or a negative PrecondBand. Zero
+// values stand for their defaults and InnerIters is not checked, so a
+// command can check its flags before any work starts.
+func (t TwoStage) Validate() error {
+	t = t.withDefaults()
 	switch t.Schedule {
 	case ScheduleFixed, ScheduleRamp, ScheduleResidual:
 	default:
-		return fmt.Errorf("core: unknown inner schedule %q", t.Schedule)
+		return fmt.Errorf("core: unknown inner schedule %q (want %s, %s or %s)",
+			t.Schedule, ScheduleFixed, ScheduleRamp, ScheduleResidual)
 	}
-	if t.Omega <= 0 || t.Omega >= 2 {
+	if !(t.Omega > 0 && t.Omega < 2) {
 		return fmt.Errorf("core: two-stage omega %v outside (0,2)", t.Omega)
 	}
 	if t.PrecondBand < 0 {

@@ -195,19 +195,29 @@ func TestTwoStageFallback(t *testing.T) {
 	checkClose(t, res.X, xtrue, 1e-5, "fallback solution")
 }
 
-// TestTwoStageValidation covers the option errors.
+// TestTwoStageValidation covers the option errors, at Launch and through
+// Validate, which the commands call on their flags.
 func TestTwoStageValidation(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 60, Seed: 1})
 	b := make([]float64, 60)
 	cases := []Options{
 		{TwoStage: TwoStage{InnerIters: 2, Schedule: "sometimes"}},
 		{TwoStage: TwoStage{InnerIters: 2, Omega: 2.5}},
+		{TwoStage: TwoStage{InnerIters: 2, Omega: math.NaN()}},
+		{TwoStage: TwoStage{InnerIters: 2, PrecondBand: -1}},
 	}
 	for i, o := range cases {
 		pl, hs := lanPlatform(2, 0)
 		if _, err := Launch(vgrid.NewEngine(pl), hs, a, b, o); err == nil {
 			t.Errorf("case %d: invalid two-stage options accepted", i)
 		}
+		o.TwoStage.InnerIters = 0
+		if o.TwoStage.Validate() == nil {
+			t.Errorf("case %d: Validate accepted invalid two-stage options", i)
+		}
+	}
+	if err := (TwoStage{}).Validate(); err != nil {
+		t.Errorf("Validate of the defaults: %v", err)
 	}
 }
 

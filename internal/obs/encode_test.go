@@ -586,44 +586,83 @@ func TestNonFiniteSpanFailsExport(t *testing.T) {
 		stream.Span(tc.span)
 		check("stream", st.Close())
 	}
+
+	// A non-finite span several batches and several buffer drains into the
+	// stream ends the document where the sequential writer ended it: the
+	// same bytes written, the same error.
+	spans := pipelineSpans(6 * streamBatch)
+	spans[4*streamBatch+3].Flops = math.NaN()
+	var got, want bytes.Buffer
+	_, samples, err := pipelineStream(t, &got, spans, 0, 0)
+	_, werr := sequentialStream(t, &want, spans, samples, 0, 0)
+	if err == nil || werr == nil || err.Error() != werr.Error() {
+		t.Fatalf("Close = %v, sequential writer = %v", err, werr)
+	}
+	if want.Len() < 2*flushAt {
+		t.Fatalf("the sequential writer drained %d bytes before the cut; the case needs several drains", want.Len())
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("cut document differs from the sequential one at byte %d (%d vs %d bytes)",
+			firstDiff(got.Bytes(), want.Bytes()), got.Len(), want.Len())
+	}
 }
 
-// failingWriter fails every write and counts the attempts.
-type failingWriter struct {
-	err   error
-	calls int
+// failOnWrite accepts its first ok writes into buf and fails every later
+// one, counting the attempts.
+type failOnWrite struct {
+	ok, calls int
+	buf       bytes.Buffer
 }
 
-func (w *failingWriter) Write(p []byte) (int, error) {
+var errDiskFull = errors.New("disk full")
+
+func (w *failOnWrite) Write(p []byte) (int, error) {
 	w.calls++
-	return 0, w.err
+	if w.calls > w.ok {
+		return 0, errDiskFull
+	}
+	return w.buf.Write(p)
 }
 
 // TestStreamerLatchesWriteError: the streamer buffers its events, so the
-// writer's failure surfaces at a drain; the first one must be latched,
-// returned from Close, and never followed by another write.
+// writer's failure surfaces at a drain on the encoder goroutine; the first
+// one must be latched, returned from Close, and never followed by another
+// write, and what reached the writer before it must be the sequential
+// writer's bytes.
 func TestStreamerLatchesWriteError(t *testing.T) {
-	boom := errors.New("disk full")
-	w := &failingWriter{err: boom}
+	spans := pipelineSpans(20 * streamBatch)
+	got, want := &failOnWrite{ok: 2}, &failOnWrite{ok: 2}
+	_, samples, err := pipelineStream(t, got, spans, 0, 0)
+	_, werr := sequentialStream(t, want, spans, samples, 0, 0)
+	if !errors.Is(err, errDiskFull) || !errors.Is(werr, errDiskFull) {
+		t.Fatalf("Close = %v, sequential writer = %v, want the latched write error", err, werr)
+	}
+	if got.calls != 3 || want.calls != 3 {
+		t.Fatalf("writer called %d times (sequential writer: %d), want 3: no write after the failed one", got.calls, want.calls)
+	}
+	if !bytes.Equal(got.buf.Bytes(), want.buf.Bytes()) {
+		t.Fatalf("bytes written before the failure differ from the sequential writer's at byte %d",
+			firstDiff(got.buf.Bytes(), want.buf.Bytes()))
+	}
+
+	// A second Close returns the same error and writes nothing.
 	rec := &Recorder{}
+	w := &failOnWrite{}
 	st := NewStreamer(w, 0)
 	rec.SetStream(st)
 	for i := 0; i < 5000; i++ {
 		rec.Span(Span{Track: "h0", Cat: CatCompute, Name: "compute", Start: float64(i), End: float64(i) + 1, Flops: 1e6})
 		rec.Advance(float64(i))
 	}
-	if w.calls != 1 {
-		t.Fatalf("writer called %d times during the run, want exactly 1 (drains after the failed one must stop)", w.calls)
-	}
 	rec.Sample("residual", "h0", 1, 0.5)
-	if err := st.Close(); !errors.Is(err, boom) {
+	if err := st.Close(); !errors.Is(err, errDiskFull) {
 		t.Fatalf("Close = %v, want the latched write error", err)
 	}
-	if w.calls != 1 {
-		t.Fatalf("writer called %d times after Close, want still 1", w.calls)
-	}
-	if err := st.Close(); !errors.Is(err, boom) {
+	if err := st.Close(); !errors.Is(err, errDiskFull) {
 		t.Fatalf("second Close = %v, want the latched write error", err)
+	}
+	if w.calls != 1 {
+		t.Fatalf("writer called %d times, want exactly 1", w.calls)
 	}
 }
 

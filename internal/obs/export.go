@@ -91,7 +91,7 @@ func (x Export) Begin() (*Exporting, error) {
 			return nil, err
 		}
 		r.f, r.st = f, NewStreamer(f, 0)
-		r.st.fold = r.fold // a copy sharing the map and the accumulator
+		r.st.out.fold = r.fold // a copy sharing the map and the accumulator
 		r.Rec.SetStream(r.st)
 	}
 	return r, nil

@@ -27,13 +27,49 @@
 // across worker counts is only guaranteed while the ring is large enough to
 // hold the peak live span population (OverflowFlushes reports violations;
 // the default ring is ample for every shipped workload).
+//
+// Who owns what. The producer side runs on the engine's serialized commit
+// points and decides what is flushed and when: the pending heap and slab, the
+// watermark and overflow flushes, track interning and the flush counters. A
+// flushed span is copied, with its interned track id, into a batch of
+// streamBatch entries; a full batch goes over a channel to one encoder
+// goroutine, which owns everything downstream of a flush (streamOut: the
+// trace encoder with its buffer, number memo and latched error, the tids and
+// their metadata events, and the span fold behind the windows and the host
+// budgets). The encoder sees the spans in exactly the flush order, so the
+// document is the one a sequential encoder would write, byte for byte, while
+// its formatting overlaps the simulation. The encoder runs only while
+// batches are queued and exits when the queue is empty: no goroutine outlives
+// Close, and a streamer dropped without Close leaves none behind once its
+// queued batches are written. Close hands over the last partial batch, waits
+// for the encoder, and finishes the document on the calling goroutine.
 package obs
 
-import "io"
+import (
+	"io"
+	"sync"
+	"sync/atomic"
+)
 
 // DefaultStreamRing is the default flight-recorder capacity: the maximum
 // number of spans held in memory awaiting their watermark.
 const DefaultStreamRing = 1 << 16
+
+// streamBatch is the number of flushed spans handed to the encoder at once,
+// and streamBatches the number of batches a streamer allocates: the producer
+// reuses the ones the encoder has written, and waits for one when all are
+// queued, so memory does not grow with the run.
+const (
+	streamBatch   = 256
+	streamBatches = 3
+)
+
+// streamedSpan is one flushed span on its way to the encoder, with the
+// interned id of its track.
+type streamedSpan struct {
+	s     Span
+	track int32
+}
 
 // streamKey is one pending span's entry in the flush heap: the deterministic
 // flush key (End, Start, Track, per-track seq) plus the slab slot holding
@@ -46,16 +82,15 @@ type streamKey struct {
 }
 
 // Streamer is the incremental trace-event writer behind a streaming
-// recorder: a pending-span ring plus the encoder state of one Chrome
-// trace-event JSON document. Create it with NewStreamer, attach it with
-// Recorder.SetStream before the run, and Close it after the run to flush the
-// tail, append the metric counter events and terminate the document. Events
-// go through the same encoder as the batch exporter's and reach the writer
-// in buffered chunks, so nothing is complete on the writer until Close. A
-// Streamer is fed only from the recorder's serialized emission points; it is
-// not goroutine-safe.
+// recorder: a pending-span ring in front of one Chrome trace-event JSON
+// document. Create it with NewStreamer, attach it with Recorder.SetStream
+// before the run, and Close it after the run to flush the tail, append the
+// metric counter events and terminate the document. Events go through the
+// same encoder as the batch exporter's, on the streamer's encoder goroutine,
+// and reach the writer in buffered chunks, so nothing is complete on the
+// writer until Close. A Streamer is fed only from the recorder's serialized
+// emission points; it is not goroutine-safe.
 type Streamer struct {
-	enc  traceEncoder
 	ring int
 	rec  *Recorder
 
@@ -67,20 +102,40 @@ type Streamer struct {
 	free []int32
 
 	// Track names are interned on arrival: ids index names (the id's
-	// string, for ordering and thread_name events), seqs (the per-track
-	// emission sequence the flush order ties on) and, per process group,
-	// tids (the track's tid plus one; zero until its metadata is written).
+	// string, for ordering) and seqs (the per-track emission sequence the
+	// flush order ties on).
 	ids   map[string]int32
 	names []string
 	seqs  []int64
-	tids  [pidMetrics + 1][]int32
-	ntids [pidMetrics + 1]int32
 
 	peak     int
 	flushed  int
 	overflow int
 	closed   bool
 
+	// cur is the batch being filled (nil until the next flush). Full
+	// batches go to the encoder over work and come back, written, over
+	// spare; queued counts the batches handed over and not yet written, and
+	// done waits for the encoder goroutine.
+	cur    []streamedSpan
+	work   chan []streamedSpan
+	spare  chan []streamedSpan
+	queued atomic.Int32
+	done   sync.WaitGroup
+
+	// out is the encoder's state: touched only by the encoder goroutine
+	// between NewStreamer and Close, and by Close's caller afterwards.
+	out *streamOut
+}
+
+// streamOut is everything downstream of a flush: the document's encoder,
+// the tids of the tracks written so far and the fold of the flushed spans.
+type streamOut struct {
+	enc traceEncoder
+	// tids holds, per process group and track id, the track's tid plus one
+	// (zero until its metadata is written).
+	tids  [pidMetrics + 1][]int32
+	ntids [pidMetrics + 1]int32
 	// fold receives every flushed span: the windows AccumulateWindows asked
 	// for, and the host budgets of an Export that writes aggregate metrics.
 	fold spanFold
@@ -88,12 +143,23 @@ type Streamer struct {
 
 // NewStreamer returns a streamer writing one Chrome trace-event JSON
 // document to w, holding at most ring pending spans (DefaultStreamRing when
-// ring <= 0).
+// ring <= 0). w is written from the streamer's encoder goroutine: it must
+// not be touched until Close returns.
 func NewStreamer(w io.Writer, ring int) *Streamer {
 	if ring <= 0 {
 		ring = DefaultStreamRing
 	}
-	return &Streamer{enc: newTraceEncoder(w), ring: ring, ids: map[string]int32{}}
+	st := &Streamer{
+		ring:  ring,
+		ids:   map[string]int32{},
+		work:  make(chan []streamedSpan, streamBatches),
+		spare: make(chan []streamedSpan, streamBatches),
+		out:   &streamOut{enc: newTraceEncoder(w)},
+	}
+	for range streamBatches {
+		st.spare <- make([]streamedSpan, 0, streamBatch)
+	}
+	return st
 }
 
 // AccumulateWindows additionally folds every flushed span (and, at Close,
@@ -102,16 +168,16 @@ func NewStreamer(w io.Writer, ring int) *Streamer {
 // Must be called before the run; retrieve the result with Windows after
 // Close.
 func (st *Streamer) AccumulateWindows(width float64) {
-	st.fold.windows = NewWindowAccum(width)
+	st.out.fold.windows = NewWindowAccum(width)
 }
 
 // Windows finishes and returns the windowed metrics accumulated during
 // streaming (nil unless AccumulateWindows was called). Call after Close.
 func (st *Streamer) Windows(makespan float64) *WindowedMetrics {
-	if st.fold.windows == nil {
+	if st.out.fold.windows == nil {
 		return nil
 	}
-	return st.fold.windows.Finish(makespan, nil)
+	return st.out.fold.windows.Finish(makespan, nil)
 }
 
 // PeakPending reports the largest number of spans the ring ever held — the
@@ -163,6 +229,9 @@ func (st *Streamer) less(a, b *streamKey) bool {
 // hot path runs once per committed event, and container/heap would box every
 // key into an interface on the way in and out.
 func (st *Streamer) push(s *Span) {
+	if st.closed {
+		panic("obs: span fed to a closed Streamer")
+	}
 	var slot int32
 	if n := len(st.free); n > 0 {
 		slot = st.free[n-1]
@@ -230,59 +299,108 @@ func (st *Streamer) advance(t float64) {
 	}
 }
 
+// emit copies one flushed span into the current batch and hands the batch
+// to the encoder once it is full.
+func (st *Streamer) emit(s *Span, track int32) {
+	st.flushed++
+	if st.cur == nil {
+		st.cur = <-st.spare
+	}
+	st.cur = append(st.cur, streamedSpan{*s, track})
+	if len(st.cur) == streamBatch {
+		st.handOff()
+	}
+}
+
+// handOff queues the current batch for the encoder, starting the encoder
+// goroutine when none is running.
+func (st *Streamer) handOff() {
+	st.work <- st.cur
+	st.cur = nil
+	if st.queued.Add(1) == 1 {
+		st.done.Add(1)
+		go st.encode()
+	}
+}
+
+// encode writes queued batches in order and returns the written ones for
+// reuse. It exits once the queue is empty: the batch count drops to zero
+// only after the last queued batch is written, and the next handOff sees
+// the zero and starts a fresh encoder, so one encoder runs at a time.
+func (st *Streamer) encode() {
+	defer st.done.Done()
+	for {
+		b := <-st.work
+		for i := range b {
+			st.out.span(&b[i])
+		}
+		st.spare <- b[:0]
+		if st.queued.Add(-1) == 0 {
+			return
+		}
+	}
+}
+
+// span writes one flushed span out and folds it into the metrics
+// accumulators.
+func (o *streamOut) span(e *streamedSpan) {
+	o.fold.add(&e.s)
+	pid := pidOf(e.s.Cat)
+	o.enc.span(&e.s, pid, o.tid(pid, e.track, e.s.Track))
+}
+
 // tid returns the tid of an interned track inside a process group, emitting
-// process_name and thread_name metadata events on first use. Unlike the
-// batch exporter, tids follow first-flush order rather than sorted order —
-// the flush order is itself deterministic, so the document still is.
-func (st *Streamer) tid(pid int, track int32) int {
-	tids := st.tids[pid]
+// process_name and thread_name metadata events on first use; name is the
+// track's name. Unlike the batch exporter, tids follow first-flush order
+// rather than sorted order — the flush order is itself deterministic, so
+// the document still is.
+func (o *streamOut) tid(pid int, track int32, name string) int {
+	tids := o.tids[pid]
 	if int(track) >= len(tids) {
-		tids = append(tids, make([]int32, len(st.names)-len(tids))...)
-		st.tids[pid] = tids
+		tids = append(tids, make([]int32, int(track)+1-len(tids))...)
+		o.tids[pid] = tids
 	}
 	if tids[track] == 0 {
-		if st.ntids[pid] == 0 {
-			st.enc.meta("process_name", pid, 0, pidNames[pid])
+		if o.ntids[pid] == 0 {
+			o.enc.meta("process_name", pid, 0, pidNames[pid])
 		}
-		st.enc.meta("thread_name", pid, int(st.ntids[pid]), st.names[track])
-		st.ntids[pid]++
-		tids[track] = st.ntids[pid]
+		o.enc.meta("thread_name", pid, int(o.ntids[pid]), name)
+		o.ntids[pid]++
+		tids[track] = o.ntids[pid]
 	}
 	return int(tids[track] - 1)
 }
 
-// emit writes one span out and folds it into the metrics accumulators.
-func (st *Streamer) emit(s *Span, track int32) {
-	st.flushed++
-	st.fold.add(s)
-	pid := pidOf(s.Cat)
-	st.enc.span(s, pid, st.tid(pid, track))
-}
-
-// Close flushes every remaining pending span, appends the recorder's metric
-// samples as counter events, terminates the JSON document, drains the
-// encoder's buffer to the writer and returns the first failure: a write
-// error, after which no further write was attempted, or a span or sample
-// holding a NaN or an infinity, which cuts the document short at that event.
-// The streamer must not be fed after Close.
+// Close flushes every remaining pending span, waits for the encoder to
+// write them, appends the recorder's metric samples as counter events,
+// terminates the JSON document, drains the encoder's buffer to the writer
+// and returns the first failure: a write error, after which no further
+// write was attempted, or a span or sample holding a NaN or an infinity,
+// which cuts the document short at that event. Feeding the streamer a span
+// after Close panics.
 func (st *Streamer) Close() error {
+	o := st.out
 	if st.closed {
-		return st.enc.err
+		return o.enc.err
 	}
 	st.closed = true
 	for len(st.heap) > 0 {
 		st.pop()
 	}
+	if len(st.cur) > 0 {
+		st.handOff()
+	}
+	st.done.Wait()
 	if st.rec != nil {
 		var counter counterNamer
 		samples := st.rec.Samples()
 		for i := range samples {
-			if st.fold.windows != nil {
-				st.fold.windows.AddSample(samples[i])
+			if o.fold.windows != nil {
+				o.fold.windows.AddSample(samples[i])
 			}
 			name := counter.of(&samples[i])
-			st.enc.counter(name, st.tid(pidMetrics, st.intern(name)), samples[i].T, samples[i].V)
+			o.enc.counter(name, o.tid(pidMetrics, st.intern(name), name), samples[i].T, samples[i].V)
 		}
 	}
-	return st.enc.finish()
+	return o.enc.finish()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -150,7 +151,7 @@ func TestStreamedWindowsMatchBatch(t *testing.T) {
 
 // TestStreamerGuards: SetStream after recording has started must panic (the
 // stream would silently miss the spans already retained), as must
-// SetStream on a journal recorder.
+// SetStream on a journal recorder and a span fed to a closed streamer.
 func TestStreamerGuards(t *testing.T) {
 	rec := &obs.Recorder{}
 	rec.Span(obs.Span{Track: "h0", Cat: obs.CatCompute, Name: "c", Start: 0, End: 1})
@@ -169,5 +170,19 @@ func TestStreamerGuards(t *testing.T) {
 			}
 		}()
 		obs.NewJournal().SetStream(obs.NewStreamer(&bytes.Buffer{}, 0))
+	}()
+	func() {
+		rec := &obs.Recorder{}
+		st := obs.NewStreamer(&bytes.Buffer{}, 0)
+		rec.SetStream(st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "closed Streamer") {
+				t.Errorf("span fed after Close: panic %q, want one naming the closed Streamer", msg)
+			}
+		}()
+		rec.Span(obs.Span{Track: "h0", Cat: obs.CatCompute, Name: "c", Start: 0, End: 1})
 	}()
 }
