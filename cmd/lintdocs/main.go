@@ -20,7 +20,10 @@
 //
 // README.md, DESIGN.md and EXPERIMENTS.md may back-quote only test, fuzz and
 // benchmark functions some _test.go file of the tree declares (`TestFoo*`
-// asks for one whose name starts with TestFoo).
+// asks for one whose name starts with TestFoo), and a span that is only
+// `-name` must name a flag some file of the tree declares with a string
+// literal (fs.Int("name", ...), flag.BoolVar(&v, "name", ...)) or one of the
+// go tool's goFlags.
 //
 // The second rule is syntactic. A function counts as named by `pkg.Name` in a
 // file that imports its package and by a bare `Name` inside its package; a
@@ -123,7 +126,7 @@ func lintTree(root string) ([]string, error) {
 	}
 	var decls []declared
 	refs := map[funcKey]map[user]bool{}
-	tests := map[string]bool{}
+	tests, flags := map[string]bool{}, map[string]bool{}
 	err = filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -150,6 +153,7 @@ func lintTree(root string) ([]string, error) {
 		isTest := strings.HasSuffix(p, "_test.go")
 		linted := !isTest && (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/"))
 		imports := importNames(file)
+		collectFlags(file, flags)
 		for _, decl := range file.Decls {
 			fd, _ := decl.(*ast.FuncDecl)
 			if isTest && fd != nil && fd.Recv == nil {
@@ -196,7 +200,7 @@ func lintTree(root string) ([]string, error) {
 			flag(dc.d.Name.Pos(), "%s %s is named by no non-test code and by no other package's test", what, name)
 		}
 	}
-	if err := lintDocRefs(root, tests, func(file string, line int, msg string) {
+	if err := lintDocRefs(root, tests, flags, func(file string, line int, msg string) {
 		diags = append(diags, diag{file, line, msg})
 	}); err != nil {
 		return nil, err
@@ -217,15 +221,51 @@ func lintTree(root string) ([]string, error) {
 // docFiles are the prose files whose back-quoted test names must resolve.
 var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
-// codeSpan matches a back-quoted span of one line, testName a test in it.
+// codeSpan matches a back-quoted span of one line, testName a test in it,
+// flagSpan a span that is one flag.
 var (
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
 	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+	flagSpan = regexp.MustCompile("^`-([A-Za-z][\\w-]*)`$")
 )
 
+// goFlags are the go tool's flags the docs may name without a declaration.
+var goFlags = map[string]bool{"race": true, "short": true, "count": true, "run": true, "bench": true,
+	"cpu": true, "benchtime": true, "timeout": true, "v": true}
+
+// flagFuncs are the flag package's defining functions, as functions and as
+// FlagSet methods.
+var flagFuncs = map[string]bool{"Bool": true, "BoolVar": true, "Int": true, "IntVar": true, "Int64": true,
+	"Int64Var": true, "Uint": true, "UintVar": true, "Float64": true, "Float64Var": true, "String": true,
+	"StringVar": true, "Duration": true, "DurationVar": true, "Var": true, "Func": true, "TextVar": true}
+
+// collectFlags adds to flags the name of every flag the file defines: the
+// first string-literal argument of a call to one of flagFuncs.
+func collectFlags(file *ast.File, flags map[string]bool) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagFuncs[sel.Sel.Name] {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+				break
+			}
+		}
+		return true
+	})
+}
+
 // lintDocRefs reports every test name in a back-quoted span of the docFiles
-// under root that no test function of tests carries.
-func lintDocRefs(root string, tests map[string]bool, report func(file string, line int, msg string)) error {
+// under root that no test function of tests carries, and every span that is
+// one flag neither flags nor goFlags holds.
+func lintDocRefs(root string, tests, flags map[string]bool, report func(file string, line int, msg string)) error {
 	for _, name := range docFiles {
 		data, err := os.ReadFile(filepath.Join(root, name))
 		if errors.Is(err, fs.ErrNotExist) {
@@ -236,6 +276,9 @@ func lintDocRefs(root string, tests map[string]bool, report func(file string, li
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, span := range codeSpan.FindAllString(line, -1) {
+				if m := flagSpan.FindStringSubmatch(span); m != nil && !flags[m[1]] && !goFlags[m[1]] {
+					report(name, i+1, span+" names no flag declared in the tree")
+				}
 				for _, ref := range testName.FindAllString(span, -1) {
 					if !declaresTest(tests, ref) {
 						report(name, i+1, "`"+ref+"` names no test function in the tree")

@@ -12,11 +12,14 @@ import (
 // names (Shared, which must pass), one product code calls (Used, through
 // b.Call) and one undocumented export (Bare, also called by b). Its README
 // back-quotes two tests that exist, one by prefix, and one that does not
-// (TestGone); a name outside back quotes is prose, not a reference.
+// (TestGone); a name outside back quotes is prose, not a reference. It also
+// names the command's flag, a go tool flag and a flag nothing declares
+// (-gone).
 var fixture = map[string]string{
 	"go.mod": "module fix\n\ngo 1.22\n",
 	"README.md": "# fix\n\nRun `go test -run 'TestOwn|TestShared$' ./...`; `TestSha*` too.\n" +
-		"`TestGone` was deleted, and so was TestAlsoGone.\n",
+		"`TestGone` was deleted, and so was TestAlsoGone.\n" +
+		"Pass `-keep` or `-race`; `-gone` went with TestGone.\n",
 	"internal/a/a.go": `// Package a is half of the lintdocs fixture.
 package a
 
@@ -63,9 +66,16 @@ func TestShared(t *testing.T) { a.Shared() }
 	"cmd/tool/main.go": `// Command tool calls b.
 package main
 
-import "fix/internal/b"
+import (
+	"flag"
 
-func main() { b.Call() }
+	"fix/internal/b"
+)
+
+func main() {
+	flag.Bool("keep", false, "a declared flag")
+	b.Call()
+}
 `,
 }
 
@@ -84,25 +94,27 @@ func writeFixture(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// TestFixtureDiagnostics: exactly four lines — the README's reference to a
-// test that does not exist, the dead function, the one kept alive by its own
-// package's test only, the undocumented export — and exit 1; the function
-// another package's test shares passes.
+// TestFixtureDiagnostics: exactly five lines — the README's references to a
+// test and a flag that do not exist, the dead function, the one kept alive by
+// its own package's test only, the undocumented export — and exit 1; the
+// function another package's test shares and the declared flag pass.
 func TestFixtureDiagnostics(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{writeFixture(t, fixture)}, &out, &errw)
 	want := "README.md:4: `TestGone` names no test function in the tree\n" +
+		"README.md:5: `-gone` names no flag declared in the tree\n" +
 		`internal/a/a.go:5: function Dead is named by no non-test code and by no other package's test
 internal/a/a.go:8: function OwnTestOnly is named by no non-test code and by no other package's test
 internal/a/a.go:18: function Bare is exported but undocumented
 `
-	if code != 1 || out.String() != want || errw.String() != "lintdocs: 4 problems\n" {
+	if code != 1 || out.String() != want || errw.String() != "lintdocs: 5 problems\n" {
 		t.Fatalf("exit %d, stderr %q, stdout:\n%swant:\n%s", code, errw.String(), out.String(), want)
 	}
 }
 
 // TestCleanTreeAndUsage: the fixture without package a's three offenders and
-// the README's dangling reference is exit 0 and silent; two arguments or a root without go.mod is exit 2.
+// the README's dangling references is exit 0 and silent; two arguments or a
+// root without go.mod is exit 2.
 func TestCleanTreeAndUsage(t *testing.T) {
 	clean := map[string]string{}
 	for name, body := range fixture {
@@ -121,7 +133,7 @@ func Used() {}
 func Bare() {}
 `
 	delete(clean, "internal/a/a_test.go")
-	clean["README.md"] = "Run `go test -run TestShared ./...`.\n"
+	clean["README.md"] = "Run `go test -run TestShared ./...` with `-keep`.\n"
 	var out, errw bytes.Buffer
 	if code := run([]string{writeFixture(t, clean)}, &out, &errw); code != 0 || out.Len()+errw.Len() != 0 {
 		t.Fatalf("clean tree: exit %d, stdout %q, stderr %q", code, out.String(), errw.String())

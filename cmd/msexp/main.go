@@ -14,10 +14,10 @@
 // only practical for the generated banded matrices). -csv emits
 // comma-separated values instead of aligned text (handy for plotting
 // figure3). -fault-seed reseeds the deterministic fault injection of the
-// faultsweep experiment. -workers and -lanes change only the host time of a
-// run, never a table; an out-of-range -scale, -window, -workers, -lanes,
-// -omega or -precond-band and an unknown -inner-schedule are exit status 2
-// before anything runs. The runs of a table go side by side, at most
+// faultsweep experiment. -workers changes only the host time of a run, never
+// a table; an out-of-range -scale, -window, -workers, -omega or
+// -precond-band and an unknown -inner-schedule are exit status 2 before
+// anything runs. The runs of a table go side by side, at most
 // GOMAXPROCS at a time (-workers bounds each run's compute pool, not that
 // count), a run that needs an earlier run's outcome starting once that run
 // has ended; the progress lines on stderr keep the order of a sequential
@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plot := fs.Bool("plot", false, "render figure3 as an ASCII plot (in addition to the table)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	workers := fs.Int("workers", 0, "worker threads of each run's compute pool (0 = GOMAXPROCS), not how many runs go side by side (at most GOMAXPROCS); results are identical for any value")
-	lanes := fs.Int("lanes", 1, "scheduler lanes (0 = auto: one per cluster); results are identical for any value")
 	faultSeed := fs.Int64("fault-seed", 0, "seed for the faultsweep experiment's fault injection (0 = fixed default)")
 	traceJSON := fs.String("trace-json", "", "utilization: write a Perfetto trace per run to PREFIX-<cluster>-<solver>.json")
 	metricsOut := fs.String("metrics-out", "", "utilization: write per-run metrics to PREFIX-<cluster>-<solver>.metrics.{json,csv}")
@@ -97,8 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad = errors.New("-scale must be >= 1")
 	case *window < 0:
 		bad = errors.New("-window must be >= 0")
-	case *lanes < 0:
-		bad = errors.New("-lanes must be >= 0")
 	case *workers < 0:
 		bad = errors.New("-workers must be >= 0")
 	default:
@@ -118,11 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TraceJSON: *traceJSON, MetricsOut: *metricsOut, CriticalPath: *critPath, Window: *window,
 		TwoStageSchedule: *innerSched, TwoStageOmega: *omega, TwoStagePrecondBand: *pcBand,
 		Adapt: *adapt, AdaptInterval: *adaptInt, AdaptHysteresis: *adaptHyst,
-	}
-	if *lanes == 0 {
-		cfg.Lanes = -1 // auto: one lane per cluster
-	} else if *lanes > 1 {
-		cfg.Lanes = *lanes
 	}
 
 	names := fs.Args()

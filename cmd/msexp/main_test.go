@@ -66,7 +66,8 @@ func TestUnknownExperimentFailsBeforeTheFirstRuns(t *testing.T) {
 // TestOutOfRangeFlags: a numeric flag out of its range or an unknown
 // schedule name is one diagnostic line and usage status 2 before anything
 // runs — not a silent fall-back to the default the zero value of
-// experiments.Config stands for, nor a solver error after the first rows.
+// experiments.Config stands for, nor a solver error after the first rows. A
+// flag that is gone is the flag package's diagnostic and usage text.
 func TestOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -75,7 +76,7 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-scale", "0"}, "msexp: -scale must be >= 1\n"},
 		{[]string{"-scale", "-8"}, "msexp: -scale must be >= 1\n"},
 		{[]string{"-window", "-1"}, "msexp: -window must be >= 0\n"},
-		{[]string{"-lanes", "-2"}, "msexp: -lanes must be >= 0\n"},
+		{[]string{"-lanes", "1"}, "flag provided but not defined: -lanes\nUsage of msexp:\n"},
 		{[]string{"-workers", "-1"}, "msexp: -workers must be >= 0\n"},
 		{[]string{"-inner-schedule", "nope"}, "msexp: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},
 		{[]string{"-omega", "3"}, "msexp: core: two-stage omega 3 outside (0,2)\n"},
@@ -90,22 +91,24 @@ func TestOutOfRangeFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code != 2 || out != "" || errs != tc.want || len(entries) != 0 {
+		// The flag package follows its diagnostic with the usage text.
+		match := errs == tc.want || strings.HasSuffix(tc.want, "Usage of msexp:\n") && strings.HasPrefix(errs, tc.want)
+		if code != 2 || out != "" || !match || len(entries) != 0 {
 			t.Errorf("msexp %v: exit %d, stdout %q, stderr %q, %d files; want status 2 and %q", tc.args, code, out, errs, len(entries), tc.want)
 		}
 	}
 }
 
-// TestRejectedInputFailsWithoutATable: input the solver or the sharded engine
-// refuses is an exit-1 diagnostic naming the cause — not a table of "err"
-// cells with exit 0, and not a panic.
+// TestRejectedInputFailsWithoutATable: input the solver refuses is an exit-1
+// diagnostic naming the cause — not a table of "err" cells with exit 0, and
+// not a panic.
 func TestRejectedInputFailsWithoutATable(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
-		// cluster3's NICs carry intra- and inter-site routes: one lane only.
-		{[]string{"-quiet", "-csv", "-scale", "64", "-lanes", "0", "table3"}, []string{"table3 failed", "cannot be sharded"}},
+		// A negative controller interval reaches core.Launch, which refuses it.
+		{[]string{"-quiet", "-csv", "-scale", "64", "-adapt", "-adapt-interval", "-1", "table1"}, []string{"table1 failed", "AdaptInterval -1"}},
 	} {
 		code, out, errs := msexp(tc.args...)
 		if code != 1 || out != "" {

@@ -39,14 +39,12 @@
 // series as PREFIX.metrics.json/.csv, and -critical-path prints the makespan
 // decomposed into compute/network/wait along the run's critical path.
 // -window W folds the run into fixed virtual-time windows (per-window host
-// utilization, link traffic/staleness, residual progress, critical-path
-// attribution, and per-lane scheduler stats on sharded runs; analyzed with
-// cmd/msprof), and -stream-trace flushes the Perfetto trace incrementally
-// behind a bounded flight-recorder ring so span memory stays flat on huge
-// grids. -trace prints a per-processor activity timeline drawn from the same
+// utilization, link traffic/staleness, residual progress and critical-path
+// attribution; analyzed with cmd/msprof), and -stream-trace flushes the
+// Perfetto trace incrementally behind a bounded flight-recorder ring so span
+// memory stays flat on huge grids. -trace prints a per-processor activity timeline drawn from the same
 // record, so it cannot be combined with -stream-trace, which retains no span.
-// All outputs are deterministic for any -workers and -lanes value (-lanes 0
-// shards the event core into one scheduler lane per cluster).
+// All outputs are deterministic for any -workers value.
 //
 // The fault flags inject deterministic failures into the simulated grid:
 // -drop loses each message crossing -drop-link (default the inter-site
@@ -65,7 +63,7 @@
 // observed effective speeds drift by more than -adapt-hysteresis (e.g.
 // under a -slow window), guarded by the paper's Theorem-1 contraction
 // bound. The run prints a resplit summary line (count, virtual times, band
-// deltas); all outputs stay deterministic for any -workers/-lanes value.
+// deltas); all outputs stay deterministic for any -workers value.
 package main
 
 import (
@@ -95,7 +93,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 type spec struct {
 	matrix, rhs, out        string
 	scheme, solver, cluster string
-	procs, workers, lanes   int
+	procs, workers          int
 	cond, trace             bool
 	// The generated grid (synHosts 0 = use cluster).
 	synHosts, synClusters int
@@ -158,12 +156,11 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&s.cond, "cond", false, "estimate the 1-norm condition number before solving")
 	fs.BoolVar(&s.trace, "trace", false, "print a per-processor activity timeline after the solve")
 	fs.IntVar(&s.workers, "workers", 0, "worker threads for compute segments (0 = GOMAXPROCS); results are identical for any value")
-	fs.IntVar(&s.lanes, "lanes", 1, "scheduler lanes (0 = auto: one per cluster); results are identical for any value")
 	fs.StringVar(&s.out, "o", "", "write the solution vector to this file")
 	fs.StringVar(&s.export.TraceJSON, "trace-json", "", "write a Chrome trace-event JSON (open in Perfetto / chrome://tracing) of the run to this file")
 	fs.StringVar(&s.export.MetricsOut, "metrics-out", "", "write utilization/convergence metrics to PREFIX.metrics.json and PREFIX.metrics.csv")
 	fs.BoolVar(&s.export.CriticalPath, "critical-path", false, "print the critical-path decomposition of the makespan after the solve")
-	fs.Float64Var(&s.export.Window, "window", 0, "windowed telemetry: fold the run into fixed virtual-time windows of this width in seconds — per-window host utilization/wait share, link traffic/staleness, series and critical-path attribution; prints a summary, writes PREFIX.windows.{json,csv} with -metrics-out, and enables lane telemetry on sharded runs (0 = off; every other output stays byte-identical)")
+	fs.Float64Var(&s.export.Window, "window", 0, "windowed telemetry: fold the run into fixed virtual-time windows of this width in seconds — per-window host utilization/wait share, link traffic/staleness, series and critical-path attribution; prints a summary, writes PREFIX.windows.{json,csv} with -metrics-out (0 = off; every other output stays byte-identical)")
 	fs.BoolVar(&s.export.StreamTrace, "stream-trace", false, "stream -trace-json incrementally behind a bounded flight-recorder ring instead of batch-exporting after the run: span memory stays bounded on huge grids, but the spans are not retained, so -critical-path is unavailable (default off keeps today's batch export byte-identical)")
 	fs.BoolVar(&s.opts.FaultTolerant, "ft", false, "enable the fault-tolerant mode (retransmission, timeouts, degraded operation)")
 	fs.Float64Var(&s.drop, "drop", 0, "drop each message on -drop-link with this probability")
@@ -222,8 +219,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case err != nil:
 	case s.procs < 1:
 		err = errors.New("-procs must be >= 1")
-	case s.lanes < 0:
-		err = errors.New("-lanes must be >= 0")
 	case s.workers < 0:
 		err = errors.New("-workers must be >= 0")
 	case s.trace && s.export.StreamTrace:
@@ -328,9 +323,6 @@ func (s *spec) solve(stdout io.Writer) error {
 	if s.workers > 0 {
 		e.SetWorkers(s.workers)
 	}
-	if s.lanes != 1 {
-		e.SetLanes(s.lanes)
-	}
 	plan, err := s.faultPlan()
 	if err != nil {
 		return err
@@ -353,9 +345,6 @@ func (s *spec) solve(stdout io.Writer) error {
 		rec = &obs.Recorder{}
 	}
 	e.Observe(rec)
-	if s.export.Window > 0 {
-		e.SetLaneTelemetry(s.export.Window)
-	}
 	pend, err := core.Launch(e, hosts, a, b, s.opts)
 	if err != nil {
 		return err
@@ -368,7 +357,7 @@ func (s *spec) solve(stdout io.Writer) error {
 	if ex != nil {
 		// Export before the convergence verdict: a stalled run is exactly
 		// the kind the profile should explain.
-		if err := s.printExport(stdout, ex, e); err != nil {
+		if err := s.printExport(stdout, ex, e.Now()); err != nil {
 			return err
 		}
 	}
@@ -400,12 +389,10 @@ func (s *spec) solve(stdout io.Writer) error {
 }
 
 // printExport writes the run's artifacts and prints what was written, the
-// windowed summary, the critical-path report and — a sharded -window run has
-// them — the scheduler-lane windows, which -metrics-out sends to
-// PREFIX.lanes.json.
-func (s *spec) printExport(stdout io.Writer, ex *obs.Exporting, e *vgrid.Engine) error {
+// windowed summary and the critical-path report.
+func (s *spec) printExport(stdout io.Writer, ex *obs.Exporting, end float64) error {
 	x := s.export
-	out, err := ex.Finish(e.Now())
+	out, err := ex.Finish(end)
 	if err != nil {
 		return err
 	}
@@ -427,18 +414,6 @@ func (s *spec) printExport(stdout io.Writer, ex *obs.Exporting, e *vgrid.Engine)
 	}
 	if out.CritPath != nil {
 		out.CritPath.Fprint(stdout, 10)
-	}
-	lt := e.LaneTelemetry()
-	if len(lt) == 0 {
-		return nil
-	}
-	vgrid.FprintLaneTelemetry(stdout, lt, x.Window, 12)
-	if x.MetricsOut != "" {
-		path := x.MetricsOut + ".lanes.json"
-		if err := obs.WriteFile(path, func(w io.Writer) error { return vgrid.WriteLaneTelemetryJSON(w, lt) }); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "lane telemetry written to %s\n", path)
 	}
 	return nil
 }

@@ -62,8 +62,8 @@ func names(files map[string][]byte) string {
 	return strings.Join(list, " ")
 }
 
-// The synthetic three-cluster grid the determinism contract is checked on
-// (cluster3 cannot shard), and every telemetry output at once on it.
+// The synthetic three-cluster grid the determinism contract is checked on,
+// and every telemetry output at once on it.
 var (
 	grid      = []string{"-hosts", "12", "-clusters", "3", "-procs", "8"}
 	telemetry = []string{"-trace-json", "DIR/t.json", "-metrics-out", "DIR/m", "-window", "0.05"}
@@ -95,8 +95,8 @@ func TestGoldenStdout(t *testing.T) {
 		{"balance-adapt-slow", []string{"-procs", "8", "-cluster", "cluster2", "-balance", "-adapt", "-adapt-interval", "4", "-slow", "c2-00@0.001:inf:4"}},
 		{"ft-drop", []string{"-procs", "10", "-cluster", "cluster3", "-async", "-ft", "-drop", "0.01"}},
 		{"options", []string{"-procs", "6", "-cluster", "cluster2", "-scheme", "average", "-solver", "band", "-overlap", "5", "-cond", "-trace", "-o", "DIR/x.txt"}},
-		{"telemetry", cat(grid, telemetry, []string{"-lanes", "0", "-critical-path"})},
-		{"telemetry-streamed", cat(grid, telemetry, []string{"-lanes", "0", "-stream-trace"})},
+		{"telemetry", cat(grid, telemetry, []string{"-critical-path"})},
+		{"telemetry-streamed", cat(grid, telemetry, []string{"-stream-trace"})},
 	} {
 		code, out, errs, _ := msolve(t, tc.args...)
 		if code != 0 || errs != "" {
@@ -135,12 +135,12 @@ func TestArtifacts(t *testing.T) {
 		{[]string{"-trace-json", "DIR/t.json"}, "t.json"},
 		{[]string{"-trace-json", "DIR/t.json", "-stream-trace"}, "t.json"},
 		{[]string{"-metrics-out", "DIR/m"}, "m.metrics.csv m.metrics.json"},
-		{[]string{"-metrics-out", "DIR/m", "-window", "0.05", "-lanes", "1"}, "m.metrics.csv m.metrics.json m.windows.csv m.windows.json"},
-		{cat(telemetry, []string{"-critical-path"}), "m.lanes.json m.metrics.csv m.metrics.json m.windows.csv m.windows.json t.json"},
-		{cat(telemetry, []string{"-stream-trace"}), "m.lanes.json m.metrics.csv m.metrics.json m.windows.csv m.windows.json t.json"},
+		{[]string{"-metrics-out", "DIR/m", "-window", "0.05"}, "m.metrics.csv m.metrics.json m.windows.csv m.windows.json"},
+		{cat(telemetry, []string{"-critical-path"}), "m.metrics.csv m.metrics.json m.windows.csv m.windows.json t.json"},
+		{cat(telemetry, []string{"-stream-trace"}), "m.metrics.csv m.metrics.json m.windows.csv m.windows.json t.json"},
 	} {
 		label := strings.Join(tc.flags, " ")
-		code, _, errs, files := msolve(t, cat(grid, []string{"-lanes", "0"}, tc.flags)...)
+		code, _, errs, files := msolve(t, cat(grid, tc.flags)...)
 		if code != 0 {
 			t.Fatalf("%s: exit %d, stderr %q", label, code, errs)
 		}
@@ -153,7 +153,7 @@ func TestArtifacts(t *testing.T) {
 		all[label] = files
 	}
 	batch, streamed := all[strings.Join(cat(telemetry, []string{"-critical-path"}), " ")], all[strings.Join(cat(telemetry, []string{"-stream-trace"}), " ")]
-	for _, name := range []string{"m.metrics.json", "m.metrics.csv", "m.lanes.json"} {
+	for _, name := range []string{"m.metrics.json", "m.metrics.csv"} {
 		if !bytes.Equal(batch[name], streamed[name]) {
 			t.Errorf("%s of the streamed run differs from the batch run's", name)
 		}
@@ -178,25 +178,17 @@ func TestArtifacts(t *testing.T) {
 	}
 }
 
-// TestByteIdenticalAcrossWorkersAndLanes: report and artifacts are the same
-// bytes for 1 and 4 workers and for one lane and a lane per cluster, batch
-// and streamed. The lane-telemetry block exists only when lanes shard, so it
-// is compared across workers at a lane per cluster.
-func TestByteIdenticalAcrossWorkersAndLanes(t *testing.T) {
+// TestByteIdenticalAcrossWorkers: report and artifacts are the same bytes
+// for 1 and 4 workers, batch and streamed, with and without windows.
+func TestByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, mode := range [][]string{{"-critical-path"}, {"-stream-trace"}} {
-		base := cat(grid, []string{"-trace-json", "DIR/t.json", "-metrics-out", "DIR/m"}, mode)
-		_, refOut, _, refFiles := msolve(t, cat(base, []string{"-workers", "1", "-lanes", "1"})...)
-		for _, variant := range [][]string{{"-workers", "4", "-lanes", "1"}, {"-workers", "1", "-lanes", "0"}, {"-workers", "4", "-lanes", "0"}} {
-			code, out, errs, files := msolve(t, cat(base, variant)...)
+		for _, flags := range [][]string{{"-trace-json", "DIR/t.json", "-metrics-out", "DIR/m"}, telemetry} {
+			base := cat(grid, flags, mode)
+			_, refOut, _, refFiles := msolve(t, cat(base, []string{"-workers", "1"})...)
+			code, out, errs, files := msolve(t, cat(base, []string{"-workers", "4"})...)
 			if code != 0 || out != refOut || !reflect.DeepEqual(files, refFiles) {
-				t.Errorf("%v %v: exit %d, stderr %q; report or artifacts differ from 1 worker / 1 lane", mode, variant, code, errs)
+				t.Errorf("%v %v: exit %d, stderr %q; report or artifacts differ between 1 and 4 workers", mode, flags, code, errs)
 			}
-		}
-		windowed := cat(grid, telemetry, mode, []string{"-lanes", "0"})
-		_, refOut, _, refFiles = msolve(t, cat(windowed, []string{"-workers", "1"})...)
-		code, out, errs, files := msolve(t, cat(windowed, []string{"-workers", "4"})...)
-		if code != 0 || out != refOut || !reflect.DeepEqual(files, refFiles) || files["m.lanes.json"] == nil {
-			t.Errorf("%v windowed: exit %d, stderr %q; report or artifacts differ between 1 and 4 workers", mode, code, errs)
 		}
 	}
 }
@@ -224,7 +216,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-procs", "0"}, "msolve: -procs must be >= 1\n"},
 		{[]string{"-cluster", "cluster2", "-procs", "-1"}, "msolve: -procs must be >= 1\n"},
 		{[]string{"-hosts", "12", "-procs", "0"}, "msolve: -procs must be >= 1\n"},
-		{[]string{"-lanes", "-2"}, "msolve: -lanes must be >= 0\n"},
+		{[]string{"-lanes", "1"}, "flag provided but not defined: -lanes\nUsage of msolve:"},
 		{[]string{"-workers", "-1", "-o", "DIR/x.txt"}, "msolve: -workers must be >= 0\n"},
 		{[]string{"-cond", "-scheme", "bogus"}, "msolve: unknown scheme \"bogus\" (want average, owner)\n"},
 		{[]string{"-cond", "-solver", "bogus"}, "msolve: unknown solver \"bogus\" (want band, dense, sparse)\n"},
@@ -241,8 +233,7 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestRunFailures: input the run rejects is exit status 1 with exactly one
-// diagnostic line and no report — an unshardable platform included, which
-// used to be a process panic wrapped in a deadlock report.
+// diagnostic line and no report.
 func TestRunFailures(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -254,7 +245,6 @@ func TestRunFailures(t *testing.T) {
 		{[]string{"-crash", "c1-00@1"}, `msolve: crash spec "c1-00@1": want from:until`},
 		{[]string{"-slow", "c1-00@0:1:nan"}, `msolve: slow spec "c1-00@0:1:nan": bad factor: "nan" is not a number`},
 		{[]string{"-rhs", "DIR/missing.txt"}, "msolve: open DIR/missing.txt: no such file or directory"},
-		{[]string{"-cluster", "cluster3", "-procs", "10", "-lanes", "0"}, "this topology cannot be sharded — run with a single lane"},
 	} {
 		code, out, errs, _ := msolve(t, tc.args...)
 		if code != 1 || out != "" || !strings.Contains(errs, tc.want) || strings.Count(errs, "\n") != 1 {

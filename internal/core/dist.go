@@ -89,10 +89,6 @@ type Options struct {
 	// model of Bertsekas–Tsitsiklis, paper ref [8]). Zero means totally
 	// asynchronous (no bound). Ignored in synchronous mode.
 	MaxStale int
-	// TreeCollectives uses binomial-tree reductions for the synchronous
-	// convergence test (O(log P) depth) instead of the flat rank-0 star,
-	// as real MPI implementations do.
-	TreeCollectives bool
 	// BandsPerProc assigns this many non-adjacent bands to every processor
 	// (the paper's Remark 2), cyclically: rank r owns bands r, r+P, r+2P….
 	// All segments between two ranks coalesce into one packed message per
@@ -115,7 +111,7 @@ type Options struct {
 	// over the LAN and only leaders cross the WAN, so a collective costs
 	// O(#clusters) inter-cluster messages instead of O(P). Requires cluster
 	// declarations on the platform (vgrid.Platform.AddCluster); without them
-	// the collectives silently stay flat/tree.
+	// the collectives silently stay flat.
 	TopoCollectives bool
 	// Gateway relays the inter-cluster boundary exchange through one
 	// aggregator rank per cluster, the route the communication plan holds

@@ -354,7 +354,6 @@ func (bs *bandState) setStepFlops() {
 // the communication options: collective shape and, in the degraded mode, the
 // retransmission policy (on a healthy configuration that changes nothing).
 func newRankCtx(c *mp.Comm, o Options) *simctx.Ctx {
-	c.Tree = o.TreeCollectives
 	c.Topo = o.TopoCollectives
 	ctx := simctx.New()
 	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)

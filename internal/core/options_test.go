@@ -56,26 +56,6 @@ func TestAsyncBoundedStaleness(t *testing.T) {
 	}
 }
 
-func TestTreeCollectivesSolve(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 800, Seed: 62})
-	b, xtrue := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(8, 0)
-	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-9, TreeCollectives: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, res, xtrue, 1e-6)
-	// Same iterate path as the flat collectives.
-	pl2, hosts2 := lanPlatform(8, 0)
-	flat, err := Solve(pl2, hosts2, a, b, Options{Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != flat.Iterations {
-		t.Fatalf("tree %d iterations vs flat %d", res.Iterations, flat.Iterations)
-	}
-}
-
 // TestOptionMatrix is the composition contract of the option surface: every
 // pair of features, under one and under two bands per processor, either
 // solves a small diagonally dominant system to the dense-LU answer with a
@@ -183,7 +163,6 @@ var matrixFeatures = []struct {
 	{"gateway", func(o *Options) { o.Gateway, o.TopoCollectives = true, true }},
 	{"twostage", func(o *Options) { o.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 8} }},
 	{"fault-tolerant", func(o *Options) { o.FaultTolerant = true }},
-	{"tree", func(o *Options) { o.TreeCollectives = true }},
 	{"equilibrate", func(o *Options) { o.Equilibrate = true }},
 	{"scheme", func(o *Options) { o.Scheme, o.Overlap = WeightAverage, 6 }},
 	{"adapt", func(o *Options) { o.Adapt, o.AdaptInterval = true, 3 }},

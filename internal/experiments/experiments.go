@@ -41,11 +41,6 @@ type Config struct {
 	// runs go side by side. Results are identical for any value — only
 	// wall-clock time changes.
 	Workers int
-	// Lanes selects the engine's scheduler-lane count: 0 keeps the default
-	// single lane, -1 requests auto-sharding (one lane per cluster), n ≥ 1
-	// requests n lanes. Results are identical for any value — only
-	// wall-clock time changes.
-	Lanes int
 	// FaultSeed seeds the deterministic fault injection of the fault-sweep
 	// experiment; 0 selects a fixed default so results are reproducible
 	// without configuration.
@@ -285,19 +280,6 @@ func (c Config) probeFill(plt *cluster.Platform, a *sparse.CSR, b []float64) (in
 // extrapolated from its fill would be meaningless.
 func probeFailed(d cell) error { return fmt.Errorf("experiments: fill probe: %s", d.note) }
 
-func (c Config) newEngine(plt *cluster.Platform) *vgrid.Engine {
-	e := vgrid.NewEngine(plt.Platform)
-	if c.Workers > 0 {
-		e.SetWorkers(c.Workers)
-	}
-	if c.Lanes < 0 {
-		e.SetLanes(0) // auto: one lane per cluster
-	} else if c.Lanes >= 1 {
-		e.SetLanes(c.Lanes)
-	}
-	return e
-}
-
 // runSpec is everything that distinguishes one solver run from another: the
 // solver and its options, and what is attached to the engine it runs on.
 type runSpec struct {
@@ -339,12 +321,13 @@ func (c Config) withAdapt(o core.Options) core.Options {
 //
 // and the cause of the first four goes to Config.Progress. A solver that
 // rejects its input or options before any virtual time is spent is not a
-// verdict, and neither is an engine that cannot shard the platform over the
-// requested lanes (vgrid.ErrUnshardable): that error is returned and fails
-// the experiment. The multisplitting result is returned for every launched
-// run (nil for dslu).
+// verdict: that error is returned and fails the experiment. The
+// multisplitting result is returned for every launched run (nil for dslu).
 func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSpec) (cell, *core.Result, error) {
-	e := c.newEngine(plt)
+	e := vgrid.NewEngine(plt.Platform)
+	if c.Workers > 0 {
+		e.SetWorkers(c.Workers)
+	}
 	if s.plan != nil {
 		e.SetFaultPlan(s.plan)
 	}
@@ -371,9 +354,6 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 	}
 	end, err := e.Run()
 	pend.Finish()
-	if errors.Is(err, vgrid.ErrUnshardable) {
-		return cell{}, nil, fmt.Errorf("experiments: %w", err)
-	}
 	var (
 		out       = cell{end: end}
 		res       *core.Result

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -73,20 +72,14 @@ func TestRunnerClassification(t *testing.T) {
 }
 
 // TestRejectedOptionsFailTheExperiment: options the solver refuses before
-// spending virtual time, and a lane count the engine cannot shard the
-// platform over, are an error of the run path and of the experiment built on
-// it — not a table of "err" cells.
+// spending virtual time are an error of the run path and of the experiment
+// built on it — not a table of "err" cells.
 func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
 	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Async: true, MaxStale: -1}})
 	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") {
 		t.Errorf("solve with a negative staleness bound: err %v, want the wrapped cause", err)
-	}
-	// cluster3's NICs carry intra- and inter-site routes: one lane only.
-	_, _, err = Config{Lanes: -1}.solve(cluster.Cluster3(-1), a, b, runSpec{})
-	if !errors.Is(err, vgrid.ErrUnshardable) {
-		t.Errorf("solve on cluster3 with a lane per cluster: err %v, want vgrid.ErrUnshardable", err)
 	}
 	tab, err := TwoStageTable(Config{Scale: 64, TwoStageSchedule: "bogus"})
 	if err == nil || tab != nil || !strings.Contains(err.Error(), "bogus") {
@@ -330,14 +323,15 @@ func TestSolveOnSyntheticGrid(t *testing.T) {
 }
 
 // solveWithLanes runs the full multisplitting solver on a generated
-// multi-cluster platform with the requested scheduler-lane count — the path
-// Config.Lanes and the msolve/msexp -lanes flags exercise.
+// multi-cluster platform with the requested scheduler-lane count
+// (vgrid.Engine.SetLanes: 1 one lane, 0 one lane per cluster).
 func solveWithLanes(t *testing.T, lanes int) (*core.Result, int) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
 	plt := cluster.Synthetic(12, 3, 0.3, 5)
-	e := (Config{Lanes: lanes}).newEngine(plt)
+	e := vgrid.NewEngine(plt.Platform)
+	e.SetLanes(lanes)
 	pend, err := core.Launch(e, plt.Hosts, a, b, core.Options{
 		Tol: 1e-8, TopoCollectives: true, Gateway: true,
 	})
@@ -360,8 +354,8 @@ func solveWithLanes(t *testing.T, lanes int) (*core.Result, int) {
 // clock) are byte-identical whether the engine commits on one lane or one
 // lane per cluster.
 func TestSolverIteratesIdenticalAcrossLanes(t *testing.T) {
-	ref, refLanes := solveWithLanes(t, 0) // Config zero value: single lane
-	sh, shLanes := solveWithLanes(t, -1)  // auto: one lane per cluster
+	ref, refLanes := solveWithLanes(t, 1)
+	sh, shLanes := solveWithLanes(t, 0)
 	if refLanes != 1 || shLanes != 3 {
 		t.Errorf("lane counts %d and %d, want 1 and one per cluster (3)", refLanes, shLanes)
 	}

@@ -60,19 +60,14 @@ type Comm struct {
 	p     *vgrid.Proc
 	ctx   *simctx.Ctx
 
-	// Tree switches the collectives (Allreduce, Bcast) from the
-	// flat rank-0 star to binomial trees: O(log P) depth instead of O(P)
-	// messages through one endpoint, as real MPI implementations do. All
-	// ranks must agree on the setting.
-	Tree bool
 	// Topo switches the collectives to the two-level topology-aware
 	// algorithm: ranks reduce to a per-cluster leader over the LAN, the
 	// leaders exchange over the WAN, and the result fans back out inside
 	// each cluster — so a collective crosses the inter-cluster links only
 	// O(#clusters) times instead of once per rank. It takes effect only when
 	// the platform declares at least two clusters covering every rank's host
-	// (vgrid.Platform.AddCluster); otherwise the Tree/flat algorithms run
-	// unchanged. All ranks must agree on the setting; Topo wins over Tree.
+	// (vgrid.Platform.AddCluster); otherwise the flat rank-0 star runs
+	// unchanged. All ranks must agree on the setting.
 	Topo bool
 	// topoCached/topoDone memoize the cluster layout derived from the
 	// ranks' hosts (computed on first topology-aware collective).
@@ -88,19 +83,6 @@ type Comm struct {
 	// pools it is only touched at serialized points (this rank's body), so
 	// no locking is needed.
 	pkFree []*Packet
-}
-
-// parent/children of rank r in the binary collective tree rooted at 0.
-func (c *Comm) treeParent() int { return (c.rank - 1) / 2 }
-
-func (c *Comm) treeChildren() []int {
-	var out []int
-	for _, ch := range []int{2*c.rank + 1, 2*c.rank + 2} {
-		if ch < c.Size() {
-			out = append(out, ch)
-		}
-	}
-	return out
 }
 
 // Launch spawns one process per host and runs body on each with a Comm of
@@ -469,9 +451,6 @@ func (c *Comm) Allreduce(v float64, op Op) (float64, error) {
 			return c.hierAllreduce(v, op, ti)
 		}
 	}
-	if c.Tree {
-		return c.treeAllreduce(v, op)
-	}
 	if c.rank == 0 {
 		acc := v
 		for i := 1; i < n; i++ {
@@ -490,43 +469,6 @@ func (c *Comm) Allreduce(v float64, op Op) (float64, error) {
 	return c.takeScalar(c.p.Recv(0, tagReduceOut)), nil
 }
 
-// treeAllreduce reduces up the binary tree and broadcasts the result down.
-func (c *Comm) treeAllreduce(v float64, op Op) (float64, error) {
-	acc := v
-	for _, ch := range c.treeChildren() {
-		acc = op.apply(acc, c.takeScalar(c.p.Recv(ch, tagReduceIn)))
-	}
-	if c.rank != 0 {
-		if err := c.xsend(c.procs[c.treeParent()], tagReduceIn, c.scalar(acc), 8+msgOverheadBytes); err != nil {
-			return 0, err
-		}
-		acc = c.takeScalar(c.p.Recv(c.treeParent(), tagReduceOut))
-	}
-	for _, ch := range c.treeChildren() {
-		if err := c.xsend(c.procs[ch], tagReduceOut, c.scalar(acc), 8+msgOverheadBytes); err != nil {
-			return 0, err
-		}
-	}
-	return acc, nil
-}
-
-// treeBcast pushes data down the binary tree rooted at rank 0.
-func (c *Comm) treeBcast(data []float64) ([]float64, error) {
-	if c.rank != 0 {
-		m := c.p.Recv(c.treeParent(), tagBcast)
-		data = m.Floats
-		c.p.ReleaseMessage(m)
-	}
-	for _, ch := range c.treeChildren() {
-		cp := c.p.GetFloats(len(data))
-		copy(cp, data)
-		if err := c.xsend(c.procs[ch], tagBcast, cp, 8*len(cp)+msgOverheadBytes); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
 // Bcast sends data from root to every rank; every rank returns the slice.
 func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
 	c.checkRank(root)
@@ -537,9 +479,6 @@ func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
 		if ti := c.topo(); ti != nil {
 			return c.hierBcast(root, data, ti)
 		}
-	}
-	if c.Tree && root == 0 {
-		return c.treeBcast(data)
 	}
 	if c.rank == root {
 		for i := 0; i < c.Size(); i++ {

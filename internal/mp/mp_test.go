@@ -190,64 +190,6 @@ func TestGather(t *testing.T) {
 	})
 }
 
-func TestTreeCollectives(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 9} {
-		world(t, n, func(c *Comm) error {
-			c.Tree = true
-			sum, err := c.Allreduce(float64(c.Rank()+1), OpSum)
-			if err != nil {
-				return err
-			}
-			want := float64(n*(n+1)) / 2
-			if sum != want {
-				return fmt.Errorf("n=%d: tree sum = %v, want %v", n, sum, want)
-			}
-			mx, err := c.Allreduce(float64(c.Rank()), OpMax)
-			if err != nil {
-				return err
-			}
-			if mx != float64(n-1) {
-				return fmt.Errorf("tree max = %v", mx)
-			}
-			var data []float64
-			if c.Rank() == 0 {
-				data = []float64{42, 43}
-			}
-			got, err := c.Bcast(0, data)
-			if err != nil {
-				return err
-			}
-			if len(got) != 2 || got[0] != 42 || got[1] != 43 {
-				return fmt.Errorf("tree bcast got %v", got)
-			}
-			return nil
-		})
-	}
-}
-
-func TestTreeAllreduceMatchesFlat(t *testing.T) {
-	var flat, tree float64
-	world(t, 7, func(c *Comm) error {
-		v := float64(c.Rank()*c.Rank()) - 3
-		f, err := c.Allreduce(v, OpMax)
-		if err != nil {
-			return err
-		}
-		c.Tree = true
-		tr, err := c.Allreduce(v, OpMax)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			flat, tree = f, tr
-		}
-		return nil
-	})
-	if flat != tree {
-		t.Fatalf("flat %v != tree %v", flat, tree)
-	}
-}
-
 func TestCommunicationChargesTime(t *testing.T) {
 	var endTimes [2]float64
 	world(t, 2, func(c *Comm) error {

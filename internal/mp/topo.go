@@ -1,14 +1,13 @@
 package mp
 
-// Two-level topology-aware collectives. The flat and tree collectives cross
-// the inter-cluster links once per participating rank (or once per tree
-// edge that happens to span sites); on a grid platform those links are the
-// bottleneck. The hierarchical algorithms here route every collective
-// through per-cluster leaders: members talk to their leader over the LAN,
-// only the leaders talk across clusters, so a collective costs O(#clusters)
-// WAN crossings regardless of the rank count. Enabled per communicator with
-// Comm.Topo; without usable cluster declarations the calls fall back to the
-// flat/tree algorithms in mp.go.
+// Two-level topology-aware collectives. The flat collectives cross the
+// inter-cluster links once per participating rank; on a grid platform
+// those links are the bottleneck. The hierarchical algorithms here route
+// every collective through per-cluster leaders: members talk to their
+// leader over the LAN, only the leaders talk across clusters, so a
+// collective costs O(#clusters) WAN crossings regardless of the rank count.
+// Enabled per communicator with Comm.Topo; without usable cluster
+// declarations the calls fall back to the flat algorithms in mp.go.
 
 // topoInfo is the memoized cluster layout of a communicator's ranks.
 type topoInfo struct {

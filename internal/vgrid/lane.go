@@ -428,9 +428,7 @@ func (e *Engine) runSharded() {
 	running := 0
 	var wanQ []parkMsg
 	for {
-		applied := 0
 		for _, ln := range e.lanes {
-			applied += len(ln.inbox)
 			for _, m := range ln.inbox {
 				dst := e.procs[m.To]
 				dst.mailbox = append(dst.mailbox, m)
@@ -450,19 +448,11 @@ func (e *Engine) runSharded() {
 		h := t + e.lookahead
 		e.horizon = h
 		e.windows++
-		opened := 0
 		for _, ln := range e.lanes {
 			if p := ln.idxMin(); p != nil && p.key < h {
 				running++
-				opened++
 				ln.windowCh <- h
 			}
-		}
-		ts := e.laneStatAt(t)
-		if ts != nil {
-			ts.Windows++
-			ts.LaneOpens += int64(opened)
-			ts.InboxDepth += int64(applied)
 		}
 		for running > 0 || len(wanQ) > 0 {
 			if running == 0 {
@@ -473,11 +463,6 @@ func (e *Engine) runSharded() {
 					}
 				}
 				req := wanQ[best]
-				if ts != nil {
-					ts.WanTurns++
-					ts.WanQueue += int64(len(wanQ))
-					ts.WanGrantWait += h - req.t
-				}
 				wanQ[best] = wanQ[len(wanQ)-1]
 				wanQ = wanQ[:len(wanQ)-1]
 				e.wanTurns++

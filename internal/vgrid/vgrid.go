@@ -346,11 +346,6 @@ type Engine struct {
 	// unshardable is the first shared-link rejection of a sharded run
 	// (lane.markLinks); Run returns it ahead of any process error.
 	unshardable atomic.Pointer[error]
-	// laneStatWidth and laneStats hold the coordinator's lane telemetry
-	// (SetLaneTelemetry): per-virtual-time-bucket safe-window occupancy,
-	// WAN-turn and inbox statistics. See telemetry.go.
-	laneStatWidth float64
-	laneStats     map[int]*LaneWindowStat
 
 	// poolCheck arms the float-pool ownership guard (only tests set it);
 	// poolOut tracks pooled buffers under poolMu across all lanes.
@@ -375,9 +370,10 @@ func NewEngine(pl *Platform) *Engine {
 // per cluster; other values are clamped to [1, clusters]. Obs
 // exports, metrics and iterates are byte-identical for any lane count —
 // sharding changes wall-clock cost only. The engine falls back to a single
-// lane when the preconditions do not hold (scan or cross-check scheduler,
-// hosts outside every cluster, no inter-cluster route lookahead). Must be
-// called before Run.
+// lane when the preconditions do not hold (a per-pick cross-check hook,
+// hosts outside every cluster, no inter-cluster route lookahead). No command
+// reaches it: its callers are the benchmark and tests. Must be called
+// before Run.
 func (e *Engine) SetLanes(n int) {
 	if e.started {
 		panic("vgrid: SetLanes after Run")
