@@ -22,7 +22,10 @@ test-bench:
 # exports for 1 vs N workers, batch and streamed, and the streamer's encoder
 # goroutine: the sequential writer's bytes at every batch boundary, a write
 # error or a non-finite span cutting the document where the sequential
-# writer cut it, no goroutine left behind) and the communication-plan
+# writer cut it, no goroutine left behind), the batch exports' chunk
+# encoders (the sequential loops' bytes and Write calls at GOMAXPROCS 1 and
+# 2, a failure cutting the document where they cut it, no goroutine left
+# behind) and the export index's split sort, and the communication-plan
 # equivalence contract (byte-identical iterates and traces for the gateway exchange,
 # and the relayed exchange's records against the digests recorded before the
 # relay moved into plan and mp, with mp's own round and pump tests)
@@ -60,7 +63,7 @@ test-bench:
 # far more once the other packages compete for the cores.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|FuzzAppendFloat|TestObsExportAllocBudget|TestWindowsMatchReference|TestStreamerBatchBoundaries|TestStreamerLatchesWriteError|TestStreamerLeavesNoGoroutine|TestNonFiniteSpanFailsExport|TestStreamerGuards' ./internal/obs
+	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|FuzzAppendFloat|TestObsExportAllocBudget|TestWindowsMatchReference|TestStreamerBatchBoundaries|TestStreamerLatchesWriteError|TestStreamerLeavesNoGoroutine|TestNonFiniteSpanFailsExport|TestStreamerGuards|TestChunkedExportsMatchSequential|TestExportOrderMatchesSort' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestGatewayRecordGolden|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestMultibandDeterministicAcrossLanesAndWorkers|TestOptionMatrix|TestSessionOptionMatrix|TestIdleStepsExact' ./internal/core
 	$(GO) test -race -count=2 -run 'TestRelayRound|TestRelayPumpKeepsNewest' ./internal/mp
 	$(GO) test -race -count=2 -run 'TestSparseLUMatchesReference|TestPrunedReachMatchesUnpruned|FuzzSparseLUMatchesReference|TestSparseLUFactorAllocBudget' ./internal/splu

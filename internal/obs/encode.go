@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 )
 
 // The JSON exports are written by hand, appending to one reused byte buffer:
@@ -23,7 +25,8 @@ const flushAt = 32 << 10
 // jsonWriter appends JSON to an internal buffer and drains it to w in
 // flushAt-sized writes. The first failure — a write error or a non-finite
 // float, which JSON cannot represent — is latched in err; from then on
-// nothing more is written.
+// nothing more is written. A jsonWriter with a nil w is a chunk writer: it
+// encodes records for another writer's rows and never writes (see rows).
 type jsonWriter struct {
 	w   io.Writer
 	b   []byte
@@ -33,6 +36,12 @@ type jsonWriter struct {
 	bad string
 	// memo holds the text of recently written non-integral numbers.
 	memo *floatMemo
+	// started reports that a trace-event document's header is written.
+	started bool
+	// marks are a chunk writer's buffer lengths at its flushIfFull calls.
+	marks []int
+	// slots are the chunk writers of the document's rows, made on first use.
+	slots []*chunkSlot
 }
 
 func newJSONWriter(w io.Writer) jsonWriter {
@@ -70,11 +79,127 @@ func (j *jsonWriter) flush() {
 }
 
 // flushIfFull drains the buffer once it has grown past flushAt. Called
-// between records, so a record is never split by a failed write.
+// between records, so a record is never split by a failed write. A chunk
+// writer marks the point instead, for its owner to replay (put).
 func (j *jsonWriter) flushIfFull() {
+	if j.w == nil {
+		if j.err == nil {
+			j.marks = append(j.marks, len(j.b))
+		}
+		return
+	}
 	if len(j.b) >= flushAt {
 		j.flush()
 	}
+}
+
+// Ordered parallel export: rows encodes chunk c of chunkRecs records into
+// slot c mod chunkSlots, on encoder c mod chunkEncoders. Encoder 0 is the
+// caller, which also appends every chunk to its buffer in chunk order; the
+// others are helper goroutines. chunkSlots is a multiple of chunkEncoders,
+// so a slot has one encoder. Memory is fixed whatever GOMAXPROCS is.
+const (
+	chunkRecs     = 128
+	chunkSlots    = 4
+	chunkEncoders = 2
+)
+
+// chunkSlot is a chunk writer with its hand-off tokens: ready passes a
+// helper's encoded chunk to the caller, free passes the drained slot back.
+type chunkSlot struct {
+	jsonWriter
+	ready, free chan struct{}
+}
+
+func newChunkSlot() *chunkSlot {
+	s := &chunkSlot{ready: make(chan struct{}, 1), free: make(chan struct{}, 1)}
+	s.b, s.memo, s.marks = make([]byte, 0, flushAt+4096), new(floatMemo), make([]int, 0, chunkRecs)
+	s.free <- struct{}{}
+	return s
+}
+
+// rows writes records 0..n-1 in order: rec(w, i) appends record i to w and
+// calls w.flushIfFull wherever the document may be drained. Helpers share
+// the chunks when GOMAXPROCS allows and there are two chunks or more; put
+// replays each chunk's marks, so every Write receives the bytes it would if
+// rec ran on j itself. The first failure in record order latches, later
+// chunks are dropped, and every helper has exited when rows returns. On a
+// chunk writer, a list nested in a record, the records join its chunk.
+func (j *jsonWriter) rows(n int, rec func(w *jsonWriter, i int)) {
+	if j.w == nil {
+		j.encode(0, n, rec)
+		return
+	}
+	if n == 0 || j.err != nil {
+		return
+	}
+	chunks := (n + chunkRecs - 1) / chunkRecs
+	encoders, slots := min(runtime.GOMAXPROCS(0), chunkEncoders), chunkSlots
+	if chunks < 2 || encoders < 2 {
+		encoders, slots = 1, 1
+	}
+	for len(j.slots) < slots {
+		j.slots = append(j.slots, newChunkSlot())
+	}
+	set, started := j.slots[:slots], j.started
+	fill := func(s *chunkSlot, c int) {
+		s.b, s.marks, s.err, s.bad, s.started = s.b[:0], s.marks[:0], nil, "", started
+		s.encode(c*chunkRecs, min(n, (c+1)*chunkRecs), rec)
+	}
+	var helpers sync.WaitGroup
+	stop := make(chan struct{})
+	defer helpers.Wait()
+	defer close(stop)
+	for k := 1; k < encoders; k++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			for c := k; c < chunks; c += encoders {
+				s := set[c%slots]
+				select {
+				case <-s.free:
+				case <-stop:
+					return
+				}
+				fill(s, c)
+				s.ready <- struct{}{}
+			}
+		}()
+	}
+	for c := 0; c < chunks && j.err == nil; c++ {
+		s, mine := set[c%slots], c%encoders == 0
+		if mine {
+			fill(s, c)
+		} else {
+			<-s.ready
+		}
+		j.put(&s.jsonWriter)
+		if !mine {
+			s.free <- struct{}{}
+		}
+	}
+}
+
+// encode appends records from..to-1, stopping at the first failure.
+func (j *jsonWriter) encode(from, to int, rec func(w *jsonWriter, i int)) {
+	for i := from; i < to && j.err == nil; i++ {
+		rec(j, i)
+	}
+}
+
+// put appends an encoded chunk, draining at its marks as the sequential
+// encoder drains at them, and latches the chunk's failure after its bytes.
+func (j *jsonWriter) put(s *jsonWriter) {
+	from := 0
+	for _, m := range s.marks {
+		j.b = append(j.b, s.b[from:m]...)
+		from = m
+		if j.flushIfFull(); j.err != nil {
+			return
+		}
+	}
+	j.b = append(j.b, s.b[from:]...)
+	j.err = s.err
 }
 
 func (j *jsonWriter) raw(s string) { j.b = append(j.b, s...) }
@@ -171,8 +296,8 @@ func (j *jsonWriter) nl(depth int) {
 
 // member starts the next member of the object being written at depth. No
 // value ends in '{', so that byte can only be the object's opening brace —
-// and the buffer cannot be empty here, because it is only drained between
-// array elements (see rows).
+// and the buffer cannot be empty here, because it is only drained, and a
+// chunk writer only started, between array elements (see array).
 func (j *jsonWriter) member(depth int, key string) {
 	if j.b[len(j.b)-1] != '{' {
 		j.b = append(j.b, ',')
@@ -198,24 +323,25 @@ func (j *jsonWriter) floatMember(depth int, key string, v float64) {
 	j.float(key, v)
 }
 
-// rows writes member key of the object at depth as an array of n objects,
-// row(i) writing the members of the i-th at depth+2. A non-finite float in a
-// row fails the document with an error naming the row and the member.
-func (j *jsonWriter) rows(depth int, key string, n int, row func(i int)) {
+// array writes member key of the object at depth as an array of n objects,
+// row(w, i) writing the members of the i-th to w at depth+2. A non-finite
+// float in a row fails the document with an error naming the row and the
+// member.
+func (j *jsonWriter) array(depth int, key string, n int, row func(w *jsonWriter, i int)) {
 	j.member(depth, key)
 	j.b = append(j.b, '[')
-	for i := 0; i < n && j.err == nil; i++ {
+	j.rows(n, func(w *jsonWriter, i int) {
 		if i > 0 {
-			j.b = append(j.b, ',')
+			w.b = append(w.b, ',')
 		}
-		j.flushIfFull()
-		j.nl(depth + 1)
-		j.b = append(j.b, '{')
-		row(i)
-		j.nl(depth + 1)
-		j.b = append(j.b, '}')
-		j.check(key, i)
-	}
+		w.flushIfFull()
+		w.nl(depth + 1)
+		w.b = append(w.b, '{')
+		row(w, i)
+		w.nl(depth + 1)
+		w.b = append(w.b, '}')
+		w.check(key, i)
+	})
 	if n > 0 {
 		j.nl(depth)
 	}
@@ -270,71 +396,64 @@ func pidOf(cat string) int {
 // expects.
 func usec(t float64) float64 { return t * 1e6 }
 
-// traceEncoder writes one Chrome trace-event JSON document, event by event.
-// It is the single serializer behind the batch exporter (WriteTraceJSON) and
-// the streaming one (Streamer): the two differ only in the order they feed
-// it. An event's members are written in a fixed order and its args in
-// alphabetical key order, so equal events always yield equal bytes.
-type traceEncoder struct {
-	jsonWriter
-	started bool
-}
-
-func newTraceEncoder(w io.Writer) traceEncoder {
-	return traceEncoder{jsonWriter: newJSONWriter(w)}
-}
+// The trace-event methods below write one Chrome trace-event JSON document,
+// event by event. They are the single serializer behind the batch exporter
+// (WriteTraceJSON) and the streaming one (Streamer): the two differ only in
+// the order they feed them. An event's members are written in a fixed order
+// and its args in alphabetical key order, so equal events always yield equal
+// bytes.
 
 // open begins the next event: the document header before the first, a
 // separating comma before every later one.
-func (e *traceEncoder) open() {
-	if e.started {
-		e.b = append(e.b, ',')
+func (j *jsonWriter) open() {
+	if j.started {
+		j.b = append(j.b, ',')
 		return
 	}
-	e.started = true
-	e.raw(`{"traceEvents":[`)
+	j.started = true
+	j.raw(`{"traceEvents":[`)
 }
 
 // head writes an event's leading members up to and including "ts"; field is
 // the name a non-finite ts is reported under.
-func (e *traceEncoder) head(name, cat, ph, field string, ts float64) {
-	e.open()
-	e.raw(`{"name":`)
-	e.str(name)
+func (j *jsonWriter) head(name, cat, ph, field string, ts float64) {
+	j.open()
+	j.raw(`{"name":`)
+	j.str(name)
 	if cat != "" {
-		e.raw(`,"cat":`)
-		e.str(cat)
+		j.raw(`,"cat":`)
+		j.str(cat)
 	}
-	e.raw(`,"ph":"`)
-	e.raw(ph)
-	e.raw(`","ts":`)
-	e.float(field, ts)
+	j.raw(`,"ph":"`)
+	j.raw(ph)
+	j.raw(`","ts":`)
+	j.float(field, ts)
 }
 
 // ids writes the "pid" and "tid" members.
-func (e *traceEncoder) ids(pid, tid int) {
-	e.raw(`,"pid":`)
-	e.int(int64(pid))
-	e.raw(`,"tid":`)
-	e.int(int64(tid))
+func (j *jsonWriter) ids(pid, tid int) {
+	j.raw(`,"pid":`)
+	j.int(int64(pid))
+	j.raw(`,"tid":`)
+	j.int(int64(tid))
 }
 
 // meta writes a metadata event (kind is process_name or thread_name)
 // labelling a process group or one of its tracks.
-func (e *traceEncoder) meta(kind string, pid, tid int, label string) {
-	e.head(kind, "", "M", "", 0)
-	e.ids(pid, tid)
-	e.raw(`,"args":{"name":`)
-	e.str(label)
-	e.raw(`}}`)
+func (j *jsonWriter) meta(kind string, pid, tid int, label string) {
+	j.head(kind, "", "M", "", 0)
+	j.ids(pid, tid)
+	j.raw(`,"args":{"name":`)
+	j.str(label)
+	j.raw(`}}`)
 }
 
 // span writes one span: an async "b"/"e" pair keyed by the message sequence
 // number on the network group (transfers on a shared link overlap), a
 // complete "X" event anywhere else. A non-finite time or attribute fails the
 // document with an error naming the span and the field.
-func (e *traceEncoder) span(s *Span, pid, tid int) {
-	if e.err != nil {
+func (j *jsonWriter) span(s *Span, pid, tid int) {
+	if j.err != nil {
 		return
 	}
 	name := s.Name
@@ -342,103 +461,103 @@ func (e *traceEncoder) span(s *Span, pid, tid int) {
 		name = s.Cat
 	}
 	if pid == pidNet {
-		e.head(name, s.Cat, "b", "Start", usec(s.Start))
-		e.ids(pid, tid)
-		e.id(s.Seq)
-		e.args(s)
-		e.b = append(e.b, '}')
-		e.head(name, s.Cat, "e", "End", usec(s.End))
-		e.ids(pid, tid)
-		e.id(s.Seq)
-		e.b = append(e.b, '}')
+		j.head(name, s.Cat, "b", "Start", usec(s.Start))
+		j.ids(pid, tid)
+		j.id(s.Seq)
+		j.args(s)
+		j.b = append(j.b, '}')
+		j.head(name, s.Cat, "e", "End", usec(s.End))
+		j.ids(pid, tid)
+		j.id(s.Seq)
+		j.b = append(j.b, '}')
 	} else {
-		e.head(name, s.Cat, "X", "Start", usec(s.Start))
-		e.raw(`,"dur":`)
-		e.float("End", usec(s.End-s.Start))
-		e.ids(pid, tid)
-		e.args(s)
-		e.b = append(e.b, '}')
+		j.head(name, s.Cat, "X", "Start", usec(s.Start))
+		j.raw(`,"dur":`)
+		j.float("End", usec(s.End-s.Start))
+		j.ids(pid, tid)
+		j.args(s)
+		j.b = append(j.b, '}')
 	}
-	if e.bad != "" {
-		e.err = fmt.Errorf("obs: span %q on track %q: %s is not a finite number", name, s.Track, e.bad)
+	if j.bad != "" {
+		j.err = fmt.Errorf("obs: span %q on track %q: %s is not a finite number", name, s.Track, j.bad)
 		return
 	}
-	e.flushIfFull()
+	j.flushIfFull()
 }
 
 // id writes the async-pair "id" member, omitted when zero.
-func (e *traceEncoder) id(seq int64) {
+func (j *jsonWriter) id(seq int64) {
 	if seq != 0 {
-		e.raw(`,"id":`)
-		e.int(seq)
+		j.raw(`,"id":`)
+		j.int(seq)
 	}
 }
 
 // arg begins one member of the args object. No value ends in '{', so that
 // byte can only be the object's own opening brace.
-func (e *traceEncoder) arg(key string) {
-	if e.b[len(e.b)-1] != '{' {
-		e.b = append(e.b, ',')
+func (j *jsonWriter) arg(key string) {
+	if j.b[len(j.b)-1] != '{' {
+		j.b = append(j.b, ',')
 	}
-	e.b = append(e.b, '"')
-	e.raw(key)
-	e.raw(`":`)
+	j.b = append(j.b, '"')
+	j.raw(key)
+	j.raw(`":`)
 }
 
 // args writes a span's non-zero attributes as the "args" object, keys in
 // alphabetical order; a span with none gets no "args" member.
-func (e *traceEncoder) args(s *Span) {
-	n := len(e.b)
-	e.raw(`,"args":{`)
+func (j *jsonWriter) args(s *Span) {
+	n := len(j.b)
+	j.raw(`,"args":{`)
 	if s.Bytes != 0 {
-		e.arg("bytes")
-		e.int(s.Bytes)
+		j.arg("bytes")
+		j.int(s.Bytes)
 	}
 	if s.Cause != 0 {
-		e.arg("cause")
-		e.int(s.Cause)
+		j.arg("cause")
+		j.int(s.Cause)
 	}
 	if s.Flops != 0 {
-		e.arg("flops")
-		e.float("Flops", s.Flops)
+		j.arg("flops")
+		j.float("Flops", s.Flops)
 	}
 	if s.From != "" {
-		e.arg("from")
-		e.str(s.From)
+		j.arg("from")
+		j.str(s.From)
 	}
 	if s.Iter != 0 {
-		e.arg("iter")
-		e.int(int64(s.Iter))
+		j.arg("iter")
+		j.int(int64(s.Iter))
 	}
 	if s.Link != "" {
-		e.arg("link")
-		e.str(s.Link)
+		j.arg("link")
+		j.str(s.Link)
 	}
 	if s.Note != "" {
-		e.arg("note")
-		e.str(s.Note)
+		j.arg("note")
+		j.str(s.Note)
 	}
 	if s.Queue != 0 {
-		e.arg("queue")
-		e.float("Queue", s.Queue)
+		j.arg("queue")
+		j.float("Queue", s.Queue)
 	}
 	if s.Seq != 0 {
-		e.arg("seq")
-		e.int(s.Seq)
+		j.arg("seq")
+		j.int(s.Seq)
 	}
 	if s.Tag != 0 {
-		e.arg("tag")
-		e.int(int64(s.Tag))
+		j.arg("tag")
+		j.int(int64(s.Tag))
 	}
 	if s.To != "" {
-		e.arg("to")
-		e.str(s.To)
+		j.arg("to")
+		j.str(s.To)
 	}
-	if e.b[len(e.b)-1] == '{' {
-		e.b = e.b[:n]
+	if j.b[len(j.b)-1] == '{' {
+		j.b = j.b[:n]
 		return
 	}
-	e.b = append(e.b, '}')
+	j.b = append(j.b, '}')
 }
 
 // counterNamer builds the counter-track name "series:track" of a sample.
@@ -454,29 +573,29 @@ func (c *counterNamer) of(sp *SamplePoint) string {
 }
 
 // counter writes one metric sample as a counter event on the metrics group.
-func (e *traceEncoder) counter(name string, tid int, t, v float64) {
-	if e.err != nil {
+func (j *jsonWriter) counter(name string, tid int, t, v float64) {
+	if j.err != nil {
 		return
 	}
-	e.head(name, "", "C", "T", usec(t))
-	e.ids(pidMetrics, tid)
-	e.raw(`,"args":{"value":`)
-	e.float("V", v)
-	e.raw(`}}`)
-	if e.bad != "" {
-		e.err = fmt.Errorf("obs: sample %q: %s is not a finite number", name, e.bad)
+	j.head(name, "", "C", "T", usec(t))
+	j.ids(pidMetrics, tid)
+	j.raw(`,"args":{"value":`)
+	j.float("V", v)
+	j.raw(`}}`)
+	if j.bad != "" {
+		j.err = fmt.Errorf("obs: sample %q: %s is not a finite number", name, j.bad)
 		return
 	}
-	e.flushIfFull()
+	j.flushIfFull()
 }
 
 // finish terminates the document, drains the buffer and returns the first
 // failure.
-func (e *traceEncoder) finish() error {
-	if !e.started {
-		e.open()
+func (j *jsonWriter) finish() error {
+	if !j.started {
+		j.open()
 	}
-	e.raw("],\"displayTimeUnit\":\"ms\"}\n")
-	e.flush()
-	return e.err
+	j.raw("],\"displayTimeUnit\":\"ms\"}\n")
+	j.flush()
+	return j.err
 }

@@ -291,7 +291,7 @@ func randSpan(rng *rand.Rand) Span {
 // of a document and returns the bare event bytes.
 func encodeSpan(s Span, pid, tid int) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := newTraceEncoder(&buf)
+	enc := newJSONWriter(&buf)
 	enc.span(&s, pid, tid)
 	if err := enc.finish(); err != nil {
 		return nil, err

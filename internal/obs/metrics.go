@@ -246,18 +246,18 @@ func (f *spanFold) metrics(r *Recorder, makespan float64) *Metrics {
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	j := newJSONWriter(w)
 	// list writes a slice member: null for a nil slice, as encoding/json does.
-	list := func(depth int, key string, n int, isNil bool, row func(i int)) {
+	list := func(j *jsonWriter, depth int, key string, n int, isNil bool, row func(j *jsonWriter, i int)) {
 		if isNil {
 			j.member(depth, key)
 			j.raw("null")
 			return
 		}
-		j.rows(depth, key, n, row)
+		j.array(depth, key, n, row)
 	}
 	j.b = append(j.b, '{')
 	j.floatMember(1, "makespan", m.Makespan)
 	j.check("metrics", -1)
-	list(1, "hosts", len(m.Hosts), m.Hosts == nil, func(i int) {
+	list(&j, 1, "hosts", len(m.Hosts), m.Hosts == nil, func(j *jsonWriter, i int) {
 		h := &m.Hosts[i]
 		j.strMember(3, "track", h.Track)
 		j.floatMember(3, "compute", h.Compute)
@@ -268,7 +268,7 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		j.floatMember(3, "flops", h.Flops)
 		j.floatMember(3, "utilization", h.Utilization)
 	})
-	list(1, "links", len(m.Links), m.Links == nil, func(i int) {
+	list(&j, 1, "links", len(m.Links), m.Links == nil, func(j *jsonWriter, i int) {
 		l := &m.Links[i]
 		j.strMember(3, "link", l.Link)
 		j.floatMember(3, "bytes", l.Bytes)
@@ -286,17 +286,17 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		j.b = append(j.b, '}')
 		j.check("traffic", -1)
 	}
-	list(1, "counters", len(m.Counters), m.Counters == nil, func(i int) {
+	list(&j, 1, "counters", len(m.Counters), m.Counters == nil, func(j *jsonWriter, i int) {
 		c := &m.Counters[i]
 		j.strMember(3, "Name", c.Name)
 		j.strMember(3, "Track", c.Track)
 		j.floatMember(3, "Value", c.Value)
 	})
-	list(1, "series", len(m.Series), m.Series == nil, func(i int) {
+	list(&j, 1, "series", len(m.Series), m.Series == nil, func(j *jsonWriter, i int) {
 		s := &m.Series[i]
 		j.strMember(3, "series", s.Series)
 		j.strMember(3, "track", s.Track)
-		list(3, "points", len(s.Points), s.Points == nil, func(k int) {
+		list(j, 3, "points", len(s.Points), s.Points == nil, func(j *jsonWriter, k int) {
 			j.floatMember(5, "t", s.Points[k].T)
 			j.floatMember(5, "v", s.Points[k].V)
 		})

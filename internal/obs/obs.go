@@ -169,6 +169,9 @@ func linkCounter(name string) int {
 // the per-iteration allocation storms the event-core refactor removes.
 const spanChunk = 4096
 
+// sortSplit is the span count from which exportOrder sorts in two halves.
+const sortSplit = 4096
+
 // Recorder collects spans, samples and counters from an engine run. The zero
 // value is ready to use; a nil *Recorder is a valid no-op sink (every method
 // checks). A Recorder must only be fed from serialized emission points (see
@@ -442,7 +445,9 @@ func (r *Recorder) at(pos int32) *Span {
 // exportOrder returns the chunk positions of the stored spans sorted by
 // (Start, Track, emission order) — nil for a nil, streaming or journal
 // recorder, which stores none. A position is the span's emission index, so
-// the last key breaks ties the way the emission index always did.
+// the last key breaks ties the way the emission index always did, and the
+// key is a strict total order: from sortSplit spans on, the two halves are
+// sorted side by side and merged, giving the permutation one sort gives.
 func (r *Recorder) exportOrder() []int32 {
 	if r == nil {
 		return nil
@@ -454,7 +459,7 @@ func (r *Recorder) exportOrder() []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
+	compare := func(a, b int32) int {
 		sa, sb := r.at(a), r.at(b)
 		if c := cmp.Compare(sa.Start, sb.Start); c != 0 {
 			return c
@@ -463,7 +468,31 @@ func (r *Recorder) exportOrder() []int32 {
 			return c
 		}
 		return cmp.Compare(a, b)
-	})
+	}
+	if len(order) < sortSplit {
+		slices.SortFunc(order, compare)
+	} else {
+		h := len(order) / 2
+		done := make(chan struct{})
+		go func() {
+			slices.SortFunc(order[:h], compare)
+			close(done)
+		}()
+		slices.SortFunc(order[h:], compare)
+		<-done
+		// Merge through a copy of the first half: the write position never
+		// passes the read position in the second.
+		first := slices.Clone(order[:h])
+		i, k, o := 0, h, 0
+		for ; i < len(first) && k < len(order); o++ {
+			if compare(order[k], first[i]) < 0 {
+				order[o], k = order[k], k+1
+			} else {
+				order[o], i = first[i], i+1
+			}
+		}
+		copy(order[o:], first[i:])
+	}
 	r.order = order
 	return order
 }

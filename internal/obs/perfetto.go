@@ -38,7 +38,7 @@ func WriteTraceJSON(w io.Writer, r *Recorder) error {
 		note(pidMetrics, counter.of(&samples[i]))
 	}
 
-	enc := newTraceEncoder(w)
+	enc := newJSONWriter(w)
 	for pid, set := range tids {
 		if len(set) == 0 {
 			continue
@@ -55,11 +55,11 @@ func WriteTraceJSON(w io.Writer, r *Recorder) error {
 		}
 	}
 
-	for _, pos := range order {
-		s := r.at(pos)
+	enc.rows(len(order), func(j *jsonWriter, i int) {
+		s := r.at(order[i])
 		pid := pidOf(s.Cat)
-		enc.span(s, pid, tids[pid][s.Track])
-	}
+		j.span(s, pid, tids[pid][s.Track])
+	})
 
 	for i := range samples {
 		name := counter.of(&samples[i])

@@ -131,7 +131,7 @@ type Streamer struct {
 // streamOut is everything downstream of a flush: the document's encoder,
 // the tids of the tracks written so far and the fold of the flushed spans.
 type streamOut struct {
-	enc traceEncoder
+	enc jsonWriter
 	// tids holds, per process group and track id, the track's tid plus one
 	// (zero until its metadata is written).
 	tids  [pidMetrics + 1][]int32
@@ -154,7 +154,7 @@ func NewStreamer(w io.Writer, ring int) *Streamer {
 		ids:   map[string]int32{},
 		work:  make(chan []streamedSpan, streamBatches),
 		spare: make(chan []streamedSpan, streamBatches),
-		out:   &streamOut{enc: newTraceEncoder(w)},
+		out:   &streamOut{enc: newJSONWriter(w)},
 	}
 	for range streamBatches {
 		st.spare <- make([]streamedSpan, 0, streamBatch)

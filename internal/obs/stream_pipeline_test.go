@@ -3,10 +3,8 @@ package obs
 import (
 	"bytes"
 	"io"
-	"runtime"
 	"sort"
 	"testing"
-	"time"
 )
 
 // The streamer formats its spans on an encoder goroutine fed in batches of
@@ -70,7 +68,7 @@ func sequentialStream(t *testing.T, w io.Writer, spans []Span, samples []SampleP
 		}
 		return a.Track < b.Track
 	})
-	enc := newTraceEncoder(w)
+	enc := newJSONWriter(w)
 	var fold spanFold
 	if width > 0 {
 		fold.windows = NewWindowAccum(width)
@@ -189,23 +187,17 @@ func (w gateWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// settled polls runtime.NumGoroutine until it is at most want or two seconds
-// have passed, and returns the last count.
-func settled(want int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
-	}
-	return n
-}
-
 // TestStreamerLeavesNoGoroutine: the encoder goroutine runs while batches
 // are queued — here held up by a writer that blocks — and is gone after
 // Close, and also after a streamer that was never closed once its queued
-// batches are written.
+// batches are written. Only goroutines running this package's code count,
+// so goroutines of the test binary or of an earlier test do not make it
+// flaky.
 func TestStreamerLeavesNoGoroutine(t *testing.T) {
 	for _, closed := range []bool{true, false} {
-		base := runtime.NumGoroutine()
+		if n := obsGoroutines(0); n != 0 {
+			t.Fatalf("closed=%v: %d goroutines of the package before the streamer starts", closed, n)
+		}
 		w := gateWriter{gate: make(chan struct{})}
 		rec := &Recorder{}
 		st := NewStreamer(w, 0)
@@ -215,8 +207,8 @@ func TestStreamerLeavesNoGoroutine(t *testing.T) {
 			rec.Span(spans[i])
 			rec.Advance(spans[i].Start)
 		}
-		if n := runtime.NumGoroutine(); n != base+1 {
-			t.Fatalf("closed=%v: %d goroutines while the writer blocks, want %d (one encoder)", closed, n, base+1)
+		if n := obsGoroutines(1); n != 1 {
+			t.Fatalf("closed=%v: %d goroutines of the package while the writer blocks, want 1 (the encoder)", closed, n)
 		}
 		close(w.gate)
 		if closed {
@@ -224,8 +216,8 @@ func TestStreamerLeavesNoGoroutine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := settled(base); n != base {
-			t.Fatalf("closed=%v: %d goroutines left, want %d", closed, n, base)
+		if n := obsGoroutines(0); n != 0 {
+			t.Fatalf("closed=%v: %d goroutines of the package left, want 0", closed, n)
 		}
 	}
 }

@@ -495,7 +495,7 @@ func (wm *WindowedMetrics) WriteJSON(w io.Writer) error {
 	j.intMember(1, "windows", wm.Windows)
 	j.check("windows", -1)
 	if len(wm.Hosts) > 0 {
-		j.rows(1, "hosts", len(wm.Hosts), func(i int) {
+		j.array(1, "hosts", len(wm.Hosts), func(j *jsonWriter, i int) {
 			h := &wm.Hosts[i]
 			j.strMember(3, "track", h.Track)
 			j.intMember(3, "w", h.W)
@@ -512,7 +512,7 @@ func (wm *WindowedMetrics) WriteJSON(w io.Writer) error {
 		})
 	}
 	if len(wm.Links) > 0 {
-		j.rows(1, "links", len(wm.Links), func(i int) {
+		j.array(1, "links", len(wm.Links), func(j *jsonWriter, i int) {
 			l := &wm.Links[i]
 			j.strMember(3, "link", l.Link)
 			j.intMember(3, "w", l.W)
@@ -524,7 +524,7 @@ func (wm *WindowedMetrics) WriteJSON(w io.Writer) error {
 		})
 	}
 	if len(wm.Series) > 0 {
-		j.rows(1, "series", len(wm.Series), func(i int) {
+		j.array(1, "series", len(wm.Series), func(j *jsonWriter, i int) {
 			s := &wm.Series[i]
 			j.strMember(3, "series", s.Series)
 			j.strMember(3, "track", s.Track)
@@ -537,7 +537,7 @@ func (wm *WindowedMetrics) WriteJSON(w io.Writer) error {
 		})
 	}
 	if len(wm.CritPath) > 0 {
-		j.rows(1, "critpath", len(wm.CritPath), func(i int) {
+		j.array(1, "critpath", len(wm.CritPath), func(j *jsonWriter, i int) {
 			c := &wm.CritPath[i]
 			j.intMember(3, "w", c.W)
 			j.floatMember(3, "compute", c.Compute)
