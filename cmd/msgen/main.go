@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/gen"
@@ -67,6 +68,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if least < 1 {
 		return usage("dimension %d of a %s matrix: must be at least 1", least, *kind)
+	}
+	// The generator reads a band or row count below 1 and a zero margin as
+	// "use the default", and a negative margin leaves the matrix without
+	// diagonal dominance.
+	if *kind == "dominant" {
+		switch {
+		case *band < 1:
+			return usage("-band %d: must be at least 1", *band)
+		case *perRow < 1:
+			return usage("-perrow %d: must be at least 1", *perRow)
+		case !(*margin > 0) || math.IsInf(*margin, 1): // NaN fails the comparison
+			return usage("-margin %g: must be finite and > 0", *margin)
+		}
 	}
 	if *format != "mm" && *format != "hb" {
 		return usage("unknown format %q", *format)

@@ -21,30 +21,41 @@ func msgen(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestRejectedInput: a dimension below 1, an unknown family or an unknown
-// format is one "msgen:" line and exit 2 — no panic out of the generators —
-// and the check comes before the output file is created.
+// format, and a band, row count or margin the dominant generator would
+// silently replace or could not make dominant, is one "msgen:" line and exit
+// 2 — no panic out of the generators — and the check comes before the output
+// file is created.
 func TestRejectedInput(t *testing.T) {
-	for _, args := range [][]string{
-		{"-kind", "cage", "-n", "-3"},
-		{"-kind", "poisson2d", "-nx", "-2"},
-		{"-kind", "poisson2d", "-ny", "0"},
-		{"-kind", "poisson3d", "-nz", "-1"},
-		{"-kind", "tridiag", "-n", "-1"},
-		{"-kind", "dominant", "-n", "-5"},
-		{"-n", "0"},
-		{"-kind", "bogus"},
-		{"-format", "xx"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kind", "cage", "-n", "-3"}, "dimension -3 of a cage matrix: must be at least 1"},
+		{[]string{"-kind", "poisson2d", "-nx", "-2"}, "dimension -2 of a poisson2d matrix"},
+		{[]string{"-kind", "poisson2d", "-ny", "0"}, "dimension 0 of a poisson2d matrix"},
+		{[]string{"-kind", "poisson3d", "-nz", "-1"}, "dimension -1 of a poisson3d matrix"},
+		{[]string{"-kind", "tridiag", "-n", "-1"}, "dimension -1 of a tridiag matrix"},
+		{[]string{"-kind", "dominant", "-n", "-5"}, "dimension -5 of a dominant matrix"},
+		{[]string{"-n", "0"}, "dimension 0 of a dominant matrix"},
+		{[]string{"-kind", "bogus"}, `unknown kind "bogus"`},
+		{[]string{"-format", "xx"}, `unknown format "xx"`},
+		{[]string{"-kind", "dominant", "-band", "0"}, "-band 0: must be at least 1"},
+		{[]string{"-perrow", "-2"}, "-perrow -2: must be at least 1"},
+		{[]string{"-kind", "dominant", "-margin", "-1"}, "-margin -1: must be finite and > 0"},
+		{[]string{"-margin", "0"}, "-margin 0: must be finite and > 0"},
+		{[]string{"-margin", "nan"}, "-margin NaN: must be finite and > 0"},
+		{[]string{"-margin", "inf"}, "-margin +Inf: must be finite and > 0"},
 	} {
 		target := filepath.Join(t.TempDir(), "f.mtx")
-		code, out, errs := msgen(append(args, "-o", target)...)
+		code, out, errs := msgen(append(tc.args, "-o", target)...)
 		if code != 2 || out != "" {
-			t.Errorf("msgen %v: exit %d, stdout %q; want usage status 2 and no output", args, code, out)
+			t.Errorf("msgen %v: exit %d, stdout %q; want usage status 2 and no output", tc.args, code, out)
 		}
-		if !strings.HasPrefix(errs, "msgen: ") || strings.Count(errs, "\n") != 1 {
-			t.Errorf("msgen %v: diagnostic %q, want one msgen: line", args, errs)
+		if !strings.HasPrefix(errs, "msgen: ") || !strings.Contains(errs, tc.want) || strings.Count(errs, "\n") != 1 {
+			t.Errorf("msgen %v: diagnostic %q, want one msgen: line with %q", tc.args, errs, tc.want)
 		}
 		if _, err := os.Stat(target); !os.IsNotExist(err) {
-			t.Errorf("msgen %v: left %s behind (stat: %v)", args, target, err)
+			t.Errorf("msgen %v: left %s behind (stat: %v)", tc.args, target, err)
 		}
 	}
 }

@@ -116,7 +116,7 @@ type spec struct {
 var (
 	schemes = map[string]core.WeightScheme{"owner": core.WeightOwner, "average": core.WeightAverage}
 	solvers = map[string]splu.Direct{
-		"sparse": &splu.SparseLU{}, "dense": splu.DenseSolver{}, "band": splu.BandSolver{Reorder: true},
+		"sparse": &splu.SparseLU{}, "dense": splu.DenseSolver{}, "band": splu.BandSolver{},
 	}
 )
 
@@ -163,7 +163,7 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&s.export.Window, "window", 0, "windowed telemetry: fold the run into fixed virtual-time windows of this width in seconds — per-window host utilization/wait share, link traffic/staleness, series and critical-path attribution; prints a summary, writes PREFIX.windows.{json,csv} with -metrics-out (0 = off; every other output stays byte-identical)")
 	fs.BoolVar(&s.export.StreamTrace, "stream-trace", false, "stream -trace-json incrementally behind a bounded flight-recorder ring instead of batch-exporting after the run: span memory stays bounded on huge grids, but the spans are not retained, so -critical-path is unavailable (default off keeps today's batch export byte-identical)")
 	fs.BoolVar(&s.opts.FaultTolerant, "ft", false, "enable the fault-tolerant mode (retransmission, timeouts, degraded operation)")
-	fs.Float64Var(&s.drop, "drop", 0, "drop each message on -drop-link with this probability")
+	fs.Float64Var(&s.drop, "drop", 0, "drop each message on -drop-link with this probability in [0, 1]")
 	fs.StringVar(&s.dropLink, "drop-link", "wan", "name of the link losing messages (cluster3's inter-site link is \"wan\")")
 	fs.StringVar(&s.crash, "crash", "", "crash schedule: comma-separated host@from:until windows in virtual seconds (until may be inf)")
 	fs.StringVar(&s.slow, "slow", "", "slowdown schedule: comma-separated host@from:until:factor windows (factor >= 1 stretches the host's compute; until may be inf)")
@@ -221,6 +221,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = errors.New("-procs must be >= 1")
 	case s.workers < 0:
 		err = errors.New("-workers must be >= 0")
+	case !(s.synHet >= 0 && s.synHet < 1): // NaN fails both comparisons
+		err = fmt.Errorf("-het %g outside [0, 1)", s.synHet)
+	case !(s.drop >= 0 && s.drop <= 1):
+		err = fmt.Errorf("-drop %g outside [0, 1]", s.drop)
 	case s.trace && s.export.StreamTrace:
 		err = errors.New("-stream-trace does not retain spans, so -trace has no timeline to draw; drop one of the two")
 	case s.twoStage && s.opts.TwoStage.InnerIters < 1:
@@ -270,8 +274,6 @@ func (s *spec) platform() (*cluster.Platform, error) {
 		return cluster.ByName(s.cluster, s.procs)
 	case s.synClusters < 1 || s.synClusters > s.synHosts:
 		return nil, fmt.Errorf("generated grid: %d clusters for %d hosts", s.synClusters, s.synHosts)
-	case s.synHet < 0 || s.synHet >= 1:
-		return nil, fmt.Errorf("generated grid: heterogeneity %g outside [0, 1)", s.synHet)
 	}
 	return cluster.Synthetic(s.synHosts, s.synClusters, s.synHet, s.synSeed), nil
 }

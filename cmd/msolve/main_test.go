@@ -218,6 +218,11 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-hosts", "12", "-procs", "0"}, "msolve: -procs must be >= 1\n"},
 		{[]string{"-lanes", "1"}, "flag provided but not defined: -lanes\nUsage of msolve:"},
 		{[]string{"-workers", "-1", "-o", "DIR/x.txt"}, "msolve: -workers must be >= 0\n"},
+		{[]string{"-hosts", "4", "-het", "nan"}, "msolve: -het NaN outside [0, 1)\n"},
+		{[]string{"-hosts", "4", "-het", "1"}, "msolve: -het 1 outside [0, 1)\n"},
+		{[]string{"-drop", "-0.5"}, "msolve: -drop -0.5 outside [0, 1]\n"},
+		{[]string{"-drop", "nan"}, "msolve: -drop NaN outside [0, 1]\n"},
+		{[]string{"-drop", "1.5"}, "msolve: -drop 1.5 outside [0, 1]\n"},
 		{[]string{"-cond", "-scheme", "bogus"}, "msolve: unknown scheme \"bogus\" (want average, owner)\n"},
 		{[]string{"-cond", "-solver", "bogus"}, "msolve: unknown solver \"bogus\" (want band, dense, sparse)\n"},
 		{[]string{"-two-stage", "-inner-schedule", "nope"}, "msolve: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},

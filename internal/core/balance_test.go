@@ -126,7 +126,7 @@ func TestSolverPerRank(t *testing.T) {
 		SolverPerRank: []splu.Direct{
 			&splu.SparseLU{},
 			splu.DenseSolver{},
-			splu.BandSolver{Reorder: true},
+			splu.BandSolver{},
 			nil, // falls back to the default solver
 		},
 	})

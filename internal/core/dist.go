@@ -55,7 +55,7 @@ type Options struct {
 	// Scheme selects the E_lk weighting family (owner or average).
 	Scheme WeightScheme
 	// Solver is the sequential direct method used per band
-	// (default: sparse LU with RCM ordering, the SuperLU stand-in).
+	// (default: sparse LU in natural order, the SuperLU stand-in).
 	Solver splu.Direct
 	// Tol is the successive-iterate infinity-norm accuracy (default 1e-8,
 	// the paper's setting).

@@ -152,7 +152,7 @@ func TestMultibandSolverPerRank(t *testing.T) {
 		Solver: countingSolver{&splu.SparseLU{}, &counts[2]},
 		SolverPerRank: []splu.Direct{
 			countingSolver{splu.DenseSolver{}, &counts[0]},
-			countingSolver{splu.BandSolver{Reorder: true}, &counts[1]},
+			countingSolver{splu.BandSolver{}, &counts[1]},
 			nil,
 		},
 	})

@@ -316,7 +316,7 @@ func TestNewtonDistributedRefactorFlopReduction(t *testing.T) {
 	p, xtrue := sparseCubicProblem(400, 12)
 	opt := Options{
 		NewtonTol: 1e-12,
-		Inner:     core.Options{Tol: 1e-10, Overlap: 8, Solver: &splu.SparseLU{PivotTol: 0.1}},
+		Inner:     core.Options{Tol: 1e-10, Overlap: 8, Solver: &splu.SparseLU{}},
 	}
 	res, err := SolveDistributed(newLan4, p, opt)
 	if err != nil {

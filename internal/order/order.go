@@ -1,6 +1,6 @@
 // Package order implements the fill-reducing and stability orderings used by
 // the direct solvers: reverse Cuthill–McKee (bandwidth reduction before the
-// banded and sparse LU factorizations) and a maximum-transversal row
+// banded LU and the distributed LU baseline) and a maximum-transversal row
 // permutation (static pivoting, the strategy SuperLU_DIST uses and that our
 // distributed baseline adopts).
 package order

@@ -8,21 +8,14 @@ import (
 )
 
 // SolveT solves Aᵀ·x = b using the factors (b is not modified; may alias x).
-// With A·Q = P⁻¹·L·U the transpose system factors as Uᵀ·Lᵀ·P⁻ᵀ·x = Qᵀ·b.
+// With A = P⁻¹·L·U the transpose system factors as Uᵀ·Lᵀ·P⁻ᵀ·x = b.
 func (f *sparseFactors) SolveT(x, b []float64, c *vec.Counter) {
 	n := f.n
 	if len(x) != n || len(b) != n {
 		panic("splu: SolveT shape mismatch")
 	}
-	y := f.work // every entry is overwritten before it is read
-	// y = Qᵀ·b.
-	if f.q != nil {
-		for k := 0; k < n; k++ {
-			y[k] = b[f.q[k]]
-		}
-	} else {
-		copy(y, b)
-	}
+	y := f.work
+	copy(y, b)
 	// Forward solve Uᵀ·w = y: row k of Uᵀ is column k of U (diagonal last).
 	up, ui, ux, us := f.up, f.ui, f.ux, f.us
 	for k := 0; k < n; k++ {

@@ -1,9 +1,9 @@
 // Numeric refactorization: recompute factor values through a frozen symbolic
 // structure. This is the KLU-style split the paper's Remark 4 economy extends
-// to sequences of same-pattern systems (Newton-multisplitting): the ordering,
-// reachability sets, L/U pattern, permutations and scratch buffers from the
-// first Factor are reused, so each later factorization is pure arithmetic —
-// no DFS, no reordering, no allocation.
+// to sequences of same-pattern systems (Newton-multisplitting): the pivot
+// order, reachability sets, L/U pattern and scratch buffers from the first
+// Factor are reused, so each later factorization is pure arithmetic — no DFS,
+// no pivot search, no allocation.
 
 package splu
 
@@ -47,8 +47,8 @@ type Refactorer interface {
 // pass reproduces Factor's arithmetic exactly: on unchanged values the
 // factors are bit-identical.
 //
-// Pivot degradation: the frozen pivot of column k is accepted while
-// |piv| >= PivotTol·max|column| (the same threshold Factor pivots with).
+// Pivot degradation: the frozen pivot of column k is accepted while it is
+// still the largest of its column, ties included (the rule Factor pivots by).
 // When new values break that bound — or produce an exact zero — the frozen
 // order is no longer trustworthy, so Refactor falls back to a full Factor
 // with fresh pivoting and adopts its factors in place. A fallback is seen on
@@ -70,7 +70,7 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 	lp, li, lx := f.lp, f.li, f.lx
 	up, ux := f.up, f.ux
 	for k := 0; k < n; k++ {
-		// Scatter A's column q[k] into pivotal coordinates.
+		// Scatter A's column k into pivotal coordinates.
 		lo, hi := f.acp[k], f.acp[k+1]
 		for t, i := range f.ari[lo:hi] {
 			x[i] = a.Val[f.avp[lo+t]]
@@ -99,14 +99,14 @@ func (f *sparseFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 				a0 = t
 			}
 		}
-		if piv == 0 || a0 == 0 || math.Abs(piv) < a0*f.tol {
+		if piv == 0 || a0 == 0 || math.Abs(piv) < a0 {
 			// Frozen pivot degraded: clear the scratch and re-factor with
 			// fresh pivoting, adopting the new factors in place so callers
 			// holding the Factorization keep a valid handle.
 			for i := range x {
 				x[i] = 0
 			}
-			nf, err := f.opts.Factor(a, c)
+			nf, err := (&SparseLU{}).Factor(a, c)
 			if err != nil {
 				return err
 			}

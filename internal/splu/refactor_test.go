@@ -34,45 +34,43 @@ func perturb(a *sparse.CSR, eps float64) *sparse.CSR {
 }
 
 func TestRefactorUnchangedBitIdentical(t *testing.T) {
-	for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
-		a := gen.DiagDominant(gen.DiagDominantOpts{N: 200, Band: 8, PerRow: 5, Seed: 7})
-		var c vec.Counter
-		fact, err := (&SparseLU{Order: ord}).Factor(a, &c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := fact.(*sparseFactors)
-		lx := append([]float64(nil), f.lx...)
-		ux := append([]float64(nil), f.ux...)
-		pinv := append([]int(nil), f.pinv...)
-		solveFlops := f.SolveFlops()
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 200, Band: 8, PerRow: 5, Seed: 7})
+	var c vec.Counter
+	fact, err := (&SparseLU{}).Factor(a, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fact.(*sparseFactors)
+	lx := append([]float64(nil), f.lx...)
+	ux := append([]float64(nil), f.ux...)
+	pinv := append([]int(nil), f.pinv...)
+	solveFlops := f.SolveFlops()
 
-		// A fallback would charge a full Factor, not RefactorFlops.
-		want, c0 := f.RefactorFlops(), c.Flops()
-		if err := f.Refactor(sameValues(a), &c); err != nil {
-			t.Fatalf("order %v: Refactor: %v", ord, err)
+	// A fallback would charge a full Factor, not RefactorFlops.
+	want, c0 := f.RefactorFlops(), c.Flops()
+	if err := f.Refactor(sameValues(a), &c); err != nil {
+		t.Fatalf("Refactor: %v", err)
+	}
+	if c.Flops()-c0 != want {
+		t.Fatal("unexpected fallback on unchanged values")
+	}
+	for p := range lx {
+		if f.lx[p] != lx[p] {
+			t.Fatalf("L value %d changed: %v vs %v", p, f.lx[p], lx[p])
 		}
-		if c.Flops()-c0 != want {
-			t.Fatalf("order %v: unexpected fallback on unchanged values", ord)
+	}
+	for p := range ux {
+		if f.ux[p] != ux[p] {
+			t.Fatalf("U value %d changed: %v vs %v", p, f.ux[p], ux[p])
 		}
-		for p := range lx {
-			if f.lx[p] != lx[p] {
-				t.Fatalf("order %v: L value %d changed: %v vs %v", ord, p, f.lx[p], lx[p])
-			}
+	}
+	for i := range pinv {
+		if f.pinv[i] != pinv[i] {
+			t.Fatalf("pinv[%d] changed", i)
 		}
-		for p := range ux {
-			if f.ux[p] != ux[p] {
-				t.Fatalf("order %v: U value %d changed: %v vs %v", ord, p, f.ux[p], ux[p])
-			}
-		}
-		for i := range pinv {
-			if f.pinv[i] != pinv[i] {
-				t.Fatalf("order %v: pinv[%d] changed", ord, i)
-			}
-		}
-		if f.SolveFlops() != solveFlops {
-			t.Fatalf("order %v: SolveFlops changed: %v vs %v", ord, f.SolveFlops(), solveFlops)
-		}
+	}
+	if f.SolveFlops() != solveFlops {
+		t.Fatalf("SolveFlops changed: %v vs %v", f.SolveFlops(), solveFlops)
 	}
 }
 
@@ -174,7 +172,7 @@ func TestRefactorBandWithReorder(t *testing.T) {
 		shuffle[i] = (i*37 + 11) % n
 	}
 	scrambled := a.Permute(shuffle, shuffle)
-	d := BandSolver{Reorder: true}
+	d := BandSolver{}
 	var c vec.Counter
 	fact, err := d.Factor(scrambled, &c)
 	if err != nil {
@@ -189,7 +187,7 @@ func TestRefactorBandWithReorder(t *testing.T) {
 func TestRefactorPivotDegradationFallback(t *testing.T) {
 	// Column 0 of the original matrix pivots on the diagonal 4. The new
 	// values shrink it to 1e-10 while the subdiagonal stays 1, violating
-	// |piv| >= tol·max|column|: Refactor must fall back to a full Factor
+	// |piv| >= max|column|: Refactor must fall back to a full Factor
 	// (fresh pivoting) rather than divide by the degenerate pivot.
 	co := sparse.NewCOO(2, 2)
 	co.Append(0, 0, 4)
@@ -198,7 +196,7 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 	co.Append(1, 1, 3)
 	a := co.ToCSR()
 	var c vec.Counter
-	fact, err := (&SparseLU{Order: OrderNatural}).Factor(a, &c)
+	fact, err := (&SparseLU{}).Factor(a, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +211,7 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 	// The fallback shows on the counter: it charges the full Factor of the
 	// new values, not RefactorFlops.
 	var full vec.Counter
-	if _, err := (&SparseLU{Order: OrderNatural}).Factor(bad, &full); err != nil {
+	if _, err := (&SparseLU{}).Factor(bad, &full); err != nil {
 		t.Fatal(err)
 	}
 	frozen, c0 := r.RefactorFlops(), c.Flops()
@@ -300,25 +298,23 @@ func TestRefactorRejectsSameNnzDifferentPattern(t *testing.T) {
 		return &sparse.CSR{Rows: 3, Cols: 3, RowPtr: rowPtr, ColInd: colInd, Val: val}
 	}
 	a := csr([]int{0, 2, 3, 5}, []int{0, 1, 2, 0, 2})
-	for _, ord := range []Ordering{OrderNatural, OrderRCM} {
-		fact, err := (&SparseLU{Order: ord}).Factor(a, nil)
-		if err != nil {
-			t.Fatal(err)
+	fact, err := (&SparseLU{}).Factor(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := fact.(Refactorer)
+	if err := r.Refactor(sameValues(a), nil); err != nil {
+		t.Fatalf("same pattern rejected: %v", err)
+	}
+	for name, other := range map[string]*sparse.CSR{
+		"entry moved to another column": csr([]int{0, 2, 3, 5}, []int{0, 2, 2, 0, 2}),
+		"same columns, other row ends":  csr([]int{0, 1, 3, 5}, []int{0, 1, 2, 0, 2}),
+	} {
+		if other.NNZ() != a.NNZ() {
+			t.Fatalf("%s: test matrix has another entry count", name)
 		}
-		r := fact.(Refactorer)
-		if err := r.Refactor(sameValues(a), nil); err != nil {
-			t.Fatalf("order %v: same pattern rejected: %v", ord, err)
-		}
-		for name, other := range map[string]*sparse.CSR{
-			"entry moved to another column": csr([]int{0, 2, 3, 5}, []int{0, 2, 2, 0, 2}),
-			"same columns, other row ends":  csr([]int{0, 1, 3, 5}, []int{0, 1, 2, 0, 2}),
-		} {
-			if other.NNZ() != a.NNZ() {
-				t.Fatalf("%s: test matrix has another entry count", name)
-			}
-			if err := r.Refactor(other, nil); err == nil {
-				t.Errorf("order %v: %s: accepted", ord, name)
-			}
+		if err := r.Refactor(other, nil); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/order"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -33,46 +32,21 @@ type refFactors struct {
 	up, ui     []int
 	ux         []float64
 	pinv       []int
-	q          []int
 	flops      float64
 	symFlops   float64
 	solveFlops float64
-	tol        float64
 
 	acp, ari, avp []int
 	refactorFlops float64
 	work, rwork   []float64
 }
 
-// refFactor computes its own column order: internal/order iterates no map, so
-// two calls on one matrix return the same permutation.
-func refFactor(s *SparseLU, a *sparse.CSR, c *vec.Counter) (*refFactors, error) {
+func refFactor(a *sparse.CSR, c *vec.Counter) (*refFactors, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	tol := s.PivotTol
-	if tol <= 0 || tol > 1 {
-		tol = 1.0
-	}
 	sym := 0.0
-	var q []int
-	if n > 2 {
-		var perm []int
-		switch s.Order {
-		case OrderRCM:
-			perm = order.RCM(a)
-		case OrderMinDegree:
-			perm = order.MinDegree(a)
-		}
-		if perm != nil {
-			q = make([]int, n)
-			for old, new_ := range perm {
-				q[new_] = old
-			}
-			sym += 2 * float64(a.NNZ())
-		}
-	}
 	ac := a.ToCSC()
 	sym += 2 * float64(a.NNZ())
 
@@ -81,8 +55,6 @@ func refFactor(s *SparseLU, a *sparse.CSR, c *vec.Counter) (*refFactors, error) 
 		lp:   make([]int, n+1),
 		up:   make([]int, n+1),
 		pinv: make([]int, n),
-		q:    q,
-		tol:  tol,
 	}
 	for i := range f.pinv {
 		f.pinv[i] = -1
@@ -100,11 +72,7 @@ func refFactor(s *SparseLU, a *sparse.CSR, c *vec.Counter) (*refFactors, error) 
 	f.ux = make([]float64, 0, est)
 
 	for k := 0; k < n; k++ {
-		col := k
-		if q != nil {
-			col = q[k]
-		}
-		lo, hi := ac.ColPtr[col], ac.ColPtr[col+1]
+		lo, hi := ac.ColPtr[k], ac.ColPtr[k+1]
 
 		top := n
 		for p := lo; p < hi; p++ {
@@ -147,8 +115,8 @@ func refFactor(s *SparseLU, a *sparse.CSR, c *vec.Counter) (*refFactors, error) 
 		if ipiv == -1 || a0 <= 0 {
 			return nil, ErrSingular
 		}
-		if f.pinv[col] < 0 && math.Abs(x[col]) >= a0*tol {
-			ipiv = col
+		if f.pinv[k] < 0 && math.Abs(x[k]) >= a0 {
+			ipiv = k
 		}
 		pivot := x[ipiv]
 		f.pinv[ipiv] = k
@@ -191,23 +159,12 @@ func refFactor(s *SparseLU, a *sparse.CSR, c *vec.Counter) (*refFactors, error) 
 
 func (f *refFactors) finishSymbolic(a *sparse.CSR) {
 	n := f.n
-	var qinv []int
-	if f.q != nil {
-		qinv = make([]int, n)
-		for k, old := range f.q {
-			qinv[old] = k
-		}
-	}
 	nnz := a.NNZ()
 	f.acp = make([]int, n+1)
 	f.ari = make([]int, nnz)
 	f.avp = make([]int, nnz)
 	for _, j := range a.ColInd {
-		k := j
-		if qinv != nil {
-			k = qinv[j]
-		}
-		f.acp[k+1]++
+		f.acp[j+1]++
 	}
 	for k := 0; k < n; k++ {
 		f.acp[k+1] += f.acp[k]
@@ -216,9 +173,6 @@ func (f *refFactors) finishSymbolic(a *sparse.CSR) {
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			k := a.ColInd[p]
-			if qinv != nil {
-				k = qinv[k]
-			}
 			f.ari[next[k]] = f.pinv[i]
 			f.avp[next[k]] = p
 			next[k]++
@@ -325,25 +279,22 @@ func unprunedDFS(i int, pinv, lp []int, li []int32, mark []bool, reach, dstack, 
 // unprunedDFS must yield the same reach sequence, and the work unprunedDFS
 // tallies must equal what Factor counts from the reach — one per visit plus
 // |L(:,j)| − 1 per visited pivotal node. The shapes are the ones
-// TestSparseLUMatchesReference factors, plus the pivoting-heavy pattern at
-// PivotTol 0.1, where most pivots are off the diagonal.
+// TestSparseLUMatchesReference factors, the pivoting-heavy pattern among them,
+// where most pivots are off the diagonal.
 func TestPrunedReachMatchesUnpruned(t *testing.T) {
 	cases := []struct {
 		name string
 		a    *sparse.CSR
-		s    SparseLU
 	}{
-		{"wideband", gen.DiagDominant(gen.DiagDominantOpts{N: 700, Band: 120, PerRow: 10, Margin: 0.016, Negative: true, Seed: 3}), SparseLU{}},
-		{"narrowband", gen.DiagDominant(gen.DiagDominantOpts{N: 1500, Band: 12, PerRow: 7, Seed: 4}), SparseLU{}},
-		{"cage", gen.CageLike(400, 5), SparseLU{}},
-		{"cage-mindeg", gen.CageLike(400, 5), SparseLU{Order: OrderMinDegree}},
-		{"poisson", gen.Poisson2D(20, 17), SparseLU{}},
-		{"poisson-rcm", gen.Poisson2D(20, 17), SparseLU{Order: OrderRCM}},
-		{"pivoting", pivotingHeavy(300, 6), SparseLU{PivotTol: 0.1}},
+		{"wideband", gen.DiagDominant(gen.DiagDominantOpts{N: 700, Band: 120, PerRow: 10, Margin: 0.016, Negative: true, Seed: 3})},
+		{"narrowband", gen.DiagDominant(gen.DiagDominantOpts{N: 1500, Band: 12, PerRow: 7, Seed: 4})},
+		{"cage", gen.CageLike(400, 5)},
+		{"poisson", gen.Poisson2D(20, 17)},
+		{"pivoting", pivotingHeavy(300, 6)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fact, err := tc.s.Factor(tc.a, nil)
+			fact, err := (&SparseLU{}).Factor(tc.a, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,12 +321,8 @@ func TestPrunedReachMatchesUnpruned(t *testing.T) {
 			dstack, pstack := make([]int, n), make([]int, n)
 			scanned, skipped, offDiag := 0, 0, 0
 			for k := 0; k < n; k++ {
-				col := k
-				if f.q != nil {
-					col = f.q[k]
-				}
 				top, topR, work := n, n, 0
-				for _, i := range ac.RowInd[ac.ColPtr[col]:ac.ColPtr[col+1]] {
+				for _, i := range ac.RowInd[ac.ColPtr[k]:ac.ColPtr[k+1]] {
 					if !mark[i] {
 						top = dfs(i, pinv, lp, lend, li, mark, reach, dstack, pstack, top)
 					}
@@ -399,7 +346,7 @@ func TestPrunedReachMatchesUnpruned(t *testing.T) {
 					t.Fatalf("column %d: Factor counts %d from the reach, the unpruned DFS did %d", k, tally, work)
 				}
 				r := prow[k]
-				if r != col {
+				if r != k {
 					offDiag++
 				}
 				pinv[r] = k
@@ -416,7 +363,7 @@ func TestPrunedReachMatchesUnpruned(t *testing.T) {
 			if skipped == 0 {
 				t.Errorf("nothing pruned: the test no longer exercises pruning")
 			}
-			if tc.s.PivotTol != 0 && offDiag == 0 {
+			if tc.name == "pivoting" && offDiag == 0 {
 				t.Errorf("no off-diagonal pivot: the test no longer exercises pivoting")
 			}
 		})
@@ -446,26 +393,14 @@ func (f *refFactors) Solve(x, b []float64, c *vec.Counter) {
 			y[f.ui[p]] -= float64(f.ux[p] * yk)
 		}
 	}
-	if f.q != nil {
-		for k := 0; k < n; k++ {
-			x[f.q[k]] = y[k]
-		}
-	} else {
-		copy(x, y)
-	}
+	copy(x, y)
 	c.Add(f.solveFlops)
 }
 
 func (f *refFactors) SolveT(x, b []float64, c *vec.Counter) {
 	n := f.n
 	y := make([]float64, n)
-	if f.q != nil {
-		for k := 0; k < n; k++ {
-			y[k] = b[f.q[k]]
-		}
-	} else {
-		copy(y, b)
-	}
+	copy(y, b)
 	for k := 0; k < n; k++ {
 		s := y[k]
 		for p := f.up[k]; p < f.up[k+1]-1; p++ {
@@ -520,7 +455,7 @@ func (f *refFactors) Refactor(a *sparse.CSR, c *vec.Counter) error {
 				a0 = t
 			}
 		}
-		if piv == 0 || a0 == 0 || math.Abs(piv) < a0*f.tol {
+		if piv == 0 || a0 == 0 || math.Abs(piv) < a0 {
 			for i := range x {
 				x[i] = 0
 			}
@@ -544,7 +479,7 @@ func (f *refFactors) Bytes() int64 {
 }
 
 // pivotingHeavy is a random sparse matrix with a weak diagonal, so most
-// columns pivot off the diagonal and PivotTol changes the pivot sequence.
+// columns pivot off the diagonal and U has indexed columns.
 func pivotingHeavy(n int, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	co := sparse.NewCOO(n, n)
@@ -647,7 +582,6 @@ func equalFactors(t *testing.T, f *sparseFactors, r *refFactors) (runs, indexed 
 	equalBits(t, "lx", f.lx, r.lx)
 	equalBits(t, "ux", f.ux, r.ux)
 	equalInts(t, "pinv", f.pinv, r.pinv)
-	equalInts(t, "q", f.q, r.q)
 	for _, c := range []struct {
 		what      string
 		got, want float64
@@ -675,15 +609,15 @@ type refOutcome struct {
 	fellBack      bool // a frozen pivot degraded under Refactor in both
 }
 
-// matchReference factors a with s and with the reference and holds them
-// equal — pivots and pattern, every value to the bit, the counted work to the
-// last flop — and so the Solve and SolveT of one right-hand side. It then
+// matchReference factors a with SparseLU and with the reference and holds
+// them equal — pivots and pattern, every value to the bit, the counted work to
+// the last flop — and so the Solve and SolveT of one right-hand side. It then
 // refactors both with ap, a's pattern with other values, and holds them equal
 // again, Solve included. Where the reference reports a degraded frozen pivot
 // the production code must have fallen back to a fresh Factor, which is
 // compared with refFactor of ap. Either factorization failing is a failure
 // unless both return ErrSingular.
-func matchReference(t *testing.T, s *SparseLU, a, ap *sparse.CSR) refOutcome {
+func matchReference(t *testing.T, a, ap *sparse.CSR) refOutcome {
 	t.Helper()
 	bothSingular := func(what string, err, errR error) {
 		t.Helper()
@@ -692,8 +626,8 @@ func matchReference(t *testing.T, s *SparseLU, a, ap *sparse.CSR) refOutcome {
 		}
 	}
 	var cf, cr vec.Counter
-	fact, err := s.Factor(a, &cf)
-	ref, errR := refFactor(s, a, &cr)
+	fact, err := (&SparseLU{}).Factor(a, &cf)
+	ref, errR := refFactor(a, &cr)
 	if err != nil || errR != nil {
 		bothSingular("Factor", err, errR)
 		return refOutcome{singular: true}
@@ -726,7 +660,7 @@ func matchReference(t *testing.T, s *SparseLU, a, ap *sparse.CSR) refOutcome {
 	if ref.Refactor(ap, &cr) != nil {
 		o.fellBack = true
 		cr.Reset()
-		if ref, errR = refFactor(s, ap, &cr); err != nil || errR != nil {
+		if ref, errR = refFactor(ap, &cr); err != nil || errR != nil {
 			bothSingular("Refactor's fallback Factor", err, errR)
 			return o
 		}
@@ -747,8 +681,8 @@ func matchReference(t *testing.T, s *SparseLU, a, ap *sparse.CSR) refOutcome {
 }
 
 // TestSparseLUMatchesReference holds Factor, Solve, SolveT and Refactor to
-// the pre-rework loops above on every shape, ordering and pivot threshold
-// (see matchReference), the frozen pivots holding under Refactor.
+// the pre-rework loops above on every shape (see matchReference), the frozen
+// pivots holding under Refactor.
 func TestSparseLUMatchesReference(t *testing.T) {
 	one := sparse.NewCOO(1, 1)
 	one.Append(0, 0, -3)
@@ -769,38 +703,32 @@ func TestSparseLUMatchesReference(t *testing.T) {
 		{"2x2", two.ToCSR()},
 	}
 	for _, m := range mats {
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
-			for _, tol := range []float64{1, 0.1} {
-				t.Run(fmt.Sprintf("%s/order%d/tol%g", m.name, ord, tol), func(t *testing.T) {
-					o := matchReference(t, &SparseLU{Order: ord, PivotTol: tol}, m.a, perturb(m.a, 1e-6))
-					if o.singular || o.fellBack {
-						t.Fatalf("%+v: the shape no longer factors, or its pivots no longer hold", o)
-					}
-					t.Logf("U columns: %d runs, %d indexed", o.runs, o.indexed)
-					// The band shapes, factored in the order core uses, hold
-					// the run path; the cage shape under a fill-reducing
-					// order and the pivoting shape under any order hold the
-					// indexed one.
-					switch {
-					case ord == OrderNatural && (m.name == "wideband" || m.name == "narrowband"):
-						if o.indexed != 0 {
-							t.Fatalf("%d indexed U columns: every column of a band shape should be a run", o.indexed)
-						}
-					case m.name == "pivoting" || m.name == "cage" && ord != OrderNatural:
-						if o.indexed == 0 {
-							t.Fatal("no indexed U column: the test no longer exercises the indexed path")
-						}
-					}
-				})
+		t.Run(m.name, func(t *testing.T) {
+			o := matchReference(t, m.a, perturb(m.a, 1e-6))
+			if o.singular || o.fellBack {
+				t.Fatalf("%+v: the shape no longer factors, or its pivots no longer hold", o)
 			}
-		}
+			t.Logf("U columns: %d runs, %d indexed", o.runs, o.indexed)
+			// The band shapes hold the run path; the pivoting shape holds
+			// the indexed one.
+			switch m.name {
+			case "wideband", "narrowband":
+				if o.indexed != 0 {
+					t.Fatalf("%d indexed U columns: every column of a band shape should be a run", o.indexed)
+				}
+			case "pivoting":
+				if o.indexed == 0 {
+					t.Fatal("no indexed U column: the test no longer exercises the indexed path")
+				}
+			}
+		})
 	}
 }
 
-// benchShapes are the band shapes the solvers hand the sparse LU, factored
-// the way core does (zero-value SparseLU, natural order): one of the eight
-// bands of lan_sync_wideband (fill 16×), one band of wan_async_narrowband,
-// and a cage-like scattered pattern whose factors are nearly dense.
+// benchShapes are the band shapes the solvers hand the sparse LU: one of the
+// eight bands of lan_sync_wideband (fill 16×), one band of
+// wan_async_narrowband, and a cage-like scattered pattern whose factors are
+// nearly dense.
 func benchShapes() []struct {
 	name string
 	a    *sparse.CSR
@@ -836,7 +764,7 @@ func BenchmarkSparseFactor(b *testing.B) {
 		})
 		b.Run(m.name+"/ref", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := refFactor(&SparseLU{}, m.a, nil); err != nil {
+				if _, err := refFactor(m.a, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -874,7 +802,7 @@ func BenchmarkSparseSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := refFactor(&SparseLU{}, a, nil)
+			r, err := refFactor(a, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Package splu implements a sequential sparse LU direct solver in the style
 // of SuperLU's left-looking predecessor (Gilbert–Peierls): per-column
-// symbolic reachability by depth-first search, sparse triangular solve,
-// threshold partial pivoting, and an optional fill-reducing column ordering.
+// symbolic reachability by depth-first search, sparse triangular solve and
+// partial pivoting, in the matrix's natural column order.
 //
 // The package also defines the Direct/Factorization interfaces that let the
 // multisplitting solver plug in *any* sequential direct method (sparse LU,
@@ -51,35 +51,16 @@ type Direct interface {
 	Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error)
 }
 
-// Ordering selects the column ordering used by the sparse LU.
-type Ordering int
-
-const (
-	// OrderNatural factors the matrix as given (the zero value).
-	OrderNatural Ordering = iota
-	// OrderRCM applies reverse Cuthill–McKee to reduce fill (best for
-	// banded/local patterns).
-	OrderRCM
-	// OrderMinDegree applies a minimum-degree ordering (best for
-	// scattered patterns like the cage family).
-	OrderMinDegree
-)
-
-// SparseLU is a Direct implementing the Gilbert–Peierls sparse LU.
-type SparseLU struct {
-	// Order selects the fill-reducing column ordering (default OrderNatural).
-	Order Ordering
-	// PivotTol is the threshold-pivoting relaxation in (0,1]: the diagonal
-	// entry is kept as pivot when |d| >= PivotTol·max|column|. 1.0 gives
-	// strict partial pivoting. Zero means 1.0.
-	PivotTol float64
-}
+// SparseLU is a Direct implementing the Gilbert–Peierls sparse LU. It factors
+// the columns in their given order with partial pivoting: column k pivots on
+// its largest candidate, or on its diagonal entry when that ties it.
+type SparseLU struct{}
 
 // Name implements Direct.
-func (s *SparseLU) Name() string { return "sparse-lu" }
+func (*SparseLU) Name() string { return "sparse-lu" }
 
 // sparseFactors holds L, U in compressed-column form with row indices in the
-// pivotal (permuted) numbering, plus the row/column permutations.
+// pivotal (permuted) numbering, plus the row permutation.
 //
 // Row indices are stored as int32: the triangular solves stream every stored
 // entry once per call, and 12 bytes per entry instead of 16 is a quarter less
@@ -91,8 +72,8 @@ func (s *SparseLU) Name() string { return "sparse-lu" }
 // Beyond the factors themselves it retains the full output of the symbolic
 // phase — the frozen L/U pattern, the pivot order and a scatter map from the
 // input matrix's CSR positions into pivotal coordinates — so that Refactor
-// can recompute the numeric values of a same-pattern matrix without ordering,
-// DFS or allocation (see refactor.go).
+// can recompute the numeric values of a same-pattern matrix without pivot
+// search, DFS or allocation (see refactor.go).
 type sparseFactors struct {
 	n      int
 	lp, up []int
@@ -105,15 +86,9 @@ type sparseFactors struct {
 	// such indexed columns only (see ucol).
 	us         []int32
 	pinv       []int // pinv[origRow] = pivotal position
-	q          []int // column k of the factorization is A(:, q[k]); nil = identity
 	flops      float64
 	symFlops   float64
 	solveFlops float64
-
-	// opts is the SparseLU configuration that produced this factorization;
-	// the pivot-degradation fallback re-runs it from scratch.
-	opts SparseLU
-	tol  float64
 
 	// Scatter map for Refactor: entry p of acp[k]..acp[k+1] says that the
 	// input matrix's CSR value at position avp[p] lands at pivotal row
@@ -248,12 +223,12 @@ func grow[T int32 | float64](s []T, need, k, n int) []T {
 }
 
 // Factor implements Direct. Besides the numeric elimination flops it counts
-// the symbolic work — ordering, CSC conversion, scatter, DFS reachability,
+// the symbolic work — CSC conversion, scatter, DFS reachability,
 // pivot scan and pattern assembly — under the 1-op-per-touch model of
 // DESIGN.md, so the simulated factorization time reflects everything a real
 // factorization does. Refactor (refactor.go) repeats only the numeric part.
 // On ErrSingular it counts the work done up to the failing column.
-func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
+func (*SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
 	}
@@ -261,31 +236,10 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("splu: order %d exceeds the 32-bit factor index range", n)
 	}
-	tol := s.PivotTol
-	if tol <= 0 || tol > 1 {
-		tol = 1.0
-	}
 	// Work tallies are integers, converted once at the end: every term is a
 	// whole number and the totals stay far below 2^53, so the float64 values
 	// reported are exact, and the inner loops carry no float accumulator.
 	flops, sym := 0, 0
-	var q []int // q[k] = original column placed at position k
-	if n > 2 {
-		var perm []int // perm[old]=new
-		switch s.Order {
-		case OrderRCM:
-			perm = order.RCM(a)
-		case OrderMinDegree:
-			perm = order.MinDegree(a)
-		}
-		if perm != nil {
-			q = make([]int, n)
-			for old, new_ := range perm {
-				q[new_] = old
-			}
-			sym += 2 * a.NNZ() // ordering pass over the pattern
-		}
-	}
 	ac := a.ToCSC()
 	sym += 2 * a.NNZ() // transpose to column form
 
@@ -313,14 +267,10 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	ui, ux := make([]int32, 0, n), make([]float64, 0, est)
 
 	for k := 0; k < n; k++ {
-		col := k
-		if q != nil {
-			col = q[k]
-		}
-		lo, hi := ac.ColPtr[col], ac.ColPtr[col+1]
+		lo, hi := ac.ColPtr[k], ac.ColPtr[k+1]
 		rows, vals := ac.RowInd[lo:hi], ac.Val[lo:hi]
 
-		// Symbolic step: reach of pattern of A(:,col) in the graph of L.
+		// Symbolic step: reach of pattern of A(:,k) in the graph of L.
 		top := n
 		for _, i := range rows {
 			if !mark[i] {
@@ -372,10 +322,9 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 			c.Add(float64(flops + sym))
 			return nil, ErrSingular
 		}
-		// Threshold pivoting: prefer the diagonal entry of the ordered
-		// matrix when it is large enough.
-		if pinv[col] < 0 && math.Abs(x[col]) >= a0*tol {
-			ipiv = col
+		// A diagonal entry that ties the largest candidate is the pivot.
+		if pinv[k] < 0 && math.Abs(x[k]) >= a0 {
+			ipiv = k
 		}
 		pivot := x[ipiv]
 		pinv[ipiv] = k
@@ -432,12 +381,10 @@ func (s *SparseLU) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) 
 	}
 	sym += len(lx) + len(ux) // pattern assembly (one op per stored entry)
 	f := &sparseFactors{
-		n: n, lp: lp, li: li, lx: lx, up: up, ui: ui, ux: ux, us: us, pinv: pinv, q: q,
+		n: n, lp: lp, li: li, lx: lx, up: up, ui: ui, ux: ux, us: us, pinv: pinv,
 		flops:      float64(flops),
 		symFlops:   float64(sym),
 		solveFlops: 2 * float64(len(lx)+len(ux)),
-		opts:       *s,
-		tol:        tol,
 	}
 	f.finishSymbolic(a)
 	c.Add(f.flops + f.symFlops)
@@ -481,26 +428,14 @@ func patternHash(a *sparse.CSR) uint64 {
 // pass and the solve/refactor scratch buffers.
 func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 	n := f.n
-	// qinv[origCol] = factorization column holding it.
-	var qinv []int
-	if f.q != nil {
-		qinv = make([]int, n)
-		for k, old := range f.q {
-			qinv[old] = k
-		}
-	}
 	nnz := a.NNZ()
 	f.acp = make([]int, n+1)
 	f.ari = make([]int, nnz)
 	f.avp = make([]int, nnz)
-	// Counting sort of the CSR entries by factorization column: within each
-	// column, entries appear in increasing original-row order (deterministic).
+	// Counting sort of the CSR entries by column: within each column, entries
+	// appear in increasing original-row order (deterministic).
 	for _, j := range a.ColInd {
-		k := j
-		if qinv != nil {
-			k = qinv[j]
-		}
-		f.acp[k+1]++
+		f.acp[j+1]++
 	}
 	for k := 0; k < n; k++ {
 		f.acp[k+1] += f.acp[k]
@@ -509,9 +444,6 @@ func (f *sparseFactors) finishSymbolic(a *sparse.CSR) {
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			k := a.ColInd[p]
-			if qinv != nil {
-				k = qinv[k]
-			}
 			f.ari[next[k]] = f.pinv[i]
 			f.avp[next[k]] = p
 			next[k]++
@@ -642,14 +574,7 @@ func (f *sparseFactors) Solve(x, b []float64, c *vec.Counter) {
 			colAxpy(y, ui[p:p+hi-lo], ux[lo:hi], yk)
 		}
 	}
-	// Undo the column ordering: x[q[k]] = z[k].
-	if f.q != nil {
-		for k, j := range f.q {
-			x[j] = y[k]
-		}
-	} else {
-		copy(x, y)
-	}
+	copy(x, y)
 	c.Add(f.solveFlops)
 }
 
@@ -711,25 +636,21 @@ func (f *denseFact) FactorFlops() float64                 { return f.lu.Flops }
 func (f *denseFact) SolveFlops() float64                  { return 2 * float64(f.n) * float64(f.n) }
 func (f *denseFact) Bytes() int64                         { return int64(f.n) * int64(f.n) * 8 }
 
-// BandSolver adapts the banded LU to the Direct interface. When Reorder is
-// true the matrix is first RCM-permuted to shrink the band.
-type BandSolver struct {
-	// Reorder enables the RCM pre-permutation (kept only when it shrinks
-	// the band).
-	Reorder bool
-}
+// BandSolver adapts the banded LU to the Direct interface. The matrix is
+// first RCM-permuted when that shrinks its band.
+type BandSolver struct{}
 
 // Name implements Direct.
 func (BandSolver) Name() string { return "band-lu" }
 
 // Factor implements Direct.
-func (s BandSolver) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
+func (BandSolver) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("splu: need square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	var perm []int
 	m := a
-	if s.Reorder && a.Rows > 2 {
+	if a.Rows > 2 {
 		perm = order.RCM(a)
 		if order.BandAfter(a, perm) < a.Bandwidth() {
 			m = a.Permute(perm, perm)
