@@ -17,50 +17,28 @@ test-bench:
 	cd bench && $(GO) test ./...
 
 # The worker pool runs compute segments on real OS threads, so the race
-# detector is part of the verified loop, not an optional extra. The focused
-# second runs pin the observability determinism contract (byte-identical
-# exports for 1 vs N workers, batch and streamed, and the streamer's encoder
-# goroutine: the sequential writer's bytes at every batch boundary, a write
-# error or a non-finite span cutting the document where the sequential
-# writer cut it, no goroutine left behind), the batch exports' chunk
-# encoders (the sequential loops' bytes and Write calls at GOMAXPROCS 1 and
-# 2, a failure cutting the document where they cut it, no goroutine left
-# behind) and the export index's split sort, and the communication-plan
-# equivalence contract (byte-identical iterates and traces for the gateway exchange,
-# and the relayed exchange's records against the digests recorded before the
-# relay moved into plan and mp, with mp's own round and pump tests)
-# under the race detector, together with the export encoder's differential
-# test against encoding/json, its number shortcuts (the integral path and
-# the per-writer memo) against strconv over their fuzz seeds, and its
-# allocation budget (objects and, for the batch trace and windows and a
-# sparse window row, bytes), the windowed rows'
-# and the critical path's bit-for-bit comparison with the map-based
-# accumulator and the walk over the sorted span copy they replaced, the
-# sparse LU's, the band LU's and the two-row SpMV's bit-for-bit comparisons
-# with their pre-rework reference loops (the sparse LU's also over its fuzz
-# seeds, with its factor allocation budget), and the proof
-# that an idle asynchronous step charged is a step computed (every skipped
-# step recomputed on the side, 1 vs 4 workers), and the session option matrix
-# (every Resolve of a NoRefactor session is a fresh Solve bit for bit, kept
-# rank states crossing engines and worker pools). The vgrid rerun also holds
-# what pins "compute segments still overlap" now that process bodies are
-# coroutines of their lane, that processes tied at a deferred segment's
-# dispatch instant all dispatch theirs before the first is collected, that
-# Run stops every coroutine it leaves unfinished, and that segments declaring
-# less than vgrid.InlineFlops run inline while a dispatched one reuses its
-# process's completion channel, that a yielding process wins or loses a tie
-# at the heap root by ID, and that the sharded lookahead memoizes no route. The experiments
-# rerun holds the runs of a table going side by side as one job list: Table
-# 3's budget still taken from the cage11 distributed run, a gated job starting
-# only after its job has ended with a verified cell and never after a failed
-# one, the first ready job started first, progress lines in list order when
-# jobs end out of order, a rejected job failing its list with exactly the
-# earlier jobs' progress lines written and no goroutine left, and the
-# progress stream of msexp byte for byte the sequential one (~40 s for the
-# experiments rerun, 26 s before the scheduler tests joined it). The explicit
-# timeout is for internal/experiments: ~3 min alone under the race detector
-# on a 2-vCPU host (175 s; 190-250 s before a row's runs went side by side),
-# far more once the other packages compete for the cores.
+# detector is part of the verified loop. The first line runs every package
+# once; its timeout is for internal/experiments and cmd/msexp, which run the
+# paper tables and compete for the cores with the rest. Each later line runs
+# one package's determinism and oracle tests a second time:
+#   obs: exports byte-identical for 1 and N workers, batch and streamed; the
+#     streamer's encoder goroutine and the chunked batch encoders against the
+#     sequential writer (write errors, non-finite spans, no goroutine left);
+#     the encoder against encoding/json and its number shortcuts against
+#     strconv; the allocation budget; windows and export order against their
+#     references.
+#   core: the gateway's bytes and recorded digests, two-stage, adaptive and
+#     multiband runs across lanes and workers, the option matrices, every
+#     idle step recomputed.
+#   mp: the relay's rounds and pump. splu, dense, sparse: the kernels against
+#     their reference loops (splu also its fuzz seeds and factor budget).
+#   experiments: the job runner — Table 3's budget from the row run, gates,
+#     the first ready job first, progress lines in list order when jobs end
+#     out of order, a rejected job's list. This is the progress stream's
+#     second race run: cmd/msexp checks the stream once, on its golden run.
+#   vgrid: the scheduler index against the scan, sharded against one lane,
+#     compute overlap, coroutine stop and panic, inline segments, dispatch
+#     allocations, yield ties, the lookahead's routes.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical|TestExportStreamedMetricsMatchBatch|TestTraceEncodingMatchesEncodingJSON|FuzzAppendFloat|TestObsExportAllocBudget|TestWindowsMatchReference|TestStreamerBatchBoundaries|TestStreamerLatchesWriteError|TestStreamerLeavesNoGoroutine|TestNonFiniteSpanFailsExport|TestStreamerGuards|TestChunkedExportsMatchSequential|TestExportOrderMatchesSort' ./internal/obs
@@ -70,7 +48,6 @@ race:
 	$(GO) test -race -count=2 -run 'TestBandLUMatchesReference' ./internal/dense
 	$(GO) test -race -count=2 -run 'TestMulVecMatchesReference' ./internal/sparse
 	$(GO) test -race -count=2 -run 'TestTable3BudgetFromRowRun|TestRejectedOptionsFailTheExperiment|TestSolveAll' ./internal/experiments
-	$(GO) test -race -count=2 -run 'TestProgressGolden' ./cmd/msexp
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults|TestShardedRejectsSharedLinks|TestComputeFuncOverlap|TestComputeFuncConcurrencyBound|TestComputeDeferredCommitsBeforeReturn|TestDeferredFloorOverlapsTiedProcesses|TestDeferredBelowFloorFails|TestRunLeavesNoGoroutines|TestProcessPanicBecomesError|TestComputeFuncInlinesShortSegments|TestDispatchAllocs|TestYieldTieBreaksByID|TestShardedLookaheadMaterializesNoRoutes' ./internal/vgrid
 
 vet:

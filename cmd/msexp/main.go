@@ -15,9 +15,9 @@
 // comma-separated values instead of aligned text (handy for plotting
 // figure3). -fault-seed reseeds the deterministic fault injection of the
 // faultsweep experiment. -workers changes only the host time of a run, never
-// a table; an out-of-range -scale, -window, -workers, -omega or
-// -precond-band and an unknown -inner-schedule are exit status 2 before
-// anything runs. The runs of a table go side by side, at most
+// a table; an out-of-range -scale, -workers, -omega or -precond-band, a
+// negative or non-finite -window and an unknown -inner-schedule are exit
+// status 2 before anything runs. The runs of a table go side by side, at most
 // GOMAXPROCS at a time (-workers bounds each run's compute pool, not that
 // count), a run that needs an earlier run's outcome starting once that run
 // has ended; the progress lines on stderr keep the order of a sequential
@@ -55,6 +55,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -94,11 +95,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *scale < 1:
 		bad = errors.New("-scale must be >= 1")
-	case *window < 0:
-		bad = errors.New("-window must be >= 0")
 	case *workers < 0:
 		bad = errors.New("-workers must be >= 0")
 	default:
+		bad = obs.Export{Window: *window}.Validate()
+	}
+	if bad == nil {
 		bad = core.TwoStage{Schedule: *innerSched, Omega: *omega, PrecondBand: *pcBand}.Validate()
 	}
 	if bad != nil {

@@ -20,23 +20,6 @@ func msexp(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errw.String()
 }
 
-func TestTable1CSV(t *testing.T) {
-	code, out, errs := msexp("-scale", "64", "-csv", "-quiet", "table1")
-	if code != 0 || errs != "" {
-		t.Fatalf("exit %d, stderr %q", code, errs)
-	}
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if lines[0] != "procs,distributed SuperLU,sync multisplitting-LU,async multisplitting-LU,factorization time" {
-		t.Errorf("header %q", lines[0])
-	}
-	if len(lines) != 1+10 { // the ten processor counts of the paper's Table 1
-		t.Errorf("%d lines, want a header and 10 rows:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[1], "1,") || !strings.HasSuffix(lines[1], ",-,-,-") {
-		t.Errorf("one-processor row %q, want the direct solver alone", lines[1])
-	}
-}
-
 func TestUnknownExperimentListsNames(t *testing.T) {
 	code, out, errs := msexp("table9")
 	if code != 2 || out != "" {
@@ -76,6 +59,8 @@ func TestOutOfRangeFlags(t *testing.T) {
 		{[]string{"-scale", "0"}, "msexp: -scale must be >= 1\n"},
 		{[]string{"-scale", "-8"}, "msexp: -scale must be >= 1\n"},
 		{[]string{"-window", "-1"}, "msexp: -window must be >= 0\n"},
+		{[]string{"-window", "nan"}, "msexp: -window must be >= 0\n"},
+		{[]string{"-window", "inf"}, "msexp: -window must be finite\n"},
 		{[]string{"-lanes", "1"}, "flag provided but not defined: -lanes\nUsage of msexp:\n"},
 		{[]string{"-workers", "-1"}, "msexp: -workers must be >= 0\n"},
 		{[]string{"-inner-schedule", "nope"}, "msexp: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},
@@ -109,6 +94,9 @@ func TestRejectedInputFailsWithoutATable(t *testing.T) {
 	}{
 		// A negative controller interval reaches core.Launch, which refuses it.
 		{[]string{"-quiet", "-csv", "-scale", "64", "-adapt", "-adapt-interval", "-1", "table1"}, []string{"table1 failed", "AdaptInterval -1"}},
+		// A window far below the run's length: the export refuses the
+		// windows past its cap instead of growing until memory runs out.
+		{[]string{"-quiet", "-csv", "-scale", "64", "-window", "1e-9", "windowed"}, []string{"windowed failed", "-window 1e-09 needs more than"}},
 	} {
 		code, out, errs := msexp(tc.args...)
 		if code != 1 || out != "" {
@@ -122,26 +110,94 @@ func TestRejectedInputFailsWithoutATable(t *testing.T) {
 	}
 }
 
-// goldenRuns are the msexp runs TestPaperTablesGolden holds to recorded bytes.
-var goldenRuns = []struct {
-	golden string
-	args   []string
-}{
-	{"testdata/tables-scale64.csv", []string{"-scale", "64", "table1", "table2", "table3", "table4", "figure3",
-		"faultsweep", "utilization", "windowed", "topology", "twostage", "adaptive", "table4fair"}},
-	{"testdata/tables-scale32.csv", []string{"-scale", "32", "table2", "table3"}},
+// goldenRun is one scale of the golden harness: the experiments it runs, in
+// order, the file holding their CSV tables and, at scale 64, the file holding
+// their progress stream.
+type goldenRun struct {
+	scale            int
+	tables, progress string
+	names            []string
+}
+
+// goldenRuns are the two scales the harness runs. Scale 32 holds Tables 2
+// and 3, recorded there first, and the two tables whose shape claims fail at
+// scale 64: Table 1 (at 8 processors its sync time is above dSuperLU's) and
+// Figure 3 (its iterations rise at the last overlap). Appending keeps the
+// file's earlier blocks where they were.
+var goldenRuns = []goldenRun{
+	{64, "testdata/tables-scale64.csv", "testdata/progress-scale64.golden", []string{"table1", "table2", "table3",
+		"table4", "figure3", "faultsweep", "utilization", "windowed", "topology", "twostage", "adaptive", "table4fair"}},
+	{32, "testdata/tables-scale32.csv", "", []string{"table2", "table3", "table1", "figure3"}},
+}
+
+// expOutput is what msexp printed for one experiment of a golden run.
+type expOutput struct {
+	stdout, stderr string
+	fail           string // why the run failed ("" = exit 0)
+}
+
+// runKey names one experiment of a golden run.
+type runKey struct {
+	scale int
+	name  string
+}
+
+// outputs holds each experiment of the golden runs once it has run.
+var outputs = map[runKey]*expOutput{}
+
+// goldenOutput returns what `msexp -csv -scale S NAME` printed, running it
+// the first time a test asks: every check of an experiment at a scale reads
+// that one run, so each experiment runs once per scale per test binary.
+// Running msexp once per name gives the bytes of one run over all the names
+// (run prints the experiments one after another, each with its own progress
+// lines) and splits them per experiment without parsing the CSV. Scale 64
+// keeps the progress stream; the other scale runs -quiet, and a quiet run
+// must print nothing on stderr.
+func goldenOutput(t *testing.T, k runKey) *expOutput {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("regenerates the paper tables (~15 s)")
+	}
+	o := outputs[k]
+	if o == nil {
+		args := []string{"-csv", "-scale", fmt.Sprint(k.scale)}
+		quiet := k.scale != 64
+		if quiet {
+			args = append(args, "-quiet")
+		}
+		args = append(args, k.name)
+		code, out, errs := msexp(args...)
+		o = &expOutput{stdout: out, stderr: errs}
+		if code != 0 || quiet && errs != "" {
+			o.fail = fmt.Sprintf("msexp %v: exit %d, stderr %q", args, code, errs)
+		}
+		outputs[k] = o
+	}
+	if o.fail != "" {
+		t.Fatal(o.fail)
+	}
+	return o
 }
 
 // TestGoldenCoversDefaultRun: every experiment a bare msexp run prints is in
-// the golden file, so no table of the default run goes unchecked.
+// the scale-64 golden run, and every experiment a shape check reads is in the
+// golden run of the scale it reads, so no table of the default run goes
+// unchecked and no shape check can fall back to a run of its own.
 func TestGoldenCoversDefaultRun(t *testing.T) {
-	held := map[string]bool{}
-	for _, name := range goldenRuns[0].args {
-		held[name] = true
+	held := map[runKey]bool{}
+	for _, g := range goldenRuns {
+		for _, name := range g.names {
+			held[runKey{g.scale, name}] = true
+		}
 	}
 	for _, x := range experiments.All() {
-		if !held[x.Name] {
-			t.Errorf("default experiment %q is not in %s", x.Name, goldenRuns[0].golden)
+		if !held[runKey{64, x.Name}] {
+			t.Errorf("default experiment %q is not in %s", x.Name, goldenRuns[0].tables)
+		}
+	}
+	for name, scale := range shapeScale {
+		if !held[runKey{scale, name}] {
+			t.Errorf("the shape check of %q reads scale %d, whose golden run does not hold it", name, scale)
 		}
 	}
 }
@@ -154,47 +210,41 @@ func TestGoldenCoversDefaultRun(t *testing.T) {
 // `go test ./cmd/msexp -update`, read the diff, and give the reason in
 // CHANGES.md.
 func TestPaperTablesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates every paper table (~20 s)")
-	}
-	for _, tc := range goldenRuns {
-		code, out, errs := msexp(append([]string{"-quiet", "-csv"}, tc.args...)...)
-		if code != 0 || errs != "" {
-			t.Errorf("msexp %v: exit %d, stderr %q", tc.args, code, errs)
-			continue
-		}
-		holdGolden(t, tc.golden, fmt.Sprintf("msexp %v", tc.args), out)
+	for _, g := range goldenRuns {
+		holdGolden(t, g, g.tables, func(o *expOutput) string { return o.stdout })
 	}
 }
 
-// progressArgs run every experiment whose solver runs go side by side, Table
-// 2's and the memory wall's "nem" failure lines and the fault sweep's stall
-// and dead-rank lines included.
-var progressArgs = []string{"-scale", "64", "table2", "table3", "table4", "figure3", "twostage", "topology", "faultsweep"}
-
-// TestProgressGolden holds the progress stream to recorded bytes. The
-// independent runs of a row go side by side, but each run's lines — its
-// announce line, its failure line, its resplit log — reach stderr in list
-// order once every earlier run has finished, so the stream reads as if the
-// runs went one after another: a run that wrote its lines as they came would
-// interleave them.
+// TestProgressGolden holds the progress stream of the scale-64 golden run to
+// recorded bytes. The independent runs of a row go side by side, but each
+// run's lines — its announce line, its failure line, its resplit log — reach
+// stderr in list order once every earlier run has finished, so the stream
+// reads as if the runs went one after another: a run that wrote its lines as
+// they came would interleave them.
 func TestProgressGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates seven experiments (~5 s)")
-	}
-	code, _, errs := msexp(progressArgs...)
-	if code != 0 {
-		t.Fatalf("msexp %v: exit %d, stderr %q", progressArgs, code, errs)
-	}
-	holdGolden(t, "testdata/progress-scale64.golden", fmt.Sprintf("stderr of msexp %v", progressArgs), errs)
+	g := goldenRuns[0]
+	holdGolden(t, g, g.progress, func(o *expOutput) string { return o.stderr })
 }
 
-// holdGolden compares got with the recorded file, or rewrites the file under
-// -update; what names the output in the failure message.
-func holdGolden(t *testing.T, golden, what, got string) {
+// holdGolden compares one stream of a golden run — what part takes from each
+// experiment's output, concatenated in run order — with the recorded file,
+// or rewrites the file under -update. A mismatch names the experiment whose
+// block holds the first differing line.
+func holdGolden(t *testing.T, g goldenRun, golden string, part func(*expOutput) string) {
 	t.Helper()
+	var got strings.Builder
+	var ends []int // line count after each experiment's block
+	for _, name := range g.names {
+		p := part(goldenOutput(t, runKey{g.scale, name}))
+		got.WriteString(p)
+		n := strings.Count(p, "\n")
+		if len(ends) > 0 {
+			n += ends[len(ends)-1]
+		}
+		ends = append(ends, n)
+	}
 	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -203,9 +253,16 @@ func holdGolden(t *testing.T, golden, what, got string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		line, g, rec := firstDiff(got, string(want))
-		t.Errorf("%s differs from %s at line %d:\n got  %q\n want %q", what, golden, line, g, rec)
+	if got.String() != string(want) {
+		line, gl, wl := firstDiff(got.String(), string(want))
+		name := "(past the last block)"
+		for i, end := range ends {
+			if line <= end {
+				name = g.names[i]
+				break
+			}
+		}
+		t.Errorf("scale %d differs from %s at line %d, in the %s block:\n got  %q\n want %q", g.scale, golden, line, name, gl, wl)
 	}
 }
 

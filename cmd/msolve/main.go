@@ -109,7 +109,9 @@ type spec struct {
 	dropLink    string
 	crash, slow string
 	faultSeed   int64
-	export      obs.Export
+	// plan is the fault plan the fault flags compile to (nil = none).
+	plan   *vgrid.FaultPlan
+	export obs.Export
 }
 
 // The legal -scheme and -solver names.
@@ -231,10 +233,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// InnerIters 0 means "two-stage off" to the solver: it would
 		// silently run the exact band solves instead.
 		err = errors.New("-two-stage needs -inner >= 1")
-	case s.twoStage:
-		// -inner-schedule, -omega and -precond-band, which the solver
-		// would only reject once the matrix is read.
-		err = s.opts.TwoStage.Validate()
+	default:
+		// What core would reject only once the matrix is read: -tol,
+		// -overlap, the -adapt controller's parameters and, with
+		// -two-stage, -inner-schedule, -omega and -precond-band.
+		err = optionsError(s.opts.Validate())
+	}
+	if err == nil {
+		s.plan, err = s.faultPlan()
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "msolve:", err)
@@ -245,6 +251,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// optionFlags names the flag behind each core.Options field msolve sets.
+var optionFlags = map[string]string{
+	"Tol": "-tol", "Overlap": "-overlap", "AdaptInterval": "-adapt-interval", "AdaptHysteresis": "-adapt-hysteresis",
+}
+
+// optionsError restates a field out of range as the flag that set it.
+func optionsError(err error) error {
+	var re *core.RangeError
+	if errors.As(err, &re) && optionFlags[re.Option] != "" {
+		return fmt.Errorf("%s %v out of range (want %s)", optionFlags[re.Option], re.Value, re.Want)
+	}
+	return err
 }
 
 // rightHandSide reads the -rhs file; without one it manufactures b = A·1 and
@@ -279,7 +299,8 @@ func (s *spec) platform() (*cluster.Platform, error) {
 }
 
 // faultPlan compiles the fault flags into a vgrid fault plan (nil when no
-// fault was requested).
+// fault was requested). The host and link names are checked against the
+// platform when the run starts.
 func (s *spec) faultPlan() (*vgrid.FaultPlan, error) {
 	if s.drop == 0 && s.crash == "" && s.slow == "" {
 		return nil, nil
@@ -289,9 +310,12 @@ func (s *spec) faultPlan() (*vgrid.FaultPlan, error) {
 		fp.DropOnLink(s.dropLink, 0, math.Inf(1), s.drop)
 	}
 	if err := fp.ParseCrashes(s.crash); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-crash: %w", err)
 	}
-	return fp, fp.ParseSlowdowns(s.slow)
+	if err := fp.ParseSlowdowns(s.slow); err != nil {
+		return nil, fmt.Errorf("-slow: %w", err)
+	}
+	return fp, nil
 }
 
 // solve runs the spec and prints the report.
@@ -325,14 +349,8 @@ func (s *spec) solve(stdout io.Writer) error {
 	if s.workers > 0 {
 		e.SetWorkers(s.workers)
 	}
-	plan, err := s.faultPlan()
-	if err != nil {
-		return err
-	}
-	if plan != nil {
-		e.SetFaultPlan(plan)
-		fmt.Fprintf(stdout, "fault injection: seed %d, drop %.3g on %q, crash schedule %q, slowdown schedule %q, fault-tolerant %v\n",
-			s.faultSeed, s.drop, s.dropLink, s.crash, s.slow, s.opts.FaultTolerant)
+	if s.plan != nil {
+		e.SetFaultPlan(s.plan)
 	}
 	// rec is the run's one event record: the export's recorder, or a bare
 	// one when only -trace needs it.
@@ -355,6 +373,10 @@ func (s *spec) solve(stdout io.Writer) error {
 	pend.Finish()
 	if err != nil {
 		return err
+	}
+	if s.plan != nil {
+		fmt.Fprintf(stdout, "fault injection: seed %d, drop %.3g on %q, crash schedule %q, slowdown schedule %q, fault-tolerant %v\n",
+			s.faultSeed, s.drop, s.dropLink, s.crash, s.slow, s.opts.FaultTolerant)
 	}
 	if ex != nil {
 		// Export before the convergence verdict: a stalled run is exactly

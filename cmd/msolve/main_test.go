@@ -213,6 +213,8 @@ func TestUsageErrors(t *testing.T) {
 			"msolve: -stream-trace does not retain spans, so -trace has no timeline to draw; drop one of the two\n"},
 		{[]string{"-two-stage", "-inner", "0"}, "msolve: -two-stage needs -inner >= 1\n"},
 		{[]string{"-window", "-1"}, "msolve: -window must be >= 0\n"},
+		{[]string{"-window", "nan", "-metrics-out", "DIR/m"}, "msolve: -window must be >= 0\n"},
+		{[]string{"-window", "inf", "-metrics-out", "DIR/m"}, "msolve: -window must be finite\n"},
 		{[]string{"-procs", "0"}, "msolve: -procs must be >= 1\n"},
 		{[]string{"-cluster", "cluster2", "-procs", "-1"}, "msolve: -procs must be >= 1\n"},
 		{[]string{"-hosts", "12", "-procs", "0"}, "msolve: -procs must be >= 1\n"},
@@ -229,6 +231,17 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-two-stage", "-omega", "3"}, "msolve: core: two-stage omega 3 outside (0,2)\n"},
 		{[]string{"-two-stage", "-omega", "-1"}, "msolve: core: two-stage omega -1 outside (0,2)\n"},
 		{[]string{"-two-stage", "-precond-band", "-1"}, "msolve: core: two-stage preconditioner band -1 < 0\n"},
+		// Options core checks only once the matrix is read, and a fault
+		// plan the run would check only once the report had begun.
+		{[]string{"-tol", "nan"}, "msolve: -tol NaN out of range (want > 0)\n"},
+		{[]string{"-tol", "-1"}, "msolve: -tol -1 out of range (want > 0)\n"},
+		{[]string{"-overlap", "-5"}, "msolve: -overlap -5 out of range (want >= 0)\n"},
+		{[]string{"-adapt", "-adapt-interval", "-1"}, "msolve: -adapt-interval -1 out of range (want >= 0)\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "nan"}, "msolve: -adapt-hysteresis NaN out of range (want >= 0)\n"},
+		{[]string{"-adapt", "-two-stage"}, "msolve: core: incompatible options: Adapt with TwoStage\n"},
+		{[]string{"-slow", "c1-00@0:1:-2"}, "msolve: -slow: slow spec \"c1-00@0:1:-2\": factor -2 must be >= 1\n"},
+		{[]string{"-slow", "c1-00@0:1:nan"}, "msolve: -slow: slow spec \"c1-00@0:1:nan\": bad factor: \"nan\" is not a number\n"},
+		{[]string{"-crash", "c1-00@1"}, "msolve: -crash: crash spec \"c1-00@1\": want from:until\n"},
 	} {
 		code, out, errs, files := msolve(t, tc.args...)
 		if code != 2 || out != "" || !strings.HasPrefix(errs, tc.want) || len(files) != 0 {
@@ -247,9 +260,13 @@ func TestRunFailures(t *testing.T) {
 		{[]string{"-cluster", "cluster4"}, `msolve: unknown cluster "cluster4" (want cluster1, cluster2, cluster3)`},
 		{[]string{"-procs", "21"}, "msolve: cluster1 has 1..20 machines, asked for 21"},
 		{[]string{"-hosts", "4", "-clusters", "9"}, "msolve: generated grid: 9 clusters for 4 hosts"},
-		{[]string{"-crash", "c1-00@1"}, `msolve: crash spec "c1-00@1": want from:until`},
-		{[]string{"-slow", "c1-00@0:1:nan"}, `msolve: slow spec "c1-00@0:1:nan": bad factor: "nan" is not a number`},
 		{[]string{"-rhs", "DIR/missing.txt"}, "msolve: open DIR/missing.txt: no such file or directory"},
+		// A host the platform lacks fails when the run starts, before the
+		// report's fault line.
+		{[]string{"-slow", "nosuch@0:1:2"}, `msolve: vgrid: fault plan references unknown host "nosuch"`},
+		// More windows than the export keeps: an error, not a fold that
+		// grows until memory runs out.
+		{[]string{"-window", "1e-300", "-metrics-out", "DIR/m"}, "msolve: -window 1e-300 needs more than 1048576 windows"},
 	} {
 		code, out, errs, _ := msolve(t, tc.args...)
 		if code != 1 || out != "" || !strings.Contains(errs, tc.want) || strings.Count(errs, "\n") != 1 {

@@ -138,7 +138,7 @@ type Options struct {
 	// inter-cluster). Decisions use committed virtual-time data only, so
 	// adaptive runs stay byte-identical for any worker or lane count.
 	// Rejected (ErrIncompatible) with BandsPerProc > 1 and with TwoStage; see
-	// Options.validate for the reasons.
+	// Options.check for the reasons.
 	Adapt bool
 	// AdaptInterval is the number of iterations between controller epochs
 	// (default 20).
@@ -185,9 +185,35 @@ func (o *Options) withDefaults() Options {
 }
 
 // ErrIncompatible is wrapped by every error that rejects a combination of
-// individually valid options — the two Adapt pairs in Options.validate and
+// individually valid options — the two Adapt pairs in Options.check and
 // nothing else; test for it with errors.Is.
 var ErrIncompatible = errors.New("core: incompatible options")
+
+// RangeError is an option outside its range, found before any virtual time
+// is spent.
+type RangeError struct {
+	// Option names the Options field.
+	Option string
+	// Value is the field's value after the defaults were filled in.
+	Value any
+	// Want states the range Value misses.
+	Want string
+}
+
+// Error names the field, its value and its range.
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("core: option out of range (%s %v, want %s)", e.Option, e.Value, e.Want)
+}
+
+// Validate checks what of the options needs neither a system nor hosts, with
+// the defaults Launch fills in: each numeric field in its range (a
+// *RangeError), the two-stage parameters when two-stage is on, and the two
+// incompatible pairs. Launch runs the same checks; a command calls Validate
+// to reject its flags before it reads a matrix.
+func (o Options) Validate() error {
+	d := o.withDefaults()
+	return d.check()
+}
 
 // validate is the one place a defaulted option set is checked against the
 // system size and the host count, before any virtual time is spent.
@@ -197,14 +223,33 @@ func (o *Options) validate(n, nHosts int) error {
 		return errors.New("core: no hosts")
 	case o.SolverPerRank != nil && len(o.SolverPerRank) != nHosts:
 		return fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), nHosts)
-	case !(o.Tol > 0) || o.MaxIter < 0 || o.MaxStale < 0 || o.BandsPerProc < 0:
-		return fmt.Errorf("core: option out of range (Tol %v, MaxIter %d, MaxStale %d, BandsPerProc %d)",
-			o.Tol, o.MaxIter, o.MaxStale, o.BandsPerProc)
-	case o.AdaptInterval < 0 || o.AdaptHysteresis < 0:
-		return fmt.Errorf("core: option out of range (AdaptInterval %d, AdaptHysteresis %v)",
-			o.AdaptInterval, o.AdaptHysteresis)
-	case nHosts*o.BandsPerProc > n:
+	}
+	if err := o.check(); err != nil {
+		return err
+	}
+	if nHosts*o.BandsPerProc > n {
 		return fmt.Errorf("core: %d hosts with %d bands each exceed the %d unknowns", nHosts, o.BandsPerProc, n)
+	}
+	return nil
+}
+
+// check is Validate on a defaulted option set. A NaN fails every range.
+func (o *Options) check() error {
+	switch {
+	case !(o.Tol > 0):
+		return &RangeError{"Tol", o.Tol, "> 0"}
+	case o.MaxIter < 0:
+		return &RangeError{"MaxIter", o.MaxIter, ">= 0"}
+	case o.MaxStale < 0:
+		return &RangeError{"MaxStale", o.MaxStale, ">= 0"}
+	case o.BandsPerProc < 0:
+		return &RangeError{"BandsPerProc", o.BandsPerProc, ">= 0"}
+	case o.Overlap < 0:
+		return &RangeError{"Overlap", o.Overlap, ">= 0"}
+	case o.AdaptInterval < 0:
+		return &RangeError{"AdaptInterval", o.AdaptInterval, ">= 0"}
+	case !(o.AdaptHysteresis >= 0):
+		return &RangeError{"AdaptHysteresis", o.AdaptHysteresis, ">= 0"}
 	}
 	if err := o.TwoStage.validate(); err != nil {
 		return err

@@ -61,7 +61,7 @@ type adaptRank struct {
 // modes never resplit (a global transition needs lockstep); their adaptive
 // lever is the per-group staleness tuning in boundedStalePolicy. The epochs
 // resize one contiguous band per rank (st.bands[0] throughout this file):
-// Options.validate rejects Adapt with BandsPerProc > 1.
+// Options.check rejects Adapt with BandsPerProc > 1.
 func newAdaptRank(st *rankState) *adaptRank {
 	o := st.o
 	if !o.Adapt || o.Async {

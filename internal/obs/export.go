@@ -2,7 +2,9 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -31,8 +33,10 @@ type Export struct {
 // Validate rejects contradictory combinations; Begin calls it.
 func (x Export) Validate() error {
 	switch {
-	case x.Window < 0:
+	case !(x.Window >= 0): // NaN fails it too
 		return errors.New("-window must be >= 0")
+	case math.IsInf(x.Window, 1):
+		return errors.New("-window must be finite")
 	case x.StreamTrace && x.TraceJSON == "":
 		return errors.New("-stream-trace needs -trace-json")
 	case x.StreamTrace && x.CriticalPath:
@@ -101,7 +105,8 @@ func (x Export) Begin() (*Exporting, error) {
 // the streamed one), the metrics pair, the windows pair — and returns what
 // it computed. makespan is the run's end-to-end virtual time. A batch and a
 // streamed run write the same metrics and windows files, except that only
-// the batch run attributes the critical path to the windows.
+// the batch run attributes the critical path to the windows. A run that
+// needs more than maxWindows windows fails before a batch run writes a file.
 func (r *Exporting) Finish(makespan float64) (*Exported, error) {
 	x, out := r.x, &Exported{}
 	if r.st != nil {
@@ -114,12 +119,15 @@ func (r *Exporting) Finish(makespan float64) (*Exported, error) {
 		}
 		out.Flushed, out.PeakPending, out.OverflowFlushes = r.st.Flushed(), r.st.PeakPending(), r.st.OverflowFlushes()
 	} else {
-		if x.TraceJSON != "" {
-			if err := WriteFile(x.TraceJSON, func(w io.Writer) error { return WriteTraceJSON(w, r.Rec) }); err != nil {
-				return nil, err
-			}
-		}
 		r.fold.feed(r.Rec)
+	}
+	if x.Window > 0 && r.fold.windows.overflow(makespan) {
+		return nil, fmt.Errorf("-window %g needs more than %d windows for a makespan of %gs", x.Window, maxWindows, makespan)
+	}
+	if r.st == nil && x.TraceJSON != "" {
+		if err := WriteFile(x.TraceJSON, func(w io.Writer) error { return WriteTraceJSON(w, r.Rec) }); err != nil {
+			return nil, err
+		}
 	}
 	if x.MetricsOut != "" {
 		out.Metrics = r.fold.metrics(r.Rec, makespan)

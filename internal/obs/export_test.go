@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -175,6 +176,9 @@ func TestExportRejections(t *testing.T) {
 		err string
 	}{
 		{obs.Export{Window: -1}, "-window must be >= 0"},
+		{obs.Export{Window: math.NaN()}, "-window must be >= 0"},
+		{obs.Export{Window: math.Inf(1)}, "-window must be finite"},
+		{obs.Export{Window: math.Inf(-1)}, "-window must be >= 0"},
 		{obs.Export{StreamTrace: true}, "-stream-trace needs -trace-json"},
 		{obs.Export{StreamTrace: true, MetricsOut: "m"}, "-stream-trace needs -trace-json"},
 		{obs.Export{StreamTrace: true, TraceJSON: "t.json", CriticalPath: true},
@@ -194,5 +198,32 @@ func TestExportRejections(t *testing.T) {
 	}
 	if _, err := ex.Finish(1); err == nil {
 		t.Error("batch export into an uncreatable file: Finish succeeded")
+	}
+}
+
+// TestExportWindowCap: a window so narrow that the run needs more windows
+// than the export keeps fails Finish with an error naming -window, batch and
+// streamed, and a batch export writes no file — instead of folding a window
+// per nanosecond (or 10^297 of them) per host until memory runs out.
+func TestExportWindowCap(t *testing.T) {
+	for _, x := range []obs.Export{
+		{MetricsOut: "m", TraceJSON: "t.json", Window: 1e-9},
+		{MetricsOut: "m", TraceJSON: "t.json", Window: 1e-300, StreamTrace: true},
+	} {
+		dir := t.TempDir()
+		x.MetricsOut = filepath.Join(dir, x.MetricsOut)
+		x.TraceJSON = filepath.Join(dir, x.TraceJSON)
+		ex, err := x.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ex.Finish(solveOn(t, 1, 1, ex.Rec))
+		if err == nil || !strings.HasPrefix(err.Error(), "-window ") || !strings.Contains(err.Error(), "windows") {
+			t.Errorf("window %g (stream %v): Finish error %v, want one naming -window", x.Window, x.StreamTrace, err)
+		}
+		entries, _ := os.ReadDir(dir)
+		if !x.StreamTrace && len(entries) != 0 {
+			t.Errorf("window %g: %d files written, want none", x.Window, len(entries))
+		}
 	}
 }

@@ -126,6 +126,8 @@ type seriesWinKey struct {
 // span-by-span at flush time, so windowed metrics survive even though the
 // spans themselves are not retained). Feeding order is deterministic in both
 // modes, so the float accumulation — and therefore the export bytes — is too.
+// No row grows past maxWindows windows; Exporting.Finish reports a run that
+// needs more.
 type WindowAccum struct {
 	width float64
 	// Host and link names are interned: ids maps a name to its index in
@@ -162,7 +164,17 @@ type cellRows[T any] struct {
 	n     []int32    // per row: its cell count
 	free  []cell[T]  // what is left of the current chunk
 	cells int        // cells handed out, which sizes the next chunk
+	// full is set once a cell of window maxWindows or later was asked for;
+	// from then on no row grows.
+	full bool
 }
+
+// maxWindows is the most windows a run may be folded into, about 64 MB of
+// cells for a row that touches them all. A finer width would grow the rows
+// without bound (a 1e-9 s window over a 0.1 s run asks for 10^8 cells per
+// host), so the rows stop growing there and Exporting.Finish fails the
+// export.
+const maxWindows = 1 << 20
 
 // cell is one (name, window) cell of a row.
 type cell[T any] struct {
@@ -185,7 +197,8 @@ func (r *cellRows[T]) lastW(id int) int {
 	return -1
 }
 
-// at returns (inserting on demand) the columns of window w in row id.
+// at returns (inserting on demand) the columns of window w in row id, or nil
+// when the cell would be new and w is past maxWindows or the rows are full.
 func (r *cellRows[T]) at(id int32, w int) *T {
 	var next *cell[T]
 	c := r.tail[id]
@@ -194,6 +207,10 @@ func (r *cellRows[T]) at(id int32, w int) *T {
 	}
 	if c != nil && c.w == w {
 		return &c.v
+	}
+	if w >= maxWindows || r.full {
+		r.full = true
+		return nil
 	}
 	if len(r.free) == 0 {
 		r.free = make([]cell[T], min(max(r.cells, 8), 1024))
@@ -225,13 +242,20 @@ func NewWindowAccum(width float64) *WindowAccum {
 	}
 }
 
-// winOf returns the window index containing virtual time t.
+// winOf returns the window index containing virtual time t, maxWindows for
+// any later one (whose index may not fit an int).
 func (a *WindowAccum) winOf(t float64) int {
-	w := int(t / a.width)
-	if w < 0 {
-		w = 0
+	q := t / a.width
+	if q >= maxWindows {
+		return maxWindows
 	}
-	return w
+	return max(int(q), 0)
+}
+
+// overflow reports whether the run folded into a needs more than maxWindows
+// windows: a row stopped growing, or the makespan reaches past the last one.
+func (a *WindowAccum) overflow(makespan float64) bool {
+	return a.hosts.full || a.links.full || makespan/a.width > maxWindows
 }
 
 // intern returns the row of a host or link name, adding it on first sight.
@@ -268,6 +292,9 @@ func (a *WindowAccum) AddSpan(s Span) {
 				continue
 			}
 			l := a.links.at(a.intern(link), w)
+			if l == nil {
+				continue
+			}
 			l.bytes += float64(s.Bytes)
 			l.msgs++
 			l.queueDelay += s.Queue
@@ -289,7 +316,9 @@ func (a *WindowAccum) splitHost(s *Span, track string) {
 	}
 	id := a.lastID
 	if s.End <= s.Start {
-		addHost(a.hosts.at(id, a.winOf(s.Start)), s, 0, 1)
+		if h := a.hosts.at(id, a.winOf(s.Start)); h != nil {
+			addHost(h, s, 0, 1)
+		}
 		return
 	}
 	total := s.End - s.Start
@@ -299,11 +328,15 @@ func (a *WindowAccum) splitHost(s *Span, track string) {
 		if lo < s.Start {
 			lo = s.Start
 		}
-		if hi > s.End {
+		if hi > s.End || w == maxWindows { // the cap's window takes the rest, which at refuses
 			hi = s.End
 		}
 		if d := hi - lo; d > 0 {
-			addHost(a.hosts.at(id, w), s, d, d/total)
+			h := a.hosts.at(id, w)
+			if h == nil {
+				return
+			}
+			addHost(h, s, d, d/total)
 		}
 		if hi >= s.End {
 			return

@@ -29,7 +29,8 @@ func (fp *FaultPlan) ParseCrashes(schedule string) error {
 }
 
 // ParseSlowdowns adds a slowdown schedule (msolve -slow) to the plan:
-// "host@from:until:factor" windows in the grammar of ParseCrashes.
+// "host@from:until:factor" windows in the grammar of ParseCrashes, each
+// factor at least 1 (a slowdown never speeds a host up).
 func (fp *FaultPlan) ParseSlowdowns(schedule string) error {
 	for _, spec := range strings.Split(schedule, ",") {
 		if spec == "" {
@@ -43,6 +44,9 @@ func (fp *FaultPlan) ParseSlowdowns(schedule string) error {
 		factor, err := parseNumber(rest[i+1:])
 		if err != nil {
 			return fmt.Errorf("slow spec %q: bad factor: %w", spec, err)
+		}
+		if !(factor >= 1) {
+			return fmt.Errorf("slow spec %q: factor %g must be >= 1", spec, factor)
 		}
 		from, until, err := parseWindow(spec, rest[:i])
 		if err != nil {

@@ -39,6 +39,8 @@ func TestParseFaultSchedules(t *testing.T) {
 		{name: "slow with a bad factor", slow: "h1@0:1:fast", err: `slow spec "h1@0:1:fast": bad factor: `},
 		{name: "slow with a nan factor", slow: "h1@0:1:nan", err: `slow spec "h1@0:1:nan": bad factor: "nan" is not a number`},
 		{name: "slow with a bad window", slow: "h1@0:x:2", err: `slow spec "h1@0:x:2": bad end time: `},
+		{name: "slow with a negative factor", slow: "h1@0:1:-2", err: `slow spec "h1@0:1:-2": factor -2 must be >= 1`},
+		{name: "slow with a speed-up", slow: "h1@0:1:0.5", err: `slow spec "h1@0:1:0.5": factor 0.5 must be >= 1`},
 	} {
 		fp := NewFaultPlan(1)
 		err := fp.ParseCrashes(tc.crash)
