@@ -7,26 +7,24 @@
 //
 // Experiments: table1 table2 table3 table4 figure3 faultsweep utilization
 // windowed topology twostage adaptive (default: all), plus table4fair on
-// request. A cell holds a verified virtual time or a verdict (nem, stall,
-// dead, err, div, bad(r)); options a solver rejects outright fail the
-// experiment with exit status 1. -scale divides the paper's matrix dimensions
-// (default 16; 8 gives a closer, slower run; 1 is the paper's exact sizes,
-// only practical for the generated banded matrices). -csv emits
-// comma-separated values instead of aligned text (handy for plotting
-// figure3). -fault-seed reseeds the deterministic fault injection of the
-// faultsweep experiment. -workers changes only the host time of a run, never
-// a table; an out-of-range -scale, -workers, -omega or -precond-band, a
-// negative or non-finite -window and an unknown -inner-schedule are exit
-// status 2 before anything runs. The runs of a table go side by side, at most
-// GOMAXPROCS at a time (-workers bounds each run's compute pool, not that
-// count), a run that needs an earlier run's outcome starting once that run
-// has ended; the progress lines on stderr keep the order of a sequential
-// run.
+// request. Each experiment runs with the solver options it defines; msolve is
+// the command that sets them. A cell holds a verified virtual time or a
+// verdict (nem, stall, dead, err, div, bad(r)); options a solver rejects
+// outright fail the experiment with exit status 1. -scale divides the paper's
+// matrix dimensions (default 16; 8 gives a closer, slower run; 1 is the
+// paper's exact sizes, only practical for the generated banded matrices).
+// -csv emits comma-separated values instead of aligned text (handy for
+// plotting figure3). -workers changes only the host time of a run, never a
+// table; an out-of-range -scale or -workers and a negative or non-finite
+// -window are exit status 2 before anything runs. The runs of a table go side
+// by side, at most GOMAXPROCS at a time (-workers bounds each run's compute
+// pool, not that count), a run that needs an earlier run's outcome starting
+// once that run has ended; the progress lines on stderr keep the order of a
+// sequential run.
 //
 // The twostage experiment sweeps the two-stage solver's inner sweep count
 // against the exact-band baseline on cluster3, then demonstrates the memory
-// wall (a budget where only two-stage completes); -inner-schedule, -omega
-// and -precond-band override its inner-solve parameters.
+// wall (a budget where only two-stage completes).
 //
 // The utilization experiment honours the observability flags: -trace-json
 // PREFIX writes a Perfetto trace per run to PREFIX-<cluster>-<solver>.json,
@@ -36,9 +34,7 @@
 //
 // The adaptive experiment compares the live decomposition (internal/adapt)
 // against the static speed-balanced split on a windowed cluster2 host
-// degradation, printing the resplit timeline; -adapt enables the live
-// decomposition in the synchronous runs of the paper tables too, and
-// -adapt-interval/-adapt-hysteresis override the controller parameters.
+// degradation, printing the resplit timeline.
 //
 // The windowed experiment folds a clean and a degraded cluster2 solve into
 // fixed virtual-time windows (internal/obs windowed telemetry): -window sets
@@ -53,7 +49,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -71,17 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plot := fs.Bool("plot", false, "render figure3 as an ASCII plot (in addition to the table)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	workers := fs.Int("workers", 0, "worker threads of each run's compute pool (0 = GOMAXPROCS), not how many runs go side by side (at most GOMAXPROCS); results are identical for any value")
-	faultSeed := fs.Int64("fault-seed", 0, "seed for the faultsweep experiment's fault injection (0 = fixed default)")
 	traceJSON := fs.String("trace-json", "", "utilization: write a Perfetto trace per run to PREFIX-<cluster>-<solver>.json")
 	metricsOut := fs.String("metrics-out", "", "utilization: write per-run metrics to PREFIX-<cluster>-<solver>.metrics.{json,csv}")
 	critPath := fs.Bool("critical-path", false, "utilization: append each run's top critical-path segments to the table notes")
 	window := fs.Float64("window", 0, "windowed: virtual-time window width in seconds for the windowed-utilization experiment (0 = auto: 1/8 of the clean makespan); with -metrics-out also writes PREFIX-windowed-{clean,degraded}.windows.{json,csv}")
-	innerSched := fs.String("inner-schedule", "", "twostage: inner-sweep schedule (fixed, ramp or residual; empty = fixed)")
-	omega := fs.Float64("omega", 0, "twostage: inner relaxation weight in (0, 2) (0 = default 1)")
-	pcBand := fs.Int("precond-band", 0, "twostage: preconditioner half-bandwidth (0 = default 16)")
-	adapt := fs.Bool("adapt", false, "enable the live decomposition (online band resplits) in the synchronous runs of the paper tables; each resplitting run logs a resplit summary on the progress stream")
-	adaptInt := fs.Int("adapt-interval", 0, "iterations between adaptive controller epochs (0 = per-experiment default)")
-	adaptHyst := fs.Float64("adapt-hysteresis", 0, "minimal relative band-size change an accepted resplit must reach (0 = per-experiment default)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -89,8 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Config reads a value below its range as "use the default"; on the
-	// command line it is a typo, and so are inner-solve parameters the
-	// solver would reject only once the first rows have run.
+	// command line it is a typo.
 	var bad error
 	switch {
 	case *scale < 1:
@@ -99,9 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad = errors.New("-workers must be >= 0")
 	default:
 		bad = obs.Export{Window: *window}.Validate()
-	}
-	if bad == nil {
-		bad = core.TwoStage{Schedule: *innerSched, Omega: *omega, PrecondBand: *pcBand}.Validate()
 	}
 	if bad != nil {
 		fmt.Fprintln(stderr, "msexp:", bad)
@@ -113,10 +97,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = stderr
 	}
 	cfg := experiments.Config{
-		Scale: *scale, Progress: progress, Workers: *workers, FaultSeed: *faultSeed,
+		Scale: *scale, Progress: progress, Workers: *workers,
 		TraceJSON: *traceJSON, MetricsOut: *metricsOut, CriticalPath: *critPath, Window: *window,
-		TwoStageSchedule: *innerSched, TwoStageOmega: *omega, TwoStagePrecondBand: *pcBand,
-		Adapt: *adapt, AdaptInterval: *adaptInt, AdaptHysteresis: *adaptHyst,
 	}
 
 	names := fs.Args()

@@ -233,6 +233,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// InnerIters 0 means "two-stage off" to the solver: it would
 		// silently run the exact band solves instead.
 		err = errors.New("-two-stage needs -inner >= 1")
+	// core reads a zero of these as "use the default": the run would not be
+	// the one the flag asked for and the report names.
+	case s.opts.Tol == 0:
+		err = errors.New("-tol 0 out of range (want > 0)")
+	case s.twoStage && s.opts.TwoStage.Schedule == "":
+		err = errors.New("-two-stage needs -inner-schedule fixed, ramp or residual")
+	case s.twoStage && s.opts.TwoStage.Omega == 0:
+		err = errors.New("-two-stage needs -omega in (0,2)")
+	case s.twoStage && s.opts.TwoStage.PrecondBand == 0:
+		err = errors.New("-two-stage needs -precond-band >= 1")
+	case s.opts.Adapt && s.opts.AdaptInterval == 0:
+		err = errors.New("-adapt needs -adapt-interval >= 1")
+	case s.opts.Adapt && s.opts.AdaptHysteresis == 0:
+		err = errors.New("-adapt needs -adapt-hysteresis > 0")
 	default:
 		// What core would reject only once the matrix is read: -tol,
 		// -overlap, the -adapt controller's parameters and, with

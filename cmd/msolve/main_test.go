@@ -234,6 +234,13 @@ func TestUsageErrors(t *testing.T) {
 		// Options core checks only once the matrix is read, and a fault
 		// plan the run would check only once the report had begun.
 		{[]string{"-tol", "nan"}, "msolve: -tol NaN out of range (want > 0)\n"},
+		{[]string{"-tol", "inf"}, "msolve: -tol +Inf out of range (want finite)\n"},
+		{[]string{"-tol", "0"}, "msolve: -tol 0 out of range (want > 0)\n"},
+		{[]string{"-two-stage", "-inner-schedule", ""}, "msolve: -two-stage needs -inner-schedule fixed, ramp or residual\n"},
+		{[]string{"-two-stage", "-omega", "0"}, "msolve: -two-stage needs -omega in (0,2)\n"},
+		{[]string{"-two-stage", "-precond-band", "0"}, "msolve: -two-stage needs -precond-band >= 1\n"},
+		{[]string{"-adapt", "-adapt-interval", "0"}, "msolve: -adapt needs -adapt-interval >= 1\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "0"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
 		{[]string{"-tol", "-1"}, "msolve: -tol -1 out of range (want > 0)\n"},
 		{[]string{"-overlap", "-5"}, "msolve: -overlap -5 out of range (want >= 0)\n"},
 		{[]string{"-adapt", "-adapt-interval", "-1"}, "msolve: -adapt-interval -1 out of range (want >= 0)\n"},

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/sparse"
@@ -238,6 +239,8 @@ func (o *Options) check() error {
 	switch {
 	case !(o.Tol > 0):
 		return &RangeError{"Tol", o.Tol, "> 0"}
+	case math.IsInf(o.Tol, 1): // every step would pass the convergence test
+		return &RangeError{"Tol", o.Tol, "finite"}
 	case o.MaxIter < 0:
 		return &RangeError{"MaxIter", o.MaxIter, ">= 0"}
 	case o.MaxStale < 0:

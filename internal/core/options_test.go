@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -207,6 +208,7 @@ func TestOptionsRejectedBeforeLaunch(t *testing.T) {
 		"negative-stale":      {Async: true, MaxStale: -1},
 		"negative-maxiter":    {MaxIter: -1},
 		"negative-tol":        {Tol: -1e-8},
+		"infinite-tol":        {Tol: math.Inf(1)},
 		"negative-interval":   {Adapt: true, AdaptInterval: -1},
 		"negative-hysteresis": {Adapt: true, AdaptHysteresis: -0.1},
 		"more-bands-than-row": {BandsPerProc: 11},

@@ -77,20 +77,12 @@ func (t TwoStage) withDefaults() TwoStage {
 	return t
 }
 
-// validate rejects malformed two-stage configurations (after withDefaults).
+// validate rejects a malformed enabled configuration (after withDefaults):
+// an unknown Schedule, an Omega outside (0, 2) or a negative PrecondBand.
 func (t TwoStage) validate() error {
 	if !t.enabled() {
 		return nil
 	}
-	return t.Validate()
-}
-
-// Validate rejects inner-solve parameters the solver would refuse: an
-// unknown Schedule, an Omega outside (0, 2) or a negative PrecondBand. Zero
-// values stand for their defaults and InnerIters is not checked, so a
-// command can check its flags before any work starts.
-func (t TwoStage) Validate() error {
-	t = t.withDefaults()
 	switch t.Schedule {
 	case ScheduleFixed, ScheduleRamp, ScheduleResidual:
 	default:

@@ -196,7 +196,7 @@ func TestTwoStageFallback(t *testing.T) {
 }
 
 // TestTwoStageValidation covers the option errors, at Launch and through
-// Validate, which the commands call on their flags.
+// Options.Validate, which msolve calls on its flags.
 func TestTwoStageValidation(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 60, Seed: 1})
 	b := make([]float64, 60)
@@ -211,12 +211,11 @@ func TestTwoStageValidation(t *testing.T) {
 		if _, err := Launch(vgrid.NewEngine(pl), hs, a, b, o); err == nil {
 			t.Errorf("case %d: invalid two-stage options accepted", i)
 		}
-		o.TwoStage.InnerIters = 0
-		if o.TwoStage.Validate() == nil {
+		if o.Validate() == nil {
 			t.Errorf("case %d: Validate accepted invalid two-stage options", i)
 		}
 	}
-	if err := (TwoStage{}).Validate(); err != nil {
+	if err := (Options{TwoStage: TwoStage{InnerIters: 2}}).Validate(); err != nil {
 		t.Errorf("Validate of the defaults: %v", err)
 	}
 }

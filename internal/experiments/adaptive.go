@@ -38,20 +38,14 @@ func adaptiveMatrix(cfg Config) *sparse.CSR {
 
 // adaptiveOptions is the solver configuration of both legs: synchronous,
 // speed-balanced initial split, overlap at the controller's cap so the
-// overlap tuner holds it. The adaptive leg turns the controller on with the
-// experiment's (or the -adapt-interval/-adapt-hysteresis) parameters.
-func adaptiveOptions(cfg Config, adapt bool) core.Options {
+// overlap tuner holds it. The adaptive leg turns the controller on, with an
+// epoch every 5 iterations and a 5 % hysteresis.
+func adaptiveOptions(adapt bool) core.Options {
 	o := core.Options{Overlap: 8, Balance: true, Tol: 1e-10}
 	if adapt {
 		o.Adapt = true
 		o.AdaptInterval = 5
 		o.AdaptHysteresis = 0.05
-		if cfg.AdaptInterval > 0 {
-			o.AdaptInterval = cfg.AdaptInterval
-		}
-		if cfg.AdaptHysteresis > 0 {
-			o.AdaptHysteresis = cfg.AdaptHysteresis
-		}
 	}
 	return o
 }
@@ -65,7 +59,7 @@ func Adaptive(cfg Config) (*Table, error) {
 	b, _ := gen.RHSForSolution(a)
 
 	run := func(plan *vgrid.FaultPlan, adapt bool) (cell, *core.Result, error) {
-		return cfg.solve(cluster.Cluster2(-1), a, b, runSpec{opts: adaptiveOptions(cfg, adapt), plan: plan})
+		return cfg.solve(cluster.Cluster2(-1), a, b, runSpec{opts: adaptiveOptions(adapt), plan: plan})
 	}
 
 	// Probe the clean static makespan to place the degradation window the
@@ -86,7 +80,7 @@ func Adaptive(cfg Config) (*Table, error) {
 	T := probe.time
 	degFrom, degUntil := 0.25*T, 1.25*T
 	plan := func() *vgrid.FaultPlan {
-		return vgrid.NewFaultPlan(cfg.faultSeed()).
+		return vgrid.NewFaultPlan(faultSeed).
 			DegradeHost(adaptiveDegradedHost, degFrom, degUntil, adaptiveSlowdown)
 	}
 

@@ -41,10 +41,6 @@ type Config struct {
 	// runs go side by side. Results are identical for any value — only
 	// wall-clock time changes.
 	Workers int
-	// FaultSeed seeds the deterministic fault injection of the fault-sweep
-	// experiment; 0 selects a fixed default so results are reproducible
-	// without configuration.
-	FaultSeed int64
 	// TraceJSON, when non-empty, makes observability-aware experiments (the
 	// utilization table) write a Perfetto trace per run to
 	// <TraceJSON>-<cluster>-<solver>.json.
@@ -58,26 +54,6 @@ type Config struct {
 	// Window overrides the windowed-utilization experiment's virtual-time
 	// window width in seconds (0 auto-sizes to 1/8 of the clean makespan).
 	Window float64
-	// TwoStageSchedule overrides the inner-sweep schedule of the two-stage
-	// experiment ("fixed", "ramp", "residual"; empty keeps the core default).
-	TwoStageSchedule string
-	// TwoStageOmega overrides the inner relaxation weight (0 keeps the core
-	// default of 1).
-	TwoStageOmega float64
-	// TwoStagePrecondBand overrides the preconditioner half-bandwidth (0
-	// keeps the core default of 16).
-	TwoStagePrecondBand int
-	// Adapt enables the live decomposition (online band resplits,
-	// internal/adapt) in every synchronous multisplitting run of the paper
-	// tables; the adaptive experiment always runs its adaptive leg.
-	// Asynchronous runs ignore it — resplits need lockstep.
-	Adapt bool
-	// AdaptInterval overrides the iterations between controller epochs (0
-	// keeps the per-experiment default).
-	AdaptInterval int
-	// AdaptHysteresis overrides the minimal relative band-size change an
-	// accepted resplit must reach (0 keeps the per-experiment default).
-	AdaptHysteresis float64
 }
 
 func (c Config) scale() int {
@@ -294,18 +270,6 @@ type runSpec struct {
 	flows int
 	// rec, when non-nil, records the run's spans (obs.Exporting.Rec).
 	rec *obs.Recorder
-}
-
-// withAdapt applies the -adapt overlay of the paper tables to a run's
-// options: the live decomposition is switched on where it is defined — a
-// synchronous run (resplits need lockstep) with exact band solves.
-func (c Config) withAdapt(o core.Options) core.Options {
-	if c.Adapt && !o.Async && o.TwoStage.InnerIters == 0 {
-		o.Adapt = true
-		o.AdaptInterval = c.AdaptInterval
-		o.AdaptHysteresis = c.AdaptHysteresis
-	}
-	return o
 }
 
 // solve is the one run path of the package: it builds the engine, attaches

@@ -27,12 +27,9 @@ var faultSweepVariants = []struct {
 	{"async fault-tolerant", core.Options{Async: true, FaultTolerant: true}},
 }
 
-func (c Config) faultSeed() int64 {
-	if c.FaultSeed == 0 {
-		return 42
-	}
-	return c.FaultSeed
-}
+// faultSeed seeds the deterministic fault injection of every experiment that
+// draws from a fault plan.
+const faultSeed = 42
 
 // FaultSweep measures the three solver variants on cluster3 under injected
 // WAN faults with the 500000 generated matrix: message drops at increasing
@@ -46,10 +43,9 @@ func (c Config) faultSeed() int64 {
 func FaultSweep(cfg Config) (*Table, error) {
 	a := Gen500k(cfg)
 	b, _ := gen.RHSForSolution(a)
-	seed := cfg.faultSeed()
 	t := &Table{
 		ID:    "Fault sweep",
-		Title: fmt.Sprintf("WAN fault injection on cluster3, %d generated matrix (scale %d, seed %d)", 500000/cfg.scale(), cfg.scale(), seed),
+		Title: fmt.Sprintf("WAN fault injection on cluster3, %d generated matrix (scale %d, seed %d)", 500000/cfg.scale(), cfg.scale(), faultSeed),
 		Header: []string{
 			"scenario", "sync multisplitting-LU", "sync + retry", "async fault-tolerant", "async iterations",
 		},
@@ -61,7 +57,7 @@ func FaultSweep(cfg Config) (*Table, error) {
 		if p == 0 {
 			return nil
 		}
-		return vgrid.NewFaultPlan(seed).DropOnLink("wan", 0, math.Inf(1), p)
+		return vgrid.NewFaultPlan(faultSeed).DropOnLink("wan", 0, math.Inf(1), p)
 	}
 	jobs := func(scenario string, plan func() *vgrid.FaultPlan) []job {
 		js := make([]job, len(faultSweepVariants))
@@ -119,7 +115,7 @@ func FaultSweep(cfg Config) (*Table, error) {
 		fmt.Sprintf("crash: %s down over [%.3fs, %.3fs) of a %.3fs fault-free async run", faultCrashHost, from, until, clean.time))
 	crash := fmt.Sprintf("crash %s", faultCrashHost)
 	err = rows([]string{crash}, jobs(crash, func() *vgrid.FaultPlan {
-		return vgrid.NewFaultPlan(seed).CrashHost(faultCrashHost, from, until)
+		return vgrid.NewFaultPlan(faultSeed).CrashHost(faultCrashHost, from, until)
 	}))
 	return t, err
 }

@@ -72,18 +72,15 @@ func TestRunnerClassification(t *testing.T) {
 }
 
 // TestRejectedOptionsFailTheExperiment: options the solver refuses before
-// spending virtual time are an error of the run path and of the experiment
-// built on it — not a table of "err" cells.
+// spending virtual time are an error of the run path and of the job list an
+// experiment hands to it — not a table of "err" cells. (cmd/msexp's
+// TestRejectedInputFailsWithoutATable sees a whole experiment fail so.)
 func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
 	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Async: true, MaxStale: -1}})
 	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") {
 		t.Errorf("solve with a negative staleness bound: err %v, want the wrapped cause", err)
-	}
-	tab, err := TwoStageTable(Config{Scale: 64, TwoStageSchedule: "bogus"})
-	if err == nil || tab != nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("twostage with schedule \"bogus\": table %v, err %v; want an error naming it", tab, err)
 	}
 
 	// Side by side, a rejected job fails its list the same way: solveAll

@@ -27,10 +27,10 @@ var compareHeader = []string{
 // that order — each on a fresh platform newPlat builds. what prefixes the
 // progress lines; track accounts solver storage against host memory ("nem"
 // cells).
-func (c Config) compare(what string, newPlat func(cell) *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) []job {
+func compare(what string, newPlat func(cell) *cluster.Platform, a *sparse.CSR, b []float64, track bool, flows int) []job {
 	return []job{
 		{what: what + ", distributed SuperLU", a: a, b: b, plt: newPlat, spec: runSpec{dslu: true, opts: core.Options{TrackMemory: track}, flows: flows}},
-		{what: what + ", sync multisplitting", a: a, b: b, plt: newPlat, spec: runSpec{opts: c.withAdapt(core.Options{TrackMemory: track}), flows: flows}},
+		{what: what + ", sync multisplitting", a: a, b: b, plt: newPlat, spec: runSpec{opts: core.Options{TrackMemory: track}, flows: flows}},
 		{what: what + ", async multisplitting", a: a, b: b, plt: newPlat, spec: runSpec{opts: core.Options{Async: true, TrackMemory: track}, flows: flows}},
 	}
 }
@@ -60,7 +60,7 @@ func scalabilityRows(cfg Config, t *Table, a *sparse.CSR, b []float64, procs []i
 				spec: runSpec{dslu: true, opts: core.Options{TrackMemory: track}}})
 			continue
 		}
-		jobs = append(jobs, cfg.compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, track, 0)...)
+		jobs = append(jobs, compare(fmt.Sprintf("table: %d procs", nprocs), newPlat, a, b, track, 0)...)
 	}
 	cells, res, err := cfg.solveAll(jobs)
 	if err != nil {
@@ -153,7 +153,7 @@ func Table3(cfg Config) (*Table, error) {
 	var jobs []job
 	for _, r := range rows {
 		b, _ := gen.RHSForSolution(r.a)
-		row := cfg.compare(fmt.Sprintf("table3: %s on %s", r.name, r.cl), r.plt, r.a, b, r.budgeted, 0)
+		row := compare(fmt.Sprintf("table3: %s on %s", r.name, r.cl), r.plt, r.a, b, r.budgeted, 0)
 		if r.budgeted {
 			for i := range row {
 				row[i].after = 1 // job 0: cage11's distributed-LU run
@@ -186,7 +186,7 @@ func perturbationTable(cfg Config, id string, t *Table, newPlat func() *cluster.
 	flows := []int{0, 1, 5, 10}
 	var jobs []job
 	for _, f := range flows {
-		jobs = append(jobs, cfg.compare(fmt.Sprintf("%s: %d flows", id, f), fixed(newPlat), a, b, false, f)...)
+		jobs = append(jobs, compare(fmt.Sprintf("%s: %d flows", id, f), fixed(newPlat), a, b, false, f)...)
 	}
 	cells, res, err := cfg.solveAll(jobs)
 	if err != nil {
@@ -245,7 +245,7 @@ func Figure3(cfg Config) (*Table, error) {
 		scaled := 2 * ov / cfg.scale()
 		jobs = append(jobs,
 			job{what: fmt.Sprintf("figure3: overlap %d (scaled %d)", ov, scaled), a: a, b: b, plt: plt,
-				spec: runSpec{opts: cfg.withAdapt(core.Options{Overlap: scaled})}},
+				spec: runSpec{opts: core.Options{Overlap: scaled}}},
 			job{a: a, b: b, plt: plt, spec: runSpec{opts: core.Options{Async: true, Overlap: scaled}}})
 	}
 	cells, res, err := cfg.solveAll(jobs)

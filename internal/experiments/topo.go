@@ -40,7 +40,7 @@ func TopologyTable(cfg Config) (*Table, error) {
 	jobs := make([]job, len(modes))
 	for i, m := range modes {
 		jobs[i] = job{what: "topology: " + m.name, a: a, b: b, plt: cluster3,
-			spec: runSpec{opts: cfg.withAdapt(core.Options{TopoCollectives: m.topo, Gateway: m.gateway})}}
+			spec: runSpec{opts: core.Options{TopoCollectives: m.topo, Gateway: m.gateway}}}
 	}
 	cells, results, err := cfg.solveAll(jobs)
 	if err != nil {

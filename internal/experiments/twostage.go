@@ -26,21 +26,16 @@ func twoStageMatrix(cfg Config) *sparse.CSR {
 	})
 }
 
-func (c Config) twoStage(inner int) core.TwoStage {
-	return core.TwoStage{
-		InnerIters:  inner,
-		Schedule:    c.TwoStageSchedule,
-		Omega:       c.TwoStageOmega,
-		PrecondBand: c.TwoStagePrecondBand,
-	}
-}
+// twoStagePrecondBand is the half-bandwidth of the experiment's band
+// preconditioner: the width of its two-stage runs and of the budget probe.
+const twoStagePrecondBand = 16
 
 // twoStageBudget sizes the memory-wall boundary from the decomposition
 // itself: the largest band's working set plus its preconditioner fits, while
 // even the smallest band's exact LU factor does not. The probe mirrors the
 // engine's allocations (band submatrix, dependency columns, iterate
 // vectors, factor bytes).
-func twoStageBudget(a *sparse.CSR, hosts, width int) (int64, error) {
+func twoStageBudget(a *sparse.CSR, hosts int) (int64, error) {
 	d, err := core.NewDecomposition(a.Rows, hosts, 0, core.WeightOwner)
 	if err != nil {
 		return 0, err
@@ -53,7 +48,7 @@ func twoStageBudget(a *sparse.CSR, hosts, width int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		pc, err := splu.NewBandPreconditioner(sub, width, &cnt)
+		pc, err := splu.NewBandPreconditioner(sub, twoStagePrecondBand, &cnt)
 		if err != nil {
 			return 0, err
 		}
@@ -82,10 +77,6 @@ func twoStageBudget(a *sparse.CSR, hosts, width int) (int64, error) {
 func TwoStageTable(cfg Config) (*Table, error) {
 	a := twoStageMatrix(cfg)
 	b, _ := gen.RHSForSolution(a)
-	width := cfg.twoStage(1).PrecondBand
-	if width == 0 {
-		width = 16 // core's default, mirrored for the budget probe
-	}
 	t := &Table{
 		ID: "Table 5",
 		Title: fmt.Sprintf("two-stage multisplitting on cluster3, generated wide-band matrix (n=%d, scale %d)",
@@ -96,7 +87,7 @@ func TwoStageTable(cfg Config) (*Table, error) {
 	// The memory wall: budget the hosts between the preconditioner footprint
 	// and the exact factor fill. The budget reads no run, so the k sweep and
 	// the wall are one list.
-	budget, err := twoStageBudget(a, len(cluster.Cluster3(-1).Hosts), width)
+	budget, err := twoStageBudget(a, len(cluster.Cluster3(-1).Hosts))
 	if err != nil {
 		return nil, err
 	}
@@ -105,10 +96,10 @@ func TwoStageTable(cfg Config) (*Table, error) {
 	for _, k := range []int{0, 1, 2, 4, 8} { // 0: the exact-band baseline
 		label, o := "exact", core.Options{}
 		if k > 0 {
-			label, o = fmt.Sprintf("%d", k), core.Options{TwoStage: cfg.twoStage(k)}
+			label, o = fmt.Sprintf("%d", k), core.Options{TwoStage: core.TwoStage{InnerIters: k, PrecondBand: twoStagePrecondBand}}
 		}
 		labels = append(labels, label)
-		jobs = append(jobs, job{what: "twostage: " + label + ", sync", a: a, b: b, plt: cluster3, spec: runSpec{opts: cfg.withAdapt(o)}})
+		jobs = append(jobs, job{what: "twostage: " + label + ", sync", a: a, b: b, plt: cluster3, spec: runSpec{opts: o}})
 		o.Async = true
 		jobs = append(jobs, job{what: "twostage: " + label + ", async", a: a, b: b, plt: cluster3, spec: runSpec{opts: o}})
 	}
@@ -119,8 +110,8 @@ func TwoStageTable(cfg Config) (*Table, error) {
 	}
 	jobs = append(jobs,
 		wall("distributed SuperLU", runSpec{dslu: true}),
-		wall("exact multisplitting", runSpec{opts: cfg.withAdapt(core.Options{})}),
-		wall("two-stage multisplitting", runSpec{opts: core.Options{TwoStage: cfg.twoStage(4)}}))
+		wall("exact multisplitting", runSpec{}),
+		wall("two-stage multisplitting", runSpec{opts: core.Options{TwoStage: core.TwoStage{InnerIters: 4, PrecondBand: twoStagePrecondBand}}}))
 	cells, results, err := cfg.solveAll(jobs)
 	if err != nil {
 		return nil, err
@@ -134,7 +125,7 @@ func TwoStageTable(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, []string{label, cells[2*i].timeStr(), cells[2*i+1].timeStr(), fmt.Sprintf("%d", sres.Iterations), sweeps})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("memory-wall rows: per-host budget %d bytes (self-calibrated between band-%d preconditioner and exact band LU fill)", budget, width))
+		fmt.Sprintf("memory-wall rows: per-host budget %d bytes (self-calibrated between band-%d preconditioner and exact band LU fill)", budget, twoStagePrecondBand))
 	cells, results = cells[2*len(labels):], results[2*len(labels):]
 	for i, label := range []string{"wall: dslu", "wall: exact", "wall: k=4"} {
 		sweeps := "-"

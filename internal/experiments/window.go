@@ -117,7 +117,7 @@ func WindowedUtilization(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	cfg.logf("windowed: degraded run with telemetry")
-	plan := vgrid.NewFaultPlan(cfg.faultSeed()).
+	plan := vgrid.NewFaultPlan(faultSeed).
 		DegradeLink(windowedDegradedLink, degFrom, degUntil, 8, 1.0/8).
 		CrashHost(windowedCrashedHost, crashFrom, crashUntil)
 	deg, degWM, err := runWindowed(cfg, cluster.Cluster2(-1), a, b, plan, width)
