@@ -100,7 +100,8 @@ type spec struct {
 	synHet                float64
 	synSeed               int64
 	// twoStage gates opts.TwoStage, whose fields hold the -inner, -omega,
-	// -inner-schedule and -precond-band values either way.
+	// -inner-schedule and -precond-band values either way; opts.Adapt gates
+	// -adapt-interval and -adapt-hysteresis the same way.
 	twoStage bool
 	opts     core.Options
 	// The fault plan: a loss rule on one link, and the crash and slowdown
@@ -210,6 +211,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !s.twoStage {
 		s.opts.TwoStage = core.TwoStage{}
 	}
+	if !s.opts.Adapt {
+		s.opts.AdaptInterval, s.opts.AdaptHysteresis = 0, 0
+	}
 	err := s.export.Validate()
 	if err == nil {
 		err = lookup("scheme", s.scheme, schemes, &s.opts.Scheme)
@@ -239,18 +243,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = errors.New("-tol 0 out of range (want > 0)")
 	case s.twoStage && s.opts.TwoStage.Schedule == "":
 		err = errors.New("-two-stage needs -inner-schedule fixed, ramp or residual")
-	case s.twoStage && s.opts.TwoStage.Omega == 0:
+	case s.twoStage && !(s.opts.TwoStage.Omega > 0 && s.opts.TwoStage.Omega < 2):
 		err = errors.New("-two-stage needs -omega in (0,2)")
-	case s.twoStage && s.opts.TwoStage.PrecondBand == 0:
+	case s.twoStage && s.opts.TwoStage.PrecondBand < 1:
 		err = errors.New("-two-stage needs -precond-band >= 1")
-	case s.opts.Adapt && s.opts.AdaptInterval == 0:
+	case s.opts.Adapt && s.opts.AdaptInterval < 1:
 		err = errors.New("-adapt needs -adapt-interval >= 1")
-	case s.opts.Adapt && s.opts.AdaptHysteresis == 0:
+	case s.opts.Adapt && !(s.opts.AdaptHysteresis > 0):
 		err = errors.New("-adapt needs -adapt-hysteresis > 0")
 	default:
 		// What core would reject only once the matrix is read: -tol,
-		// -overlap, the -adapt controller's parameters and, with
-		// -two-stage, -inner-schedule, -omega and -precond-band.
+		// -overlap and, with -two-stage, -inner-schedule.
 		err = optionsError(s.opts.Validate())
 	}
 	if err == nil {
@@ -269,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // optionFlags names the flag behind each core.Options field msolve sets.
 var optionFlags = map[string]string{
-	"Tol": "-tol", "Overlap": "-overlap", "AdaptInterval": "-adapt-interval", "AdaptHysteresis": "-adapt-hysteresis",
+	"Tol": "-tol", "Overlap": "-overlap",
 }
 
 // optionsError restates a field out of range as the flag that set it.

@@ -228,9 +228,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-cond", "-scheme", "bogus"}, "msolve: unknown scheme \"bogus\" (want average, owner)\n"},
 		{[]string{"-cond", "-solver", "bogus"}, "msolve: unknown solver \"bogus\" (want band, dense, sparse)\n"},
 		{[]string{"-two-stage", "-inner-schedule", "nope"}, "msolve: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},
-		{[]string{"-two-stage", "-omega", "3"}, "msolve: core: two-stage omega 3 outside (0,2)\n"},
-		{[]string{"-two-stage", "-omega", "-1"}, "msolve: core: two-stage omega -1 outside (0,2)\n"},
-		{[]string{"-two-stage", "-precond-band", "-1"}, "msolve: core: two-stage preconditioner band -1 < 0\n"},
+		{[]string{"-two-stage", "-omega", "3"}, "msolve: -two-stage needs -omega in (0,2)\n"},
+		{[]string{"-two-stage", "-omega", "-1"}, "msolve: -two-stage needs -omega in (0,2)\n"},
+		{[]string{"-two-stage", "-omega", "nan"}, "msolve: -two-stage needs -omega in (0,2)\n"},
+		{[]string{"-two-stage", "-precond-band", "-1"}, "msolve: -two-stage needs -precond-band >= 1\n"},
 		// Options core checks only once the matrix is read, and a fault
 		// plan the run would check only once the report had begun.
 		{[]string{"-tol", "nan"}, "msolve: -tol NaN out of range (want > 0)\n"},
@@ -243,8 +244,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-adapt", "-adapt-hysteresis", "0"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
 		{[]string{"-tol", "-1"}, "msolve: -tol -1 out of range (want > 0)\n"},
 		{[]string{"-overlap", "-5"}, "msolve: -overlap -5 out of range (want >= 0)\n"},
-		{[]string{"-adapt", "-adapt-interval", "-1"}, "msolve: -adapt-interval -1 out of range (want >= 0)\n"},
-		{[]string{"-adapt", "-adapt-hysteresis", "nan"}, "msolve: -adapt-hysteresis NaN out of range (want >= 0)\n"},
+		{[]string{"-adapt", "-adapt-interval", "-1"}, "msolve: -adapt needs -adapt-interval >= 1\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "nan"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "-0.5"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
 		{[]string{"-adapt", "-two-stage"}, "msolve: core: incompatible options: Adapt with TwoStage\n"},
 		{[]string{"-slow", "c1-00@0:1:-2"}, "msolve: -slow: slow spec \"c1-00@0:1:-2\": factor -2 must be >= 1\n"},
 		{[]string{"-slow", "c1-00@0:1:nan"}, "msolve: -slow: slow spec \"c1-00@0:1:nan\": bad factor: \"nan\" is not a number\n"},

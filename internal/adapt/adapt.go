@@ -1,8 +1,7 @@
 // Package adapt closes the control loop between the windowed telemetry of
 // internal/obs and the decomposition of internal/core: a deterministic
-// feedback controller that resizes the multisplitting bands, the overlap
-// width and the per-link-class staleness bounds online, from committed
-// per-window measurements only.
+// feedback controller that resizes the multisplitting bands and the overlap
+// width online, from committed per-window measurements only.
 //
 // The package is deliberately dependency-light (sparse only, never core), so
 // the solver core can import it: core's speed-balanced decomposition
@@ -264,35 +263,6 @@ func (c *Controller) proposeOverlap(cur int, obs []Observation) int {
 	case mean > highWait && cur < maxOverlap:
 		return cur + 1
 	case mean < lowWait && cur > 0:
-		return cur - 1
-	}
-	return cur
-}
-
-// TuneStale adjusts one receive group's bounded-staleness limit from its
-// committed window behaviour: forcedWaits counts the iterations the rank had
-// to poll for the group in the window, freshRounds the iterations that found
-// fresh data without waiting. A group that keeps forcing waits gets a looser
-// bound (up to 4×base for inter-cluster links, 2×base for intra-cluster
-// ones — WAN latency deserves more slack than a LAN neighbour), and a group
-// that always delivered tightens back toward the configured base one step at
-// a time. The result never goes below base, so the partial-synchronism
-// guarantee of the bounded-stale policy is preserved.
-func TuneStale(cur, base, forcedWaits, freshRounds int, interCluster bool) int {
-	if base < 1 {
-		base = 1
-	}
-	if cur < base {
-		cur = base
-	}
-	limit := 2 * base
-	if interCluster {
-		limit = 4 * base
-	}
-	switch {
-	case forcedWaits > freshRounds && cur < limit:
-		return cur + 1
-	case forcedWaits == 0 && cur > base:
 		return cur - 1
 	}
 	return cur

@@ -267,23 +267,3 @@ func TestControllerOverlapTuner(t *testing.T) {
 		}
 	}
 }
-
-// TestTuneStale pins the staleness tuner's direction and bounds for both
-// link classes.
-func TestTuneStale(t *testing.T) {
-	if got := TuneStale(4, 4, 5, 1, true); got != 5 {
-		t.Fatalf("inter-cluster loosen: got %d, want 5", got)
-	}
-	if got := TuneStale(16, 4, 5, 1, true); got != 16 {
-		t.Fatalf("inter-cluster cap: got %d, want 16", got)
-	}
-	if got := TuneStale(8, 4, 5, 1, false); got != 8 {
-		t.Fatalf("intra-cluster cap: got %d, want 8", got)
-	}
-	if got := TuneStale(6, 4, 0, 9, true); got != 5 {
-		t.Fatalf("tighten: got %d, want 5", got)
-	}
-	if got := TuneStale(4, 4, 0, 9, true); got != 4 {
-		t.Fatalf("floor: got %d, want 4", got)
-	}
-}

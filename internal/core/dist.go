@@ -84,12 +84,6 @@ type Options struct {
 	// splitting (a simple preconditioning hook, paper Remark 5). The
 	// returned solution solves the original system.
 	Equilibrate bool
-	// MaxStale bounds asynchronous staleness: a rank that has gone
-	// MaxStale consecutive iterations without fresh data from some
-	// contributor pauses until it arrives (the partially asynchronous
-	// model of Bertsekas–Tsitsiklis, paper ref [8]). Zero means totally
-	// asynchronous (no bound). Ignored in synchronous mode.
-	MaxStale int
 	// BandsPerProc assigns this many non-adjacent bands to every processor
 	// (the paper's Remark 2), cyclically: rank r owns bands r, r+P, r+2P….
 	// All segments between two ranks coalesce into one packed message per
@@ -133,11 +127,11 @@ type Options struct {
 	// symbolic pattern and factorization, iterates remapped across the old
 	// and new bands). Every proposal passes the paper's Theorem-1 safety
 	// check first (a conservative diagonal-dominance contraction bound valid
-	// for every WeightScheme); unsafe proposals are counted and skipped. In
-	// asynchronous bounded-staleness mode the controller instead tunes each
-	// receive group's staleness bound per link class (intra- vs
-	// inter-cluster). Decisions use committed virtual-time data only, so
-	// adaptive runs stay byte-identical for any worker or lane count.
+	// for every WeightScheme); unsafe proposals are counted and skipped.
+	// Asynchronous runs never resplit (a global transition needs lockstep),
+	// so Adapt is a no-op under Async. Decisions use committed virtual-time
+	// data only, so adaptive runs stay byte-identical for any worker or lane
+	// count.
 	// Rejected (ErrIncompatible) with BandsPerProc > 1 and with TwoStage; see
 	// Options.check for the reasons.
 	Adapt bool
@@ -243,8 +237,6 @@ func (o *Options) check() error {
 		return &RangeError{"Tol", o.Tol, "finite"}
 	case o.MaxIter < 0:
 		return &RangeError{"MaxIter", o.MaxIter, ">= 0"}
-	case o.MaxStale < 0:
-		return &RangeError{"MaxStale", o.MaxStale, ">= 0"}
 	case o.BandsPerProc < 0:
 		return &RangeError{"BandsPerProc", o.BandsPerProc, ">= 0"}
 	case o.Overlap < 0:

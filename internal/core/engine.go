@@ -134,9 +134,8 @@ type rankState struct {
 	// freshSeen tracks, per recv group, whether new data arrived since the
 	// last complete exchange round; async convergence evidence only counts
 	// on complete rounds (see asyncPolicy).
-	freshSeen  []bool
-	staleCount []int
-	sendBuf    []float64
+	freshSeen []bool
+	sendBuf   []float64
 
 	// relay routes every send group and delivers every receive group, direct
 	// or over the plan's relay route (Options.Gateway); recvCritical is the
@@ -254,7 +253,6 @@ func (st *rankState) startRun() {
 		st.localLast[i] = take(len(s.Pos))
 	}
 	st.freshSeen = make([]bool, ng)
-	st.staleCount = make([]int, ng)
 	var route *plan.Relay
 	if st.o.Gateway {
 		route = st.rp.Relay
@@ -588,9 +586,9 @@ func (st *rankState) ship() error {
 
 // msRankRun is the body of Algorithm 1 from the first iteration on: one
 // engine loop — iterate, ship, exchange — parameterized by the exchange policy
-// (synchronous barrier, asynchronous freshest-drain, or bounded staleness),
-// which stops on the paper's successive-iterate difference, then the final
-// gather. Session.rankBody hands it a rank at the start of a solve.
+// (synchronous barrier or asynchronous freshest-drain), which stops on the
+// paper's successive-iterate difference, then the final gather.
+// Session.rankBody hands it a rank at the start of a solve.
 func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 	c, o := st.c, st.o
 

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
-	"repro/internal/adapt"
 	"repro/internal/detect"
 	"repro/internal/mp"
 	"repro/internal/obs"
@@ -21,9 +17,8 @@ const (
 
 // exchangePolicy is the pluggable communication strategy of the engine loop:
 // how a rank obtains its neighbours' updates and how the global stopping
-// decision is reached. The three implementations reproduce the paper's
-// synchronous and asynchronous variants plus the bounded-staleness middle
-// ground.
+// decision is reached. The two implementations reproduce the paper's
+// synchronous and asynchronous variants.
 type exchangePolicy interface {
 	exchange(st *rankState) (outcome, error)
 }
@@ -34,11 +29,7 @@ func newExchangePolicy(o Options, c *mp.Comm) exchangePolicy {
 	if !o.Async {
 		return syncPolicy{}
 	}
-	ap := asyncPolicy{det: detect.NewDecentralized(c)}
-	if o.MaxStale > 0 {
-		return &boundedStalePolicy{asyncPolicy: ap, maxStale: o.MaxStale}
-	}
-	return &ap
+	return &asyncPolicy{det: detect.NewDecentralized(c)}
 }
 
 // syncPolicy: the relay round, a blocking receive from every contributor
@@ -94,42 +85,16 @@ type asyncPolicy struct {
 	lastRefresh float64
 }
 
+// exchange pumps the relay first (an aggregator forwards whatever arrived
+// since its last iteration, a member stages the freshest record per origin),
+// then adopts the freshest update of every group.
 func (ap *asyncPolicy) exchange(st *rankState) (outcome, error) {
-	if err := ap.drain(st); err != nil {
+	if err := st.relay.Pump(); err != nil {
 		return 0, err
 	}
-	return ap.finish(st)
-}
-
-// drain pumps the relay first (an aggregator forwards whatever arrived since
-// its last iteration, a member stages the freshest record per origin), then
-// adopts the freshest update of every group.
-func (ap *asyncPolicy) drain(st *rankState) error {
-	if err := st.relay.Pump(); err != nil {
-		return err
-	}
 	for gi := range st.rp.Recv {
-		if !st.adopt(gi) {
-			st.staleCount[gi]++
-		}
+		st.adopt(gi)
 	}
-	return nil
-}
-
-// adopt applies group gi's freshest arrived update, if any, as fresh data.
-func (st *rankState) adopt(gi int) bool {
-	pk := st.relay.Latest(gi)
-	if pk == nil {
-		return false
-	}
-	st.applyGroup(gi, pk.Floats[0], pk.Floats[1], pk.Floats[msgHdr:])
-	st.c.Release(pk)
-	st.freshSeen[gi] = true
-	st.staleCount[gi] = 0
-	return true
-}
-
-func (ap *asyncPolicy) finish(st *rankState) (outcome, error) {
 	st.c.Charge()
 	roundComplete := true
 	for _, f := range st.freshSeen {
@@ -187,128 +152,13 @@ func (ap *asyncPolicy) finish(st *rankState) (outcome, error) {
 	return outContinue, nil
 }
 
-// boundedStalePolicy is asyncPolicy with a partial-synchronism guarantee: if
-// any contributor has produced no fresh data for MaxStale consecutive
-// iterations, the rank polls (virtual-time sleeps) until an update arrives,
-// bounding how far ranks can drift apart. With Options.Adapt the single
-// configured bound becomes a live per-group bound, tuned every AdaptInterval
-// iterations by link class (adapt.TuneStale): a WAN contributor that keeps
-// forcing waits earns more slack, a contributor that always delivers
-// tightens back toward the base. The tuning reads only this rank's
-// deterministic staleness counters, so no extra messages are needed and the
-// virtual schedule stays byte-identical for any worker or lane count.
-type boundedStalePolicy struct {
-	asyncPolicy
-	maxStale int
-	// Adaptive per-group state (nil without Options.Adapt): the live bounds
-	// and the forced-wait and fresh-delivery counters of the current tuning
-	// window. A group's link class is whether the plan relays it.
-	bounds []int
-	forced []int
-	fresh  []int
-}
-
-func (bp *boundedStalePolicy) exchange(st *rankState) (outcome, error) {
-	if err := bp.drain(st); err != nil {
-		return 0, err
-	}
-	if st.o.Adapt {
-		bp.tuneBounds(st)
-	}
-	out, err := bp.waitForStale(st)
-	if err != nil || out != outContinue {
-		return out, err
-	}
-	return bp.finish(st)
-}
-
-// bound returns the staleness limit for one receive group: the live tuned
-// bound when adaptive, the configured MaxStale otherwise.
-func (bp *boundedStalePolicy) bound(gi int) int {
-	if bp.bounds != nil {
-		return bp.bounds[gi]
-	}
-	return bp.maxStale
-}
-
-// tuneBounds accumulates this iteration's per-group evidence and, at every
-// AdaptInterval boundary, retunes the live bounds through adapt.TuneStale.
-func (bp *boundedStalePolicy) tuneBounds(st *rankState) {
-	if bp.bounds == nil {
-		ng := len(st.rp.Recv)
-		bp.bounds = make([]int, ng)
-		bp.forced = make([]int, ng)
-		bp.fresh = make([]int, ng)
-		for gi := range bp.bounds {
-			bp.bounds[gi] = bp.maxStale
-		}
-	}
-	for gi := range st.rp.Recv {
-		if st.staleCount[gi] == 0 {
-			bp.fresh[gi]++
-		}
-	}
-	if st.iter%st.o.AdaptInterval != 0 {
+// adopt applies group gi's freshest arrived update, if any, as fresh data.
+func (st *rankState) adopt(gi int) {
+	pk := st.relay.Latest(gi)
+	if pk == nil {
 		return
 	}
-	for gi := range bp.bounds {
-		nb := adapt.TuneStale(bp.bounds[gi], bp.maxStale, bp.forced[gi], bp.fresh[gi], st.rp.Recv[gi].Relayed())
-		if nb != bp.bounds[gi] {
-			if sc := st.ctx.Observe(); sc != nil {
-				sc.Count("stale_retune", 1)
-			}
-			bp.bounds[gi] = nb
-		}
-		bp.forced[gi], bp.fresh[gi] = 0, 0
-	}
-}
-
-// waitForStale blocks (in virtual time) on every over-stale contributor.
-// While polling it keeps servicing the detector and the abort channel so a
-// stop decided elsewhere still terminates this rank. In fault-tolerant mode
-// the wait is capped at the dead-rank budget (sendRetries × deadRankTimeout)
-// so a crashed contributor produces a diagnostic instead of a livelock.
-func (bp *boundedStalePolicy) waitForStale(st *rankState) (outcome, error) {
-	const pollInterval = 1e-4
-	maxWait := math.Inf(1)
-	if st.o.FaultTolerant {
-		maxWait = sendRetries * deadRankTimeout
-	}
-	for gi := range st.rp.Recv {
-		g := &st.rp.Recv[gi]
-		waited := 0.0
-		limit := bp.bound(gi)
-		if bp.forced != nil && st.staleCount[gi] > limit {
-			bp.forced[gi]++
-		}
-		for st.staleCount[gi] > limit {
-			// Keep the relay pumped inside the poll loop: an aggregator must
-			// go on forwarding while it waits, and a member's relayed data
-			// can only arrive through it.
-			if err := st.relay.Pump(); err != nil {
-				return 0, err
-			}
-			if st.adopt(gi) {
-				break
-			}
-			if waited >= maxWait {
-				return 0, fmt.Errorf("rank %d: contributor rank %d over-stale for %.3gs in bounded-staleness mode",
-					st.rank, g.Peer, waited)
-			}
-			st.c.Proc().Sleep(pollInterval)
-			waited += pollInterval
-			stopNow, err := bp.det.Step(false)
-			if err != nil {
-				return 0, err
-			}
-			if stopNow {
-				return outConverged, nil
-			}
-			if pk := st.c.TryRecv(mp.AnySource, tagAbort); pk != nil {
-				st.c.Release(pk)
-				return outAborted, nil
-			}
-		}
-	}
-	return outContinue, nil
+	st.applyGroup(gi, pk.Floats[0], pk.Floats[1], pk.Floats[msgHdr:])
+	st.c.Release(pk)
+	st.freshSeen[gi] = true
 }

@@ -200,7 +200,7 @@ func cluster3System() (*sparse.CSR, []float64) {
 }
 
 // TestIdleStepsExactOnCluster3 is the workload the skip exists for: the
-// asynchronous policies on the two-site grid, where most steps wait on the
+// asynchronous policy on the two-site grid, where most steps wait on the
 // WAN. Most steps must be idle, every one of them skipped, and the run the
 // same as the all-compute one; for the plain asynchronous case also for one
 // and four workers.
@@ -211,7 +211,6 @@ func TestIdleStepsExactOnCluster3(t *testing.T) {
 		o    Options
 	}{
 		{"async", Options{Tol: 1e-8, Async: true}},
-		{"bounded-stale", Options{Tol: 1e-8, Async: true, MaxStale: 3}},
 		{"gateway", Options{Tol: 1e-8, Async: true, Gateway: true, TopoCollectives: true}},
 		{"two-bands", Options{Tol: 1e-8, Async: true, BandsPerProc: 2}},
 	} {

@@ -11,52 +11,6 @@ import (
 	"repro/internal/vgrid"
 )
 
-func TestAsyncBoundedStaleness(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 600, Seed: 60})
-	b, xtrue := gen.RHSForSolution(a)
-	// On the two-site platform, unbounded async ranks run far ahead of the
-	// cross-site channel; a staleness bound of 2 forces near-lockstep.
-	pl, hosts := twoSitePlatform(3, 3)
-	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-9, Async: true, MaxStale: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, res, xtrue, 1e-6)
-	// With the bound, per-rank iteration counts stay close to each other:
-	// nobody can spin hundreds of iterations on stale data.
-	lo, hi := res.IterationsPerRank[0], res.IterationsPerRank[0]
-	for _, it := range res.IterationsPerRank {
-		if it < lo {
-			lo = it
-		}
-		if it > hi {
-			hi = it
-		}
-	}
-	if hi > 4*lo {
-		t.Fatalf("staleness bound violated in spirit: iterations %v", res.IterationsPerRank)
-	}
-
-	// Unbounded async on the same platform shows a much wider spread.
-	pl2, hosts2 := twoSitePlatform(3, 3)
-	free, err := Solve(pl2, hosts2, a, b, Options{Tol: 1e-9, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loF, hiF := free.IterationsPerRank[0], free.IterationsPerRank[0]
-	for _, it := range free.IterationsPerRank {
-		if it < loF {
-			loF = it
-		}
-		if it > hiF {
-			hiF = it
-		}
-	}
-	if hi-lo >= hiF-loF {
-		t.Fatalf("bound did not narrow the spread: bounded %d..%d vs free %d..%d", lo, hi, loF, hiF)
-	}
-}
-
 // TestOptionMatrix is the composition contract of the option surface: every
 // pair of features, under one and under two bands per processor, either
 // solves a small diagonally dominant system to the dense-LU answer with a
@@ -159,7 +113,6 @@ var matrixFeatures = []struct {
 	set  func(o *Options)
 }{
 	{"async", func(o *Options) { o.Async = true }},
-	{"maxstale", func(o *Options) { o.Async, o.MaxStale = true, 2 }},
 	{"balance", func(o *Options) { o.Balance = true }},
 	{"gateway", func(o *Options) { o.Gateway, o.TopoCollectives = true, true }},
 	{"twostage", func(o *Options) { o.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 8} }},
@@ -198,6 +151,76 @@ func matrixPlatform() (*vgrid.Platform, []*vgrid.Host) {
 	return pl, hosts
 }
 
+// TestTimeScaleCovariant: no fault-free mode has a clock of its own. Every
+// option-matrix feature alone, at one and two bands per rank, runs on
+// matrixPlatform's grid with host speeds and link bandwidths multiplied by f
+// and latencies divided by f; with f a power of two every virtual time scales
+// exactly, so the run must take the same iterations to the same bits of x
+// and finish at exactly T/f.
+func TestTimeScaleCovariant(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Band: 150, PerRow: 6, Margin: 0.1, Seed: 5})
+	b, _ := gen.RHSForSolution(a)
+	for bpp := 1; bpp <= 2; bpp++ {
+		for _, feat := range matrixFeatures {
+			o := Options{Tol: 1e-9, BandsPerProc: bpp}
+			feat.set(&o)
+			if matrixRejected(o) {
+				continue
+			}
+			t.Run(fmt.Sprintf("bands=%d/%s", bpp, feat.name), func(t *testing.T) {
+				pl, hosts := matrixPlatform()
+				ref, err := Solve(pl, hosts, a, b, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range []float64{2, 0.25, 1024} {
+					pl, hosts := scaledMatrixPlatform(t, f)
+					res, err := Solve(pl, hosts, a, b, o)
+					if err != nil {
+						t.Fatalf("f=%g: %v", f, err)
+					}
+					if res.Iterations != ref.Iterations {
+						t.Errorf("f=%g: %d iterations vs %d", f, res.Iterations, ref.Iterations)
+					}
+					if math.Float64bits(res.Time*f) != math.Float64bits(ref.Time) {
+						t.Errorf("f=%g: time %v × f = %v, want %v", f, res.Time, res.Time*f, ref.Time)
+					}
+					for i := range ref.X {
+						if math.Float64bits(res.X[i]) != math.Float64bits(ref.X[i]) {
+							t.Fatalf("f=%g: x[%d] differs bitwise: %v vs %v", f, i, res.X[i], ref.X[i])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// scaledMatrixPlatform is matrixPlatform with every host speed and link
+// bandwidth multiplied by f and every link latency divided by f.
+func scaledMatrixPlatform(t *testing.T, f float64) (*vgrid.Platform, []*vgrid.Host) {
+	t.Helper()
+	pl, hosts := matrixPlatform()
+	scaled := map[*vgrid.Link]bool{}
+	for _, h := range hosts {
+		h.Speed *= f
+		for _, g := range hosts {
+			route, err := pl.Route(h, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range route {
+				if !scaled[l] {
+					scaled[l] = true
+					l.Latency /= f
+					l.Bandwidth *= f
+				}
+			}
+		}
+	}
+	return pl, hosts
+}
+
 // TestOptionsRejectedBeforeLaunch: malformed options fail in Launch, before
 // any rank body runs and any virtual time is spent.
 func TestOptionsRejectedBeforeLaunch(t *testing.T) {
@@ -205,7 +228,6 @@ func TestOptionsRejectedBeforeLaunch(t *testing.T) {
 	b := make([]float64, 40)
 	for name, o := range map[string]Options{
 		"negative-bands":      {BandsPerProc: -1},
-		"negative-stale":      {Async: true, MaxStale: -1},
 		"negative-maxiter":    {MaxIter: -1},
 		"negative-tol":        {Tol: -1e-8},
 		"infinite-tol":        {Tol: math.Inf(1)},

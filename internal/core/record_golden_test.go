@@ -18,10 +18,9 @@ var updateDigests = flag.Bool("update", false, "re-record internal/core/testdata
 
 // gatewayRecordConfigs are the relayed exchange configurations
 // TestGatewayRecordGolden holds to recorded digests: each exchange policy, the
-// topology-aware collectives, two bands per rank, a resplit that rebuilds the
-// relayed plan, and the link-class-tuned staleness bounds with
-// and without the relay. The adaptive ones run on the option matrix's grid,
-// whose unequal speeds give the controller something to act on; the "sites6"
+// topology-aware collectives, two bands per rank and a resplit that rebuilds
+// the relayed plan. The adaptive one runs on the option matrix's grid, whose
+// unequal speeds give the controller something to act on; the "sites6"
 // ones on two sites of six ranks and a narrow band (band > 0), where the
 // members with no inter-cluster group take no part in the relay.
 var gatewayRecordConfigs = []struct {
@@ -33,12 +32,9 @@ var gatewayRecordConfigs = []struct {
 	{"sync", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true}},
 	{"sync-topo", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, TopoCollectives: true}},
 	{"async", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true}},
-	{"bounded", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true, MaxStale: 3}},
 	{"bands2-sync", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, BandsPerProc: 2}},
 	{"bands2-async", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, BandsPerProc: 2, Async: true}},
 	{"sync-adapt", matrixPlatform, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Adapt: true, AdaptInterval: 3}},
-	{"bounded-adapt", matrixPlatform, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true, MaxStale: 1, Adapt: true, AdaptInterval: 3}},
-	{"bounded-adapt-direct", matrixPlatform, 0, Options{Tol: 1e-9, Overlap: 8, Async: true, MaxStale: 1, Adapt: true, AdaptInterval: 3}},
 	{"sites6-sync", sites6, 40, Options{Tol: 1e-9, Overlap: 8, Gateway: true}},
 	{"sites6-async", sites6, 40, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true}},
 }

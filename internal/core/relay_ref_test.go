@@ -59,7 +59,7 @@ type gwDown struct {
 // (tagGwDown). The per-origin [version, echo] headers ride along, so the
 // exchange policies keep their exact semantics: a synchronous round applies
 // the same values in the same order as the direct plan (byte-identical
-// iterates), and the asynchronous policies see freshest-per-origin records.
+// iterates), and the asynchronous policy sees freshest-per-origin records.
 //
 // Wire formats (all float64): up = repeat [dst, ver, echo, vals...];
 // WAN = repeat [origin, dst, ver, echo, vals...]; down = repeat

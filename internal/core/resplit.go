@@ -58,9 +58,8 @@ type adaptRank struct {
 
 // newAdaptRank arms the adaptive epochs for the synchronous engine loop, or
 // returns nil when the options leave the decomposition static. Asynchronous
-// modes never resplit (a global transition needs lockstep); their adaptive
-// lever is the per-group staleness tuning in boundedStalePolicy. The epochs
-// resize one contiguous band per rank (st.bands[0] throughout this file):
+// runs never resplit (a global transition needs lockstep), so Adapt is a
+// no-op there. The epochs resize one contiguous band per rank (st.bands[0] throughout this file):
 // Options.check rejects Adapt with BandsPerProc > 1.
 func newAdaptRank(st *rankState) *adaptRank {
 	o := st.o

@@ -148,7 +148,6 @@ func TestGatewayWorkersDeterministic(t *testing.T) {
 	}{
 		{"sync", Options{Tol: 1e-8, Overlap: 8, Gateway: true, TopoCollectives: true}},
 		{"async", Options{Tol: 1e-8, Overlap: 8, Gateway: true, Async: true}},
-		{"bounded", Options{Tol: 1e-8, Overlap: 8, Gateway: true, Async: true, MaxStale: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,21 +168,17 @@ func TestGatewayWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestGatewayAsyncConverges: the asynchronous and bounded-staleness modes
-// keep their freshest-per-origin semantics through the aggregators and still
-// converge to the right solution.
+// TestGatewayAsyncConverges: the asynchronous mode keeps its
+// freshest-per-origin semantics through the aggregators and still converges
+// to the right solution.
 func TestGatewayAsyncConverges(t *testing.T) {
 	a, b, xtrue := topoTestSystem(t)
-	for _, maxStale := range []int{0, 3} {
-		pl, hosts := twoSiteClustered(2, 2)
-		res, err := Solve(pl, hosts, a, b, Options{
-			Tol: 1e-9, Overlap: 8, Async: true, MaxStale: maxStale, Gateway: true,
-		})
-		if err != nil {
-			t.Fatalf("maxStale=%d: %v", maxStale, err)
-		}
-		checkSolution(t, res, xtrue, 1e-6)
+	pl, hosts := twoSiteClustered(2, 2)
+	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-9, Overlap: 8, Async: true, Gateway: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkSolution(t, res, xtrue, 1e-6)
 }
 
 // TestGatewayFlatPlatformNoop: with no cluster declarations Gateway must

@@ -78,9 +78,9 @@ func TestRunnerClassification(t *testing.T) {
 func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 12, PerRow: 7, Seed: 9})
 	b, _ := gen.RHSForSolution(a)
-	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Async: true, MaxStale: -1}})
-	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") {
-		t.Errorf("solve with a negative staleness bound: err %v, want the wrapped cause", err)
+	_, _, err := Config{}.solve(cluster.Cluster3(-1), a, b, runSpec{opts: core.Options{Async: true, BandsPerProc: -1}})
+	if err == nil || !strings.Contains(err.Error(), "BandsPerProc -1") {
+		t.Errorf("solve with a negative band count: err %v, want the wrapped cause", err)
 	}
 
 	// Side by side, a rejected job fails its list the same way: solveAll
@@ -93,11 +93,11 @@ func TestRejectedOptionsFailTheExperiment(t *testing.T) {
 	cells, results, err := Config{Progress: &progress}.solveAll([]job{
 		{what: "job 0", a: a, b: b, plt: cluster3, spec: ok},
 		{what: "job 1", a: a, b: b, plt: cluster3, spec: runSpec{plan: vgrid.NewFaultPlan(1).DropOnLink("wan", 0, math.Inf(1), 1)}},
-		{what: "job 2", a: a, b: b, plt: cluster3, spec: runSpec{opts: core.Options{Async: true, MaxStale: -1}}},
+		{what: "job 2", a: a, b: b, plt: cluster3, spec: runSpec{opts: core.Options{Async: true, BandsPerProc: -1}}},
 		{what: "job 3", a: a, b: b, plt: cluster3, spec: ok},
 		{what: "job 4", a: a, b: b, plt: cluster3, spec: ok},
 	})
-	if err == nil || !strings.Contains(err.Error(), "MaxStale -1") || cells != nil || results != nil {
+	if err == nil || !strings.Contains(err.Error(), "BandsPerProc -1") || cells != nil || results != nil {
 		t.Errorf("solveAll with a rejected third job: err %v, %d cells; want the wrapped cause and none", err, len(cells))
 	}
 	// The lane and pool-worker goroutines of a run end a moment after it.

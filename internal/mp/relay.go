@@ -52,7 +52,7 @@ type record struct {
 // a hop keeps only a group's freshest record, as DrainLatest does. Recv and
 // Latest hand an update over in the direct layout whichever route it took.
 // The caller drives the relay: Round at the top of a synchronous exchange,
-// Pump at the start of an asynchronous drain and inside a poll loop. A
+// Pump at the start of an asynchronous drain. A
 // reducing synchronous round sends over every link, each message closed by
 // the sender's running criterion maximum, which Max then returns.
 type Relay struct {
@@ -120,7 +120,7 @@ func (r *Relay) Flush(crit float64) error {
 // for one, so the round cannot deadlock.
 func (r *Relay) Round() error { return r.forward(true) }
 
-// Pump is the non-blocking relay step of the asynchronous exchanges.
+// Pump is the non-blocking relay step of the asynchronous exchange.
 func (r *Relay) Pump() error { return r.forward(false) }
 
 // forward runs the rank's legs of the route: an aggregator collects the up

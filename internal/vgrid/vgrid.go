@@ -147,8 +147,8 @@ type Platform struct {
 // uint64, which takes the runtime's 64-bit map path.
 func pairKey(a, b *Host) uint64 { return uint64(a.ID)<<32 | uint64(b.ID) }
 
-// NewPlatform returns an empty platform. Loopback transfers cost 1 µs
-// latency at 1 GB/s unless changed with SetLoopback.
+// NewPlatform returns an empty platform. Loopback transfers cost a fixed
+// 1 µs latency at 1 GB/s.
 func NewPlatform() *Platform {
 	return &Platform{
 		routes:        make(map[uint64][]*Link),
