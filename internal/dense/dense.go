@@ -184,7 +184,8 @@ func (f *LU) Solve(x, b []float64, c *vec.Counter) {
 // holds rows j-ku-kl .. j+kl in a (2kl+ku+1)×n array (the extra kl rows
 // absorb pivot fill, as in LAPACK gbtrf). kv = kl+ku is the storage bound of
 // U's upper bandwidth, not U's width: a factorization that swaps no rows
-// leaves U ku wide, and BandLU keeps the width its elimination reached.
+// leaves U ku wide, and BandLU's solve form lists only the entries its
+// elimination left non-zero.
 //
 // With stride = 2kl+ku+1, A(i,j) is Data[kv+i-j + j·stride]. The kernels walk
 // that array through three expressions and no accessor: the diagonal A(i,i)
@@ -223,23 +224,37 @@ func (b *Band) Index(i, j int) int {
 func (b *Band) Set(i, j int, v float64) { b.Data[b.Index(i, j)] = v }
 
 // BandLU is an LU factorization of a band matrix with partial pivoting.
+//
+// Besides the factors in Band().Data it keeps their solve form, compiled by
+// FactorBand and by every Refactor: the entries of L and U that are not
+// exactly zero, in the order Solve reads them. Each entry is an int32 index
+// into x and its float64 value. ptr[k]..ptr[k+1] are L's multipliers of
+// column k, rows ascending; ptr[n+i]..ptr[n+i+1] are U's off-diagonal
+// entries of row i, columns ascending. U's diagonal stays in Data.
 type BandLU struct {
 	b     *Band
 	piv   []int
-	uw    int     // U's actual upper width, at most kv (see factorBandInPlace)
-	Flops float64 // arithmetic the last FactorBand or Refactor spent
+	ptr   []int32   // 2n+1 bounds into idx and val: L's columns, then U's rows
+	idx   []int32   // row (L) or column (U) of each entry
+	val   []float64 // its value
+	Flops float64   // arithmetic the last FactorBand or Refactor spent
 }
 
 // FactorBand factors the band matrix in place (gbtrf-style) and returns the
 // factorization. The receiver is consumed: do not reuse b afterwards.
 func FactorBand(b *Band, c *vec.Counter) (*BandLU, error) {
+	if len(b.Data) > math.MaxInt32 {
+		return nil, fmt.Errorf("dense: band of %d elements exceeds the solve form's int32 indices", len(b.Data))
+	}
 	piv := make([]int, b.N)
-	flops, uw, err := factorBandInPlace(b, piv)
+	flops, err := factorBandInPlace(b, piv)
 	if err != nil {
 		return nil, err
 	}
 	c.Add(flops)
-	return &BandLU{b: b, piv: piv, uw: uw, Flops: flops}, nil
+	f := &BandLU{b: b, piv: piv, ptr: make([]int32, 2*b.N+1), Flops: flops}
+	f.compile()
+	return f, nil
 }
 
 // Band returns the underlying band storage. Refactor callers zero it, refill
@@ -248,11 +263,11 @@ func (f *BandLU) Band() *Band { return f.b }
 
 // SolveFlops returns the exact count one Solve adds, 2·n·(kl+kv+1): the
 // forward sweep over kl sub-diagonals, the back substitution over kv = kl+ku
-// and the division — two flops per stored element.
+// and the division — two flops per stored element, zero or not.
 func (f *BandLU) SolveFlops() float64 { return 2 * float64(len(f.b.Data)) }
 
 // Bytes returns the resident size of the factors: the band storage including
-// its pivot-fill rows.
+// its pivot-fill rows. The solve form is host memory the model leaves out.
 func (f *BandLU) Bytes() int64 { return 8 * int64(len(f.b.Data)) }
 
 // Zero clears the band storage, including the pivot-fill rows.
@@ -263,20 +278,22 @@ func (b *Band) Zero() {
 }
 
 // Refactor re-runs the banded elimination on the values currently stored in
-// f.Band() — the caller refills them first — reusing the pivot array and
-// allocating nothing. On error the factors are invalid.
+// f.Band() — the caller refills them first — reusing the pivot array, and
+// recompiles the solve form, reusing its arrays when its entries fit. On
+// error the factors are invalid.
 func (f *BandLU) Refactor(c *vec.Counter) error {
-	flops, uw, err := factorBandInPlace(f.b, f.piv)
+	flops, err := factorBandInPlace(f.b, f.piv)
 	if err != nil {
 		return err
 	}
-	f.uw, f.Flops = uw, flops
+	f.Flops = flops
 	c.Add(flops)
+	f.compile()
 	return nil
 }
 
 // factorBandInPlace is the gbtrf-style elimination shared by FactorBand and
-// BandLU.Refactor. It returns the flops and U's actual upper width uw.
+// BandLU.Refactor. It returns the flops.
 //
 // Like LAPACK dgbtf2 it tracks ju, the last column the elimination has
 // touched: a row at position r >= k holds its non-zeros in columns up to
@@ -287,7 +304,7 @@ func (f *BandLU) Refactor(c *vec.Counter) error {
 // -0 right of column ju of some step may keep it where the full-width loops
 // wrote +0. Flops keep the storage model, 2·jm per non-zero multiplier with
 // jm = min(kv, n-1-k).
-func factorBandInPlace(b *Band, piv []int) (flops float64, uw int, err error) {
+func factorBandInPlace(b *Band, piv []int) (flops float64, err error) {
 	n, kl, ku := b.N, b.KL, b.KU
 	kv := kl + ku // storage bound of U's upper bandwidth
 	data, step := b.Data, b.stride-1
@@ -304,11 +321,10 @@ func factorBandInPlace(b *Band, piv []int) (flops float64, uw int, err error) {
 			}
 		}
 		if best == 0 {
-			return 0, 0, ErrSingular
+			return 0, ErrSingular
 		}
 		piv[k] = k + p
 		ju = max(ju, min(k+p+ku, n-1))
-		uw = max(uw, ju-k)
 		last := dk + (ju-k)*step // row k's entry in column ju
 		if p != 0 {
 			// Swap rows k and k+p over columns k..ju.
@@ -330,48 +346,105 @@ func factorBandInPlace(b *Band, piv []int) (flops float64, uw int, err error) {
 			flops += 2 * float64(jm)
 		}
 	}
-	return flops, uw, nil
+	return flops, nil
+}
+
+// compile rebuilds the solve form from the factors: a counting pass, new
+// idx and val arrays only when the count exceeds their capacity, then the
+// listing pass.
+func (f *BandLU) compile() {
+	nnz := f.list(false)
+	if nnz > cap(f.val) {
+		f.idx, f.val = make([]int32, nnz), make([]float64, nnz)
+	}
+	f.idx, f.val = f.idx[:nnz], f.val[:nnz]
+	f.list(true)
+}
+
+// list walks L column by column and U row by row over the full storage
+// widths (kl below the diagonal, kv = kl+ku above it) and returns how many
+// entries are not exactly zero; with write set it also records them and
+// their bounds in ptr, idx and val, which must hold that many.
+func (f *BandLU) list(write bool) int {
+	b := f.b
+	n, kl := b.N, b.KL
+	kv := kl + b.KU
+	data, step := b.Data, b.stride-1
+	m := 0
+	for k := 0; k < n; k++ {
+		if write {
+			f.ptr[k] = int32(m)
+		}
+		for t, l := range data[k*b.stride+kv+1:][:min(kl, n-1-k)] {
+			if l != 0 {
+				if write {
+					f.idx[m], f.val[m] = int32(k+1+t), l
+				}
+				m++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if write {
+			f.ptr[n+i] = int32(m)
+		}
+		q := kv + i + (i+1)*step
+		for j := i + 1; j <= min(i+kv, n-1); j++ {
+			if u := data[q]; u != 0 {
+				if write {
+					f.idx[m], f.val[m] = int32(j), u
+				}
+				m++
+			}
+			q += step
+		}
+	}
+	if write {
+		f.ptr[2*n] = int32(m)
+	}
+	return m
 }
 
 // Solve computes x with A·x = b0 using the band factorization.
 //
-// The back substitution sums row i of U over columns i+1..i+uw only, U's
-// actual width (kv when the elimination swapped rows kl apart, ku when it
-// never swapped): the entries it skips are +0, and s - (+0)·x[j] is s
-// unless s is -0 or x[j] is not finite. So x is the full-width loop's to
-// the bit, except that a -0 may stay -0 where the full width reads +0, and
-// a row whose skipped columns meet an infinite x[j] keeps ±Inf where the
-// full width reads NaN.
+// It walks the solve form in the full-storage loops' order — row swaps and
+// L column by column, then U row by row from the last, each row's columns
+// ascending, then the division by U's diagonal — so every x[i] receives the
+// same operations, minus those by an exact zero. s - (±0)·x[j] is s unless
+// s is -0 or x[j] is not finite, so x is the full-storage loops' to the bit,
+// except that a -0 may stay -0 where they read +0, and an x whose skipped
+// entries meet an infinite x[j] keeps ±Inf where they read NaN.
 func (f *BandLU) Solve(x, b0 []float64, c *vec.Counter) {
 	b := f.b
-	n, kl := b.N, b.KL
-	kv := kl + b.KU
+	n := b.N
 	if len(x) != n || len(b0) != n {
 		panic("dense: BandLU Solve shape mismatch")
 	}
-	data, step := b.Data, b.stride-1
+	ptr, idx, val := f.ptr, f.idx, f.val
 	copy(x, b0)
 	// Forward: apply row swaps and L (unit diagonal) in elimination order,
-	// column k's multipliers as one axpy onto x[k+1:].
+	// column k's multipliers onto the rows below it.
 	for k := 0; k < n; k++ {
 		if p := f.piv[k]; p != k {
 			x[k], x[p] = x[p], x[k]
 		}
-		km := min(kl, n-1-k)
-		xk, xs := x[k], x[k+1:k+1+km]
-		for t, l := range data[k*b.stride+kv+1:][:km] {
-			xs[t] -= float64(l * xk)
+		xk := x[k]
+		ls := val[ptr[k]:ptr[k+1]]
+		rows := idx[ptr[k]:][:len(ls)]
+		for t, l := range ls {
+			x[rows[t]] -= float64(l * xk)
 		}
 	}
-	// Back substitution with U (width uw), row i left to right.
+	// Back substitution with U, row i left to right.
+	data, dk, stride := b.Data, b.KL+b.KU, b.stride
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
-		q := kv + i + (i+1)*step
-		for _, xj := range x[i+1 : i+1+min(f.uw, n-1-i)] {
-			s -= float64(data[q] * xj)
-			q += step
+		us := val[ptr[n+i]:ptr[n+i+1]]
+		cols := idx[ptr[n+i]:][:len(us)]
+		for t, u := range us {
+			s -= float64(u * x[cols[t]])
 		}
-		x[i] = s / data[kv+i*b.stride]
+		x[i] = s / data[dk+i*stride]
 	}
 	c.Add(f.SolveFlops())
 }

@@ -5,8 +5,8 @@ package dense
 // a multiply per element) and every row of U over the full storage width
 // kv = kl+ku. The loops are kept as the oracle TestBandLUMatchesReference
 // holds the production code to, bit for bit and flop for flop — which also
-// holds the production code's stop at U's actual width — and as the "ref"
-// side of BenchmarkBandSolve; their one change is the float64(a*b) form of
+// holds the solve form's skipping of exact zeros — and as the "ref" side of
+// BenchmarkBandSolve; their one change is the float64(a*b) form of
 // each multiply-add, so that neither side fuses. Nothing outside this file
 // uses them.
 
@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/vec"
 )
 
@@ -130,10 +131,10 @@ type bandCase struct {
 	n, kl, ku int
 	at        func(rng *rand.Rand, i, j int) float64
 	swaps     bool // the elimination must swap rows
-	narrow    bool // its swaps must stay short of kl: ku < uw < kv
+	narrow    bool // U's farthest non-zero must lie strictly between ku and kv
 	skips     bool // the elimination must meet exact-zero multipliers
 	// refill gives the Refactor stage's values when they are not at's: a
-	// refactor that widens U must widen what Solve reads.
+	// refactor that moves U's or L's non-zeros must move what Solve reads.
 	refill func(rng *rand.Rand, i, j int) float64
 }
 
@@ -203,6 +204,26 @@ func tiedPivots(rng *rand.Rand, i, j int) float64 {
 	return weakDiag(rng, i, j)
 }
 
+// sparseStrong keeps about one in six off-diagonal entries of strongDiag and
+// sets the others to exact zero, as the band preconditioner of a scattered
+// matrix does (the wan_async_twostage bands store about 15 % of their slots):
+// no swap, and most multipliers and U entries are exact zeros.
+func sparseStrong(rng *rand.Rand, i, j int) float64 {
+	if i != j && rng.Intn(6) != 0 {
+		return 0
+	}
+	return strongDiag(rng, i, j)
+}
+
+// sparseWeak is sparseStrong's pattern over weakDiag's values: the columns
+// that hold an off-diagonal entry swap rows.
+func sparseWeak(rng *rand.Rand, i, j int) float64 {
+	if i != j && rng.Intn(6) != 0 {
+		return 0
+	}
+	return weakDiag(rng, i, j)
+}
+
 func (bc bandCase) build(seed int64) *Band { return bc.fill(bc.at, seed) }
 
 func (bc bandCase) fill(at func(rng *rand.Rand, i, j int) float64, seed int64) *Band {
@@ -216,22 +237,60 @@ func (bc bandCase) fill(at func(rng *rand.Rand, i, j int) float64, seed int64) *
 	return b
 }
 
-// checkWidth fails unless f's width lies in [ku, kv] (clamped to n-1) and
-// every stored U entry right of it is +0, by bits: what Solve skips.
-func checkWidth(t *testing.T, stage string, f *BandLU) {
+// checkSolveForm fails unless f's solve form lists exactly the stored L and
+// U entries that are != 0, read through the accessor at2, in the order Solve
+// walks them: L column by column, rows ascending, then U row by row, columns
+// ascending, each with its value's bits.
+func checkSolveForm(t *testing.T, stage string, f *BandLU) {
 	t.Helper()
 	b := f.b
-	kv := b.KL + b.KU
-	if f.uw < min(b.KU, b.N-1) || f.uw > min(kv, max(b.N-1, 0)) {
-		t.Fatalf("%s: uw %d outside [ku, kv] = [%d, %d] (n %d)", stage, f.uw, b.KU, kv, b.N)
+	n, kv := b.N, b.KL+b.KU
+	var ptr, idx []int32
+	var val []float64
+	add := func(i int, v float64) {
+		if v != 0 {
+			idx, val = append(idx, int32(i)), append(val, v)
+		}
 	}
-	for i := 0; i < b.N; i++ {
-		for j := i + f.uw + 1; j <= min(i+kv, b.N-1); j++ {
-			if v := b.Data[kv+i-j+j*b.stride]; math.Float64bits(v) != 0 {
-				t.Fatalf("%s: U(%d,%d) = %v right of uw %d", stage, i, j, v, f.uw)
+	for k := 0; k < n; k++ {
+		ptr = append(ptr, int32(len(idx)))
+		for i := k + 1; i <= min(k+b.KL, n-1); i++ {
+			add(i, b.at2(i, k, kv))
+		}
+	}
+	for i := 0; i < n; i++ {
+		ptr = append(ptr, int32(len(idx)))
+		for j := i + 1; j <= min(i+kv, n-1); j++ {
+			add(j, b.at2(i, j, kv))
+		}
+	}
+	ptr = append(ptr, int32(len(idx)))
+	for _, part := range []struct {
+		name      string
+		got, want []int32
+	}{{"bounds", f.ptr, ptr}, {"indices", f.idx, idx}} {
+		if len(part.got) != len(part.want) {
+			t.Fatalf("%s: solve form holds %d %s, want %d", stage, len(part.got), part.name, len(part.want))
+		}
+		for k := range part.got {
+			if part.got[k] != part.want[k] {
+				t.Fatalf("%s: solve form %s[%d] = %d, want %d", stage, part.name, k, part.got[k], part.want[k])
 			}
 		}
 	}
+	bitsEqual(t, stage+" solve form values", f.val, val)
+}
+
+// uReach returns how far right of the diagonal U's farthest entry in f's
+// solve form lies, 0 when U is diagonal.
+func uReach(f *BandLU) int {
+	n, reach := f.b.N, 0
+	for i := 0; i < n; i++ {
+		for _, j := range f.idx[f.ptr[n+i]:f.ptr[n+i+1]] {
+			reach = max(reach, int(j)-i)
+		}
+	}
+	return reach
 }
 
 func bitsEqual(t *testing.T, what string, got, want []float64) {
@@ -266,6 +325,9 @@ func TestBandLUMatchesReference(t *testing.T) {
 		{name: "preconditioner shape", n: 300, kl: 16, ku: 16, at: weakDiag, swaps: true},
 		{name: "preconditioner shape, no swap", n: 300, kl: 16, ku: 16, at: strongDiag, refill: weakDiag},
 		{name: "few swaps", n: 60, kl: 4, ku: 2, at: fewSwaps, swaps: true, narrow: true, refill: weakDiag},
+		{name: "sparse preconditioner shape", n: 300, kl: 16, ku: 16, at: sparseWeak, swaps: true, skips: true},
+		{name: "sparse preconditioner shape, no swap", n: 300, kl: 16, ku: 16, at: sparseStrong, skips: true, refill: sparseWeak},
+		{name: "sparse refill of a full band", n: 300, kl: 16, ku: 16, at: weakDiag, swaps: true, refill: sparseStrong},
 	}
 	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
@@ -294,13 +356,13 @@ func TestBandLUMatchesReference(t *testing.T) {
 					}
 				}
 				checkFactors("factor")
-				checkWidth(t, "factor", f)
-				kv := bc.kl + bc.ku
+				checkSolveForm(t, "factor", f)
+				kv, reach := bc.kl+bc.ku, uReach(f)
 				switch {
-				case !bc.swaps && f.uw != min(bc.ku, bc.n-1):
-					t.Fatalf("no swap, but uw %d != ku %d", f.uw, bc.ku)
-				case bc.narrow && (f.uw <= bc.ku || f.uw >= kv):
-					t.Fatalf("uw %d not strictly between ku %d and kv %d", f.uw, bc.ku, kv)
+				case !bc.swaps && reach > bc.ku:
+					t.Fatalf("no swap, but a U entry lies %d right of the diagonal, past ku %d", reach, bc.ku)
+				case bc.narrow && (reach <= bc.ku || reach >= kv):
+					t.Fatalf("U reaches %d, not strictly between ku %d and kv %d", reach, bc.ku, kv)
 				}
 				if c.Flops() != wantFlops {
 					t.Fatalf("counted %v flops, reference %v", c.Flops(), wantFlops)
@@ -341,7 +403,7 @@ func TestBandLUMatchesReference(t *testing.T) {
 				checkSolve("factor")
 
 				// Refactor from new values in the same storage, then solve:
-				// a width Refactor does not refresh fails here.
+				// a solve form Refactor does not rebuild fails here.
 				at := bc.at
 				if bc.refill != nil {
 					at = bc.refill
@@ -356,7 +418,7 @@ func TestBandLUMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkFactors("refactor")
-				checkWidth(t, "refactor", f)
+				checkSolveForm(t, "refactor", f)
 				checkSolve("refactor")
 			}
 		})
@@ -403,25 +465,31 @@ var benchSink float64
 
 // BenchmarkBandSolve prices one BandLU.Solve per stored element of the
 // factors (n·(2kl+ku+1)) on the wan_async_twostage preconditioner's shape
-// (n 1200, kl = ku = 16), twice: "pivot" swaps rows in most columns, so U
-// is kv = 32 wide, and "noswap" is diagonally dominant, as every band of the
-// workload is, so U is ku = 16 wide. "direct" is the production kernel,
-// "ref" the accessor form above, which always runs the full kv width.
+// (n 1200, kl = ku = 16), three times: "pivot" swaps rows in most columns,
+// so U fills kv = 32 columns; "noswap" is diagonally dominant, so U is
+// ku = 16 wide, and every slot of both is non-zero; "sparse" is the workload's
+// own band, the |i-j| <= 16 band of its generator at n 1200, whose factors
+// are mostly exact zeros. "direct" is the production kernel, "ref" the
+// accessor form above, which always runs the full storage width.
 func BenchmarkBandSolve(b *testing.B) {
 	for _, shape := range []struct {
 		name string
-		at   func(rng *rand.Rand, i, j int) float64
-	}{{"pivot", weakDiag}, {"noswap", strongDiag}} {
-		bc := bandCase{n: 1200, kl: 16, ku: 16, at: shape.at}
-		f, err := FactorBand(bc.build(1), nil)
+		band *Band
+	}{
+		{"pivot", bandCase{n: 1200, kl: 16, ku: 16, at: weakDiag}.build(1)},
+		{"noswap", bandCase{n: 1200, kl: 16, ku: 16, at: strongDiag}.build(1)},
+		{"sparse", workloadBand()},
+	} {
+		f, err := FactorBand(shape.band, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rhs := make([]float64, bc.n)
+		n := f.b.N
+		rhs := make([]float64, n)
 		for i := range rhs {
 			rhs[i] = float64(i%17) - 8
 		}
-		x := make([]float64, bc.n)
+		x := make([]float64, n)
 		elems := float64(len(f.b.Data))
 		for _, side := range []struct {
 			name  string
@@ -436,4 +504,20 @@ func BenchmarkBandSolve(b *testing.B) {
 			})
 		}
 	}
+}
+
+// workloadBand is the band the wan_async_twostage preconditioner factors on
+// one rank: the |i-j| <= 16 entries of the workload's generator at n 1200.
+func workloadBand() *Band {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 220, PerRow: 10, Negative: true, Seed: 1})
+	const w = 16
+	band := NewBand(a.Rows, w, w)
+	for i := 0; i < a.Rows; i++ {
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			if j := a.ColInd[q]; i-j <= w && j-i <= w {
+				band.Set(i, j, a.Val[q])
+			}
+		}
+	}
+	return band
 }

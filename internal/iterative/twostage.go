@@ -77,7 +77,7 @@ func PrecondSweeps(a *sparse.CSR, m splu.Preconditioner, x, b []float64, omega f
 	if k < 1 {
 		panic("iterative: PrecondSweeps needs k >= 1")
 	}
-	if omega <= 0 || omega >= 2 {
+	if !(omega > 0 && omega < 2) {
 		return InnerResult{}, fmt.Errorf("iterative: relaxation weight %v outside (0,2)", omega)
 	}
 	res := InnerResult{}

@@ -130,9 +130,12 @@ func TestPrecondSweepsValidation(t *testing.T) {
 	x := make([]float64, a.Rows)
 	r := make([]float64, a.Rows)
 	tmp := make([]float64, a.Rows)
-	for _, omega := range []float64{0, -0.5, 2, 2.5} {
-		if _, err := PrecondSweeps(a, m, x, b, omega, 1, r, tmp, &c); err == nil {
-			t.Fatalf("omega %g accepted", omega)
+	// A rejected weight is a usage error, not a divergence: core answers
+	// ErrDiverged with the exact fallback.
+	for _, omega := range []float64{0, -0.5, 2, 2.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := PrecondSweeps(a, m, x, b, omega, 1, r, tmp, &c)
+		if err == nil || errors.Is(err, ErrDiverged) {
+			t.Fatalf("omega %g: err = %v, want a rejection that is not ErrDiverged", omega, err)
 		}
 	}
 }

@@ -37,15 +37,11 @@ type Preconditioner interface {
 
 // bandPrecond is the band-extraction preconditioner: M is the |i-j| <= width
 // band of the source matrix, held in LAPACK band storage and factored by the
-// pivoting banded LU. The scatter map freezes which entries of the source CSR
-// land where in the band, so the fill and Refresh are straight value copies.
+// pivoting banded LU. The build and Refresh fill the band by scanning the
+// source CSR for its in-band entries.
 type bandPrecond struct {
-	lu *dense.BandLU
-	// srcPos[k] is the position in the source CSR's Val array of the k-th
-	// band entry, dst[k] its position in the band's Data; pattern is the
-	// fingerprint of the source pattern both were derived from.
-	srcPos, dst []int
-	pattern     uint64
+	lu      *dense.BandLU
+	pattern uint64 // fingerprint of the source pattern the band was built from
 }
 
 // NewBandPreconditioner extracts the |i-j| <= width band of a and factors it
@@ -65,40 +61,25 @@ func NewBandPreconditioner(a *sparse.CSR, width int, c *vec.Counter) (Preconditi
 	}
 	n := a.Rows
 	kl := max(min(width, n-1), 0)
-	inBand := func(i, j int) bool { return i-j <= kl && j-i <= kl }
-	count := 0
-	for i := 0; i < n; i++ {
-		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if inBand(i, j) {
-				count++
-			}
-		}
-	}
-	p := &bandPrecond{srcPos: make([]int, 0, count), dst: make([]int, 0, count), pattern: patternHash(a)}
 	band := dense.NewBand(n, kl, kl)
-	for i := 0; i < n; i++ {
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			if j := a.ColInd[q]; inBand(i, j) {
-				p.srcPos = append(p.srcPos, q)
-				p.dst = append(p.dst, band.Index(i, j))
-			}
-		}
-	}
-	p.fill(band, a)
+	fillBand(band, a)
 	lu, err := dense.FactorBand(band, c)
 	if err != nil {
 		return nil, fmt.Errorf("splu: band preconditioner (width %d): %w", width, err)
 	}
-	p.lu = lu
-	return p, nil
+	return &bandPrecond{lu: lu, pattern: patternHash(a)}, nil
 }
 
-// fill copies the band entries of a, whose pattern is the frozen one, into
-// band, whose other positions are zero.
-func (p *bandPrecond) fill(band *dense.Band, a *sparse.CSR) {
-	dst := p.dst[:len(p.srcPos)]
-	for k, q := range p.srcPos {
-		band.Data[dst[k]] = a.Val[q]
+// fillBand copies the entries of a with |i-j| <= band.KL into band, whose
+// other positions are zero; band.KU must be at least band.KL.
+func fillBand(band *dense.Band, a *sparse.CSR) {
+	kl := band.KL
+	for i := 0; i < a.Rows; i++ {
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			if j := a.ColInd[q]; i-j <= kl && j-i <= kl {
+				band.Set(i, j, a.Val[q])
+			}
+		}
 	}
 }
 
@@ -117,19 +98,20 @@ func (p *bandPrecond) Bytes() int64 { return p.lu.Bytes() }
 // N implements Preconditioner.
 func (p *bandPrecond) N() int { return p.lu.Band().N }
 
-// Refresh implements Preconditioner: refill the band through the frozen
-// scatter map and refactor numerically.
+// Refresh implements Preconditioner: refill the band from a, whose pattern
+// must be the one the band was built from, and refactor numerically.
 func (p *bandPrecond) Refresh(a *sparse.CSR, c *vec.Counter) error {
 	if n := p.N(); a.Rows != n || a.Cols != n {
 		return fmt.Errorf("splu: refresh dimension %dx%d != %d", a.Rows, a.Cols, n)
 	}
-	// A different pattern scattered through the frozen map would refill M
-	// from the wrong entries and the sweeps would run on it without an error.
+	// A different pattern would refill M with other entries than those the
+	// preconditioner was built from, and the sweeps would run on it without
+	// an error.
 	if patternHash(a) != p.pattern {
 		return fmt.Errorf("splu: refresh pattern mismatch: %d nnz, not in the positions the preconditioner was built from", a.NNZ())
 	}
 	band := p.lu.Band()
 	band.Zero()
-	p.fill(band, a)
+	fillBand(band, a)
 	return p.lu.Refactor(c)
 }

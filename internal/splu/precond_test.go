@@ -2,6 +2,7 @@ package splu
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"testing"
@@ -166,10 +167,11 @@ func TestBandPreconditionerRefreshRejectsOtherPattern(t *testing.T) {
 // TestBandPrecondAllocBudget pins the preconditioner's allocations on the
 // band shape of the wan_async_twostage workload (one of ten bands of an
 // n=12000, Band 220 matrix, preconditioner width 16): a build allocates the
-// band storage, the pivots, the two presized halves of the scatter map and
-// the two structs and nothing else — no slice is grown — and Apply and Refresh
-// allocate nothing. It also pins the premise of the band solve's cost on
-// this shape: the elimination swaps no row, so U is ku = 16 wide, not kv = 32.
+// band storage, the pivots, the three arrays of the factors' solve form and
+// the three structs and nothing else — no slice is grown — and Apply and
+// Refresh allocate nothing. It also pins the premise of the band solve's cost
+// on this shape: the elimination swaps no row, so U's non-zeros lie within
+// ku = 16 of the diagonal, and most of the band's slots hold exact zeros.
 func TestBandPrecondAllocBudget(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 1200, Band: 220, PerRow: 10, Negative: true, Seed: 1})
 	var before, after runtime.MemStats
@@ -181,14 +183,18 @@ func TestBandPrecondAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pc.(*bandPrecond)
-	if len(p.srcPos) == 0 || len(p.srcPos) == a.NNZ() {
-		t.Fatalf("%d of %d entries in the band: the shape no longer exercises the extraction", len(p.srcPos), a.NNZ())
+	ptr, idx := solveForm(p.lu)
+	if len(idx) == 0 || 4*len(idx) > len(p.lu.Band().Data) {
+		t.Fatalf("solve form holds %d of %d slots: the shape no longer exercises a sparse band", len(idx), len(p.lu.Band().Data))
 	}
 	checkNoSwap(t, "build", p.lu, 16)
-	held := uint64(p.Bytes()) + 8*uint64(p.N()+len(p.srcPos)+len(p.dst))
+	// Element sizes, not struct sizes: the pivots are ints (4 bytes on 386),
+	// the solve form's bounds and indices int32 and its values float64.
+	held := uint64(p.Bytes()) + uint64(bits.UintSize/8*p.N()) + uint64(4*len(ptr)+(4+8)*len(idx))
 	bytes := after.TotalAlloc - before.TotalAlloc
-	// The allocator rounds each of the four arrays up to its size class
-	// (3.2 % on this shape); a slice grown by append would double that array.
+	// The allocator rounds each of the five arrays up to its size class
+	// (3.0 % on this shape, 2.1 % on 386); a slice grown by append would
+	// double that array.
 	if bytes > held+held/20 {
 		t.Errorf("build allocated %d bytes to keep %d, budget is +5%%", bytes, held)
 	}
@@ -210,19 +216,40 @@ func TestBandPrecondAllocBudget(t *testing.T) {
 	checkNoSwap(t, "refresh", p.lu, 16)
 }
 
-// checkNoSwap fails unless lu's elimination swapped no row and left U ku
-// wide. BandLU keeps its pivots and U's width unexported; reflection reads
-// them without widening its API for a test.
+// solveForm returns the bounds and the indices of lu's solve form: L's
+// columns at ptr[k]..ptr[k+1], U's rows at ptr[n+i]..ptr[n+i+1]. BandLU keeps
+// its solve form and pivots unexported; reflection reads them without
+// widening its API for a test.
+func solveForm(lu *dense.BandLU) (ptr, idx []int32) {
+	v := reflect.ValueOf(lu).Elem()
+	read := func(name string) []int32 {
+		f := v.FieldByName(name)
+		out := make([]int32, f.Len())
+		for k := range out {
+			out[k] = int32(f.Index(k).Int())
+		}
+		return out
+	}
+	return read("ptr"), read("idx")
+}
+
+// checkNoSwap fails unless lu's elimination swapped no row and its solve form
+// lists no U entry farther than ku right of the diagonal.
 func checkNoSwap(t *testing.T, stage string, lu *dense.BandLU, ku int) {
 	t.Helper()
-	v := reflect.ValueOf(lu).Elem()
-	piv := v.FieldByName("piv")
+	piv := reflect.ValueOf(lu).Elem().FieldByName("piv")
 	for k := 0; k < piv.Len(); k++ {
 		if p := piv.Index(k).Int(); p != int64(k) {
 			t.Fatalf("%s: row %d swapped with row %d", stage, k, p)
 		}
 	}
-	if uw := v.FieldByName("uw").Int(); uw != int64(ku) {
-		t.Fatalf("%s: U is %d wide, want ku = %d", stage, uw, ku)
+	ptr, idx := solveForm(lu)
+	n := piv.Len()
+	for i := 0; i < n; i++ {
+		for _, j := range idx[ptr[n+i]:ptr[n+i+1]] {
+			if int(j)-i > ku {
+				t.Fatalf("%s: U(%d,%d) lies past ku = %d", stage, i, j, ku)
+			}
+		}
 	}
 }

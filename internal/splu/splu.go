@@ -660,11 +660,7 @@ func (BandSolver) Factor(a *sparse.CSR, c *vec.Counter) (Factorization, error) {
 	}
 	bw := m.Bandwidth()
 	band := dense.NewBand(m.Rows, bw, bw)
-	for i := 0; i < m.Rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			band.Set(i, m.ColInd[p], m.Val[p])
-		}
-	}
+	fillBand(band, m)
 	lu, err := dense.FactorBand(band, c)
 	if err != nil {
 		return nil, err
