@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	overlap := fs.Int("overlap", 0, "overlap rows per band side")
 	withAbs := fs.Bool("abs", false, "also check the asynchronous condition rho(|M^-1 N|) < 1 (costly)")
 	iters := fs.Int("iters", 3000, "power-iteration cap")
-	clusterTyp := fs.String("cluster", "", "also validate this platform's cluster topology: cluster1, cluster2 or cluster3")
+	clusterTyp := fs.String("cluster", "", "also validate this platform's cluster topology: "+strings.Join(cluster.Names, ", "))
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

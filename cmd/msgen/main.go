@@ -4,9 +4,11 @@
 //
 //	msgen -kind dominant|cage|poisson2d|poisson3d|tridiag -n N [-o out.mtx]
 //	      [-band B] [-perrow P] [-margin M] [-seed S] [-nx X -ny Y -nz Z]
+//	      [-format mm|hb]
 //
-// The dominant generator matches the paper's "generated" matrices: a small
-// -margin pushes the Jacobi spectral radius toward 1 (the Figure 3 regime).
+// -format hb writes Harwell-Boeing RUA instead of MatrixMarket. The dominant
+// generator matches the paper's "generated" matrices: a small -margin pushes
+// the Jacobi spectral radius toward 1 (the Figure 3 regime).
 package main
 
 import (
@@ -16,6 +18,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
+	"strings"
 
 	"repro/internal/gen"
 	"repro/internal/mmio"
@@ -25,13 +29,22 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// names lists a table's keys in order.
+func names[V any](table map[string]V) string {
+	keys := make([]string, 0, len(table))
+	for k := range table {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ", ")
+}
+
 // run is the command behind main: it parses args, writes the matrix to the -o
 // file (or to stdout) and returns the exit status (0 ok, 1 the write failed,
 // 2 usage). Every input is checked before the output file is created.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	kind := fs.String("kind", "dominant", "matrix family: dominant, cage, poisson2d, poisson3d, tridiag")
 	n := fs.Int("n", 10000, "dimension (dominant, cage, tridiag)")
 	band := fs.Int("band", 10, "half bandwidth (dominant)")
 	perRow := fs.Int("perrow", 6, "off-diagonal entries per row (dominant)")
@@ -40,7 +53,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nx := fs.Int("nx", 32, "grid size x (poisson)")
 	ny := fs.Int("ny", 32, "grid size y (poisson)")
 	nz := fs.Int("nz", 32, "grid size z (poisson3d)")
-	format := fs.String("format", "mm", "output format: mm (MatrixMarket) or hb (Harwell-Boeing RUA)")
+	// kinds is the -kind table: each family's smallest dimension (the
+	// generators panic below 1) and its generator, read after parsing.
+	kinds := map[string]struct {
+		least func() int
+		gen   func() *sparse.CSR
+	}{
+		"dominant": {func() int { return *n }, func() *sparse.CSR {
+			return gen.DiagDominant(gen.DiagDominantOpts{N: *n, Band: *band, PerRow: *perRow, Margin: *margin, Seed: *seed})
+		}},
+		"cage":      {func() int { return *n }, func() *sparse.CSR { return gen.CageLike(*n, *seed) }},
+		"poisson2d": {func() int { return min(*nx, *ny) }, func() *sparse.CSR { return gen.Poisson2D(*nx, *ny) }},
+		"poisson3d": {func() int { return min(*nx, *ny, *nz) }, func() *sparse.CSR { return gen.Poisson3D(*nx, *ny, *nz) }},
+		"tridiag":   {func() int { return *n }, func() *sparse.CSR { return gen.Tridiag(*n, -1, 4, -1) }},
+	}
+	kind := fs.String("kind", "dominant", "matrix family: "+names(kinds))
+	formats := map[string]func(w io.Writer, m *sparse.CSR) error{
+		"mm": mmio.WriteMatrix,
+		"hb": func(w io.Writer, m *sparse.CSR) error {
+			return mmio.WriteHB(w, m, fmt.Sprintf("msgen %s n=%d", *kind, m.Rows), "MSGEN")
+		},
+	}
+	format := fs.String("format", "mm", "output format: "+names(formats))
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -53,20 +87,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The smallest dimension the chosen family reads: the generators panic
-	// below 1.
-	var least int
-	switch *kind {
-	case "dominant", "cage", "tridiag":
-		least = *n
-	case "poisson2d":
-		least = min(*nx, *ny)
-	case "poisson3d":
-		least = min(*nx, *ny, *nz)
-	default:
-		return usage("unknown kind %q", *kind)
+	fam, ok := kinds[*kind]
+	if !ok {
+		return usage("unknown kind %q (want %s)", *kind, names(kinds))
 	}
-	if least < 1 {
+	if least := fam.least(); least < 1 {
 		return usage("dimension %d of a %s matrix: must be at least 1", least, *kind)
 	}
 	// The generator reads a band or row count below 1 and a zero margin as
@@ -82,29 +107,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage("-margin %g: must be finite and > 0", *margin)
 		}
 	}
-	if *format != "mm" && *format != "hb" {
-		return usage("unknown format %q", *format)
+	writeFormat, ok := formats[*format]
+	if !ok {
+		return usage("unknown format %q (want %s)", *format, names(formats))
 	}
 
-	var m *sparse.CSR
-	switch *kind {
-	case "dominant":
-		m = gen.DiagDominant(gen.DiagDominantOpts{N: *n, Band: *band, PerRow: *perRow, Margin: *margin, Seed: *seed})
-	case "cage":
-		m = gen.CageLike(*n, *seed)
-	case "poisson2d":
-		m = gen.Poisson2D(*nx, *ny)
-	case "poisson3d":
-		m = gen.Poisson3D(*nx, *ny, *nz)
-	case "tridiag":
-		m = gen.Tridiag(*n, -1, 4, -1)
-	}
-	write := func(w io.Writer) error {
-		if *format == "hb" {
-			return mmio.WriteHB(w, m, fmt.Sprintf("msgen %s n=%d", *kind, m.Rows), "MSGEN")
-		}
-		return mmio.WriteMatrix(w, m)
-	}
+	m := fam.gen()
+	write := func(w io.Writer) error { return writeFormat(w, m) }
 	if *out == "" {
 		if err := write(stdout); err != nil {
 			fmt.Fprintln(stderr, "msgen:", err)

@@ -37,8 +37,8 @@ func TestRejectedInput(t *testing.T) {
 		{[]string{"-kind", "tridiag", "-n", "-1"}, "dimension -1 of a tridiag matrix"},
 		{[]string{"-kind", "dominant", "-n", "-5"}, "dimension -5 of a dominant matrix"},
 		{[]string{"-n", "0"}, "dimension 0 of a dominant matrix"},
-		{[]string{"-kind", "bogus"}, `unknown kind "bogus"`},
-		{[]string{"-format", "xx"}, `unknown format "xx"`},
+		{[]string{"-kind", "bogus"}, `unknown kind "bogus" (want cage, dominant, poisson2d, poisson3d, tridiag)`},
+		{[]string{"-format", "bogus"}, `unknown format "bogus" (want hb, mm)`},
 		{[]string{"-kind", "dominant", "-band", "0"}, "-band 0: must be at least 1"},
 		{[]string{"-perrow", "-2"}, "-perrow -2: must be at least 1"},
 		{[]string{"-kind", "dominant", "-margin", "-1"}, "-margin -1: must be finite and > 0"},

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	msolve -matrix A.mtx [-rhs b.txt] [-procs N] [-overlap K] [-async]
-//	       [-scheme owner|average] [-solver sparse|dense|band]
+//	       [-scheme owner|average|linear] [-solver sparse|dense|band]
 //	       [-cluster cluster1|cluster2|cluster3] [-tol 1e-8] [-o x.txt]
 //	       [-hosts N [-clusters C] [-het H] [-synth-seed S]]
 //	       [-topo] [-gateway]
@@ -91,10 +91,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // spec is one msolve run. The flags bind straight into it: opts and export
 // reach core.Launch and obs.Export.Begin as they are.
 type spec struct {
-	matrix, rhs, out        string
-	scheme, solver, cluster string
-	procs, workers          int
-	cond, trace             bool
+	matrix, rhs, out string
+	solver, cluster  string
+	procs, workers   int
+	cond, trace      bool
 	// The generated grid (synHosts 0 = use cluster).
 	synHosts, synClusters int
 	synHet                float64
@@ -115,28 +115,19 @@ type spec struct {
 	export obs.Export
 }
 
-// The legal -scheme and -solver names.
-var (
-	schemes = map[string]core.WeightScheme{"owner": core.WeightOwner, "average": core.WeightAverage}
-	solvers = map[string]splu.Direct{
-		"sparse": &splu.SparseLU{}, "dense": splu.DenseSolver{}, "band": splu.BandSolver{},
-	}
-)
+// solvers is the -solver table: each legal name and its direct method.
+var solvers = map[string]splu.Direct{
+	"sparse": &splu.SparseLU{}, "dense": splu.DenseSolver{}, "band": splu.BandSolver{},
+}
 
-// lookup sets *dst to the value the -what flag names in table, or returns
-// an error listing the legal names.
-func lookup[V any](what, name string, table map[string]V, dst *V) error {
-	v, ok := table[name]
-	if !ok {
-		legal := make([]string, 0, len(table))
-		for k := range table {
-			legal = append(legal, k)
-		}
-		sort.Strings(legal)
-		return fmt.Errorf("unknown %s %q (want %s)", what, name, strings.Join(legal, ", "))
+// solverNames lists the -solver names in order.
+func solverNames() string {
+	names := make([]string, 0, len(solvers))
+	for name := range solvers {
+		names = append(names, name)
 	}
-	*dst = v
-	return nil
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
 // bind declares the command's flags on fs, each writing its field of s.
@@ -148,9 +139,9 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&s.opts.Async, "async", false, "use the asynchronous variant")
 	fs.BoolVar(&s.opts.TopoCollectives, "topo", false, "route collectives through per-cluster leaders (two-level reduce/broadcast)")
 	fs.BoolVar(&s.opts.Gateway, "gateway", false, "batch the inter-cluster boundary exchange through per-cluster aggregator ranks")
-	fs.StringVar(&s.scheme, "scheme", "owner", "weighting scheme: owner or average")
-	fs.StringVar(&s.solver, "solver", "sparse", "per-band direct solver: sparse, dense or band")
-	fs.StringVar(&s.cluster, "cluster", "cluster1", "simulated platform: cluster1, cluster2 or cluster3")
+	fs.Var(&s.opts.Scheme, "scheme", "weighting scheme: "+strings.Join(core.SchemeNames, ", "))
+	fs.StringVar(&s.solver, "solver", "sparse", "per-band direct solver: "+solverNames())
+	fs.StringVar(&s.cluster, "cluster", "cluster1", "simulated platform: "+strings.Join(cluster.Names, ", "))
 	fs.IntVar(&s.synHosts, "hosts", 0, "run on a generated grid of this many hosts instead of -cluster (0 = use -cluster)")
 	fs.IntVar(&s.synClusters, "clusters", 1, "cluster count of the generated grid")
 	fs.Float64Var(&s.synHet, "het", 0, "speed heterogeneity of the generated grid in [0, 1): hosts spread ±het around the base rate")
@@ -177,7 +168,7 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&s.opts.AdaptHysteresis, "adapt-hysteresis", 0.1, "minimal relative band-size change an accepted resplit must reach")
 	fs.BoolVar(&s.twoStage, "two-stage", false, "solve each band by inner relaxation sweeps on a narrow band preconditioner instead of an exact factorization (reaches matrices whose LU fill does not fit in memory)")
 	fs.IntVar(&s.opts.TwoStage.InnerIters, "inner", 4, "inner sweeps per outer iteration in -two-stage mode")
-	fs.StringVar(&s.opts.TwoStage.Schedule, "inner-schedule", "fixed", "inner-sweep schedule in -two-stage mode: fixed, ramp or residual")
+	fs.Var(&s.opts.TwoStage.Schedule, "inner-schedule", "inner-sweep schedule in -two-stage mode: "+strings.Join(core.ScheduleNames, ", "))
 	fs.Float64Var(&s.opts.TwoStage.Omega, "omega", 1, "inner relaxation weight in (0, 2) for -two-stage mode")
 	fs.IntVar(&s.opts.TwoStage.PrecondBand, "precond-band", 16, "half-bandwidth of the band preconditioner in -two-stage mode")
 }
@@ -211,18 +202,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !s.twoStage {
 		s.opts.TwoStage = core.TwoStage{}
 	}
-	if !s.opts.Adapt {
-		s.opts.AdaptInterval, s.opts.AdaptHysteresis = 0, 0
-	}
 	err := s.export.Validate()
-	if err == nil {
-		err = lookup("scheme", s.scheme, schemes, &s.opts.Scheme)
-	}
-	if err == nil {
-		err = lookup("solver", s.solver, solvers, &s.opts.Solver)
-	}
+	s.opts.Solver = solvers[s.solver]
 	switch {
 	case err != nil:
+	case s.opts.Solver == nil:
+		err = fmt.Errorf("unknown solver %q (want %s)", s.solver, solverNames())
 	case s.procs < 1:
 		err = errors.New("-procs must be >= 1")
 	case s.workers < 0:
@@ -241,19 +226,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the one the flag asked for and the report names.
 	case s.opts.Tol == 0:
 		err = errors.New("-tol 0 out of range (want > 0)")
-	case s.twoStage && s.opts.TwoStage.Schedule == "":
-		err = errors.New("-two-stage needs -inner-schedule fixed, ramp or residual")
-	case s.twoStage && !(s.opts.TwoStage.Omega > 0 && s.opts.TwoStage.Omega < 2):
-		err = errors.New("-two-stage needs -omega in (0,2)")
-	case s.twoStage && s.opts.TwoStage.PrecondBand < 1:
-		err = errors.New("-two-stage needs -precond-band >= 1")
-	case s.opts.Adapt && s.opts.AdaptInterval < 1:
-		err = errors.New("-adapt needs -adapt-interval >= 1")
-	case s.opts.Adapt && !(s.opts.AdaptHysteresis > 0):
-		err = errors.New("-adapt needs -adapt-hysteresis > 0")
+	case s.twoStage && s.opts.TwoStage.Omega == 0:
+		err = errors.New("-omega 0 out of range (want in (0, 2))")
 	default:
-		// What core would reject only once the matrix is read: -tol,
-		// -overlap and, with -two-stage, -inner-schedule.
+		// What core would reject only once the matrix is read.
 		err = optionsError(s.opts.Validate())
 	}
 	if err == nil {
@@ -273,6 +249,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // optionFlags names the flag behind each core.Options field msolve sets.
 var optionFlags = map[string]string{
 	"Tol": "-tol", "Overlap": "-overlap",
+	"AdaptInterval": "-adapt-interval", "AdaptHysteresis": "-adapt-hysteresis",
+	"TwoStage.Omega": "-omega", "TwoStage.PrecondBand": "-precond-band",
 }
 
 // optionsError restates a field out of range as the flag that set it.
@@ -472,7 +450,7 @@ func (s *spec) printResult(stdout io.Writer, a *sparse.CSR, procs int, res *core
 		mode += ", gateway exchange"
 	}
 	fmt.Fprintf(stdout, "solved n=%d nnz=%d on %d processors (%s, %s weights, %s solver, overlap %d)\n",
-		a.Rows, a.NNZ(), procs, mode, s.scheme, s.solver, s.opts.Overlap)
+		a.Rows, a.NNZ(), procs, mode, s.opts.Scheme, s.solver, s.opts.Overlap)
 	steps := 0
 	for _, it := range res.IterationsPerRank {
 		steps += it

@@ -193,6 +193,15 @@ func TestByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestLinearScheme: -scheme reaches every weighting family core has, the
+// linear ramp included, and the run converges.
+func TestLinearScheme(t *testing.T) {
+	code, out, errs, _ := msolve(t, "-scheme", "linear", "-overlap", "5")
+	if code != 0 || errs != "" || !strings.Contains(out, "(synchronous, linear weights,") {
+		t.Errorf("exit %d, stderr %q, stdout %q", code, errs, out)
+	}
+}
+
 // TestUsageErrors: contradictory or incomplete flags are exit status 2 with
 // one diagnostic line (or the flag package's usage text) and nothing on
 // stdout, before any file is written.
@@ -225,28 +234,29 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-drop", "-0.5"}, "msolve: -drop -0.5 outside [0, 1]\n"},
 		{[]string{"-drop", "nan"}, "msolve: -drop NaN outside [0, 1]\n"},
 		{[]string{"-drop", "1.5"}, "msolve: -drop 1.5 outside [0, 1]\n"},
-		{[]string{"-cond", "-scheme", "bogus"}, "msolve: unknown scheme \"bogus\" (want average, owner)\n"},
+		{[]string{"-cond", "-scheme", "bogus"}, "invalid value \"bogus\" for flag -scheme: unknown weight scheme \"bogus\" (want owner, average, linear)\nUsage of msolve:"},
 		{[]string{"-cond", "-solver", "bogus"}, "msolve: unknown solver \"bogus\" (want band, dense, sparse)\n"},
-		{[]string{"-two-stage", "-inner-schedule", "nope"}, "msolve: core: unknown inner schedule \"nope\" (want fixed, ramp or residual)\n"},
-		{[]string{"-two-stage", "-omega", "3"}, "msolve: -two-stage needs -omega in (0,2)\n"},
-		{[]string{"-two-stage", "-omega", "-1"}, "msolve: -two-stage needs -omega in (0,2)\n"},
-		{[]string{"-two-stage", "-omega", "nan"}, "msolve: -two-stage needs -omega in (0,2)\n"},
-		{[]string{"-two-stage", "-precond-band", "-1"}, "msolve: -two-stage needs -precond-band >= 1\n"},
+		{[]string{"-two-stage", "-inner-schedule", "nope"}, "invalid value \"nope\" for flag -inner-schedule: unknown inner schedule \"nope\" (want fixed, ramp, residual)\nUsage of msolve:"},
+		{[]string{"-inner-schedule", "nope"}, "invalid value \"nope\" for flag -inner-schedule: unknown inner schedule \"nope\" (want fixed, ramp, residual)\nUsage of msolve:"},
+		{[]string{"-two-stage", "-omega", "3"}, "msolve: -omega 3 out of range (want in (0, 2))\n"},
+		{[]string{"-two-stage", "-omega", "-1"}, "msolve: -omega -1 out of range (want in (0, 2))\n"},
+		{[]string{"-two-stage", "-omega", "nan"}, "msolve: -omega NaN out of range (want in (0, 2))\n"},
+		{[]string{"-two-stage", "-precond-band", "-1"}, "msolve: -precond-band -1 out of range (want >= 1)\n"},
 		// Options core checks only once the matrix is read, and a fault
 		// plan the run would check only once the report had begun.
 		{[]string{"-tol", "nan"}, "msolve: -tol NaN out of range (want > 0)\n"},
 		{[]string{"-tol", "inf"}, "msolve: -tol +Inf out of range (want finite)\n"},
 		{[]string{"-tol", "0"}, "msolve: -tol 0 out of range (want > 0)\n"},
-		{[]string{"-two-stage", "-inner-schedule", ""}, "msolve: -two-stage needs -inner-schedule fixed, ramp or residual\n"},
-		{[]string{"-two-stage", "-omega", "0"}, "msolve: -two-stage needs -omega in (0,2)\n"},
-		{[]string{"-two-stage", "-precond-band", "0"}, "msolve: -two-stage needs -precond-band >= 1\n"},
-		{[]string{"-adapt", "-adapt-interval", "0"}, "msolve: -adapt needs -adapt-interval >= 1\n"},
-		{[]string{"-adapt", "-adapt-hysteresis", "0"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
+		{[]string{"-two-stage", "-inner-schedule", ""}, "invalid value \"\" for flag -inner-schedule: unknown inner schedule \"\" (want fixed, ramp, residual)\nUsage of msolve:"},
+		{[]string{"-two-stage", "-omega", "0"}, "msolve: -omega 0 out of range (want in (0, 2))\n"},
+		{[]string{"-two-stage", "-precond-band", "0"}, "msolve: -precond-band 0 out of range (want >= 1)\n"},
+		{[]string{"-adapt", "-adapt-interval", "0"}, "msolve: -adapt-interval 0 out of range (want >= 1)\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "0"}, "msolve: -adapt-hysteresis 0 out of range (want > 0)\n"},
 		{[]string{"-tol", "-1"}, "msolve: -tol -1 out of range (want > 0)\n"},
 		{[]string{"-overlap", "-5"}, "msolve: -overlap -5 out of range (want >= 0)\n"},
-		{[]string{"-adapt", "-adapt-interval", "-1"}, "msolve: -adapt needs -adapt-interval >= 1\n"},
-		{[]string{"-adapt", "-adapt-hysteresis", "nan"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
-		{[]string{"-adapt", "-adapt-hysteresis", "-0.5"}, "msolve: -adapt needs -adapt-hysteresis > 0\n"},
+		{[]string{"-adapt", "-adapt-interval", "-1"}, "msolve: -adapt-interval -1 out of range (want >= 1)\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "nan"}, "msolve: -adapt-hysteresis NaN out of range (want > 0)\n"},
+		{[]string{"-adapt", "-adapt-hysteresis", "-0.5"}, "msolve: -adapt-hysteresis -0.5 out of range (want > 0)\n"},
 		{[]string{"-adapt", "-two-stage"}, "msolve: core: incompatible options: Adapt with TwoStage\n"},
 		{[]string{"-slow", "c1-00@0:1:-2"}, "msolve: -slow: slow spec \"c1-00@0:1:-2\": factor -2 must be >= 1\n"},
 		{[]string{"-slow", "c1-00@0:1:nan"}, "msolve: -slow: slow spec \"c1-00@0:1:nan\": bad factor: \"nan\" is not a number\n"},

@@ -93,30 +93,6 @@ type Observation struct {
 	Wait float64
 }
 
-// Config tunes the feedback controller. The zero value is usable: every
-// field has a working default applied by NewController.
-type Config struct {
-	// Interval is the number of iterations between controller epochs
-	// (default 20).
-	Interval int
-	// Hysteresis is the minimal relative change of some band's owned size
-	// (|Δrows|/rows) an accepted proposal must reach; smaller proposals are
-	// discarded so measurement noise cannot cause resplit thrash
-	// (default 0.10).
-	Hysteresis float64
-}
-
-// withDefaults fills the zero fields of a Config.
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 20
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.10
-	}
-	return c
-}
-
 // The overlap tuner's constants. highWait and lowWait bound the mean
 // wait-share dead band: above highWait the ranks mostly wait on the exchange,
 // so extra overlap rows ride under the communication for free and the overlap
@@ -135,7 +111,10 @@ const (
 // Observation per rank at every epoch and it proposes new partition starts
 // (speed-proportional, with hysteresis) and an overlap width.
 type Controller struct {
-	cfg Config
+	// hysteresis is the minimal relative change of some band's owned size
+	// (|Δrows|/rows) an accepted proposal must reach; smaller proposals are
+	// discarded so measurement noise cannot cause resplit thrash.
+	hysteresis float64
 	// stretch is the degradation estimate per rank — the ratio of clock
 	// time to nameplate time inside compute segments over the last usable
 	// window, ≥ 1 on a loaded window, exactly 1 on a healthy host (zero
@@ -148,10 +127,10 @@ type Controller struct {
 	speed []float64
 }
 
-// NewController returns a controller with the given configuration (zero
-// fields defaulted).
-func NewController(cfg Config) *Controller {
-	return &Controller{cfg: cfg.withDefaults()}
+// NewController returns a controller that proposes a new split only when
+// some band's owned size would change by at least the fraction hysteresis.
+func NewController(hysteresis float64) *Controller {
+	return &Controller{hysteresis: hysteresis}
 }
 
 // Proposal is one epoch's accepted controller output.
@@ -227,7 +206,7 @@ func (c *Controller) Propose(n int, curStarts []int, curOverlap int, obs []Obser
 		}
 	}
 	changed := false
-	if maxRel >= c.cfg.Hysteresis {
+	if maxRel >= c.hysteresis {
 		p.Starts = starts
 		p.MaxDelta = maxDelta
 		changed = true

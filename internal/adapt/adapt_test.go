@@ -156,7 +156,7 @@ func TestCheckStarts(t *testing.T) {
 // the degradation persists and the split matches the effective speeds, the
 // follow-up windows must propose nothing.
 func TestControllerRebalances(t *testing.T) {
-	c := NewController(Config{Interval: 10, Hysteresis: 0.1})
+	c := NewController(0.1)
 	n := 800
 	cur := []int{0, 200, 400, 600, 800}
 	window := func(starts []int, stretch []float64) []Observation {
@@ -211,7 +211,7 @@ func TestControllerRebalances(t *testing.T) {
 // fixed point — the controller must never propose, whatever the speed
 // spread.
 func TestControllerHealthyHeterogeneousStays(t *testing.T) {
-	c := NewController(Config{Interval: 10, Hysteresis: 0.1})
+	c := NewController(0.1)
 	n := 700
 	speeds := []float64{1e9, 2e9, 4e9}
 	cur, err := StartsFromWeights(n, speeds)
@@ -257,7 +257,7 @@ func TestControllerOverlapTuner(t *testing.T) {
 		{1, 4, 4},    // share 0.5, dead band → hold
 	}
 	for _, tc := range cases {
-		c := NewController(Config{Interval: 10, Hysteresis: 0.5})
+		c := NewController(0.5)
 		p, _, err := c.Propose(100, []int{0, 50, 100}, tc.cur, mk(tc.wait))
 		if err != nil {
 			t.Fatal(err)

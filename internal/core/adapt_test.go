@@ -195,11 +195,16 @@ func TestAdaptiveRejectsIncompatibleModes(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 120, Seed: 3})
 	b := make([]float64, 120)
 	pl, hosts := lanPlatform(2, 0)
-	_, err := Solve(pl, hosts, a, b, Options{Adapt: true, BandsPerProc: 2})
+	adapt := Options{Adapt: true, AdaptInterval: 20, AdaptHysteresis: 0.1}
+	multiband := adapt
+	multiband.BandsPerProc = 2
+	_, err := Solve(pl, hosts, a, b, multiband)
 	if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "Adapt") {
 		t.Fatalf("multiband: err = %v", err)
 	}
-	_, err = Solve(pl, hosts, a, b, Options{Adapt: true, TwoStage: TwoStage{InnerIters: 3}})
+	twoStage := adapt
+	twoStage.TwoStage = TwoStage{InnerIters: 3, PrecondBand: 16}
+	_, err = Solve(pl, hosts, a, b, twoStage)
 	if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "Adapt") {
 		t.Fatalf("twostage: err = %v", err)
 	}

@@ -15,9 +15,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 )
 
-// WeightScheme selects the E_lk weighting family of Section 3 eq. (4).
+// WeightScheme selects the E_lk weighting family of Section 3 eq. (4). It is
+// a flag.Value over SchemeNames.
 type WeightScheme int
 
 const (
@@ -38,18 +41,39 @@ const (
 	WeightLinear
 )
 
+// SchemeNames lists the weighting schemes' names, indexed by WeightScheme.
+var SchemeNames = []string{"owner", "average", "linear"}
+
 // String returns the scheme name.
-func (w WeightScheme) String() string {
-	switch w {
-	case WeightOwner:
-		return "owner"
-	case WeightAverage:
-		return "average"
-	case WeightLinear:
-		return "linear"
-	default:
-		return fmt.Sprintf("WeightScheme(%d)", int(w))
+func (w WeightScheme) String() string { return enumString(SchemeNames, "WeightScheme", w) }
+
+// Set parses a scheme name.
+func (w *WeightScheme) Set(name string) error { return enumSet(SchemeNames, "weight scheme", name, w) }
+
+// enumString names v from names, the list a typed option's values index.
+func enumString[E ~int](names []string, typ string, v E) string {
+	if v >= 0 && int(v) < len(names) {
+		return names[v]
 	}
+	return fmt.Sprintf("%s(%d)", typ, int(v))
+}
+
+// enumSet sets *v to the index of name in names.
+func enumSet[E ~int](names []string, what, name string, v *E) error {
+	i := slices.Index(names, name)
+	if i < 0 {
+		return fmt.Errorf("unknown %s %q (want %s)", what, name, strings.Join(names, ", "))
+	}
+	*v = E(i)
+	return nil
+}
+
+// enumRange is the RangeError of a typed option's value outside names.
+func enumRange[E ~int](names []string, field string, v E) error {
+	if v >= 0 && int(v) < len(names) {
+		return nil
+	}
+	return &RangeError{field, v, "one of " + strings.Join(names, ", ")}
 }
 
 // Band is one subset J_l of the unknown indices: the band solves rows

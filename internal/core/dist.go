@@ -53,7 +53,7 @@ type Options struct {
 	// swept parameter). Zero gives the disjoint block-Jacobi-like variant of
 	// Section 2.
 	Overlap int
-	// Scheme selects the E_lk weighting family (owner or average).
+	// Scheme selects the E_lk weighting family (SchemeNames).
 	Scheme WeightScheme
 	// Solver is the sequential direct method used per band
 	// (default: sparse LU in natural order, the SuperLU stand-in).
@@ -135,12 +135,12 @@ type Options struct {
 	// Rejected (ErrIncompatible) with BandsPerProc > 1 and with TwoStage; see
 	// Options.check for the reasons.
 	Adapt bool
-	// AdaptInterval is the number of iterations between controller epochs
-	// (default 20).
+	// AdaptInterval is the number of iterations between controller epochs,
+	// at least 1 when Adapt is on.
 	AdaptInterval int
 	// AdaptHysteresis is the minimal relative band-size change an accepted
-	// resplit must reach; smaller proposals are discarded so measurement
-	// noise cannot thrash the split (default 0.10).
+	// resplit must reach, > 0 when Adapt is on; smaller proposals are
+	// discarded so measurement noise cannot thrash the split.
 	AdaptHysteresis float64
 	// TwoStage enables the two-stage (inner-iterative) solver mode: each
 	// band's inner solve becomes a scheduled number of relaxation sweeps
@@ -164,17 +164,11 @@ func (o *Options) withDefaults() Options {
 	if out.MaxIter == 0 {
 		out.MaxIter = 100000
 	}
-	if out.AdaptInterval == 0 {
-		out.AdaptInterval = 20
-	}
-	if out.AdaptHysteresis == 0 {
-		out.AdaptHysteresis = 0.10
-	}
 	if out.BandsPerProc == 0 {
 		out.BandsPerProc = 1
 	}
-	if out.TwoStage.enabled() {
-		out.TwoStage = out.TwoStage.withDefaults()
+	if out.TwoStage.enabled() && out.TwoStage.Omega == 0 {
+		out.TwoStage.Omega = 1
 	}
 	return out
 }
@@ -201,8 +195,8 @@ func (e *RangeError) Error() string {
 }
 
 // Validate checks what of the options needs neither a system nor hosts, with
-// the defaults Launch fills in: each numeric field in its range (a
-// *RangeError), the two-stage parameters when two-stage is on, and the two
+// the defaults Launch fills in: each field in its range (a *RangeError), the
+// adaptive and two-stage parameters only when their mode is on, and the two
 // incompatible pairs. Launch runs the same checks; a command calls Validate
 // to reject its flags before it reads a matrix.
 func (o Options) Validate() error {
@@ -230,6 +224,13 @@ func (o *Options) validate(n, nHosts int) error {
 
 // check is Validate on a defaulted option set. A NaN fails every range.
 func (o *Options) check() error {
+	if err := enumRange(SchemeNames, "Scheme", o.Scheme); err != nil {
+		return err
+	}
+	if err := enumRange(ScheduleNames, "TwoStage.Schedule", o.TwoStage.Schedule); err != nil {
+		return err
+	}
+	ts := o.TwoStage
 	switch {
 	case !(o.Tol > 0):
 		return &RangeError{"Tol", o.Tol, "> 0"}
@@ -241,13 +242,14 @@ func (o *Options) check() error {
 		return &RangeError{"BandsPerProc", o.BandsPerProc, ">= 0"}
 	case o.Overlap < 0:
 		return &RangeError{"Overlap", o.Overlap, ">= 0"}
-	case o.AdaptInterval < 0:
-		return &RangeError{"AdaptInterval", o.AdaptInterval, ">= 0"}
-	case !(o.AdaptHysteresis >= 0):
-		return &RangeError{"AdaptHysteresis", o.AdaptHysteresis, ">= 0"}
-	}
-	if err := o.TwoStage.validate(); err != nil {
-		return err
+	case o.Adapt && o.AdaptInterval < 1:
+		return &RangeError{"AdaptInterval", o.AdaptInterval, ">= 1"}
+	case o.Adapt && !(o.AdaptHysteresis > 0):
+		return &RangeError{"AdaptHysteresis", o.AdaptHysteresis, "> 0"}
+	case ts.enabled() && !(ts.Omega > 0 && ts.Omega < 2):
+		return &RangeError{"TwoStage.Omega", ts.Omega, "in (0, 2)"}
+	case ts.enabled() && ts.PrecondBand < 1:
+		return &RangeError{"TwoStage.PrecondBand", ts.PrecondBand, ">= 1"}
 	}
 	// The controller resizes one contiguous band per rank from per-rank busy
 	// windows; moving cyclic bands between ranks is the band-migration design

@@ -428,3 +428,34 @@ func TestAsyncMoreRobustToPerturbation(t *testing.T) {
 		t.Fatalf("async slowdown %.2fx not better than sync %.2fx", asyncSlow, syncSlow)
 	}
 }
+
+// TestLaunchAfterAnotherProcess: ranks address each other by rank, not by
+// process id. With a process spawned on the engine before the solver, every
+// exchange mode runs the same solve bit for bit: the same iterations,
+// traffic, virtual time and x.
+func TestLaunchAfterAnotherProcess(t *testing.T) {
+	a := gen.Tridiag(40, -1, 4, -1)
+	b, _ := gen.RHSForSolution(a)
+	for name, o := range map[string]Options{
+		"sync": {}, "async": {Async: true}, "gateway": {Gateway: true, TopoCollectives: true},
+		"fault-tolerant": {FaultTolerant: true},
+	} {
+		pl, hosts := twoSiteClustered(2, 2)
+		ref, err := Solve(pl, hosts, a, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, hosts = twoSiteClustered(2, 2)
+		e := vgrid.NewEngine(pl)
+		e.Spawn(hosts[0], "idle", func(*vgrid.Proc) error { return nil })
+		pend, err := Launch(e, hosts, a, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pend.finish(e.Run())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameResult(t, name+" after an idle process", res, ref)
+	}
+}

@@ -236,7 +236,7 @@ func (st *rankState) startRun() {
 			// The preconditioner and a fallback to the exact solve outlive the
 			// solve; the schedule, the scratch and the tallies do not.
 			*ts = twoStageState{opt: ts.opt, pc: ts.pc, fellBack: ts.fellBack,
-				sched: newInnerSchedule(ts.opt), r: take(sz), t: take(sz)}
+				sched: newInnerCount(ts.opt), r: take(sz), t: take(sz)}
 		}
 		bs.z = take(len(bs.depCols))
 		bs.zMoved, bs.diff, bs.err = 1, 0, nil
@@ -365,6 +365,10 @@ func newRankCtx(c *mp.Comm, o Options) *simctx.Ctx {
 	return ctx
 }
 
+// ErrPeerDead is wrapped by the fault-tolerant mode's verdict on a peer that
+// stayed silent through every receive attempt; test for it with errors.Is.
+var ErrPeerDead = errors.New("appears dead")
+
 // recvCritical returns the receive of a message the protocol cannot
 // progress without (a synchronous boundary exchange, a relay round, the final
 // gather). In fault-tolerant mode it waits in deadRankTimeout windows instead
@@ -383,14 +387,14 @@ func recvCritical(c *mp.Comm, faultTolerant bool) mp.RecvFunc {
 		}
 		switch {
 		case c.PeerFailed(from):
-			return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: process failed: %w",
-				c.Rank(), from, what, c.PeerErr(from))
+			return nil, fmt.Errorf("rank %d: rank %d %w waiting for %s: process failed: %w",
+				c.Rank(), from, ErrPeerDead, what, c.PeerErr(from))
 		case c.PeerDown(from):
-			return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: its host is down",
-				c.Rank(), from, what)
+			return nil, fmt.Errorf("rank %d: rank %d %w waiting for %s: its host is down",
+				c.Rank(), from, ErrPeerDead, what)
 		default:
-			return nil, fmt.Errorf("rank %d: rank %d appears dead waiting for %s: silent for %.3gs",
-				c.Rank(), from, what, sendRetries*deadRankTimeout)
+			return nil, fmt.Errorf("rank %d: rank %d %w waiting for %s: silent for %.3gs",
+				c.Rank(), from, ErrPeerDead, what, sendRetries*deadRankTimeout)
 		}
 	}
 }

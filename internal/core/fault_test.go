@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -108,7 +108,7 @@ func TestSyncDeadRankFailFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a dead-rank error, got success")
 	}
-	if !strings.Contains(err.Error(), "appears dead") {
+	if !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("error lacks dead-rank diagnostic: %v", err)
 	}
 }

@@ -119,7 +119,7 @@ var matrixFeatures = []struct {
 	{"fault-tolerant", func(o *Options) { o.FaultTolerant = true }},
 	{"equilibrate", func(o *Options) { o.Equilibrate = true }},
 	{"scheme", func(o *Options) { o.Scheme, o.Overlap = WeightAverage, 6 }},
-	{"adapt", func(o *Options) { o.Adapt, o.AdaptInterval = true, 3 }},
+	{"adapt", func(o *Options) { o.Adapt, o.AdaptInterval, o.AdaptHysteresis = true, 3, 0.1 }},
 }
 
 func forEachMatrixConfig(t *testing.T, fn func(t *testing.T, o Options)) {
@@ -222,24 +222,63 @@ func scaledMatrixPlatform(t *testing.T, f float64) (*vgrid.Platform, []*vgrid.Ho
 }
 
 // TestOptionsRejectedBeforeLaunch: malformed options fail in Launch, before
-// any rank body runs and any virtual time is spent.
+// any rank body runs and any virtual time is spent. A field out of its range
+// is a *RangeError naming the field.
 func TestOptionsRejectedBeforeLaunch(t *testing.T) {
 	a := gen.Tridiag(40, -1, 4, -1)
 	b := make([]float64, 40)
-	for name, o := range map[string]Options{
-		"negative-bands":      {BandsPerProc: -1},
-		"negative-maxiter":    {MaxIter: -1},
-		"negative-tol":        {Tol: -1e-8},
-		"infinite-tol":        {Tol: math.Inf(1)},
-		"negative-interval":   {Adapt: true, AdaptInterval: -1},
-		"negative-hysteresis": {Adapt: true, AdaptHysteresis: -0.1},
-		"more-bands-than-row": {BandsPerProc: 11},
+	adapt := func(interval int, hysteresis float64) Options {
+		return Options{Adapt: true, AdaptInterval: interval, AdaptHysteresis: hysteresis}
+	}
+	for name, tc := range map[string]struct {
+		o     Options
+		field string // "" for a rejection that is not a RangeError
+	}{
+		"negative-bands":      {Options{BandsPerProc: -1}, "BandsPerProc"},
+		"negative-maxiter":    {Options{MaxIter: -1}, "MaxIter"},
+		"negative-tol":        {Options{Tol: -1e-8}, "Tol"},
+		"infinite-tol":        {Options{Tol: math.Inf(1)}, "Tol"},
+		"unknown-scheme":      {Options{Scheme: 9}, "Scheme"},
+		"unknown-schedule":    {Options{TwoStage: TwoStage{Schedule: 7}}, "TwoStage.Schedule"},
+		"zero-interval":       {adapt(0, 0.1), "AdaptInterval"},
+		"negative-interval":   {adapt(-1, 0.1), "AdaptInterval"},
+		"zero-hysteresis":     {adapt(5, 0), "AdaptHysteresis"},
+		"nan-hysteresis":      {adapt(5, math.NaN()), "AdaptHysteresis"},
+		"negative-hysteresis": {adapt(5, -0.1), "AdaptHysteresis"},
+		"zero-precond-band":   {Options{TwoStage: TwoStage{InnerIters: 2}}, "TwoStage.PrecondBand"},
+		"more-bands-than-row": {Options{BandsPerProc: 11}, ""},
 	} {
 		pl, hosts := lanPlatform(4, 0)
-		if _, err := Launch(vgrid.NewEngine(pl), hosts, a, b, o); err == nil {
+		_, err := Launch(vgrid.NewEngine(pl), hosts, a, b, tc.o)
+		var re *RangeError
+		switch {
+		case err == nil:
 			t.Errorf("%s: accepted", name)
-		} else if errors.Is(err, ErrIncompatible) {
+		case errors.Is(err, ErrIncompatible):
 			t.Errorf("%s: %v is not an option-pair conflict", name, err)
+		case tc.field != "" && (!errors.As(err, &re) || re.Option != tc.field):
+			t.Errorf("%s: %v, want a RangeError on %s", name, err, tc.field)
 		}
+	}
+}
+
+// TestEnumNamesRoundTrip: every name of a typed option parses back to the
+// value that prints it, and an unknown name is refused with the list.
+func TestEnumNamesRoundTrip(t *testing.T) {
+	for i, name := range SchemeNames {
+		var w WeightScheme
+		if err := w.Set(WeightScheme(i).String()); err != nil || w != WeightScheme(i) || w.String() != name {
+			t.Errorf("scheme %q: Set gives %v, %v", name, w, err)
+		}
+	}
+	for i, name := range ScheduleNames {
+		var s InnerSchedule
+		if err := s.Set(InnerSchedule(i).String()); err != nil || s != InnerSchedule(i) || s.String() != name {
+			t.Errorf("schedule %q: Set gives %v, %v", name, s, err)
+		}
+	}
+	var w WeightScheme
+	if err := w.Set("bogus"); err == nil || err.Error() != `unknown weight scheme "bogus" (want owner, average, linear)` {
+		t.Errorf("unknown scheme: %v", err)
 	}
 }

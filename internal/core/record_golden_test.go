@@ -34,7 +34,7 @@ var gatewayRecordConfigs = []struct {
 	{"async", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true}},
 	{"bands2-sync", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, BandsPerProc: 2}},
 	{"bands2-async", nil, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, BandsPerProc: 2, Async: true}},
-	{"sync-adapt", matrixPlatform, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Adapt: true, AdaptInterval: 3}},
+	{"sync-adapt", matrixPlatform, 0, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Adapt: true, AdaptInterval: 3, AdaptHysteresis: 0.1}},
 	{"sites6-sync", sites6, 40, Options{Tol: 1e-9, Overlap: 8, Gateway: true}},
 	{"sites6-async", sites6, 40, Options{Tol: 1e-9, Overlap: 8, Gateway: true, Async: true}},
 }

@@ -68,10 +68,7 @@ func newAdaptRank(st *rankState) *adaptRank {
 	}
 	ad := &adaptRank{interval: o.AdaptInterval}
 	if st.rank == 0 {
-		ad.ctrl = adapt.NewController(adapt.Config{
-			Interval:   o.AdaptInterval,
-			Hysteresis: o.AdaptHysteresis,
-		})
+		ad.ctrl = adapt.NewController(o.AdaptHysteresis)
 	}
 	return ad
 }

@@ -21,20 +21,35 @@ import (
 	"repro/internal/vec"
 )
 
-// Inner-count schedules for the two-stage mode (TwoStage.Schedule).
+// InnerSchedule selects the inner-count schedule of the two-stage mode
+// (TwoStage.Schedule). It is a flag.Value over ScheduleNames.
+type InnerSchedule int
+
 const (
 	// ScheduleFixed runs the same InnerIters sweeps every outer iteration
 	// (the stationary two-stage method).
-	ScheduleFixed = "fixed"
+	ScheduleFixed InnerSchedule = iota
 	// ScheduleRamp doubles the sweep count from 1 until it reaches
 	// InnerIters: early outer iterations work on stale boundary data, so
 	// polishing the inner solve there is wasted arithmetic.
-	ScheduleRamp = "ramp"
+	ScheduleRamp
 	// ScheduleResidual adapts the count per band from the contraction the
 	// previous inner stage achieved, between 1 and residualMaxSweeps,
 	// starting at InnerIters. Purely local data, so determinism is kept.
-	ScheduleResidual = "residual"
+	ScheduleResidual
 )
+
+// ScheduleNames lists the inner-count schedules' names, indexed by
+// InnerSchedule.
+var ScheduleNames = []string{"fixed", "ramp", "residual"}
+
+// String returns the schedule name.
+func (s InnerSchedule) String() string { return enumString(ScheduleNames, "InnerSchedule", s) }
+
+// Set parses a schedule name.
+func (s *InnerSchedule) Set(name string) error {
+	return enumSet(ScheduleNames, "inner schedule", name, s)
+}
 
 // residualMaxSweeps caps the residual-driven schedule's growth.
 const residualMaxSweeps = 64
@@ -47,70 +62,35 @@ type TwoStage struct {
 	// count — the schedule may vary it per iteration) instead of the exact
 	// band LU solve.
 	InnerIters int
-	// Schedule selects the inner-count schedule: ScheduleFixed (default),
-	// ScheduleRamp or ScheduleResidual.
-	Schedule string
+	// Schedule selects the inner-count schedule; the zero value is
+	// ScheduleFixed.
+	Schedule InnerSchedule
 	// Omega is the relaxation weight of the inner sweeps, in (0, 2);
 	// default 1 (plain preconditioned Richardson).
 	Omega float64
-	// PrecondBand is the half-bandwidth of the inner band preconditioner M:
-	// the |i−j| ≤ PrecondBand band of each band submatrix, factored once by
-	// the banded LU. Default 16. A width at or above the submatrix bandwidth
-	// makes the inner solve exact in one sweep.
+	// PrecondBand is the half-bandwidth of the inner band preconditioner M,
+	// at least 1: the |i−j| ≤ PrecondBand band of each band submatrix,
+	// factored once by the banded LU. A width at or above the submatrix
+	// bandwidth makes the inner solve exact in one sweep.
 	PrecondBand int
 }
 
 // enabled reports whether the two-stage mode is on.
 func (t TwoStage) enabled() bool { return t.InnerIters > 0 }
 
-// withDefaults fills the documented defaults (only meaningful when enabled).
-func (t TwoStage) withDefaults() TwoStage {
-	if t.Schedule == "" {
-		t.Schedule = ScheduleFixed
-	}
-	if t.Omega == 0 {
-		t.Omega = 1
-	}
-	if t.PrecondBand == 0 {
-		t.PrecondBand = 16
-	}
-	return t
-}
-
-// validate rejects a malformed enabled configuration (after withDefaults):
-// an unknown Schedule, an Omega outside (0, 2) or a negative PrecondBand.
-func (t TwoStage) validate() error {
-	if !t.enabled() {
-		return nil
-	}
-	switch t.Schedule {
-	case ScheduleFixed, ScheduleRamp, ScheduleResidual:
-	default:
-		return fmt.Errorf("core: unknown inner schedule %q (want %s, %s or %s)",
-			t.Schedule, ScheduleFixed, ScheduleRamp, ScheduleResidual)
-	}
-	if !(t.Omega > 0 && t.Omega < 2) {
-		return fmt.Errorf("core: two-stage omega %v outside (0,2)", t.Omega)
-	}
-	if t.PrecondBand < 0 {
-		return fmt.Errorf("core: two-stage preconditioner band %d < 0", t.PrecondBand)
-	}
-	return nil
-}
-
-// innerSchedule is the per-band nonstationary inner-count state. next is
+// innerCount is the per-band nonstationary inner-count state. next is
 // driven only by the outer iteration number and this band's own inner
 // contraction history, so schedules stay deterministic under any exchange
 // policy, worker count and lane count.
-type innerSchedule struct {
+type innerCount struct {
 	ts TwoStage
 	k  int // residual-driven current count
 }
 
-func newInnerSchedule(ts TwoStage) innerSchedule { return innerSchedule{ts: ts, k: ts.InnerIters} }
+func newInnerCount(ts TwoStage) innerCount { return innerCount{ts: ts, k: ts.InnerIters} }
 
 // next returns the sweep count for outer iteration iter (1-based).
-func (s *innerSchedule) next(iter int) int {
+func (s *innerCount) next(iter int) int {
 	switch s.ts.Schedule {
 	case ScheduleRamp:
 		k := 1
@@ -131,7 +111,7 @@ func (s *innerSchedule) next(iter int) int {
 // observe feeds one inner stage's contraction back into the residual-driven
 // schedule: a stage that kept more than a quarter of its starting residual
 // doubles the next count, one that shed 99% halves it.
-func (s *innerSchedule) observe(r iterative.InnerResult) {
+func (s *innerCount) observe(r iterative.InnerResult) {
 	if s.ts.Schedule != ScheduleResidual || r.Res0 == 0 {
 		return
 	}
@@ -156,7 +136,7 @@ func (s *innerSchedule) observe(r iterative.InnerResult) {
 type twoStageState struct {
 	opt   TwoStage
 	pc    splu.Preconditioner
-	sched innerSchedule
+	sched innerCount
 	r, t  []float64 // sweep scratch, arena-backed
 
 	sweeps int // count chosen for the current iteration

@@ -125,16 +125,16 @@ func TestTwoStageMatchesExactSynthetic(t *testing.T) {
 func TestTwoStageSchedules(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 600, Band: 12, PerRow: 7, Negative: true, Seed: 5})
 	b, xtrue := gen.RHSForSolution(a)
-	run := func(sched string) *Result {
+	run := func(sched InnerSchedule) *Result {
 		t.Helper()
 		res, err := solveLan(t, 3, 0, a, b, Options{
 			Tol:      1e-9,
 			TwoStage: TwoStage{InnerIters: 8, Schedule: sched, PrecondBand: 4},
 		})
 		if err != nil {
-			t.Fatalf("schedule %q: %v", sched, err)
+			t.Fatalf("schedule %v: %v", sched, err)
 		}
-		checkClose(t, res.X, xtrue, 1e-6, "schedule "+sched)
+		checkClose(t, res.X, xtrue, 1e-6, "schedule "+sched.String())
 		return res
 	}
 	fixed := run(ScheduleFixed)
@@ -150,14 +150,14 @@ func TestTwoStageSchedules(t *testing.T) {
 
 // TestInnerScheduleUnits pins the schedule arithmetic directly.
 func TestInnerScheduleUnits(t *testing.T) {
-	ramp := newInnerSchedule(TwoStage{InnerIters: 8, Schedule: ScheduleRamp})
+	ramp := newInnerCount(TwoStage{InnerIters: 8, Schedule: ScheduleRamp})
 	want := []int{1, 2, 4, 8, 8, 8}
 	for i, w := range want {
 		if got := ramp.next(i + 1); got != w {
 			t.Errorf("ramp iteration %d: %d sweeps, want %d", i+1, got, w)
 		}
 	}
-	resid := newInnerSchedule(TwoStage{InnerIters: 4, Schedule: ScheduleResidual})
+	resid := newInnerCount(TwoStage{InnerIters: 4, Schedule: ScheduleResidual})
 	resid.observe(iterative.InnerResult{Res0: 1.0, Res: 0.9}) // barely contracted: double
 	if got := resid.next(2); got != 8 {
 		t.Errorf("after weak contraction: %d sweeps, want 8", got)
@@ -201,7 +201,6 @@ func TestTwoStageValidation(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 60, Seed: 1})
 	b := make([]float64, 60)
 	cases := []Options{
-		{TwoStage: TwoStage{InnerIters: 2, Schedule: "sometimes"}},
 		{TwoStage: TwoStage{InnerIters: 2, Omega: 2.5}},
 		{TwoStage: TwoStage{InnerIters: 2, Omega: math.NaN()}},
 		{TwoStage: TwoStage{InnerIters: 2, PrecondBand: -1}},
@@ -215,7 +214,7 @@ func TestTwoStageValidation(t *testing.T) {
 			t.Errorf("case %d: Validate accepted invalid two-stage options", i)
 		}
 	}
-	if err := (Options{TwoStage: TwoStage{InnerIters: 2}}).Validate(); err != nil {
+	if err := (Options{TwoStage: TwoStage{InnerIters: 2, PrecondBand: 16}}).Validate(); err != nil {
 		t.Errorf("Validate of the defaults: %v", err)
 	}
 }

@@ -340,7 +340,7 @@ func (c Config) solve(plt *cluster.Platform, a *sparse.CSR, b []float64, s runSp
 		out.note = "nem"
 	case errors.Is(err, vgrid.ErrDeadlock):
 		out.note = "stall"
-	case err != nil && strings.Contains(err.Error(), "appears dead"):
+	case errors.Is(err, core.ErrPeerDead):
 		out.note = "dead"
 	case err != nil:
 		out.note = "err"

@@ -14,11 +14,8 @@ import (
 	"repro/internal/vgrid"
 )
 
-// Wildcards re-exported for convenience.
-const (
-	AnySource = vgrid.AnySource
-	AnyTag    = vgrid.AnyTag
-)
+// AnySource, re-exported, matches a message from every rank in Recv/TryRecv.
+const AnySource = vgrid.AnySource
 
 // internalTagBase separates collective-operation traffic from user tags.
 // User tags must stay below this value.
@@ -299,7 +296,7 @@ func (c *Comm) packet() *Packet {
 // packet now owns it, until the caller hands both back with Release.
 func (c *Comm) toPacket(m *vgrid.Message) *Packet {
 	pk := c.packet()
-	pk.From, pk.Tag, pk.Arrival = m.From, m.Tag, m.Arrival
+	pk.From, pk.Tag, pk.Arrival = c.rankOf(m), m.Tag, m.Arrival
 	if m.Floats != nil {
 		pk.Floats = m.Floats
 	} else {
@@ -332,20 +329,30 @@ func (c *Comm) Release(pk *Packet) {
 	c.pkFree = append(c.pkFree, pk)
 }
 
-// Recv blocks until a message matching (src, tag) arrives.
-func (c *Comm) Recv(src, tag int) *Packet {
-	if src != AnySource {
-		c.checkRank(src)
+// pid returns the process id of rank src, or AnySource unchanged. Launch
+// spawns a communicator's processes one after another, so their ids run
+// contiguously from rank 0's; other processes spawned before or after leave
+// that run intact.
+func (c *Comm) pid(src int) int {
+	if src == AnySource {
+		return src
 	}
-	return c.toPacket(c.p.Recv(src, tag))
+	c.checkRank(src)
+	return c.procs[0].ID + src
 }
+
+// rankOf returns the rank of a delivered message's sender.
+func (c *Comm) rankOf(m *vgrid.Message) int { return m.From - c.procs[0].ID }
+
+// recv blocks until a message matching (src rank, tag) arrives.
+func (c *Comm) recv(src, tag int) *vgrid.Message { return c.p.Recv(c.pid(src), tag) }
+
+// Recv blocks until a message matching (src, tag) arrives.
+func (c *Comm) Recv(src, tag int) *Packet { return c.toPacket(c.recv(src, tag)) }
 
 // TryRecv returns a matching already-arrived message or nil.
 func (c *Comm) TryRecv(src, tag int) *Packet {
-	if src != AnySource {
-		c.checkRank(src)
-	}
-	m := c.p.TryRecv(src, tag)
+	m := c.p.TryRecv(c.pid(src), tag)
 	if m == nil {
 		return nil
 	}
@@ -373,10 +380,7 @@ func (c *Comm) DrainLatest(src, tag int) *Packet {
 // returning nil once the deadline passes with no matching message. The
 // fault-tolerant drivers use it to tell a slow peer from a dead one.
 func (c *Comm) RecvTimeout(src, tag int, timeout float64) *Packet {
-	if src != AnySource {
-		c.checkRank(src)
-	}
-	m := c.p.RecvTimeout(src, tag, timeout)
+	m := c.p.RecvTimeout(c.pid(src), tag, timeout)
 	if m == nil {
 		return nil
 	}
@@ -454,7 +458,7 @@ func (c *Comm) Allreduce(v float64, op Op) (float64, error) {
 	if c.rank == 0 {
 		acc := v
 		for i := 1; i < n; i++ {
-			acc = op.apply(acc, c.takeScalar(c.p.Recv(AnySource, tagReduceIn)))
+			acc = op.apply(acc, c.takeScalar(c.recv(AnySource, tagReduceIn)))
 		}
 		for i := 1; i < n; i++ {
 			if err := c.xsend(c.procs[i], tagReduceOut, c.scalar(acc), 8+msgOverheadBytes); err != nil {
@@ -466,7 +470,7 @@ func (c *Comm) Allreduce(v float64, op Op) (float64, error) {
 	if err := c.xsend(c.procs[0], tagReduceIn, c.scalar(v), 8+msgOverheadBytes); err != nil {
 		return 0, err
 	}
-	return c.takeScalar(c.p.Recv(0, tagReduceOut)), nil
+	return c.takeScalar(c.recv(0, tagReduceOut)), nil
 }
 
 // Bcast sends data from root to every rank; every rank returns the slice.
@@ -493,7 +497,7 @@ func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
 		}
 		return data, nil
 	}
-	m := c.p.Recv(root, tagBcast)
+	m := c.recv(root, tagBcast)
 	out := m.Floats
 	c.p.ReleaseMessage(m)
 	return out, nil
@@ -517,8 +521,8 @@ func (c *Comm) Gather(root int, data []float64) ([][]float64, error) {
 	out := make([][]float64, n)
 	out[root] = data
 	for i := 0; i < n-1; i++ {
-		m := c.p.Recv(AnySource, tagGather)
-		out[m.From] = m.Floats
+		m := c.recv(AnySource, tagGather)
+		out[c.rankOf(m)] = m.Floats
 		c.p.ReleaseMessage(m)
 	}
 	return out, nil

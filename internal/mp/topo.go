@@ -70,24 +70,24 @@ func (c *Comm) hierAllreduce(v float64, op Op, ti *topoInfo) (float64, error) {
 		if err := c.xsend(c.procs[ti.leader], tagReduceIn, c.scalar(v), 8+msgOverheadBytes); err != nil {
 			return 0, err
 		}
-		return c.takeScalar(c.p.Recv(ti.leader, tagReduceOut)), nil
+		return c.takeScalar(c.recv(ti.leader, tagReduceOut)), nil
 	}
 	acc := v
 	for _, r := range ti.members {
 		if r == c.rank {
 			continue
 		}
-		acc = op.apply(acc, c.takeScalar(c.p.Recv(r, tagReduceIn)))
+		acc = op.apply(acc, c.takeScalar(c.recv(r, tagReduceIn)))
 	}
 	root := ti.leaders[0]
 	if c.rank != root {
 		if err := c.xsend(c.procs[root], tagReduceIn, c.scalar(acc), 8+msgOverheadBytes); err != nil {
 			return 0, err
 		}
-		acc = c.takeScalar(c.p.Recv(root, tagReduceOut))
+		acc = c.takeScalar(c.recv(root, tagReduceOut))
 	} else {
 		for _, l := range ti.leaders[1:] {
-			acc = op.apply(acc, c.takeScalar(c.p.Recv(l, tagReduceIn)))
+			acc = op.apply(acc, c.takeScalar(c.recv(l, tagReduceIn)))
 		}
 		for _, l := range ti.leaders[1:] {
 			if err := c.xsend(c.procs[l], tagReduceOut, c.scalar(acc), 8+msgOverheadBytes); err != nil {
@@ -126,11 +126,11 @@ func (c *Comm) hierBcast(root int, data []float64, ti *topoInfo) ([]float64, err
 		} else {
 			from = rootLeader
 		}
-		m := c.p.Recv(from, tagBcast)
+		m := c.recv(from, tagBcast)
 		data = m.Floats
 		c.p.ReleaseMessage(m)
 	} else {
-		m := c.p.Recv(ti.leader, tagBcast)
+		m := c.recv(ti.leader, tagBcast)
 		out := m.Floats
 		c.p.ReleaseMessage(m)
 		return out, nil
@@ -174,7 +174,7 @@ func (c *Comm) hierGather(root int, data []float64, ti *topoInfo) ([][]float64, 
 			if r == c.rank || r == root {
 				continue
 			}
-			m := c.p.Recv(r, tagGather)
+			m := c.recv(r, tagGather)
 			vals := m.Floats
 			blob = append(blob, float64(r), float64(len(vals)))
 			blob = append(blob, vals...)
@@ -192,7 +192,7 @@ func (c *Comm) hierGather(root int, data []float64, ti *topoInfo) ([][]float64, 
 			if r == root {
 				continue
 			}
-			m := c.p.Recv(r, tagGather)
+			m := c.recv(r, tagGather)
 			out[r] = m.Floats
 			c.p.ReleaseMessage(m)
 		}
@@ -201,7 +201,7 @@ func (c *Comm) hierGather(root int, data []float64, ti *topoInfo) ([][]float64, 
 		if l == root {
 			continue
 		}
-		m := c.p.Recv(l, tagGatherHier)
+		m := c.recv(l, tagGatherHier)
 		blob := m.Floats
 		for i := 0; i < len(blob); {
 			r, ln := int(blob[i]), int(blob[i+1])

@@ -93,9 +93,6 @@ type Link struct {
 
 	nextFree   float64
 	activeEnds []float64 // fair mode: end times of in-flight transfers
-	// BytesCarried accumulates the traffic that crossed this link, for the
-	// communication-volume reports.
-	BytesCarried int64
 	// laneClass classifies the link on a sharded run: 0 unclassified,
 	// -1 global (inter-lane routes, touched only during serialized WAN
 	// turns), laneID+1 private to one lane. See lane.markLinks.
@@ -736,7 +733,6 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 			} else {
 				l.activeEnds = append(l.activeEnds, start+pushTime)
 			}
-			l.BytesCarried += int64(bytes)
 		}
 	}
 	arrival := start + pushTime + latency
