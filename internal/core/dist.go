@@ -101,12 +101,15 @@ type Options struct {
 	// and pick up its data again after the restart (the async policy's
 	// freshest-iterate reuse needs no extra machinery for that).
 	FaultTolerant bool
-	// TopoCollectives routes the collectives (convergence Allreduce, final
-	// gather) through per-cluster leaders: members reduce to their leader
-	// over the LAN and only leaders cross the WAN, so a collective costs
-	// O(#clusters) inter-cluster messages instead of O(P). Requires cluster
-	// declarations on the platform (vgrid.Platform.AddCluster); without them
-	// the collectives silently stay flat.
+	// TopoCollectives routes mp's collectives through per-cluster leaders:
+	// members reduce to their leader over the LAN and only leaders cross the
+	// WAN, so a collective costs O(#clusters) inter-cluster messages instead
+	// of O(P). It reaches the synchronous convergence Allreduce when no relay
+	// route carries the criterion (under Gateway the relay round does) and
+	// Adapt's Gather/Bcast; the final gather is a packed message to rank 0,
+	// and asynchronous runs use no collective. Requires cluster declarations
+	// on the platform (vgrid.Platform.AddCluster); without them the
+	// collectives silently stay flat.
 	TopoCollectives bool
 	// Gateway relays the inter-cluster boundary exchange through one
 	// aggregator rank per cluster, the route the communication plan holds

@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sparse"
-	"repro/internal/splu"
 	"repro/internal/vgrid"
 )
 
@@ -259,7 +258,6 @@ func (s *Session) refactorBand(st *rankState, bs *bandState) error {
 	start := c.Now()
 	flops0 := ctx.Counter.Flops()
 	cat, name := obs.CatRefact, "refactor"
-	rf, canRefactor := bs.fact.(splu.Refactorer)
 	switch {
 	case bs.twoStage():
 		// Refresh the preconditioner's band values through its frozen
@@ -277,15 +275,15 @@ func (s *Session) refactorBand(st *rankState, bs *bandState) error {
 		if err != nil {
 			return fmt.Errorf("rank %d: preconditioner refresh: %w", st.rank, err)
 		}
-	case canRefactor && !s.NoRefactor:
+	case !s.NoRefactor:
 		// The refactor cost is frozen by the symbolic phase, so this is a
 		// declared segment; Charge reconciles the rare pivot-degradation
 		// fallback, which costs a full factorization instead. That fallback
 		// may change the fill, so the per-iteration declared cost is
 		// recomputed.
 		var err error
-		c.ComputeSeg(rf.RefactorFlops(), func() {
-			err = rf.Refactor(bs.sub, ctx.Cnt())
+		c.ComputeSeg(bs.fact.RefactorFlops(), func() {
+			err = bs.fact.Refactor(bs.sub, ctx.Cnt())
 		})
 		c.Charge()
 		if err != nil {

@@ -34,7 +34,7 @@ type Decentralized struct {
 
 	local    bool
 	childOK  map[int]bool
-	lastSent int // -1 unsent, else 0/1 last subtree state pushed to parent
+	lastSent float64 // -1 unsent, else 0/1 last subtree state pushed to parent
 
 	// Verification state. Waves are epoch-tagged end to end: the root
 	// numbers each round, the number rides the verify messages down and the
@@ -113,11 +113,13 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 		if pk == nil {
 			break
 		}
-		d.childOK[pk.From] = pk.Ints[0] != 0
+		d.childOK[pk.From] = pk.Floats[0] != 0
+		c.Release(pk)
 	}
 	// A stop order is terminal: forward down the tree and quit.
 	if !d.isRoot() {
 		if pk := c.TryRecv(d.parent, tagStop); pk != nil {
+			c.Release(pk)
 			for _, ch := range d.children {
 				if err := c.Signal(ch, tagStop); err != nil {
 					return false, err
@@ -132,12 +134,13 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 	// round epoch) and start collecting responses.
 	if !d.isRoot() && d.curEpoch < 0 {
 		if pk := c.TryRecv(d.parent, tagVerify); pk != nil {
-			d.curEpoch = pk.Ints[0]
+			d.curEpoch = int(pk.Floats[0])
+			c.Release(pk)
 			d.vrespWait = map[int]bool{}
 			d.vrespOK = local
 			for _, ch := range d.children {
 				d.vrespWait[ch] = true
-				if err := c.SendInts(ch, tagVerify, []int{d.curEpoch}); err != nil {
+				if err := c.SendFloats(ch, tagVerify, []float64{float64(d.curEpoch)}); err != nil {
 					return false, err
 				}
 			}
@@ -155,10 +158,11 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 			if pk == nil {
 				break
 			}
-			if d.vrespWait != nil && pk.Ints[1] == myEpoch {
+			if d.vrespWait != nil && int(pk.Floats[1]) == myEpoch {
 				delete(d.vrespWait, pk.From)
-				d.vrespOK = d.vrespOK && pk.Ints[0] != 0
+				d.vrespOK = d.vrespOK && pk.Floats[0] != 0
 			}
+			c.Release(pk)
 		}
 		if d.vrespWait != nil && len(d.vrespWait) == 0 {
 			if d.isRoot() {
@@ -176,14 +180,14 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 				}
 				// Failed verification: tell everyone to keep going.
 				for _, ch := range d.children {
-					if err := c.SendInts(ch, tagResume, []int{d.epoch}); err != nil {
+					if err := c.SendFloats(ch, tagResume, []float64{float64(d.epoch)}); err != nil {
 						return false, err
 					}
 				}
 			} else {
 				// All children answered: push the aggregate up.
 				ok := d.vrespOK && d.local
-				if err := c.SendInts(d.parent, tagVResp, []int{boolToInt(ok), d.curEpoch}); err != nil {
+				if err := c.SendFloats(d.parent, tagVResp, []float64{boolToFloat(ok), float64(d.curEpoch)}); err != nil {
 					return false, err
 				}
 				d.vrespWait = nil
@@ -194,21 +198,25 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 	// Resume order for the wave we are in: clear verification state, forward
 	// down. Resumes from rounds already abandoned here are discarded.
 	if !d.isRoot() {
-		if pk := c.TryRecv(d.parent, tagResume); pk != nil && pk.Ints[0] == d.curEpoch {
-			d.curEpoch = -1
-			d.vrespWait = nil
-			for _, ch := range d.children {
-				if err := c.SendInts(ch, tagResume, pk.Ints); err != nil {
-					return false, err
+		if pk := c.TryRecv(d.parent, tagResume); pk != nil {
+			epoch := pk.Floats[0]
+			c.Release(pk)
+			if int(epoch) == d.curEpoch {
+				d.curEpoch = -1
+				d.vrespWait = nil
+				for _, ch := range d.children {
+					if err := c.SendFloats(ch, tagResume, []float64{epoch}); err != nil {
+						return false, err
+					}
 				}
 			}
 		}
 	}
 
 	// Push subtree state changes toward the root.
-	st := boolToInt(d.subtreeOK())
+	st := boolToFloat(d.subtreeOK())
 	if !d.isRoot() && st != d.lastSent {
-		if err := c.SendInts(d.parent, tagState, []int{st}); err != nil {
+		if err := c.SendFloats(d.parent, tagState, []float64{st}); err != nil {
 			return false, err
 		}
 		d.lastSent = st
@@ -221,7 +229,7 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 		d.vrespOK = true
 		for _, ch := range d.children {
 			d.vrespWait[ch] = true
-			if err := c.SendInts(ch, tagVerify, []int{d.epoch}); err != nil {
+			if err := c.SendFloats(ch, tagVerify, []float64{float64(d.epoch)}); err != nil {
 				return false, err
 			}
 		}
@@ -229,7 +237,7 @@ func (d *Decentralized) Step(local bool) (bool, error) {
 	return false, nil
 }
 
-func boolToInt(b bool) int {
+func boolToFloat(b bool) float64 {
 	if b {
 		return 1
 	}

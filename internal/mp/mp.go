@@ -73,9 +73,6 @@ type Comm struct {
 	// Retry is the retransmission policy applied to every send, point-to-
 	// point and collective alike (default: single attempt).
 	Retry RetryPolicy
-	// Undelivered counts messages this rank gave up on after exhausting the
-	// retry budget (diagnostics; only a fault plan can make it non-zero).
-	Undelivered int
 	// pkFree recycles Packet shells returned with Release. Like the engine
 	// pools it is only touched at serialized points (this rank's body), so
 	// no locking is needed.
@@ -175,51 +172,26 @@ func (c *Comm) checkRank(r int) {
 
 // xsend is the single transmission funnel: every Comm send — point-to-point,
 // collective or protocol traffic — goes through it, so the retry policy
-// covers them all. Float payloads travel in the message's unboxed Floats
-// field (nil means a bare signal); the rare non-float payloads (SendInts) go
-// through xsendAny. A message still lost after the last attempt is dropped
-// silently (counted in Undelivered): loss is a simulated condition for the
-// solver to tolerate, not a Go error.
+// covers them all. It owns floats (nil for a bare signal): a delivered
+// payload travels to the receiver, and one still lost after the last attempt
+// goes back to the payload pool. The loss is otherwise silent (counted as
+// undelivered): loss is a simulated condition for the solver to tolerate,
+// not a Go error.
 func (c *Comm) xsend(dst *vgrid.Proc, tag int, floats []float64, bytes int) error {
-	_, err := c.xsendLoop(dst, tag, nil, floats, bytes)
-	return err
-}
-
-// xsendAny is the funnel for the rare non-float payloads (SendInts), boxed
-// into the message's generic Payload field.
-func (c *Comm) xsendAny(dst *vgrid.Proc, tag int, payload any, bytes int) error {
-	_, err := c.xsendLoop(dst, tag, payload, nil, bytes)
-	return err
-}
-
-// xsendLoop runs the retry loop shared by both funnels and reports whether
-// any attempt delivered, so pooled payload buffers can be reclaimed when the
-// message never reached a mailbox. At most one of payload/floats is non-nil
-// (both nil for a bare signal).
-func (c *Comm) xsendLoop(dst *vgrid.Proc, tag int, payload any, floats []float64, bytes int) (bool, error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	backoff := c.Retry.Backoff
 	for i := 0; ; i++ {
-		var delivered bool
-		var err error
-		if payload != nil {
-			delivered, err = c.p.SendFate(dst, tag, payload, bytes)
-		} else {
-			delivered, err = c.p.SendFloatsFate(dst, tag, floats, bytes)
-		}
-		if err != nil {
-			return false, err
-		}
-		if delivered {
-			return true, nil
+		delivered, err := c.p.SendFate(dst, tag, floats, bytes)
+		if err != nil || delivered {
+			return err
 		}
 		if i == attempts-1 {
-			c.Undelivered++
+			c.p.PutFloats(floats)
 			c.ctx.Observe().Count("undelivered", 1)
-			return false, nil
+			return nil
 		}
 		c.ctx.Observe().Count("retries", 1)
 		if backoff > 0 {
@@ -237,25 +209,13 @@ func (c *Comm) xsendLoop(dst *vgrid.Proc, tag int, payload any, floats []float64
 // SendFloats sends a copy of data to rank dst with the given tag. The copy
 // comes from the engine's payload pool; ownership travels with the message,
 // and the receiver returns the buffer via Release (or keeps it — returning
-// is optional). A dropped message's buffer is reclaimed immediately.
+// is optional).
 func (c *Comm) SendFloats(dst, tag int, data []float64) error {
 	c.checkTag(tag)
 	c.checkRank(dst)
 	buf := c.p.GetFloats(len(data))
 	copy(buf, data)
-	delivered, err := c.xsendLoop(c.procs[dst], tag, nil, buf, 8*len(buf)+msgOverheadBytes)
-	if !delivered && err == nil {
-		c.p.PutFloats(buf)
-	}
-	return err
-}
-
-// SendInts sends a copy of an int slice.
-func (c *Comm) SendInts(dst, tag int, data []int) error {
-	c.checkTag(tag)
-	c.checkRank(dst)
-	cp := append([]int(nil), data...)
-	return c.xsendAny(c.procs[dst], tag, cp, 8*len(cp)+msgOverheadBytes)
+	return c.xsend(c.procs[dst], tag, buf, 8*len(buf)+msgOverheadBytes)
 }
 
 // Signal sends an empty control message.
@@ -271,12 +231,8 @@ type Packet struct {
 	From int
 	// Tag is the application message tag.
 	Tag int
-	// Floats is the payload when the message carried a float vector.
+	// Floats is the payload, nil for a bare signal.
 	Floats []float64
-	// Ints is the payload when the message carried an int vector.
-	Ints []int
-	// Arrival is the virtual time the message reached the mailbox.
-	Arrival float64
 }
 
 // packet returns an empty Packet from the rank's shell pool.
@@ -296,18 +252,7 @@ func (c *Comm) packet() *Packet {
 // packet now owns it, until the caller hands both back with Release.
 func (c *Comm) toPacket(m *vgrid.Message) *Packet {
 	pk := c.packet()
-	pk.From, pk.Tag, pk.Arrival = c.rankOf(m), m.Tag, m.Arrival
-	if m.Floats != nil {
-		pk.Floats = m.Floats
-	} else {
-		switch v := m.Payload.(type) {
-		case nil:
-		case []int:
-			pk.Ints = v
-		default:
-			panic(fmt.Sprintf("mp: unexpected payload type %T", m.Payload))
-		}
-	}
+	pk.From, pk.Tag, pk.Floats = c.rankOf(m), m.Tag, m.Floats
 	c.p.ReleaseMessage(m)
 	return pk
 }
@@ -322,9 +267,7 @@ func (c *Comm) Release(pk *Packet) {
 	if pk == nil {
 		return
 	}
-	if pk.Floats != nil {
-		c.p.PutFloats(pk.Floats)
-	}
+	c.p.PutFloats(pk.Floats)
 	*pk = Packet{}
 	c.pkFree = append(c.pkFree, pk)
 }

@@ -78,17 +78,31 @@ func TestSendCopiesPayload(t *testing.T) {
 	})
 }
 
-func TestSendInts(t *testing.T) {
-	world(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.SendInts(1, 2, []int{4, 5})
+// TestLostPayloadReturnsToPool: xsend owns its payload, so a pooled buffer
+// lost after the last attempt goes back to the pool and the next GetFloats
+// of its size class hands out the same backing array.
+func TestLostPayloadReturnsToPool(t *testing.T) {
+	pl := vgrid.NewPlatform()
+	a, b := pl.AddHost("a", 1e9, 0), pl.AddHost("b", 1e9, 0)
+	pl.SetRoute(a, b, vgrid.NewLink("lan", 5e-5, 1.25e7))
+	e := vgrid.NewEngine(pl)
+	e.SetFaultPlan(vgrid.NewFaultPlan(1).DropOnLink("lan", 0, math.Inf(1), 1))
+	Launch(e, []*vgrid.Host{a, b}, "w", func(c *Comm) error {
+		if c.Rank() == 1 {
+			return nil
 		}
-		pk := c.Recv(0, 2)
-		if len(pk.Ints) != 2 || pk.Ints[1] != 5 {
-			return fmt.Errorf("bad ints %v", pk.Ints)
+		buf := c.p.GetFloats(3)
+		if err := c.xsend(c.procs[1], 0, buf, 8*len(buf)+msgOverheadBytes); err != nil {
+			return err
+		}
+		if got := c.p.GetFloats(3); &got[0] != &buf[0] {
+			return errors.New("lost payload was not returned to the pool")
 		}
 		return nil
 	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSignalAndTryRecv(t *testing.T) {

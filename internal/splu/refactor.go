@@ -15,14 +15,9 @@ import (
 	"repro/internal/vec"
 )
 
-// Refactorer is an optional capability of a Factorization: recompute the
-// numeric factor values from a matrix with the same shape and sparsity
-// pattern as the one originally factored, reusing the frozen symbolic
-// structure. Obtain it with a type assertion:
-//
-//	if r, ok := fact.(splu.Refactorer); ok { err = r.Refactor(a, c) }
-//
-// All factorizations in this package implement it.
+// Refactorer is the part of every Factorization that recomputes the numeric
+// factor values from a matrix with the same shape and sparsity pattern as
+// the one originally factored, reusing the frozen symbolic structure.
 type Refactorer interface {
 	// Refactor recomputes the factors from the values of a. The pattern of a
 	// must equal the originally factored matrix's pattern; only the values

@@ -9,13 +9,6 @@ import (
 	"repro/internal/vec"
 )
 
-// Compile-time checks: every factorization in the package is a Refactorer.
-var (
-	_ Refactorer = (*sparseFactors)(nil)
-	_ Refactorer = (*denseFact)(nil)
-	_ Refactorer = (*bandFact)(nil)
-)
-
 // sameValues returns a copy of a sharing the pattern with its own value array.
 func sameValues(a *sparse.CSR) *sparse.CSR {
 	return &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr,
@@ -81,13 +74,12 @@ func TestRefactorChargesExactlyDeclaredFlops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fact.(Refactorer)
-	declared := r.RefactorFlops()
+	declared := fact.RefactorFlops()
 	if declared <= 0 {
 		t.Fatalf("RefactorFlops = %v", declared)
 	}
 	before := c.Flops()
-	if err := r.Refactor(sameValues(a), &c); err != nil {
+	if err := fact.Refactor(sameValues(a), &c); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Flops() - before; got != declared {
@@ -105,11 +97,7 @@ func TestRefactorChargesExactlyDeclaredFlops(t *testing.T) {
 func refactorVsFreshCheck(t *testing.T, d Direct, fact Factorization, ap *sparse.CSR) (charged float64) {
 	t.Helper()
 	var c vec.Counter
-	r, ok := fact.(Refactorer)
-	if !ok {
-		t.Fatalf("%s: factorization is not a Refactorer", d.Name())
-	}
-	if err := r.Refactor(ap, &c); err != nil {
+	if err := fact.Refactor(ap, &c); err != nil {
 		t.Fatalf("%s: Refactor: %v", d.Name(), err)
 	}
 	charged = c.Flops()
@@ -120,7 +108,7 @@ func refactorVsFreshCheck(t *testing.T, d Direct, fact Factorization, ap *sparse
 	b, _ := gen.RHSForSolution(ap)
 	xr := make([]float64, ap.Rows)
 	xf := make([]float64, ap.Rows)
-	r.(Factorization).Solve(xr, b, &c)
+	fact.Solve(xr, b, &c)
 	fresh.Solve(xf, b, &c)
 	for i := range xr {
 		if math.Abs(xr[i]-xf[i]) > 1e-12*(1+math.Abs(xf[i])) {
@@ -139,7 +127,7 @@ func TestRefactorPerturbedMatchesFreshFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A degraded pivot would charge a full Factor, not RefactorFlops.
-	want := fact.(Refactorer).RefactorFlops()
+	want := fact.RefactorFlops()
 	if got := refactorVsFreshCheck(t, d, fact, perturb(a, 1e-3)); got != want {
 		t.Fatalf("perturbation degraded the pivots: Refactor charged %v, RefactorFlops %v", got, want)
 	}
@@ -200,7 +188,6 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fact.(Refactorer)
 
 	bad := sameValues(a)
 	for p := 0; p < bad.RowPtr[1]; p++ {
@@ -214,8 +201,8 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 	if _, err := (&SparseLU{}).Factor(bad, &full); err != nil {
 		t.Fatal(err)
 	}
-	frozen, c0 := r.RefactorFlops(), c.Flops()
-	if err := r.Refactor(bad, &c); err != nil {
+	frozen, c0 := fact.RefactorFlops(), c.Flops()
+	if err := fact.Refactor(bad, &c); err != nil {
 		t.Fatalf("Refactor with degraded pivot: %v", err)
 	}
 	if got := c.Flops() - c0; got != full.Flops() || got == frozen {
@@ -224,7 +211,7 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 	// The adopted factors must solve the new system accurately.
 	b, xtrue := gen.RHSForSolution(bad)
 	x := make([]float64, 2)
-	r.(Factorization).Solve(x, b, &c)
+	fact.Solve(x, b, &c)
 	for i := range x {
 		if math.Abs(x[i]-xtrue[i]) > 1e-9*(1+math.Abs(xtrue[i])) {
 			t.Fatalf("post-fallback solve wrong at %d: %v vs %v", i, x[i], xtrue[i])
@@ -232,11 +219,11 @@ func TestRefactorPivotDegradationFallback(t *testing.T) {
 	}
 	// A later healthy Refactor keeps working on the adopted pivots.
 	c0 = c.Flops()
-	if err := r.Refactor(sameValues(bad), &c); err != nil {
+	if err := fact.Refactor(sameValues(bad), &c); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Flops() - c0; got != r.RefactorFlops() {
-		t.Fatalf("healthy Refactor charged %v, RefactorFlops %v", got, r.RefactorFlops())
+	if got := c.Flops() - c0; got != fact.RefactorFlops() {
+		t.Fatalf("healthy Refactor charged %v, RefactorFlops %v", got, fact.RefactorFlops())
 	}
 }
 
@@ -247,14 +234,13 @@ func TestRefactorRejectsPatternMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fact.(Refactorer)
 	small := gen.Poisson2D(5, 5)
-	if err := r.Refactor(small, &c); err == nil {
+	if err := fact.Refactor(small, &c); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 	bigger := gen.DiagDominant(gen.DiagDominantOpts{N: a.Rows, PerRow: 9, Seed: 1})
 	if bigger.NNZ() != a.NNZ() {
-		if err := r.Refactor(bigger, &c); err == nil {
+		if err := fact.Refactor(bigger, &c); err == nil {
 			t.Fatal("nnz mismatch accepted")
 		}
 	}
@@ -267,10 +253,9 @@ func TestRefactorAndSolveAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fact.(Refactorer)
 	ap := perturb(a, 1e-4)
 	if n := testing.AllocsPerRun(20, func() {
-		if err := r.Refactor(ap, &c); err != nil {
+		if err := fact.Refactor(ap, &c); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -302,8 +287,7 @@ func TestRefactorRejectsSameNnzDifferentPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := fact.(Refactorer)
-	if err := r.Refactor(sameValues(a), nil); err != nil {
+	if err := fact.Refactor(sameValues(a), nil); err != nil {
 		t.Fatalf("same pattern rejected: %v", err)
 	}
 	for name, other := range map[string]*sparse.CSR{
@@ -313,7 +297,7 @@ func TestRefactorRejectsSameNnzDifferentPattern(t *testing.T) {
 		if other.NNZ() != a.NNZ() {
 			t.Fatalf("%s: test matrix has another entry count", name)
 		}
-		if err := r.Refactor(other, nil); err == nil {
+		if err := fact.Refactor(other, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

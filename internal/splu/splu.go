@@ -24,8 +24,10 @@ var ErrSingular = errors.New("splu: matrix is numerically singular")
 
 // Factorization is a factored linear system ready for repeated solves. The
 // multisplitting iteration factors once per band and then calls Solve every
-// iteration (paper Remark 4).
+// iteration (paper Remark 4); a same-pattern value update refactors it in
+// place (Refactorer).
 type Factorization interface {
+	Refactorer
 	// Solve computes x with A·x = b; b is not modified and may alias x.
 	Solve(x, b []float64, c *vec.Counter)
 	// FactorFlops returns the cost paid by Factor: the numeric elimination

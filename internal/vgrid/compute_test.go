@@ -493,3 +493,12 @@ func TestProcSizeClass(t *testing.T) {
 		t.Fatalf("Proc is %d bytes, past its 320-byte size class", s)
 	}
 }
+
+// TestMessageSizeClass: every send takes an envelope, and Message fills its
+// 80-byte allocation size class exactly — a field more moves every envelope
+// up a class.
+func TestMessageSizeClass(t *testing.T) {
+	if s := unsafe.Sizeof(Message{}); s > 80 {
+		t.Fatalf("Message is %d bytes, past its 80-byte size class", s)
+	}
+}

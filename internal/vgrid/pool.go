@@ -10,8 +10,9 @@
 //
 //   - GetFloats hands out a buffer owned by the caller; passing it as a Send
 //     payload transfers ownership to the receiver along with the message.
-//   - The receiver (or the engine, for undelivered sends) returns the buffer
-//     with PutFloats once the payload has been copied out or fully consumed.
+//   - The receiver returns the buffer with PutFloats once the payload has
+//     been copied out or fully consumed; a lost payload stays with the
+//     sender (mp returns it once it gives up on the message).
 //   - ReleaseMessage returns a delivered envelope after the payload has been
 //     extracted (mp does this when converting to a Packet).
 //   - Returning a buffer is always optional: an unreturned buffer is simply

@@ -94,7 +94,7 @@ type Proc struct {
 	// scheduler at collection time.
 	deferredFlops float64
 	// sendSeq counts this process's sends; combined with the ID it forms
-	// the per-sender message sequence number (see sendFate).
+	// the per-sender message sequence number (see SendFate).
 	sendSeq int64
 
 	// FlopsDone counts the virtual floating-point work charged so far.

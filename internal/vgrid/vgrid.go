@@ -269,16 +269,10 @@ type Message struct {
 	From, To int // process ids
 	// Tag is the application-level channel selector matched by Recv.
 	Tag int
-	// Payload is the application data carried by the message.
-	Payload any
-	// Floats is the payload when the message carries a float vector — the
-	// solvers' hot path, kept out of Payload so sends never box a slice
-	// header into an interface. At most one of Payload/Floats is set.
+	// Floats is the payload, nil for a bare signal.
 	Floats []float64
 	// Bytes is the simulated wire size charged to the links.
 	Bytes int
-	// SentAt is the virtual time the sender initiated the transfer.
-	SentAt float64
 	// Arrival is the virtual time the message reaches the destination mailbox.
 	Arrival float64
 	seq     int64
@@ -613,14 +607,16 @@ func (p *Proc) Obs() *obs.Recorder {
 	return p.eng.obs
 }
 
-// Send transmits a payload of the given size to the destination process.
-// The sender is occupied while pushing the bytes onto the first link; the
-// message then arrives after the route latency. Transfers serialize on every
-// link of the route (contention). Payloads are delivered by reference: the
-// sender must not mutate the payload afterwards (mp copies for safety).
-// Under a fault plan the message may be silently lost (see SendFate).
-func (p *Proc) Send(dst *Proc, tag int, payload any, bytes int) error {
-	_, err := p.SendFate(dst, tag, payload, bytes)
+// Send transmits a float payload (nil for a bare signal) of the given wire
+// size to the destination process. The sender is occupied while pushing the
+// bytes onto the first link; the message then arrives after the route
+// latency. Transfers serialize on every link of the route (contention). The
+// payload is delivered by reference and its ownership travels with the
+// message: the sender must not touch it afterwards (mp sends pooled copies,
+// see GetFloats). Under a fault plan the message may be silently lost (see
+// SendFate).
+func (p *Proc) Send(dst *Proc, tag int, floats []float64, bytes int) error {
+	_, err := p.SendFate(dst, tag, floats, bytes)
 	return err
 }
 
@@ -631,32 +627,18 @@ func (p *Proc) Send(dst *Proc, tag int, payload any, bytes int) error {
 // seeded per-message coin flip). The sender pays the full transmission cost
 // either way — it cannot observe the loss in virtual time, only in the
 // returned verdict, which retry layers (mp) use in place of an acknowledgment
-// protocol. The error return is reserved for configuration problems (no
-// route), not for losses.
-func (p *Proc) SendFate(dst *Proc, tag int, payload any, bytes int) (delivered bool, err error) {
-	return p.sendFate(dst, tag, payload, nil, bytes)
-}
-
-// SendFloatsFate is SendFate for a float-vector payload, carried in the
-// message's dedicated Floats field. Unlike the generic SendFate it never
-// boxes the slice into an interface, so combined with GetFloats/PutFloats a
-// steady-state send is allocation-free. Ownership of the slice transfers to
-// the receiver exactly as for a Payload send.
-func (p *Proc) SendFloatsFate(dst *Proc, tag int, floats []float64, bytes int) (delivered bool, err error) {
-	return p.sendFate(dst, tag, nil, floats, bytes)
-}
-
-// sendFate carries the shared transmission logic; exactly one of
-// payload/floats is non-nil (or both nil for a bare signal). On a sharded
-// engine every inter-cluster send first parks for its serialized WAN turn
-// (coordinated by (send time, process ID), so shared link state — the WAN
-// backbone and cluster uplinks, which lanes other than the sender's also
-// route through — is updated in exactly the global sequential order); a
-// send whose destination lives on another lane additionally deposits into
-// the target lane's inbox instead of the mailbox, and the coordinator
-// applies the inbox at the next window barrier, which the lookahead
-// guarantees is early enough.
-func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes int) (delivered bool, err error) {
+// protocol. A lost payload stays with the sender. The error return is
+// reserved for configuration problems (no route), not for losses.
+//
+// On a sharded engine every inter-cluster send first parks for its
+// serialized WAN turn (coordinated by (send time, process ID), so shared
+// link state — the WAN backbone and cluster uplinks, which lanes other than
+// the sender's also route through — is updated in exactly the global
+// sequential order); a send whose destination lives on another lane
+// additionally deposits into the target lane's inbox instead of the mailbox,
+// and the coordinator applies the inbox at the next window barrier, which
+// the lookahead guarantees is early enough.
+func (p *Proc) SendFate(dst *Proc, tag int, floats []float64, bytes int) (delivered bool, err error) {
 	if bytes < 0 {
 		panic("vgrid: negative message size")
 	}
@@ -765,10 +747,8 @@ func (p *Proc) sendFate(dst *Proc, tag int, payload any, floats []float64, bytes
 			From:    p.ID,
 			To:      dst.ID,
 			Tag:     tag,
-			Payload: payload,
 			Floats:  floats,
 			Bytes:   bytes,
-			SentAt:  p.clock,
 			Arrival: arrival,
 			seq:     seq,
 		}
