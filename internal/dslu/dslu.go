@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -161,31 +162,47 @@ type srow struct {
 
 // pivotBlock holds the finalized rows of one block the way the update kernel
 // reads them: row k0+j has the diagonal piv[j] and, right of it, the entries
-// cols/vals[ptr[j]:ptr[j+1]].
+// cols/vals[ptr[j]:ptr[j+1]]. Its column pattern is also kept as bits:
+// words[wptr[j]:wptr[j+1]] are the words w0[j] onwards of a length-n bit row,
+// from the word of its first column to that of its last.
 type pivotBlock struct {
-	k0   int
-	piv  []float64
-	ptr  []int
-	cols []int32
-	vals []float64
+	k0       int
+	piv      []float64
+	ptr      []int
+	cols     []int32
+	vals     []float64
+	w0, wptr []int
+	words    []uint64
 }
 
 func (b *pivotBlock) reset(k0 int) {
 	b.k0, b.piv, b.ptr = k0, b.piv[:0], append(b.ptr[:0], 0)
 	b.cols, b.vals = b.cols[:0], b.vals[:0]
+	b.w0, b.wptr, b.words = b.w0[:0], append(b.wptr[:0], 0), b.words[:0]
 }
 
 // decode appends the rows of a fan-out payload: per pivot row k, the triple
 // k, count, piv and then count (col, val) pairs, cols > k ascending.
 func (b *pivotBlock) decode(payload []float64) {
 	for pos := 0; pos < len(payload); {
-		end := pos + 3 + 2*int(payload[pos+1])
+		cnt := int(payload[pos+1])
+		end := pos + 3 + 2*cnt
 		b.piv = append(b.piv, payload[pos+2])
+		w0, base := 0, len(b.words)
+		if cnt > 0 {
+			w0 = int(payload[pos+3]) >> 6
+			nw := int(payload[end-2])>>6 - w0 + 1
+			b.words = slices.Grow(b.words, nw)[:base+nw]
+			clear(b.words[base:])
+		}
 		for pos += 3; pos < end; pos += 2 {
-			b.cols = append(b.cols, int32(payload[pos]))
+			c := int32(payload[pos])
+			b.cols = append(b.cols, c)
 			b.vals = append(b.vals, payload[pos+1])
+			b.words[base+int(c>>6)-w0] |= 1 << (c & 63)
 		}
 		b.ptr = append(b.ptr, len(b.cols))
+		b.w0, b.wptr = append(b.w0, w0), append(b.wptr, len(b.words))
 	}
 }
 
@@ -211,10 +228,10 @@ type rowStore struct {
 	delta   []int64
 	dropped bool
 
-	// The sparse accumulator: acc is zero and mark false outside update.
+	// The sparse accumulator: acc is zero and every bit of the row pattern
+	// clear outside update. Column c is bit c&63 of bits[c>>6].
 	acc  []float64
-	mark []bool
-	pat  []int32
+	bits []uint64
 }
 
 // file puts row l into the bucket of its leading column.
@@ -228,10 +245,10 @@ func (st *rowStore) file(l int) {
 // update applies the pivot rows of b, in ascending order, to the owned row
 // l — row := row − (a_ik/piv_k)·pivotrow_k for every k the row reaches, a_ik
 // moving into L — and returns how many applied. The row is scattered into the
-// dense accumulator once, takes the pivots there in the order (and with the
-// operations) a pivot-by-pivot sweep of sorted rows would, and is gathered
-// once: by a scan of its column range when that is dense, else by sorting the
-// pattern.
+// dense accumulator and its pattern into the bit row once, takes the pivots
+// there in the order (and with the operations) a pivot-by-pivot sweep of
+// sorted rows would, and is gathered once by walking the set bits. A pivot's
+// fill is counted a word at a time: the bits its pattern adds to the row's.
 //
 // Every multiply-add of the package is written with the product converted,
 // float64(a*b): the Go spec then forbids fusing it into one rounding, so the
@@ -241,19 +258,21 @@ func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
 	if len(r.cols) == 0 || int(r.cols[0]) >= b.k0+len(b.piv) {
 		return 0
 	}
-	acc, mark := st.acc, st.mark
+	acc, row := st.acc, st.bits
 	for t, c := range r.cols {
-		acc[c], mark[c] = r.vals[t], true
+		acc[c] = r.vals[t]
+		row[c>>6] |= 1 << (c & 63)
 	}
 	lo, hi := int(r.cols[0]), int(r.cols[len(r.cols)-1])
 	nnz, had, flops := len(r.cols), len(lr.cols), 0
 	for j := lo - b.k0; j < len(b.piv); j++ {
 		k := b.k0 + j
-		if !mark[k] {
+		if row[k>>6]&(1<<(k&63)) == 0 {
 			continue
 		}
 		aik := acc[k]
-		acc[k], mark[k] = 0, false
+		acc[k] = 0
+		row[k>>6] &^= 1 << (k & 63)
 		nnz--
 		if aik == 0 { // explicit zero: the entry goes, nothing else happens
 			st.delta[j]--
@@ -265,56 +284,39 @@ func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
 		lr.vals = append(lr.vals, mult)
 		pc := b.cols[b.ptr[j]:b.ptr[j+1]]
 		pv := b.vals[b.ptr[j]:b.ptr[j+1]][:len(pc)]
-		fill := nnz
+		pw := b.words[b.wptr[j]:b.wptr[j+1]]
+		rw := row[b.w0[j]:][:len(pw)]
+		fill := 0 // 0 − mult·p entries
+		for t, w := range pw {
+			fill += bits.OnesCount64(w &^ rw[t])
+			rw[t] |= w
+		}
 		for t, c := range pc {
-			if !mark[c] { // fill: 0 − mult·p
-				mark[c] = true
-				nnz++
-			}
 			acc[c] -= float64(mult * pv[t])
 		}
 		if len(pc) > 0 {
 			hi = max(hi, int(pc[len(pc)-1]))
 		}
-		st.delta[j] += int64(nnz - fill) // a_ik left the row and entered L
+		nnz += fill
+		st.delta[j] += int64(fill) // a_ik left the row and entered L
 		flops += 2*len(pc) + 1
 	}
 	cnt.Add(float64(flops))
 	st.entries += int64(nnz + len(lr.cols) - had - len(r.cols))
 
-	if hi-lo < 4*nnz {
-		r.cols, r.vals = r.cols[:0], r.vals[:0]
-		for c := lo; c <= hi; c++ {
-			if mark[c] {
-				r.cols = append(r.cols, int32(c))
-				r.vals = append(r.vals, acc[c])
-				acc[c], mark[c] = 0, false
-			}
+	if cap(r.cols) < nnz || cap(r.vals) < nnz {
+		r.cols, r.vals = make([]int32, 0, nnz), make([]float64, 0, nnz)
+	}
+	r.cols, r.vals = r.cols[:0], r.vals[:0]
+	for wi := lo >> 6; wi <= hi>>6; wi++ {
+		for w := row[wi]; w != 0; w &= w - 1 {
+			c := wi<<6 | bits.TrailingZeros64(w)
+			r.cols = append(r.cols, int32(c))
+			r.vals = append(r.vals, acc[c])
+			acc[c] = 0
 		}
-		return len(lr.cols) - had
+		row[wi] = 0
 	}
-	// Every column of the pattern comes from the row or an applied pivot.
-	pat := st.pat[:0]
-	take := func(cs []int32) {
-		for _, c := range cs {
-			if mark[c] {
-				mark[c] = false
-				pat = append(pat, c)
-			}
-		}
-	}
-	take(r.cols)
-	for _, k := range lr.cols[had:] {
-		j := int(k) - b.k0
-		take(b.cols[b.ptr[j]:b.ptr[j+1]])
-	}
-	slices.Sort(pat)
-	r.cols, r.vals = append(r.cols[:0], pat...), r.vals[:0]
-	for _, c := range pat {
-		r.vals = append(r.vals, acc[c])
-		acc[c] = 0
-	}
-	st.pat = pat
 	return len(lr.cols) - had
 }
 
@@ -345,7 +347,7 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 		uTrail: make([]int64, nBlocks),
 		delta:  make([]int64, nb),
 		acc:    make([]float64, n),
-		mark:   make([]bool, n),
+		bits:   make([]uint64, n/64+1),
 	}
 	// Memory accounting: 24 bytes an entry (value + column index + list
 	// slot), charged at the high-water mark of a pivot-by-pivot sweep.

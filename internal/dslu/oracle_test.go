@@ -3,6 +3,7 @@ package dslu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -93,7 +94,7 @@ func sameOutcome(t *testing.T, got, want outcome) {
 		t.Fatalf("solution of length %d, reference %d", len(g.X), len(w.X))
 	}
 	for i := range w.X {
-		if g.X[i] != w.X[i] {
+		if g.X[i] != w.X[i] && !(math.IsNaN(g.X[i]) && math.IsNaN(w.X[i])) { // a fuzzed system can overflow
 			t.Fatalf("x[%d] = %v, reference %v", i, g.X[i], w.X[i])
 		}
 	}
@@ -324,7 +325,7 @@ func TestDSLUAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("one solve: %d bytes, %d objects", bytes, objects)
-	const maxBytes, maxObjects = 32_000_000, 26_500 // measured 26.7 MB, 22.0 k
+	const maxBytes, maxObjects = 29_700_000, 21_500 // measured 24.73 MB, 17.89 k
 	if bytes > maxBytes {
 		t.Errorf("one solve allocated %d bytes, budget is %d", bytes, maxBytes)
 	}

@@ -9,6 +9,8 @@ package mp
 // Enabled per communicator with Comm.Topo; without usable cluster
 // declarations the calls fall back to the flat algorithms in mp.go.
 
+import "repro/internal/vgrid"
+
 // topoInfo is the memoized cluster layout of a communicator's ranks.
 type topoInfo struct {
 	// leaderOf maps each rank to its cluster's leader, the cluster's lowest
@@ -21,6 +23,9 @@ type topoInfo struct {
 	// leaders lists the leaders, ascending; leaders[0] acts as the global
 	// root of the leader exchange.
 	leaders []int
+	// held keeps a leader's received member records in hierGather until its
+	// blob is sized; empty between calls.
+	held []*vgrid.Message
 }
 
 // topo derives (once) the cluster layout from the ranks' hosts. It returns
@@ -160,8 +165,9 @@ func (c *Comm) hierBcast(root int, data []float64, ti *topoInfo) ([]float64, err
 // hierGather collects each rank's slice at its cluster leader over the LAN;
 // every leader other than root packs its cluster's slices into one flat
 // blob of [rank, len, values...] records and ships it to root over the WAN
-// (C−1 crossings when root is a leader). Root unpacks the blobs — plus, when
-// root leads a cluster, its members' raw slices — into the by-rank result.
+// (C−1 crossings when root is a leader). Root slices the blobs' records —
+// plus, when root leads a cluster, its members' raw slices — into the by-rank
+// result, which owns the received buffers as the flat Gather's does.
 func (c *Comm) hierGather(root int, data []float64, ti *topoInfo) ([][]float64, error) {
 	if c.rank != root && c.rank != ti.leader {
 		cp := c.p.GetFloats(len(data))
@@ -169,18 +175,28 @@ func (c *Comm) hierGather(root int, data []float64, ti *topoInfo) ([][]float64, 
 		return nil, c.xsend(c.procs[ti.leader], tagGather, cp, 8*len(cp)+msgOverheadBytes)
 	}
 	if c.rank == ti.leader && c.rank != root {
-		blob := append([]float64{float64(c.rank), float64(len(data))}, data...)
+		// The members' records arrive first, so the blob is one pooled
+		// buffer of its final size.
+		held := ti.held[:0]
+		size := 2 + len(data)
 		for _, r := range ti.members {
 			if r == c.rank || r == root {
 				continue
 			}
 			m := c.recv(r, tagGather)
-			vals := m.Floats
-			blob = append(blob, float64(r), float64(len(vals)))
-			blob = append(blob, vals...)
-			c.p.PutFloats(vals)
+			held = append(held, m)
+			size += 2 + len(m.Floats)
+		}
+		blob := append(c.p.GetFloats(size)[:0], float64(c.rank), float64(len(data)))
+		blob = append(blob, data...)
+		for _, m := range held {
+			blob = append(blob, float64(c.rankOf(m)), float64(len(m.Floats)))
+			blob = append(blob, m.Floats...)
+			c.p.PutFloats(m.Floats)
 			c.p.ReleaseMessage(m)
 		}
+		clear(held) // the envelopes are the pool's again
+		ti.held = held[:0]
 		return nil, c.xsend(c.procs[root], tagGatherHier, blob, 8*len(blob)+msgOverheadBytes)
 	}
 	// rank == root: own members' raw slices (when leading), then one blob
@@ -204,11 +220,10 @@ func (c *Comm) hierGather(root int, data []float64, ti *topoInfo) ([][]float64, 
 		m := c.recv(l, tagGatherHier)
 		blob := m.Floats
 		for i := 0; i < len(blob); {
-			r, ln := int(blob[i]), int(blob[i+1])
-			out[r] = append([]float64(nil), blob[i+2:i+2+ln]...)
-			i += 2 + ln
+			r, end := int(blob[i]), i+2+int(blob[i+1])
+			out[r] = blob[i+2 : end : end]
+			i = end
 		}
-		c.p.PutFloats(blob)
 		c.p.ReleaseMessage(m)
 	}
 	return out, nil

@@ -105,6 +105,33 @@ func TestTopoGather(t *testing.T) {
 	}
 }
 
+// TestTopoGatherAllocs: the hierarchical gather costs the host allocator no
+// more than the flat one on the same two 3-host clusters, for a root that
+// leads its cluster and for one that does not.
+func TestTopoGatherAllocs(t *testing.T) {
+	for _, root := range []int{0, 4} {
+		run := func(topo bool) float64 {
+			return testing.AllocsPerRun(3, func() {
+				clusteredWorld(t, 3, 3, func(c *Comm) error {
+					c.Topo = topo
+					data := make([]float64, 1000)
+					for range 50 {
+						if _, err := c.Gather(root, data); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			})
+		}
+		flat, topo := run(false), run(true)
+		t.Logf("root %d: %v allocations flat, %v with Topo", root, flat, topo)
+		if topo > flat {
+			t.Errorf("root %d: 50 gathers take %v allocations with Topo, %v flat", root, topo, flat)
+		}
+	}
+}
+
 // TestTopoFallsBackOnFlatPlatform: with no cluster declarations the Topo
 // flag must be a no-op and the flat algorithms still produce the result.
 func TestTopoFallsBackOnFlatPlatform(t *testing.T) {

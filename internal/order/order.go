@@ -6,6 +6,7 @@
 package order
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -27,43 +28,38 @@ func RCM(a *sparse.CSR) []int {
 		panic("order: RCM needs a square matrix")
 	}
 	n := a.Rows
-	adj := symAdjacency(a)
-	deg := make([]int, n)
-	for i := range adj {
-		deg[i] = len(adj[i])
-	}
+	g := symAdjacency(a)
 	visited := make([]bool, n)
 	levels := make([]int, n)
 	for i := range levels {
 		levels[i] = -1
 	}
+	// The BFS queue is the Cuthill–McKee order itself: vertices leave the
+	// queue in the order they join it.
 	orderOldByNew := make([]int, 0, n)
+	var seen, nbr []int
+	byDegree := func(v, w int) int {
+		return cmp.Or(cmp.Compare(g.degree(v), g.degree(w)), cmp.Compare(v, w))
+	}
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, deg, levels, start)
+		var root int
+		root, seen = pseudoPeripheral(g, levels, start, seen)
 		// BFS from root, neighbors in increasing-degree order.
-		queue := []int{root}
 		visited[root] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			orderOldByNew = append(orderOldByNew, v)
-			nbr := make([]int, 0, len(adj[v]))
-			for _, w := range adj[v] {
+		orderOldByNew = append(orderOldByNew, root)
+		for head := len(orderOldByNew) - 1; head < len(orderOldByNew); head++ {
+			nbr = nbr[:0]
+			for _, w := range g.adj(orderOldByNew[head]) {
 				if !visited[w] {
 					visited[w] = true
 					nbr = append(nbr, w)
 				}
 			}
-			sort.Slice(nbr, func(i, j int) bool {
-				if deg[nbr[i]] != deg[nbr[j]] {
-					return deg[nbr[i]] < deg[nbr[j]]
-				}
-				return nbr[i] < nbr[j]
-			})
-			queue = append(queue, nbr...)
+			slices.SortFunc(nbr, byDegree)
+			orderOldByNew = append(orderOldByNew, nbr...)
 		}
 	}
 	// Reverse the Cuthill–McKee order and convert to perm[old]=new.
@@ -74,40 +70,57 @@ func RCM(a *sparse.CSR) []int {
 	return perm
 }
 
-// symAdjacency builds the adjacency lists of A+Aᵀ excluding self-loops,
-// each sorted ascending. No map is involved, here or anywhere else on the way
-// to a permutation: iteration order is part of the result (it breaks every
-// tie), and a map's would differ from call to call.
-func symAdjacency(a *sparse.CSR) [][]int {
-	adj := make([][]int, a.Rows)
-	for i := range adj {
-		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if i != j {
-				adj[i] = append(adj[i], j)
-				adj[j] = append(adj[j], i)
+// graph is a symmetric pattern in CSR form: the neighbours of v are
+// idx[ptr[v]:ptr[v+1]], ascending and duplicate-free.
+type graph struct{ ptr, idx []int }
+
+func (g graph) adj(v int) []int  { return g.idx[g.ptr[v]:g.ptr[v+1]] }
+func (g graph) degree(v int) int { return g.ptr[v+1] - g.ptr[v] }
+
+// symAdjacency builds the adjacency of A+Aᵀ excluding self-loops: row i is
+// the merge of row i of A and row i of Aᵀ, both sorted by the CSR invariant.
+// No map is involved, here or anywhere else on the way to a permutation:
+// iteration order is part of the result (it breaks every tie), and a map's
+// would differ from call to call.
+func symAdjacency(a *sparse.CSR) graph {
+	at := a.Transpose()
+	g := graph{ptr: make([]int, a.Rows+1), idx: make([]int, 0, 2*a.NNZ())}
+	for i := 0; i < a.Rows; i++ {
+		x, y := a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]], at.ColInd[at.RowPtr[i]:at.RowPtr[i+1]]
+		for len(x) > 0 || len(y) > 0 {
+			var j int
+			switch {
+			case len(y) == 0 || len(x) > 0 && x[0] < y[0]:
+				j, x = x[0], x[1:]
+			case len(x) == 0 || y[0] < x[0]:
+				j, y = y[0], y[1:]
+			default:
+				j, x, y = x[0], x[1:], y[1:]
+			}
+			if j != i {
+				g.idx = append(g.idx, j)
 			}
 		}
+		g.ptr[i+1] = len(g.idx)
 	}
-	for i := range adj {
-		slices.Sort(adj[i])
-		adj[i] = slices.Compact(adj[i])
-	}
-	return adj
+	return g
 }
 
 // pseudoPeripheral finds a vertex of (approximately) maximum eccentricity in
 // the connected component of start, using the standard George–Liu iteration.
-// levels is scratch of length n holding -1 everywhere, and is left that way.
-func pseudoPeripheral(adj [][]int, deg, levels []int, start int) int {
+// levels is scratch of length n holding -1 everywhere, and is left that way;
+// seen is scratch for bfsLevels, returned for the next call.
+func pseudoPeripheral(g graph, levels []int, start int, seen []int) (int, []int) {
 	root := start
 	lastEcc := -1
 	for iter := 0; iter < 8; iter++ {
-		seen, ecc := bfsLevels(adj, levels, root)
+		var ecc int
+		seen, ecc = bfsLevels(g, levels, root, seen)
 		// Pick the minimum-degree vertex in the last level, the lowest
 		// numbered among equals.
 		best := -1
 		for _, v := range seen {
-			if levels[v] == ecc && (best == -1 || deg[v] < deg[best] || deg[v] == deg[best] && v < best) {
+			if levels[v] == ecc && (best == -1 || g.degree(v) < g.degree(best) || g.degree(v) == g.degree(best) && v < best) {
 				best = v
 			}
 		}
@@ -120,18 +133,19 @@ func pseudoPeripheral(adj [][]int, deg, levels []int, start int) int {
 		lastEcc = ecc
 		root = best
 	}
-	return root
+	return root, seen
 }
 
 // bfsLevels writes into levels the distance from root of every vertex of
-// root's component and returns those vertices with the largest distance.
-func bfsLevels(adj [][]int, levels []int, root int) ([]int, int) {
+// root's component and returns those vertices, in seen's storage, and the
+// largest distance.
+func bfsLevels(g graph, levels []int, root int, seen []int) ([]int, int) {
 	levels[root] = 0
-	seen := []int{root}
+	seen = append(seen[:0], root)
 	ecc := 0
 	for head := 0; head < len(seen); head++ {
 		v := seen[head]
-		for _, w := range adj[v] {
+		for _, w := range g.adj(v) {
 			if levels[w] < 0 {
 				levels[w] = levels[v] + 1
 				ecc = levels[w]
