@@ -161,48 +161,45 @@ type srow struct {
 }
 
 // pivotBlock holds the finalized rows of one block the way the update kernel
-// reads them: row k0+j has the diagonal piv[j] and, right of it, the entries
-// cols/vals[ptr[j]:ptr[j+1]]. Its column pattern is also kept as bits:
+// reads them: views of the fan-out payload, which is the block. Row k0+j has
+// the diagonal piv[j] and, right of it, the columns cols[j] (exact integers)
+// with the values vals[j]. Its column pattern is also kept as bits:
 // words[wptr[j]:wptr[j+1]] are the words w0[j] onwards of a length-n bit row,
 // from the word of its first column to that of its last.
 type pivotBlock struct {
-	k0       int
-	piv      []float64
-	ptr      []int
-	cols     []int32
-	vals     []float64
-	w0, wptr []int
-	words    []uint64
+	k0         int
+	piv        []float64
+	cols, vals [][]float64
+	w0, wptr   []int
+	words      []uint64
 }
 
 func (b *pivotBlock) reset(k0 int) {
-	b.k0, b.piv, b.ptr = k0, b.piv[:0], append(b.ptr[:0], 0)
-	b.cols, b.vals = b.cols[:0], b.vals[:0]
+	b.k0, b.piv, b.cols, b.vals = k0, b.piv[:0], b.cols[:0], b.vals[:0]
 	b.w0, b.wptr, b.words = b.w0[:0], append(b.wptr[:0], 0), b.words[:0]
 }
 
-// decode appends the rows of a fan-out payload: per pivot row k, the triple
-// k, count, piv and then count (col, val) pairs, cols > k ascending.
+// decode adds the rows of a fan-out payload, which must outlive the block:
+// per pivot row k, the triple k, count, piv, then its count columns > k
+// ascending, then their count values.
 func (b *pivotBlock) decode(payload []float64) {
 	for pos := 0; pos < len(payload); {
 		cnt := int(payload[pos+1])
-		end := pos + 3 + 2*cnt
+		cols := payload[pos+3:][:cnt]
 		b.piv = append(b.piv, payload[pos+2])
+		b.cols, b.vals = append(b.cols, cols), append(b.vals, payload[pos+3+cnt:][:cnt])
 		w0, base := 0, len(b.words)
 		if cnt > 0 {
-			w0 = int(payload[pos+3]) >> 6
-			nw := int(payload[end-2])>>6 - w0 + 1
+			w0 = int(cols[0]) >> 6
+			nw := int(cols[cnt-1])>>6 - w0 + 1
 			b.words = slices.Grow(b.words, nw)[:base+nw]
 			clear(b.words[base:])
 		}
-		for pos += 3; pos < end; pos += 2 {
-			c := int32(payload[pos])
-			b.cols = append(b.cols, c)
-			b.vals = append(b.vals, payload[pos+1])
-			b.words[base+int(c>>6)-w0] |= 1 << (c & 63)
+		for _, c := range cols {
+			b.words[base+int(c)>>6-w0] |= 1 << (int(c) & 63)
 		}
-		b.ptr = append(b.ptr, len(b.cols))
 		b.w0, b.wptr = append(b.w0, w0), append(b.wptr, len(b.words))
+		pos += 3 + 2*cnt
 	}
 }
 
@@ -282,8 +279,7 @@ func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
 		mult := aik / b.piv[j]
 		lr.cols = append(lr.cols, int32(k))
 		lr.vals = append(lr.vals, mult)
-		pc := b.cols[b.ptr[j]:b.ptr[j+1]]
-		pv := b.vals[b.ptr[j]:b.ptr[j+1]][:len(pc)]
+		pc, pv := b.cols[j], b.vals[j][:len(b.cols[j])]
 		pw := b.words[b.wptr[j]:b.wptr[j+1]]
 		rw := row[b.w0[j]:][:len(pw)]
 		fill := 0 // 0 − mult·p entries
@@ -292,7 +288,7 @@ func (st *rowStore) update(l int, b *pivotBlock, cnt *vec.Counter) int {
 			rw[t] |= w
 		}
 		for t, c := range pc {
-			acc[c] -= float64(mult * pv[t])
+			acc[int(c)] -= float64(mult * pv[t])
 		}
 		if len(pc) > 0 {
 			hi = max(hi, int(pc[len(pc)-1]))
@@ -416,12 +412,12 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 		k0, k1 := span(blk)
 		oom := func(err error) error { return fmt.Errorf("dslu: block %d: %w", blk, err) }
 		pb.reset(k0)
-		done := 0 // the owner's local rows below it are the block's own
+		done := 0         // the owner's local rows below it are the block's own
+		var pk *mp.Packet // a received block lives until its update phase ends
 		if ownerOf(blk) == rank {
 			// Intra-block elimination: row k takes the finalized rows before
-			// it, is finalized, and joins the block and the fan-out payload —
-			// for each pivot row k: k, count, piv, then (col, val) pairs with
-			// cols > k in ascending order.
+			// it, is finalized, and joins the fan-out payload, which is the
+			// block (pivotBlock.decode has its layout).
 			payload = payload[:0]
 			done = local(blk) + k1 - k0
 			for k := k0; k < k1; k++ {
@@ -436,12 +432,13 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 				}
 				from := len(payload)
 				payload = append(payload, float64(k), float64(len(r.cols)-1), r.vals[0])
-				for t := 1; t < len(r.cols); t++ {
-					payload = append(payload, float64(r.cols[t]), r.vals[t])
-					if j := int(r.cols[t]); j >= k1 {
-						st.uTrail[j/nb]++
+				for _, j := range r.cols[1:] {
+					payload = append(payload, float64(j))
+					if int(j) >= k1 {
+						st.uTrail[int(j)/nb]++
 					}
 				}
+				payload = append(payload, r.vals[1:]...)
 				pb.decode(payload[from:])
 			}
 			if err := settle(); err != nil {
@@ -456,9 +453,8 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 				}
 			}
 		} else {
-			pk := cm.Recv(ownerOf(blk), tagPivotBlock)
+			pk = cm.Recv(ownerOf(blk), tagPivotBlock)
 			pb.decode(pk.Floats)
-			cm.Release(pk)
 		}
 		// Update phase: every owned trailing row the block reaches takes its
 		// pivot rows and moves to the bucket of its new leading column.
@@ -473,6 +469,7 @@ func dsluRank(cm *mp.Comm, c *sparse.CSR, w []float64, rcm []int, o Options, pen
 			}
 		}
 		st.bucket[blk] = nil
+		cm.Release(pk)
 		if err := settle(); err != nil {
 			return oom(err)
 		}

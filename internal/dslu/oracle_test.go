@@ -325,12 +325,52 @@ func TestDSLUAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("one solve: %d bytes, %d objects", bytes, objects)
-	const maxBytes, maxObjects = 29_700_000, 21_500 // measured 24.73 MB, 17.89 k
+	const maxBytes, maxObjects = 23_100_000, 21_300 // measured 19.16 MB, 17.62 k (-race: 19.18 MB, 17.69 k)
 	if bytes > maxBytes {
 		t.Errorf("one solve allocated %d bytes, budget is %d", bytes, maxBytes)
 	}
 	if objects > maxObjects {
 		t.Errorf("one solve allocated %d objects, budget is %d", objects, maxObjects)
+	}
+}
+
+// TestPivotBlockViewsPayload pins that the fan-out payload is the pivot block:
+// decode keeps views of each row's columns and values, not copies, and a
+// block warmed to a payload's size decodes it again without allocating.
+func TestPivotBlockViewsPayload(t *testing.T) {
+	// Rows 5, 6 and 7: one over three words, one empty, one over one word.
+	payload := []float64{
+		5, 3, 2.5, 6, 70, 190, 1, 2, 3,
+		6, 0, -1,
+		7, 2, 4, 64, 127, 0.5, 0.25,
+	}
+	var pb pivotBlock
+	pb.reset(5)
+	pb.decode(payload)
+	if !slices.Equal(pb.piv, []float64{2.5, -1, 4}) {
+		t.Fatalf("pivots %v", pb.piv)
+	}
+	wantWords := [][]uint64{{1 << 6, 1 << 6, 1 << 62}, {}, {1 | 1<<63}}
+	for j, pos := range []int{0, 9, 12} {
+		cnt := int(payload[pos+1])
+		if len(pb.cols[j]) != cnt || len(pb.vals[j]) != cnt {
+			t.Fatalf("row %d: %d columns, %d values, want %d", j, len(pb.cols[j]), len(pb.vals[j]), cnt)
+		}
+		if cnt > 0 && (&pb.cols[j][0] != &payload[pos+3] || &pb.vals[j][0] != &payload[pos+3+cnt]) {
+			t.Fatalf("row %d: columns or values are a copy, not a view of the payload", j)
+		}
+		if w := pb.words[pb.wptr[j]:pb.wptr[j+1]]; !slices.Equal(w, wantWords[j]) {
+			t.Fatalf("row %d: words %x from %d, want %x", j, w, pb.w0[j], wantWords[j])
+		}
+	}
+	if pb.w0[0] != 0 || pb.w0[2] != 1 {
+		t.Fatalf("first words %v", pb.w0)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		pb.reset(5)
+		pb.decode(payload)
+	}); allocs != 0 {
+		t.Fatalf("a warmed block allocates %v times per decode", allocs)
 	}
 }
 

@@ -81,12 +81,29 @@ func (g graph) degree(v int) int { return g.ptr[v+1] - g.ptr[v] }
 // the merge of row i of A and row i of Aᵀ, both sorted by the CSR invariant.
 // No map is involved, here or anywhere else on the way to a permutation:
 // iteration order is part of the result (it breaks every tie), and a map's
-// would differ from call to call.
+// would differ from call to call. The pattern of Aᵀ is a counting sort of
+// A's column indices, values left out: while column j fills, tptr[j] runs
+// up to the start of column j+1, so one shift restores the pointers.
 func symAdjacency(a *sparse.CSR) graph {
-	at := a.Transpose()
-	g := graph{ptr: make([]int, a.Rows+1), idx: make([]int, 0, 2*a.NNZ())}
-	for i := 0; i < a.Rows; i++ {
-		x, y := a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]], at.ColInd[at.RowPtr[i]:at.RowPtr[i+1]]
+	n := a.Rows
+	tptr, tidx := make([]int, n+1), make([]int, len(a.ColInd))
+	for _, j := range a.ColInd {
+		tptr[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		tptr[j+1] += tptr[j]
+	}
+	for i := 0; i < n; i++ {
+		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
+			tidx[tptr[j]] = i
+			tptr[j]++
+		}
+	}
+	copy(tptr[1:], tptr[:n])
+	tptr[0] = 0
+	g := graph{ptr: make([]int, n+1), idx: make([]int, 0, 2*len(a.ColInd))}
+	for i := 0; i < n; i++ {
+		x, y := a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]], tidx[tptr[i]:tptr[i+1]]
 		for len(x) > 0 || len(y) > 0 {
 			var j int
 			switch {
